@@ -10,6 +10,7 @@ from .algebroid import (
 from .embedding import (
     ConstancyResult,
     Extension,
+    ExtensionCheckFailed,
     LocusReport,
     RankNotConstant,
     SymmetricPairReport,
@@ -48,6 +49,7 @@ from .lie_poisson import (
 )
 from .linalg import (
     DimensionMismatch,
+    InvariantViolation,
     Matrix,
     Subspace,
     Vector,
@@ -62,6 +64,7 @@ from .submanifold import (
     CoisotropyResult,
     PrePoissonVerdict,
     SampleSpec,
+    SkewPencil,
     classify,
     graph_coisotropy,
     is_coisotropic,
@@ -70,6 +73,7 @@ from .submanifold import (
     preimage_construction,
     product,
     sharp_conormal_at,
+    skew_pencil,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

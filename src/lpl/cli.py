@@ -5,7 +5,9 @@ Models and problems are JSON; all rationals travel as strings ``p`` or
 output is key-sorted and byte-stable for a fixed seed.
 
 Exit codes: 0 success, 1 input error, 2 mathematical refusal (for example a
-non-constant rank where the extension construction needs a constant one).
+non-constant rank where the extension construction needs a constant one, or
+an extension that fails its own coisotropy check), 3 internal error (an
+identity that an exact construction guarantees did not hold: a defect in lpl).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import algebroid as algebroid_mod
 from . import embedding as embedding_mod
 from .lie import LieAlgebra, NotASubalgebra, validate_jacobi
 from .lie_poisson import casimir_check, parse_polynomial, poisson_bracket_poly
-from .linalg import DimensionMismatch, Subspace, Vector, is_zero_vector, vec
+from .linalg import DimensionMismatch, InvariantViolation, Subspace, Vector, is_zero_vector, vec
 from .submanifold import AffineSubspace, SampleSpec, classify
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -31,6 +33,7 @@ FIXTURES_DIR = Path(__file__).parent / "fixtures"
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_REFUSED = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(ValueError):
@@ -485,6 +488,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         embedding_mod.RankNotConstant,
         embedding_mod.ConstancyNotCertified,
         embedding_mod.NotComplementary,
+        embedding_mod.ExtensionCheckFailed,
         NotASubalgebra,
     ) as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -492,6 +496,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(render_json(report) if args.as_json else render_human(report))
     return EXIT_OK
 

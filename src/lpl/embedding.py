@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra, subspace_bracket, validate_jacobi
 from .linalg import (
+    InvariantViolation,
     Matrix,
     Subspace,
     Vector,
@@ -22,7 +23,9 @@ from .linalg import (
     dot,
     mat,
     pivot_columns,
+    rank,
     solve,
+    transpose,
     vadd,
     vec,
     vscale,
@@ -54,6 +57,10 @@ class ConstancyNotCertified(ValueError):
     """sharp N*P was not certified constant; k is not defined."""
 
 
+class ExtensionCheckFailed(ValueError):
+    """C failed the coisotropy self-check inside the constructed P."""
+
+
 @dataclass(frozen=True)
 class Extension:
     c: AffineSubspace
@@ -67,6 +74,15 @@ class Extension:
         return self.c.algebra
 
 
+def _constant_span(c: AffineSubspace, verdict: PrePoissonVerdict) -> Subspace:
+    """T_base C + sharp N*_base C, refusing when its rank is not constant."""
+    if verdict.kind == NOT_CONSTANT:
+        raise RankNotConstant(
+            f"rank differs between sampled points: {verdict.counterexample}"
+        )
+    return c.direction.sum(sharp_conormal_at(c, c.base))
+
+
 def choose_r(
     c: AffineSubspace,
     sampling: SampleSpec = SampleSpec(),
@@ -75,12 +91,7 @@ def choose_r(
     """Greedy coordinate-order complement of T_base C + sharp N*_base C."""
     if verdict is None:
         verdict = pre_poisson_check(c, sampling)
-    if verdict.kind == NOT_CONSTANT:
-        raise RankNotConstant(
-            f"rank differs between sampled points: {verdict.counterexample}"
-        )
-    span = c.direction.sum(sharp_conormal_at(c, c.base))
-    return choose_complement(span, Subspace.full(c.algebra.dim))
+    return choose_complement(_constant_span(c, verdict), Subspace.full(c.algebra.dim))
 
 
 def extend(
@@ -95,11 +106,7 @@ def extend(
     coisotropy of C inside P is re-checked at cosymplectic sample points.
     """
     verdict = pre_poisson_check(c, sampling)
-    if verdict.kind == NOT_CONSTANT:
-        raise RankNotConstant(
-            f"rank differs between sampled points: {verdict.counterexample}"
-        )
-    span = c.direction.sum(sharp_conormal_at(c, c.base))
+    span = _constant_span(c, verdict)
     if r is None:
         r = choose_complement(span, Subspace.full(c.algebra.dim))
     else:
@@ -116,7 +123,7 @@ def extend(
         check = coisotropy_in_extension(ext, SampleSpec(count=8, seed=sampling.seed))
         bad = [x for x, ok in check if not ok]
         if bad:
-            raise AssertionError(f"C fails to be coisotropic in P at {bad[0]}")
+            raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {bad[0]}")
     return ext
 
 
@@ -135,10 +142,7 @@ def is_cosymplectic_at(e: Extension, x: Iterable) -> bool:
     xv = e.p_tilde.require_point(x)
     if not e.p.basis:
         return e.p_tilde.dim == e.algebra.dim
-    form = _restricted_form(e.algebra, e.p, xv)
-    from .linalg import rref
-
-    return len(rref(form)) == e.p.dim
+    return rank(_restricted_form(e.algebra, e.p, xv)) == e.p.dim
 
 
 @dataclass(frozen=True)
@@ -240,9 +244,7 @@ def injectivity_at(algebra: LieAlgebra, p: Subspace, y: Iterable) -> bool:
     """True iff v in p -> coad_v(y) has trivial kernel."""
     yv = vec(y)
     rows = [algebra.coad_apply(v, yv) for v in p.basis]
-    from .linalg import rref
-
-    return len(rref(rows, algebra.dim)) == p.dim
+    return rank(rows, algebra.dim) == p.dim
 
 
 def induced_structure_from_decomposition(
@@ -266,18 +268,19 @@ def induced_structure_from_decomposition(
     for i in range(m):
         rhs = tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
         coeffs = solve(gram, rhs)
-        assert coeffs is not None  # pairing k x p-ann is nondegenerate
+        if coeffs is None:
+            raise InvariantViolation("the pairing of k with p-ann is degenerate")
         v = zero_vector(algebra.dim)
         for cfc, kb in zip(coeffs, k.basis):
             v = vadd(v, vscale(cfc, kb))
         khat.append(v)
     # Projection to k along p in the combined basis.
     combined = mat(list(k.basis) + list(p.basis))
-    from .linalg import transpose
 
     def project_k(w: Vector) -> Vector:
         coords = solve(transpose(combined), w)
-        assert coords is not None
+        if coords is None:
+            raise InvariantViolation("k and p do not span the algebra")
         out = zero_vector(algebra.dim)
         for cfc, kb in zip(coords[: k.dim], k.basis):
             out = vadd(out, vscale(cfc, kb))
@@ -293,7 +296,8 @@ def induced_structure_from_decomposition(
     labels = tuple(algebra.labels[col] for col in pivot_columns(direction.basis))
     result = LieAlgebra.from_brackets(m, brackets, labels)
     report = validate_jacobi(result)
-    assert report.ok, f"induced structure violates Jacobi at {report.triple}"
+    if not report.ok:
+        raise InvariantViolation(f"induced structure violates Jacobi at {report.triple}")
     return result
 
 
@@ -333,7 +337,8 @@ def coisotropy_in_extension(
                 -dot(e.algebra.coad_apply(v, x), w) for v in e.p.basis
             )
             coeffs = solve(form, rhs) if e.p.basis else ()
-            assert coeffs is not None  # form is nondegenerate here
+            if coeffs is None:
+                raise InvariantViolation(f"the form on p is degenerate at cosymplectic {x}")
             corrected = w
             for cfc, pb in zip(coeffs, e.p.basis):
                 corrected = vadd(corrected, vscale(cfc, pb))

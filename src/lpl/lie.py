@@ -1,22 +1,25 @@
 """Lie algebras from structure constants, over exact rationals.
 
 The bracket table stores [e_i, e_j] for all pairs; antisymmetry is enforced
-at construction (input gives only i < j).  The coadjoint matrix is the plain
-transpose of the adjoint one, so that <coad_v(x), w> = <x, [v, w]> holds as an
-exact identity in dual-basis coordinates.
+at construction (input gives only i < j).  The nonzero structure constants
+c_ij^k are derived from it once, and every product (bracket, ad, coad, the
+bivector) is a sum over them.  The coadjoint matrix is the plain transpose of
+the adjoint one, so that <coad_v(x), w> = <x, [v, w]> holds as an exact
+identity in dual-basis coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
+    ZERO,
     DimensionMismatch,
     Matrix,
     Subspace,
     Vector,
-    dot,
     is_zero_vector,
     mat_vec,
     rref,
@@ -27,6 +30,9 @@ from .linalg import (
     vscale,
     zero_vector,
 )
+
+# structure[i] = ((j, ((k, c_ij^k), ...)), ...) over the nonzero [e_i, e_j].
+Structure = tuple[tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...], ...]
 
 
 class NotASubalgebra(ValueError):
@@ -45,6 +51,18 @@ class LieAlgebra:
     dim: int
     labels: tuple[str, ...]
     table: tuple[tuple[Vector, ...], ...]  # table[i][j] = coords of [e_i, e_j]
+    structure: Structure = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        structure = tuple(
+            tuple(
+                (j, tuple((k, c) for k, c in enumerate(w) if c))
+                for j, w in enumerate(row)
+                if not is_zero_vector(w)
+            )
+            for row in self.table
+        )
+        object.__setattr__(self, "structure", structure)
 
     @staticmethod
     def from_brackets(
@@ -82,22 +100,25 @@ class LieAlgebra:
     def abelian(dim: int, labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
         return LieAlgebra.from_brackets(dim, {}, labels)
 
-    def basis_bracket(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
+    def is_abelian(self) -> bool:
+        return not any(self.structure)
 
     def bracket(self, v: Iterable, w: Iterable) -> Vector:
+        """sum over i, j, k of v_i w_j c_ij^k e_k."""
         x, y = vec(v), vec(w)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have the algebra dimension")
-        out = zero_vector(self.dim)
-        for i, xi in enumerate(x):
+        out = [ZERO] * self.dim
+        for xi, row in zip(x, self.structure):
             if xi == 0:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0 or i == j:
+            for j, terms in row:
+                if y[j] == 0:
                     continue
-                out = vadd(out, vscale(xi * yj, self.table[i][j]))
-        return out
+                f = xi * y[j]
+                for k, c in terms:
+                    out[k] += f * c
+        return tuple(out)
 
     def ad(self, v: Iterable) -> Matrix:
         """Matrix of ad_v : w -> [v, w] (rows index output coordinates)."""
@@ -109,13 +130,19 @@ class LieAlgebra:
         return transpose(self.ad(v))
 
     def coad_apply(self, v: Iterable, x: Iterable) -> Vector:
-        """coad_v(x), i.e. the covector w -> <x, [v, w]>."""
-        xv = vec(x)
-        if len(xv) != self.dim:
-            raise DimensionMismatch("point must have the algebra dimension")
-        return tuple(
-            dot(xv, self.bracket(v, unit_vector(self.dim, j))) for j in range(self.dim)
-        )
+        """coad_v(x), i.e. the covector w -> <x, [v, w]>: entry j is sum v_i x_k c_ij^k."""
+        vv, xv = vec(v), vec(x)
+        if len(vv) != self.dim or len(xv) != self.dim:
+            raise DimensionMismatch("coad_apply arguments must have the algebra dimension")
+        out = [ZERO] * self.dim
+        for vi, row in zip(vv, self.structure):
+            if vi == 0:
+                continue
+            for j, terms in row:
+                pairing = sum(xv[k] * c for k, c in terms)
+                if pairing:
+                    out[j] += vi * pairing
+        return tuple(out)
 
 
 def adjoint_maps(algebra: LieAlgebra, v: Iterable) -> tuple[Matrix, Matrix]:

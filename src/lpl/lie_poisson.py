@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
-from .linalg import DimensionMismatch, Matrix, Vector, dot, vec
+from .linalg import ZERO, DimensionMismatch, Matrix, Vector, vec
 
 Exponents = tuple[int, ...]
 
@@ -223,10 +223,11 @@ def bivector_at(algebra: LieAlgebra, x: Iterable) -> Matrix:
     xv = vec(x)
     if len(xv) != algebra.dim:
         raise DimensionMismatch("point must have the algebra dimension")
-    return tuple(
-        tuple(dot(xv, algebra.table[i][j]) for j in range(algebra.dim))
-        for i in range(algebra.dim)
-    )
+    pi = [[ZERO] * algebra.dim for _ in range(algebra.dim)]
+    for row, terms_of in zip(pi, algebra.structure):
+        for j, terms in terms_of:
+            row[j] = sum((xv[k] * c for k, c in terms), ZERO)
+    return tuple(tuple(row) for row in pi)
 
 
 def bivector_polys(algebra: LieAlgebra) -> tuple[tuple[Polynomial, ...], ...]:

@@ -23,9 +23,17 @@ class DimensionMismatch(ValueError):
     """Operands live in spaces of different dimensions."""
 
 
+class InvariantViolation(RuntimeError):
+    """An identity that an exact construction guarantees does not hold.
+
+    Raised instead of ``assert`` so the check survives ``python -O``; it
+    signals a defect in lpl, not in the input.
+    """
+
+
 def vec(entries: Iterable) -> Vector:
     """Coerce an iterable of rational-like entries to an exact vector."""
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -80,11 +88,6 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def rref(rows: Iterable[Sequence], ncols: Optional[int] = None) -> Matrix:
     """Reduced row-echelon form; zero rows are dropped.
 
@@ -109,15 +112,19 @@ def rref(rows: Iterable[Sequence], ncols: Optional[int] = None) -> Matrix:
             continue
         work[pivot_row], work[pr] = work[pr], work[pivot_row]
         inv = ONE / work[pivot_row][col]
-        work[pivot_row] = [inv * e for e in work[pivot_row]]
+        work[pivot_row] = [inv * e if e else e for e in work[pivot_row]]
         for r in range(len(work)):
             if r != pivot_row and work[r][col] != 0:
                 f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pivot_row])]
+                work[r] = [a - f * b if b else a for a, b in zip(work[r], work[pivot_row])]
         pivot_row += 1
         if pivot_row == len(work):
             break
     return tuple(tuple(r) for r in work[:pivot_row])
+
+
+def rank(rows: Iterable[Sequence], ncols: Optional[int] = None) -> int:
+    return len(rref(rows, ncols))
 
 
 def pivot_columns(echelon: Matrix) -> list[int]:

@@ -2,7 +2,10 @@
 
 Classification into coisotropic / pre-Poisson / Poisson-Dirac / cosymplectic.
 The conormal space of C at every point is canonically the defining subspace h,
-and sharp N*_x C is the span of coad_v(x) over v in h.
+and sharp N*_x C is the span of coad_v(x) over v in h.  Modulo T_x C = ann(h)
+that span is the row space of the skew matrix B_h(x)_ab = <x, [h_a, h_b]>, so
+rank(T_x C + sharp N*_x C) = codim h + rank B_h(x).  B_h is affine in x: along
+C it is the pencil B0 + sum_a t_a B_a, built once per C.
 
 Coisotropy and the subalgebra-case pre-Poisson verdict are exact theorems;
 for non-subalgebra h the rank-constancy verdict is evidence from exact
@@ -14,19 +17,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
 from .linalg import (
+    ZERO,
     DimensionMismatch,
+    InvariantViolation,
+    Matrix,
     Subspace,
     Vector,
     choose_complement,
     dot,
+    rank,
     solve,
+    unit_vector,
     vadd,
     vec,
     vscale,
+    vsub,
     zero_vector,
 )
 
@@ -70,7 +80,7 @@ class AffineSubspace:
             raise DimensionMismatch("base point must have the algebra dimension")
         object.__setattr__(self, "base", vec(self.base))
 
-    @property
+    @cached_property
     def direction(self) -> Subspace:
         return self.h.annihilator()
 
@@ -79,7 +89,7 @@ class AffineSubspace:
         return self.algebra.dim - self.h.dim
 
     def contains(self, x: Iterable) -> bool:
-        return self.direction.contains_vector(vsub_checked(vec(x), self.base))
+        return self.direction.contains_vector(vsub(vec(x), self.base))
 
     def require_point(self, x: Iterable) -> Vector:
         xv = vec(x)
@@ -87,25 +97,24 @@ class AffineSubspace:
             raise NotOnSubmanifold(f"point {xv} is not on the affine subspace")
         return xv
 
+    def point_at(self, t: Sequence[Fraction]) -> Vector:
+        """base + sum t_a u_a over the canonical basis u of the direction."""
+        x = self.base
+        for ta, u in zip(t, self.direction.basis):
+            x = vadd(x, vscale(ta, u))
+        return x
+
+    def sample_coefficients(self, sampling: SampleSpec) -> list[Sequence[Fraction]]:
+        """The seeded coordinates t of ``sampling.count`` points along C."""
+        d = self.direction.dim
+        if not d:
+            return [() for _ in range(min(sampling.count, 1))]
+        coeffs = sampling.rationals(sampling.count * d)
+        return [coeffs[s * d : (s + 1) * d] for s in range(sampling.count)]
+
     def sample_points(self, sampling: SampleSpec) -> list[Vector]:
         """``sampling.count`` exact points base + sum t_a u_a, seed-determined."""
-        direction = self.direction.basis
-        if not direction:
-            return [self.base for _ in range(min(sampling.count, 1))]
-        coeffs = sampling.rationals(sampling.count * len(direction))
-        points = []
-        for s in range(sampling.count):
-            x = self.base
-            for a, u in enumerate(direction):
-                x = vadd(x, vscale(coeffs[s * len(direction) + a], u))
-            points.append(x)
-        return points
-
-
-def vsub_checked(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise DimensionMismatch("points of different dimensions")
-    return tuple(a - b for a, b in zip(x, y))
+        return [self.point_at(t) for t in self.sample_coefficients(sampling)]
 
 
 def sharp_conormal_at(c: AffineSubspace, x: Iterable) -> Subspace:
@@ -154,32 +163,67 @@ class PrePoissonVerdict:
         return self.kind != NOT_CONSTANT
 
 
-def _span_with_sharp(c: AffineSubspace, x: Vector) -> Subspace:
-    vectors = list(c.direction.basis) + [c.algebra.coad_apply(v, x) for v in c.h.basis]
-    return Subspace.span(c.algebra.dim, vectors)
+@dataclass(frozen=True)
+class SkewPencil:
+    """B_h(base + sum_i t_i u_i) = B0 + sum_i t_i B_i along C.
+
+    One entry per pair a < b of h basis vectors: the B0 entry
+    <base, [h_a, h_b]> and the nonzero B_i entries (i, <u_i, [h_a, h_b]>).
+    """
+
+    size: int
+    entries: tuple[tuple[Fraction, tuple[tuple[int, Fraction], ...]], ...]
+
+    def at(self, t: Sequence[Fraction]) -> Matrix:
+        """B_h at the point with direction coordinates t."""
+        m = self.size
+        rows = [[ZERO] * m for _ in range(m)]
+        entries = iter(self.entries)
+        for a in range(m):
+            for b in range(a + 1, m):
+                constant, terms = next(entries)
+                value = constant + sum(t[i] * c for i, c in terms)
+                rows[a][b], rows[b][a] = value, -value
+        return tuple(tuple(row) for row in rows)
+
+    def rank_at(self, t: Sequence[Fraction]) -> int:
+        return rank(self.at(t), self.size)
+
+
+def skew_pencil(c: AffineSubspace) -> SkewPencil:
+    """The pencil of B_h along C, from one bracket per pair of h basis vectors."""
+    h, direction = c.h.basis, c.direction.basis
+    entries = []
+    for a, ha in enumerate(h):
+        for hb in h[a + 1 :]:
+            w = c.algebra.bracket(ha, hb)
+            terms = tuple((i, e) for i, u in enumerate(direction) if (e := dot(u, w)))
+            entries.append((dot(c.base, w), terms))
+    return SkewPencil(len(h), tuple(entries))
 
 
 def pre_poisson_check(
     c: AffineSubspace, sampling: SampleSpec = SampleSpec()
 ) -> PrePoissonVerdict:
-    """Constancy of rank(T_x C + sharp N*_x C) along C.
+    """Constancy of rank(T_x C + sharp N*_x C) = codim h + rank B_h(x) along C.
 
     When h is a subalgebra the space equals h-annihilator + coad_h(base) at
     every point, which is a proved certificate, not sampled evidence.
-    Otherwise the rank is compared at the base point and at seeded exact
-    sample points.
+    Otherwise rank B_h is compared at the base point and at seeded exact
+    sample points, evaluating the skew pencil of B_h along C.
     """
     if is_subalgebra(c.algebra, c.h):
-        space = _span_with_sharp(c, c.base)
+        space = c.direction.sum(sharp_conormal_at(c, c.base))
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=space.dim, space=space)
-    base_rank = _span_with_sharp(c, c.base).dim
-    witness_base = (c.base, base_rank)
-    for x in c.sample_points(sampling):
-        r = _span_with_sharp(c, x).dim
+    pencil = skew_pencil(c)
+    codim = c.direction.dim
+    base_rank = codim + pencil.rank_at(zero_vector(codim))
+    for t in c.sample_coefficients(sampling):
+        r = codim + pencil.rank_at(t)
         if r != base_rank:
             return PrePoissonVerdict(
                 NOT_CONSTANT,
-                counterexample=(witness_base, (x, r)),
+                counterexample=((c.base, base_rank), (c.point_at(t), r)),
                 samples=sampling.count,
                 seed=sampling.seed,
             )
@@ -245,7 +289,8 @@ def _lift_matrix(algebra: LieAlgebra, h: Subspace) -> tuple[Subspace, list[Vecto
 def _lift_covector(rows: list[Vector], nu: Vector, h_dim: int, n: int) -> Vector:
     rhs = tuple(nu) + zero_vector(n - h_dim)
     lam = solve(tuple(rows), rhs)
-    assert lam is not None  # rows form a basis of the ambient space
+    if lam is None:
+        raise InvariantViolation("lifting rows do not form a basis of the algebra")
     return lam
 
 
@@ -290,19 +335,13 @@ def preimage_construction(
         return c, None
     sub = restricted_algebra(algebra, h)
     orbit_tangent = Subspace.span(
-        h.dim, [sub.coad_apply(sub_basis_vec, nu_v) for sub_basis_vec in _std_basis(h.dim)]
+        h.dim, [sub.coad_apply(unit_vector(h.dim, i), nu_v) for i in range(h.dim)]
     )
     slice_dir = choose_complement(orbit_tangent, Subspace.full(h.dim))
     lifted = [_lift_covector(rows, mu, h.dim, n) for mu in slice_dir.basis]
     direction = c.direction.sum(Subspace.span(n, lifted))
     p_tilde = AffineSubspace(algebra, direction.annihilator(), lam)
     return c, p_tilde
-
-
-def _std_basis(n: int) -> list[Vector]:
-    from .linalg import unit_vector
-
-    return [unit_vector(n, i) for i in range(n)]
 
 
 # -- graphs and products ----------------------------------------------------
@@ -319,7 +358,7 @@ def graph_coisotropy(phi: LinearMap) -> tuple[Subspace, bool]:
     product_algebra = direct_sum(g, h, sign=-1)
     generators = []
     for j in range(h.dim):
-        e_j = _std_basis(h.dim)[j]
+        e_j = unit_vector(h.dim, j)
         generators.append(vscale(-1, phi.apply(e_j)) + e_j)
     w = Subspace.span(g.dim + h.dim, generators)
     return w, is_subalgebra(product_algebra, w)

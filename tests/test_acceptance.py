@@ -86,7 +86,7 @@ def test_criterion_01_gl2_end_to_end(gl2):
 
     # The induced linear structure on the diagonal plane is abelian.
     induced = induced_structure(e, constancy)
-    assert induced.abelian
+    assert induced.is_abelian()
     done(1)
 
 

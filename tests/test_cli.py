@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from lpl import embedding
 from lpl.cli import (
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUSED,
     InputError,
@@ -201,6 +203,24 @@ def test_main_refuses_nonconstant_rank(capsys):
 def test_main_refuses_pair_for_moving_conormal(capsys):
     assert main(["pair", "--problem", "gl2_alt_slice.json"]) == EXIT_REFUSED
     assert "refused:" in capsys.readouterr().err
+
+
+def test_main_refuses_failed_extension_self_check(capsys, monkeypatch):
+    monkeypatch.setattr(
+        embedding, "coisotropy_in_extension", lambda e, sampling: [(e.c.base, False)]
+    )
+    assert main(["extend", "--problem", "gl2_prepoisson.json"]) == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused: C fails to be coisotropic in P")
+    assert "Traceback" not in err
+
+
+def test_main_reports_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(embedding, "solve", lambda m, b: None)
+    assert main(["pair", "--problem", "gl2_prepoisson.json"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" not in err
 
 
 def test_main_classify_needs_problem(capsys):

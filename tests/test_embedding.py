@@ -215,7 +215,7 @@ def test_induced_structure_gl2_extension_is_abelian(gl2):
     e = extend(gl2_line(gl2, [1, 0, 0, 0]))
     induced = induced_structure(e)
     assert induced.dim == 2
-    assert induced.abelian
+    assert induced.is_abelian()
     assert induced.labels == ("a", "d")
 
 

@@ -12,9 +12,10 @@ from lpl.lie import (
     subspace_bracket,
     validate_jacobi,
 )
-from lpl.linalg import DimensionMismatch, Subspace, dot, mat_vec, unit_vector, vec
+from lpl.linalg import ZERO, DimensionMismatch, Subspace, dot, mat_vec, unit_vector, vadd, vec, vscale
+from lpl.lie_poisson import bivector_at
 
-from conftest import random_vector, sl2_h
+from conftest import algebra_catalog, random_vector, sl2_h
 
 
 def test_jacobi_sl2_passes(sl2):
@@ -187,3 +188,47 @@ def test_morphism_image_is_subalgebra():
         assert morphism_check(phi)
         image = phi.image()
         assert image.contains(subspace_bracket(a, image, image))
+
+
+def test_is_abelian(sl2, heisenberg, abelian2, abelian3):
+    assert abelian3.is_abelian()
+    assert direct_sum(abelian2, abelian3).is_abelian()
+    assert LieAlgebra.abelian(1).is_abelian()
+    assert not sl2.is_abelian()
+    assert not heisenberg.is_abelian()
+    assert not direct_sum(abelian2, sl2).is_abelian()
+
+
+def _dense_bracket(algebra, v, w):
+    out = vec([0] * algebra.dim)
+    for i, vi in enumerate(v):
+        for j, wj in enumerate(w):
+            out = vadd(out, vscale(vi * wj, algebra.table[i][j]))
+    return out
+
+
+def _dense_coad_apply(algebra, v, x):
+    # <coad_v(x), e_j> = sum_i v_i <x, [e_i, e_j]>.
+    n = algebra.dim
+    return tuple(
+        sum((v[i] * dot(x, algebra.table[i][j]) for i in range(n)), ZERO) for j in range(n)
+    )
+
+
+def test_sparse_kernel_matches_dense_table():
+    rng = random.Random(23)
+    catalog = algebra_catalog()
+    algebras = catalog + [direct_sum(a, b, sign) for a in catalog[:5] for b in catalog[:5] for sign in (1, -1)]
+    for algebra in algebras:
+        n = algebra.dim
+        for _ in range(3):
+            v, w, x = (random_vector(rng, n, bound=7) for _ in range(3))
+            assert algebra.bracket(v, w) == _dense_bracket(algebra, v, w)
+            assert algebra.coad_apply(v, x) == _dense_coad_apply(algebra, v, x)
+            assert algebra.ad(v) == tuple(
+                tuple(_dense_bracket(algebra, v, unit_vector(n, j))[k] for j in range(n))
+                for k in range(n)
+            )
+            assert bivector_at(algebra, x) == tuple(
+                tuple(dot(x, algebra.table[i][j]) for j in range(n)) for i in range(n)
+            )

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from lpl.lie import LinearMap, NotASubalgebra, morphism_check
 from lpl.linalg import Subspace, dot, vec, zero_vector
@@ -21,6 +22,7 @@ from lpl.submanifold import (
     product,
     restricted_algebra,
     sharp_conormal_at,
+    skew_pencil,
 )
 
 from conftest import (
@@ -207,6 +209,35 @@ def test_rank_identity_on_random_data():
             sharp.sum(tangent).dim
             == sharp.dim + c.dim - tangent.intersect(sharp).dim
         )
+
+
+def _sympy_bivector(algebra, x):
+    """Pi(x)_ij = <x, [e_i, e_j]> from the structure constants alone."""
+    n, q = algebra.dim, sympy.Rational
+    return sympy.Matrix(n, n, lambda i, j: sum(q(xk) * q(c) for xk, c in zip(x, algebra.table[i][j])))
+
+
+def test_skew_pencil_matches_sympy():
+    # B_h(x) = H Pi(x) H^T for the rows H of h's basis, and
+    # codim h + rank B_h(x) = rank(ann(h) + {coad_v(x) : v in h}); both at the
+    # base (t = 0) and at a point base + sum t_a u_a reached through the pencil.
+    rng = random.Random(31)
+    catalog = algebra_catalog()
+    cases = [(a, Subspace.zero(a.dim)) for a in catalog] + [(a, Subspace.full(a.dim)) for a in catalog]
+    for _ in range(40):
+        algebra = rng.choice(catalog)
+        cases.append((algebra, random_subspace(rng, algebra.dim)))
+    for algebra, h in cases:
+        c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
+        pencil = skew_pencil(c)
+        codim = c.direction.dim
+        hm = sympy.Matrix(h.dim, algebra.dim, lambda a, j: sympy.Rational(h.basis[a][j]))
+        for t in (zero_vector(codim), random_vector(rng, codim, bound=5)):
+            pi = _sympy_bivector(algebra, c.point_at(t))
+            form = hm * pi * hm.T
+            assert sympy.Matrix(h.dim, h.dim, lambda a, b: pencil.at(t)[a][b]) == form
+            rows = [u.T for u in hm.nullspace()] + [hm.row(a) * pi for a in range(h.dim)]
+            assert codim + pencil.rank_at(t) == sympy.Matrix.vstack(*rows).rank()
 
 
 # ---------------------------------------------------------------------------
