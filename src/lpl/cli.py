@@ -35,6 +35,9 @@ EXIT_INPUT_ERROR = 1
 EXIT_REFUSED = 2
 EXIT_INTERNAL = 3
 
+# Largest accepted model dimension: the dense bracket table holds dim**3 entries.
+MAX_DIM = 64
+
 
 class InputError(ValueError):
     """Malformed model or problem input."""
@@ -80,6 +83,8 @@ def parse_model(data) -> LieAlgebra:
         raise InputError("model needs an integer 'dim'") from exc
     if dim <= 0:
         raise InputError("model dimension must be positive")
+    if dim > MAX_DIM:
+        raise InputError(f"model dimension {dim} exceeds the maximum {MAX_DIM}")
     labels = data.get("basis") or [f"e{i + 1}" for i in range(dim)]
     if len(labels) != dim or not all(isinstance(x, str) for x in labels):
         raise InputError("'basis' must list one label per dimension")
@@ -284,7 +289,7 @@ def _extension_dict(ext, locus, constancy, sampling: SampleSpec) -> dict:
             "never_cosymplectic": locus.never_cosymplectic,
             "cosymplectic_at_base": locus.cosymplectic_at_base,
             "failing_points": [_point_dict(x) for x in locus.failing_points],
-            "checked": len(locus.checked),
+            "checked": locus.checked,
             "provenance": _provenance("sampled", sampling),
         },
         "constant_sharp_conormal": {"verdict": constancy.kind},

@@ -10,25 +10,23 @@ decomposition and, in favorable cases, a symmetric pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra, subspace_bracket, validate_jacobi
 from .linalg import (
+    ZERO,
     InvariantViolation,
-    Matrix,
     Subspace,
     Vector,
     choose_complement,
     dot,
-    mat,
+    inverse,
+    mat_vec,
     pivot_columns,
     rank,
     solve,
     transpose,
-    vadd,
     vec,
-    vscale,
     zero_vector,
 )
 from .submanifold import (
@@ -39,6 +37,7 @@ from .submanifold import (
     SampleSpec,
     pre_poisson_check,
     sharp_conormal_at,
+    skew_pencil,
 )
 
 CERTIFIED = "certified"
@@ -127,50 +126,44 @@ def extend(
     return ext
 
 
-def _restricted_form(algebra: LieAlgebra, p: Subspace, x: Vector) -> Matrix:
-    """The skew form <x, [., .]> on the canonical basis of p."""
-    return mat(
-        [
-            [dot(x, algebra.bracket(a, b)) for b in p.basis]
-            for a in p.basis
-        ]
-    )
-
-
 def is_cosymplectic_at(e: Extension, x: Iterable) -> bool:
-    """True iff the skew form on p is nondegenerate at x (x must lie on P)."""
+    """True iff the skew form <x, [., .]> on p is nondegenerate at x (x must lie on P)."""
     xv = e.p_tilde.require_point(x)
     if not e.p.basis:
         return e.p_tilde.dim == e.algebra.dim
-    return rank(_restricted_form(e.algebra, e.p, xv)) == e.p.dim
+    form = [[dot(xv, e.algebra.bracket(a, b)) for b in e.p.basis] for a in e.p.basis]
+    return rank(form) == e.p.dim
 
 
 @dataclass(frozen=True)
 class LocusReport:
     never_cosymplectic: bool  # exact: dim p odd forces degeneracy everywhere
     cosymplectic_at_base: bool
-    checked: tuple[tuple[Vector, bool], ...]
+    checked: int  # sample points tested
+    failing_points: tuple[Vector, ...]
     samples: int
     seed: int
 
     @property
-    def failing_points(self) -> tuple[Vector, ...]:
-        return tuple(x for x, ok in self.checked if not ok)
-
-    @property
     def any_cosymplectic(self) -> bool:
-        return self.cosymplectic_at_base or any(ok for _, ok in self.checked)
+        return self.cosymplectic_at_base or len(self.failing_points) < self.checked
 
 
 def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> LocusReport:
-    """Pointwise cosymplecticity of P at the base and at sampled points."""
+    """Pointwise cosymplecticity of P at the base and at sampled points.
+
+    The form on p is the pencil of <x, [., .]> along P, built once; a sample
+    costs one rank, and only a failing one is formed as a point.
+    """
     if e.p.dim % 2 == 1:
-        return LocusReport(True, False, (), sampling.count, sampling.seed)
-    at_base = is_cosymplectic_at(e, e.p_tilde.base)
-    checked = tuple(
-        (x, is_cosymplectic_at(e, x)) for x in e.p_tilde.sample_points(sampling)
+        return LocusReport(True, False, 0, (), sampling.count, sampling.seed)
+    pencil = skew_pencil(e.p_tilde, e.p.basis)
+    at_base = pencil.rank_at(zero_vector(e.p_tilde.direction.dim)) == e.p.dim
+    coefficients = e.p_tilde.sample_coefficients(sampling)
+    failing = tuple(
+        e.p_tilde.point_at(t) for t in coefficients if pencil.rank_at(t) != e.p.dim
     )
-    return LocusReport(False, at_base, checked, sampling.count, sampling.seed)
+    return LocusReport(False, at_base, len(coefficients), failing, sampling.count, sampling.seed)
 
 
 @dataclass(frozen=True)
@@ -253,7 +246,7 @@ def induced_structure_from_decomposition(
     """The linear Poisson structure induced on p-ann, as a Lie algebra.
 
     Coordinates on the extension correspond to the elements of k dual to the
-    canonical basis of p-ann; their brackets, projected to k along p, give the
+    canonical basis of p-ann; their brackets, paired with that basis, give the
     structure constants.  Requires k + p = g directly and k a subalgebra.
     """
     if k.intersect(p).dim != 0 or k.sum(p).dim != algebra.dim:
@@ -262,35 +255,20 @@ def induced_structure_from_decomposition(
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")
     direction = p.annihilator()
     m = direction.dim
-    # Dual elements: khat_i in k with <u_j, khat_i> = delta_ij.
-    gram = mat([[dot(u, kb) for kb in k.basis] for u in direction.basis])
-    khat = []
-    for i in range(m):
-        rhs = tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        coeffs = solve(gram, rhs)
-        if coeffs is None:
-            raise InvariantViolation("the pairing of k with p-ann is degenerate")
-        v = zero_vector(algebra.dim)
-        for cfc, kb in zip(coeffs, k.basis):
-            v = vadd(v, vscale(cfc, kb))
-        khat.append(v)
-    # Projection to k along p in the combined basis.
-    combined = mat(list(k.basis) + list(p.basis))
-
-    def project_k(w: Vector) -> Vector:
-        coords = solve(transpose(combined), w)
-        if coords is None:
-            raise InvariantViolation("k and p do not span the algebra")
-        out = zero_vector(algebra.dim)
-        for cfc, kb in zip(coords[: k.dim], k.basis):
-            out = vadd(out, vscale(cfc, kb))
-        return out
-
+    # Dual elements: khat_i in k with <u_j, khat_i> = delta_ij, the columns
+    # of the inverse gram in the basis of k.
+    gram = [[dot(u, kb) for kb in k.basis] for u in direction.basis]
+    inv = inverse(gram)
+    if inv is None:
+        raise InvariantViolation("the pairing of k with p-ann is degenerate")
+    k_columns = transpose(k.basis)
+    khat = [mat_vec(k_columns, column) for column in transpose(inv)]
+    # Pairing with p-ann ignores the p component of a bracket: no projection to k.
     brackets = {}
     for i in range(m):
         for j in range(i + 1, m):
-            proj = project_k(algebra.bracket(khat[i], khat[j]))
-            coords = tuple(dot(u, proj) for u in direction.basis)
+            w = algebra.bracket(khat[i], khat[j])
+            coords = tuple(dot(u, w) for u in direction.basis)
             if any(x != 0 for x in coords):
                 brackets[(i, j)] = coords
     labels = tuple(algebra.labels[col] for col in pivot_columns(direction.basis))
@@ -322,29 +300,30 @@ def coisotropy_in_extension(
 
     At such a point the sharp map of P applied to a conormal direction w of C
     is coad of the unique extension w + q (q in p) whose differential kills
-    sharp N*_x P; membership of the result in TC is the coisotropy claim.
+    sharp N*_x P; membership of the result in TC = ann(h) is the coisotropy
+    claim.  With F the form <x, [., .]> on the basis p then h of one pencil
+    along C, and w = h_c, q solves F_pp q = -F_pc, and coad_{w + q}(x) lies
+    in ann(h) iff F_hh[c, b] + sum_a q_a F_ph[a, b] = 0 for every b.
     """
+    n_p = e.p.dim
+    pencil = skew_pencil(e.c, e.p.basis + e.c.h.basis)
     results = []
-    points = [e.c.base] + e.c.sample_points(sampling)
-    tangent_c = e.c.direction
-    for x in points:
-        if not is_cosymplectic_at(e, x):
+    for t in [zero_vector(e.c.direction.dim)] + e.c.sample_coefficients(sampling):
+        form = pencil.at(t)
+        f_pp = tuple(row[:n_p] for row in form[:n_p])
+        if rank(f_pp, n_p) != n_p:
             continue
-        form = _restricted_form(e.algebra, e.p, x)
+        f_ph = [row[n_p:] for row in form[:n_p]]
         ok = True
-        for w in e.c.h.basis:
-            rhs = tuple(
-                -dot(e.algebra.coad_apply(v, x), w) for v in e.p.basis
-            )
-            coeffs = solve(form, rhs) if e.p.basis else ()
-            if coeffs is None:
-                raise InvariantViolation(f"the form on p is degenerate at cosymplectic {x}")
-            corrected = w
-            for cfc, pb in zip(coeffs, e.p.basis):
-                corrected = vadd(corrected, vscale(cfc, pb))
-            sharp = e.algebra.coad_apply(corrected, x)
-            if not tangent_c.contains_vector(sharp):
+        for c, f_hh_c in enumerate(row[n_p:] for row in form[n_p:]):
+            q = solve(f_pp, [-f_pa[c] for f_pa in f_ph])
+            if q is None:
+                raise InvariantViolation(f"the form on p is degenerate at {e.c.point_at(t)}")
+            if any(
+                f_cb + sum((qa * f_pa[b] for qa, f_pa in zip(q, f_ph)), ZERO)
+                for b, f_cb in enumerate(f_hh_c)
+            ):
                 ok = False
                 break
-        results.append((x, ok))
+        results.append((e.c.point_at(t), ok))
     return results

@@ -33,7 +33,6 @@ from .linalg import (
     rank,
     solve,
     unit_vector,
-    vadd,
     vec,
     vscale,
     vsub,
@@ -99,10 +98,12 @@ class AffineSubspace:
 
     def point_at(self, t: Sequence[Fraction]) -> Vector:
         """base + sum t_a u_a over the canonical basis u of the direction."""
-        x = self.base
+        x = list(self.base)
         for ta, u in zip(t, self.direction.basis):
-            x = vadd(x, vscale(ta, u))
-        return x
+            for j, uj in enumerate(u):
+                if uj:
+                    x[j] += ta * uj
+        return tuple(x)
 
     def sample_coefficients(self, sampling: SampleSpec) -> list[Sequence[Fraction]]:
         """The seeded coordinates t of ``sampling.count`` points along C."""
@@ -165,17 +166,17 @@ class PrePoissonVerdict:
 
 @dataclass(frozen=True)
 class SkewPencil:
-    """B_h(base + sum_i t_i u_i) = B0 + sum_i t_i B_i along C.
+    """The form <x, [w_a, w_b]> at x = base + sum_i t_i u_i, as B0 + sum_i t_i B_i.
 
-    One entry per pair a < b of h basis vectors: the B0 entry
-    <base, [h_a, h_b]> and the nonzero B_i entries (i, <u_i, [h_a, h_b]>).
+    One entry per pair a < b of the vectors w: the B0 entry
+    <base, [w_a, w_b]> and the nonzero B_i entries (i, <u_i, [w_a, w_b]>).
     """
 
     size: int
     entries: tuple[tuple[Fraction, tuple[tuple[int, Fraction], ...]], ...]
 
     def at(self, t: Sequence[Fraction]) -> Matrix:
-        """B_h at the point with direction coordinates t."""
+        """The form at the point with direction coordinates t."""
         m = self.size
         rows = [[ZERO] * m for _ in range(m)]
         entries = iter(self.entries)
@@ -190,16 +191,17 @@ class SkewPencil:
         return rank(self.at(t), self.size)
 
 
-def skew_pencil(c: AffineSubspace) -> SkewPencil:
-    """The pencil of B_h along C, from one bracket per pair of h basis vectors."""
-    h, direction = c.h.basis, c.direction.basis
+def skew_pencil(c: AffineSubspace, basis: Sequence[Vector]) -> SkewPencil:
+    """The pencil of <x, [., .]> on ``basis`` along C, one bracket per pair."""
     entries = []
-    for a, ha in enumerate(h):
-        for hb in h[a + 1 :]:
-            w = c.algebra.bracket(ha, hb)
-            terms = tuple((i, e) for i, u in enumerate(direction) if (e := dot(u, w)))
-            entries.append((dot(c.base, w), terms))
-    return SkewPencil(len(h), tuple(entries))
+    for a, wa in enumerate(basis):
+        for wb in basis[a + 1 :]:
+            support = [(k, e) for k, e in enumerate(c.algebra.bracket(wa, wb)) if e]
+            constant, *pairings = (
+                sum((v[k] * e for k, e in support), ZERO) for v in (c.base, *c.direction.basis)
+            )
+            entries.append((constant, tuple((i, e) for i, e in enumerate(pairings) if e)))
+    return SkewPencil(len(basis), tuple(entries))
 
 
 def pre_poisson_check(
@@ -215,7 +217,7 @@ def pre_poisson_check(
     if is_subalgebra(c.algebra, c.h):
         space = c.direction.sum(sharp_conormal_at(c, c.base))
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=space.dim, space=space)
-    pencil = skew_pencil(c)
+    pencil = skew_pencil(c, c.h.basis)
     codim = c.direction.dim
     base_rank = codim + pencil.rank_at(zero_vector(codim))
     for t in c.sample_coefficients(sampling):

@@ -68,10 +68,14 @@ def test_criterion_01_gl2_end_to_end(gl2):
     assert e.p == Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
 
     # Cosymplectic exactly off the a = d diagonal of the plane.
-    locus = cosymplectic_locus(e, SampleSpec(count=25, seed=0))
+    spec = SampleSpec(count=25, seed=0)
+    locus = cosymplectic_locus(e, spec)
     assert locus.cosymplectic_at_base
-    for x, ok in locus.checked:
-        assert ok == (x[0] != x[3])
+    points = e.p_tilde.sample_points(spec)
+    assert locus.checked == len(points)
+    for x in points:
+        assert is_cosymplectic_at(e, x) == (x[0] != x[3])
+    assert locus.failing_points == tuple(x for x in points if not is_cosymplectic_at(e, x))
     assert is_cosymplectic_at(e, [2, 0, 0, -1])
     assert not is_cosymplectic_at(e, [3, 0, 0, 3])
 

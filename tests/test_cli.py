@@ -9,6 +9,7 @@ from lpl.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUSED,
+    MAX_DIM,
     InputError,
     main,
     parse_model,
@@ -56,6 +57,10 @@ def test_parse_model_errors():
         ("not json", "malformed"),
         (json.dumps([1, 2]), "object"),
         (json.dumps({"dim": 0}), "positive"),
+        # One label only: code that built the labels or the dim**3 table
+        # before checking the bound would stop at the label count instead.
+        (json.dumps({"dim": 10**9, "basis": ["e1"]}), f"exceeds the maximum {MAX_DIM}"),
+        (json.dumps({"dim": MAX_DIM + 1, "basis": ["e1"]}), "exceeds the maximum"),
         (json.dumps({"dim": 2, "basis": ["x"]}), "label"),
         (json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 0}]}), "indices"),
         (

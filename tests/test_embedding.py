@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from lpl.embedding import (
     CERTIFIED,
+    SAMPLED,
     ConstancyNotCertified,
     Extension,
     NotComplementary,
@@ -18,14 +21,21 @@ from lpl.embedding import (
     is_cosymplectic_at,
     symmetric_pair_analysis,
 )
-from lpl.linalg import Subspace, vec, zero_vector
+from lpl.linalg import Subspace, dot, mat_vec, solve, transpose, vadd, vec, vscale, zero_vector
 from lpl.submanifold import (
     NOT_CONSTANT,
     AffineSubspace,
     SampleSpec,
+    product,
 )
 
-from conftest import sl2_h, subalgebra_catalog
+from conftest import (
+    algebra_catalog,
+    random_subspace,
+    random_vector,
+    sl2_h,
+    subalgebra_catalog,
+)
 
 GL2_LINE_H = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
@@ -105,12 +115,20 @@ def test_cosymplectic_exactly_off_a_equals_d(gl2):
 
 def test_locus_report_gl2(gl2):
     e = extend(gl2_line(gl2, [1, 0, 0, 0]))
-    report = cosymplectic_locus(e, SampleSpec(count=30, seed=1))
+    spec = SampleSpec(count=30, seed=1)
+    report = cosymplectic_locus(e, spec)
     assert not report.never_cosymplectic
     assert report.cosymplectic_at_base
     assert report.any_cosymplectic
-    for x, ok in report.checked:
+    points = e.p_tilde.sample_points(spec)
+    assert report.checked == len(points)
+    failing = []
+    for x in points:
+        ok = is_cosymplectic_at(e, x)
         assert ok == (x[0] != x[3])
+        if not ok:
+            failing.append(x)
+    assert report.failing_points == tuple(failing)
 
 
 def test_locus_odd_p_never_cosymplectic(sl2):
@@ -121,7 +139,8 @@ def test_locus_odd_p_never_cosymplectic(sl2):
     report = cosymplectic_locus(e)
     assert report.never_cosymplectic
     assert not report.any_cosymplectic
-    assert report.checked == ()
+    assert report.checked == 0
+    assert report.failing_points == ()
 
 
 def test_locus_sl2_transverse_everywhere(sl2):
@@ -130,6 +149,63 @@ def test_locus_sl2_transverse_everywhere(sl2):
     report = cosymplectic_locus(e, SampleSpec(count=20, seed=4))
     assert report.cosymplectic_at_base
     assert report.failing_points == ()
+
+
+def catalog_extensions(rng):
+    """extend() of lambda + ann(h) on the subalgebra catalog and on 20
+    direct sums of its entries, each with a random lambda."""
+    def with_random_base(algebra, h):
+        return AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
+
+    catalog = subalgebra_catalog()
+    cases = [with_random_base(*entry) for entry in catalog]
+    for _ in range(20):
+        first, second = rng.choice(catalog), rng.choice(catalog)
+        cases.append(product(with_random_base(*first), with_random_base(*second)))
+    return [extend(c, verify=False) for c in cases]
+
+
+def hand_built_extensions(rng, count=40):
+    """P = lambda + ann(p) for a random p inside a random h, on the catalog."""
+    catalog = algebra_catalog()
+    extensions = []
+    for _ in range(count):
+        algebra = rng.choice(catalog)
+        n = algebra.dim
+        h = random_subspace(rng, n)
+        combinations = [random_vector(rng, h.dim, bound=3) for _ in range(rng.randint(0, h.dim))]
+        p = Subspace.span(n, [mat_vec(transpose(h.basis), t) for t in combinations])
+        c = AffineSubspace(algebra, h, random_vector(rng, n, bound=5))
+        extensions.append(
+            Extension(c, Subspace.zero(n), AffineSubspace(algebra, p, c.base), p, SAMPLED)
+        )
+    return extensions
+
+
+@pytest.mark.parametrize(
+    # Coordinates in {-1, 0, 1} land on the degeneracy locus of P often.
+    "spec", [SampleSpec(count=6, seed=5), SampleSpec(count=6, seed=2, bound=1)]
+)
+def test_cosymplectic_locus_matches_pointwise_oracle(spec):
+    outcomes = set()
+    rng = random.Random(41)
+    for e in catalog_extensions(rng) + hand_built_extensions(rng):
+        report = cosymplectic_locus(e, spec)
+        points = e.p_tilde.sample_points(spec)
+        at_base = is_cosymplectic_at(e, e.p_tilde.base)
+        failing = tuple(x for x in points if not is_cosymplectic_at(e, x))
+        if e.p.dim % 2:
+            assert report.never_cosymplectic
+            assert (report.checked, report.failing_points) == (0, ())
+            assert not at_base and len(failing) == len(points)
+            continue
+        assert not report.never_cosymplectic
+        assert report.cosymplectic_at_base == at_base
+        assert report.checked == len(points)
+        assert report.failing_points == failing
+        outcomes.add((at_base, bool(failing)))
+    # Both verdicts occur, so the comparison can fail either way.
+    assert {(True, False), (False, True)} <= outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +338,40 @@ def test_extend_verification_over_catalog():
         # would raise out of extend.
         e = extend(c)
         assert e.p_tilde.direction.contains(c.direction)
+
+
+def reference_coisotropy(e, sampling):
+    """Pointwise self-check: at each cosymplectic point, coad of the conormal
+    direction w corrected by the q in p that solves the form on p, tested
+    for membership in TC."""
+    results = []
+    for x in [e.c.base] + e.c.sample_points(sampling):
+        if not is_cosymplectic_at(e, x):
+            continue
+        form = [[dot(x, e.algebra.bracket(a, b)) for b in e.p.basis] for a in e.p.basis]
+        ok = True
+        for w in e.c.h.basis:
+            rhs = tuple(-dot(e.algebra.coad_apply(v, x), w) for v in e.p.basis)
+            coeffs = solve(form, rhs) if e.p.basis else ()
+            corrected = w
+            for cfc, pb in zip(coeffs, e.p.basis):
+                corrected = vadd(corrected, vscale(cfc, pb))
+            if not e.c.direction.contains_vector(e.algebra.coad_apply(corrected, x)):
+                ok = False
+                break
+        results.append((x, ok))
+    return results
+
+
+def test_coisotropy_in_extension_matches_pointwise_formula():
+    # The extensions extend() builds, and hand-built ones where C is mostly
+    # not coisotropic in P.
+    rng = random.Random(43)
+    extensions = catalog_extensions(rng) + hand_built_extensions(rng)
+    spec = SampleSpec(count=4, seed=9)
+    outcomes = set()
+    for e in extensions:
+        checks = coisotropy_in_extension(e, spec)
+        assert checks == reference_coisotropy(e, spec)
+        outcomes.update(ok for _, ok in checks)
+    assert outcomes == {True, False}

@@ -11,6 +11,7 @@ from lpl.linalg import (
     Subspace,
     choose_complement,
     dot,
+    inverse,
     mat,
     rank_kernel_image,
     rref,
@@ -68,6 +69,23 @@ def test_rank_nullity_against_sympy_on_random_matrices():
         assert image.dim == rank
         for v in kernel.basis:
             assert all(dot(row, v) == 0 for row in m)
+
+
+def test_inverse_against_sympy():
+    # Entries in -1..1 make singular matrices common.
+    rng = random.Random(11)
+    assert inverse(()) == ()
+    singular = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        m = mat([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+        oracle = sympy.Matrix([[sympy.Rational(e) for e in row] for row in m])
+        if oracle.det() == 0:
+            singular += 1
+            assert inverse(m) is None
+        else:
+            assert sympy.Matrix(inverse(m)) == oracle.inv()
+    assert 0 < singular < 80
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_skew_pencil_matches_sympy():
         cases.append((algebra, random_subspace(rng, algebra.dim)))
     for algebra, h in cases:
         c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
-        pencil = skew_pencil(c)
+        pencil = skew_pencil(c, h.basis)
         codim = c.direction.dim
         hm = sympy.Matrix(h.dim, algebra.dim, lambda a, j: sympy.Rational(h.basis[a][j]))
         for t in (zero_vector(codim), random_vector(rng, codim, bound=5)):
