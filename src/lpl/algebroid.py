@@ -11,19 +11,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
-from .linalg import (
-    Subspace,
-    Vector,
-    dot,
-    nullspace,
-    rank_kernel_image,
-    vadd,
-    vec,
-    vscale,
-    zero_vector,
-)
+from .linalg import Subspace, Vector, mat_vec, nullspace, rank, transpose, vec, zero_vector
 from .lie_poisson import bivector_at
-from .submanifold import AffineSubspace, SampleSpec
+from .submanifold import AffineSubspace, SampleSpec, skew_pencil
 
 
 def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
@@ -35,20 +25,11 @@ def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
     algebra, h = c.algebra, c.h
     if not is_subalgebra(algebra, h):
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
-    m = h.dim
-    # Rows: conditions <lambda, [v, w_j]> = 0 on v = sum_i c_i h_i.
-    rows = [
-        [dot(c.base, algebra.bracket(h.basis[i], w)) for i in range(m)]
-        for w in h.basis
-    ]
-    kernel_coords = nullspace(tuple(tuple(r) for r in rows), m)
-    vectors = []
-    for coords in kernel_coords:
-        v = zero_vector(algebra.dim)
-        for cf, hb in zip(coords, h.basis):
-            v = vadd(v, vscale(cf, hb))
-        vectors.append(v)
-    d = Subspace.span(algebra.dim, vectors)
+    # <base, [v, w]> = 0 for all w in h, on v = sum_i c_i h_i: c is in the
+    # kernel of the skew form on h at the base, the pencil along C at t = 0.
+    form = skew_pencil(c, h.basis).at(zero_vector(c.direction.dim))
+    h_columns = transpose(h.basis)
+    d = Subspace.span(algebra.dim, [mat_vec(h_columns, cf) for cf in nullspace(form, h.dim)])
     return d, is_subalgebra(algebra, d)
 
 
@@ -61,10 +42,11 @@ def isotropy_algebra(algebra: LieAlgebra, x: Iterable) -> Subspace:
 
 
 def orbit_tangent(algebra: LieAlgebra, x: Iterable) -> Subspace:
-    """Tangent of the coadjoint orbit: the image of sharp at x."""
-    pi = bivector_at(algebra, vec(x))
-    _, _, image = rank_kernel_image(pi)
-    return image
+    """Tangent of the coadjoint orbit: the image of sharp at x.
+
+    Pi(x) is skew, so its column span is its row span.
+    """
+    return Subspace.span(algebra.dim, bivector_at(algebra, vec(x)))
 
 
 @dataclass(frozen=True)
@@ -81,17 +63,27 @@ class AlgebroidFiberReport:
 def transversal_orbit_report(
     c: AffineSubspace, sampling: SampleSpec = SampleSpec()
 ) -> AlgebroidFiberReport:
-    """Orbit dimensions and leaf-transversality along C, plus the fiber d."""
+    """Orbit dimensions and leaf-transversality along C, plus the fiber d.
+
+    Two ranks per point decide both.  T_x O is the row space of Pi(x), so the
+    orbit dimension is rank Pi(x).  A vector Pi(x) xi of T_x O lies in
+    T_x C = ann(h) iff xi kills coad_{h_a}(x) = h_a Pi(x) for every a, and
+    ker Pi(x) lies in that set, so
+    dim(T_x C cap T_x O) = rank Pi(x) - rank [coad_{h_a}(x)]_a,
+    and C is transversal to the orbit at x iff the two ranks agree.
+    """
+    algebra, h = c.algebra, c.h
     points = [c.base] + c.sample_points(sampling)
-    tangent_c = c.direction
     orbit_dims = []
     transversal = []
     for x in points:
-        tangent_o = orbit_tangent(c.algebra, x)
-        orbit_dims.append((x, tangent_o.dim))
-        transversal.append((x, tangent_c.intersect(tangent_o).dim == 0))
+        pi = bivector_at(algebra, x)
+        orbit_dim = rank(pi, algebra.dim)
+        orbit_dims.append((x, orbit_dim))
+        # Pi is skew, so Pi h_a = -coad_{h_a}(x): the same rank.
+        transversal.append((x, rank([mat_vec(pi, v) for v in h.basis], algebra.dim) == orbit_dim))
     dims = {d for _, d in orbit_dims}
-    if is_subalgebra(c.algebra, c.h):
+    if is_subalgebra(algebra, h):
         d, d_sub = algebroid_fiber_d(c)
     else:
         d, d_sub = None, None

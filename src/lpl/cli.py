@@ -37,6 +37,9 @@ EXIT_INTERNAL = 3
 
 # Largest accepted model dimension: the dense bracket table holds dim**3 entries.
 MAX_DIM = 64
+# Longest accepted rational string: Python's default limit on the digits of
+# an integer converted from a string, so no shorter string can hit it.
+MAX_RATIONAL_CHARS = 4300
 
 
 class InputError(ValueError):
@@ -49,6 +52,8 @@ _RATIONAL = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
+    if isinstance(text, str) and len(text) > MAX_RATIONAL_CHARS:
+        raise InputError(f"rational of {len(text)} characters (maximum {MAX_RATIONAL_CHARS})")
     if not isinstance(text, str) or not (m := _RATIONAL.match(text.strip())):
         raise InputError(f"bad rational {text!r} (expected 'p' or 'p/q')")
     if m.group(1) is not None and int(m.group(1)) == 0:
@@ -73,7 +78,7 @@ def parse_model(data) -> LieAlgebra:
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal over the digit limit
             raise InputError(f"malformed model JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("model must be a JSON object")
@@ -180,7 +185,7 @@ def parse_problem(
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal over the digit limit
             raise InputError(f"malformed problem JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("problem must be a JSON object")
@@ -204,8 +209,11 @@ def parse_problem(
         r = Subspace.span(
             n, [_parse_vector(v, n, "R_basis vector") for v in data["R_basis"]]
         )
-    count = samples if samples is not None else int(data.get("samples", 64))
-    the_seed = seed if seed is not None else int(data.get("seed", 0))
+    try:
+        count = samples if samples is not None else int(data.get("samples", 64))
+        the_seed = seed if seed is not None else int(data.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise InputError("'samples' and 'seed' must be integers") from exc
     return Problem(algebra, h, base, r, SampleSpec(count=count, seed=the_seed))
 
 

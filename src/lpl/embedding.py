@@ -157,6 +157,9 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
     """
     if e.p.dim % 2 == 1:
         return LocusReport(True, False, 0, (), sampling.count, sampling.seed)
+    if not e.p.basis:
+        # P is all of g*, with the empty form at every point: no sample is drawn.
+        return LocusReport(False, True, sampling.count, (), sampling.count, sampling.seed)
     pencil = skew_pencil(e.p_tilde, e.p.basis)
     at_base = pencil.rank_at(zero_vector(e.p_tilde.direction.dim)) == e.p.dim
     coefficients = e.p_tilde.sample_coefficients(sampling)

@@ -246,28 +246,54 @@ def sharp_at(algebra: LieAlgebra, x: Iterable, xi: Iterable) -> Vector:
     return algebra.coad_apply(xiv, x)
 
 
+def _shift(expo: Exponents, l: int) -> Exponents:
+    """The exponents of nu_l times the monomial ``expo``."""
+    return expo[:l] + (expo[l] + 1,) + expo[l + 1 :]
+
+
 def poisson_bracket_poly(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
-    """{f, g} = sum_{i<j} Pi_ij(nu) (d_i f d_j g - d_j f d_i g)."""
+    """{f, g} = sum_{i<j} Pi_ij(nu) (d_i f d_j g - d_j f d_i g).
+
+    Pi is skew, so this is the sum of Pi_ij d_i f d_j g over the ordered pairs
+    with [e_i, e_j] != 0; every term is accumulated into one table.
+    """
     n = algebra.dim
     if f.nvars != n or g.nvars != n:
         raise DimensionMismatch("polynomials must use the algebra's coordinates")
-    out = Polynomial.zero(n)
-    df = [f.diff(i) for i in range(n)]
-    dg = [g.diff(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = algebra.table[i][j]
-            if all(c == 0 for c in coeffs):
-                continue
-            pi_ij = Polynomial.linear(coeffs)
-            out = out + pi_ij * (df[i] * dg[j] - df[j] * dg[i])
-    return out
+    df = [f.diff(i).terms for i in range(n)]
+    dg = [g.diff(i).terms for i in range(n)]
+    out: dict[Exponents, Fraction] = {}
+    for dfi, row in zip(df, algebra.structure):
+        if not dfi:
+            continue
+        for j, pi_ij in row:
+            for ea, ca in dfi.items():
+                for eb, cb in dg[j].items():
+                    expo = tuple(a + b for a, b in zip(ea, eb))
+                    cab = ca * cb
+                    for l, c in pi_ij:
+                        e = _shift(expo, l)
+                        out[e] = out.get(e, ZERO) + c * cab
+    return Polynomial(n, out)
 
 
 def casimir_check(algebra: LieAlgebra, f: Polynomial) -> bool:
-    """True iff {f, nu_i} vanishes identically for every coordinate."""
-    for i in range(algebra.dim):
-        nu_i = Polynomial.variable(algebra.dim, i)
-        if not poisson_bracket_poly(algebra, f, nu_i).is_zero():
+    """True iff {f, nu_k} = sum_i Pi_ik d_i f vanishes identically for every k.
+
+    f is differentiated once; row k of the structure constants lists the
+    nonzero Pi_ki = -Pi_ik, which is enough to test for zero.
+    """
+    n = algebra.dim
+    if f.nvars != n:
+        raise DimensionMismatch("polynomials must use the algebra's coordinates")
+    df = [f.diff(i).terms for i in range(n)]
+    for row in algebra.structure:
+        out: dict[Exponents, Fraction] = {}
+        for i, pi_ki in row:
+            for expo, coeff in df[i].items():
+                for l, c in pi_ki:
+                    e = _shift(expo, l)
+                    out[e] = out.get(e, ZERO) + c * coeff
+        if any(out.values()):
             return False
     return True

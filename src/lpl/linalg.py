@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -58,7 +59,7 @@ def is_zero_vector(v: Vector) -> bool:
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     if len(x) != len(y):
         raise DimensionMismatch(f"dot of lengths {len(x)} and {len(y)}")
-    return sum((a * b for a, b in zip(x, y)), ZERO)
+    return sum((a * b for a, b in zip(x, y) if a and b), ZERO)
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
@@ -123,8 +124,51 @@ def rref(rows: Iterable[Sequence], ncols: Optional[int] = None) -> Matrix:
     return tuple(tuple(r) for r in work[:pivot_row])
 
 
+def _integer_row(row: Vector) -> list[int]:
+    """The row times the lcm of its denominators: a row of integers."""
+    scale = lcm(*(e.denominator for e in row))
+    return [e.numerator * (scale // e.denominator) for e in row]
+
+
 def rank(rows: Iterable[Sequence], ncols: Optional[int] = None) -> int:
-    return len(rref(rows, ncols))
+    """Rank by fraction-free (Bareiss) elimination over the integers.
+
+    Each row is scaled to integers, so no ``Fraction`` is created.  After a
+    pivot p in column c each row below becomes
+    (p * row - row[c] * pivot_row) // prev, where prev is the previous pivot:
+    every entry is then a minor of the scaled matrix, so the division is
+    exact.  A column with no pivot is skipped; that keeps the property, as
+    the minors are taken on the pivot columns only.
+    """
+    work = [vec(r) for r in rows]
+    if ncols is None:
+        if not work:
+            return 0
+        ncols = len(work[0])
+    if any(len(r) != ncols for r in work):
+        raise DimensionMismatch("rows of unequal length")
+    work = [_integer_row(r) for r in work if any(r)]
+    found = 0
+    prev = 1
+    for col in range(ncols):
+        if found == len(work):
+            break
+        pr = next((r for r in range(found, len(work)) if work[r][col]), None)
+        if pr is None:
+            continue
+        work[found], work[pr] = work[pr], work[found]
+        pivot_row = work[found]
+        p = pivot_row[col]
+        for r in range(found + 1, len(work)):
+            row = work[r]
+            a = row[col]
+            if a:
+                work[r] = [(p * x - a * y) // prev for x, y in zip(row, pivot_row)]
+            elif p != prev:
+                work[r] = [p * x // prev for x in row]
+        prev = p
+        found += 1
+    return found
 
 
 def pivot_columns(echelon: Matrix) -> list[int]:

@@ -9,12 +9,27 @@ from lpl.algebroid import (
     orbit_tangent,
     transversal_orbit_report,
 )
-from lpl.lie import NotASubalgebra
+from lpl.lie import NotASubalgebra, is_subalgebra
 from lpl.lie_poisson import bivector_at
-from lpl.linalg import Subspace, rank_kernel_image, vec, zero_vector
+from lpl.linalg import (
+    Subspace,
+    dot,
+    nullspace,
+    rank_kernel_image,
+    vadd,
+    vec,
+    vscale,
+    zero_vector,
+)
 from lpl.submanifold import AffineSubspace, SampleSpec, is_coisotropic
 
-from conftest import algebra_catalog, random_vector, sl2_h, subalgebra_catalog
+from conftest import (
+    algebra_catalog,
+    random_subspace,
+    random_vector,
+    sl2_h,
+    subalgebra_catalog,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +115,6 @@ def test_isotropy_is_orbit_annihilator():
 
 
 def test_isotropy_is_a_subalgebra():
-    from lpl.lie import is_subalgebra
-
     rng = random.Random(101)
     for algebra in algebra_catalog():
         for _ in range(5):
@@ -149,3 +162,61 @@ def test_report_orbit_dim_jump_through_origin(gl2):
     report = transversal_orbit_report(c, SampleSpec(count=10, seed=13))
     assert not report.constant_orbit_dim
     assert report.orbit_dims[0] == (zero_vector(4), 0)
+
+
+# ---------------------------------------------------------------------------
+# the rank form of the report against the Subspace-lattice formulas
+
+
+def subspace_orbit_report(c, points):
+    """Orbit dimension and transversality from the orbit tangent space and an intersection."""
+    dims, transversal = [], []
+    for x in points:
+        _, _, tangent_o = rank_kernel_image(bivector_at(c.algebra, x))
+        dims.append((x, tangent_o.dim))
+        transversal.append((x, c.direction.intersect(tangent_o).dim == 0))
+    return tuple(dims), tuple(transversal)
+
+
+def subspace_fiber_d(c):
+    """d from m^2 pairings <base, [h_i, h_j]> and the kernel combinations of h."""
+    algebra, h = c.algebra, c.h
+    rows = [[dot(c.base, algebra.bracket(h.basis[i], w)) for i in range(h.dim)] for w in h.basis]
+    vectors = []
+    for coords in nullspace(tuple(tuple(r) for r in rows), h.dim):
+        v = zero_vector(algebra.dim)
+        for cf, hb in zip(coords, h.basis):
+            v = vadd(v, vscale(cf, hb))
+        vectors.append(v)
+    return Subspace.span(algebra.dim, vectors)
+
+
+def test_report_matches_subspace_formulas():
+    # Coordinates in {-1, 0, 1} put many samples on orbit-dimension drops.
+    rng = random.Random(211)
+    cases = subalgebra_catalog()
+    for algebra in algebra_catalog():
+        cases += [(algebra, random_subspace(rng, algebra.dim)) for _ in range(4)]
+    seen_dims, seen_transversal, non_subalgebras = set(), set(), 0
+    for algebra, h in cases:
+        base = vec([rng.randint(-1, 1) for _ in range(algebra.dim)])
+        c = AffineSubspace(algebra, h, base)
+        report = transversal_orbit_report(c, SampleSpec(count=6, seed=rng.randrange(1000), bound=1))
+        points = [x for x, _ in report.orbit_dims]
+        assert points == [base] + c.sample_points(SampleSpec(6, report.seed, bound=1))
+        dims, transversal = subspace_orbit_report(c, points)
+        assert report.orbit_dims == dims
+        assert report.transversal == transversal
+        if is_subalgebra(algebra, h):
+            assert report.d == subspace_fiber_d(c)
+        else:
+            non_subalgebras += 1
+            assert report.d is None
+        seen_dims |= {(algebra.dim, d) for _, d in dims}
+        seen_transversal |= {ok for _, ok in transversal}
+        if len({d for _, d in dims}) > 1:
+            assert not report.constant_orbit_dim
+    assert seen_transversal == {True, False}
+    assert non_subalgebras > 10
+    # Orbit dimensions drop below the generic one on some samples, e.g. to 0 on sl2 + sl2.
+    assert (6, 0) in seen_dims and (6, 2) in seen_dims and (6, 4) in seen_dims

@@ -10,6 +10,7 @@ from lpl.cli import (
     EXIT_OK,
     EXIT_REFUSED,
     MAX_DIM,
+    MAX_RATIONAL_CHARS,
     InputError,
     main,
     parse_model,
@@ -42,6 +43,14 @@ def test_parse_rational_rejects_bad_input():
             parse_rational(bad)
 
 
+def test_parse_rational_bounds_the_length():
+    longest = "1" * MAX_RATIONAL_CHARS
+    assert parse_rational(longest) == Fraction(int(longest))
+    for text in ["1" * (MAX_RATIONAL_CHARS + 1), "1/" + "3" * MAX_RATIONAL_CHARS]:
+        with pytest.raises(InputError, match="maximum"):
+            parse_rational(text)
+
+
 # ---------------------------------------------------------------------------
 # model files
 
@@ -55,6 +64,8 @@ def test_parse_model_round_trip(sl2, gl2, heisenberg):
 def test_parse_model_errors():
     cases = [
         ("not json", "malformed"),
+        # An integer literal over Python's digit limit fails in the JSON parser.
+        ('{"dim": %s}' % ("1" * (MAX_RATIONAL_CHARS + 1)), "malformed"),
         (json.dumps([1, 2]), "object"),
         (json.dumps({"dim": 0}), "positive"),
         # One label only: code that built the labels or the dim**3 table
@@ -225,6 +236,29 @@ def test_main_reports_internal_error(capsys, monkeypatch):
     assert main(["pair", "--problem", "gl2_prepoisson.json"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A lambda entry one character over the bound: a ValueError from int() without it.
+        '{"model": "gl2.json", "h_basis": [["0", "1", "0", "0"]], "lambda": ["%s", "0", "0", "0"]}'
+        % ("1" * (MAX_RATIONAL_CHARS + 1)),
+        # An integer literal the JSON parser itself refuses to convert.
+        '{"model": "gl2.json", "h_basis": [["0", "1", "0", "0"]], "lambda": [%s, 0, 0, 0]}'
+        % ("1" * (MAX_RATIONAL_CHARS + 1)),
+        '{"model": "gl2.json", "h_basis": [["0", "1", "0", "0"]], "samples": "many"}',
+        '{"model": "gl2.json", "h_basis": [["0", "1", "0", "0"]], "seed": [1]}',
+    ],
+    ids=["long-rational", "long-int-literal", "samples-many", "seed-list"],
+)
+def test_main_rejects_oversized_and_non_integer_input(capsys, tmp_path, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    assert main(["classify", "--problem", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert "Traceback" not in err
 
 

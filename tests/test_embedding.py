@@ -188,8 +188,10 @@ def hand_built_extensions(rng, count=40):
 )
 def test_cosymplectic_locus_matches_pointwise_oracle(spec):
     outcomes = set()
+    zero_p = 0
     rng = random.Random(41)
     for e in catalog_extensions(rng) + hand_built_extensions(rng):
+        zero_p += e.p.dim == 0
         report = cosymplectic_locus(e, spec)
         points = e.p_tilde.sample_points(spec)
         at_base = is_cosymplectic_at(e, e.p_tilde.base)
@@ -204,8 +206,9 @@ def test_cosymplectic_locus_matches_pointwise_oracle(spec):
         assert report.checked == len(points)
         assert report.failing_points == failing
         outcomes.add((at_base, bool(failing)))
-    # Both verdicts occur, so the comparison can fail either way.
+    # Both verdicts occur, so the comparison can fail either way; p = 0 takes its own path.
     assert {(True, False), (False, True)} <= outcomes
+    assert zero_p > 0
 
 
 # ---------------------------------------------------------------------------

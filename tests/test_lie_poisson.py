@@ -232,3 +232,46 @@ def test_casimir_constant_on_orbits(sl2):
         x = random_vector(rng, 3)
         grad = vec([f.diff(i).evaluate(x) for i in range(3)])
         assert all(e == 0 for e in sharp_at(sl2, x, grad))
+
+
+# ---------------------------------------------------------------------------
+# the accumulated bracket and casimir test against the pairwise formulas
+
+
+def pairwise_bracket(algebra, f, g):
+    """{f, g} as a sum of Polynomial products over the pairs i < j."""
+    n = algebra.dim
+    out = Polynomial.zero(n)
+    df = [f.diff(i) for i in range(n)]
+    dg = [g.diff(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out = out + Polynomial.linear(algebra.table[i][j]) * (df[i] * dg[j] - df[j] * dg[i])
+    return out
+
+
+def pairwise_casimir(algebra, f):
+    n = algebra.dim
+    return all(pairwise_bracket(algebra, f, Polynomial.variable(n, i)).is_zero() for i in range(n))
+
+
+def test_bracket_and_casimir_match_pairwise_formulas():
+    rng = random.Random(71)
+    catalog = algebra_catalog()
+    casimirs = 0
+    for trial in range(120):
+        algebra = catalog[trial % len(catalog)]
+        n = algebra.dim
+        f, g = (_random_poly(rng, n, max_degree=rng.randint(2, 4)) for _ in range(2))
+        assert poisson_bracket_poly(algebra, f, g) == pairwise_bracket(algebra, f, g)
+        assert casimir_check(algebra, f) == pairwise_casimir(algebra, f)
+        # Coordinates (one bracket each with [e_i, .] != 0), and squares and
+        # products of central coordinates, which are Casimirs.
+        candidates = [Polynomial.variable(n, i) for i in range(n)] + [f * f]
+        central = [v for v in candidates[:n] if pairwise_casimir(algebra, v)]
+        candidates += [u * v for u in central for v in central]
+        for candidate in candidates:
+            expected = pairwise_casimir(algebra, candidate)
+            assert casimir_check(algebra, candidate) == expected
+            casimirs += expected
+    assert casimirs > 100

@@ -13,6 +13,7 @@ from lpl.linalg import (
     dot,
     inverse,
     mat,
+    rank,
     rank_kernel_image,
     rref,
     subspace_lattice,
@@ -69,6 +70,45 @@ def test_rank_nullity_against_sympy_on_random_matrices():
         assert image.dim == rank
         for v in kernel.basis:
             assert all(dot(row, v) == 0 for row in m)
+
+
+def _rank_deficient_matrix(rng, nrows, ncols, bits):
+    """Rows combined from a few random rows, with zero rows and a zeroed column mixed in."""
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+
+    generators = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, min(nrows, ncols)))]
+    rows = []
+    for _ in range(nrows):
+        coeffs = [entry() for _ in generators] if rng.random() > 0.2 else []
+        rows.append([sum((c * g[j] for c, g in zip(coeffs, generators)), Fraction(0))
+                     for j in range(ncols)])
+    if rng.random() < 0.4:
+        dead = rng.randrange(ncols)
+        for row in rows:
+            row[dead] = Fraction(0)
+    return rows
+
+
+def test_fraction_free_rank_against_sympy():
+    rng = random.Random(17)
+    assert rank([], 3) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    with pytest.raises(DimensionMismatch):
+        rank([[1, 2], [3]])
+    full = deficient = 0
+    for trial in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _rank_deficient_matrix(rng, nrows, ncols, bits=(3, 12, 100)[trial % 3])
+        expected = sympy_rank(rows)
+        assert rank(rows, ncols) == expected
+        assert rank(rows, ncols) == len(rref(rows, ncols))
+        full += expected == min(nrows, ncols)
+        deficient += expected < min(nrows, ncols)
+    assert full > 20 and deficient > 100
 
 
 def test_inverse_against_sympy():
