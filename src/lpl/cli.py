@@ -40,6 +40,8 @@ MAX_DIM = 64
 # Longest accepted rational string: Python's default limit on the digits of
 # an integer converted from a string, so no shorter string can hit it.
 MAX_RATIONAL_CHARS = 4300
+# Most sample points per problem: each sample draws up to dim rationals.
+MAX_SAMPLES = 100_000
 
 
 class InputError(ValueError):
@@ -214,7 +216,13 @@ def parse_problem(
         the_seed = seed if seed is not None else int(data.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise InputError("'samples' and 'seed' must be integers") from exc
-    return Problem(algebra, h, base, r, SampleSpec(count=count, seed=the_seed))
+    return Problem(algebra, h, base, r, SampleSpec(count=_bounded_samples(count), seed=the_seed))
+
+
+def _bounded_samples(count: int) -> int:
+    if not 0 <= count <= MAX_SAMPLES:
+        raise InputError(f"'samples' must be between 0 and {MAX_SAMPLES}, got {count}")
+    return count
 
 
 # -- report builders --------------------------------------------------------
@@ -474,7 +482,7 @@ def _load_problem(args) -> Problem:
         Subspace.zero(n),
         tuple(Fraction(0) for _ in range(n)),
         None,
-        SampleSpec(count=args.samples or 64, seed=args.seed or 0),
+        SampleSpec(count=_bounded_samples(args.samples or 64), seed=args.seed or 0),
     )
 
 

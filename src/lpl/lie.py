@@ -25,7 +25,6 @@ from .linalg import (
     rref,
     transpose,
     unit_vector,
-    vadd,
     vec,
     vscale,
     zero_vector,
@@ -58,7 +57,7 @@ class LieAlgebra:
             tuple(
                 (j, tuple((k, c) for k, c in enumerate(w) if c))
                 for j, w in enumerate(row)
-                if not is_zero_vector(w)
+                if any(w)
             )
             for row in self.table
         )
@@ -78,7 +77,8 @@ class LieAlgebra:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise DimensionMismatch("label count does not match dimension")
-        table = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
+        zero = zero_vector(dim)
+        table = [[zero] * dim for _ in range(dim)]
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket index pair ({i}, {j}) requires 0 <= i < j < dim")
@@ -86,7 +86,7 @@ class LieAlgebra:
             if len(v) != dim:
                 raise DimensionMismatch(f"bracket [e{i},e{j}] has wrong length")
             table[i][j] = v
-            table[j][i] = vscale(-1, v)
+            table[j][i] = tuple(-c if c else c for c in v)
         algebra = LieAlgebra(dim, labels, tuple(tuple(row) for row in table))
         if validate:
             report = validate_jacobi(algebra)
@@ -152,20 +152,29 @@ def adjoint_maps(algebra: LieAlgebra, v: Iterable) -> tuple[Matrix, Matrix]:
 
 
 def validate_jacobi(algebra: LieAlgebra) -> ValidationReport:
-    """Check [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0."""
+    """Check [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for i < j < k.
+
+    Component l is sum_m (c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l), summed
+    over the nonzero constants.  Every term carries c_ij, c_jk or c_ki, so a
+    triple whose three brackets vanish is skipped, exactly.  The first failing
+    triple in the order i < j < k is reported with its residual.
+    """
     n = algebra.dim
-    e = [unit_vector(n, i) for i in range(n)]
+    rows = [dict(row) for row in algebra.structure]  # rows[i][j]: nonzero c_ij^m
     for i in range(n):
+        ri = rows[i]
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                residual = vadd(
-                    vadd(
-                        algebra.bracket(algebra.table[i][j], e[k]),
-                        algebra.bracket(algebra.table[j][k], e[i]),
-                    ),
-                    algebra.bracket(algebra.table[k][i], e[j]),
-                )
-                if not is_zero_vector(residual):
+            rj = rows[j]
+            ks = range(j + 1, n) if j in ri else sorted(k for k in ri.keys() | rj.keys() if k > j)
+            for k in ks:
+                acc: dict[int, Fraction] = {}
+                # [[e_i,e_j],e_k], [[e_j,e_k],e_i], [[e_k,e_i],e_j] in turn.
+                for row, a, b in ((ri, j, k), (rj, k, i), (rows[k], i, j)):
+                    for m, c in row.get(a, ()):
+                        for l, d in rows[m].get(b, ()):
+                            acc[l] = acc.get(l, ZERO) + c * d
+                if any(acc.values()):
+                    residual = tuple(acc.get(l, ZERO) for l in range(n))
                     return ValidationReport(False, (i, j, k), residual)
     return ValidationReport(True)
 

@@ -320,15 +320,15 @@ def choose_complement(u: Subspace, w: Subspace) -> Subspace:
     """Deterministic complement of u inside w.
 
     Greedily keeps the rows of w's canonical basis (in coordinate order) that
-    are independent from u and the rows already kept.
+    are independent from u and the rows already kept.  Those rows stay
+    independent, so a row is kept when it raises the rank above their count.
     """
     if not w.contains(u):
         raise ValueError("first subspace is not contained in the second")
     chosen: list[Vector] = []
     current = list(u.basis)
     for row in w.basis:
-        extended = rref(current + [row], w.ambient_dim)
-        if len(extended) > len(rref(current, w.ambient_dim)):
+        if rank(current + [row], w.ambient_dim) > len(current):
             chosen.append(row)
             current.append(row)
     return Subspace.span(w.ambient_dim, chosen)

@@ -11,6 +11,7 @@ from lpl.cli import (
     EXIT_REFUSED,
     MAX_DIM,
     MAX_RATIONAL_CHARS,
+    MAX_SAMPLES,
     InputError,
     main,
     parse_model,
@@ -136,6 +137,12 @@ def test_parse_problem_defaults_and_overrides(sl2):
     assert problem.base == vec([0, 0, 0])
     assert problem.r is None
     assert problem.sampling.count == 7 and problem.sampling.seed == 3
+    # The bounds on `samples` are inclusive; --samples overrides the file.
+    data["samples"] = MAX_SAMPLES
+    assert parse_problem(data, model_override=sl2).sampling.count == MAX_SAMPLES
+    assert parse_problem(data, model_override=sl2, samples=0).sampling.count == 0
+    data["samples"] = MAX_SAMPLES + 1
+    assert parse_problem(data, model_override=sl2, samples=MAX_SAMPLES).sampling.count == MAX_SAMPLES
 
 
 def test_parse_problem_errors(sl2):
@@ -259,6 +266,27 @@ def test_main_rejects_oversized_and_non_integer_input(capsys, tmp_path, text):
     assert main(["classify", "--problem", str(path)]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", [MAX_SAMPLES + 1, -1])
+@pytest.mark.parametrize("where", ["file", "command-line", "model-only"])
+def test_main_rejects_out_of_range_samples(capsys, tmp_path, where, count):
+    # `validate` draws no sample, so code without the bound exits 0 at once.
+    path = tmp_path / "problem.json"
+    problem = {"model": "sl2.json", "h_basis": [["1", "0", "0"]]}
+    if where == "file":
+        problem["samples"] = count
+    path.write_text(json.dumps(problem))
+    if where == "model-only":
+        argv = ["validate", "--model", "sl2.json", "--samples", str(count)]
+    else:
+        argv = ["validate", "--problem", str(path)]
+        if where == "command-line":
+            argv += ["--samples", str(count)]
+    assert main(argv) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'samples'" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,19 @@ from lpl.lie import (
     subspace_bracket,
     validate_jacobi,
 )
-from lpl.linalg import ZERO, DimensionMismatch, Subspace, dot, mat_vec, unit_vector, vadd, vec, vscale
+from lpl.linalg import (
+    ZERO,
+    DimensionMismatch,
+    Subspace,
+    dot,
+    is_zero_vector,
+    mat_vec,
+    unit_vector,
+    vadd,
+    vec,
+    vscale,
+    zero_vector,
+)
 from lpl.lie_poisson import bivector_at
 
 from conftest import algebra_catalog, random_vector, sl2_h
@@ -232,3 +245,98 @@ def test_sparse_kernel_matches_dense_table():
             assert bivector_at(algebra, x) == tuple(
                 tuple(dot(x, algebra.table[i][j]) for j in range(n)) for i in range(n)
             )
+
+
+def _dense_jacobi(algebra):
+    # The triple loop over dense brackets that the sparse check replaced.
+    n = algebra.dim
+    e = [unit_vector(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                residual = vadd(
+                    vadd(
+                        algebra.bracket(algebra.table[i][j], e[k]),
+                        algebra.bracket(algebra.table[j][k], e[i]),
+                    ),
+                    algebra.bracket(algebra.table[k][i], e[j]),
+                )
+                if not is_zero_vector(residual):
+                    return (False, (i, j, k), residual)
+    return (True, None, None)
+
+
+def _dense_construction(dim, brackets):
+    # The table and structure constants as built before zero cells were shared.
+    table = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
+    for (i, j), value in brackets.items():
+        table[i][j] = vec(value)
+        table[j][i] = vscale(-1, vec(value))
+    structure = tuple(
+        tuple(
+            (j, tuple((k, c) for k, c in enumerate(w) if c))
+            for j, w in enumerate(row)
+            if not is_zero_vector(w)
+        )
+        for row in table
+    )
+    return tuple(tuple(row) for row in table), structure
+
+
+def _random_brackets(rng, n):
+    density = rng.choice([0.15, 0.3, 0.6])
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 3)]
+    return {
+        (i, j): [rng.choice(entries) for _ in range(n)]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    }
+
+
+def _report_tuple(report):
+    return (report.ok, report.triple, report.residual)
+
+
+def test_sparse_jacobi_matches_dense_loop():
+    catalog = algebra_catalog()
+    for algebra in catalog + [direct_sum(a, b, sign) for a in catalog[:5] for b in catalog for sign in (1, -1)]:
+        assert _report_tuple(validate_jacobi(algebra)) == _dense_jacobi(algebra) == (True, None, None)
+
+    rng = random.Random(41)
+    broken = only_ik = 0
+    for _ in range(240):
+        n = rng.randint(2, 7)
+        brackets = _random_brackets(rng, n)
+        algebra = LieAlgebra.from_brackets(n, brackets)
+        assert (algebra.table, algebra.structure) == _dense_construction(n, brackets)
+        report = validate_jacobi(algebra)
+        assert _report_tuple(report) == _dense_jacobi(algebra)
+        if not report.ok:
+            broken += 1
+            i, j, k = report.triple
+            assert all(type(c) is Fraction for c in report.residual)
+            nonzero = [any(brackets.get(pair, ())) for pair in ((i, j), (j, k), (i, k))]
+            only_ik += nonzero == [False, False, True]
+    assert 60 < broken < 230
+    assert only_ik > 0
+
+
+def test_jacobi_fails_where_only_e_i_e_k_is_nonzero():
+    # [e1,e3] = e4 and [e4,e2] = e1: on the triple (0, 1, 2) only [e_i, e_k]
+    # is nonzero, and [[e3,e1],e2] = -[e4,e2] = -e1.
+    broken = LieAlgebra.from_brackets(4, {(0, 2): (0, 0, 0, 1), (1, 3): (-1, 0, 0, 0)})
+    report = validate_jacobi(broken)
+    assert _report_tuple(report) == _dense_jacobi(broken) == (False, (0, 1, 2), vec([-1, 0, 0, 0]))
+
+
+def test_from_brackets_matches_dense_construction():
+    for algebra in algebra_catalog():
+        brackets = {
+            (i, j): algebra.table[i][j]
+            for i in range(algebra.dim)
+            for j in range(i + 1, algebra.dim)
+            if not is_zero_vector(algebra.table[i][j])
+        }
+        rebuilt = LieAlgebra.from_brackets(algebra.dim, brackets)
+        assert (rebuilt.table, rebuilt.structure) == _dense_construction(algebra.dim, brackets)

@@ -240,6 +240,30 @@ def test_complement_is_direct():
         assert comp.intersect(u) == Subspace.zero(n)
 
 
+def _choose_complement_by_rref(u, w):
+    # The greedy rule with an rref of the kept rows at every step.
+    chosen, current = [], list(u.basis)
+    for row in w.basis:
+        if len(rref(current + [row], w.ambient_dim)) > len(rref(current, w.ambient_dim)):
+            chosen.append(row)
+            current.append(row)
+    return chosen
+
+
+def test_complement_matches_rref_greedy_rule():
+    rng = random.Random(13)
+    kept = skipped = 0
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        w = random_subspace(rng, n)
+        u = random_subspace(rng, n, max_dim=n - 1).intersect(w)
+        chosen = _choose_complement_by_rref(u, w)
+        assert choose_complement(u, w) == Subspace.span(n, chosen)
+        kept += len(chosen)
+        skipped += len(w.basis) - len(chosen)
+    assert kept > 20 and skipped > 20
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 
