@@ -15,7 +15,6 @@ from .embedding import (
     RankNotConstant,
     SymmetricPairReport,
     check_symmetric_pair,
-    choose_r,
     coisotropy_in_extension,
     constant_sharp_conormal,
     cosymplectic_locus,
@@ -31,7 +30,6 @@ from .lie import (
     LinearMap,
     NotASubalgebra,
     ValidationReport,
-    adjoint_maps,
     direct_sum,
     is_subalgebra,
     morphism_check,
@@ -41,11 +39,9 @@ from .lie import (
 from .lie_poisson import (
     Polynomial,
     bivector_at,
-    bivector_polys,
     casimir_check,
     parse_polynomial,
     poisson_bracket_poly,
-    sharp_at,
 )
 from .linalg import (
     DimensionMismatch,
@@ -54,8 +50,6 @@ from .linalg import (
     Subspace,
     Vector,
     choose_complement,
-    rank_kernel_image,
-    subspace_lattice,
     vec,
 )
 from .submanifold import (

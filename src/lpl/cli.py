@@ -25,7 +25,7 @@ from . import algebroid as algebroid_mod
 from . import embedding as embedding_mod
 from .lie import LieAlgebra, NotASubalgebra, validate_jacobi
 from .lie_poisson import casimir_check, parse_polynomial, poisson_bracket_poly
-from .linalg import DimensionMismatch, InvariantViolation, Subspace, Vector, is_zero_vector, vec
+from .linalg import DimensionMismatch, InvariantViolation, Subspace, Vector
 from .submanifold import AffineSubspace, SampleSpec, classify
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -35,7 +35,7 @@ EXIT_INPUT_ERROR = 1
 EXIT_REFUSED = 2
 EXIT_INTERNAL = 3
 
-# Largest accepted model dimension: the dense bracket table holds dim**3 entries.
+# Largest accepted model dimension: a model may carry up to dim**3 structure constants.
 MAX_DIM = 64
 # Longest accepted rational string: Python's default limit on the digits of
 # an integer converted from a string, so no shorter string can hit it.
@@ -52,7 +52,7 @@ _RATIONAL = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str) and len(text) > MAX_RATIONAL_CHARS:
         raise InputError(f"rational of {len(text)} characters (maximum {MAX_RATIONAL_CHARS})")
@@ -63,12 +63,16 @@ def parse_rational(text) -> Fraction:
     return Fraction(text.strip())
 
 
-def frac_str(x: Fraction) -> str:
-    return str(x)
+def parse_int(data, key: str, what: str, default=None) -> int:
+    """data[key] as a JSON integer (an int that is not a bool); anything else is an InputError."""
+    value = data.get(key, default) if isinstance(data, dict) else None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(what)
+    return value
 
 
 def vector_strs(v) -> list[str]:
-    return [frac_str(Fraction(e)) for e in v]
+    return [str(Fraction(e)) for e in v]
 
 
 def subspace_dict(s: Subspace) -> dict:
@@ -84,10 +88,7 @@ def parse_model(data) -> LieAlgebra:
             raise InputError(f"malformed model JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("model must be a JSON object")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("model needs an integer 'dim'") from exc
+    dim = parse_int(data, "dim", "model needs an integer 'dim'")
     if dim <= 0:
         raise InputError("model dimension must be positive")
     if dim > MAX_DIM:
@@ -97,21 +98,16 @@ def parse_model(data) -> LieAlgebra:
         raise InputError("'basis' must list one label per dimension")
     brackets: dict[tuple[int, int], Vector] = {}
     for entry in data.get("brackets", []):
-        try:
-            i, j = int(entry["i"]), int(entry["j"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("each bracket needs integer 'i' and 'j'") from exc
+        i = parse_int(entry, "i", "each bracket needs an integer 'i'")
+        j = parse_int(entry, "j", "each bracket needs an integer 'j'")
         if not 0 <= i < j < dim:
             raise InputError(f"bracket indices ({i}, {j}) must satisfy 0 <= i < j < dim")
         coords = [Fraction(0)] * dim
         for term in entry.get("terms", []):
-            try:
-                k = int(term["k"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError("each term needs an integer 'k'") from exc
+            k = parse_int(term, "k", "each term needs an integer 'k'")
             if not 0 <= k < dim:
                 raise InputError(f"term index {k} out of range")
-            coords[k] += parse_rational(term["coefficient"])
+            coords[k] += parse_rational(term.get("coefficient"))
         brackets[(i, j)] = tuple(coords)
     algebra = LieAlgebra.from_brackets(dim, brackets, labels)
     report = validate_jacobi(algebra)
@@ -124,16 +120,12 @@ def parse_model(data) -> LieAlgebra:
 
 
 def serialize_model(algebra: LieAlgebra, name: str = "model") -> dict:
-    brackets = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            w = algebra.table[i][j]
-            if is_zero_vector(w):
-                continue
-            terms = [
-                {"k": k, "coefficient": frac_str(c)} for k, c in enumerate(w) if c != 0
-            ]
-            brackets.append({"i": i, "j": j, "terms": terms})
+    brackets = [
+        {"i": i, "j": j, "terms": [{"k": k, "coefficient": str(c)} for k, c in terms]}
+        for i, row in enumerate(algebra.structure)
+        for j, terms in row
+        if i < j
+    ]
     return {
         "name": name,
         "dim": algebra.dim,
@@ -211,12 +203,11 @@ def parse_problem(
         r = Subspace.span(
             n, [_parse_vector(v, n, "R_basis vector") for v in data["R_basis"]]
         )
-    try:
-        count = samples if samples is not None else int(data.get("samples", 64))
-        the_seed = seed if seed is not None else int(data.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise InputError("'samples' and 'seed' must be integers") from exc
-    return Problem(algebra, h, base, r, SampleSpec(count=_bounded_samples(count), seed=the_seed))
+    if samples is None:
+        samples = parse_int(data, "samples", "'samples' must be an integer", 64)
+    if seed is None:
+        seed = parse_int(data, "seed", "'seed' must be an integer", 0)
+    return Problem(algebra, h, base, r, SampleSpec(count=_bounded_samples(samples), seed=seed))
 
 
 def _bounded_samples(count: int) -> int:
@@ -226,10 +217,6 @@ def _bounded_samples(count: int) -> int:
 
 
 # -- report builders --------------------------------------------------------
-
-
-def _point_dict(x) -> list[str]:
-    return vector_strs(x)
 
 
 def _provenance(kind: str, sampling: SampleSpec) -> str:
@@ -264,8 +251,8 @@ def _pre_poisson_dict(verdict, sampling: SampleSpec) -> dict:
     if verdict.counterexample is not None:
         (x1, r1), (x2, r2) = verdict.counterexample
         out["counterexample"] = [
-            {"point": _point_dict(x1), "rank": r1},
-            {"point": _point_dict(x2), "rank": r2},
+            {"point": vector_strs(x1), "rank": r1},
+            {"point": vector_strs(x2), "rank": r2},
         ]
     return out
 
@@ -304,7 +291,7 @@ def _extension_dict(ext, locus, constancy, sampling: SampleSpec) -> dict:
         "cosymplectic_locus": {
             "never_cosymplectic": locus.never_cosymplectic,
             "cosymplectic_at_base": locus.cosymplectic_at_base,
-            "failing_points": [_point_dict(x) for x in locus.failing_points],
+            "failing_points": [vector_strs(x) for x in locus.failing_points],
             "checked": locus.checked,
             "provenance": _provenance("sampled", sampling),
         },
@@ -369,7 +356,7 @@ def report_algebroid(problem: Problem) -> dict:
         "d": subspace_dict(rep.d) if rep.d is not None else None,
         "d_is_subalgebra": rep.d_is_subalgebra,
         "orbit_dims": [
-            {"point": _point_dict(x), "dim": d} for x, d in rep.orbit_dims
+            {"point": vector_strs(x), "dim": d} for x, d in rep.orbit_dims
         ],
         "transversal_everywhere": all(ok for _, ok in rep.transversal),
         "constant_orbit_dim": rep.constant_orbit_dim,
@@ -502,7 +489,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         problem = _load_problem(args)
         report = run(args.command, problem, tuple(args.polys))
-    except InputError as exc:
+    except (InputError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (
@@ -514,9 +501,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

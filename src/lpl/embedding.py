@@ -33,7 +33,6 @@ from .submanifold import (
     CERTIFIED_CONSTANT,
     NOT_CONSTANT,
     AffineSubspace,
-    PrePoissonVerdict,
     SampleSpec,
     pre_poisson_check,
     sharp_conormal_at,
@@ -73,26 +72,6 @@ class Extension:
         return self.c.algebra
 
 
-def _constant_span(c: AffineSubspace, verdict: PrePoissonVerdict) -> Subspace:
-    """T_base C + sharp N*_base C, refusing when its rank is not constant."""
-    if verdict.kind == NOT_CONSTANT:
-        raise RankNotConstant(
-            f"rank differs between sampled points: {verdict.counterexample}"
-        )
-    return c.direction.sum(sharp_conormal_at(c, c.base))
-
-
-def choose_r(
-    c: AffineSubspace,
-    sampling: SampleSpec = SampleSpec(),
-    verdict: Optional[PrePoissonVerdict] = None,
-) -> Subspace:
-    """Greedy coordinate-order complement of T_base C + sharp N*_base C."""
-    if verdict is None:
-        verdict = pre_poisson_check(c, sampling)
-    return choose_complement(_constant_span(c, verdict), Subspace.full(c.algebra.dim))
-
-
 def extend(
     c: AffineSubspace,
     r: Optional[Subspace] = None,
@@ -105,7 +84,14 @@ def extend(
     coisotropy of C inside P is re-checked at cosymplectic sample points.
     """
     verdict = pre_poisson_check(c, sampling)
-    span = _constant_span(c, verdict)
+    if verdict.kind == NOT_CONSTANT:
+        raise RankNotConstant(
+            f"rank differs between sampled points: {verdict.counterexample}"
+        )
+    # T_base C + sharp N*_base C; a certified verdict has already built it.
+    span = verdict.space
+    if span is None:
+        span = c.direction.sum(sharp_conormal_at(c, c.base))
     if r is None:
         r = choose_complement(span, Subspace.full(c.algebra.dim))
     else:

@@ -1,16 +1,17 @@
 """Lie algebras from structure constants, over exact rationals.
 
-The bracket table stores [e_i, e_j] for all pairs; antisymmetry is enforced
-at construction (input gives only i < j).  The nonzero structure constants
-c_ij^k are derived from it once, and every product (bracket, ad, coad, the
-bivector) is a sum over them.  The coadjoint matrix is the plain transpose of
-the adjoint one, so that <coad_v(x), w> = <x, [v, w]> holds as an exact
-identity in dual-basis coordinates.
+An algebra is stored only through its nonzero structure constants c_ij^k,
+one row per basis vector e_i listing the e_j with [e_i, e_j] != 0.  The input
+gives [e_i, e_j] for i < j; row j receives the negated constants, so
+antisymmetry holds by construction.  Every product (bracket, coad, the
+bivector, the Jacobi check) is a sum over these constants, and
+coad_apply satisfies <coad_v(x), w> = <x, [v, w]> as an exact identity in
+dual-basis coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -20,17 +21,15 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    is_zero_vector,
     mat_vec,
     rref,
     transpose,
     unit_vector,
     vec,
-    vscale,
-    zero_vector,
 )
 
-# structure[i] = ((j, ((k, c_ij^k), ...)), ...) over the nonzero [e_i, e_j].
+# structure[i] = ((j, ((k, c_ij^k), ...)), ...) over the nonzero [e_i, e_j],
+# sorted by j and then by k: one canonical form, so equal algebras compare equal.
 Structure = tuple[tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...], ...]
 
 
@@ -49,52 +48,36 @@ class ValidationReport:
 class LieAlgebra:
     dim: int
     labels: tuple[str, ...]
-    table: tuple[tuple[Vector, ...], ...]  # table[i][j] = coords of [e_i, e_j]
-    structure: Structure = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        structure = tuple(
-            tuple(
-                (j, tuple((k, c) for k, c in enumerate(w) if c))
-                for j, w in enumerate(row)
-                if any(w)
-            )
-            for row in self.table
-        )
-        object.__setattr__(self, "structure", structure)
+    structure: Structure
 
     @staticmethod
     def from_brackets(
         dim: int,
         brackets: Mapping[tuple[int, int], Iterable],
         labels: Optional[Sequence[str]] = None,
-        validate: bool = False,
     ) -> "LieAlgebra":
-        """Build from sparse constants {(i, j): [e_i, e_j]} given for i < j."""
+        """Build from sparse constants {(i, j): [e_i, e_j]} given for i < j.
+
+        Row i gets the nonzero terms of [e_i, e_j] and row j their negatives.
+        """
         if labels is None:
             labels = tuple(f"e{i + 1}" for i in range(dim))
         else:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise DimensionMismatch("label count does not match dimension")
-        zero = zero_vector(dim)
-        table = [[zero] * dim for _ in range(dim)]
+        rows: list[dict[int, tuple[tuple[int, Fraction], ...]]] = [{} for _ in range(dim)]
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket index pair ({i}, {j}) requires 0 <= i < j < dim")
             v = vec(value)
             if len(v) != dim:
                 raise DimensionMismatch(f"bracket [e{i},e{j}] has wrong length")
-            table[i][j] = v
-            table[j][i] = tuple(-c if c else c for c in v)
-        algebra = LieAlgebra(dim, labels, tuple(tuple(row) for row in table))
-        if validate:
-            report = validate_jacobi(algebra)
-            if not report.ok:
-                raise ValueError(
-                    f"Jacobi identity fails on basis triple {report.triple}"
-                )
-        return algebra
+            terms = tuple((k, c) for k, c in enumerate(v) if c)
+            if terms:
+                rows[i][j] = terms
+                rows[j][i] = tuple((k, -c) for k, c in terms)
+        return LieAlgebra(dim, labels, tuple(tuple(sorted(row.items())) for row in rows))
 
     @staticmethod
     def abelian(dim: int, labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
@@ -120,15 +103,6 @@ class LieAlgebra:
                     out[k] += f * c
         return tuple(out)
 
-    def ad(self, v: Iterable) -> Matrix:
-        """Matrix of ad_v : w -> [v, w] (rows index output coordinates)."""
-        cols = [self.bracket(v, unit_vector(self.dim, j)) for j in range(self.dim)]
-        return transpose(tuple(cols))
-
-    def coad(self, v: Iterable) -> Matrix:
-        """Matrix of coad_v on dual coordinates; transpose of ad_v."""
-        return transpose(self.ad(v))
-
     def coad_apply(self, v: Iterable, x: Iterable) -> Vector:
         """coad_v(x), i.e. the covector w -> <x, [v, w]>: entry j is sum v_i x_k c_ij^k."""
         vv, xv = vec(v), vec(x)
@@ -143,12 +117,6 @@ class LieAlgebra:
                 if pairing:
                     out[j] += vi * pairing
         return tuple(out)
-
-
-def adjoint_maps(algebra: LieAlgebra, v: Iterable) -> tuple[Matrix, Matrix]:
-    """The pair (ad_v, coad_v) as exact matrices."""
-    ad = algebra.ad(v)
-    return ad, transpose(ad)
 
 
 def validate_jacobi(algebra: LieAlgebra) -> ValidationReport:
@@ -198,20 +166,14 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, sign: int = 1) -> LieAlgebra:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    n, m = a.dim, b.dim
-    brackets: dict[tuple[int, int], Vector] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = a.table[i][j]
-            if not is_zero_vector(w):
-                brackets[(i, j)] = w + zero_vector(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = b.table[i][j]
-            if not is_zero_vector(w):
-                brackets[(n + i, n + j)] = zero_vector(n) + vscale(sign, w)
+    n = a.dim
+    # b's rows move to indices n.. and carry the sign; a's rows stay as they are.
+    second = tuple(
+        tuple((j + n, tuple((k + n, sign * c) for k, c in terms)) for j, terms in row)
+        for row in b.structure
+    )
     labels = tuple(f"{s}.1" for s in a.labels) + tuple(f"{s}.2" for s in b.labels)
-    return LieAlgebra.from_brackets(n + m, brackets, labels)
+    return LieAlgebra(n + b.dim, labels, a.structure + second)
 
 
 @dataclass(frozen=True)
@@ -246,7 +208,7 @@ def morphism_check(phi: LinearMap) -> bool:
     e = [unit_vector(n, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = phi.apply(phi.domain.table[i][j])
+            lhs = phi.apply(phi.domain.bracket(e[i], e[j]))
             rhs = phi.codomain.bracket(phi.apply(e[i]), phi.apply(e[j]))
             if lhs != rhs:
                 return False

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
-from .linalg import ZERO, DimensionMismatch, Matrix, Vector, vec
+from .linalg import ZERO, DimensionMismatch, Matrix, vec
 
 Exponents = tuple[int, ...]
 
@@ -228,22 +228,6 @@ def bivector_at(algebra: LieAlgebra, x: Iterable) -> Matrix:
         for j, terms in terms_of:
             row[j] = sum((xv[k] * c for k, c in terms), ZERO)
     return tuple(tuple(row) for row in pi)
-
-
-def bivector_polys(algebra: LieAlgebra) -> tuple[tuple[Polynomial, ...], ...]:
-    """Pi as a matrix of linear polynomials in nu."""
-    return tuple(
-        tuple(Polynomial.linear(algebra.table[i][j]) for j in range(algebra.dim))
-        for i in range(algebra.dim)
-    )
-
-
-def sharp_at(algebra: LieAlgebra, x: Iterable, xi: Iterable) -> Vector:
-    """sharp(xi) at x: the vector Pi(xi, .), equal to coad_xi(x)."""
-    xiv = vec(xi)
-    if len(xiv) != algebra.dim:
-        raise DimensionMismatch("covector must have the algebra dimension")
-    return algebra.coad_apply(xiv, x)
 
 
 def _shift(expo: Exponents, l: int) -> Exponents:

@@ -300,22 +300,6 @@ class Subspace:
         return solve(transpose(self.basis), w)
 
 
-def rank_kernel_image(m: Matrix) -> tuple[int, Subspace, Subspace]:
-    """Rank, kernel (in column space) and column span of an exact matrix."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    ech = rref(m, ncols)
-    rank = len(ech)
-    kernel = Subspace(ncols, nullspace(m, ncols))
-    image = Subspace(nrows, rref(transpose(m), nrows))
-    return rank, kernel, image
-
-
-def subspace_lattice(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace, bool]:
-    """Sum, intersection, and whether v is contained in u."""
-    return u.sum(v), u.intersect(v), u.contains(v)
-
-
 def choose_complement(u: Subspace, w: Subspace) -> Subspace:
     """Deterministic complement of u inside w.
 

@@ -242,13 +242,19 @@ class PointwiseFlags:
 
 
 def pointwise_flags(c: AffineSubspace, x: Iterable) -> PointwiseFlags:
-    """Characteristic rank, Poisson-Dirac and cosymplectic tests at x in C."""
-    sharp = sharp_conormal_at(c, x)
-    tangent = c.direction
-    char_rank = tangent.intersect(sharp).dim
-    poisson_dirac = char_rank == 0
-    cosymplectic = poisson_dirac and tangent.dim + sharp.dim == c.algebra.dim
-    return PointwiseFlags(char_rank, poisson_dirac, cosymplectic)
+    """Characteristic rank, Poisson-Dirac and cosymplectic tests at x in C.
+
+    Let S be the rows coad_{h_a}(x), so sharp N*_x C is the row space of S,
+    and B_h(x) = S H^T, i.e. <x, [h_a, h_b]>.  A vector of that row space lies
+    in T_x C = ann(h) iff H kills it, so
+    dim(T_x C cap sharp N*_x C) = rank S - rank B_h(x),
+    and T_x C + sharp N*_x C = g* directly iff rank B_h(x) = dim h.
+    """
+    xv = c.require_point(x)
+    s = [c.algebra.coad_apply(v, xv) for v in c.h.basis]
+    form_rank = rank([[dot(row, w) for w in c.h.basis] for row in s], c.h.dim)
+    char_rank = rank(s, c.algebra.dim) - form_rank
+    return PointwiseFlags(char_rank, char_rank == 0, form_rank == c.h.dim)
 
 
 @dataclass(frozen=True)
@@ -280,12 +286,6 @@ def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> Classifi
 
 
 # -- restriction-map preimages ---------------------------------------------
-
-
-def _lift_matrix(algebra: LieAlgebra, h: Subspace) -> tuple[Subspace, list[Vector]]:
-    """Complement W of h and the rows (h basis then W basis) used for lifting."""
-    w = choose_complement(h, Subspace.full(algebra.dim))
-    return w, list(h.basis) + list(w.basis)
 
 
 def _lift_covector(rows: list[Vector], nu: Vector, h_dim: int, n: int) -> Vector:
@@ -330,7 +330,7 @@ def preimage_construction(
     nu_v = vec(nu)
     if len(nu_v) != h.dim:
         raise DimensionMismatch("nu must be a covector on the subalgebra")
-    _, rows = _lift_matrix(algebra, h)
+    rows = list(h.basis) + list(choose_complement(h, Subspace.full(n)).basis)
     lam = _lift_covector(rows, nu_v, h.dim, n)
     c = AffineSubspace(algebra, h, lam)
     if not with_slice:

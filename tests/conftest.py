@@ -7,6 +7,7 @@ import pytest
 
 from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
+from lpl.linalg import unit_vector
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
 
@@ -38,6 +39,13 @@ def abelian2() -> LieAlgebra:
 @pytest.fixture(scope="session")
 def abelian3() -> LieAlgebra:
     return load_model("abelian_3.json")
+
+
+def bracket_table(algebra: LieAlgebra):
+    """table[i][j] = coordinates of [e_i, e_j], one basis bracket per cell."""
+    n = algebra.dim
+    e = [unit_vector(n, i) for i in range(n)]
+    return tuple(tuple(algebra.bracket(e[i], e[j]) for j in range(n)) for i in range(n))
 
 
 def sl2_h(sl2: LieAlgebra) -> Subspace:

@@ -15,7 +15,7 @@ from lpl.linalg import (
     Subspace,
     dot,
     nullspace,
-    rank_kernel_image,
+    transpose,
     vadd,
     vec,
     vscale,
@@ -126,7 +126,8 @@ def test_orbit_tangent_matches_bivector_image(sl2):
     rng = random.Random(103)
     for _ in range(10):
         x = random_vector(rng, 3)
-        _, _, image = rank_kernel_image(bivector_at(sl2, x))
+        # The column span of Pi(x); orbit_tangent takes the row span.
+        image = Subspace.span(3, transpose(bivector_at(sl2, x)))
         assert orbit_tangent(sl2, x) == image
 
 
@@ -172,7 +173,7 @@ def subspace_orbit_report(c, points):
     """Orbit dimension and transversality from the orbit tangent space and an intersection."""
     dims, transversal = [], []
     for x in points:
-        _, _, tangent_o = rank_kernel_image(bivector_at(c.algebra, x))
+        tangent_o = Subspace.span(c.algebra.dim, transpose(bivector_at(c.algebra, x)))
         dims.append((x, tangent_o.dim))
         transversal.append((x, c.direction.intersect(tangent_o).dim == 0))
     return tuple(dims), tuple(transversal)

@@ -39,7 +39,7 @@ def test_parse_rational():
 
 
 def test_parse_rational_rejects_bad_input():
-    for bad in ["1/0", "0.5", "1e3", "a", "1/ 2", "", "--3", None, 2.5]:
+    for bad in ["1/0", "0.5", "1e3", "a", "1/ 2", "", "--3", None, 2.5, True, False]:
         with pytest.raises(InputError):
             parse_rational(bad)
 
@@ -75,6 +75,16 @@ def test_parse_model_errors():
         (json.dumps({"dim": MAX_DIM + 1, "basis": ["e1"]}), "exceeds the maximum"),
         (json.dumps({"dim": 2, "basis": ["x"]}), "label"),
         (json.dumps({"dim": 2, "brackets": [{"i": 1, "j": 0}]}), "indices"),
+        # Read with int(), these parse as dim 2 with [e1, e2] = e2.
+        (
+            '{"dim": 2.9, "brackets": [{"i": 0.5, "j": true, '
+            '"terms": [{"k": 1, "coefficient": true}]}]}',
+            "integer 'dim'",
+        ),
+        (
+            json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1}]}]}),
+            "bad rational",
+        ),
         (
             json.dumps(
                 {
@@ -266,6 +276,50 @@ def test_main_rejects_oversized_and_non_integer_input(capsys, tmp_path, text):
     assert main(["classify", "--problem", str(path)]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _sl2_problem_with(field, value):
+    """The sl2 problem with one integer field of the model or the problem replaced."""
+    model = json.loads((FIXTURES / "sl2.json").read_text())
+    problem = {"model": model, "h_basis": [["1", "0", "0"]], "samples": 64, "seed": 0}
+    if field == "dim":
+        model["dim"] = value
+    elif field in ("i", "j"):
+        model["brackets"][0][field] = value
+    elif field == "k":
+        model["brackets"][0]["terms"][0]["k"] = value
+    else:
+        problem[field] = value
+    return problem
+
+
+def test_main_accepts_the_integer_fields(capsys, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_sl2_problem_with("seed", 1)))
+    assert main(["classify", "--problem", str(path)]) == EXIT_OK
+
+
+# sl2's first bracket is [e1, e2] = -e3, so i, j, k are 0, 1, 2; samples is 64
+# and seed 0.  Each float truncates and each string converts to that valid
+# value, so int() would accept them.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dim", 3.5), ("dim", True), ("dim", "3"),
+        ("i", 0.5), ("i", False), ("i", "0"),
+        ("j", 1.5), ("j", True), ("j", "1"),
+        ("k", 2.5), ("k", True), ("k", "2"),
+        ("samples", 64.5), ("samples", True), ("samples", "64"),
+        ("seed", 0.5), ("seed", False), ("seed", "0"),
+    ],
+)
+def test_main_rejects_non_integer_fields(capsys, tmp_path, field, value):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_sl2_problem_with(field, value)))
+    assert main(["classify", "--problem", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "integer" in err and f"'{field}'" in err
     assert "Traceback" not in err
 
 

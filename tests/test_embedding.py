@@ -10,7 +10,6 @@ from lpl.embedding import (
     NotComplementary,
     RankNotConstant,
     check_symmetric_pair,
-    choose_r,
     coisotropy_in_extension,
     constant_sharp_conormal,
     cosymplectic_locus,
@@ -52,12 +51,12 @@ def test_choose_r_gl2_at_regular_point(gl2):
     c = gl2_line(gl2, [1, 0, 0, 0])
     # TC + sharp N* at E11 spans the a, b, c coordinates, so the greedy
     # complement is the d axis.
-    assert choose_r(c) == Subspace.span(4, [[0, 0, 0, 1]])
+    assert extend(c).r == Subspace.span(4, [[0, 0, 0, 1]])
 
 
 def test_choose_r_point_case_full_rank(sl2):
     c = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
-    assert choose_r(c) == Subspace.zero(3)
+    assert extend(c).r == Subspace.zero(3)
 
 
 def test_extend_refuses_nonconstant_rank(gl2):

@@ -6,7 +6,6 @@ import pytest
 from lpl.lie import (
     LieAlgebra,
     LinearMap,
-    adjoint_maps,
     direct_sum,
     is_subalgebra,
     morphism_check,
@@ -19,7 +18,6 @@ from lpl.linalg import (
     Subspace,
     dot,
     is_zero_vector,
-    mat_vec,
     unit_vector,
     vadd,
     vec,
@@ -28,7 +26,7 @@ from lpl.linalg import (
 )
 from lpl.lie_poisson import bivector_at
 
-from conftest import algebra_catalog, random_vector, sl2_h
+from conftest import algebra_catalog, bracket_table, random_vector, sl2_h
 
 
 def test_jacobi_sl2_passes(sl2):
@@ -59,15 +57,16 @@ def test_bracket_requires_matching_dimension(sl2):
 
 
 def test_adjoint_abelian_is_zero(abelian3):
-    ad, coad = adjoint_maps(abelian3, [1, 2, 3])
-    assert all(e == 0 for row in ad for e in row)
-    assert all(e == 0 for row in coad for e in row)
+    v = [1, 2, 3]
+    for j in range(3):
+        assert abelian3.bracket(v, unit_vector(3, j)) == zero_vector(3)
+        assert abelian3.coad_apply(v, unit_vector(3, j)) == zero_vector(3)
 
 
 def test_adjoint_sl2_e1(sl2):
-    ad, _ = adjoint_maps(sl2, unit_vector(3, 0))
-    assert mat_vec(ad, unit_vector(3, 1)) == vec([0, 0, -1])  # [e1,e2] = -e3
-    assert mat_vec(ad, unit_vector(3, 2)) == vec([0, -1, 0])  # [e1,e3] = -e2
+    e1 = unit_vector(3, 0)
+    assert sl2.bracket(e1, unit_vector(3, 1)) == vec([0, 0, -1])  # [e1,e2] = -e3
+    assert sl2.bracket(e1, unit_vector(3, 2)) == vec([0, -1, 0])  # [e1,e3] = -e2
 
 
 def test_coad_sl2_e1_on_cone_line(sl2):
@@ -95,10 +94,13 @@ def test_coad_pairing_identity():
 def test_adjoint_matches_structure_constants(sl2, gl2):
     for algebra in (sl2, gl2):
         n = algebra.dim
-        for i in range(n):
-            ad = algebra.ad(unit_vector(n, i))
+        for i, row in enumerate(algebra.structure):
+            constants = dict(row)
             for j in range(n):
-                assert mat_vec(ad, unit_vector(n, j)) == algebra.table[i][j]
+                expected = [ZERO] * n
+                for k, c in constants.get(j, ()):
+                    expected[k] = c
+                assert algebra.bracket(unit_vector(n, i), unit_vector(n, j)) == tuple(expected)
 
 
 def test_bracket_antisymmetry_on_random_vectors(sl2, gl2, heisenberg):
@@ -140,7 +142,7 @@ def test_direct_sum_abelian(abelian2, abelian3):
     s = direct_sum(abelian2, abelian3)
     assert s.dim == 5
     assert validate_jacobi(s).ok
-    assert all(e == 0 for row in s.table for v in row for e in v)
+    assert s.structure == ((),) * 5
 
 
 def test_direct_sum_negated_sl2_satisfies_jacobi(sl2):
@@ -148,7 +150,7 @@ def test_direct_sum_negated_sl2_satisfies_jacobi(sl2):
     assert s.dim == 6
     assert validate_jacobi(s).ok
     # Second block carries the negated bracket.
-    assert s.table[3][4] == vec([0, 0, 0, 0, 0, 1])
+    assert s.bracket(unit_vector(6, 3), unit_vector(6, 4)) == vec([0, 0, 0, 0, 0, 1])
 
 
 def test_morphism_identity(sl2):
@@ -212,20 +214,18 @@ def test_is_abelian(sl2, heisenberg, abelian2, abelian3):
     assert not direct_sum(abelian2, sl2).is_abelian()
 
 
-def _dense_bracket(algebra, v, w):
-    out = vec([0] * algebra.dim)
+def _dense_bracket(table, v, w):
+    out = vec([0] * len(v))
     for i, vi in enumerate(v):
         for j, wj in enumerate(w):
-            out = vadd(out, vscale(vi * wj, algebra.table[i][j]))
+            out = vadd(out, vscale(vi * wj, table[i][j]))
     return out
 
 
-def _dense_coad_apply(algebra, v, x):
+def _dense_coad_apply(table, v, x):
     # <coad_v(x), e_j> = sum_i v_i <x, [e_i, e_j]>.
-    n = algebra.dim
-    return tuple(
-        sum((v[i] * dot(x, algebra.table[i][j]) for i in range(n)), ZERO) for j in range(n)
-    )
+    n = len(v)
+    return tuple(sum((v[i] * dot(x, table[i][j]) for i in range(n)), ZERO) for j in range(n))
 
 
 def test_sparse_kernel_matches_dense_table():
@@ -234,16 +234,13 @@ def test_sparse_kernel_matches_dense_table():
     algebras = catalog + [direct_sum(a, b, sign) for a in catalog[:5] for b in catalog[:5] for sign in (1, -1)]
     for algebra in algebras:
         n = algebra.dim
+        table = bracket_table(algebra)
         for _ in range(3):
             v, w, x = (random_vector(rng, n, bound=7) for _ in range(3))
-            assert algebra.bracket(v, w) == _dense_bracket(algebra, v, w)
-            assert algebra.coad_apply(v, x) == _dense_coad_apply(algebra, v, x)
-            assert algebra.ad(v) == tuple(
-                tuple(_dense_bracket(algebra, v, unit_vector(n, j))[k] for j in range(n))
-                for k in range(n)
-            )
+            assert algebra.bracket(v, w) == _dense_bracket(table, v, w)
+            assert algebra.coad_apply(v, x) == _dense_coad_apply(table, v, x)
             assert bivector_at(algebra, x) == tuple(
-                tuple(dot(x, algebra.table[i][j]) for j in range(n)) for i in range(n)
+                tuple(dot(x, table[i][j]) for j in range(n)) for i in range(n)
             )
 
 
@@ -251,15 +248,16 @@ def _dense_jacobi(algebra):
     # The triple loop over dense brackets that the sparse check replaced.
     n = algebra.dim
     e = [unit_vector(n, i) for i in range(n)]
+    table = bracket_table(algebra)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 residual = vadd(
                     vadd(
-                        algebra.bracket(algebra.table[i][j], e[k]),
-                        algebra.bracket(algebra.table[j][k], e[i]),
+                        algebra.bracket(table[i][j], e[k]),
+                        algebra.bracket(table[j][k], e[i]),
                     ),
-                    algebra.bracket(algebra.table[k][i], e[j]),
+                    algebra.bracket(table[k][i], e[j]),
                 )
                 if not is_zero_vector(residual):
                     return (False, (i, j, k), residual)
@@ -267,12 +265,12 @@ def _dense_jacobi(algebra):
 
 
 def _dense_construction(dim, brackets):
-    # The table and structure constants as built before zero cells were shared.
+    # The structure constants read off a dense, antisymmetric table.
     table = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
     for (i, j), value in brackets.items():
         table[i][j] = vec(value)
         table[j][i] = vscale(-1, vec(value))
-    structure = tuple(
+    return tuple(
         tuple(
             (j, tuple((k, c) for k, c in enumerate(w) if c))
             for j, w in enumerate(row)
@@ -280,7 +278,6 @@ def _dense_construction(dim, brackets):
         )
         for row in table
     )
-    return tuple(tuple(row) for row in table), structure
 
 
 def _random_brackets(rng, n):
@@ -309,7 +306,7 @@ def test_sparse_jacobi_matches_dense_loop():
         n = rng.randint(2, 7)
         brackets = _random_brackets(rng, n)
         algebra = LieAlgebra.from_brackets(n, brackets)
-        assert (algebra.table, algebra.structure) == _dense_construction(n, brackets)
+        assert algebra.structure == _dense_construction(n, brackets)
         report = validate_jacobi(algebra)
         assert _report_tuple(report) == _dense_jacobi(algebra)
         if not report.ok:
@@ -332,11 +329,12 @@ def test_jacobi_fails_where_only_e_i_e_k_is_nonzero():
 
 def test_from_brackets_matches_dense_construction():
     for algebra in algebra_catalog():
+        table = bracket_table(algebra)
         brackets = {
-            (i, j): algebra.table[i][j]
+            (i, j): table[i][j]
             for i in range(algebra.dim)
             for j in range(i + 1, algebra.dim)
-            if not is_zero_vector(algebra.table[i][j])
+            if not is_zero_vector(table[i][j])
         }
         rebuilt = LieAlgebra.from_brackets(algebra.dim, brackets)
-        assert (rebuilt.table, rebuilt.structure) == _dense_construction(algebra.dim, brackets)
+        assert rebuilt.structure == _dense_construction(algebra.dim, brackets)

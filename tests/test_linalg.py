@@ -13,10 +13,10 @@ from lpl.linalg import (
     dot,
     inverse,
     mat,
+    nullspace,
     rank,
-    rank_kernel_image,
     rref,
-    subspace_lattice,
+    transpose,
     vec,
 )
 
@@ -33,18 +33,24 @@ def sympy_rank(rows):
 # rank / kernel / image
 
 
+def rank_kernel_image(m):
+    """Rank, kernel (in the column space) and column span of an exact matrix."""
+    ncols = len(m[0])
+    return rank(m, ncols), Subspace(ncols, nullspace(m, ncols)), Subspace.span(len(m), transpose(m))
+
+
 def test_rank_identity():
     m = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    rank, kernel, image = rank_kernel_image(m)
-    assert rank == 3
+    r, kernel, image = rank_kernel_image(m)
+    assert r == 3
     assert kernel == Subspace.zero(3)
     assert image == Subspace.full(3)
 
 
 def test_rank_zero_matrix():
     m = mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    rank, kernel, image = rank_kernel_image(m)
-    assert rank == 0
+    r, kernel, image = rank_kernel_image(m)
+    assert r == 0
     assert kernel == Subspace.full(3)
     assert image == Subspace.zero(3)
 
@@ -53,9 +59,9 @@ def test_rank_sl2_bivector_at_0_1_1():
     # Bivector matrix assembled from the sl2 structure constants at (0, 1, 1);
     # oracle value computed by independent Gaussian elimination (sympy).
     m = mat([[0, -1, -1], [1, 0, 0], [1, 0, 0]])
-    rank, kernel, _ = rank_kernel_image(m)
+    r, kernel, _ = rank_kernel_image(m)
     assert sympy_rank(m) == 2
-    assert rank == 2
+    assert r == 2
     assert kernel == Subspace.span(3, [[0, 1, -1]])
 
 
@@ -64,10 +70,10 @@ def test_rank_nullity_against_sympy_on_random_matrices():
     for _ in range(60):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         m = mat([random_vector(rng, ncols, bound=6) for _ in range(nrows)])
-        rank, kernel, image = rank_kernel_image(m)
-        assert rank == sympy_rank(m)
-        assert rank + kernel.dim == ncols
-        assert image.dim == rank
+        r, kernel, image = rank_kernel_image(m)
+        assert r == sympy_rank(m)
+        assert r + kernel.dim == ncols
+        assert image.dim == r
         for v in kernel.basis:
             assert all(dot(row, v) == 0 for row in m)
 
@@ -134,17 +140,15 @@ def test_inverse_against_sympy():
 
 def test_lattice_equal_subspaces():
     u = Subspace.span(3, [[1, 2, 3], [0, 1, 1]])
-    s, i, contains = subspace_lattice(u, u)
-    assert s == u and i == u and contains
+    assert u.sum(u) == u and u.intersect(u) == u and u.contains(u)
 
 
 def test_lattice_axes():
     u = Subspace.span(2, [[1, 0]])
     v = Subspace.span(2, [[0, 1]])
-    s, i, contains = subspace_lattice(u, v)
-    assert s == Subspace.full(2)
-    assert i == Subspace.zero(2)
-    assert not contains
+    assert u.sum(v) == Subspace.full(2)
+    assert u.intersect(v) == Subspace.zero(2)
+    assert not u.contains(v)
 
 
 def test_lattice_nested():
@@ -156,8 +160,9 @@ def test_lattice_nested():
 
 
 def test_lattice_ambient_mismatch():
-    with pytest.raises(DimensionMismatch):
-        subspace_lattice(Subspace.full(2), Subspace.full(3))
+    for op in (Subspace.sum, Subspace.intersect, Subspace.contains):
+        with pytest.raises(DimensionMismatch):
+            op(Subspace.full(2), Subspace.full(3))
 
 
 @settings(max_examples=200, deadline=None)

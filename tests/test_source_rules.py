@@ -18,3 +18,24 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def unused_imports(path):
+    """Module-level imported names that the module never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_library_has_no_unused_imports():
+    # __init__.py imports names only to export them.
+    modules = [path for path in SOURCES if path.name != "__init__.py"]
+    assert len(modules) > 1
+    assert [entry for path in modules for entry in unused_imports(path)] == []

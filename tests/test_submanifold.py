@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from lpl.lie import LinearMap, NotASubalgebra, morphism_check
-from lpl.linalg import Subspace, dot, vec, zero_vector
+from lpl.lie import LinearMap, NotASubalgebra, direct_sum, morphism_check
+from lpl.linalg import Subspace, dot, unit_vector, vec, zero_vector
 from lpl.submanifold import (
     CERTIFIED_CONSTANT,
     NOT_CONSTANT,
     SAMPLED_CONSTANT,
     AffineSubspace,
     NotOnSubmanifold,
+    PointwiseFlags,
     SampleSpec,
     classify,
     graph_coisotropy,
@@ -27,6 +28,7 @@ from lpl.submanifold import (
 
 from conftest import (
     algebra_catalog,
+    bracket_table,
     random_subspace,
     random_vector,
     sl2_h,
@@ -213,8 +215,8 @@ def test_rank_identity_on_random_data():
 
 def _sympy_bivector(algebra, x):
     """Pi(x)_ij = <x, [e_i, e_j]> from the structure constants alone."""
-    n, q = algebra.dim, sympy.Rational
-    return sympy.Matrix(n, n, lambda i, j: sum(q(xk) * q(c) for xk, c in zip(x, algebra.table[i][j])))
+    n, q, table = algebra.dim, sympy.Rational, bracket_table(algebra)
+    return sympy.Matrix(n, n, lambda i, j: sum(q(xk) * q(c) for xk, c in zip(x, table[i][j])))
 
 
 def test_skew_pencil_matches_sympy():
@@ -263,6 +265,42 @@ def test_flags_cosymplectic_point(sl2):
     assert flags.characteristic_rank == 0
     assert flags.poisson_dirac
     assert flags.cosymplectic
+
+
+def intersect_flags(c, x):
+    """The flags from the Subspace intersection of T_x C with sharp N*_x C."""
+    sharp = sharp_conormal_at(c, x)
+    tangent = c.direction
+    char_rank = tangent.intersect(sharp).dim
+    poisson_dirac = char_rank == 0
+    cosymplectic = poisson_dirac and tangent.dim + sharp.dim == c.algebra.dim
+    return PointwiseFlags(char_rank, poisson_dirac, cosymplectic)
+
+
+def test_flags_match_subspace_intersection(sl2):
+    rng = random.Random(59)
+    catalog = algebra_catalog()
+    sums = [
+        direct_sum(a, b, sign) for a in catalog[:5] for b in catalog[:5] for sign in (1, -1)
+    ]
+    cases = []
+    for algebra in catalog + sums:
+        cases += [(algebra, random_subspace(rng, algebra.dim)) for _ in range(4)]
+    # Every coordinate subspace of sl2 + sl2: h = span(e_1, e_4) pairs to zero
+    # across the factors, so the characteristic rank reaches 2.
+    sl2_sl2 = direct_sum(sl2, sl2)
+    for mask in range(64):
+        basis = [unit_vector(6, i) for i in range(6) if mask >> i & 1]
+        cases.append((sl2_sl2, Subspace.span(6, basis)))
+    seen = set()
+    for algebra, h in cases:
+        c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
+        for x in [c.base] + c.sample_points(SampleSpec(count=2, seed=rng.randint(0, 99))):
+            flags = pointwise_flags(c, x)
+            assert flags == intersect_flags(c, x)
+            seen.add((flags.characteristic_rank, flags.cosymplectic))
+    assert {rank for rank, _ in seen} >= {0, 1, 2}
+    assert {cosymplectic for _, cosymplectic in seen} == {False, True}
 
 
 def test_classify_reports(sl2, gl2):
