@@ -59,6 +59,7 @@ from .submanifold import (
     PrePoissonVerdict,
     SampleSpec,
     SkewPencil,
+    bivector_pencil,
     classify,
     graph_coisotropy,
     is_coisotropic,

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
-from .linalg import Subspace, Vector, mat_vec, nullspace, rank, transpose, vec, zero_vector
+from .linalg import Subspace, Vector, mat_vec, nullspace, transpose, vec, zero_vector
 from .lie_poisson import bivector_at
-from .submanifold import AffineSubspace, SampleSpec, skew_pencil
+from .submanifold import AffineSubspace, SampleSpec, bivector_pencil, skew_pencil
 
 
 def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
@@ -70,18 +70,20 @@ def transversal_orbit_report(
     T_x C = ann(h) iff xi kills coad_{h_a}(x) = h_a Pi(x) for every a, and
     ker Pi(x) lies in that set, so
     dim(T_x C cap T_x O) = rank Pi(x) - rank [coad_{h_a}(x)]_a,
-    and C is transversal to the orbit at x iff the two ranks agree.
+    and C is transversal to the orbit at x iff the two ranks agree.  Both
+    matrices are pencils along C: Pi(x) on the full basis, and the rows
+    coad_{h_a}(x) as <x, [h_a, e_j]>.
     """
     algebra, h = c.algebra, c.h
-    points = [c.base] + c.sample_points(sampling)
+    pi = bivector_pencil(c)
+    coad_h = skew_pencil(c, h.basis, Subspace.full(algebra.dim).basis)
     orbit_dims = []
     transversal = []
-    for x in points:
-        pi = bivector_at(algebra, x)
-        orbit_dim = rank(pi, algebra.dim)
+    for t in [zero_vector(c.direction.dim)] + c.sample_coefficients(sampling):
+        x = c.point_at(t)
+        orbit_dim = pi.rank_at(t)
         orbit_dims.append((x, orbit_dim))
-        # Pi is skew, so Pi h_a = -coad_{h_a}(x): the same rank.
-        transversal.append((x, rank([mat_vec(pi, v) for v in h.basis], algebra.dim) == orbit_dim))
+        transversal.append((x, coad_h.rank_at(t) == orbit_dim))
     dims = {d for _, d in orbit_dims}
     if is_subalgebra(algebra, h):
         d, d_sub = algebroid_fiber_d(c)

@@ -71,6 +71,14 @@ def parse_int(data, key: str, what: str, default=None) -> int:
     return value
 
 
+def parse_list(data: dict, key: str, what: str, default=None) -> list:
+    """data[key] as a JSON list; anything else is an InputError."""
+    value = data.get(key, default)
+    if not isinstance(value, list):
+        raise InputError(what)
+    return value
+
+
 def vector_strs(v) -> list[str]:
     return [str(Fraction(e)) for e in v]
 
@@ -94,16 +102,18 @@ def parse_model(data) -> LieAlgebra:
     if dim > MAX_DIM:
         raise InputError(f"model dimension {dim} exceeds the maximum {MAX_DIM}")
     labels = data.get("basis") or [f"e{i + 1}" for i in range(dim)]
-    if len(labels) != dim or not all(isinstance(x, str) for x in labels):
-        raise InputError("'basis' must list one label per dimension")
+    if not isinstance(labels, list) or len(labels) != dim:
+        raise InputError("'basis' must be a list of one label per dimension")
+    if not all(isinstance(x, str) for x in labels):
+        raise InputError("'basis' labels must be strings")
     brackets: dict[tuple[int, int], Vector] = {}
-    for entry in data.get("brackets", []):
+    for entry in parse_list(data, "brackets", "'brackets' must be a list", []):
         i = parse_int(entry, "i", "each bracket needs an integer 'i'")
         j = parse_int(entry, "j", "each bracket needs an integer 'j'")
         if not 0 <= i < j < dim:
             raise InputError(f"bracket indices ({i}, {j}) must satisfy 0 <= i < j < dim")
         coords = [Fraction(0)] * dim
-        for term in entry.get("terms", []):
+        for term in parse_list(entry, "terms", "a bracket's 'terms' must be a list", []):
             k = parse_int(term, "k", "each term needs an integer 'k'")
             if not 0 <= k < dim:
                 raise InputError(f"term index {k} out of range")
@@ -190,9 +200,7 @@ def parse_problem(
             raise InputError("problem needs a 'model' (path or inline)")
         algebra = _resolve_model(data["model"], base_dir)
     n = algebra.dim
-    raw_h = data.get("h_basis")
-    if not isinstance(raw_h, list):
-        raise InputError("problem needs an 'h_basis' list of vectors")
+    raw_h = parse_list(data, "h_basis", "problem needs an 'h_basis' list of vectors")
     try:
         h = Subspace.span(n, [_parse_vector(v, n, "h_basis vector") for v in raw_h])
     except DimensionMismatch as exc:
@@ -200,9 +208,8 @@ def parse_problem(
     base = _parse_vector(data.get("lambda", ["0"] * n), n, "'lambda'")
     r = None
     if data.get("R_basis") is not None:
-        r = Subspace.span(
-            n, [_parse_vector(v, n, "R_basis vector") for v in data["R_basis"]]
-        )
+        raw_r = parse_list(data, "R_basis", "'R_basis' must be a list of vectors")
+        r = Subspace.span(n, [_parse_vector(v, n, "R_basis vector") for v in raw_r])
     if samples is None:
         samples = parse_int(data, "samples", "'samples' must be an integer", 64)
     if seed is None:

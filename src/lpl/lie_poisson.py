@@ -189,7 +189,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     chunks = re.findall(r"[+-]?[^+-]+", stripped)
     if "".join(chunks) != stripped:
         raise ValueError(f"cannot parse polynomial {text!r}")
-    result = Polynomial.zero(nvars)
+    terms: dict[Exponents, Fraction] = {}
     for chunk in chunks:
         sign = Fraction(1)
         body = chunk
@@ -211,8 +211,9 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                     coeff *= Fraction(factor)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"bad factor {factor!r} in polynomial") from exc
-        result = result + Polynomial(nvars, {tuple(expo): coeff})
-    return result
+        key = tuple(expo)
+        terms[key] = terms.get(key, ZERO) + coeff
+    return Polynomial(nvars, terms)
 
 
 # -- the linear structure on the dual --------------------------------------

@@ -131,15 +131,7 @@ def _integer_row(row: Vector) -> list[int]:
 
 
 def rank(rows: Iterable[Sequence], ncols: Optional[int] = None) -> int:
-    """Rank by fraction-free (Bareiss) elimination over the integers.
-
-    Each row is scaled to integers, so no ``Fraction`` is created.  After a
-    pivot p in column c each row below becomes
-    (p * row - row[c] * pivot_row) // prev, where prev is the previous pivot:
-    every entry is then a minor of the scaled matrix, so the division is
-    exact.  A column with no pivot is skipped; that keeps the property, as
-    the minors are taken on the pivot columns only.
-    """
+    """Rank of a rational matrix: each row is scaled to integers for :func:`integer_rank`."""
     work = [vec(r) for r in rows]
     if ncols is None:
         if not work:
@@ -147,7 +139,20 @@ def rank(rows: Iterable[Sequence], ncols: Optional[int] = None) -> int:
         ncols = len(work[0])
     if any(len(r) != ncols for r in work):
         raise DimensionMismatch("rows of unequal length")
-    work = [_integer_row(r) for r in work if any(r)]
+    return integer_rank([_integer_row(r) for r in work], ncols)
+
+
+def integer_rank(rows: Iterable[list[int]], ncols: int) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Zero rows are dropped and no ``Fraction`` is created.  After a pivot p in
+    column c each row below becomes (p * row - row[c] * pivot_row) // prev,
+    where prev is the previous pivot: every entry is then a minor of the
+    input matrix, so the division is exact.  A column with no pivot is
+    skipped; that keeps the property, as the minors are taken on the pivot
+    columns only.
+    """
+    work = [row for row in rows if any(row)]
     found = 0
     prev = 1
     for col in range(ncols):

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
@@ -30,6 +31,7 @@ from .linalg import (
     Vector,
     choose_complement,
     dot,
+    integer_rank,
     rank,
     solve,
     unit_vector,
@@ -166,42 +168,103 @@ class PrePoissonVerdict:
 
 @dataclass(frozen=True)
 class SkewPencil:
-    """The form <x, [w_a, w_b]> at x = base + sum_i t_i u_i, as B0 + sum_i t_i B_i.
+    """The form <x, [v_a, w_b]> at x = base + sum_i t_i u_i, as B0 + sum_i t_i B_i.
 
-    One entry per pair a < b of the vectors w: the B0 entry
-    <base, [w_a, w_b]> and the nonzero B_i entries (i, <u_i, [w_a, w_b]>).
+    Rows v and columns w; with no column basis w = v, the form is skew and
+    only the entries a < b are stored.  Each entry is the B0 entry
+    <base, [v_a, w_b]> and the nonzero B_i entries (i, <u_i, [v_a, w_b]>),
+    all multiplied by the common denominator D, so they are integers.
     """
 
-    size: int
-    entries: tuple[tuple[Fraction, tuple[tuple[int, Fraction], ...]], ...]
+    nrows: int
+    ncols: int
+    skew: bool
+    denominator: int
+    entries: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+    def _integer_form(self, t: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+        """L * D times the form at t, where L is the lcm of t's denominators; and L."""
+        scale = lcm(*(ti.denominator for ti in t))
+        tn = [ti.numerator * (scale // ti.denominator) for ti in t]
+        values = (scale * b0 + sum(tn[i] * b for i, b in terms) for b0, terms in self.entries)
+        if not self.skew:
+            return [[next(values) for _ in range(self.ncols)] for _ in range(self.nrows)], scale
+        m = self.nrows
+        form = [[0] * m for _ in range(m)]
+        for a in range(m):
+            row = form[a]
+            for b in range(a + 1, m):
+                value = next(values)
+                row[b], form[b][a] = value, -value
+        return form, scale
 
     def at(self, t: Sequence[Fraction]) -> Matrix:
         """The form at the point with direction coordinates t."""
-        m = self.size
-        rows = [[ZERO] * m for _ in range(m)]
-        entries = iter(self.entries)
-        for a in range(m):
-            for b in range(a + 1, m):
-                constant, terms = next(entries)
-                value = constant + sum(t[i] * c for i, c in terms)
-                rows[a][b], rows[b][a] = value, -value
-        return tuple(tuple(row) for row in rows)
+        form, scale = self._integer_form(t)
+        d = scale * self.denominator
+        return tuple(tuple(Fraction(e, d) if e else ZERO for e in row) for row in form)
 
     def rank_at(self, t: Sequence[Fraction]) -> int:
-        return rank(self.at(t), self.size)
+        """The rank at t, from the integer form: L * D > 0 does not change it."""
+        form, _ = self._integer_form(t)
+        return integer_rank(form, self.ncols)
 
 
-def skew_pencil(c: AffineSubspace, basis: Sequence[Vector]) -> SkewPencil:
-    """The pencil of <x, [., .]> on ``basis`` along C, one bracket per pair."""
-    entries = []
-    for a, wa in enumerate(basis):
-        for wb in basis[a + 1 :]:
-            support = [(k, e) for k, e in enumerate(c.algebra.bracket(wa, wb)) if e]
-            constant, *pairings = (
-                sum((v[k] * e for k, e in support), ZERO) for v in (c.base, *c.direction.basis)
-            )
-            entries.append((constant, tuple((i, e) for i, e in enumerate(pairings) if e)))
-    return SkewPencil(len(basis), tuple(entries))
+def _pencil(
+    c: AffineSubspace,
+    nrows: int,
+    ncols: int,
+    skew: bool,
+    supports: Iterable[Sequence[tuple[int, Fraction]]],
+) -> SkewPencil:
+    """The pencil whose entries pair C's base and directions with brackets.
+
+    Each bracket is given by its nonzero (k, coordinate) pairs, in entry order.
+    """
+    vectors = (c.base, *c.direction.basis)
+    raw = []
+    for support in supports:
+        constant, *pairings = (sum((v[k] * e for k, e in support), ZERO) for v in vectors)
+        raw.append((constant, [(i, e) for i, e in enumerate(pairings) if e]))
+    d = lcm(*(e.denominator for b0, terms in raw for e in [b0, *(b for _, b in terms)]))
+
+    def scaled(e: Fraction) -> int:
+        return e.numerator * (d // e.denominator)
+
+    entries = tuple(
+        (scaled(constant), tuple((i, scaled(e)) for i, e in terms)) for constant, terms in raw
+    )
+    return SkewPencil(nrows, ncols, skew, d, entries)
+
+
+def _support(v: Vector) -> list[tuple[int, Fraction]]:
+    return [(k, e) for k, e in enumerate(v) if e]
+
+
+def skew_pencil(
+    c: AffineSubspace, basis: Sequence[Vector], columns: Optional[Sequence[Vector]] = None
+) -> SkewPencil:
+    """The pencil of <x, [v_a, w_b]> along C, one bracket per entry.
+
+    v runs over ``basis`` and w over ``columns``; without columns w = v and
+    the pencil is skew.
+    """
+    bracket = c.algebra.bracket
+    if columns is None:
+        supports = (
+            _support(bracket(v, w)) for a, v in enumerate(basis) for w in basis[a + 1 :]
+        )
+        return _pencil(c, len(basis), len(basis), True, supports)
+    supports = (_support(bracket(v, w)) for v in basis for w in columns)
+    return _pencil(c, len(basis), len(columns), False, supports)
+
+
+def bivector_pencil(c: AffineSubspace) -> SkewPencil:
+    """Pi(x)_ij = <x, [e_i, e_j]> along C, read from the structure constants."""
+    n = c.algebra.dim
+    rows = [dict(row) for row in c.algebra.structure]
+    supports = (rows[i].get(j, ()) for i in range(n) for j in range(i + 1, n))
+    return _pencil(c, n, n, True, supports)
 
 
 def pre_poisson_check(

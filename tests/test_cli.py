@@ -323,6 +323,42 @@ def test_main_rejects_non_integer_fields(capsys, tmp_path, field, value):
     assert "Traceback" not in err
 
 
+# Each field replaced by a JSON value that is not a list; iterating the
+# numbers raised a TypeError, and the string and the object read as labels.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("brackets", 5), ("brackets", None),
+        ("terms", 3), ("terms", "k"),
+        ("R_basis", 5), ("R_basis", "abc"),
+        ("basis", "abc"), ("basis", {"a": 1, "b": 2, "c": 3}),
+    ],
+)
+def test_main_rejects_non_list_containers(capsys, tmp_path, field, value):
+    model = json.loads((FIXTURES / "sl2.json").read_text())
+    problem = {"model": model, "h_basis": [["1", "0", "0"]]}
+    if field == "terms":
+        model["brackets"][0]["terms"] = value
+    elif field == "R_basis":
+        problem["R_basis"] = value
+    else:
+        model[field] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["extend", "--problem", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{field}'" in err
+    assert "Traceback" not in err
+
+
+def test_parse_model_requires_a_list_of_labels():
+    with pytest.raises(InputError, match="'basis'"):
+        parse_model(json.dumps({"dim": 3, "basis": "abc"}))
+    with pytest.raises(InputError, match="'basis' labels must be strings"):
+        parse_model(json.dumps({"dim": 2, "basis": ["x", 2]}))
+    assert parse_model(json.dumps({"dim": 3, "basis": ["a", "b", "c"]})).labels == ("a", "b", "c")
+
+
 @pytest.mark.parametrize("count", [MAX_SAMPLES + 1, -1])
 @pytest.mark.parametrize("where", ["file", "command-line", "model-only"])
 def test_main_rejects_out_of_range_samples(capsys, tmp_path, where, count):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,59 @@ def test_parse_examples():
     }
     q = parse_polynomial("2*nu1*nu1 - 1/2", 2)
     assert q.terms == {(2, 0): Fraction(2), (0, 0): Fraction(-1, 2)}
+
+
+def per_term_parse(text, nvars):
+    """The construction parse_polynomial replaced: one Polynomial + per term."""
+    factor_re = re.compile(r"^nu(\d+)(?:\^(\d+))?$")
+    stripped = text.replace(" ", "")
+    chunks = re.findall(r"[+-]?[^+-]+", stripped)
+    result = Polynomial.zero(nvars)
+    for chunk in chunks:
+        coeff, body = Fraction(1), chunk
+        if body[0] in "+-":
+            coeff, body = Fraction(-1 if body[0] == "-" else 1), body[1:]
+        expo = [0] * nvars
+        for factor in body.split("*"):
+            m = factor_re.match(factor)
+            if m:
+                expo[int(m.group(1)) - 1] += int(m.group(2) or 1)
+            else:
+                coeff *= Fraction(factor)
+        result = result + Polynomial(nvars, {tuple(expo): coeff})
+    return result
+
+
+def _random_term(rng, nvars):
+    factors = [rng.choice(["2", "3/2", "1/3", "0"])] if rng.random() < 0.4 else []
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randint(1, nvars)
+        factors.append(f"nu{i}" + (f"^{rng.randint(2, 3)}" if rng.random() < 0.3 else ""))
+    rng.shuffle(factors)
+    return "*".join(factors) or str(rng.randint(1, 5))
+
+
+def test_parse_in_one_pass_matches_per_term_sums():
+    # A small pool of terms repeats monomials; each term is sometimes followed
+    # by its negation, so coefficients cancel.
+    rng = random.Random(53)
+    cancelled = zeros = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        pool = [_random_term(rng, nvars) for _ in range(4)]
+        pieces = []
+        for _ in range(rng.randint(1, 12)):
+            term = rng.choice(pool)
+            pieces.append(("-" if rng.random() < 0.5 else "+", term))
+            if rng.random() < 0.3:
+                pieces.append(("-" if pieces[-1][0] == "+" else "+", term))
+        text = " ".join(f"{sign} {term}" for sign, term in pieces).lstrip("+ ")
+        expected = per_term_parse(text, nvars)
+        got = parse_polynomial(text, nvars)
+        assert got.terms == expected.terms and str(got) == str(expected)
+        cancelled += len(got.terms) < len({term for _, term in pieces})
+        zeros += got.is_zero()
+    assert cancelled > 50 and zeros > 5
 
 
 def test_parse_rejects_garbage():

@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import lpl
@@ -39,3 +40,26 @@ def test_library_has_no_unused_imports():
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     assert len(modules) > 1
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def test_tracer_targets_exist():
+    # The benchmark's tracer patches these names by lookup in each module's and
+    # class's __dict__; a missing one breaks traced runs, so it fails here first.
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for _, module, attr, importers in tracing.FUNCTIONS
+        for owner in (module, *importers)
+        if attr not in vars(owner)
+    ]
+    missing += [
+        f"{cls.__name__}.{attr}"
+        for _, cls, attrs in tracing.METHODS
+        for attr in attrs
+        if attr not in vars(cls)
+    ]
+    assert tracing.FUNCTIONS and tracing.METHODS
+    assert missing == []

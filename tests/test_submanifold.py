@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from lpl.lie import LinearMap, NotASubalgebra, direct_sum, morphism_check
-from lpl.linalg import Subspace, dot, unit_vector, vec, zero_vector
+from lpl.lie_poisson import bivector_at
+from lpl.linalg import Subspace, dot, rank, unit_vector, vec, zero_vector
 from lpl.submanifold import (
     CERTIFIED_CONSTANT,
     NOT_CONSTANT,
@@ -14,6 +15,7 @@ from lpl.submanifold import (
     NotOnSubmanifold,
     PointwiseFlags,
     SampleSpec,
+    bivector_pencil,
     classify,
     graph_coisotropy,
     is_coisotropic,
@@ -240,6 +242,49 @@ def test_skew_pencil_matches_sympy():
             assert sympy.Matrix(h.dim, h.dim, lambda a, b: pencil.at(t)[a][b]) == form
             rows = [u.T for u in hm.nullspace()] + [hm.row(a) * pi for a in range(h.dim)]
             assert codim + pencil.rank_at(t) == sympy.Matrix.vstack(*rows).rank()
+
+
+def _mixed_coordinates(rng, n):
+    """Coordinates with denominators 1..9 and some zero entries."""
+    return tuple(
+        Fraction(0) if rng.random() < 0.25 else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for _ in range(n)
+    )
+
+
+def test_integer_pencil_matches_fraction_form_and_sympy():
+    # rank_at works on L * D times the form (L: lcm of t's denominators,
+    # D: the pencil's common denominator); at(t) is the form itself.
+    rng = random.Random(47)
+    catalog = algebra_catalog()
+    cases = [(a, Subspace.zero(a.dim)) for a in catalog] + [(a, Subspace.full(a.dim)) for a in catalog]
+    for _ in range(60):
+        algebra = rng.choice(catalog)
+        k = rng.randint(1, algebra.dim)
+        h = Subspace.span(algebra.dim, [_mixed_coordinates(rng, algebra.dim) for _ in range(k)])
+        cases.append((algebra, h))
+    seen_denominators, seen_ranks = set(), set()
+    for algebra, h in cases:
+        n = algebra.dim
+        c = AffineSubspace(algebra, h, _mixed_coordinates(rng, n))
+        codim = c.direction.dim
+        e = [unit_vector(n, j) for j in range(n)]
+        pencils = [skew_pencil(c, h.basis), skew_pencil(c, h.basis, e), bivector_pencil(c)]
+        seen_denominators |= {p.denominator for p in pencils}
+        for t in (zero_vector(codim), _mixed_coordinates(rng, codim), _mixed_coordinates(rng, codim)):
+            x = c.point_at(t)
+            for pencil in pencils:
+                form = pencil.at(t)
+                expected = sympy.Matrix(pencil.nrows, pencil.ncols, lambda a, b: form[a][b]).rank()
+                assert pencil.rank_at(t) == rank(form, pencil.ncols) == expected
+                seen_ranks.add(expected)
+            assert pencils[0].at(t) == tuple(
+                tuple(dot(x, algebra.bracket(u, v)) for v in h.basis) for u in h.basis
+            )
+            assert pencils[1].at(t) == tuple(algebra.coad_apply(u, x) for u in h.basis)
+            assert pencils[2].at(t) == bivector_at(algebra, x)
+    # The entries really were scaled, and the forms were not all degenerate.
+    assert max(seen_denominators) > 9 and {0, 2, 4} <= seen_ranks
 
 
 # ---------------------------------------------------------------------------
