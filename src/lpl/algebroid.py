@@ -56,8 +56,7 @@ class AlgebroidFiberReport:
     orbit_dims: tuple[tuple[Vector, int], ...]  # (point, dim of orbit through it)
     transversal: tuple[tuple[Vector, bool], ...]  # TC meets orbit tangent in 0
     constant_orbit_dim: bool
-    samples: int
-    seed: int
+    sampling: Optional[SampleSpec]
 
 
 def transversal_orbit_report(
@@ -95,6 +94,5 @@ def transversal_orbit_report(
         orbit_dims=tuple(orbit_dims),
         transversal=tuple(transversal),
         constant_orbit_dim=len(dims) == 1,
-        samples=sampling.count,
-        seed=sampling.seed,
+        sampling=sampling,
     )

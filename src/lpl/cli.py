@@ -26,7 +26,7 @@ from . import embedding as embedding_mod
 from .lie import LieAlgebra, NotASubalgebra, validate_jacobi
 from .lie_poisson import casimir_check, parse_polynomial, poisson_bracket_poly
 from .linalg import DimensionMismatch, InvariantViolation, Subspace, Vector
-from .submanifold import AffineSubspace, SampleSpec, classify
+from .submanifold import NOT_CONSTANT, AffineSubspace, SampleSpec, classify
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -101,7 +101,9 @@ def parse_model(data) -> LieAlgebra:
         raise InputError("model dimension must be positive")
     if dim > MAX_DIM:
         raise InputError(f"model dimension {dim} exceeds the maximum {MAX_DIM}")
-    labels = data.get("basis") or [f"e{i + 1}" for i in range(dim)]
+    labels = data.get("basis")
+    if labels is None:
+        labels = [f"e{i + 1}" for i in range(dim)]
     if not isinstance(labels, list) or len(labels) != dim:
         raise InputError("'basis' must be a list of one label per dimension")
     if not all(isinstance(x, str) for x in labels):
@@ -112,6 +114,8 @@ def parse_model(data) -> LieAlgebra:
         j = parse_int(entry, "j", "each bracket needs an integer 'j'")
         if not 0 <= i < j < dim:
             raise InputError(f"bracket indices ({i}, {j}) must satisfy 0 <= i < j < dim")
+        if (i, j) in brackets:
+            raise InputError(f"bracket ({i}, {j}) is given more than once")
         coords = [Fraction(0)] * dim
         for term in parse_list(entry, "terms", "a bracket's 'terms' must be a list", []):
             k = parse_int(term, "k", "each term needs an integer 'k'")
@@ -157,19 +161,19 @@ class Problem:
         return AffineSubspace(self.algebra, self.h, self.base)
 
 
+def _find_file(name: str, what: str, base_dir: Optional[Path] = None) -> Path:
+    """``name`` in ``base_dir`` if given, else as given, else the bundled fixture."""
+    for folder in ([] if base_dir is None else [base_dir]) + [Path(), FIXTURES_DIR]:
+        if (folder / name).is_file():
+            return folder / name
+    raise InputError(f"{what} file {name!r} not found")
+
+
 def _resolve_model(ref, base_dir: Optional[Path]) -> LieAlgebra:
     if isinstance(ref, dict):
         return parse_model(ref)
     if isinstance(ref, str):
-        candidates = []
-        if base_dir is not None:
-            candidates.append(base_dir / ref)
-        candidates.append(Path(ref))
-        candidates.append(FIXTURES_DIR / ref)
-        for path in candidates:
-            if path.is_file():
-                return parse_model(path.read_text())
-        raise InputError(f"model file {ref!r} not found")
+        return parse_model(_find_file(ref, "model", base_dir).read_text())
     raise InputError("'model' must be a path or an inline model object")
 
 
@@ -226,14 +230,15 @@ def _bounded_samples(count: int) -> int:
 # -- report builders --------------------------------------------------------
 
 
-def _provenance(kind: str, sampling: SampleSpec) -> str:
-    if kind == "certified_constant" or kind == "certified":
+def _provenance(sampling: Optional[SampleSpec]) -> str:
+    """A result's provenance: the sample points it rests on, or none when it is certified."""
+    if sampling is None:
         return "certified"
     return f"sampled({sampling.count}, seed={sampling.seed})"
 
 
 def _coisotropy_dict(result) -> dict:
-    out = {"verdict": result.coisotropic, "provenance": "certified"}
+    out = {"verdict": result.coisotropic, "provenance": _provenance(None)}
     if result.witness is not None:
         kind = result.witness[0]
         if kind == "bracket_escapes":
@@ -249,8 +254,8 @@ def _coisotropy_dict(result) -> dict:
     return out
 
 
-def _pre_poisson_dict(verdict, sampling: SampleSpec) -> dict:
-    out = {"verdict": verdict.kind, "provenance": _provenance(verdict.kind, sampling)}
+def _pre_poisson_dict(verdict) -> dict:
+    out = {"verdict": verdict.kind, "provenance": _provenance(verdict.sampling)}
     if verdict.rank is not None:
         out["rank"] = verdict.rank
     if verdict.space is not None:
@@ -281,7 +286,7 @@ def report_classify(problem: Problem) -> dict:
         "affine_dim": c.dim,
         "direction": subspace_dict(c.direction),
         "coisotropic": _coisotropy_dict(rep.coisotropic),
-        "pre_poisson": _pre_poisson_dict(rep.pre_poisson, problem.sampling),
+        "pre_poisson": _pre_poisson_dict(rep.pre_poisson),
         "generic_rank": rep.generic_rank,
         "characteristic_rank_at_base": rep.characteristic_rank_at_base,
         "poisson_dirac_at_base": rep.poisson_dirac_at_base,
@@ -289,27 +294,28 @@ def report_classify(problem: Problem) -> dict:
     }
 
 
-def _extension_dict(ext, locus, constancy, sampling: SampleSpec) -> dict:
+def _extension_dict(ext, locus, constancy) -> dict:
+    conormal = {"verdict": "certified" if constancy.certified else NOT_CONSTANT}
     out = {
         "R": subspace_dict(ext.r),
         "P_tilde_direction": subspace_dict(ext.p_tilde.direction),
         "p": subspace_dict(ext.p),
-        "evidence": ext.evidence,
+        "evidence": "certified" if ext.sampling is None else "sampled",
         "cosymplectic_locus": {
             "never_cosymplectic": locus.never_cosymplectic,
             "cosymplectic_at_base": locus.cosymplectic_at_base,
             "failing_points": [vector_strs(x) for x in locus.failing_points],
             "checked": locus.checked,
-            "provenance": _provenance("sampled", sampling),
+            "provenance": _provenance(locus.sampling),
         },
-        "constant_sharp_conormal": {"verdict": constancy.kind},
+        "constant_sharp_conormal": conormal,
     }
     if constancy.certified:
-        out["constant_sharp_conormal"]["k_ann"] = subspace_dict(constancy.k_ann)
-        out["constant_sharp_conormal"]["provenance"] = "certified"
+        conormal["k_ann"] = subspace_dict(constancy.k_ann)
+        conormal["provenance"] = _provenance(None)
     else:
         v, u, image = constancy.witness
-        out["constant_sharp_conormal"]["witness"] = {
+        conormal["witness"] = {
             "p_vector": vector_strs(v),
             "direction": vector_strs(u),
             "image": vector_strs(image),
@@ -326,7 +332,7 @@ def _build_extension(problem: Problem):
 
 def report_extend(problem: Problem) -> dict:
     ext, locus, constancy = _build_extension(problem)
-    out = _extension_dict(ext, locus, constancy, problem.sampling)
+    out = _extension_dict(ext, locus, constancy)
     out["command"] = "extend"
     return out
 
@@ -338,7 +344,7 @@ def report_pair(problem: Problem) -> dict:
             "sharp N*P is not constant; the symmetric-pair analysis is undefined"
         )
     pair = embedding_mod.symmetric_pair_analysis(ext, constancy)
-    out = _extension_dict(ext, locus, constancy, problem.sampling)
+    out = _extension_dict(ext, locus, constancy)
     out["command"] = "pair"
     out["k"] = subspace_dict(pair.k)
     out["symmetric_pair"] = {
@@ -367,7 +373,7 @@ def report_algebroid(problem: Problem) -> dict:
         ],
         "transversal_everywhere": all(ok for _, ok in rep.transversal),
         "constant_orbit_dim": rep.constant_orbit_dim,
-        "provenance": _provenance("sampled", problem.sampling),
+        "provenance": _provenance(rep.sampling),
     }
 
 
@@ -447,18 +453,9 @@ _NEEDS_PROBLEM = {"classify", "extend", "pair", "algebroid"}
 def _load_problem(args) -> Problem:
     model_override = None
     if args.model:
-        path = Path(args.model)
-        if not path.is_file() and (FIXTURES_DIR / args.model).is_file():
-            path = FIXTURES_DIR / args.model
-        if not path.is_file():
-            raise InputError(f"model file {args.model!r} not found")
-        model_override = parse_model(path.read_text())
+        model_override = parse_model(_find_file(args.model, "model").read_text())
     if args.problem:
-        path = Path(args.problem)
-        if not path.is_file() and (FIXTURES_DIR / args.problem).is_file():
-            path = FIXTURES_DIR / args.problem
-        if not path.is_file():
-            raise InputError(f"problem file {args.problem!r} not found")
+        path = _find_file(args.problem, "problem")
         return parse_problem(
             path.read_text(),
             base_dir=path.parent,

@@ -30,7 +30,6 @@ from .linalg import (
     zero_vector,
 )
 from .submanifold import (
-    CERTIFIED_CONSTANT,
     NOT_CONSTANT,
     AffineSubspace,
     SampleSpec,
@@ -38,10 +37,6 @@ from .submanifold import (
     sharp_conormal_at,
     skew_pencil,
 )
-
-CERTIFIED = "certified"
-SAMPLED = "sampled"
-
 
 class RankNotConstant(ValueError):
     """The rank of TC + sharp N*C is not constant; no extension exists."""
@@ -65,7 +60,7 @@ class Extension:
     r: Subspace
     p_tilde: AffineSubspace
     p: Subspace  # conormal of the extension: annihilator of its direction
-    evidence: str  # CERTIFIED when h is a subalgebra, SAMPLED otherwise
+    sampling: Optional[SampleSpec]  # the pre-Poisson verdict's; None when certified
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -95,15 +90,14 @@ def extend(
     if r is None:
         r = choose_complement(span, Subspace.full(c.algebra.dim))
     else:
-        if span.intersect(r).dim != 0 or span.sum(r).dim != c.algebra.dim:
+        if span.dim + r.dim != c.algebra.dim or span.sum(r).dim != c.algebra.dim:
             raise NotComplementary(
                 "R must complement TC + sharp N*C at the base point"
             )
     direction = c.direction.sum(r)
     p = direction.annihilator()
     p_tilde = AffineSubspace(c.algebra, p, c.base)
-    evidence = CERTIFIED if verdict.kind == CERTIFIED_CONSTANT else SAMPLED
-    ext = Extension(c, r, p_tilde, p, evidence)
+    ext = Extension(c, r, p_tilde, p, verdict.sampling)
     if verify:
         check = coisotropy_in_extension(ext, SampleSpec(count=8, seed=sampling.seed))
         bad = [x for x, ok in check if not ok]
@@ -127,8 +121,7 @@ class LocusReport:
     cosymplectic_at_base: bool
     checked: int  # sample points tested
     failing_points: tuple[Vector, ...]
-    samples: int
-    seed: int
+    sampling: Optional[SampleSpec]
 
     @property
     def any_cosymplectic(self) -> bool:
@@ -142,29 +135,28 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
     costs one rank, and only a failing one is formed as a point.
     """
     if e.p.dim % 2 == 1:
-        return LocusReport(True, False, 0, (), sampling.count, sampling.seed)
+        return LocusReport(True, False, 0, (), sampling)
     if not e.p.basis:
         # P is all of g*, with the empty form at every point: no sample is drawn.
-        return LocusReport(False, True, sampling.count, (), sampling.count, sampling.seed)
+        return LocusReport(False, True, sampling.count, (), sampling)
     pencil = skew_pencil(e.p_tilde, e.p.basis)
     at_base = pencil.rank_at(zero_vector(e.p_tilde.direction.dim)) == e.p.dim
     coefficients = e.p_tilde.sample_coefficients(sampling)
     failing = tuple(
         e.p_tilde.point_at(t) for t in coefficients if pencil.rank_at(t) != e.p.dim
     )
-    return LocusReport(False, at_base, len(coefficients), failing, sampling.count, sampling.seed)
+    return LocusReport(False, at_base, len(coefficients), failing, sampling)
 
 
 @dataclass(frozen=True)
 class ConstancyResult:
-    kind: str  # CERTIFIED | NOT_CONSTANT
-    k_ann: Optional[Subspace] = None
+    k_ann: Optional[Subspace] = None  # set iff constancy is certified
     # (p basis vector, direction generator, escaping image) on failure.
     witness: Optional[tuple[Vector, Vector, Vector]] = None
 
     @property
     def certified(self) -> bool:
-        return self.kind == CERTIFIED
+        return self.k_ann is not None
 
 
 def constant_sharp_conormal(e: Extension) -> ConstancyResult:
@@ -181,8 +173,8 @@ def constant_sharp_conormal(e: Extension) -> ConstancyResult:
         for u in e.p_tilde.direction.basis:
             image = e.algebra.coad_apply(v, u)
             if not k_ann.contains_vector(image):
-                return ConstancyResult(NOT_CONSTANT, witness=(v, u, image))
-    return ConstancyResult(CERTIFIED, k_ann=k_ann)
+                return ConstancyResult(witness=(v, u, image))
+    return ConstancyResult(k_ann=k_ann)
 
 
 @dataclass(frozen=True)
@@ -201,7 +193,8 @@ class SymmetricPairReport:
 
 def check_symmetric_pair(algebra: LieAlgebra, k: Subspace, p: Subspace) -> SymmetricPairReport:
     """The three bracket conditions for a user- or extension-given (k, p)."""
-    decomposition = k.intersect(p).dim == 0 and k.sum(p).dim == algebra.dim
+    # k + p = g is direct iff the dimensions add up to n and the sum is g.
+    decomposition = k.dim + p.dim == algebra.dim and k.sum(p).dim == algebra.dim
     k_sub = is_subalgebra(algebra, k)
     kp_in_p = p.contains(subspace_bracket(algebra, k, p))
     pp_in_k = k.contains(subspace_bracket(algebra, p, p))
@@ -238,7 +231,7 @@ def induced_structure_from_decomposition(
     canonical basis of p-ann; their brackets, paired with that basis, give the
     structure constants.  Requires k + p = g directly and k a subalgebra.
     """
-    if k.intersect(p).dim != 0 or k.sum(p).dim != algebra.dim:
+    if k.dim + p.dim != algebra.dim or k.sum(p).dim != algebra.dim:
         raise ValueError("k and p must decompose the algebra")
     if not is_subalgebra(algebra, k):
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")

@@ -9,7 +9,7 @@ C it is the pencil B0 + sum_a t_a B_a, built once per C.
 
 Coisotropy and the subalgebra-case pre-Poisson verdict are exact theorems;
 for non-subalgebra h the rank-constancy verdict is evidence from exact
-rational sample points and is labelled as such.
+rational sample points, and the verdict carries the SampleSpec it rests on.
 """
 
 from __future__ import annotations
@@ -158,12 +158,7 @@ class PrePoissonVerdict:
     rank: Optional[int] = None
     space: Optional[Subspace] = None  # the constant space, certified case only
     counterexample: Optional[tuple[tuple[Vector, int], tuple[Vector, int]]] = None
-    samples: int = 0
-    seed: Optional[int] = None
-
-    @property
-    def constant(self) -> bool:
-        return self.kind != NOT_CONSTANT
+    sampling: Optional[SampleSpec] = None  # the sample points it rests on; None when certified
 
 
 @dataclass(frozen=True)
@@ -181,6 +176,11 @@ class SkewPencil:
     skew: bool
     denominator: int
     entries: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+    @property
+    def constant(self) -> bool:
+        """True iff no B_i has a nonzero entry: the form is B0 at every point."""
+        return not any(terms for _, terms in self.entries)
 
     def _integer_form(self, t: Sequence[Fraction]) -> tuple[list[list[int]], int]:
         """L * D times the form at t, where L is the lcm of t's denominators; and L."""
@@ -272,15 +272,17 @@ def pre_poisson_check(
 ) -> PrePoissonVerdict:
     """Constancy of rank(T_x C + sharp N*_x C) = codim h + rank B_h(x) along C.
 
-    When h is a subalgebra the space equals h-annihilator + coad_h(base) at
-    every point, which is a proved certificate, not sampled evidence.
+    B_i = <u_i, [h_a, h_b]> over the basis u_i of ann(h), so the pencil of
+    B_h has no B_i exactly when every [h_a, h_b] lies in ann(ann(h)) = h:
+    when h is a subalgebra.  Then the space is h-annihilator + coad_h(base)
+    at every point, which is a proved certificate, not sampled evidence.
     Otherwise rank B_h is compared at the base point and at seeded exact
-    sample points, evaluating the skew pencil of B_h along C.
+    sample points, evaluating the pencil along C.
     """
-    if is_subalgebra(c.algebra, c.h):
+    pencil = skew_pencil(c, c.h.basis)
+    if pencil.constant:
         space = c.direction.sum(sharp_conormal_at(c, c.base))
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=space.dim, space=space)
-    pencil = skew_pencil(c, c.h.basis)
     codim = c.direction.dim
     base_rank = codim + pencil.rank_at(zero_vector(codim))
     for t in c.sample_coefficients(sampling):
@@ -289,12 +291,9 @@ def pre_poisson_check(
             return PrePoissonVerdict(
                 NOT_CONSTANT,
                 counterexample=((c.base, base_rank), (c.point_at(t), r)),
-                samples=sampling.count,
-                seed=sampling.seed,
+                sampling=sampling,
             )
-    return PrePoissonVerdict(
-        SAMPLED_CONSTANT, rank=base_rank, samples=sampling.count, seed=sampling.seed
-    )
+    return PrePoissonVerdict(SAMPLED_CONSTANT, rank=base_rank, sampling=sampling)
 
 
 @dataclass(frozen=True)

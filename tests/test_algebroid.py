@@ -143,7 +143,7 @@ def test_report_sl2_transverse_line(sl2):
     assert report.constant_orbit_dim
     assert all(dim == 2 for _, dim in report.orbit_dims)
     assert all(ok for _, ok in report.transversal)
-    assert report.samples == 20 and report.seed == 12
+    assert report.sampling == SampleSpec(count=20, seed=12)
 
 
 def test_report_without_subalgebra(gl2):
@@ -204,7 +204,7 @@ def test_report_matches_subspace_formulas():
         c = AffineSubspace(algebra, h, base)
         report = transversal_orbit_report(c, SampleSpec(count=6, seed=rng.randrange(1000), bound=1))
         points = [x for x, _ in report.orbit_dims]
-        assert points == [base] + c.sample_points(SampleSpec(6, report.seed, bound=1))
+        assert points == [base] + c.sample_points(report.sampling)
         dims, transversal = subspace_orbit_report(c, points)
         assert report.orbit_dims == dims
         assert report.transversal == transversal

@@ -323,8 +323,9 @@ def test_main_rejects_non_integer_fields(capsys, tmp_path, field, value):
     assert "Traceback" not in err
 
 
-# Each field replaced by a JSON value that is not a list; iterating the
-# numbers raised a TypeError, and the string and the object read as labels.
+# Each field replaced by a JSON value that is not a list, or by an empty
+# basis; iterating the numbers raised a TypeError, the string and the object
+# read as labels, and a falsy basis read as absent (default labels).
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -332,6 +333,7 @@ def test_main_rejects_non_integer_fields(capsys, tmp_path, field, value):
         ("terms", 3), ("terms", "k"),
         ("R_basis", 5), ("R_basis", "abc"),
         ("basis", "abc"), ("basis", {"a": 1, "b": 2, "c": 3}),
+        ("basis", ""), ("basis", {}), ("basis", 0), ("basis", False), ("basis", []),
     ],
 )
 def test_main_rejects_non_list_containers(capsys, tmp_path, field, value):
@@ -357,6 +359,37 @@ def test_parse_model_requires_a_list_of_labels():
     with pytest.raises(InputError, match="'basis' labels must be strings"):
         parse_model(json.dumps({"dim": 2, "basis": ["x", 2]}))
     assert parse_model(json.dumps({"dim": 3, "basis": ["a", "b", "c"]})).labels == ("a", "b", "c")
+    for model in ({"dim": 2}, {"dim": 2, "basis": None}):
+        assert parse_model(json.dumps(model)).labels == ("e1", "e2")
+
+
+def test_main_rejects_a_repeated_bracket(capsys, tmp_path):
+    # The second (0, 1) entry replaced the first: this parsed as [e1, e2] = 5 e1.
+    terms = [[{"k": 1, "coefficient": "1"}], [{"k": 0, "coefficient": "5"}]]
+    model = {"dim": 2, "brackets": [{"i": 0, "j": 1, "terms": t} for t in terms]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["validate", "--model", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(0, 1)" in err
+    assert "Traceback" not in err
+
+
+def test_model_next_to_the_problem_shadows_the_fixture(capsys, tmp_path):
+    # A local gl2.json holding sl2 (dimension 3) wins over the bundled gl2 (dimension 4).
+    (tmp_path / "gl2.json").write_text((FIXTURES / "sl2.json").read_text())
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"model": "gl2.json", "h_basis": [["1", "0", "0"]]}))
+    assert main(["validate", "--problem", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["dim"] == 3
+
+
+def test_main_names_a_missing_model_file(capsys, tmp_path):
+    missing = str(tmp_path / "no_such_model.json")
+    assert main(["validate", "--model", missing]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model file" in err and "no_such_model.json" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("count", [MAX_SAMPLES + 1, -1])

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from lpl.embedding import (
-    CERTIFIED,
-    SAMPLED,
     ConstancyNotCertified,
     Extension,
     NotComplementary,
@@ -22,7 +20,6 @@ from lpl.embedding import (
 )
 from lpl.linalg import Subspace, dot, mat_vec, solve, transpose, vadd, vec, vscale, zero_vector
 from lpl.submanifold import (
-    NOT_CONSTANT,
     AffineSubspace,
     SampleSpec,
     product,
@@ -67,7 +64,7 @@ def test_extend_refuses_nonconstant_rank(gl2):
 def test_extend_gl2_diagonal(gl2):
     e = extend(gl2_line(gl2, [1, 0, 0, 0]))
     # h is not closed under the bracket, so constancy rests on sample points.
-    assert e.evidence == "sampled"
+    assert e.sampling == SampleSpec()
     assert e.p_tilde.direction == Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]])
     assert e.p == Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
     assert e.p_tilde.contains([1, 0, 0, 0])
@@ -134,7 +131,7 @@ def test_locus_odd_p_never_cosymplectic(sl2):
     # A point of the dual with p the whole (odd-dimensional) algebra: the
     # skew form cannot be nondegenerate, reported exactly, no sampling.
     point = AffineSubspace(sl2, Subspace.full(3), vec([0, 0, 1]))
-    e = Extension(point, Subspace.zero(3), point, Subspace.full(3), CERTIFIED)
+    e = Extension(point, Subspace.zero(3), point, Subspace.full(3), None)
     report = cosymplectic_locus(e)
     assert report.never_cosymplectic
     assert not report.any_cosymplectic
@@ -176,7 +173,7 @@ def hand_built_extensions(rng, count=40):
         p = Subspace.span(n, [mat_vec(transpose(h.basis), t) for t in combinations])
         c = AffineSubspace(algebra, h, random_vector(rng, n, bound=5))
         extensions.append(
-            Extension(c, Subspace.zero(n), AffineSubspace(algebra, p, c.base), p, SAMPLED)
+            Extension(c, Subspace.zero(n), AffineSubspace(algebra, p, c.base), p, SampleSpec())
         )
     return extensions
 
@@ -226,7 +223,7 @@ def test_constancy_fails_for_alternative_slice(gl2):
         gl2_line(gl2, [1, 0, 0, 0]), r=Subspace.span(4, [[0, 0, 1, 1]])
     )
     result = constant_sharp_conormal(e)
-    assert result.kind == NOT_CONSTANT
+    assert result.k_ann is None
     v, u, image = result.witness
     assert image == gl2.coad_apply(v, u)
     with pytest.raises(ConstancyNotCertified):

@@ -42,6 +42,16 @@ def test_library_has_no_unused_imports():
     assert [entry for path in modules for entry in unused_imports(path)] == []
 
 
+def test_readme_library_example_runs(monkeypatch):
+    # The README's library example is run as written, from the repo root, so
+    # it cannot drift from the API it shows.
+    root = Path(__file__).parent.parent
+    section = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+
+
 def test_tracer_targets_exist():
     # The benchmark's tracer patches these names by lookup in each module's and
     # class's __dict__; a missing one breaks traced runs, so it fails here first.

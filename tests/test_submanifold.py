@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from lpl.lie import LinearMap, NotASubalgebra, direct_sum, morphism_check
+from lpl.lie import LinearMap, NotASubalgebra, direct_sum, is_subalgebra, morphism_check
 from lpl.lie_poisson import bivector_at
 from lpl.linalg import Subspace, dot, rank, unit_vector, vec, zero_vector
 from lpl.submanifold import (
@@ -171,6 +171,31 @@ def test_certified_space_matches_every_point():
             assert span == verdict.space
 
 
+def test_constant_pencil_iff_subalgebra(sl2):
+    # <u, [h_a, h_b]> = 0 for every u in ann(h) iff [h_a, h_b] lies in h, so
+    # the pencil of B_h has no B_i exactly when h is a subalgebra, and only
+    # then is the verdict certified (it rests on no sampling).
+    rng = random.Random(83)
+    catalog = algebra_catalog()
+    sums = [direct_sum(a, b, sign) for a in catalog[:5] for b in catalog[:5] for sign in (1, -1)]
+    cases = subalgebra_catalog()
+    for algebra in catalog + sums:
+        cases += [(algebra, Subspace.zero(algebra.dim)), (algebra, Subspace.full(algebra.dim))]
+        cases += [(algebra, random_subspace(rng, algebra.dim)) for _ in range(4)]
+    sl2_sl2 = direct_sum(sl2, sl2)
+    for mask in range(64):
+        basis = [unit_vector(6, i) for i in range(6) if mask >> i & 1]
+        cases.append((sl2_sl2, Subspace.span(6, basis)))
+    seen = set()
+    for algebra, h in cases:
+        c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
+        constant = skew_pencil(c, h.basis).constant
+        assert constant == is_subalgebra(algebra, h)
+        assert (pre_poisson_check(c, SampleSpec(count=1)).sampling is None) == constant
+        seen.add(constant)
+    assert seen == {False, True}
+
+
 def test_gl2_line_rank_jump(gl2):
     h = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     c = AffineSubspace(gl2, h, zero_vector(4))
@@ -186,14 +211,12 @@ def test_sampled_constant_case(gl2):
     # A non-subalgebra ([b+c, a] = -b + c escapes) so the verdict can only
     # rest on sample points; the report must carry the sampling parameters.
     h = Subspace.span(4, [[0, 1, 1, 0], [1, 0, 0, 0]])
-    from lpl.lie import is_subalgebra
-
     assert not is_subalgebra(gl2, h)
     c = AffineSubspace(gl2, h, zero_vector(4))
     verdict = pre_poisson_check(c, SampleSpec(count=40, seed=2))
     assert verdict.kind in (SAMPLED_CONSTANT, NOT_CONSTANT)
     if verdict.kind == SAMPLED_CONSTANT:
-        assert verdict.samples == 40 and verdict.seed == 2
+        assert verdict.sampling == SampleSpec(count=40, seed=2)
 
 
 def test_rank_identity_on_random_data():
