@@ -20,14 +20,16 @@ def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
     """d = h intersected with {v : <base, [v, w]> = 0 for all w in h}.
 
     This is the fiber of the subalgebroid attached to C; requires h to be a
-    subalgebra.  Also reports whether d is itself a subalgebra.
+    subalgebra, read as the form on h being constant along C.  Also reports
+    whether d is itself a subalgebra.
     """
     algebra, h = c.algebra, c.h
-    if not is_subalgebra(algebra, h):
+    pencil = skew_pencil(c, h.basis)
+    if not pencil.constant:
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
     # <base, [v, w]> = 0 for all w in h, on v = sum_i c_i h_i: c is in the
     # kernel of the skew form on h at the base, the pencil along C at t = 0.
-    form = skew_pencil(c, h.basis).at(zero_vector(c.direction.dim))
+    form = pencil.at(zero_vector(c.direction.dim))
     h_columns = transpose(h.basis)
     d = Subspace.span(algebra.dim, [mat_vec(h_columns, cf) for cf in nullspace(form, h.dim)])
     return d, is_subalgebra(algebra, d)
@@ -84,9 +86,9 @@ def transversal_orbit_report(
         orbit_dims.append((x, orbit_dim))
         transversal.append((x, coad_h.rank_at(t) == orbit_dim))
     dims = {d for _, d in orbit_dims}
-    if is_subalgebra(algebra, h):
+    try:
         d, d_sub = algebroid_fiber_d(c)
-    else:
+    except NotASubalgebra:
         d, d_sub = None, None
     return AlgebroidFiberReport(
         d=d,

@@ -14,18 +14,17 @@ from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra, subspace_bracket, validate_jacobi
 from .linalg import (
-    ZERO,
     InvariantViolation,
     Subspace,
     Vector,
     choose_complement,
     dot,
-    inverse,
     mat_vec,
     pivot_columns,
     rank,
     solve,
     transpose,
+    unit_vector,
     vec,
     zero_vector,
 )
@@ -71,12 +70,12 @@ def extend(
     c: AffineSubspace,
     r: Optional[Subspace] = None,
     sampling: SampleSpec = SampleSpec(),
-    verify: bool = True,
 ) -> Extension:
     """Extend C along R (greedy if omitted) to the candidate cosymplectic P.
 
-    Refuses when the pre-Poisson verdict is NOT_CONSTANT.  With ``verify`` the
-    coisotropy of C inside P is re-checked at cosymplectic sample points.
+    Refuses when the pre-Poisson verdict is NOT_CONSTANT, and when C is not
+    coisotropic in P: where the form on p is nonsingular, at the base and 8
+    sampled points of C, the form on p then h must have rank dim p.
     """
     verdict = pre_poisson_check(c, sampling)
     if verdict.kind == NOT_CONSTANT:
@@ -98,11 +97,10 @@ def extend(
     p = direction.annihilator()
     p_tilde = AffineSubspace(c.algebra, p, c.base)
     ext = Extension(c, r, p_tilde, p, verdict.sampling)
-    if verify:
-        check = coisotropy_in_extension(ext, SampleSpec(count=8, seed=sampling.seed))
-        bad = [x for x, ok in check if not ok]
-        if bad:
-            raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {bad[0]}")
+    check = coisotropy_in_extension(ext, SampleSpec(count=8, seed=sampling.seed))
+    bad = [x for x, ok in check if not ok]
+    if bad:
+        raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {bad[0]}")
     return ext
 
 
@@ -121,7 +119,7 @@ class LocusReport:
     cosymplectic_at_base: bool
     checked: int  # sample points tested
     failing_points: tuple[Vector, ...]
-    sampling: Optional[SampleSpec]
+    sampling: Optional[SampleSpec]  # None when exact: dim p odd, or p = 0
 
     @property
     def any_cosymplectic(self) -> bool:
@@ -132,13 +130,14 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
     """Pointwise cosymplecticity of P at the base and at sampled points.
 
     The form on p is the pencil of <x, [., .]> along P, built once; a sample
-    costs one rank, and only a failing one is formed as a point.
+    costs one rank, and only a failing one is formed as a point.  Two answers
+    are exact and draw no sample: odd dim p is never cosymplectic (a skew
+    form of odd size is singular), and p = 0 is cosymplectic everywhere.
     """
     if e.p.dim % 2 == 1:
-        return LocusReport(True, False, 0, (), sampling)
+        return LocusReport(True, False, 0, (), None)
     if not e.p.basis:
-        # P is all of g*, with the empty form at every point: no sample is drawn.
-        return LocusReport(False, True, sampling.count, (), sampling)
+        return LocusReport(False, True, 0, (), None)
     pencil = skew_pencil(e.p_tilde, e.p.basis)
     at_base = pencil.rank_at(zero_vector(e.p_tilde.direction.dim)) == e.p.dim
     coefficients = e.p_tilde.sample_coefficients(sampling)
@@ -237,14 +236,14 @@ def induced_structure_from_decomposition(
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")
     direction = p.annihilator()
     m = direction.dim
-    # Dual elements: khat_i in k with <u_j, khat_i> = delta_ij, the columns
-    # of the inverse gram in the basis of k.
+    # Dual elements: khat_i in k with <u_j, khat_i> = delta_ij, from the
+    # solution of gram y = e_i as coordinates in the basis of k.
     gram = [[dot(u, kb) for kb in k.basis] for u in direction.basis]
-    inv = inverse(gram)
-    if inv is None:
+    solutions = [solve(gram, unit_vector(m, i)) for i in range(m)]
+    if None in solutions:
         raise InvariantViolation("the pairing of k with p-ann is degenerate")
     k_columns = transpose(k.basis)
-    khat = [mat_vec(k_columns, column) for column in transpose(inv)]
+    khat = [mat_vec(k_columns, y) for y in solutions]
     # Pairing with p-ann ignores the p component of a bracket: no projection to k.
     brackets = {}
     for i in range(m):
@@ -283,29 +282,16 @@ def coisotropy_in_extension(
     At such a point the sharp map of P applied to a conormal direction w of C
     is coad of the unique extension w + q (q in p) whose differential kills
     sharp N*_x P; membership of the result in TC = ann(h) is the coisotropy
-    claim.  With F the form <x, [., .]> on the basis p then h of one pencil
-    along C, and w = h_c, q solves F_pp q = -F_pc, and coad_{w + q}(x) lies
-    in ann(h) iff F_hh[c, b] + sum_a q_a F_ph[a, b] = 0 for every b.
+    claim.  With F the form <x, [., .]> on the basis p then h, that holds
+    for every w iff the Schur complement F_hh - F_hp F_pp^-1 F_ph vanishes.
+    Where F_pp is nonsingular, rank F = dim p + rank of that complement, so
+    the claim is rank F = dim p: two ranks of two pencils along C per point.
     """
     n_p = e.p.dim
-    pencil = skew_pencil(e.c, e.p.basis + e.c.h.basis)
-    results = []
-    for t in [zero_vector(e.c.direction.dim)] + e.c.sample_coefficients(sampling):
-        form = pencil.at(t)
-        f_pp = tuple(row[:n_p] for row in form[:n_p])
-        if rank(f_pp, n_p) != n_p:
-            continue
-        f_ph = [row[n_p:] for row in form[:n_p]]
-        ok = True
-        for c, f_hh_c in enumerate(row[n_p:] for row in form[n_p:]):
-            q = solve(f_pp, [-f_pa[c] for f_pa in f_ph])
-            if q is None:
-                raise InvariantViolation(f"the form on p is degenerate at {e.c.point_at(t)}")
-            if any(
-                f_cb + sum((qa * f_pa[b] for qa, f_pa in zip(q, f_ph)), ZERO)
-                for b, f_cb in enumerate(f_hh_c)
-            ):
-                ok = False
-                break
-        results.append((e.c.point_at(t), ok))
-    return results
+    form_p = skew_pencil(e.c, e.p.basis)
+    form_ph = skew_pencil(e.c, e.p.basis + e.c.h.basis)
+    return [
+        (e.c.point_at(t), form_ph.rank_at(t) == n_p)
+        for t in [zero_vector(e.c.direction.dim)] + e.c.sample_coefficients(sampling)
+        if form_p.rank_at(t) == n_p
+    ]

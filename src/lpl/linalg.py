@@ -217,16 +217,6 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     return tuple(x)
 
 
-def inverse(m: Matrix) -> Optional[Matrix]:
-    """Inverse of a square matrix from one rref of [m | I], or None if m is singular."""
-    n = len(m)
-    ech = rref([tuple(row) + unit_vector(n, i) for i, row in enumerate(m)], 2 * n)
-    # [m | I] has rank n; m is invertible iff every pivot lies in the m block.
-    if any(row[i] == 0 for i, row in enumerate(ech)):
-        return None
-    return tuple(row[n:] for row in ech)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace of Q^n in canonical reduced row-echelon basis.

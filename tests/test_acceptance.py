@@ -230,7 +230,7 @@ def test_criterion_10_certified_k_closes():
         if h.dim == 0:
             continue
         c = AffineSubspace(algebra, h, zero_vector(algebra.dim))
-        e = extend(c, verify=False)
+        e = extend(c)
         constancy = constant_sharp_conormal(e)
         if not constancy.certified:
             continue

@@ -5,6 +5,7 @@ import pytest
 from lpl.embedding import (
     ConstancyNotCertified,
     Extension,
+    LocusReport,
     NotComplementary,
     RankNotConstant,
     check_symmetric_pair,
@@ -139,6 +140,18 @@ def test_locus_odd_p_never_cosymplectic(sl2):
     assert report.failing_points == ()
 
 
+def test_locus_exact_branches_rest_on_no_sampling(sl2):
+    # Odd dim p (parity) and p = 0 (the empty form) are decided without a
+    # sample, so neither report carries a sampling.
+    point = AffineSubspace(sl2, Subspace.full(3), vec([0, 0, 1]))
+    odd = Extension(point, Subspace.zero(3), point, Subspace.full(3), None)
+    everything = AffineSubspace(sl2, Subspace.zero(3), vec([0, 0, 1]))
+    zero = Extension(everything, Subspace.zero(3), everything, Subspace.zero(3), None)
+    spec = SampleSpec(count=5, seed=3)
+    assert cosymplectic_locus(odd, spec) == LocusReport(True, False, 0, (), None)
+    assert cosymplectic_locus(zero, spec) == LocusReport(False, True, 0, (), None)
+
+
 def test_locus_sl2_transverse_everywhere(sl2):
     c = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
     e = extend(c)
@@ -158,7 +171,7 @@ def catalog_extensions(rng):
     for _ in range(20):
         first, second = rng.choice(catalog), rng.choice(catalog)
         cases.append(product(with_random_base(*first), with_random_base(*second)))
-    return [extend(c, verify=False) for c in cases]
+    return [extend(c) for c in cases]
 
 
 def hand_built_extensions(rng, count=40):
@@ -199,7 +212,7 @@ def test_cosymplectic_locus_matches_pointwise_oracle(spec):
             continue
         assert not report.never_cosymplectic
         assert report.cosymplectic_at_base == at_base
-        assert report.checked == len(points)
+        assert report.checked == (len(points) if e.p.dim else 0)
         assert report.failing_points == failing
         outcomes.add((at_base, bool(failing)))
     # Both verdicts occur, so the comparison can fail either way; p = 0 takes its own path.
@@ -262,7 +275,7 @@ def test_certified_k_with_cosymplectic_point_is_symmetric():
         if h.dim == 0:
             continue
         c = AffineSubspace(algebra, h, zero_vector(algebra.dim))
-        e = extend(c, verify=False)
+        e = extend(c)
         result = constant_sharp_conormal(e)
         if not result.certified:
             continue
@@ -333,8 +346,8 @@ def test_coisotropy_in_extension_sl2(sl2):
 def test_extend_verification_over_catalog():
     for algebra, h in subalgebra_catalog():
         c = AffineSubspace(algebra, h, zero_vector(algebra.dim))
-        # verify=True reruns the coisotropy check internally; any failure
-        # would raise out of extend.
+        # extend reruns the coisotropy check internally; any failure would
+        # raise out of it.
         e = extend(c)
         assert e.p_tilde.direction.contains(c.direction)
 

@@ -11,7 +11,6 @@ from lpl.linalg import (
     Subspace,
     choose_complement,
     dot,
-    inverse,
     mat,
     nullspace,
     rank,
@@ -115,23 +114,6 @@ def test_fraction_free_rank_against_sympy():
         full += expected == min(nrows, ncols)
         deficient += expected < min(nrows, ncols)
     assert full > 20 and deficient > 100
-
-
-def test_inverse_against_sympy():
-    # Entries in -1..1 make singular matrices common.
-    rng = random.Random(11)
-    assert inverse(()) == ()
-    singular = 0
-    for _ in range(80):
-        n = rng.randint(1, 4)
-        m = mat([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
-        oracle = sympy.Matrix([[sympy.Rational(e) for e in row] for row in m])
-        if oracle.det() == 0:
-            singular += 1
-            assert inverse(m) is None
-        else:
-            assert sympy.Matrix(inverse(m)) == oracle.inv()
-    assert 0 < singular < 80
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from lpl.algebroid import transversal_orbit_report
 from lpl.lie import LinearMap, NotASubalgebra, direct_sum, is_subalgebra, morphism_check
 from lpl.lie_poisson import bivector_at
 from lpl.linalg import Subspace, dot, rank, unit_vector, vec, zero_vector
@@ -192,6 +193,7 @@ def test_constant_pencil_iff_subalgebra(sl2):
         constant = skew_pencil(c, h.basis).constant
         assert constant == is_subalgebra(algebra, h)
         assert (pre_poisson_check(c, SampleSpec(count=1)).sampling is None) == constant
+        assert (transversal_orbit_report(c, SampleSpec(count=1)).d is None) == (not constant)
         seen.add(constant)
     assert seen == {False, True}
 
