@@ -20,7 +20,6 @@ from .embedding import (
     cosymplectic_locus,
     extend,
     induced_structure,
-    induced_structure_from_decomposition,
     injectivity_at,
     is_cosymplectic_at,
     symmetric_pair_analysis,

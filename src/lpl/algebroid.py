@@ -58,7 +58,7 @@ class AlgebroidFiberReport:
     orbit_dims: tuple[tuple[Vector, int], ...]  # (point, dim of orbit through it)
     transversal: tuple[tuple[Vector, bool], ...]  # TC meets orbit tangent in 0
     constant_orbit_dim: bool
-    sampling: Optional[SampleSpec]
+    sampling: Optional[SampleSpec]  # None when C is a point, evaluated at its base only
 
 
 def transversal_orbit_report(
@@ -78,9 +78,14 @@ def transversal_orbit_report(
     algebra, h = c.algebra, c.h
     pi = bivector_pencil(c)
     coad_h = skew_pencil(c, h.basis, Subspace.full(algebra.dim).basis)
+    coefficients = [zero_vector(c.direction.dim)]
+    if c.direction.dim:
+        coefficients += c.sample_coefficients(sampling)
+    else:  # C is its base point: there is nothing to sample
+        sampling = None
     orbit_dims = []
     transversal = []
-    for t in [zero_vector(c.direction.dim)] + c.sample_coefficients(sampling):
+    for t in coefficients:
         x = c.point_at(t)
         orbit_dim = pi.rank_at(t)
         orbit_dims.append((x, orbit_dim))

@@ -215,9 +215,9 @@ def parse_problem(
         raw_r = parse_list(data, "R_basis", "'R_basis' must be a list of vectors")
         r = Subspace.span(n, [_parse_vector(v, n, "R_basis vector") for v in raw_r])
     if samples is None:
-        samples = parse_int(data, "samples", "'samples' must be an integer", 64)
+        samples = parse_int(data, "samples", "'samples' must be an integer", SampleSpec.count)
     if seed is None:
-        seed = parse_int(data, "seed", "'seed' must be an integer", 0)
+        seed = parse_int(data, "seed", "'seed' must be an integer", SampleSpec.seed)
     return Problem(algebra, h, base, r, SampleSpec(count=_bounded_samples(samples), seed=seed))
 
 
@@ -339,10 +339,6 @@ def report_extend(problem: Problem) -> dict:
 
 def report_pair(problem: Problem) -> dict:
     ext, locus, constancy = _build_extension(problem)
-    if not constancy.certified:
-        raise embedding_mod.ConstancyNotCertified(
-            "sharp N*P is not constant; the symmetric-pair analysis is undefined"
-        )
     pair = embedding_mod.symmetric_pair_analysis(ext, constancy)
     out = _extension_dict(ext, locus, constancy)
     out["command"] = "pair"
@@ -355,7 +351,7 @@ def report_pair(problem: Problem) -> dict:
         "symmetric_pair": pair.symmetric_pair,
     }
     if pair.k_subalgebra and pair.decomposition:
-        induced = embedding_mod.induced_structure(ext, constancy)
+        induced = embedding_mod.induced_structure(ext.algebra, pair)
         out["induced_structure"] = serialize_model(induced, name="induced")
     else:
         out["induced_structure"] = None
@@ -473,7 +469,9 @@ def _load_problem(args) -> Problem:
         Subspace.zero(n),
         tuple(Fraction(0) for _ in range(n)),
         None,
-        SampleSpec(count=_bounded_samples(args.samples or 64), seed=args.seed or 0),
+        SampleSpec(
+            _bounded_samples(args.samples or SampleSpec.count), args.seed or SampleSpec.seed
+        ),
     )
 
 

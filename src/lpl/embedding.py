@@ -58,12 +58,16 @@ class Extension:
     c: AffineSubspace
     r: Subspace
     p_tilde: AffineSubspace
-    p: Subspace  # conormal of the extension: annihilator of its direction
     sampling: Optional[SampleSpec]  # the pre-Poisson verdict's; None when certified
 
     @property
     def algebra(self) -> LieAlgebra:
         return self.c.algebra
+
+    @property
+    def p(self) -> Subspace:
+        """The conormal of the extension: the annihilator of its direction."""
+        return self.p_tilde.h
 
 
 def extend(
@@ -93,10 +97,8 @@ def extend(
             raise NotComplementary(
                 "R must complement TC + sharp N*C at the base point"
             )
-    direction = c.direction.sum(r)
-    p = direction.annihilator()
-    p_tilde = AffineSubspace(c.algebra, p, c.base)
-    ext = Extension(c, r, p_tilde, p, verdict.sampling)
+    p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
+    ext = Extension(c, r, p_tilde, verdict.sampling)
     check = coisotropy_in_extension(ext, SampleSpec(count=8, seed=sampling.seed))
     bad = [x for x, ok in check if not ok]
     if bad:
@@ -119,7 +121,7 @@ class LocusReport:
     cosymplectic_at_base: bool
     checked: int  # sample points tested
     failing_points: tuple[Vector, ...]
-    sampling: Optional[SampleSpec]  # None when exact: dim p odd, or p = 0
+    sampling: Optional[SampleSpec]  # None when exact: dim p odd, p = 0, or P a point
 
     @property
     def any_cosymplectic(self) -> bool:
@@ -130,9 +132,10 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
     """Pointwise cosymplecticity of P at the base and at sampled points.
 
     The form on p is the pencil of <x, [., .]> along P, built once; a sample
-    costs one rank, and only a failing one is formed as a point.  Two answers
-    are exact and draw no sample: odd dim p is never cosymplectic (a skew
-    form of odd size is singular), and p = 0 is cosymplectic everywhere.
+    costs one rank, and only a failing one is formed as a point.  Three
+    answers are exact and draw no sample: odd dim p is never cosymplectic (a
+    skew form of odd size is singular), p = 0 is cosymplectic everywhere, and
+    a P of dimension 0 is its base point.
     """
     if e.p.dim % 2 == 1:
         return LocusReport(True, False, 0, (), None)
@@ -140,6 +143,8 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
         return LocusReport(False, True, 0, (), None)
     pencil = skew_pencil(e.p_tilde, e.p.basis)
     at_base = pencil.rank_at(zero_vector(e.p_tilde.direction.dim)) == e.p.dim
+    if not e.p_tilde.direction.dim:
+        return LocusReport(False, at_base, 0, (), None)
     coefficients = e.p_tilde.sample_coefficients(sampling)
     failing = tuple(
         e.p_tilde.point_at(t) for t in coefficients if pencil.rank_at(t) != e.p.dim
@@ -208,7 +213,7 @@ def symmetric_pair_analysis(
         constancy = constant_sharp_conormal(e)
     if not constancy.certified:
         raise ConstancyNotCertified(
-            "sharp N*P is not constant along P; k is undefined"
+            "sharp N*P is not constant; the symmetric-pair analysis is undefined"
         )
     k = constancy.k_ann.annihilator()
     return check_symmetric_pair(e.algebra, k, e.p)
@@ -221,20 +226,19 @@ def injectivity_at(algebra: LieAlgebra, p: Subspace, y: Iterable) -> bool:
     return rank(rows, algebra.dim) == p.dim
 
 
-def induced_structure_from_decomposition(
-    algebra: LieAlgebra, k: Subspace, p: Subspace
-) -> LieAlgebra:
+def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlgebra:
     """The linear Poisson structure induced on p-ann, as a Lie algebra.
 
     Coordinates on the extension correspond to the elements of k dual to the
     canonical basis of p-ann; their brackets, paired with that basis, give the
-    structure constants.  Requires k + p = g directly and k a subalgebra.
+    structure constants.  Requires the pair report to have found k + p = g
+    directly and k a subalgebra.
     """
-    if k.dim + p.dim != algebra.dim or k.sum(p).dim != algebra.dim:
+    if not pair.decomposition:
         raise ValueError("k and p must decompose the algebra")
-    if not is_subalgebra(algebra, k):
+    if not pair.k_subalgebra:
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")
-    direction = p.annihilator()
+    k, direction = pair.k, pair.p.annihilator()
     m = direction.dim
     # Dual elements: khat_i in k with <u_j, khat_i> = delta_ij, from the
     # solution of gram y = e_i as coordinates in the basis of k.
@@ -258,20 +262,6 @@ def induced_structure_from_decomposition(
     if not report.ok:
         raise InvariantViolation(f"induced structure violates Jacobi at {report.triple}")
     return result
-
-
-def induced_structure(
-    e: Extension, constancy: Optional[ConstancyResult] = None
-) -> LieAlgebra:
-    """Induced linear structure on the extension; needs certified k."""
-    if constancy is None:
-        constancy = constant_sharp_conormal(e)
-    if not constancy.certified:
-        raise ConstancyNotCertified(
-            "sharp N*P is not constant along P; induced structure undefined"
-        )
-    k = constancy.k_ann.annihilator()
-    return induced_structure_from_decomposition(e.algebra, k, e.p)
 
 
 def coisotropy_in_extension(

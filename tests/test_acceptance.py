@@ -89,7 +89,7 @@ def test_criterion_01_gl2_end_to_end(gl2):
     assert pair.symmetric_pair
 
     # The induced linear structure on the diagonal plane is abelian.
-    induced = induced_structure(e, constancy)
+    induced = induced_structure(gl2, pair)
     assert induced.is_abelian()
     done(1)
 

@@ -198,13 +198,17 @@ def test_report_matches_subspace_formulas():
     cases = subalgebra_catalog()
     for algebra in algebra_catalog():
         cases += [(algebra, random_subspace(rng, algebra.dim)) for _ in range(4)]
-    seen_dims, seen_transversal, non_subalgebras = set(), set(), 0
+    seen_dims, seen_transversal, non_subalgebras, point_c = set(), set(), 0, 0
     for algebra, h in cases:
         base = vec([rng.randint(-1, 1) for _ in range(algebra.dim)])
         c = AffineSubspace(algebra, h, base)
         report = transversal_orbit_report(c, SampleSpec(count=6, seed=rng.randrange(1000), bound=1))
         points = [x for x, _ in report.orbit_dims]
-        assert points == [base] + c.sample_points(report.sampling)
+        if c.dim:
+            assert points == [base] + c.sample_points(report.sampling)
+        else:  # C is its base point
+            assert (points, report.sampling) == ([base], None)
+            point_c += 1
         dims, transversal = subspace_orbit_report(c, points)
         assert report.orbit_dims == dims
         assert report.transversal == transversal
@@ -218,6 +222,6 @@ def test_report_matches_subspace_formulas():
         if len({d for _, d in dims}) > 1:
             assert not report.constant_orbit_dim
     assert seen_transversal == {True, False}
-    assert non_subalgebras > 10
+    assert non_subalgebras > 10 and point_c > 0
     # Orbit dimensions drop below the generic one on some samples, e.g. to 0 on sl2 + sl2.
     assert (6, 0) in seen_dims and (6, 2) in seen_dims and (6, 4) in seen_dims

@@ -198,6 +198,22 @@ def test_run_pair_gl2():
     assert report["induced_structure"]["brackets"] == []
 
 
+def test_run_pair_tests_k_for_closure_once(monkeypatch):
+    # The induced structure reads the pair report's k_subalgebra instead of
+    # testing k again.
+    tested = []
+    is_subalgebra = embedding.is_subalgebra
+
+    def counted(algebra, u):
+        tested.append(u)
+        return is_subalgebra(algebra, u)
+
+    monkeypatch.setattr(embedding, "is_subalgebra", counted)
+    report = run("pair", load_fixture_problem("gl2_prepoisson.json"))
+    assert report["induced_structure"] is not None
+    assert tested.count(Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]])) == 1
+
+
 def test_run_bracket_and_casimir(sl2):
     from lpl.cli import Problem
     from lpl.submanifold import SampleSpec
@@ -236,6 +252,50 @@ def test_main_refuses_nonconstant_rank(capsys):
 def test_main_refuses_pair_for_moving_conormal(capsys):
     assert main(["pair", "--problem", "gl2_alt_slice.json"]) == EXIT_REFUSED
     assert "refused:" in capsys.readouterr().err
+
+
+# aff(1): [x, y] = y.  Its coadjoint orbit through (0, 1) is open.
+AFF1 = {
+    "dim": 2,
+    "basis": ["x", "y"],
+    "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "coefficient": "1"}]}],
+}
+
+
+def _point_problem(tmp_path, model, base):
+    """A problem file with h = g, so that C is the point lambda."""
+    n = len(base)
+    h = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"model": model, "h_basis": h, "lambda": base}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "model, base", [(AFF1, ["0", "1"]), ("sl2.json", ["0", "0", "1"])], ids=["aff1", "sl2"]
+)
+def test_main_algebroid_on_a_point_reads_its_base_once(capsys, tmp_path, model, base):
+    argv = ["algebroid", "--problem", _point_problem(tmp_path, model, base), "--json"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [entry["point"] for entry in report["orbit_dims"]] == [base]
+    assert report["provenance"] == "certified"
+
+
+def test_main_extend_to_a_point_is_decided_at_its_base(capsys, tmp_path):
+    # The orbit through lambda is open, so R = 0 and P is the point lambda,
+    # where <lambda, [x, y]> = 1 is nondegenerate.
+    argv = ["extend", "--problem", _point_problem(tmp_path, AFF1, ["0", "1"]), "--json"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["P_tilde_direction"]["basis"] == []
+    assert report["cosymplectic_locus"] == {
+        "never_cosymplectic": False,
+        "cosymplectic_at_base": True,
+        "failing_points": [],
+        "checked": 0,
+        "provenance": "certified",
+    }
 
 
 def test_main_refuses_failed_extension_self_check(capsys, monkeypatch):

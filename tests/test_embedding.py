@@ -14,11 +14,11 @@ from lpl.embedding import (
     cosymplectic_locus,
     extend,
     induced_structure,
-    induced_structure_from_decomposition,
     injectivity_at,
     is_cosymplectic_at,
     symmetric_pair_analysis,
 )
+from lpl.lie import NotASubalgebra
 from lpl.linalg import Subspace, dot, mat_vec, solve, transpose, vadd, vec, vscale, zero_vector
 from lpl.submanifold import (
     AffineSubspace,
@@ -132,7 +132,7 @@ def test_locus_odd_p_never_cosymplectic(sl2):
     # A point of the dual with p the whole (odd-dimensional) algebra: the
     # skew form cannot be nondegenerate, reported exactly, no sampling.
     point = AffineSubspace(sl2, Subspace.full(3), vec([0, 0, 1]))
-    e = Extension(point, Subspace.zero(3), point, Subspace.full(3), None)
+    e = Extension(point, Subspace.zero(3), point, None)
     report = cosymplectic_locus(e)
     assert report.never_cosymplectic
     assert not report.any_cosymplectic
@@ -144,9 +144,9 @@ def test_locus_exact_branches_rest_on_no_sampling(sl2):
     # Odd dim p (parity) and p = 0 (the empty form) are decided without a
     # sample, so neither report carries a sampling.
     point = AffineSubspace(sl2, Subspace.full(3), vec([0, 0, 1]))
-    odd = Extension(point, Subspace.zero(3), point, Subspace.full(3), None)
+    odd = Extension(point, Subspace.zero(3), point, None)
     everything = AffineSubspace(sl2, Subspace.zero(3), vec([0, 0, 1]))
-    zero = Extension(everything, Subspace.zero(3), everything, Subspace.zero(3), None)
+    zero = Extension(everything, Subspace.zero(3), everything, None)
     spec = SampleSpec(count=5, seed=3)
     assert cosymplectic_locus(odd, spec) == LocusReport(True, False, 0, (), None)
     assert cosymplectic_locus(zero, spec) == LocusReport(False, True, 0, (), None)
@@ -186,7 +186,7 @@ def hand_built_extensions(rng, count=40):
         p = Subspace.span(n, [mat_vec(transpose(h.basis), t) for t in combinations])
         c = AffineSubspace(algebra, h, random_vector(rng, n, bound=5))
         extensions.append(
-            Extension(c, Subspace.zero(n), AffineSubspace(algebra, p, c.base), p, SampleSpec())
+            Extension(c, Subspace.zero(n), AffineSubspace(algebra, p, c.base), SampleSpec())
         )
     return extensions
 
@@ -197,7 +197,7 @@ def hand_built_extensions(rng, count=40):
 )
 def test_cosymplectic_locus_matches_pointwise_oracle(spec):
     outcomes = set()
-    zero_p = 0
+    zero_p = point_p = 0
     rng = random.Random(41)
     for e in catalog_extensions(rng) + hand_built_extensions(rng):
         zero_p += e.p.dim == 0
@@ -212,12 +212,17 @@ def test_cosymplectic_locus_matches_pointwise_oracle(spec):
             continue
         assert not report.never_cosymplectic
         assert report.cosymplectic_at_base == at_base
-        assert report.checked == (len(points) if e.p.dim else 0)
-        assert report.failing_points == failing
+        if e.p.dim and e.p_tilde.direction.dim:
+            assert (report.checked, report.failing_points) == (len(points), failing)
+        else:
+            # p = 0 is cosymplectic everywhere, and a point P is its base: no sample.
+            assert (report.checked, report.failing_points, report.sampling) == (0, (), None)
+            point_p += e.p.dim > 0
         outcomes.add((at_base, bool(failing)))
-    # Both verdicts occur, so the comparison can fail either way; p = 0 takes its own path.
+    # Both verdicts occur, so the comparison can fail either way; p = 0 and
+    # a point P take their own paths.
     assert {(True, False), (False, True)} <= outcomes
-    assert zero_p > 0
+    assert zero_p > 0 and point_p > 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +246,6 @@ def test_constancy_fails_for_alternative_slice(gl2):
     assert image == gl2.coad_apply(v, u)
     with pytest.raises(ConstancyNotCertified):
         symmetric_pair_analysis(e)
-    with pytest.raises(ConstancyNotCertified):
-        induced_structure(e)
 
 
 def test_symmetric_pair_gl2(gl2):
@@ -301,7 +304,7 @@ def test_injectivity_gl2(gl2):
 
 def test_induced_structure_gl2_extension_is_abelian(gl2):
     e = extend(gl2_line(gl2, [1, 0, 0, 0]))
-    induced = induced_structure(e)
+    induced = induced_structure(gl2, symmetric_pair_analysis(e))
     assert induced.dim == 2
     assert induced.is_abelian()
     assert induced.labels == ("a", "d")
@@ -310,7 +313,7 @@ def test_induced_structure_gl2_extension_is_abelian(gl2):
 def test_induced_structure_traceless_center_split(gl2):
     k = Subspace.span(4, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
     p = Subspace.span(4, [[1, 0, 0, 1]])
-    induced = induced_structure_from_decomposition(gl2, k, p)
+    induced = induced_structure(gl2, check_symmetric_pair(gl2, k, p))
     assert induced.dim == 3
     assert induced.labels == ("a", "b", "c")
     assert induced.bracket([1, 0, 0], [0, 1, 0]) == vec([0, 1, 0])
@@ -320,8 +323,19 @@ def test_induced_structure_traceless_center_split(gl2):
 
 def test_induced_structure_requires_decomposition(gl2):
     k = Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]])
-    with pytest.raises(ValueError):
-        induced_structure_from_decomposition(gl2, k, Subspace.span(4, [[1, 0, 0, 0]]))
+    pair = check_symmetric_pair(gl2, k, Subspace.span(4, [[1, 0, 0, 0]]))
+    with pytest.raises(ValueError, match="k and p must decompose the algebra"):
+        induced_structure(gl2, pair)
+
+
+def test_induced_structure_requires_k_subalgebra(gl2):
+    # k = span{E12, E21} and p = the diagonal split gl2 directly, but
+    # [E12, E21] = E11 - E22 leaves k.
+    k = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    pair = check_symmetric_pair(gl2, k, Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]]))
+    assert pair.decomposition and not pair.k_subalgebra
+    with pytest.raises(NotASubalgebra):
+        induced_structure(gl2, pair)
 
 
 # ---------------------------------------------------------------------------

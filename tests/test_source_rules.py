@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import lpl
@@ -40,6 +41,36 @@ def test_library_has_no_unused_imports():
     modules = [path for path in SOURCES if path.name != "__init__.py"]
     assert len(modules) > 1
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def references(tree) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_library_has_no_dead_private_helpers():
+    # A module-level _name function or class that nothing else in the
+    # library reads is dead code; a reference inside its own body (recursion)
+    # does not count.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    total = sum((references(tree) for tree in trees), Counter())
+    helpers = [
+        (path, node)
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    assert helpers
+    dead = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in helpers
+        if total[node.name] == references(node)[node.name]
+    ]
+    assert dead == []
 
 
 def test_readme_library_example_runs(monkeypatch):
