@@ -20,7 +20,6 @@ from .embedding import (
     cosymplectic_locus,
     extend,
     induced_structure,
-    injectivity_at,
     is_cosymplectic_at,
     symmetric_pair_analysis,
 )
@@ -55,6 +54,7 @@ from .submanifold import (
     AffineSubspace,
     ClassificationReport,
     CoisotropyResult,
+    IntegerPoint,
     PrePoissonVerdict,
     SampleSpec,
     SkewPencil,

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
 from .linalg import Subspace, Vector, mat_vec, nullspace, transpose, vec, zero_vector
 from .lie_poisson import bivector_at
-from .submanifold import AffineSubspace, SampleSpec, bivector_pencil, skew_pencil
+from .submanifold import AffineSubspace, IntegerPoint, SampleSpec, bivector_pencil, skew_pencil
 
 
 def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
@@ -78,7 +78,7 @@ def transversal_orbit_report(
     algebra, h = c.algebra, c.h
     pi = bivector_pencil(c)
     coad_h = skew_pencil(c, h.basis, Subspace.full(algebra.dim).basis)
-    coefficients = [zero_vector(c.direction.dim)]
+    coefficients = [IntegerPoint.origin(c.direction.dim)]
     if c.direction.dim:
         coefficients += c.sample_coefficients(sampling)
     else:  # C is its base point: there is nothing to sample

@@ -25,12 +25,11 @@ from .linalg import (
     solve,
     transpose,
     unit_vector,
-    vec,
-    zero_vector,
 )
 from .submanifold import (
     NOT_CONSTANT,
     AffineSubspace,
+    IntegerPoint,
     SampleSpec,
     pre_poisson_check,
     sharp_conormal_at,
@@ -79,7 +78,8 @@ def extend(
 
     Refuses when the pre-Poisson verdict is NOT_CONSTANT, and when C is not
     coisotropic in P: where the form on p is nonsingular, at the base and 8
-    sampled points of C, the form on p then h must have rank dim p.
+    sampled points of C (the base alone when C is a point), the form on p
+    then h must have rank dim p.
     """
     verdict = pre_poisson_check(c, sampling)
     if verdict.kind == NOT_CONSTANT:
@@ -142,7 +142,7 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
     if not e.p.basis:
         return LocusReport(False, True, 0, (), None)
     pencil = skew_pencil(e.p_tilde, e.p.basis)
-    at_base = pencil.rank_at(zero_vector(e.p_tilde.direction.dim)) == e.p.dim
+    at_base = pencil.rank_at(IntegerPoint.origin(e.p_tilde.direction.dim)) == e.p.dim
     if not e.p_tilde.direction.dim:
         return LocusReport(False, at_base, 0, (), None)
     coefficients = e.p_tilde.sample_coefficients(sampling)
@@ -219,13 +219,6 @@ def symmetric_pair_analysis(
     return check_symmetric_pair(e.algebra, k, e.p)
 
 
-def injectivity_at(algebra: LieAlgebra, p: Subspace, y: Iterable) -> bool:
-    """True iff v in p -> coad_v(y) has trivial kernel."""
-    yv = vec(y)
-    rows = [algebra.coad_apply(v, yv) for v in p.basis]
-    return rank(rows, algebra.dim) == p.dim
-
-
 def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlgebra:
     """The linear Poisson structure induced on p-ann, as a Lie algebra.
 
@@ -240,14 +233,15 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")
     k, direction = pair.k, pair.p.annihilator()
     m = direction.dim
-    # Dual elements: khat_i in k with <u_j, khat_i> = delta_ij, from the
-    # solution of gram y = e_i as coordinates in the basis of k.
+    # Dual elements: khat_i in k with <u_j, khat_i> = delta_ij.  Column i of
+    # the solution Y of gram Y = I holds khat_i's coordinates in the basis of
+    # k; one elimination of [gram | I] gives all of them.
     gram = [[dot(u, kb) for kb in k.basis] for u in direction.basis]
-    solutions = [solve(gram, unit_vector(m, i)) for i in range(m)]
-    if None in solutions:
+    y = solve(gram, [unit_vector(m, i) for i in range(m)])
+    if y is None:
         raise InvariantViolation("the pairing of k with p-ann is degenerate")
     k_columns = transpose(k.basis)
-    khat = [mat_vec(k_columns, y) for y in solutions]
+    khat = [mat_vec(k_columns, column) for column in transpose(y)]
     # Pairing with p-ann ignores the p component of a bracket: no projection to k.
     brackets = {}
     for i in range(m):
@@ -276,12 +270,16 @@ def coisotropy_in_extension(
     for every w iff the Schur complement F_hh - F_hp F_pp^-1 F_ph vanishes.
     Where F_pp is nonsingular, rank F = dim p + rank of that complement, so
     the claim is rank F = dim p: two ranks of two pencils along C per point.
+    The points are the base and the samples; a C of dimension 0 is its base.
     """
     n_p = e.p.dim
     form_p = skew_pencil(e.c, e.p.basis)
     form_ph = skew_pencil(e.c, e.p.basis + e.c.h.basis)
+    points = [IntegerPoint.origin(e.c.direction.dim)]
+    if e.c.direction.dim:
+        points += e.c.sample_coefficients(sampling)
     return [
         (e.c.point_at(t), form_ph.rank_at(t) == n_p)
-        for t in [zero_vector(e.c.direction.dim)] + e.c.sample_coefficients(sampling)
+        for t in points
         if form_p.rank_at(t) == n_p
     ]

@@ -201,20 +201,28 @@ def nullspace(m: Matrix, ncols: int) -> Matrix:
     return rref(basis, ncols)
 
 
-def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
-    """One solution of m x = b, or None if inconsistent."""
+def solve(m: Matrix, b: Sequence) -> Optional[Vector | Matrix]:
+    """One solution of m x = b, or None if inconsistent.
+
+    b is one right-hand side (a vector), or several as the columns of a
+    matrix B; then the answer is a matrix X with m X = B, from one
+    elimination of [m | B], or None if any column is inconsistent.
+    """
     nrows = len(m)
     if len(b) != nrows:
         raise DimensionMismatch("right-hand side length mismatch")
     ncols = len(m[0]) if m else 0
-    aug = rref([list(row) + [bi] for row, bi in zip(m, vec(b))], ncols + 1)
-    x = [ZERO] * ncols
+    several = bool(b) and isinstance(b[0], (tuple, list))
+    rhs = [vec(row) for row in b] if several else [(e,) for e in vec(b)]
+    width = len(rhs[0]) if rhs else 1
+    aug = rref([list(row) + list(r) for row, r in zip(m, rhs)], ncols + width)
+    x = [(ZERO,) * width] * ncols
     for row in aug:
         piv = next(j for j, e in enumerate(row) if e != 0)
-        if piv == ncols:
+        if piv >= ncols:
             return None
-        x[piv] = row[ncols]
-    return tuple(x)
+        x[piv] = row[ncols:]
+    return tuple(x) if several else tuple(r[0] for r in x)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
 from .linalg import (
@@ -50,20 +50,53 @@ class NotOnSubmanifold(ValueError):
     """A point that was required to lie on the affine subspace does not."""
 
 
+class IntegerPoint(NamedTuple):
+    """Direction coordinates t_a = numerators[a] / denominator, kept as integers."""
+
+    denominator: int
+    numerators: tuple[int, ...]
+
+    @staticmethod
+    def origin(dim: int) -> "IntegerPoint":
+        """t = 0: the base point."""
+        return IntegerPoint(1, (0,) * dim)
+
+
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic exact sampling: seeded rationals with small numerators."""
+    """Deterministic exact sampling: seeded coordinates p/q, |p| <= bound, 1 <= q <= bound."""
 
     count: int = 64
     seed: int = 0
     bound: int = 1000
 
-    def rationals(self, how_many: int) -> list[Fraction]:
-        rng = random.Random(self.seed)
-        return [
-            Fraction(rng.randint(-self.bound, self.bound), rng.randint(1, self.bound))
-            for _ in range(how_many)
-        ]
+    def points(self, dim: int) -> list[IntegerPoint]:
+        """``count`` seeded points of ``dim`` coordinates, over the lcm of their q.
+
+        The pairs (p, q) are those that randint(-bound, bound), randint(1, bound)
+        draw from the seeded stream: each is CPython's rejection sampling, k =
+        n.bit_length() random bits for a range of n values, redrawn until below n.
+        """
+        if self.bound < 1:
+            raise ValueError(f"sample bound must be at least 1, got {self.bound}")
+        bits = random.Random(self.seed).getrandbits
+        spread, bound = 2 * self.bound + 1, self.bound
+        kp, kq = spread.bit_length(), bound.bit_length()
+        points = []
+        for _ in range(self.count):
+            ps, qs = [], []
+            for _ in range(dim):
+                p = bits(kp)
+                while p >= spread:
+                    p = bits(kp)
+                q = bits(kq)
+                while q >= bound:
+                    q = bits(kq)
+                ps.append(p - bound)
+                qs.append(q + 1)
+            scale = lcm(*qs)
+            points.append(IntegerPoint(scale, tuple([p * (scale // q) for p, q in zip(ps, qs)])))
+        return points
 
 
 @dataclass(frozen=True)
@@ -98,22 +131,40 @@ class AffineSubspace:
             raise NotOnSubmanifold(f"point {xv} is not on the affine subspace")
         return xv
 
-    def point_at(self, t: Sequence[Fraction]) -> Vector:
-        """base + sum t_a u_a over the canonical basis u of the direction."""
-        x = list(self.base)
-        for ta, u in zip(t, self.direction.basis):
-            for j, uj in enumerate(u):
-                if uj:
-                    x[j] += ta * uj
-        return tuple(x)
+    @cached_property
+    def _integer_direction(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """M, and the nonzero (j, M u_j) of each direction basis vector u.
 
-    def sample_coefficients(self, sampling: SampleSpec) -> list[Sequence[Fraction]]:
+        M is the lcm of the basis's denominators, so the M u_j are integers.
+        """
+        basis = self.direction.basis
+        m = lcm(*(e.denominator for u in basis for e in u))
+        return m, [
+            [(j, e.numerator * (m // e.denominator)) for j, e in enumerate(u) if e] for u in basis
+        ]
+
+    def point_at(self, point: IntegerPoint) -> Vector:
+        """base + sum t_a u_a over the canonical basis u of the direction.
+
+        With t_a = n_a / L, the shift is (sum_a n_a M u_a) / (L M): integers
+        until one Fraction per shifted coordinate.
+        """
+        scale, numerators = point
+        m, rows = self._integer_direction
+        shift = [0] * len(self.base)
+        for na, row in zip(numerators, rows):
+            if na:
+                for j, e in row:
+                    shift[j] += na * e
+        d = scale * m
+        return tuple(b + Fraction(s, d) if s else b for b, s in zip(self.base, shift))
+
+    def sample_coefficients(self, sampling: SampleSpec) -> list[IntegerPoint]:
         """The seeded coordinates t of ``sampling.count`` points along C."""
         d = self.direction.dim
         if not d:
-            return [() for _ in range(min(sampling.count, 1))]
-        coeffs = sampling.rationals(sampling.count * d)
-        return [coeffs[s * d : (s + 1) * d] for s in range(sampling.count)]
+            return [IntegerPoint.origin(0) for _ in range(min(sampling.count, 1))]
+        return sampling.points(d)
 
     def sample_points(self, sampling: SampleSpec) -> list[Vector]:
         """``sampling.count`` exact points base + sum t_a u_a, seed-determined."""
@@ -165,49 +216,49 @@ class PrePoissonVerdict:
 class SkewPencil:
     """The form <x, [v_a, w_b]> at x = base + sum_i t_i u_i, as B0 + sum_i t_i B_i.
 
-    Rows v and columns w; with no column basis w = v, the form is skew and
-    only the entries a < b are stored.  Each entry is the B0 entry
-    <base, [v_a, w_b]> and the nonzero B_i entries (i, <u_i, [v_a, w_b]>),
-    all multiplied by the common denominator D, so they are integers.
+    Rows v and columns w; with no column basis w = v and the form is skew.
+    All entries are multiplied by the common denominator D, so they are
+    integers: ``base`` is D B0 row by row, and ``directions[i]`` holds the
+    (row-major index, value) pairs of the nonzero entries of D B_i.
     """
 
     nrows: int
     ncols: int
     skew: bool
     denominator: int
-    entries: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    base: tuple[int, ...]
+    directions: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def constant(self) -> bool:
         """True iff no B_i has a nonzero entry: the form is B0 at every point."""
-        return not any(terms for _, terms in self.entries)
+        return not any(self.directions)
 
-    def _integer_form(self, t: Sequence[Fraction]) -> tuple[list[list[int]], int]:
-        """L * D times the form at t, where L is the lcm of t's denominators; and L."""
-        scale = lcm(*(ti.denominator for ti in t))
-        tn = [ti.numerator * (scale // ti.denominator) for ti in t]
-        values = (scale * b0 + sum(tn[i] * b for i, b in terms) for b0, terms in self.entries)
-        if not self.skew:
-            return [[next(values) for _ in range(self.ncols)] for _ in range(self.nrows)], scale
-        m = self.nrows
-        form = [[0] * m for _ in range(m)]
-        for a in range(m):
-            row = form[a]
-            for b in range(a + 1, m):
-                value = next(values)
-                row[b], form[b][a] = value, -value
-        return form, scale
+    def _rows(self, flat: list) -> list[list]:
+        c = self.ncols
+        return [flat[r * c : (r + 1) * c] for r in range(self.nrows)]
 
     def at(self, t: Sequence[Fraction]) -> Matrix:
-        """The form at the point with direction coordinates t."""
-        form, scale = self._integer_form(t)
-        d = scale * self.denominator
-        return tuple(tuple(Fraction(e, d) if e else ZERO for e in row) for row in form)
+        """The form at the point with rational direction coordinates t."""
+        values = [Fraction(b) for b in self.base]
+        for ti, terms in zip(t, self.directions):
+            if ti:
+                for k, b in terms:
+                    values[k] += ti * b
+        return tuple(tuple(e / self.denominator for e in row) for row in self._rows(values))
 
-    def rank_at(self, t: Sequence[Fraction]) -> int:
-        """The rank at t, from the integer form: L * D > 0 does not change it."""
-        form, _ = self._integer_form(t)
-        return integer_rank(form, self.ncols)
+    def rank_at(self, point: IntegerPoint) -> int:
+        """The rank at t = n / L, from L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i).
+
+        That matrix has integer entries, and L D > 0 does not change the rank.
+        """
+        scale, numerators = point
+        flat = [scale * b for b in self.base] if scale != 1 else list(self.base)
+        for n, terms in zip(numerators, self.directions):
+            if n:
+                for k, b in terms:
+                    flat[k] += n * b
+        return integer_rank(self._rows(flat), self.ncols)
 
 
 def _pencil(
@@ -219,22 +270,38 @@ def _pencil(
 ) -> SkewPencil:
     """The pencil whose entries pair C's base and directions with brackets.
 
-    Each bracket is given by its nonzero (k, coordinate) pairs, in entry order.
+    Each bracket is given by its nonzero (k, coordinate) pairs, in row-major
+    order of the entries: all of them, or those with a < b when skew.
     """
     vectors = (c.base, *c.direction.basis)
-    raw = []
-    for support in supports:
-        constant, *pairings = (sum((v[k] * e for k, e in support), ZERO) for v in vectors)
-        raw.append((constant, [(i, e) for i, e in enumerate(pairings) if e]))
-    d = lcm(*(e.denominator for b0, terms in raw for e in [b0, *(b for _, b in terms)]))
-
-    def scaled(e: Fraction) -> int:
-        return e.numerator * (d // e.denominator)
-
-    entries = tuple(
-        (scaled(constant), tuple((i, scaled(e)) for i, e in terms)) for constant, terms in raw
-    )
-    return SkewPencil(nrows, ncols, skew, d, entries)
+    if skew:
+        cells = ((a, b) for a in range(nrows) for b in range(a + 1, ncols))
+    else:
+        cells = ((a, b) for a in range(nrows) for b in range(ncols))
+    # The nonzero (i, v_i[k]) of each coordinate k, so a pairing multiplies
+    # nonzero entries only.
+    by_coordinate = [[] for _ in c.base]
+    for i, v in enumerate(vectors):
+        for k, e in enumerate(v):
+            if e:
+                by_coordinate[k].append((i, e))
+    terms = [[] for _ in vectors]  # (row-major index, pairing) per vector
+    for (a, b), support in zip(cells, supports):
+        pairings = [ZERO] * len(vectors)
+        for k, e in support:
+            for i, vk in by_coordinate[k]:
+                pairings[i] += vk * e
+        for i, e in enumerate(pairings):
+            if e:
+                terms[i].append((a * ncols + b, e))
+                if skew:  # stored at (a, b) and, negated, at (b, a)
+                    terms[i].append((b * ncols + a, -e))
+    d = lcm(*(e.denominator for row in terms for _, e in row))
+    scaled = [tuple((k, e.numerator * (d // e.denominator)) for k, e in row) for row in terms]
+    base = [0] * (nrows * ncols)
+    for k, e in scaled[0]:
+        base[k] = e
+    return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
 
 
 def _support(v: Vector) -> list[tuple[int, Fraction]]:
@@ -284,7 +351,7 @@ def pre_poisson_check(
         space = c.direction.sum(sharp_conormal_at(c, c.base))
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=space.dim, space=space)
     codim = c.direction.dim
-    base_rank = codim + pencil.rank_at(zero_vector(codim))
+    base_rank = codim + pencil.rank_at(IntegerPoint.origin(codim))
     for t in c.sample_coefficients(sampling):
         r = codim + pencil.rank_at(t)
         if r != base_rank:

@@ -14,12 +14,11 @@ from lpl.embedding import (
     cosymplectic_locus,
     extend,
     induced_structure,
-    injectivity_at,
     is_cosymplectic_at,
     symmetric_pair_analysis,
 )
-from lpl.lie import NotASubalgebra
-from lpl.linalg import Subspace, dot, mat_vec, solve, transpose, vadd, vec, vscale, zero_vector
+from lpl.lie import LieAlgebra, NotASubalgebra
+from lpl.linalg import Subspace, dot, mat_vec, rank, solve, transpose, vadd, vec, vscale, zero_vector
 from lpl.submanifold import (
     AffineSubspace,
     SampleSpec,
@@ -294,6 +293,12 @@ def test_certified_k_with_cosymplectic_point_is_symmetric():
 # injectivity and the induced linear structure
 
 
+def injectivity_at(algebra, p, y):
+    """True iff v in p -> coad_v(y) has trivial kernel."""
+    rows = [algebra.coad_apply(v, vec(y)) for v in p.basis]
+    return rank(rows, algebra.dim) == p.dim
+
+
 def test_injectivity_gl2(gl2):
     p = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
     assert injectivity_at(gl2, p, [1, 0, 0, 0])
@@ -357,6 +362,26 @@ def test_coisotropy_in_extension_sl2(sl2):
     assert all(ok for _, ok in checks)
 
 
+def test_extend_checks_a_point_c_at_its_base_once(monkeypatch):
+    # On aff(1) with h = g, C is the point lambda.  <lambda, [t, x]> = 1, so
+    # the form on p = g is nonsingular there: the self-check tests the base
+    # once and draws no sample.
+    aff1 = LieAlgebra.from_brackets(2, {(0, 1): (0, 1)}, ("t", "x"))
+    c = AffineSubspace(aff1, Subspace.full(2), vec([0, 1]))
+    draws = []
+    original = SampleSpec.points
+
+    def counted(spec, dim):
+        draws.append(dim)
+        return original(spec, dim)
+
+    monkeypatch.setattr(SampleSpec, "points", counted)
+    e = extend(c)
+    assert (e.p, e.p_tilde.dim, e.sampling) == (Subspace.full(2), 0, None)
+    assert coisotropy_in_extension(e, SampleSpec(count=8)) == [(c.base, True)]
+    assert draws == []
+
+
 def test_extend_verification_over_catalog():
     for algebra, h in subalgebra_catalog():
         c = AffineSubspace(algebra, h, zero_vector(algebra.dim))
@@ -369,9 +394,9 @@ def test_extend_verification_over_catalog():
 def reference_coisotropy(e, sampling):
     """Pointwise self-check: at each cosymplectic point, coad of the conormal
     direction w corrected by the q in p that solves the form on p, tested
-    for membership in TC."""
+    for membership in TC.  A C of dimension 0 is its base point alone."""
     results = []
-    for x in [e.c.base] + e.c.sample_points(sampling):
+    for x in [e.c.base] + (e.c.sample_points(sampling) if e.c.dim else []):
         if not is_cosymplectic_at(e, x):
             continue
         form = [[dot(x, e.algebra.bracket(a, b)) for b in e.p.basis] for a in e.p.basis]

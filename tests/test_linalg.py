@@ -12,9 +12,11 @@ from lpl.linalg import (
     choose_complement,
     dot,
     mat,
+    mat_vec,
     nullspace,
     rank,
     rref,
+    solve,
     transpose,
     vec,
 )
@@ -114,6 +116,30 @@ def test_fraction_free_rank_against_sympy():
         full += expected == min(nrows, ncols)
         deficient += expected < min(nrows, ncols)
     assert full > 20 and deficient > 100
+
+
+def test_solve_with_several_right_hand_sides():
+    # solve(m, B) is one elimination of [m | B]; column j of its answer is
+    # solve(m, column j of B), and one inconsistent column makes it None.
+    rng = random.Random(19)
+    outcomes = set()
+    for trial in range(160):
+        nrows, ncols, width = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        m = mat(_rank_deficient_matrix(rng, nrows, ncols, bits=3))
+        if trial % 2:  # right-hand sides in the image of m
+            y = [random_vector(rng, width, bound=6) for _ in range(ncols)]
+            b = [tuple(dot(row, col) for col in transpose(mat(y))) for row in m]
+        else:
+            b = [random_vector(rng, width, bound=6) for _ in range(nrows)]
+        x = solve(m, b)
+        columns = tuple(solve(m, column) for column in transpose(mat(b)))
+        if None in columns:
+            assert x is None
+        else:
+            assert transpose(x) == columns
+            assert all(mat_vec(m, column) == bj for column, bj in zip(columns, transpose(mat(b))))
+        outcomes.add(x is None)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,44 @@ def test_library_has_no_dead_private_helpers():
     assert dead == []
 
 
+def random_module_reads(tree) -> list:
+    """(node, inside SampleSpec) for each read of a name bound by importing from random."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "random"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            names |= {a.asname or a.name for a in node.names}
+    allowed = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "SampleSpec"
+        for inner in ast.walk(node)
+    }
+    return [
+        (node, id(node) in allowed)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in names
+    ]
+
+
+def test_library_reads_random_only_inside_sample_spec():
+    # Every sampled report byte rests on SampleSpec's one seeded stream, so
+    # no other library code may draw from the random module.
+    reads = [
+        (path, node, inside)
+        for path in SOURCES
+        for node, inside in random_module_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert any(inside for _, _, inside in reads)
+    assert [f"{path.name}:{node.lineno}" for path, node, inside in reads if not inside] == []
+    stray = ast.parse("import random as r\nclass SampleSpec:\n    f = r.random\ng = r.seed\n")
+    assert sorted((node.lineno, inside) for node, inside in random_module_reads(stray)) == [
+        (3, True),
+        (4, False),
+    ]
+
+
 def test_readme_library_example_runs(monkeypatch):
     # The README's library example is run as written, from the repo root, so
     # it cannot drift from the API it shows.

@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpl.algebroid import transversal_orbit_report
 from lpl.lie import LinearMap, NotASubalgebra, direct_sum, is_subalgebra, morphism_check
 from lpl.lie_poisson import bivector_at
-from lpl.linalg import Subspace, dot, rank, unit_vector, vec, zero_vector
+from lpl.linalg import Subspace, dot, rank, unit_vector, vadd, vec, vscale, vsub, zero_vector
 from lpl.submanifold import (
     CERTIFIED_CONSTANT,
     NOT_CONSTANT,
     SAMPLED_CONSTANT,
     AffineSubspace,
+    IntegerPoint,
     NotOnSubmanifold,
     PointwiseFlags,
     SampleSpec,
@@ -68,6 +72,32 @@ def test_point_case_sample(sl2):
     c = AffineSubspace(sl2, Subspace.full(3), vec([1, 2, 3]))
     assert c.dim == 0
     assert c.sample_points(SampleSpec(count=5)) == [vec([1, 2, 3])]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 1000])
+def test_sample_points_follow_the_randint_stream(bound):
+    # Every sampled report rests on this stream: the coordinates are the
+    # p/q of randint(-bound, bound), randint(1, bound) on Random(seed), in
+    # order, as integers p * (L // q) over L = lcm of the q of one point.
+    # randint(1, 1) still consumes bits, so bound 1 pins the q draws too.
+    probe = random.Random(0)
+    state = probe.getstate()
+    probe.randint(1, 1)
+    assert probe.getstate() != state
+    for seed in range(21):
+        for dim in (0, 1, 3):
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(5):
+                pairs = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim)]
+                scale = lcm(*(q for _, q in pairs))
+                expected.append(IntegerPoint(scale, tuple(p * (scale // q) for p, q in pairs)))
+            assert SampleSpec(count=5, seed=seed, bound=bound).points(dim) == expected
+
+
+def test_sample_bound_must_be_positive():
+    with pytest.raises(ValueError, match="bound"):
+        SampleSpec(bound=0).points(1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +276,12 @@ def _sympy_bivector(algebra, x):
     return sympy.Matrix(n, n, lambda i, j: sum(q(xk) * q(c) for xk, c in zip(x, table[i][j])))
 
 
+def _integer_point(t):
+    """Rational coordinates t as integer numerators over the lcm of their denominators."""
+    scale = lcm(*(ti.denominator for ti in t))
+    return IntegerPoint(scale, tuple(ti.numerator * (scale // ti.denominator) for ti in t))
+
+
 def test_skew_pencil_matches_sympy():
     # B_h(x) = H Pi(x) H^T for the rows H of h's basis, and
     # codim h + rank B_h(x) = rank(ann(h) + {coad_v(x) : v in h}); both at the
@@ -262,11 +298,11 @@ def test_skew_pencil_matches_sympy():
         codim = c.direction.dim
         hm = sympy.Matrix(h.dim, algebra.dim, lambda a, j: sympy.Rational(h.basis[a][j]))
         for t in (zero_vector(codim), random_vector(rng, codim, bound=5)):
-            pi = _sympy_bivector(algebra, c.point_at(t))
+            pi = _sympy_bivector(algebra, c.point_at(_integer_point(t)))
             form = hm * pi * hm.T
             assert sympy.Matrix(h.dim, h.dim, lambda a, b: pencil.at(t)[a][b]) == form
             rows = [u.T for u in hm.nullspace()] + [hm.row(a) * pi for a in range(h.dim)]
-            assert codim + pencil.rank_at(t) == sympy.Matrix.vstack(*rows).rank()
+            assert codim + pencil.rank_at(_integer_point(t)) == sympy.Matrix.vstack(*rows).rank()
 
 
 def _mixed_coordinates(rng, n):
@@ -297,11 +333,11 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
         pencils = [skew_pencil(c, h.basis), skew_pencil(c, h.basis, e), bivector_pencil(c)]
         seen_denominators |= {p.denominator for p in pencils}
         for t in (zero_vector(codim), _mixed_coordinates(rng, codim), _mixed_coordinates(rng, codim)):
-            x = c.point_at(t)
+            x = c.point_at(_integer_point(t))
             for pencil in pencils:
                 form = pencil.at(t)
                 expected = sympy.Matrix(pencil.nrows, pencil.ncols, lambda a, b: form[a][b]).rank()
-                assert pencil.rank_at(t) == rank(form, pencil.ncols) == expected
+                assert pencil.rank_at(_integer_point(t)) == rank(form, pencil.ncols) == expected
                 seen_ranks.add(expected)
             assert pencils[0].at(t) == tuple(
                 tuple(dot(x, algebra.bracket(u, v)) for v in h.basis) for u in h.basis
@@ -310,6 +346,53 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
             assert pencils[2].at(t) == bivector_at(algebra, x)
     # The entries really were scaled, and the forms were not all degenerate.
     assert max(seen_denominators) > 9 and {0, 2, 4} <= seen_ranks
+
+
+CATALOG = algebra_catalog()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rank_and_point_at_integer_points_match_fractions(data):
+    # At integer points n / L, drawn by SampleSpec or directly, rank_at
+    # equals the rank of the Fraction form at(t), and point_at equals
+    # base + sum t_a u_a in Fractions, on skew and rectangular pencils.
+    # Every form vanishes at x = 0, so half the time the base is put where
+    # the drawn numerators over L = 1 reach 0: there the point n / 1 is
+    # degenerate and n / L, for L > 1, in general is not.
+    algebra = data.draw(st.sampled_from(CATALOG))
+    n = algebra.dim
+    small = st.integers(min_value=-3, max_value=3)
+    vectors = st.lists(st.lists(small, min_size=n, max_size=n), max_size=n)
+    spans = vectors.map(lambda rows: Subspace.span(n, rows))
+    h = data.draw(st.one_of(st.just(Subspace.full(n)), spans))  # g itself: C is a point
+    direction = h.annihilator()
+    numerators = tuple(data.draw(st.lists(small, min_size=direction.dim, max_size=direction.dim)))
+    if data.draw(st.booleans()):
+        base = zero_vector(n)
+        for na, u in zip(numerators, direction.basis):
+            base = vsub(base, vscale(na, u))
+    else:
+        base = vec(data.draw(st.lists(small, min_size=n, max_size=n)))
+    c = AffineSubspace(algebra, h, base)
+    kind = data.draw(st.sampled_from(["skew", "rectangular", "bivector"]))
+    if kind == "skew":
+        pencil = skew_pencil(c, h.basis)
+    elif kind == "rectangular":
+        pencil = skew_pencil(c, h.basis, Subspace.span(n, data.draw(vectors)).basis)
+    else:
+        pencil = bivector_pencil(c)
+    scale = data.draw(st.integers(min_value=1, max_value=6))
+    seed, bound = data.draw(st.integers(0, 999)), data.draw(st.sampled_from([1, 2, 1000]))
+    points = [IntegerPoint.origin(direction.dim), IntegerPoint(1, numerators)]
+    points += [IntegerPoint(scale, numerators)] + c.sample_coefficients(SampleSpec(3, seed, bound))
+    for point in points:
+        t = tuple(Fraction(n, point.denominator) for n in point.numerators)
+        assert pencil.rank_at(point) == rank(pencil.at(t), pencil.ncols)
+        x = c.base
+        for ta, u in zip(t, c.direction.basis):
+            x = vadd(x, vscale(ta, u))
+        assert c.point_at(point) == x
 
 
 # ---------------------------------------------------------------------------
