@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
 from .linalg import Subspace, Vector, mat_vec, nullspace, transpose, vec, zero_vector
 from .lie_poisson import bivector_at
-from .submanifold import AffineSubspace, IntegerPoint, SampleSpec, bivector_pencil, skew_pencil
+from .submanifold import AffineSubspace, SampleSpec, bivector_pencil, skew_pencil
 
 
 def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
@@ -24,12 +24,11 @@ def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
     whether d is itself a subalgebra.
     """
     algebra, h = c.algebra, c.h
-    pencil = skew_pencil(c, h.basis)
-    if not pencil.constant:
+    if not c.form.constant:
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
     # <base, [v, w]> = 0 for all w in h, on v = sum_i c_i h_i: c is in the
     # kernel of the skew form on h at the base, the pencil along C at t = 0.
-    form = pencil.at(zero_vector(c.direction.dim))
+    form = c.form.at(zero_vector(c.direction.dim))
     h_columns = transpose(h.basis)
     d = Subspace.span(algebra.dim, [mat_vec(h_columns, cf) for cf in nullspace(form, h.dim)])
     return d, is_subalgebra(algebra, d)
@@ -78,18 +77,10 @@ def transversal_orbit_report(
     algebra, h = c.algebra, c.h
     pi = bivector_pencil(c)
     coad_h = skew_pencil(c, h.basis, Subspace.full(algebra.dim).basis)
-    coefficients = [IntegerPoint.origin(c.direction.dim)]
-    if c.direction.dim:
-        coefficients += c.sample_coefficients(sampling)
-    else:  # C is its base point: there is nothing to sample
-        sampling = None
-    orbit_dims = []
-    transversal = []
-    for t in coefficients:
-        x = c.point_at(t)
-        orbit_dim = pi.rank_at(t)
-        orbit_dims.append((x, orbit_dim))
-        transversal.append((x, coad_h.rank_at(t) == orbit_dim))
+    points, sampling = c.walk(sampling)
+    ranks = [(c.point_at(t), pi.rank_at(t), coad_h.rank_at(t)) for t in points]
+    orbit_dims = tuple((x, orbit_dim) for x, orbit_dim, _ in ranks)
+    transversal = tuple((x, s == orbit_dim) for x, orbit_dim, s in ranks)
     dims = {d for _, d in orbit_dims}
     try:
         d, d_sub = algebroid_fiber_d(c)
@@ -98,8 +89,8 @@ def transversal_orbit_report(
     return AlgebroidFiberReport(
         d=d,
         d_is_subalgebra=d_sub,
-        orbit_dims=tuple(orbit_dims),
-        transversal=tuple(transversal),
+        orbit_dims=orbit_dims,
+        transversal=transversal,
         constant_orbit_dim=len(dims) == 1,
         sampling=sampling,
     )

@@ -9,7 +9,7 @@ decomposition and, in favorable cases, a symmetric pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra, subspace_bracket, validate_jacobi
@@ -29,7 +29,6 @@ from .linalg import (
 from .submanifold import (
     NOT_CONSTANT,
     AffineSubspace,
-    IntegerPoint,
     SampleSpec,
     pre_poisson_check,
     sharp_conormal_at,
@@ -99,7 +98,7 @@ def extend(
             )
     p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
     ext = Extension(c, r, p_tilde, verdict.sampling)
-    check = coisotropy_in_extension(ext, SampleSpec(count=8, seed=sampling.seed))
+    check = coisotropy_in_extension(ext, replace(sampling, count=8))
     bad = [x for x, ok in check if not ok]
     if bad:
         raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {bad[0]}")
@@ -141,15 +140,11 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
         return LocusReport(True, False, 0, (), None)
     if not e.p.basis:
         return LocusReport(False, True, 0, (), None)
-    pencil = skew_pencil(e.p_tilde, e.p.basis)
-    at_base = pencil.rank_at(IntegerPoint.origin(e.p_tilde.direction.dim)) == e.p.dim
-    if not e.p_tilde.direction.dim:
-        return LocusReport(False, at_base, 0, (), None)
-    coefficients = e.p_tilde.sample_coefficients(sampling)
-    failing = tuple(
-        e.p_tilde.point_at(t) for t in coefficients if pencil.rank_at(t) != e.p.dim
-    )
-    return LocusReport(False, at_base, len(coefficients), failing, sampling)
+    pencil = e.p_tilde.form
+    (origin, *samples), sampling = e.p_tilde.walk(sampling)
+    at_base = pencil.rank_at(origin) == e.p.dim
+    failing = tuple(e.p_tilde.point_at(t) for t in samples if pencil.rank_at(t) != e.p.dim)
+    return LocusReport(False, at_base, len(samples), failing, sampling)
 
 
 @dataclass(frozen=True)
@@ -275,11 +270,8 @@ def coisotropy_in_extension(
     n_p = e.p.dim
     form_p = skew_pencil(e.c, e.p.basis)
     form_ph = skew_pencil(e.c, e.p.basis + e.c.h.basis)
-    points = [IntegerPoint.origin(e.c.direction.dim)]
-    if e.c.direction.dim:
-        points += e.c.sample_coefficients(sampling)
     return [
         (e.c.point_at(t), form_ph.rank_at(t) == n_p)
-        for t in points
+        for t in e.c.walk(sampling)[0]
         if form_p.rank_at(t) == n_p
     ]

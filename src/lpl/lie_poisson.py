@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
-from .linalg import ZERO, DimensionMismatch, Matrix, vec
+from .linalg import ZERO, DimensionMismatch, Matrix, parse_fraction, vec
 
 Exponents = tuple[int, ...]
 
@@ -208,8 +208,8 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                 expo[idx - 1] += int(m.group(2) or 1)
             else:
                 try:
-                    coeff *= Fraction(factor)
-                except (ValueError, ZeroDivisionError) as exc:
+                    coeff *= parse_fraction(factor)
+                except ValueError as exc:
                     raise ValueError(f"bad factor {factor!r} in polynomial") from exc
         key = tuple(expo)
         terms[key] = terms.get(key, ZERO) + coeff

@@ -8,6 +8,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -18,6 +19,10 @@ Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Longest accepted rational string: Python's default limit on the digits of
+# an integer converted from a string, so no shorter string can hit it.
+MAX_RATIONAL_CHARS = 4300
+_RATIONAL = re.compile(r"[+-]?\d+(?:/(\d+))?")
 
 
 class DimensionMismatch(ValueError):
@@ -30,6 +35,17 @@ class InvariantViolation(RuntimeError):
     Raised instead of ``assert`` so the check survives ``python -O``; it
     signals a defect in lpl, not in the input.
     """
+
+
+def parse_fraction(text) -> Fraction:
+    """A string ``p`` or ``p/q`` in decimal digits; not Fraction(text), which also reads 1e5000."""
+    if isinstance(text, str) and len(text) > MAX_RATIONAL_CHARS:
+        raise ValueError(f"rational of {len(text)} characters (maximum {MAX_RATIONAL_CHARS})")
+    if not isinstance(text, str) or not (m := _RATIONAL.fullmatch(text.strip())):
+        raise ValueError(f"bad rational {text!r} (expected 'p' or 'p/q')")
+    if m.group(1) is not None and int(m.group(1)) == 0:
+        raise ValueError(f"bad rational {text!r}: zero denominator")
+    return Fraction(text.strip())
 
 
 def vec(entries: Iterable) -> Vector:

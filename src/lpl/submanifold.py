@@ -5,11 +5,14 @@ The conormal space of C at every point is canonically the defining subspace h,
 and sharp N*_x C is the span of coad_v(x) over v in h.  Modulo T_x C = ann(h)
 that span is the row space of the skew matrix B_h(x)_ab = <x, [h_a, h_b]>, so
 rank(T_x C + sharp N*_x C) = codim h + rank B_h(x).  B_h is affine in x: along
-C it is the pencil B0 + sum_a t_a B_a, built once per C.
+C it is the pencil B0 + sum_a t_a B_a, built once per C (``AffineSubspace.form``):
+C is coisotropic iff it vanishes, pre-Poisson iff its rank is constant, and
+cosymplectic at x iff B_h(x) is nondegenerate.
 
 Coisotropy and the subalgebra-case pre-Poisson verdict are exact theorems;
 for non-subalgebra h the rank-constancy verdict is evidence from exact
-rational sample points, and the verdict carries the SampleSpec it rests on.
+rational sample points (``AffineSubspace.walk``), and the verdict carries
+the SampleSpec it rests on.
 """
 
 from __future__ import annotations
@@ -159,16 +162,22 @@ class AffineSubspace:
         d = scale * m
         return tuple(b + Fraction(s, d) if s else b for b, s in zip(self.base, shift))
 
-    def sample_coefficients(self, sampling: SampleSpec) -> list[IntegerPoint]:
-        """The seeded coordinates t of ``sampling.count`` points along C."""
+    @cached_property
+    def form(self) -> "SkewPencil":
+        """B_h(x) = <x, [h_a, h_b]> along C, as a pencil over the direction basis."""
+        return skew_pencil(self, self.h.basis)
+
+    def walk(self, sampling: SampleSpec) -> tuple[list[IntegerPoint], Optional[SampleSpec]]:
+        """The base, then ``sampling``'s points, and that sampling; a point C is its base alone."""
         d = self.direction.dim
         if not d:
-            return [IntegerPoint.origin(0) for _ in range(min(sampling.count, 1))]
-        return sampling.points(d)
+            return [IntegerPoint.origin(0)], None
+        return [IntegerPoint.origin(d)] + sampling.points(d), sampling
 
     def sample_points(self, sampling: SampleSpec) -> list[Vector]:
-        """``sampling.count`` exact points base + sum t_a u_a, seed-determined."""
-        return [self.point_at(t) for t in self.sample_coefficients(sampling)]
+        """The walk's samples as exact points base + sum t_a u_a; a point C has only its base."""
+        points, drawn = self.walk(sampling)
+        return [self.point_at(t) for t in points[1:]] if drawn else [self.base][: sampling.count]
 
 
 def sharp_conormal_at(c: AffineSubspace, x: Iterable) -> Subspace:
@@ -190,16 +199,18 @@ class CoisotropyResult:
 
 
 def is_coisotropic(c: AffineSubspace) -> CoisotropyResult:
-    """Exact verdict: h is a subalgebra and lambda kills [h, h]."""
-    algebra, h = c.algebra, c.h
-    for i, u in enumerate(h.basis):
-        for v in h.basis[i + 1 :]:
-            w = algebra.bracket(u, v)
-            if not h.contains_vector(w):
-                return CoisotropyResult(False, ("bracket_escapes", u, v, w))
-    for u in subspace_bracket(algebra, h, h).basis:
-        if dot(c.base, u) != 0:
-            return CoisotropyResult(False, ("character_fails", u))
+    """Exact verdict: B_h = 0 along C, i.e. h is a subalgebra and lambda kills [h, h].
+
+    Entry (a, b) of some B_i is nonzero iff [h_a, h_b] escapes h.
+    """
+    form, basis, m = c.form, c.h.basis, c.h.dim
+    escaping = [k for terms in form.directions for k, _ in terms if k // m < k % m]
+    if escaping:
+        u, v = (basis[i] for i in divmod(min(escaping), m))
+        return CoisotropyResult(False, ("bracket_escapes", u, v, c.algebra.bracket(u, v)))
+    if any(form.base):
+        w = next(w for w in subspace_bracket(c.algebra, c.h, c.h).basis if dot(c.base, w))
+        return CoisotropyResult(False, ("character_fails", w))
     return CoisotropyResult(True)
 
 
@@ -224,7 +235,6 @@ class SkewPencil:
 
     nrows: int
     ncols: int
-    skew: bool
     denominator: int
     base: tuple[int, ...]
     directions: tuple[tuple[tuple[int, int], ...], ...]
@@ -301,7 +311,7 @@ def _pencil(
     base = [0] * (nrows * ncols)
     for k, e in scaled[0]:
         base[k] = e
-    return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
+    return SkewPencil(nrows, ncols, d, tuple(base), tuple(scaled[1:]))
 
 
 def _support(v: Vector) -> list[tuple[int, Fraction]]:
@@ -346,13 +356,14 @@ def pre_poisson_check(
     Otherwise rank B_h is compared at the base point and at seeded exact
     sample points, evaluating the pencil along C.
     """
-    pencil = skew_pencil(c, c.h.basis)
+    pencil = c.form
     if pencil.constant:
         space = c.direction.sum(sharp_conormal_at(c, c.base))
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=space.dim, space=space)
     codim = c.direction.dim
-    base_rank = codim + pencil.rank_at(IntegerPoint.origin(codim))
-    for t in c.sample_coefficients(sampling):
+    (origin, *samples), sampling = c.walk(sampling)
+    base_rank = codim + pencil.rank_at(origin)
+    for t in samples:
         r = codim + pencil.rank_at(t)
         if r != base_rank:
             return PrePoissonVerdict(
@@ -397,20 +408,20 @@ class ClassificationReport:
 
 
 def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> ClassificationReport:
+    """All four classes, and ``pointwise_flags`` at the base with B_h(base) from the form."""
     coiso = is_coisotropic(c)
     pp = pre_poisson_check(c, sampling)
-    if pp.rank is not None:
-        generic = pp.rank
-    else:
-        generic = max(pp.counterexample[0][1], pp.counterexample[1][1])
-    flags = pointwise_flags(c, c.base)
+    generic = pp.rank if pp.rank is not None else max(r for _, r in pp.counterexample)
+    form_rank = c.form.rank_at(IntegerPoint.origin(c.direction.dim))
+    s = [c.algebra.coad_apply(v, c.base) for v in c.h.basis]
+    char_rank = rank(s, c.algebra.dim) - form_rank
     return ClassificationReport(
         coisotropic=coiso,
         pre_poisson=pp,
         generic_rank=generic,
-        characteristic_rank_at_base=flags.characteristic_rank,
-        poisson_dirac_at_base=flags.poisson_dirac,
-        cosymplectic_at_base=flags.cosymplectic,
+        characteristic_rank_at_base=char_rank,
+        poisson_dirac_at_base=char_rank == 0,
+        cosymplectic_at_base=form_rank == c.h.dim,
     )
 
 

@@ -10,7 +10,6 @@ from lpl.cli import (
     EXIT_OK,
     EXIT_REFUSED,
     MAX_DIM,
-    MAX_RATIONAL_CHARS,
     MAX_SAMPLES,
     InputError,
     main,
@@ -22,7 +21,7 @@ from lpl.cli import (
     run,
     serialize_model,
 )
-from lpl.linalg import Subspace, vec
+from lpl.linalg import MAX_RATIONAL_CHARS, Subspace, vec
 
 from conftest import FIXTURES
 
@@ -497,6 +496,15 @@ def test_main_bracket_with_polynomials(capsys):
 
 def test_main_bad_polynomial(capsys):
     assert main(["casimir", "--model", "sl2.json", "nu9"]) == EXIT_INPUT_ERROR
+
+
+def test_main_rejects_an_exponent_coefficient(capsys):
+    # As a Fraction, 1e5000 is an integer of 5001 digits that str() refuses
+    # to print; a coefficient is a p or p/q, as in the JSON inputs.
+    assert main(["bracket", "--model", "sl2.json", "1e5000*nu1", "nu2"]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad factor '1e5000' in polynomial")
+    assert "Traceback" not in err
 
 
 def test_render_human_nested():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lpl import embedding
 from lpl.embedding import (
     ConstancyNotCertified,
     Extension,
@@ -380,6 +381,20 @@ def test_extend_checks_a_point_c_at_its_base_once(monkeypatch):
     assert (e.p, e.p_tilde.dim, e.sampling) == (Subspace.full(2), 0, None)
     assert coisotropy_in_extension(e, SampleSpec(count=8)) == [(c.base, True)]
     assert draws == []
+
+
+def test_extend_self_check_keeps_the_sampling_bound(sl2, monkeypatch):
+    # The self-check takes 8 points with the caller's seed and bound.
+    received = []
+
+    def check(e, sampling):
+        received.append(sampling)
+        return []
+
+    monkeypatch.setattr(embedding, "coisotropy_in_extension", check)
+    c = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
+    extend(c, sampling=SampleSpec(count=5, seed=4, bound=1))
+    assert received == [SampleSpec(count=8, seed=4, bound=1)]
 
 
 def test_extend_verification_over_catalog():

@@ -99,7 +99,8 @@ def test_parse_in_one_pass_matches_per_term_sums():
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "nu0", "nu4", "nu1^", "x + y", "1//2", "nu1**2"]:
+    # Coefficients take the p or p/q grammar: no decimals, no exponents.
+    for text in ["", "nu0", "nu4", "nu1^", "x + y", "1//2", "nu1**2", "1e3*nu1", "0.5*nu1"]:
         with pytest.raises(ValueError):
             parse_polynomial(text, 3)
 

@@ -142,3 +142,32 @@ def test_tracer_targets_exist():
     ]
     assert tracing.FUNCTIONS and tracing.METHODS
     assert missing == []
+
+
+def integer_point_reads(tree) -> list:
+    """Reads of IntegerPoint, sample_coefficients or an attribute named points."""
+    names = {"IntegerPoint", "sample_coefficients"}
+    return [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names | {"points"})
+        or (isinstance(node, ast.alias) and node.name in names)
+    ]
+
+
+def test_only_submanifold_handles_integer_points():
+    # Every sampled question walks C through AffineSubspace.walk, so the
+    # integer points and SampleSpec.points stay inside submanifold.py
+    # (__init__.py only exports the names).
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert integer_point_reads(trees["submanifold.py"])
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        if name not in ("submanifold.py", "__init__.py")
+        for node in integer_point_reads(tree)
+    ]
+    assert found == []
+    stray = ast.parse("from .submanifold import IntegerPoint\npts = spec.points(3)\n")
+    assert [node.lineno for node in integer_point_reads(stray)] == [1, 2]

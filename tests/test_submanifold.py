@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpl.algebroid import transversal_orbit_report
-from lpl.lie import LinearMap, NotASubalgebra, direct_sum, is_subalgebra, morphism_check
+from lpl.lie import (
+    LinearMap,
+    NotASubalgebra,
+    direct_sum,
+    is_subalgebra,
+    morphism_check,
+    subspace_bracket,
+)
 from lpl.lie_poisson import bivector_at
 from lpl.linalg import Subspace, dot, rank, unit_vector, vadd, vec, vscale, vsub, zero_vector
 from lpl.submanifold import (
@@ -16,6 +23,7 @@ from lpl.submanifold import (
     NOT_CONSTANT,
     SAMPLED_CONSTANT,
     AffineSubspace,
+    CoisotropyResult,
     IntegerPoint,
     NotOnSubmanifold,
     PointwiseFlags,
@@ -72,6 +80,17 @@ def test_point_case_sample(sl2):
     c = AffineSubspace(sl2, Subspace.full(3), vec([1, 2, 3]))
     assert c.dim == 0
     assert c.sample_points(SampleSpec(count=5)) == [vec([1, 2, 3])]
+
+
+def test_walk_is_the_base_then_the_samples(sl2):
+    # A point C is walked at its one origin and rests on no sampling.
+    point = AffineSubspace(sl2, Subspace.full(3), vec([1, 2, 3]))
+    assert point.walk(SampleSpec(count=5)) == ([IntegerPoint.origin(0)], None)
+    line = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
+    spec = SampleSpec(count=5, seed=2)
+    points, sampling = line.walk(spec)
+    assert (points, sampling) == ([IntegerPoint.origin(1)] + spec.points(1), spec)
+    assert [line.point_at(t) for t in points[1:]] == line.sample_points(spec)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 1000])
@@ -150,6 +169,49 @@ def test_coisotropic_iff_subalgebra_plus_character():
             res = is_coisotropic(bad)
             assert not res
             assert res.witness[0] == "character_fails"
+
+
+def bracket_loop_coisotropy(c):
+    """The verdict from each bracket's containment in h, then lambda on [h, h]."""
+    algebra, h = c.algebra, c.h
+    for i, u in enumerate(h.basis):
+        for v in h.basis[i + 1 :]:
+            w = algebra.bracket(u, v)
+            if not h.contains_vector(w):
+                return CoisotropyResult(False, ("bracket_escapes", u, v, w))
+    for u in subspace_bracket(algebra, h, h).basis:
+        if dot(c.base, u) != 0:
+            return CoisotropyResult(False, ("character_fails", u))
+    return CoisotropyResult(True)
+
+
+def generated_subalgebra(algebra, vectors):
+    """The smallest subalgebra containing ``vectors``."""
+    h = Subspace.span(algebra.dim, vectors)
+    while (bigger := h.sum(subspace_bracket(algebra, h, h))) != h:
+        h = bigger
+    return h
+
+
+def test_coisotropy_from_the_form_matches_the_bracket_loop():
+    # The form decides coisotropy, and its first nonzero B_i entry in
+    # row-major order is the loop's first escaping pair: verdict and witness
+    # agree on random subspaces and on random subalgebras.
+    rng = random.Random(89)
+    kinds = set()
+    for algebra in algebra_catalog():
+        n = algebra.dim
+        for _ in range(8):
+            vectors = [
+                [rng.choice([0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(rng.randint(1, 2))
+            ]
+            for h in (random_subspace(rng, n), generated_subalgebra(algebra, vectors)):
+                for base in (zero_vector(n), random_vector(rng, n, bound=5)):
+                    c = AffineSubspace(algebra, h, base)
+                    expected = bracket_loop_coisotropy(c)
+                    assert is_coisotropic(c) == expected
+                    kinds.add((is_subalgebra(algebra, h), expected.witness and expected.witness[0]))
+    assert kinds == {(False, "bracket_escapes"), (True, "character_fails"), (True, None)}
 
 
 def test_non_subalgebra_witness(sl2):
@@ -354,7 +416,7 @@ CATALOG = algebra_catalog()
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_rank_and_point_at_integer_points_match_fractions(data):
-    # At integer points n / L, drawn by SampleSpec or directly, rank_at
+    # At integer points n / L, walked from SampleSpec or drawn directly, rank_at
     # equals the rank of the Fraction form at(t), and point_at equals
     # base + sum t_a u_a in Fractions, on skew and rectangular pencils.
     # Every form vanishes at x = 0, so half the time the base is put where
@@ -384,8 +446,8 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
         pencil = bivector_pencil(c)
     scale = data.draw(st.integers(min_value=1, max_value=6))
     seed, bound = data.draw(st.integers(0, 999)), data.draw(st.sampled_from([1, 2, 1000]))
-    points = [IntegerPoint.origin(direction.dim), IntegerPoint(1, numerators)]
-    points += [IntegerPoint(scale, numerators)] + c.sample_coefficients(SampleSpec(3, seed, bound))
+    points = [IntegerPoint(1, numerators), IntegerPoint(scale, numerators)]
+    points += c.walk(SampleSpec(3, seed, bound))[0]  # the origin, then the samples
     for point in points:
         t = tuple(Fraction(n, point.denominator) for n in point.numerators)
         assert pencil.rank_at(point) == rank(pencil.at(t), pencil.ncols)
@@ -430,7 +492,8 @@ def intersect_flags(c, x):
     return PointwiseFlags(char_rank, poisson_dirac, cosymplectic)
 
 
-def test_flags_match_subspace_intersection(sl2):
+def flag_inputs(sl2):
+    """Affine subspaces of the catalog and its direct sums, each with a sample seed."""
     rng = random.Random(59)
     catalog = algebra_catalog()
     sums = [
@@ -445,15 +508,36 @@ def test_flags_match_subspace_intersection(sl2):
     for mask in range(64):
         basis = [unit_vector(6, i) for i in range(6) if mask >> i & 1]
         cases.append((sl2_sl2, Subspace.span(6, basis)))
-    seen = set()
     for algebra, h in cases:
         c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
-        for x in [c.base] + c.sample_points(SampleSpec(count=2, seed=rng.randint(0, 99))):
+        yield c, rng.randint(0, 99)
+
+
+def test_flags_match_subspace_intersection(sl2):
+    seen = set()
+    for c, seed in flag_inputs(sl2):
+        for x in [c.base] + c.sample_points(SampleSpec(count=2, seed=seed)):
             flags = pointwise_flags(c, x)
             assert flags == intersect_flags(c, x)
             seen.add((flags.characteristic_rank, flags.cosymplectic))
     assert {rank for rank, _ in seen} >= {0, 1, 2}
     assert {cosymplectic for _, cosymplectic in seen} == {False, True}
+
+
+def test_classify_flags_are_pointwise_flags_at_the_base(sl2):
+    # classify reads rank B_h(base) from the form and takes one rank of the
+    # rows coad_{h_a}(base); pointwise_flags computes both in Fractions.
+    seen = set()
+    for c, seed in flag_inputs(sl2):
+        report = classify(c, SampleSpec(count=2, seed=seed))
+        flags = PointwiseFlags(
+            report.characteristic_rank_at_base,
+            report.poisson_dirac_at_base,
+            report.cosymplectic_at_base,
+        )
+        assert flags == pointwise_flags(c, c.base)
+        seen.add((flags.characteristic_rank, flags.cosymplectic))
+    assert seen == {(0, False), (0, True), (1, False), (2, False)}
 
 
 def test_classify_reports(sl2, gl2):
