@@ -23,7 +23,7 @@ from typing import Optional
 from . import algebroid as algebroid_mod
 from . import embedding as embedding_mod
 from .lie import LieAlgebra, NotASubalgebra, validate_jacobi
-from .lie_poisson import casimir_check, parse_polynomial, poisson_bracket_poly
+from .lie_poisson import casimir_check, parse_polynomial, poisson_bracket_poly, printable
 from .linalg import DimensionMismatch, InvariantViolation, Subspace, Vector, parse_fraction
 from .submanifold import NOT_CONSTANT, AffineSubspace, SampleSpec, classify
 
@@ -367,14 +367,10 @@ def report_bracket(algebra: LieAlgebra, f_text: str, g_text: str) -> dict:
     try:
         f = parse_polynomial(f_text, algebra.dim)
         g = parse_polynomial(g_text, algebra.dim)
+        bracket = printable(poisson_bracket_poly(algebra, f, g))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return {
-        "command": "bracket",
-        "f": str(f),
-        "g": str(g),
-        "bracket": str(poisson_bracket_poly(algebra, f, g)),
-    }
+    return {"command": "bracket", "f": str(f), "g": str(g), "bracket": str(bracket)}
 
 
 def report_casimir(algebra: LieAlgebra, f_text: str) -> dict:

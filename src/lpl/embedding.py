@@ -10,9 +10,10 @@ decomposition and, in favorable cases, a symmetric pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .lie import LieAlgebra, NotASubalgebra, is_subalgebra, subspace_bracket, validate_jacobi
+from .lie import LieAlgebra, NotASubalgebra, is_subalgebra, validate_jacobi
 from .linalg import (
     InvariantViolation,
     Subspace,
@@ -20,7 +21,6 @@ from .linalg import (
     choose_complement,
     dot,
     mat_vec,
-    pivot_columns,
     rank,
     solve,
     transpose,
@@ -90,7 +90,7 @@ def extend(
     if span is None:
         span = c.direction.sum(sharp_conormal_at(c, c.base))
     if r is None:
-        r = choose_complement(span, Subspace.full(c.algebra.dim))
+        r = choose_complement(span)
     else:
         if span.dim + r.dim != c.algebra.dim or span.sum(r).dim != c.algebra.dim:
             raise NotComplementary(
@@ -192,11 +192,10 @@ class SymmetricPairReport:
 
 def check_symmetric_pair(algebra: LieAlgebra, k: Subspace, p: Subspace) -> SymmetricPairReport:
     """The three bracket conditions for a user- or extension-given (k, p)."""
-    # k + p = g is direct iff the dimensions add up to n and the sum is g.
-    decomposition = k.dim + p.dim == algebra.dim and k.sum(p).dim == algebra.dim
+    decomposition = k.sum(p).dim == algebra.dim == k.dim + p.dim
     k_sub = is_subalgebra(algebra, k)
-    kp_in_p = p.contains(subspace_bracket(algebra, k, p))
-    pp_in_k = k.contains(subspace_bracket(algebra, p, p))
+    kp_in_p = all(p.contains_vector(algebra.bracket(a, b)) for a, b in product(k.basis, p.basis))
+    pp_in_k = all(k.contains_vector(algebra.bracket(a, b)) for a, b in combinations(p.basis, 2))
     return SymmetricPairReport(k, p, decomposition, k_sub, kp_in_p, pp_in_k)
 
 
@@ -245,7 +244,7 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
             coords = tuple(dot(u, w) for u in direction.basis)
             if any(x != 0 for x in coords):
                 brackets[(i, j)] = coords
-    labels = tuple(algebra.labels[col] for col in pivot_columns(direction.basis))
+    labels = tuple(algebra.labels[col] for col in direction.pivots)
     result = LieAlgebra.from_brackets(m, brackets, labels)
     report = validate_jacobi(result)
     if not report.ok:

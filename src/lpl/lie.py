@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
@@ -156,7 +157,10 @@ def subspace_bracket(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
 
 
 def is_subalgebra(algebra: LieAlgebra, u: Subspace) -> bool:
-    return u.contains(subspace_bracket(algebra, u, u))
+    """True iff [a, b] lies in u for each pair a < b of u's canonical basis."""
+    if u.ambient_dim != algebra.dim:
+        raise DimensionMismatch("subspaces must live in the algebra")
+    return all(u.contains_vector(algebra.bracket(a, b)) for a, b in combinations(u.basis, 2))
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, sign: int = 1) -> LieAlgebra:

@@ -12,9 +12,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
-from .linalg import ZERO, DimensionMismatch, Matrix, parse_fraction, vec
+from .linalg import MAX_RATIONAL_CHARS, ZERO, DimensionMismatch, Matrix, parse_fraction, vec
 
 Exponents = tuple[int, ...]
+# str() refuses an integer of more than MAX_RATIONAL_CHARS digits.
+_PRINT_LIMIT = 10**MAX_RATIONAL_CHARS
 
 
 def _grlex_key(expo: Exponents) -> tuple:
@@ -213,7 +215,14 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                     raise ValueError(f"bad factor {factor!r} in polynomial") from exc
         key = tuple(expo)
         terms[key] = terms.get(key, ZERO) + coeff
-    return Polynomial(nvars, terms)
+    return printable(Polynomial(nvars, terms))
+
+
+def printable(p: Polynomial) -> Polynomial:
+    """p, unless a coefficient's numerator or denominator has over MAX_RATIONAL_CHARS digits."""
+    if any(max(abs(c.numerator), c.denominator) >= _PRINT_LIMIT for c in p.terms.values()):
+        raise ValueError(f"a coefficient has more than {MAX_RATIONAL_CHARS} digits")
+    return p
 
 
 # -- the linear structure on the dual --------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -105,17 +106,13 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
-def rref(rows: Iterable[Sequence], ncols: Optional[int] = None) -> Matrix:
-    """Reduced row-echelon form; zero rows are dropped.
+def rref(rows: Iterable[Sequence], ncols: int) -> Matrix:
+    """Reduced row-echelon form of rows of ``ncols`` entries; zero rows are dropped.
 
     The result is the canonical basis of the row span: pivots are 1, pivot
     columns are cleared, pivot columns strictly increase.
     """
     work = [list(vec(r)) for r in rows]
-    if ncols is None:
-        if not work:
-            return ()
-        ncols = len(work[0])
     if any(len(r) != ncols for r in work):
         raise DimensionMismatch("rows of unequal length")
     pivot_row = 0
@@ -193,13 +190,7 @@ def integer_rank(rows: Iterable[list[int]], ncols: int) -> int:
 
 
 def pivot_columns(echelon: Matrix) -> list[int]:
-    cols = []
-    for row in echelon:
-        for j, e in enumerate(row):
-            if e != 0:
-                cols.append(j)
-                break
-    return cols
+    return [next(j for j, e in enumerate(row) if e) for row in echelon]
 
 
 def nullspace(m: Matrix, ncols: int) -> Matrix:
@@ -233,8 +224,7 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector | Matrix]:
     width = len(rhs[0]) if rhs else 1
     aug = rref([list(row) + list(r) for row, r in zip(m, rhs)], ncols + width)
     x = [(ZERO,) * width] * ncols
-    for row in aug:
-        piv = next(j for j, e in enumerate(row) if e != 0)
+    for row, piv in zip(aug, pivot_columns(aug)):
         if piv >= ncols:
             return None
         x[piv] = row[ncols:]
@@ -245,7 +235,7 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector | Matrix]:
 class Subspace:
     """Linear subspace of Q^n in canonical reduced row-echelon basis.
 
-    Two Subspace values are equal iff they are the same subspace.
+    ``basis`` must be canonical; ``span`` is the constructor for arbitrary vectors.
     """
 
     ambient_dim: int
@@ -283,22 +273,15 @@ class Subspace:
             )
 
     def contains_vector(self, v: Iterable) -> bool:
-        w = vec(v)
-        if len(w) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient dim")
-        reduced = rref(list(self.basis) + [w], self.ambient_dim)
-        return len(reduced) == self.dim
+        return self.coords_of(v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        reduced = rref(list(self.basis) + list(other.basis), self.ambient_dim)
-        return len(reduced) == self.dim
+        return all(self.coords_of(v) is not None for v in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(
-            self.ambient_dim, rref(list(self.basis) + list(other.basis), self.ambient_dim)
-        )
+        return Subspace.span(self.ambient_dim, self.basis + other.basis)
 
     __add__ = sum
 
@@ -312,26 +295,35 @@ class Subspace:
         return Subspace(self.ambient_dim, nullspace(self.basis, self.ambient_dim))
 
     def coords_of(self, v: Iterable) -> Optional[Vector]:
-        """Coefficients of v in the canonical basis, or None if v is outside."""
+        """Coefficients of v in the canonical basis, or None if v is outside.
+
+        Basis vector i is 1 at its pivot and 0 at the other pivots, so the only
+        candidates are v's entries at the pivots: v is inside iff they give v back.
+        """
         w = vec(v)
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("vector length does not match ambient dim")
-        return solve(transpose(self.basis), w)
+        coeffs = tuple(w[j] for j in self.pivots)
+        back = [ZERO] * self.ambient_dim
+        for c, row in zip(coeffs, self.basis):
+            if c:
+                for j, e in enumerate(row):
+                    if e:
+                        back[j] += c * e
+        return coeffs if tuple(back) == w else None
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(pivot_columns(self.basis))
 
 
-def choose_complement(u: Subspace, w: Subspace) -> Subspace:
-    """Deterministic complement of u inside w.
+def choose_complement(u: Subspace) -> Subspace:
+    """Deterministic complement of u: the unit vectors the greedy rule keeps.
 
-    Greedily keeps the rows of w's canonical basis (in coordinate order) that
-    are independent from u and the rows already kept.  Those rows stay
-    independent, so a row is kept when it raises the rank above their count.
+    In coordinate order, e_j is kept iff it is not in span(u, e_0 .. e_(j-1)).
+    That span holds e_j iff some vector of u has its last nonzero entry at j,
+    i.e. iff j is a pivot of u's echelon form with the columns reversed.
     """
-    if not w.contains(u):
-        raise ValueError("first subspace is not contained in the second")
-    chosen: list[Vector] = []
-    current = list(u.basis)
-    for row in w.basis:
-        if rank(current + [row], w.ambient_dim) > len(current):
-            chosen.append(row)
-            current.append(row)
-    return Subspace.span(w.ambient_dim, chosen)
+    n = u.ambient_dim
+    last = {n - 1 - j for j in pivot_columns(rref([row[::-1] for row in u.basis], n))}
+    return Subspace(n, tuple(unit_vector(n, j) for j in range(n) if j not in last))

@@ -470,7 +470,7 @@ def preimage_construction(
     nu_v = vec(nu)
     if len(nu_v) != h.dim:
         raise DimensionMismatch("nu must be a covector on the subalgebra")
-    rows = list(h.basis) + list(choose_complement(h, Subspace.full(n)).basis)
+    rows = list(h.basis) + list(choose_complement(h).basis)
     lam = _lift_covector(rows, nu_v, h.dim, n)
     c = AffineSubspace(algebra, h, lam)
     if not with_slice:
@@ -479,7 +479,7 @@ def preimage_construction(
     orbit_tangent = Subspace.span(
         h.dim, [sub.coad_apply(unit_vector(h.dim, i), nu_v) for i in range(h.dim)]
     )
-    slice_dir = choose_complement(orbit_tangent, Subspace.full(h.dim))
+    slice_dir = choose_complement(orbit_tangent)
     lifted = [_lift_covector(rows, mu, h.dim, n) for mu in slice_dir.basis]
     direction = c.direction.sum(Subspace.span(n, lifted))
     p_tilde = AffineSubspace(algebra, direction.annihilator(), lam)

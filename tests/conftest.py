@@ -7,7 +7,7 @@ import pytest
 
 from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
-from lpl.linalg import unit_vector
+from lpl.linalg import rref, unit_vector, vec
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
 
@@ -63,6 +63,16 @@ def random_vector(rng: random.Random, n: int, bound: int = 20):
 def random_subspace(rng: random.Random, n: int, max_dim=None) -> Subspace:
     k = rng.randint(0, n if max_dim is None else min(max_dim, n))
     return Subspace.span(n, [random_vector(rng, n) for _ in range(k)])
+
+
+def coordinate_subspace(rng: random.Random, n: int) -> Subspace:
+    """The span of a random set of unit vectors: often a subalgebra, unlike random_subspace."""
+    return Subspace.span(n, [unit_vector(n, i) for i in range(n) if rng.random() < 0.5])
+
+
+def contains_by_rref(u: Subspace, vectors) -> bool:
+    """Membership by elimination: the vectors lie in u iff adding them keeps the rank."""
+    return len(rref(list(u.basis) + [vec(v) for v in vectors], u.ambient_dim)) == u.dim
 
 
 def algebra_catalog() -> list[LieAlgebra]:

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpl import embedding
 from lpl.cli import (
@@ -505,6 +509,62 @@ def test_main_rejects_an_exponent_coefficient(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bad factor '1e5000' in polynomial")
     assert "Traceback" not in err
+
+
+def _power_of_ten(digits):
+    return "1" + "0" * (digits - 1)
+
+
+@pytest.mark.parametrize(
+    "command, polys",
+    [
+        ("bracket", lambda a, b: [f"{a}*{b}*nu1", "nu2"]),
+        ("bracket", lambda a, b: [f"1/{a}*1/{b}*nu1", "nu2"]),
+        ("casimir", lambda a, b: [f"{a}*{b}*nu1^2"]),
+        ("bracket", lambda a, b: [f"{a}*nu1", f"{b}*nu2"]),  # only the bracket is that long
+    ],
+)
+@pytest.mark.parametrize("digits", [MAX_RATIONAL_CHARS, MAX_RATIONAL_CHARS + 1])
+def test_main_bounds_the_digits_of_a_coefficient(capsys, command, polys, digits):
+    # Each factor fits; their product, a coefficient of ``digits`` digits,
+    # prints up to the limit and is an input error past it, not a traceback
+    # from str().
+    a, b = _power_of_ten(2151), _power_of_ten(digits - 2150)
+    code = main([command, "--model", "sl2.json", "--json", "--", *polys(a, b)])
+    out, err = capsys.readouterr()
+    if digits <= MAX_RATIONAL_CHARS:
+        assert code == EXIT_OK
+        assert _power_of_ten(digits) in out
+    else:
+        assert code == EXIT_INPUT_ERROR
+        assert err == f"error: a coefficient has more than {MAX_RATIONAL_CHARS} digits\n"
+
+
+# Terms of the polynomial grammar, with integer factors long enough that a
+# product passes the digit limit, and some garbage.
+_FACTORS = st.one_of(
+    st.integers(1, 3).map("nu{}".format),
+    st.tuples(st.integers(1, 3), st.integers(0, 4)).map(lambda t: "nu{}^{}".format(*t)),
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 99)).map("{0[0]}/{0[1]}".format),
+    st.integers(1500, 3000).map(lambda n: "7" * n),
+    st.text(alphabet="nu0123456789^*/+-. e", max_size=8),
+)
+_TERMS = st.lists(_FACTORS, min_size=1, max_size=4).map("*".join)
+_POLYNOMIALS = st.lists(
+    st.tuples(st.sampled_from(["", "+", "-", " - "]), _TERMS), min_size=1, max_size=3
+).map(lambda terms: "".join(sign + term for sign, term in terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_POLYNOMIALS, g=_POLYNOMIALS)
+def test_main_polynomial_commands_exit_cleanly(f, g):
+    # Any exception escaping main fails the test.  The arguments follow "--",
+    # so one that starts with "-" is not read as an option.
+    for command, polys in (("bracket", [f, g]), ("casimir", [f])):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([command, "--model", "sl2.json", "--", *polys])
+        assert code in (EXIT_OK, EXIT_INPUT_ERROR)
 
 
 def test_render_human_nested():

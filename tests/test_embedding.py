@@ -18,8 +18,20 @@ from lpl.embedding import (
     is_cosymplectic_at,
     symmetric_pair_analysis,
 )
-from lpl.lie import LieAlgebra, NotASubalgebra
-from lpl.linalg import Subspace, dot, mat_vec, rank, solve, transpose, vadd, vec, vscale, zero_vector
+from lpl.lie import LieAlgebra, NotASubalgebra, subspace_bracket
+from lpl.linalg import (
+    DimensionMismatch,
+    Subspace,
+    dot,
+    mat_vec,
+    rank,
+    solve,
+    transpose,
+    vadd,
+    vec,
+    vscale,
+    zero_vector,
+)
 from lpl.submanifold import (
     AffineSubspace,
     SampleSpec,
@@ -28,6 +40,8 @@ from lpl.submanifold import (
 
 from conftest import (
     algebra_catalog,
+    contains_by_rref,
+    coordinate_subspace,
     random_subspace,
     random_vector,
     sl2_h,
@@ -269,6 +283,30 @@ def test_check_symmetric_pair_user_mode(gl2):
     swapped = check_symmetric_pair(gl2, p, k)
     assert not swapped.symmetric_pair
     assert not swapped.pp_in_k
+
+
+def test_pair_flags_match_the_bracket_spans():
+    # kp_in_p and pp_in_k test each bracket of basis pairs; the oracles span
+    # [k, p] and [p, p] and eliminate them against p and k.
+    rng = random.Random(37)
+    outcomes = set()
+    for algebra in algebra_catalog():
+        n = algebra.dim
+        for _ in range(10):
+            k, p = (rng.choice([random_subspace, coordinate_subspace])(rng, n) for _ in range(2))
+            report = check_symmetric_pair(algebra, k, p)
+            assert report.kp_in_p == contains_by_rref(p, subspace_bracket(algebra, k, p).basis)
+            assert report.pp_in_k == contains_by_rref(k, subspace_bracket(algebra, p, p).basis)
+            assert report.decomposition == (k.dim + p.dim == n == k.sum(p).dim)
+            outcomes |= {("kp", report.kp_in_p), ("pp", report.pp_in_k)}
+            outcomes.add(("decomposition", report.decomposition))
+    assert len(outcomes) == 6
+
+
+def test_check_symmetric_pair_checks_the_ambient_dimension(sl2):
+    for k, p in ((Subspace.zero(4), Subspace.zero(3)), (sl2_h(sl2), Subspace.zero(4))):
+        with pytest.raises(DimensionMismatch):
+            check_symmetric_pair(sl2, k, p)
 
 
 def test_certified_k_with_cosymplectic_point_is_symmetric():

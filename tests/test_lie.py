@@ -26,7 +26,16 @@ from lpl.linalg import (
 )
 from lpl.lie_poisson import bivector_at
 
-from conftest import algebra_catalog, bracket_table, random_vector, sl2_h
+from conftest import (
+    algebra_catalog,
+    bracket_table,
+    contains_by_rref,
+    coordinate_subspace,
+    random_subspace,
+    random_vector,
+    sl2_h,
+    subalgebra_catalog,
+)
 
 
 def test_jacobi_sl2_passes(sl2):
@@ -136,6 +145,29 @@ def test_is_subalgebra(sl2, gl2, abelian3):
     h = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert not is_subalgebra(gl2, h)
     assert is_subalgebra(abelian3, Subspace.span(3, [[1, 5, -2], [0, 1, 7]]))
+
+
+def test_is_subalgebra_matches_the_bracket_span():
+    # is_subalgebra tests each bracket of basis pairs; the oracle spans all
+    # of [u, u] and eliminates it against u.
+    rng = random.Random(31)
+    cases = list(subalgebra_catalog())
+    for algebra in algebra_catalog():
+        for _ in range(8):
+            n = algebra.dim
+            cases.append((algebra, rng.choice([random_subspace, coordinate_subspace])(rng, n)))
+    outcomes = set()
+    for algebra, u in cases:
+        closed = is_subalgebra(algebra, u)
+        assert closed == contains_by_rref(u, subspace_bracket(algebra, u, u).basis)
+        outcomes.add(closed)
+    assert outcomes == {True, False}
+
+
+def test_is_subalgebra_checks_the_ambient_dimension(sl2):
+    for u in (Subspace.zero(4), Subspace.span(4, [[1, 0, 0, 0]]), Subspace.full(2)):
+        with pytest.raises(DimensionMismatch):
+            is_subalgebra(sl2, u)
 
 
 def test_direct_sum_abelian(abelian2, abelian3):

@@ -6,6 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpl.algebroid import isotropy_algebra
+from lpl.lie import LinearMap
 from lpl.linalg import (
     DimensionMismatch,
     Subspace,
@@ -19,9 +21,17 @@ from lpl.linalg import (
     solve,
     transpose,
     vec,
+    zero_vector,
 )
+from lpl.submanifold import AffineSubspace
 
-from conftest import random_subspace, random_vector
+from conftest import (
+    algebra_catalog,
+    contains_by_rref,
+    coordinate_subspace,
+    random_subspace,
+    random_vector,
+)
 
 
 def sympy_rank(rows):
@@ -173,6 +183,56 @@ def test_lattice_ambient_mismatch():
             op(Subspace.full(2), Subspace.full(3))
 
 
+def _coords_by_solve(u, v):
+    # The coefficients as one solution of transpose(basis) c = v; the zero
+    # subspace has no basis matrix, and holds only the zero vector.
+    if u.is_zero():
+        return () if not any(v) else None
+    return solve(transpose(u.basis), v)
+
+
+def _membership_cases(rng, u):
+    """Vectors inside u, outside it, and inside but for one coordinate."""
+    n = u.ambient_dim
+    inside = zero_vector(n)
+    for b in u.basis:
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        inside = tuple(x + c * y for x, y in zip(inside, b))
+    j = rng.randrange(n)
+    nudged = tuple(x + (j == i) for i, x in enumerate(inside))
+    return [zero_vector(n), inside, nudged, random_vector(rng, n, bound=3)]
+
+
+def test_membership_matches_rref_and_solve():
+    # coords_of reads the pivots of the canonical basis; the oracles are the
+    # elimination forms it replaced.
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        u = rng.choice(
+            [Subspace.zero(n), Subspace.full(n), coordinate_subspace(rng, n)]
+            + [random_subspace(rng, n)] * 3
+        )
+        for v in _membership_cases(rng, u):
+            coords = _coords_by_solve(u, v)
+            assert u.coords_of(v) == coords
+            assert u.contains_vector(v) == contains_by_rref(u, [v]) == (coords is not None)
+            outcomes.add(coords is None)
+        inner = Subspace.span(n, _membership_cases(rng, u)[1:2])
+        for w in (inner, random_subspace(rng, n), coordinate_subspace(rng, n), Subspace.zero(n)):
+            assert u.contains(w) == contains_by_rref(u, w.basis)
+            outcomes.add(("contains", u.contains(w)))
+    assert outcomes == {True, False, ("contains", True), ("contains", False)}
+
+
+def test_membership_checks_the_vector_length():
+    for u in (Subspace.zero(3), Subspace.full(3)):
+        for method in (u.coords_of, u.contains_vector):
+            with pytest.raises(DimensionMismatch):
+                method(zero_vector(4))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_grassmann_identity(data):
@@ -221,35 +281,28 @@ def test_annihilator_involution_and_dims():
 
 
 def test_complement_of_zero_is_whole_space():
-    assert choose_complement(Subspace.zero(3), Subspace.full(3)) == Subspace.full(3)
+    assert choose_complement(Subspace.zero(3)) == Subspace.full(3)
 
 
 def test_complement_gl2_d_axis():
     u = Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    assert choose_complement(u, Subspace.full(4)) == Subspace.span(4, [[0, 0, 0, 1]])
+    assert choose_complement(u) == Subspace.span(4, [[0, 0, 0, 1]])
 
 
 def test_complement_greedy_rule():
     u = Subspace.span(2, [[1, 1]])
     # Enumerating standard vectors: e1 is independent from (1,1), so greedy
     # picks it; e1 + u is already everything.
-    assert choose_complement(u, Subspace.full(2)) == Subspace.span(2, [[1, 0]])
-
-
-def test_complement_requires_containment():
-    with pytest.raises(ValueError):
-        choose_complement(Subspace.span(2, [[1, 0]]), Subspace.span(2, [[0, 1]]))
+    assert choose_complement(u) == Subspace.span(2, [[1, 0]])
 
 
 def test_complement_is_direct():
     rng = random.Random(3)
     for _ in range(40):
         n = rng.randint(1, 6)
-        w = random_subspace(rng, n)
         u = random_subspace(rng, n)
-        u = u.intersect(w)
-        comp = choose_complement(u, w)
-        assert comp.sum(u) == w
+        comp = choose_complement(u)
+        assert comp.sum(u) == Subspace.full(n)
         assert comp.intersect(u) == Subspace.zero(n)
 
 
@@ -268,12 +321,11 @@ def test_complement_matches_rref_greedy_rule():
     kept = skipped = 0
     for _ in range(60):
         n = rng.randint(1, 7)
-        w = random_subspace(rng, n)
-        u = random_subspace(rng, n, max_dim=n - 1).intersect(w)
-        chosen = _choose_complement_by_rref(u, w)
-        assert choose_complement(u, w) == Subspace.span(n, chosen)
+        u = random_subspace(rng, n, max_dim=n - 1)
+        chosen = _choose_complement_by_rref(u, Subspace.full(n))
+        assert choose_complement(u) == Subspace.span(n, chosen)
         kept += len(chosen)
-        skipped += len(w.basis) - len(chosen)
+        skipped += n - len(chosen)
     assert kept > 20 and skipped > 20
 
 
@@ -316,3 +368,28 @@ def test_rref_is_idempotent_and_strict():
             assert all(other[p] == 0 for other in e if other is not row)
             pivots.append(p)
         assert pivots == sorted(pivots)
+
+
+def test_library_subspaces_are_in_rref():
+    # Membership reads the stored basis as canonical, so every Subspace the
+    # library builds must hold its basis in reduced row-echelon form.
+    rng = random.Random(29)
+    for algebra in algebra_catalog():
+        n = algebra.dim
+        for _ in range(3):
+            u, v = random_subspace(rng, n), coordinate_subspace(rng, n)
+            matrix = [random_vector(rng, n, bound=3) for _ in range(n)]
+            built = [
+                Subspace.span(n, [random_vector(rng, n) for _ in range(rng.randint(0, n))]),
+                Subspace.zero(n),
+                Subspace.full(n),
+                u.sum(v),
+                u.annihilator(),
+                u.intersect(v),
+                LinearMap(algebra, algebra, mat(matrix)).image(),
+                isotropy_algebra(algebra, random_vector(rng, n, bound=3)),
+                AffineSubspace(algebra, u, zero_vector(n)).direction,
+                choose_complement(u),
+            ]
+            for s in built:
+                assert rref(s.basis, n) == s.basis

@@ -171,3 +171,48 @@ def test_only_submanifold_handles_integer_points():
     assert found == []
     stray = ast.parse("from .submanifold import IntegerPoint\npts = spec.points(3)\n")
     assert [node.lineno for node in integer_point_reads(stray)] == [1, 2]
+
+
+def called_name(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def direct_subspace_calls(tree) -> list:
+    """(call, canonical) per Subspace(...) call: is its basis rref(...) or nullspace(...)?"""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and called_name(node) == "Subspace":
+            keywords = {k.arg: k.value for k in node.keywords}
+            basis = node.args[1] if len(node.args) > 1 else keywords.get("basis")
+            canonical = isinstance(basis, ast.Call) and called_name(basis) in ("rref", "nullspace")
+            calls.append((node, canonical))
+    return calls
+
+
+def test_direct_subspaces_outside_linalg_take_a_canonical_basis():
+    # Membership reads the stored basis as reduced row-echelon, so outside
+    # linalg.py a Subspace is built by span, or directly from a basis that
+    # rref or nullspace just made.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    calls = [
+        (f"{name}:{node.lineno}", canonical)
+        for name, tree in trees.items()
+        if name != "linalg.py"
+        for node, canonical in direct_subspace_calls(tree)
+    ]
+    assert calls
+    assert [where for where, canonical in calls if not canonical] == []
+    stray = ast.parse(
+        "a = Subspace(3, rref(rows, 3))\n"
+        "b = linalg.Subspace(3, nullspace(m, 3))\n"
+        "c = Subspace(3, rows)\n"
+        "d = Subspace(3, basis=solve(m, v))\n"
+        "e = Subspace(ambient_dim=3, basis=rref(rows, 3))\n"
+    )
+    assert [(node.lineno, canonical) for node, canonical in direct_subspace_calls(stray)] == [
+        (1, True),
+        (2, True),
+        (3, False),
+        (4, False),
+        (5, True),
+    ]
