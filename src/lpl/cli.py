@@ -44,6 +44,27 @@ class InputError(ValueError):
     """Malformed model or problem input."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1); argparse's own exit 2 means a refusal here."""
+
+    def error(self, message):
+        raise InputError(f"{message} (a polynomial that starts with '-' goes after '--')")
+
+
+def _json_object(data, what: str, allowed: set) -> dict:
+    """``data`` (a dict, JSON text, or bytes) as a dict; a key outside ``allowed`` is an error."""
+    if isinstance(data, (bytes, str)):
+        try:
+            data = json.loads(data)
+        except ValueError as exc:  # also an integer literal over the digit limit
+            raise InputError(f"malformed {what} JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object")
+    if unknown := sorted(set(data) - allowed):
+        raise InputError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+    return data
+
+
 def parse_rational(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
@@ -79,13 +100,7 @@ def subspace_dict(s: Subspace) -> dict:
 
 def parse_model(data) -> LieAlgebra:
     """Validated Lie algebra from a ModelFile (dict, JSON text, or bytes)."""
-    if isinstance(data, (bytes, str)):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:  # also an integer literal over the digit limit
-            raise InputError(f"malformed model JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("model must be a JSON object")
+    data = _json_object(data, "model", {"name", "dim", "basis", "brackets"})
     dim = parse_int(data, "dim", "model needs an integer 'dim'")
     if dim <= 0:
         raise InputError("model dimension must be positive")
@@ -102,6 +117,7 @@ def parse_model(data) -> LieAlgebra:
     for entry in parse_list(data, "brackets", "'brackets' must be a list", []):
         i = parse_int(entry, "i", "each bracket needs an integer 'i'")
         j = parse_int(entry, "j", "each bracket needs an integer 'j'")
+        _json_object(entry, "bracket", {"i", "j", "terms"})
         if not 0 <= i < j < dim:
             raise InputError(f"bracket indices ({i}, {j}) must satisfy 0 <= i < j < dim")
         if (i, j) in brackets:
@@ -109,6 +125,7 @@ def parse_model(data) -> LieAlgebra:
         coords = [Fraction(0)] * dim
         for term in parse_list(entry, "terms", "a bracket's 'terms' must be a list", []):
             k = parse_int(term, "k", "each term needs an integer 'k'")
+            _json_object(term, "term", {"k", "coefficient"})
             if not 0 <= k < dim:
                 raise InputError(f"term index {k} out of range")
             coords[k] += parse_rational(term.get("coefficient"))
@@ -180,13 +197,8 @@ def parse_problem(
     samples: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> Problem:
-    if isinstance(data, (bytes, str)):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:  # also an integer literal over the digit limit
-            raise InputError(f"malformed problem JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("problem must be a JSON object")
+    keys = {"model", "h_basis", "lambda", "R_basis", "samples", "seed"}
+    data = _json_object(data, "problem", keys)
     if model_override is not None:
         algebra = model_override
     else:
@@ -462,7 +474,7 @@ def _load_problem(args) -> Problem:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpl",
         description="Exact classification of affine subspaces of Lie-Poisson duals",
     )
@@ -473,8 +485,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--json", action="store_true", dest="as_json")
-    args = parser.parse_intermixed_args(argv)
     try:
+        args = parser.parse_intermixed_args(argv)
         problem = _load_problem(args)
         report = run(args.command, problem, tuple(args.polys))
     except (InputError, DimensionMismatch) as exc:

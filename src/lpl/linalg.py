@@ -110,60 +110,50 @@ def rref(rows: Iterable[Sequence], ncols: int) -> Matrix:
     """Reduced row-echelon form of rows of ``ncols`` entries; zero rows are dropped.
 
     The result is the canonical basis of the row span: pivots are 1, pivot
-    columns are cleared, pivot columns strictly increase.
+    columns are cleared, pivot columns strictly increase.  It is the integer
+    reduced form of :func:`_eliminate` divided by its last pivot.
     """
-    work = [list(vec(r)) for r in rows]
-    if any(len(r) != ncols for r in work):
-        raise DimensionMismatch("rows of unequal length")
-    pivot_row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, len(work)):
-            if work[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        work[pivot_row], work[pr] = work[pr], work[pivot_row]
-        inv = ONE / work[pivot_row][col]
-        work[pivot_row] = [inv * e if e else e for e in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b if b else a for a, b in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row])
+    reduced, d = _eliminate(_integer_rows(rows, ncols), ncols, reduce=True)
+    return tuple(tuple(Fraction(x, d) if x else ZERO for x in row) for row in reduced)
 
 
-def _integer_row(row: Vector) -> list[int]:
-    """The row times the lcm of its denominators: a row of integers."""
-    scale = lcm(*(e.denominator for e in row))
-    return [e.numerator * (scale // e.denominator) for e in row]
+def _integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
+    """Rational rows of ``ncols`` entries, each times the lcm of its denominators."""
+    scaled = []
+    for row in map(vec, rows):
+        if len(row) != ncols:
+            raise DimensionMismatch(f"row of length {len(row)} where {ncols} are expected")
+        scale = lcm(*(e.denominator for e in row))
+        scaled.append([e.numerator * (scale // e.denominator) for e in row])
+    return scaled
 
 
 def rank(rows: Iterable[Sequence], ncols: Optional[int] = None) -> int:
     """Rank of a rational matrix: each row is scaled to integers for :func:`integer_rank`."""
-    work = [vec(r) for r in rows]
+    rows = list(rows)
     if ncols is None:
-        if not work:
-            return 0
-        ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise DimensionMismatch("rows of unequal length")
-    return integer_rank([_integer_row(r) for r in work], ncols)
+        ncols = len(rows[0]) if rows else 0
+    return integer_rank(_integer_rows(rows, ncols), ncols)
 
 
 def integer_rank(rows: Iterable[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+    """Rank of an integer matrix: the pivot count of forward-only :func:`_eliminate`."""
+    return len(_eliminate(rows, ncols, reduce=False)[0])
+
+
+def _eliminate(rows: Iterable[list[int]], ncols: int, reduce: bool) -> tuple[list, int]:
+    """Fraction-free (Bareiss) elimination of integer rows: (pivot rows, last pivot).
 
     Zero rows are dropped and no ``Fraction`` is created.  After a pivot p in
     column c each row below becomes (p * row - row[c] * pivot_row) // prev,
     where prev is the previous pivot: every entry is then a minor of the
     input matrix, so the division is exact.  A column with no pivot is
     skipped; that keeps the property, as the minors are taken on the pivot
-    columns only.
+    columns only.  With ``reduce`` the rows above take the same step, which
+    clears the pivot column (Gauss-Jordan).  Such a row is prev times its
+    reduced row and becomes p times it, a minor by Cramer's rule, so that
+    division is exact too; at the end each pivot row is the last pivot
+    times its row of the reduced row-echelon form.
     """
     work = [row for row in rows if any(row)]
     found = 0
@@ -177,7 +167,8 @@ def integer_rank(rows: Iterable[list[int]], ncols: int) -> int:
         work[found], work[pr] = work[pr], work[found]
         pivot_row = work[found]
         p = pivot_row[col]
-        for r in range(found + 1, len(work)):
+        below = range(found + 1, len(work))
+        for r in [*range(found), *below] if reduce else below:
             row = work[r]
             a = row[col]
             if a:
@@ -186,7 +177,7 @@ def integer_rank(rows: Iterable[list[int]], ncols: int) -> int:
                 work[r] = [p * x // prev for x in row]
         prev = p
         found += 1
-    return found
+    return work[:found], prev
 
 
 def pivot_columns(echelon: Matrix) -> list[int]:
@@ -243,13 +234,7 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Iterable]) -> "Subspace":
-        rows = [vec(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionMismatch(
-                    f"vector of length {len(r)} in ambient dim {ambient_dim}"
-                )
-        return Subspace(ambient_dim, rref(rows, ambient_dim))
+        return Subspace(ambient_dim, rref(list(vectors), ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

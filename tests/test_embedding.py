@@ -205,6 +205,30 @@ def hand_built_extensions(rng, count=40):
     return extensions
 
 
+def test_extension_is_cosymplectic_at_its_base():
+    """dim p = rank B_h(base), which is even, and P is cosymplectic at its base.
+
+    Write V = ann(h) + sharp N*_base C, so dim V = codim h + rank B_h(base),
+    and let R complement V.  Then p = ann(ann(h) + R) has dimension
+    dim h - dim R = rank B_h(base), the rank of a skew form, which is even.
+    V meets ann(h) + R in ann(h).  Let a in p pair to zero with all of p
+    under <base, [., .]>, so that sharp_base(a) lies in ann(p) = ann(h) + R.
+    As a lies in p, inside h, sharp_base(a) also lies in V, so it lies in
+    ann(h): <base, [a, b]> = 0 for every b in h.  So a pairs to zero with
+    sharp N*_base C, with ann(h) (a lies in h) and with R (a lies in p):
+    with all of g* = V + R.  So a = 0, and the form on p is nondegenerate
+    at the base.
+    """
+    for seed in range(5):
+        for e in catalog_extensions(random.Random(seed)):
+            h, base = e.c.h, e.c.base
+            form = [[dot(base, e.algebra.bracket(a, b)) for b in h.basis] for a in h.basis]
+            assert e.p.dim == rank(form, h.dim)
+            assert e.p.dim % 2 == 0
+            report = cosymplectic_locus(e)
+            assert report.cosymplectic_at_base and not report.never_cosymplectic
+
+
 @pytest.mark.parametrize(
     # Coordinates in {-1, 0, 1} land on the degeneracy locus of P often.
     "spec", [SampleSpec(count=6, seed=5), SampleSpec(count=6, seed=2, bound=1)]

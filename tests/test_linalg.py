@@ -128,6 +128,69 @@ def test_fraction_free_rank_against_sympy():
     assert full > 20 and deficient > 100
 
 
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan elimination over Fraction: the reference for the integer core behind rref."""
+    work = [list(vec(r)) for r in rows]
+    found = 0
+    for col in range(ncols):
+        pr = next((r for r in range(found, len(work)) if work[r][col]), None)
+        if pr is None:
+            continue
+        work[found], work[pr] = work[pr], work[found]
+        inv = 1 / work[found][col]
+        work[found] = [inv * e for e in work[found]]
+        for r in range(len(work)):
+            if r != found and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[found])]
+        found += 1
+    return tuple(tuple(r) for r in work[:found])
+
+
+def sympy_rref(rows, ncols):
+    if not rows or not ncols:
+        return ()
+    reduced = sympy.Matrix([[sympy.Rational(e) for e in r] for r in rows]).rref()[0]
+    out = [tuple(Fraction(int(e.p), int(e.q)) for e in reduced.row(i)) for i in range(len(rows))]
+    return tuple(r for r in out if any(r))
+
+
+def test_rref_nullspace_and_solve_against_fraction_elimination_and_sympy():
+    # Zero rows, all-zero columns, rank-deficient wide and tall matrices,
+    # empty shapes, and entries of 3, 12 and 100 bits over mixed denominators.
+    rng = random.Random(23)
+    shapes = {"wide": 0, "tall": 0}
+    inconsistent = set()
+    cases = [([], 0), ([], 4), ([[], []], 0), ([[0, 0, 0], [0, 0, 0]], 3)]
+    for trial in range(240):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append((_rank_deficient_matrix(rng, nrows, ncols, (3, 12, 100)[trial % 3]), ncols))
+    for rows, ncols in cases:
+        expected = fraction_rref(rows, ncols)
+        assert rref(rows, ncols) == expected == sympy_rref(rows, ncols)
+        if len(expected) < min(len(rows), ncols) and len(rows) != ncols:
+            shapes["wide" if ncols > len(rows) else "tall"] += 1
+        kernel = sympy.Matrix(len(rows), ncols, [sympy.Rational(e) for r in rows for e in r])
+        basis = [[Fraction(int(e.p), int(e.q)) for e in v] for v in kernel.nullspace()]
+        assert nullspace(mat(rows), ncols) == fraction_rref(basis, ncols)
+        if not rows:
+            continue  # solve reads the number of unknowns from the first row
+        # The particular solution sets every free variable to 0, so it is unique.
+        pivots = [next(j for j, e in enumerate(r) if e) for r in expected]
+        b = random_vector(rng, len(rows), bound=6)
+        if rng.random() < 0.5:  # a right-hand side in the image
+            b = mat_vec(mat(rows), random_vector(rng, ncols, bound=6))
+        x = solve(mat(rows), b)
+        augmented = len(fraction_rref([list(r) + [e] for r, e in zip(rows, b)], ncols + 1))
+        inconsistent.add(augmented > len(expected))
+        if augmented > len(expected):
+            assert x is None
+        else:
+            assert mat_vec(mat(rows), x) == tuple(b)
+            assert all(x[j] == 0 for j in range(ncols) if j not in pivots)
+    assert shapes["wide"] > 10 and shapes["tall"] > 10 and inconsistent == {True, False}
+
+
 def test_solve_with_several_right_hand_sides():
     # solve(m, B) is one elimination of [m | B]; column j of its answer is
     # solve(m, column j of B), and one inconsistent column makes it None.
