@@ -91,7 +91,7 @@ def parse_list(data: dict, key: str, what: str, default=None) -> list:
 
 
 def vector_strs(v) -> list[str]:
-    return [str(Fraction(e)) for e in v]
+    return [str(e) for e in v]
 
 
 def subspace_dict(s: Subspace) -> dict:

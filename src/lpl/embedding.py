@@ -231,7 +231,7 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
     # the solution Y of gram Y = I holds khat_i's coordinates in the basis of
     # k; one elimination of [gram | I] gives all of them.
     gram = [[dot(u, kb) for kb in k.basis] for u in direction.basis]
-    y = solve(gram, [unit_vector(m, i) for i in range(m)])
+    y = solve(gram, k.dim, [unit_vector(m, i) for i in range(m)])
     if y is None:
         raise InvariantViolation("the pairing of k with p-ann is degenerate")
     k_columns = transpose(k.basis)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
@@ -32,6 +34,8 @@ from .linalg import (
 # structure[i] = ((j, ((k, c_ij^k), ...)), ...) over the nonzero [e_i, e_j],
 # sorted by j and then by k: one canonical form, so equal algebras compare equal.
 Structure = tuple[tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...], ...]
+# The same rows with each c_ij^k an int: the constants times their common denominator.
+IntegerStructure = tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
 
 
 class NotASubalgebra(ValueError):
@@ -86,6 +90,19 @@ class LieAlgebra:
 
     def is_abelian(self) -> bool:
         return not any(self.structure)
+
+    @cached_property
+    def integer_structure(self) -> tuple[int, IntegerStructure]:
+        """(d, rows): d is the lcm of the constants' denominators, rows is ``structure`` times d."""
+        d = lcm(*(c.denominator for row in self.structure for _, terms in row for _, c in terms))
+        rows = tuple(
+            tuple(
+                (j, tuple((k, c.numerator * (d // c.denominator)) for k, c in terms))
+                for j, terms in row
+            )
+            for row in self.structure
+        )
+        return d, rows
 
     def bracket(self, v: Iterable, w: Iterable) -> Vector:
         """sum over i, j, k of v_i w_j c_ij^k e_k."""

@@ -3,12 +3,21 @@
 Coordinates on the dual are nu_1 .. nu_n (the basis vectors viewed as linear
 functions).  The bivector entry is Pi_ij(x) = <x, [e_i, e_j]>, so the bracket
 of two coordinate functions is the linear function of [e_i, e_j].
+
+The bracket of two polynomials and the Casimir test run on integers: the
+structure constants and the coefficients of f and g are each scaled to
+integer numerators over one denominator, every term is summed as an int,
+and the bracket divides by the product of the denominators once per output
+monomial.  The Casimir test only decides whether a sum is zero, which a
+positive scaling does not change, so it keeps no denominator.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
@@ -38,8 +47,8 @@ class Polynomial:
         for expo, coeff in (terms or {}).items():
             if len(expo) != nvars:
                 raise DimensionMismatch("exponent tuple has the wrong length")
-            c = Fraction(coeff)
-            if c != 0:
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if c:
                 clean[tuple(int(e) for e in expo)] = c
         self.terms = clean
 
@@ -245,49 +254,72 @@ def _shift(expo: Exponents, l: int) -> Exponents:
     return expo[:l] + (expo[l] + 1,) + expo[l + 1 :]
 
 
+def _integer_gradient(p: Polynomial) -> tuple[int, list[list[tuple[Exponents, int]]]]:
+    """(d, grad): d is the lcm of p's denominators and grad[i] lists d * d_i p as (exponents, int).
+
+    Lowering exponent i is one-to-one on the monomials that contain nu_i, so
+    each list has distinct exponents and needs no merging.
+    """
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    grad: list[list[tuple[Exponents, int]]] = [[] for _ in range(p.nvars)]
+    for expo, c in p.terms.items():
+        c = c.numerator * (d // c.denominator)
+        for i, e in enumerate(expo):
+            if e:
+                grad[i].append((expo[:i] + (e - 1,) + expo[i + 1 :], c * e))
+    return d, grad
+
+
 def poisson_bracket_poly(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
     """{f, g} = sum_{i<j} Pi_ij(nu) (d_i f d_j g - d_j f d_i g).
 
     Pi is skew, so this is the sum of Pi_ij d_i f d_j g over the ordered pairs
-    with [e_i, e_j] != 0; every term is accumulated into one table.
+    with [e_i, e_j] != 0.  f, g and the structure constants are each scaled
+    to integers over one denominator; every term is accumulated as an int
+    into one table, and divided by the product of the three at the end.
     """
     n = algebra.dim
     if f.nvars != n or g.nvars != n:
         raise DimensionMismatch("polynomials must use the algebra's coordinates")
-    df = [f.diff(i).terms for i in range(n)]
-    dg = [g.diff(i).terms for i in range(n)]
-    out: dict[Exponents, Fraction] = {}
-    for dfi, row in zip(df, algebra.structure):
+    ds, structure = algebra.integer_structure
+    df_den, df = _integer_gradient(f)
+    dg_den, dg = _integer_gradient(g)
+    out: dict[Exponents, int] = {}
+    for dfi, row in zip(df, structure):
         if not dfi:
             continue
         for j, pi_ij in row:
-            for ea, ca in dfi.items():
-                for eb, cb in dg[j].items():
-                    expo = tuple(a + b for a, b in zip(ea, eb))
+            for ea, ca in dfi:
+                for eb, cb in dg[j]:
+                    expo = tuple(map(add, ea, eb))
                     cab = ca * cb
                     for l, c in pi_ij:
                         e = _shift(expo, l)
-                        out[e] = out.get(e, ZERO) + c * cab
-    return Polynomial(n, out)
+                        out[e] = out.get(e, 0) + c * cab
+    den = df_den * dg_den * ds
+    return Polynomial(n, {e: Fraction(v, den) for e, v in out.items() if v})
 
 
 def casimir_check(algebra: LieAlgebra, f: Polynomial) -> bool:
     """True iff {f, nu_k} = sum_i Pi_ik d_i f vanishes identically for every k.
 
     f is differentiated once; row k of the structure constants lists the
-    nonzero Pi_ki = -Pi_ik, which is enough to test for zero.
+    nonzero Pi_ki = -Pi_ik, which is enough to test for zero.  A positive
+    multiple of the sum is zero exactly when the sum is, so the test runs on
+    the integer constants and gradient and drops both denominators.
     """
     n = algebra.dim
     if f.nvars != n:
         raise DimensionMismatch("polynomials must use the algebra's coordinates")
-    df = [f.diff(i).terms for i in range(n)]
-    for row in algebra.structure:
-        out: dict[Exponents, Fraction] = {}
+    _, structure = algebra.integer_structure
+    _, df = _integer_gradient(f)
+    for row in structure:
+        out: dict[Exponents, int] = {}
         for i, pi_ki in row:
-            for expo, coeff in df[i].items():
+            for expo, coeff in df[i]:
                 for l, c in pi_ki:
                     e = _shift(expo, l)
-                    out[e] = out.get(e, ZERO) + c * coeff
+                    out[e] = out.get(e, 0) + c * coeff
         if any(out.values()):
             return False
     return True

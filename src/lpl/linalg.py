@@ -199,9 +199,10 @@ def nullspace(m: Matrix, ncols: int) -> Matrix:
     return rref(basis, ncols)
 
 
-def solve(m: Matrix, b: Sequence) -> Optional[Vector | Matrix]:
-    """One solution of m x = b, or None if inconsistent.
+def solve(m: Matrix, ncols: int, b: Sequence) -> Optional[Vector | Matrix]:
+    """One solution x in Q^ncols of m x = b, or None if inconsistent.
 
+    m has ``ncols`` columns, so a system with no rows still has its unknowns.
     b is one right-hand side (a vector), or several as the columns of a
     matrix B; then the answer is a matrix X with m X = B, from one
     elimination of [m | B], or None if any column is inconsistent.
@@ -209,7 +210,6 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector | Matrix]:
     nrows = len(m)
     if len(b) != nrows:
         raise DimensionMismatch("right-hand side length mismatch")
-    ncols = len(m[0]) if m else 0
     several = bool(b) and isinstance(b[0], (tuple, list))
     rhs = [vec(row) for row in b] if several else [(e,) for e in vec(b)]
     width = len(rhs[0]) if rhs else 1

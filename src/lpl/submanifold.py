@@ -430,7 +430,7 @@ def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> Classifi
 
 def _lift_covector(rows: list[Vector], nu: Vector, h_dim: int, n: int) -> Vector:
     rhs = tuple(nu) + zero_vector(n - h_dim)
-    lam = solve(tuple(rows), rhs)
+    lam = solve(tuple(rows), n, rhs)
     if lam is None:
         raise InvariantViolation("lifting rows do not form a basis of the algebra")
     return lam

@@ -7,7 +7,7 @@ import pytest
 
 from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
-from lpl.linalg import rref, unit_vector, vec
+from lpl.linalg import mat, rref, solve, transpose, unit_vector, vec
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
 
@@ -93,6 +93,35 @@ def algebra_catalog() -> list[LieAlgebra]:
         direct_sum(sl2, sl2),
         direct_sum(affine_line, gl2),
     ]
+
+
+def in_basis(algebra: LieAlgebra, basis) -> LieAlgebra:
+    """``algebra`` in the basis b_i = basis[i]: [b_i, b_j] in b-coordinates."""
+    n = algebra.dim
+    columns = transpose(mat(basis))
+    brackets = {
+        (i, j): solve(columns, n, algebra.bracket(basis[i], basis[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return LieAlgebra.from_brackets(n, brackets)
+
+
+# Invertible rational bases of sl2 and gl2.
+SL2_BASIS = ((Fraction(1, 2), Fraction(1, 3), 0), (0, 1, Fraction(1, 4)), (Fraction(2, 5), 0, 1))
+GL2_BASIS = (
+    (Fraction(1, 2), 0, 0, 1),
+    (0, Fraction(2, 3), Fraction(1, 7), 0),
+    (1, 0, Fraction(3, 4), 0),
+    (0, 1, 0, Fraction(-1, 5)),
+)
+
+
+def rational_catalog() -> list[LieAlgebra]:
+    """Algebras whose structure constants are not all integers."""
+    sl2 = in_basis(load_model("sl2.json"), SL2_BASIS)
+    gl2 = in_basis(load_model("gl2.json"), GL2_BASIS)
+    return [sl2, gl2, direct_sum(sl2, sl2, sign=-1), direct_sum(gl2, load_model("heisenberg.json"))]
 
 
 def subalgebra_catalog() -> list[tuple[LieAlgebra, Subspace]]:

@@ -344,7 +344,7 @@ def test_main_refuses_failed_extension_self_check(capsys, monkeypatch):
 
 
 def test_main_reports_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(embedding, "solve", lambda m, b: None)
+    monkeypatch.setattr(embedding, "solve", lambda m, ncols, b: None)
     assert main(["pair", "--problem", "gl2_prepoisson.json"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal error:")

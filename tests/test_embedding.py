@@ -480,7 +480,7 @@ def reference_coisotropy(e, sampling):
         ok = True
         for w in e.c.h.basis:
             rhs = tuple(-dot(e.algebra.coad_apply(v, x), w) for v in e.p.basis)
-            coeffs = solve(form, rhs) if e.p.basis else ()
+            coeffs = solve(form, e.p.dim, rhs)
             corrected = w
             for cfc, pb in zip(coeffs, e.p.basis):
                 corrected = vadd(corrected, vscale(cfc, pb))

@@ -11,9 +11,18 @@ from lpl.lie_poisson import (
     parse_polynomial,
     poisson_bracket_poly,
 )
-from lpl.linalg import DimensionMismatch, mat, rank, vec
+from lpl.lie import LieAlgebra
+from lpl.linalg import DimensionMismatch, mat, rank, solve, unit_vector, vec
 
-from conftest import algebra_catalog, bracket_table, random_vector
+from conftest import (
+    GL2_BASIS,
+    SL2_BASIS,
+    algebra_catalog,
+    bracket_table,
+    in_basis,
+    random_vector,
+    rational_catalog,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +320,11 @@ def pairwise_casimir(table, f):
 
 def test_bracket_and_casimir_match_pairwise_formulas():
     rng = random.Random(71)
-    catalog = algebra_catalog()
+    rational = rational_catalog()
+    # The kernels scale the constants to integers over their lcm: these
+    # algebras test that the denominator comes back.
+    assert all(algebra.integer_structure[0] > 1 for algebra in rational)
+    catalog = algebra_catalog() + rational
     tables = [bracket_table(algebra) for algebra in catalog]
     casimirs = 0
     for trial in range(120):
@@ -330,3 +343,104 @@ def test_bracket_and_casimir_match_pairwise_formulas():
             assert casimir_check(algebra, candidate) == expected
             casimirs += expected
     assert casimirs > 100
+
+
+def _substitute(f, rows):
+    """f(nu) with nu_i replaced by the linear form rows[i]."""
+    n = len(rows[0])
+    forms = [Polynomial.linear(row) for row in rows]
+    out = Polynomial.zero(n)
+    for expo, c in f.terms.items():
+        term = Polynomial.constant(n, c)
+        for form, e in zip(forms, expo):
+            for _ in range(e):
+                term = term * form
+        out = out + term
+    return out
+
+
+def test_casimirs_survive_a_rational_change_of_basis(sl2, gl2):
+    # In the basis b_i = sum_j B_ij e_j the coordinates are nu' = B nu, so a
+    # Casimir F becomes F(B^-1 nu'): rational coefficients against rational
+    # structure constants.
+    cases = [
+        (sl2, SL2_BASIS, ["nu1^2 + nu2^2 - nu3^2"]),
+        (gl2, GL2_BASIS, ["nu1 + nu4", "nu1^2 + 2*nu2*nu3 + nu4^2"]),
+    ]
+    rng = random.Random(73)
+    for algebra, basis, casimirs in cases:
+        moved = in_basis(algebra, basis)
+        n = algebra.dim
+        inverse = solve(mat(basis), n, [unit_vector(n, i) for i in range(n)])
+        table = bracket_table(moved)
+        for text in casimirs:
+            f = parse_polynomial(text, n)
+            assert casimir_check(algebra, f)
+            g = _substitute(f, inverse)
+            assert any(c.denominator > 1 for c in g.terms.values())
+            assert casimir_check(moved, g) and pairwise_casimir(table, g)
+            # Adding a coordinate, which brackets to nonzero, breaks it.
+            assert not casimir_check(moved, g + Polynomial.variable(n, 1))
+            h, k = _random_poly(rng, n), _random_poly(rng, n) + Polynomial.variable(n, 0)
+            assert poisson_bracket_poly(moved, g, h).is_zero()
+            got = poisson_bracket_poly(moved, g * g + h, k)
+            assert got == pairwise_bracket(table, g * g + h, k) and not got.is_zero()
+
+
+def gl(n):
+    """gl_n in the basis E_rc, row-major: [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
+    index = {(r, c): r * n + c for r in range(n) for c in range(n)}
+    brackets = {}
+    for (a, b), i in index.items():
+        for (c, d), j in index.items():
+            if i < j:
+                v = [0] * (n * n)
+                if b == c:
+                    v[index[a, d]] += 1
+                if d == a:
+                    v[index[c, b]] -= 1
+                brackets[i, j] = v
+    return LieAlgebra.from_brackets(n * n, brackets)
+
+
+def trace_power(n, k):
+    """tr X^k for X_rc = nu(E_rc); the trace form makes it coadjoint-invariant."""
+    zero = Polynomial.zero(n * n)
+    x = [[Polynomial.variable(n * n, r * n + c) for c in range(n)] for r in range(n)]
+    power = x
+    for _ in range(k - 1):
+        power = [
+            [sum((power[r][m] * x[m][c] for m in range(n)), zero) for c in range(n)]
+            for r in range(n)
+        ]
+    return sum((power[i][i] for i in range(n)), zero)
+
+
+def _random_quadratic(rng, nvars):
+    """Four monomials of degree 2 with rational coefficients."""
+    q = Polynomial.zero(nvars)
+    while len(q.terms) < 4:
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 4))
+        q = q + Polynomial.variable(nvars, rng.randrange(nvars)) * Polynomial.variable(
+            nvars, rng.randrange(nvars)
+        ).scale(c)
+    return q
+
+
+def test_gl3_trace_powers_are_casimirs():
+    # The shape of the benchmark's casimir and bracket operations, on gl3.
+    algebra = gl(3)
+    table = bracket_table(algebra)
+    rng = random.Random(79)
+    for k in (2, 3, 4):
+        f = trace_power(3, k)
+        assert f.degree() == k
+        assert casimir_check(algebra, f)
+        assert not casimir_check(algebra, f + Polynomial.variable(9, 1))
+        q, r = _random_quadratic(rng, 9), _random_quadratic(rng, 9)
+        assert poisson_bracket_poly(algebra, f, q) == pairwise_bracket(table, f, q)
+        assert poisson_bracket_poly(algebra, f, q).is_zero()
+        # {f + r, q} = {r, q}, which is not zero.
+        got = poisson_bracket_poly(algebra, f + r, q)
+        assert got == pairwise_bracket(table, f + r, q) == poisson_bracket_poly(algebra, r, q)
+        assert not got.is_zero()

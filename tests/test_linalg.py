@@ -173,19 +173,18 @@ def test_rref_nullspace_and_solve_against_fraction_elimination_and_sympy():
         kernel = sympy.Matrix(len(rows), ncols, [sympy.Rational(e) for r in rows for e in r])
         basis = [[Fraction(int(e.p), int(e.q)) for e in v] for v in kernel.nullspace()]
         assert nullspace(mat(rows), ncols) == fraction_rref(basis, ncols)
-        if not rows:
-            continue  # solve reads the number of unknowns from the first row
         # The particular solution sets every free variable to 0, so it is unique.
         pivots = [next(j for j, e in enumerate(r) if e) for r in expected]
         b = random_vector(rng, len(rows), bound=6)
         if rng.random() < 0.5:  # a right-hand side in the image
             b = mat_vec(mat(rows), random_vector(rng, ncols, bound=6))
-        x = solve(mat(rows), b)
+        x = solve(mat(rows), ncols, b)
         augmented = len(fraction_rref([list(r) + [e] for r, e in zip(rows, b)], ncols + 1))
         inconsistent.add(augmented > len(expected))
         if augmented > len(expected):
             assert x is None
         else:
+            assert len(x) == ncols
             assert mat_vec(mat(rows), x) == tuple(b)
             assert all(x[j] == 0 for j in range(ncols) if j not in pivots)
     assert shapes["wide"] > 10 and shapes["tall"] > 10 and inconsistent == {True, False}
@@ -204,8 +203,8 @@ def test_solve_with_several_right_hand_sides():
             b = [tuple(dot(row, col) for col in transpose(mat(y))) for row in m]
         else:
             b = [random_vector(rng, width, bound=6) for _ in range(nrows)]
-        x = solve(m, b)
-        columns = tuple(solve(m, column) for column in transpose(mat(b)))
+        x = solve(m, ncols, b)
+        columns = tuple(solve(m, ncols, column) for column in transpose(mat(b)))
         if None in columns:
             assert x is None
         else:
@@ -251,7 +250,7 @@ def _coords_by_solve(u, v):
     # subspace has no basis matrix, and holds only the zero vector.
     if u.is_zero():
         return () if not any(v) else None
-    return solve(transpose(u.basis), v)
+    return solve(transpose(u.basis), u.dim, v)
 
 
 def _membership_cases(rng, u):
