@@ -1,0 +1,8 @@
+"""``python -m lpl``: the ``lpl`` command without an install."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,11 @@ Vectors and matrices are immutable tuples of ``fractions.Fraction``; a
 :class:`Subspace` is stored through its reduced row-echelon basis, which is a
 canonical representative, so value equality of subspaces is plain ``==``.
 No floating point is used anywhere.
+
+Two fraction-free integer kernels do the eliminations: the Bareiss loop
+:func:`_eliminate`, behind ``integer_rank``, ``rank``, ``rref``, ``nullspace``
+and ``solve``, and the 2 x 2-pivot Pfaffian loop :func:`_skew_eliminate`,
+behind ``skew_rank``, which ranks a skew matrix from its upper triangle.
 """
 
 from __future__ import annotations
@@ -178,6 +183,70 @@ def _eliminate(rows: Iterable[list[int]], ncols: int, reduce: bool) -> tuple[lis
         prev = p
         found += 1
     return work[:found], prev
+
+
+def skew_rank(upper: Sequence[Sequence[int]], m: int) -> int:
+    """Rank of an integer skew m x m matrix from its strict upper triangle.
+
+    ``upper[k]`` holds the entries (k, l) for l > k.  A skew rank is even:
+    twice the number of 2 x 2 pivots of :func:`_skew_eliminate`.
+    """
+    if len(upper) != m:
+        raise DimensionMismatch(f"{len(upper)} rows of an upper triangle where {m} are expected")
+    return 2 * _skew_eliminate(upper)[0]
+
+
+def _skew_eliminate(upper: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free congruence elimination with 2 x 2 pivots: (pivot count, last pivot).
+
+    The pivot is the first nonzero p = x_ij, i < j, of the upper triangle.
+    Every remaining pair k < l becomes (p x_kl - x_ki x_lj + x_kj x_li) // prev,
+    with x_ki = -x_ik, and rows and columns i and j are dropped; prev is the
+    previous pivot.  After s pivots, entry (k, l) is the Pfaffian of the
+    principal submatrix on the 2s pivot indices, in pivot order, then k and l,
+    so the division is exact by the Pfaffian form of Sylvester's identity
+    (Knuth, Overlapping Pfaffians, 1996).  Rows above the pivot row are zero
+    and stay zero, so they are dropped too.  At full rank the last pivot is
+    the Pfaffian up to sign.
+    """
+    rows = upper  # never changed in place: each step builds new rows
+    found = 0
+    prev = 1
+    while True:
+        for i, pivot_row in enumerate(rows):
+            if any(pivot_row):
+                break
+        else:
+            return found, prev
+        for jj, p in enumerate(pivot_row):
+            if p:
+                break
+        j = i + 1 + jj
+        # Columns i and j on the remaining indices k: x_ki = -x_ik, and x_kj
+        # is read above the diagonal for k < j and below it for k > j.
+        col_i = [-e for e in pivot_row]
+        del col_i[jj]
+        col_j = []
+        work = []
+        for k in range(i + 1, j):
+            row = rows[k]
+            at_j = j - k - 1
+            col_j.append(row[at_j])
+            work.append(row[:at_j] + row[at_j + 1 :])
+        col_j += [-e for e in rows[j]]
+        work += rows[j + 1 :]
+        for a, row in enumerate(work):
+            u, v = col_i[a], col_j[a]
+            if u or v:
+                work[a] = [
+                    (p * x - u * y + v * z) // prev
+                    for x, y, z in zip(row, col_j[a + 1 :], col_i[a + 1 :])
+                ]
+            elif p != prev:
+                work[a] = [p * x // prev for x in row]
+        rows = work
+        prev = p
+        found += 1
 
 
 def pivot_columns(echelon: Matrix) -> list[int]:

@@ -36,6 +36,7 @@ from .linalg import (
     dot,
     integer_rank,
     rank,
+    skew_rank,
     solve,
     unit_vector,
     vec,
@@ -204,7 +205,7 @@ def is_coisotropic(c: AffineSubspace) -> CoisotropyResult:
     Entry (a, b) of some B_i is nonzero iff [h_a, h_b] escapes h.
     """
     form, basis, m = c.form, c.h.basis, c.h.dim
-    escaping = [k for terms in form.directions for k, _ in terms if k // m < k % m]
+    escaping = [k for terms in form.directions for k, _ in terms]
     if escaping:
         u, v = (basis[i] for i in divmod(min(escaping), m))
         return CoisotropyResult(False, ("bracket_escapes", u, v, c.algebra.bracket(u, v)))
@@ -227,14 +228,16 @@ class PrePoissonVerdict:
 class SkewPencil:
     """The form <x, [v_a, w_b]> at x = base + sum_i t_i u_i, as B0 + sum_i t_i B_i.
 
-    Rows v and columns w; with no column basis w = v and the form is skew.
-    All entries are multiplied by the common denominator D, so they are
-    integers: ``base`` is D B0 row by row, and ``directions[i]`` holds the
-    (row-major index, value) pairs of the nonzero entries of D B_i.
+    Rows v and columns w; with no column basis w = v and the form is skew
+    (``skew``).  All entries are multiplied by the common denominator D, so
+    they are integers: ``base`` is D B0 row by row, and ``directions[i]``
+    holds the (row-major index, value) pairs of the nonzero entries of D B_i.
+    A skew pencil stores its strict upper triangle only, entries a < b.
     """
 
     nrows: int
     ncols: int
+    skew: bool
     denominator: int
     base: tuple[int, ...]
     directions: tuple[tuple[tuple[int, int], ...], ...]
@@ -244,23 +247,27 @@ class SkewPencil:
         """True iff no B_i has a nonzero entry: the form is B0 at every point."""
         return not any(self.directions)
 
-    def _rows(self, flat: list) -> list[list]:
-        c = self.ncols
-        return [flat[r * c : (r + 1) * c] for r in range(self.nrows)]
-
     def at(self, t: Sequence[Fraction]) -> Matrix:
-        """The form at the point with rational direction coordinates t."""
+        """The form at the point with rational direction coordinates t, every entry filled in."""
         values = [Fraction(b) for b in self.base]
         for ti, terms in zip(t, self.directions):
             if ti:
                 for k, b in terms:
                     values[k] += ti * b
-        return tuple(tuple(e / self.denominator for e in row) for row in self._rows(values))
+        c = self.ncols
+        if self.skew:
+            for a in range(c):
+                for b in range(a + 1, c):
+                    values[b * c + a] = -values[a * c + b]
+        return tuple(
+            tuple(e / self.denominator for e in values[r * c : (r + 1) * c]) for r in range(self.nrows)
+        )
 
     def rank_at(self, point: IntegerPoint) -> int:
         """The rank at t = n / L, from L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i).
 
         That matrix has integer entries, and L D > 0 does not change the rank.
+        A skew pencil is ranked from its upper triangle by ``skew_rank``.
         """
         scale, numerators = point
         flat = [scale * b for b in self.base] if scale != 1 else list(self.base)
@@ -268,7 +275,10 @@ class SkewPencil:
             if n:
                 for k, b in terms:
                     flat[k] += n * b
-        return integer_rank(self._rows(flat), self.ncols)
+        c = self.ncols
+        if self.skew:
+            return skew_rank([flat[r * c + r + 1 : (r + 1) * c] for r in range(c)], c)
+        return integer_rank([flat[r * c : (r + 1) * c] for r in range(self.nrows)], c)
 
 
 def _pencil(
@@ -304,14 +314,12 @@ def _pencil(
         for i, e in enumerate(pairings):
             if e:
                 terms[i].append((a * ncols + b, e))
-                if skew:  # stored at (a, b) and, negated, at (b, a)
-                    terms[i].append((b * ncols + a, -e))
     d = lcm(*(e.denominator for row in terms for _, e in row))
     scaled = [tuple((k, e.numerator * (d // e.denominator)) for k, e in row) for row in terms]
     base = [0] * (nrows * ncols)
     for k, e in scaled[0]:
         base[k] = e
-    return SkewPencil(nrows, ncols, d, tuple(base), tuple(scaled[1:]))
+    return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
 
 
 def _support(v: Vector) -> list[tuple[int, Fraction]]:
@@ -408,11 +416,19 @@ class ClassificationReport:
 
 
 def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> ClassificationReport:
-    """All four classes, and ``pointwise_flags`` at the base with B_h(base) from the form."""
+    """All four classes, and ``pointwise_flags`` at the base.
+
+    The verdict's rank at the base is codim h + rank B_h(base), so the rank of
+    the form at the base is read from it, not ranked again.
+    """
     coiso = is_coisotropic(c)
     pp = pre_poisson_check(c, sampling)
-    generic = pp.rank if pp.rank is not None else max(r for _, r in pp.counterexample)
-    form_rank = c.form.rank_at(IntegerPoint.origin(c.direction.dim))
+    if pp.rank is not None:
+        generic = base_rank = pp.rank
+    else:
+        generic = max(r for _, r in pp.counterexample)
+        base_rank = pp.counterexample[0][1]
+    form_rank = base_rank - c.direction.dim
     s = [c.algebra.coad_apply(v, c.base) for v in c.h.basis]
     char_rank = rank(s, c.algebra.dim) - form_rank
     return ClassificationReport(

@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +255,18 @@ def test_main_validate_ok(capsys):
     assert main(["validate", "--model", "sl2.json"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "jacobi_ok: True" in out
+
+
+def test_python_m_lpl_runs_from_a_checkout():
+    # `python -m lpl` is the lpl command without an install: src on the path.
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "lpl", "validate", "--model", "sl2.json", "--json"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["jacobi_ok"] is True
 
 
 def test_main_input_error(capsys):

@@ -11,13 +11,16 @@ from lpl.lie import LinearMap
 from lpl.linalg import (
     DimensionMismatch,
     Subspace,
+    _skew_eliminate,
     choose_complement,
     dot,
+    integer_rank,
     mat,
     mat_vec,
     nullspace,
     rank,
     rref,
+    skew_rank,
     solve,
     transpose,
     vec,
@@ -212,6 +215,57 @@ def test_solve_with_several_right_hand_sides():
             assert all(mat_vec(m, column) == bj for column, bj in zip(columns, transpose(mat(b))))
         outcomes.add(x is None)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# skew rank
+
+
+def _skew_of_rank_at_most(x, r):
+    """X J X^T for the m x 2r matrix X and J = diag of r blocks [[0, 1], [-1, 0]]."""
+    m = len(x)
+    return [
+        [sum(x[a][2 * q] * x[b][2 * q + 1] - x[a][2 * q + 1] * x[b][2 * q] for q in range(r))
+         for b in range(m)]
+        for a in range(m)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_skew_rank_matches_sympy_and_bareiss(data):
+    # X J X^T has rank 2r when X has full column rank, less otherwise: m from
+    # 0 to 10 (odd m and m = 1 included), r = 0 gives the zero matrix, and
+    # the entries of X mix small integers with ones of up to 10^12.
+    m = data.draw(st.integers(0, 10))
+    r = data.draw(st.integers(0, m // 2))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
+    x = data.draw(st.lists(st.lists(entry, min_size=2 * r, max_size=2 * r), min_size=m, max_size=m))
+    a = _skew_of_rank_at_most(x, r)
+    upper = [row[k + 1 :] for k, row in enumerate(a)]
+    expected = sympy.Matrix(m, m, lambda i, j: a[i][j]).rank() if m else 0
+    pivots, last = _skew_eliminate(upper)
+    assert skew_rank(upper, m) == 2 * pivots == integer_rank(a, m) == expected <= 2 * r
+    if m and 2 * pivots == m:  # nonsingular: the last pivot is +-Pf, and Pf^2 = det
+        assert last**2 == sympy.Matrix(a).det()
+
+
+def test_skew_elimination_on_small_cases():
+    assert skew_rank([], 0) == 0 and skew_rank([[]], 1) == 0
+    assert skew_rank([[0, 0], [0], []], 3) == 0
+    assert skew_rank([[0, 5], [0], []], 3) == 2
+    with pytest.raises(DimensionMismatch):
+        skew_rank([[1], []], 3)
+    # With the pivot at (0, 1) the 4 x 4 Pfaffian keeps its sign:
+    # Pf = x01 x23 - x02 x13 + x03 x12.
+    rng = random.Random(3)
+    for _ in range(50):
+        x01, x02, x03, x12, x13, x23 = (rng.randint(-9, 9) for _ in range(6))
+        x01 = x01 or 1
+        pf = x01 * x23 - x02 * x13 + x03 * x12
+        assert _skew_eliminate([[x01, x02, x03], [x12, x13], [x23], []]) == (
+            (2, pf) if pf else (1, x01)
+        )
 
 
 # ---------------------------------------------------------------------------

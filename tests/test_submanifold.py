@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpl import submanifold
 from lpl.algebroid import transversal_orbit_report
 from lpl.lie import (
     LinearMap,
@@ -410,6 +411,29 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
     assert max(seen_denominators) > 9 and {0, 2, 4} <= seen_ranks
 
 
+def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypatch):
+    # A skew pencil keeps only its entries a < b and is ranked by skew_rank;
+    # the rectangular pencil alone goes through integer_rank.
+    rng = random.Random(53)
+    monkeypatch.setattr(submanifold, "integer_rank", None)
+    for algebra in algebra_catalog():
+        n = algebra.dim
+        c = AffineSubspace(algebra, random_subspace(rng, n), random_vector(rng, n, bound=5))
+        point = IntegerPoint(3, tuple(rng.randint(-5, 5) for _ in range(c.direction.dim)))
+        t = tuple(Fraction(e, 3) for e in point.numerators)
+        for pencil in (c.form, bivector_pencil(c)):
+            m = pencil.ncols
+            assert pencil.skew and pencil.nrows == m
+            stored = [k for k, e in enumerate(pencil.base) if e]
+            stored += [k for terms in pencil.directions for k, _ in terms]
+            assert all(k // m < k % m for k in stored)
+            assert pencil.rank_at(point) == rank(pencil.at(t), m)
+        rectangular = skew_pencil(c, c.h.basis, c.direction.basis)
+        assert not rectangular.skew
+        with pytest.raises(TypeError):
+            rectangular.rank_at(point)
+
+
 CATALOG = algebra_catalog()
 
 
@@ -525,9 +549,10 @@ def test_flags_match_subspace_intersection(sl2):
 
 
 def test_classify_flags_are_pointwise_flags_at_the_base(sl2):
-    # classify reads rank B_h(base) from the form and takes one rank of the
-    # rows coad_{h_a}(base); pointwise_flags computes both in Fractions.
-    seen = set()
+    # classify reads rank B_h(base) from the pre-Poisson verdict's base rank
+    # and takes one rank of the rows coad_{h_a}(base); pointwise_flags
+    # computes both in Fractions.  All three verdict kinds occur.
+    seen, kinds = set(), set()
     for c, seed in flag_inputs(sl2):
         report = classify(c, SampleSpec(count=2, seed=seed))
         flags = PointwiseFlags(
@@ -537,7 +562,9 @@ def test_classify_flags_are_pointwise_flags_at_the_base(sl2):
         )
         assert flags == pointwise_flags(c, c.base)
         seen.add((flags.characteristic_rank, flags.cosymplectic))
+        kinds.add(report.pre_poisson.kind)
     assert seen == {(0, False), (0, True), (1, False), (2, False)}
+    assert kinds == {CERTIFIED_CONSTANT, SAMPLED_CONSTANT, NOT_CONSTANT}
 
 
 def test_classify_reports(sl2, gl2):
