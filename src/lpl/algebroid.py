@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
-from .linalg import Subspace, Vector, mat_vec, nullspace, transpose, vec, zero_vector
+from .linalg import Subspace, Vector, mat_vec, nullspace, transpose, vec
 from .lie_poisson import bivector_at
 from .submanifold import AffineSubspace, SampleSpec, bivector_pencil, skew_pencil
 
@@ -20,17 +20,19 @@ def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
     """d = h intersected with {v : <base, [v, w]> = 0 for all w in h}.
 
     This is the fiber of the subalgebroid attached to C; requires h to be a
-    subalgebra, read as the form on h being constant along C.  Also reports
-    whether d is itself a subalgebra.
+    subalgebra, read as the form on h being constant along C.  Its
+    coordinates in h are the kernel of B_h(base), ranked on the integer rows
+    ``base_rows`` of that pencil.  Also reports whether d is itself a
+    subalgebra.
     """
     algebra, h = c.algebra, c.h
     if not c.form.constant:
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
     # <base, [v, w]> = 0 for all w in h, on v = sum_i c_i h_i: c is in the
-    # kernel of the skew form on h at the base, the pencil along C at t = 0.
-    form = c.form.at(zero_vector(c.direction.dim))
+    # kernel of B_h(base), which D B0 of the pencil along C shares.
     h_columns = transpose(h.basis)
-    d = Subspace.span(algebra.dim, [mat_vec(h_columns, cf) for cf in nullspace(form, h.dim)])
+    kernel = nullspace(c.form.base_rows(), h.dim)
+    d = Subspace.span(algebra.dim, [mat_vec(h_columns, cf) for cf in kernel])
     return d, is_subalgebra(algebra, d)
 
 

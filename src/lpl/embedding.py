@@ -77,18 +77,15 @@ def extend(
 
     Refuses when the pre-Poisson verdict is NOT_CONSTANT, and when C is not
     coisotropic in P: where the form on p is nonsingular, at the base and 8
-    sampled points of C (the base alone when C is a point), the form on p
-    then h must have rank dim p.
+    sampled points of C (the base alone when C is a point), B_h must have
+    rank dim p.
     """
     verdict = pre_poisson_check(c, sampling)
     if verdict.kind == NOT_CONSTANT:
         raise RankNotConstant(
             f"rank differs between sampled points: {verdict.counterexample}"
         )
-    # T_base C + sharp N*_base C; a certified verdict has already built it.
-    span = verdict.space
-    if span is None:
-        span = c.direction.sum(sharp_conormal_at(c, c.base))
+    span = c.span_at_base
     if r is None:
         r = choose_complement(span)
     else:
@@ -166,8 +163,7 @@ def constant_sharp_conormal(e: Extension) -> ConstancyResult:
     v of p and each direction generator u; failure of one containment is a
     direction along which the space genuinely moves.
     """
-    base_images = [e.algebra.coad_apply(v, e.p_tilde.base) for v in e.p.basis]
-    k_ann = Subspace.span(e.algebra.dim, base_images)
+    k_ann = sharp_conormal_at(e.p_tilde, e.p_tilde.base)
     for v in e.p.basis:
         for u in e.p_tilde.direction.basis:
             image = e.algebra.coad_apply(v, u)
@@ -255,22 +251,27 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
 def coisotropy_in_extension(
     e: Extension, sampling: SampleSpec = SampleSpec()
 ) -> list[tuple[Vector, bool]]:
-    """Verify C coisotropic in P at cosymplectic sample points of C.
+    """Verify C coisotropic in P: rank B_h(x) = dim p wherever B_p(x) is nonsingular.
 
-    At such a point the sharp map of P applied to a conormal direction w of C
-    is coad of the unique extension w + q (q in p) whose differential kills
-    sharp N*_x P; membership of the result in TC = ann(h) is the coisotropy
-    claim.  With F the form <x, [., .]> on the basis p then h, that holds
-    for every w iff the Schur complement F_hh - F_hp F_pp^-1 F_ph vanishes.
-    Where F_pp is nonsingular, rank F = dim p + rank of that complement, so
-    the claim is rank F = dim p: two ranks of two pencils along C per point.
-    The points are the base and the samples; a C of dimension 0 is its base.
+    The points x are the base and the samples of C; a C of dimension 0 is
+    its base.  Requires p inside h, which every extension of C satisfies.
+
+    Where B_p(x) is nonsingular, the sharp map of P applied to a conormal
+    direction w of C is coad of the unique extension w + q (q in p) whose
+    differential kills sharp N*_x P; membership of the result in TC = ann(h)
+    is the coisotropy claim.  With F the form <x, [., .]> on the basis p
+    then h, so F_pp = B_p(x), that holds for every w iff the Schur complement
+    F_hh - F_hp F_pp^-1 F_ph vanishes, and rank F = dim p + rank of that
+    complement.  As p lies in h, F is B_h(x) seen through a matrix of full
+    column rank, so rank F = rank B_h(x): the claim is read off the pencil
+    ``e.c.form`` that C already holds.
     """
+    if not e.c.h.contains(e.p):
+        raise ValueError("the conormal p of P must lie in the conormal h of C")
     n_p = e.p.dim
     form_p = skew_pencil(e.c, e.p.basis)
-    form_ph = skew_pencil(e.c, e.p.basis + e.c.h.basis)
     return [
-        (e.c.point_at(t), form_ph.rank_at(t) == n_p)
+        (e.c.point_at(t), e.c.form.rank_at(t) == n_p)
         for t in e.c.walk(sampling)[0]
         if form_p.rank_at(t) == n_p
     ]

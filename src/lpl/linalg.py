@@ -74,10 +74,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def is_zero_vector(v: Vector) -> bool:
-    return all(e == 0 for e in v)
-
-
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
     if len(x) != len(y):
         raise DimensionMismatch(f"dot of lengths {len(x)} and {len(y)}")
@@ -316,9 +312,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def is_zero(self) -> bool:
-        return not self.basis
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -25,11 +25,11 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
+from .lie_poisson import bivector_at
 from .linalg import (
     ZERO,
     DimensionMismatch,
     InvariantViolation,
-    Matrix,
     Subspace,
     Vector,
     choose_complement,
@@ -164,6 +164,11 @@ class AffineSubspace:
         return tuple(b + Fraction(s, d) if s else b for b, s in zip(self.base, shift))
 
     @cached_property
+    def span_at_base(self) -> Subspace:
+        """T_base C + sharp N*_base C: ann(h) plus the coad_v(base) over v in h."""
+        return self.direction.sum(sharp_conormal_at(self, self.base))
+
+    @cached_property
     def form(self) -> "SkewPencil":
         """B_h(x) = <x, [h_a, h_b]> along C, as a pencil over the direction basis."""
         return skew_pencil(self, self.h.basis)
@@ -233,6 +238,8 @@ class SkewPencil:
     they are integers: ``base`` is D B0 row by row, and ``directions[i]``
     holds the (row-major index, value) pairs of the nonzero entries of D B_i.
     A skew pencil stores its strict upper triangle only, entries a < b.
+    It is read in integers only: ranked by ``rank_at`` at a point, and
+    written out in full at the base by ``base_rows``.
     """
 
     nrows: int
@@ -247,21 +254,15 @@ class SkewPencil:
         """True iff no B_i has a nonzero entry: the form is B0 at every point."""
         return not any(self.directions)
 
-    def at(self, t: Sequence[Fraction]) -> Matrix:
-        """The form at the point with rational direction coordinates t, every entry filled in."""
-        values = [Fraction(b) for b in self.base]
-        for ti, terms in zip(t, self.directions):
-            if ti:
-                for k, b in terms:
-                    values[k] += ti * b
+    def base_rows(self) -> list[list[int]]:
+        """D B0, the form at the base times D, as integer rows with every entry filled in."""
         c = self.ncols
+        rows = [list(self.base[r * c : (r + 1) * c]) for r in range(self.nrows)]
         if self.skew:
             for a in range(c):
                 for b in range(a + 1, c):
-                    values[b * c + a] = -values[a * c + b]
-        return tuple(
-            tuple(e / self.denominator for e in values[r * c : (r + 1) * c]) for r in range(self.nrows)
-        )
+                    rows[b][a] = -rows[a][b]
+        return rows
 
     def rank_at(self, point: IntegerPoint) -> int:
         """The rank at t = n / L, from L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i).
@@ -366,7 +367,7 @@ def pre_poisson_check(
     """
     pencil = c.form
     if pencil.constant:
-        space = c.direction.sum(sharp_conormal_at(c, c.base))
+        space = c.span_at_base
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=space.dim, space=space)
     codim = c.direction.dim
     (origin, *samples), sampling = c.walk(sampling)
@@ -491,11 +492,9 @@ def preimage_construction(
     c = AffineSubspace(algebra, h, lam)
     if not with_slice:
         return c, None
-    sub = restricted_algebra(algebra, h)
-    orbit_tangent = Subspace.span(
-        h.dim, [sub.coad_apply(unit_vector(h.dim, i), nu_v) for i in range(h.dim)]
-    )
-    slice_dir = choose_complement(orbit_tangent)
+    # Pi(nu) of the subalgebra is skew, so its rows span the orbit tangent at nu.
+    tangent = Subspace.span(h.dim, bivector_at(restricted_algebra(algebra, h), nu_v))
+    slice_dir = choose_complement(tangent)
     lifted = [_lift_covector(rows, mu, h.dim, n) for mu in slice_dir.basis]
     direction = c.direction.sum(Subspace.span(n, lifted))
     p_tilde = AffineSubspace(algebra, direction.annihilator(), lam)

@@ -70,6 +70,27 @@ def coordinate_subspace(rng: random.Random, n: int) -> Subspace:
     return Subspace.span(n, [unit_vector(n, i) for i in range(n) if rng.random() < 0.5])
 
 
+def pencil_at(pencil, t):
+    """The pencil's form at rational direction coordinates t, in Fractions, every entry filled in.
+
+    The reference for the integer ranks: (D B0 + sum_i t_i D B_i) / D, with
+    a skew pencil's lower triangle read off its upper one.
+    """
+    values = [Fraction(b) for b in pencil.base]
+    for ti, terms in zip(t, pencil.directions):
+        for k, b in terms:
+            values[k] += ti * b
+    c = pencil.ncols
+    if pencil.skew:
+        for a in range(c):
+            for b in range(a + 1, c):
+                values[b * c + a] = -values[a * c + b]
+    return tuple(
+        tuple(e / pencil.denominator for e in values[r * c : (r + 1) * c])
+        for r in range(pencil.nrows)
+    )
+
+
 def contains_by_rref(u: Subspace, vectors) -> bool:
     """Membership by elimination: the vectors lie in u iff adding them keeps the rank."""
     return len(rref(list(u.basis) + [vec(v) for v in vectors], u.ambient_dim)) == u.dim

@@ -214,6 +214,8 @@ def test_report_matches_subspace_formulas():
         assert report.transversal == transversal
         if is_subalgebra(algebra, h):
             assert report.d == subspace_fiber_d(c)
+            # d = h cap ann(sharp N*_base C) = ann(ann(h) + sharp N*_base C).
+            assert report.d == c.span_at_base.annihilator()
         else:
             non_subalgebras += 1
             assert report.d is None

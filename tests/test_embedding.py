@@ -36,6 +36,7 @@ from lpl.submanifold import (
     AffineSubspace,
     SampleSpec,
     product,
+    skew_pencil,
 )
 
 from conftest import (
@@ -489,6 +490,28 @@ def reference_coisotropy(e, sampling):
                 break
         results.append((x, ok))
     return results
+
+
+def test_form_on_p_then_h_has_the_rank_of_b_h():
+    # p lies in h, so the form on the list p then h is B_h seen through a
+    # matrix of full column rank, and the self-check can rank e.c.form.
+    rng = random.Random(59)
+    spec = SampleSpec(count=4, seed=6)
+    ranks = set()
+    for e in catalog_extensions(rng) + hand_built_extensions(rng):
+        assert e.c.h.contains(e.p)
+        form_ph = skew_pencil(e.c, e.p.basis + e.c.h.basis)
+        for t in e.c.walk(spec)[0]:
+            ranks.add(e.c.form.rank_at(t))
+            assert form_ph.rank_at(t) == e.c.form.rank_at(t)
+    assert {0, 2, 4} <= ranks
+
+
+def test_coisotropy_in_extension_needs_p_inside_h(sl2):
+    c = AffineSubspace(sl2, Subspace.span(3, [[1, 0, 0]]), vec([0, 0, 1]))
+    p_tilde = AffineSubspace(sl2, Subspace.span(3, [[0, 1, 0]]), c.base)
+    with pytest.raises(ValueError):
+        coisotropy_in_extension(Extension(c, Subspace.zero(3), p_tilde, None))
 
 
 def test_coisotropy_in_extension_matches_pointwise_formula():

@@ -17,7 +17,6 @@ from lpl.linalg import (
     DimensionMismatch,
     Subspace,
     dot,
-    is_zero_vector,
     unit_vector,
     vadd,
     vec,
@@ -291,7 +290,7 @@ def _dense_jacobi(algebra):
                     ),
                     algebra.bracket(table[k][i], e[j]),
                 )
-                if not is_zero_vector(residual):
+                if any(residual):
                     return (False, (i, j, k), residual)
     return (True, None, None)
 
@@ -306,7 +305,7 @@ def _dense_construction(dim, brackets):
         tuple(
             (j, tuple((k, c) for k, c in enumerate(w) if c))
             for j, w in enumerate(row)
-            if not is_zero_vector(w)
+            if any(w)
         )
         for row in table
     )
@@ -366,7 +365,7 @@ def test_from_brackets_matches_dense_construction():
             (i, j): table[i][j]
             for i in range(algebra.dim)
             for j in range(i + 1, algebra.dim)
-            if not is_zero_vector(table[i][j])
+            if any(table[i][j])
         }
         rebuilt = LieAlgebra.from_brackets(algebra.dim, brackets)
         assert rebuilt.structure == _dense_construction(algebra.dim, brackets)

@@ -302,7 +302,7 @@ def test_lattice_ambient_mismatch():
 def _coords_by_solve(u, v):
     # The coefficients as one solution of transpose(basis) c = v; the zero
     # subspace has no basis matrix, and holds only the zero vector.
-    if u.is_zero():
+    if not u.basis:
         return () if not any(v) else None
     return solve(transpose(u.basis), u.dim, v)
 

@@ -121,13 +121,19 @@ def test_readme_library_example_runs(monkeypatch):
     exec(compile(code, "README.md", "exec"), {})
 
 
-def test_tracer_targets_exist():
-    # The benchmark's tracer patches these names by lookup in each module's and
-    # class's __dict__; a missing one breaks traced runs, so it fails here first.
+def load_tracing():
+    """The benchmark's tracer module, loaded by path: perfbench is not a package."""
     path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_exist():
+    # The benchmark's tracer patches these names by lookup in each module's and
+    # class's __dict__; a missing one breaks traced runs, so it fails here first.
+    tracing = load_tracing()
     missing = [
         f"{owner.__name__}.{attr}"
         for _, module, attr, importers in tracing.FUNCTIONS
@@ -142,6 +148,79 @@ def test_tracer_targets_exist():
     ]
     assert tracing.FUNCTIONS and tracing.METHODS
     assert missing == []
+
+
+# The paper-facing API and the value-type vocabulary: public, yet no library
+# module needs to read them.
+PUBLIC_API = {
+    "isotropy_algebra",
+    "preimage_construction",
+    "graph_coisotropy",
+    "morphism_check",
+    "LinearMap.identity",
+    "LieAlgebra.abelian",
+    "LieAlgebra.is_abelian",
+    "LocusReport.any_cosymplectic",
+    "Polynomial.variable",
+    "Polynomial.linear",
+    "Polynomial.is_zero",
+    "Polynomial.degree",
+    "Polynomial.evaluate",
+    "mat",
+    "vadd",
+}
+
+
+def public_definitions(tree) -> list:
+    """(qualified name, node) per public module-level function or class, and
+    per public method of a public class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def unread_public_definitions(trees: dict) -> list:
+    """Public definitions that no module but __init__.py reads outside their own body."""
+    readers = [tree for name, tree in trees.items() if name != "__init__.py"]
+    total = sum((references(tree) for tree in readers), Counter())
+    return sorted(
+        qualified
+        for tree in trees.values()
+        for qualified, node in public_definitions(tree)
+        if total[node.name] == references(node)[node.name]
+    )
+
+
+def test_library_reads_its_public_definitions():
+    # A public function, class or method that the library never reads is
+    # dead code unless it is paper-facing API or a name the benchmark's
+    # tracer patches; an allow-list entry that the library now reads, or
+    # that is gone, is stale.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    tracing = load_tracing()
+    traced = {attr for _, _, attr, _ in tracing.FUNCTIONS}
+    traced |= {f"{cls.__name__}.{attr}" for _, cls, attrs in tracing.METHODS for attr in attrs}
+    unread = unread_public_definitions(trees)
+    assert sorted(PUBLIC_API - set(unread)) == []
+    assert [name for name in unread if name not in PUBLIC_API | traced] == []
+    stray = {
+        "a.py": ast.parse(
+            "def used():\n    pass\n"
+            "def unused():\n    return unused()\n"
+            "class K:\n    def m(self):\n        return used()\n    def _p(self):\n        pass\n"
+            "class _Hidden:\n    def m2(self):\n        pass\n"
+        ),
+        "__init__.py": ast.parse("from .a import unused\nunused()\n"),
+    }
+    assert unread_public_definitions(stray) == ["K", "K.m", "unused"]
 
 
 def integer_point_reads(tree) -> list:

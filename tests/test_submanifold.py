@@ -18,7 +18,18 @@ from lpl.lie import (
     subspace_bracket,
 )
 from lpl.lie_poisson import bivector_at
-from lpl.linalg import Subspace, dot, rank, unit_vector, vadd, vec, vscale, vsub, zero_vector
+from lpl.linalg import (
+    Subspace,
+    choose_complement,
+    dot,
+    rank,
+    unit_vector,
+    vadd,
+    vec,
+    vscale,
+    vsub,
+    zero_vector,
+)
 from lpl.submanifold import (
     CERTIFIED_CONSTANT,
     NOT_CONSTANT,
@@ -45,6 +56,7 @@ from lpl.submanifold import (
 from conftest import (
     algebra_catalog,
     bracket_table,
+    pencil_at,
     random_subspace,
     random_vector,
     sl2_h,
@@ -363,7 +375,7 @@ def test_skew_pencil_matches_sympy():
         for t in (zero_vector(codim), random_vector(rng, codim, bound=5)):
             pi = _sympy_bivector(algebra, c.point_at(_integer_point(t)))
             form = hm * pi * hm.T
-            assert sympy.Matrix(h.dim, h.dim, lambda a, b: pencil.at(t)[a][b]) == form
+            assert sympy.Matrix(h.dim, h.dim, lambda a, b: pencil_at(pencil, t)[a][b]) == form
             rows = [u.T for u in hm.nullspace()] + [hm.row(a) * pi for a in range(h.dim)]
             assert codim + pencil.rank_at(_integer_point(t)) == sympy.Matrix.vstack(*rows).rank()
 
@@ -378,7 +390,7 @@ def _mixed_coordinates(rng, n):
 
 def test_integer_pencil_matches_fraction_form_and_sympy():
     # rank_at works on L * D times the form (L: lcm of t's denominators,
-    # D: the pencil's common denominator); at(t) is the form itself.
+    # D: the pencil's common denominator); pencil_at(t) is the form itself.
     rng = random.Random(47)
     catalog = algebra_catalog()
     cases = [(a, Subspace.zero(a.dim)) for a in catalog] + [(a, Subspace.full(a.dim)) for a in catalog]
@@ -398,15 +410,15 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
         for t in (zero_vector(codim), _mixed_coordinates(rng, codim), _mixed_coordinates(rng, codim)):
             x = c.point_at(_integer_point(t))
             for pencil in pencils:
-                form = pencil.at(t)
+                form = pencil_at(pencil, t)
                 expected = sympy.Matrix(pencil.nrows, pencil.ncols, lambda a, b: form[a][b]).rank()
                 assert pencil.rank_at(_integer_point(t)) == rank(form, pencil.ncols) == expected
                 seen_ranks.add(expected)
-            assert pencils[0].at(t) == tuple(
+            assert pencil_at(pencils[0], t) == tuple(
                 tuple(dot(x, algebra.bracket(u, v)) for v in h.basis) for u in h.basis
             )
-            assert pencils[1].at(t) == tuple(algebra.coad_apply(u, x) for u in h.basis)
-            assert pencils[2].at(t) == bivector_at(algebra, x)
+            assert pencil_at(pencils[1], t) == tuple(algebra.coad_apply(u, x) for u in h.basis)
+            assert pencil_at(pencils[2], t) == bivector_at(algebra, x)
     # The entries really were scaled, and the forms were not all degenerate.
     assert max(seen_denominators) > 9 and {0, 2, 4} <= seen_ranks
 
@@ -427,7 +439,7 @@ def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypa
             stored = [k for k, e in enumerate(pencil.base) if e]
             stored += [k for terms in pencil.directions for k, _ in terms]
             assert all(k // m < k % m for k in stored)
-            assert pencil.rank_at(point) == rank(pencil.at(t), m)
+            assert pencil.rank_at(point) == rank(pencil_at(pencil, t), m)
         rectangular = skew_pencil(c, c.h.basis, c.direction.basis)
         assert not rectangular.skew
         with pytest.raises(TypeError):
@@ -441,7 +453,7 @@ CATALOG = algebra_catalog()
 @given(st.data())
 def test_rank_and_point_at_integer_points_match_fractions(data):
     # At integer points n / L, walked from SampleSpec or drawn directly, rank_at
-    # equals the rank of the Fraction form at(t), and point_at equals
+    # equals the rank of the Fraction form pencil_at(t), and point_at equals
     # base + sum t_a u_a in Fractions, on skew and rectangular pencils.
     # Every form vanishes at x = 0, so half the time the base is put where
     # the drawn numerators over L = 1 reach 0: there the point n / 1 is
@@ -474,7 +486,7 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
     points += c.walk(SampleSpec(3, seed, bound))[0]  # the origin, then the samples
     for point in points:
         t = tuple(Fraction(n, point.denominator) for n in point.numerators)
-        assert pencil.rank_at(point) == rank(pencil.at(t), pencil.ncols)
+        assert pencil.rank_at(point) == rank(pencil_at(pencil, t), pencil.ncols)
         x = c.base
         for ta, u in zip(t, c.direction.basis):
             x = vadd(x, vscale(ta, u))
@@ -616,6 +628,31 @@ def test_preimage_with_slice_contains_c_coisotropically(sl2):
     assert p_tilde is not None
     assert p_tilde.direction.contains(c.direction)
     assert p_tilde.contains(c.base)
+
+
+def test_preimage_slice_at_nonzero_nu_is_transverse_to_the_coad_orbit():
+    # P = lambda + ann(h) + lift of the greedy complement of the orbit tangent
+    # of the subalgebra at nu, which is the span of coad_{e_i}(nu): so P's
+    # direction contains ann(h) and restricts to h as that complement.
+    rng = random.Random(97)
+    orbit_dims = set()
+    for algebra, h in subalgebra_catalog():
+        m = h.dim
+        if not m:
+            continue
+        sub = restricted_algebra(algebra, h)
+        for _ in range(3):
+            nu = random_vector(rng, m, bound=5)
+            if not any(nu):
+                continue
+            c, p_tilde = preimage_construction(algebra, h, nu, with_slice=True)
+            tangent = Subspace.span(m, [sub.coad_apply(unit_vector(m, i), nu) for i in range(m)])
+            restricted = [[dot(u, v) for v in h.basis] for u in p_tilde.direction.basis]
+            assert p_tilde.base == c.base
+            assert p_tilde.direction.contains(c.direction)
+            assert Subspace.span(m, restricted) == choose_complement(tangent)
+            orbit_dims.add(tangent.dim)
+    assert max(orbit_dims) > 0
 
 
 def test_preimage_requires_subalgebra(sl2):
