@@ -23,8 +23,9 @@ from typing import Optional
 from . import algebroid as algebroid_mod
 from . import embedding as embedding_mod
 from .lie import LieAlgebra, NotASubalgebra, validate_jacobi
-from .lie_poisson import casimir_check, parse_polynomial, poisson_bracket_poly, printable
-from .linalg import DimensionMismatch, InvariantViolation, Subspace, Vector, parse_fraction
+from .lie_poisson import Polynomial, casimir_check, parse_polynomial, poisson_bracket_poly
+from .linalg import MAX_RATIONAL_CHARS, DimensionMismatch, InvariantViolation, Subspace, Vector
+from .linalg import parse_fraction
 from .submanifold import NOT_CONSTANT, AffineSubspace, SampleSpec, classify
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -38,6 +39,8 @@ EXIT_INTERNAL = 3
 MAX_DIM = 64
 # Most sample points per problem: each sample draws up to dim rationals.
 MAX_SAMPLES = 100_000
+# str() refuses an integer of more than MAX_RATIONAL_CHARS digits.
+_PRINT_LIMIT = 10**MAX_RATIONAL_CHARS
 
 
 class InputError(ValueError):
@@ -90,8 +93,21 @@ def parse_list(data: dict, key: str, what: str, default=None) -> list:
     return value
 
 
+def _check_digits(numbers, what: str) -> None:
+    """Every number a report prints passes here: str() refuses over MAX_RATIONAL_CHARS digits."""
+    if any(abs(x.numerator) >= _PRINT_LIMIT or x.denominator >= _PRINT_LIMIT for x in numbers):
+        raise InputError(f"{what} has more than {MAX_RATIONAL_CHARS} digits")
+
+
 def vector_strs(v) -> list[str]:
+    _check_digits(v, "a vector entry")
     return [str(e) for e in v]
+
+
+def polynomial_str(p: Polynomial) -> str:
+    _check_digits(p.terms.values(), "a coefficient")
+    _check_digits([max(map(max, p.terms), default=0)], "an exponent")
+    return str(p)
 
 
 def subspace_dict(s: Subspace) -> dict:
@@ -141,6 +157,7 @@ def parse_model(data) -> LieAlgebra:
 
 
 def serialize_model(algebra: LieAlgebra, name: str = "model") -> dict:
+    _check_digits((c for row in algebra.structure for _, t in row for _, c in t), "a coefficient")
     brackets = [
         {"i": i, "j": j, "terms": [{"k": k, "coefficient": str(c)} for k, c in terms]}
         for i, row in enumerate(algebra.structure)
@@ -379,10 +396,11 @@ def report_bracket(algebra: LieAlgebra, f_text: str, g_text: str) -> dict:
     try:
         f = parse_polynomial(f_text, algebra.dim)
         g = parse_polynomial(g_text, algebra.dim)
-        bracket = printable(poisson_bracket_poly(algebra, f, g))
+        bracket = poisson_bracket_poly(algebra, f, g)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return {"command": "bracket", "f": str(f), "g": str(g), "bracket": str(bracket)}
+    f_str, g_str = polynomial_str(f), polynomial_str(g)
+    return {"command": "bracket", "f": f_str, "g": g_str, "bracket": polynomial_str(bracket)}
 
 
 def report_casimir(algebra: LieAlgebra, f_text: str) -> dict:
@@ -390,7 +408,7 @@ def report_casimir(algebra: LieAlgebra, f_text: str) -> dict:
         f = parse_polynomial(f_text, algebra.dim)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return {"command": "casimir", "f": str(f), "casimir": casimir_check(algebra, f)}
+    return {"command": "casimir", "f": polynomial_str(f), "casimir": casimir_check(algebra, f)}
 
 
 # -- rendering and dispatch -------------------------------------------------
@@ -419,6 +437,8 @@ def render_human(report: dict, indent: int = 0) -> str:
 
 def run(command: str, problem: Problem, poly_args: tuple[str, ...] = ()) -> dict:
     """Dispatch one command on a parsed problem; returns the report dict."""
+    if poly_args and command not in ("bracket", "casimir"):
+        raise InputError(f"command {command!r} takes no polynomial arguments")
     if command == "validate":
         return report_validate(problem.algebra)
     if command == "classify":

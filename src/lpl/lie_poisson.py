@@ -21,11 +21,9 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
-from .linalg import MAX_RATIONAL_CHARS, ZERO, DimensionMismatch, Matrix, parse_fraction, vec
+from .linalg import ZERO, DimensionMismatch, Matrix, parse_fraction, vec
 
 Exponents = tuple[int, ...]
-# str() refuses an integer of more than MAX_RATIONAL_CHARS digits.
-_PRINT_LIMIT = 10**MAX_RATIONAL_CHARS
 
 
 def _grlex_key(expo: Exponents) -> tuple:
@@ -224,14 +222,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
                     raise ValueError(f"bad factor {factor!r} in polynomial") from exc
         key = tuple(expo)
         terms[key] = terms.get(key, ZERO) + coeff
-    return printable(Polynomial(nvars, terms))
-
-
-def printable(p: Polynomial) -> Polynomial:
-    """p, unless a coefficient's numerator or denominator has over MAX_RATIONAL_CHARS digits."""
-    if any(max(abs(c.numerator), c.denominator) >= _PRINT_LIMIT for c in p.terms.values()):
-        raise ValueError(f"a coefficient has more than {MAX_RATIONAL_CHARS} digits")
-    return p
+    return Polynomial(nvars, terms)
 
 
 # -- the linear structure on the dual --------------------------------------

@@ -251,17 +251,7 @@ def pivot_columns(echelon: Matrix) -> list[int]:
 
 def nullspace(m: Matrix, ncols: int) -> Matrix:
     """Canonical (RREF) basis of {v : m v = 0} in an ``ncols``-dim space."""
-    ech = rref(m, ncols)
-    pivots = pivot_columns(ech)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, p in zip(ech, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return rref(basis, ncols)
+    return Subspace.span(ncols, m).annihilator().basis
 
 
 def solve(m: Matrix, ncols: int, b: Sequence) -> Optional[Vector | Matrix]:
@@ -338,8 +328,20 @@ class Subspace:
         return self.annihilator().sum(other.annihilator()).annihilator()
 
     def annihilator(self) -> "Subspace":
-        """Covectors pairing to zero with the subspace (dot-product pairing)."""
-        return Subspace(self.ambient_dim, nullspace(self.basis, self.ambient_dim))
+        """Covectors pairing to zero with the subspace (dot-product pairing).
+
+        The basis is already reduced, so each free column f gives the kernel
+        vector e_f - sum_i row_i[f] e_pivot(i) directly; one rref makes them canonical.
+        """
+        n, pivots = self.ambient_dim, self.pivots
+        kernel = []
+        for f in sorted(set(range(n)) - set(pivots)):
+            v = [ZERO] * n
+            v[f] = ONE
+            for row, p in zip(self.basis, pivots):
+                v[p] = -row[f]
+            kernel.append(v)
+        return Subspace.span(n, kernel)
 
     def coords_of(self, v: Iterable) -> Optional[Vector]:
         """Coefficients of v in the canonical basis, or None if v is outside.

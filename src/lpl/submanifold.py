@@ -25,7 +25,6 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
-from .lie_poisson import bivector_at
 from .linalg import (
     ZERO,
     DimensionMismatch,
@@ -453,21 +452,6 @@ def _lift_covector(rows: list[Vector], nu: Vector, h_dim: int, n: int) -> Vector
     return lam
 
 
-def restricted_algebra(algebra: LieAlgebra, h: Subspace) -> LieAlgebra:
-    """h as a Lie algebra in its canonical basis; requires h a subalgebra."""
-    m = h.dim
-    brackets = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = algebra.bracket(h.basis[i], h.basis[j])
-            coords = h.coords_of(w)
-            if coords is None:
-                raise NotASubalgebra("subspace is not closed under the bracket")
-            if any(x != 0 for x in coords):
-                brackets[(i, j)] = coords
-    return LieAlgebra.from_brackets(m, brackets)
-
-
 def preimage_construction(
     algebra: LieAlgebra,
     h: Subspace,
@@ -492,8 +476,9 @@ def preimage_construction(
     c = AffineSubspace(algebra, h, lam)
     if not with_slice:
         return c, None
-    # Pi(nu) of the subalgebra is skew, so its rows span the orbit tangent at nu.
-    tangent = Subspace.span(h.dim, bivector_at(restricted_algebra(algebra, h), nu_v))
+    # <lam, [h_a, h_b]> = nu([h_a, h_b]): C's form at its base is h's
+    # Lie-Poisson bivector at nu, and its rows span the orbit tangent there.
+    tangent = Subspace.span(h.dim, c.form.base_rows())
     slice_dir = choose_complement(tangent)
     lifted = [_lift_covector(rows, mu, h.dim, n) for mu in slice_dir.basis]
     direction = c.direction.sum(Subspace.span(n, lifted))

@@ -7,6 +7,7 @@ import pytest
 
 from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
+from lpl.lie import NotASubalgebra
 from lpl.linalg import mat, rref, solve, transpose, unit_vector, vec
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
@@ -169,3 +170,18 @@ def subalgebra_catalog() -> list[tuple[LieAlgebra, Subspace]]:
         (heis, Subspace.full(3)),
     ]
     return entries
+
+
+def restricted_algebra(algebra: LieAlgebra, h: Subspace) -> LieAlgebra:
+    """h as a Lie algebra in its canonical basis; requires h a subalgebra."""
+    m = h.dim
+    brackets = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            w = algebra.bracket(h.basis[i], h.basis[j])
+            coords = h.coords_of(w)
+            if coords is None:
+                raise NotASubalgebra("subspace is not closed under the bracket")
+            if any(x != 0 for x in coords):
+                brackets[(i, j)] = coords
+    return LieAlgebra.from_brackets(m, brackets)

@@ -607,6 +607,67 @@ def test_main_bounds_the_digits_of_a_coefficient(capsys, command, polys, digits)
         assert err == f"error: a coefficient has more than {MAX_RATIONAL_CHARS} digits\n"
 
 
+@pytest.mark.parametrize("digits", [MAX_RATIONAL_CHARS, MAX_RATIONAL_CHARS + 1])
+def test_main_bounds_the_digits_of_an_exponent(capsys, digits):
+    # {nu1^N nu2, nu3} on sl2 has the term nu1^(N + 1): with N all nines,
+    # an exponent of ``digits`` digits.
+    f = "nu1^" + "9" * (digits - 1) + "*nu2"
+    code = main(["bracket", "--model", "sl2.json", "--json", f, "nu3"])
+    out, err = capsys.readouterr()
+    if digits <= MAX_RATIONAL_CHARS:
+        assert code == EXIT_OK
+        assert "nu1^" + _power_of_ten(digits) in out
+    else:
+        assert code == EXIT_INPUT_ERROR
+        assert err == f"error: an exponent has more than {MAX_RATIONAL_CHARS} digits\n"
+
+
+def _with_lambda(tmp_path, fixture, base):
+    problem = json.loads((FIXTURES / fixture).read_text())
+    problem["lambda"] = base
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
+@pytest.mark.parametrize("fixture", ["gl2_line.json", "gl2_prepoisson.json", "sl2_transverse.json"])
+def test_main_bounds_the_digits_of_a_report_point(capsys, tmp_path, fixture):
+    # Each entry of lambda fits, but the sample points of C that the orbit
+    # report prints are lambda plus a rational shift: over the limit.
+    n = len(json.loads((FIXTURES / fixture).read_text())["lambda"])
+    base = ["9" * (MAX_RATIONAL_CHARS - 1) if i % 2 == 0 else "1" for i in range(n)]
+    argv = ["algebroid", "--problem", _with_lambda(tmp_path, fixture, base), "--json"]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: a vector entry has more than {MAX_RATIONAL_CHARS} digits\n"
+    )
+
+
+def test_main_prints_a_report_point_of_the_longest_length(capsys, tmp_path):
+    # On gl2_line the direction of C is the first coordinate, so every point
+    # keeps lambda's second entry: a number of exactly the limit's length.
+    longest = "9" * MAX_RATIONAL_CHARS
+    argv = ["algebroid", "--json", "--problem"]
+    argv.append(_with_lambda(tmp_path, "gl2_line.json", ["1", longest, "1", "1"]))
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert all(entry["point"][1] == longest for entry in report["orbit_dims"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--model", "sl2.json", "nu1", "nu2"],
+        ["classify", "--problem", "sl2_transverse.json", "stray"],
+        ["algebroid", "--problem", "gl2_line.json", "nu1"],
+    ],
+)
+def test_main_refuses_stray_polynomial_arguments(capsys, argv):
+    assert main(argv) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: command {argv[0]!r} takes no polynomial arguments\n"
+
+
 # Terms of the polynomial grammar, with integer factors long enough that a
 # product passes the digit limit, and some garbage.
 _FACTORS = st.one_of(

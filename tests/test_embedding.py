@@ -36,6 +36,7 @@ from lpl.submanifold import (
     AffineSubspace,
     SampleSpec,
     product,
+    sharp_conormal_at,
     skew_pencil,
 )
 
@@ -351,6 +352,21 @@ def test_certified_k_with_cosymplectic_point_is_symmetric():
         report = symmetric_pair_analysis(e, result)
         assert report.k_subalgebra
         assert report.kp_in_p
+
+
+def test_constancy_is_k_normalizing_p():
+    # With K = sharp N*_base P and k = ann(K), coad_v(u) pairs with w in k
+    # to <u, [v, w]> up to sign; so coad_v(u) lies in K for every u in the
+    # direction ann(p) iff [v, w] lies in p: constancy iff [k, p] in p.
+    rng = random.Random(53)
+    outcomes = []
+    for e in catalog_extensions(rng) + hand_built_extensions(rng):
+        k = sharp_conormal_at(e.p_tilde, e.p_tilde.base).annihilator()
+        kp_in_p = contains_by_rref(e.p, subspace_bracket(e.algebra, k, e.p).basis)
+        certified = constant_sharp_conormal(e).certified
+        assert certified == kp_in_p
+        outcomes.append(certified)
+    assert True in outcomes and False in outcomes
 
 
 # ---------------------------------------------------------------------------

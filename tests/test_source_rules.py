@@ -295,3 +295,39 @@ def test_direct_subspaces_outside_linalg_take_a_canonical_basis():
         (4, False),
         (5, True),
     ]
+
+
+# Where each reducing call takes its rows: (position, keyword).
+REDUCING_CALLS = {"rref": (0, "rows"), "nullspace": (0, "m"), "span": (1, "vectors")}
+
+
+def rereduced_bases(tree) -> list:
+    """rref, nullspace and Subspace.span calls whose rows are a bare ``<expr>.basis``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and called_name(node) in REDUCING_CALLS:
+            at, keyword = REDUCING_CALLS[called_name(node)]
+            keywords = {k.arg: k.value for k in node.keywords}
+            rows = node.args[at] if len(node.args) > at else keywords.get(keyword)
+            if isinstance(rows, ast.Attribute) and rows.attr == "basis":
+                found.append(node)
+    return found
+
+
+def test_library_reduces_no_canonical_basis_again():
+    # A Subspace's basis is already reduced row-echelon: eliminating it alone
+    # again repeats work.  Stacked or reversed bases are new rows and pass.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    found = [
+        f"{name}:{node.lineno}" for name, tree in trees.items() for node in rereduced_bases(tree)
+    ]
+    assert found == []
+    stray = ast.parse(
+        "a = rref(u.basis, 3)\n"
+        "b = linalg.nullspace(self.basis, n)\n"
+        "c = Subspace.span(3, vectors=h.basis)\n"
+        "d = Subspace.span(n, self.basis + other.basis)\n"
+        "e = rref([row[::-1] for row in u.basis], n)\n"
+        "f = nullspace(m=u.basis, ncols=3)\n"
+    )
+    assert [node.lineno for node in rereduced_bases(stray)] == [1, 2, 3, 6]

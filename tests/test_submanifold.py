@@ -48,7 +48,6 @@ from lpl.submanifold import (
     pre_poisson_check,
     preimage_construction,
     product,
-    restricted_algebra,
     sharp_conormal_at,
     skew_pencil,
 )
@@ -59,6 +58,7 @@ from conftest import (
     pencil_at,
     random_subspace,
     random_vector,
+    restricted_algebra,
     sl2_h,
     subalgebra_catalog,
 )
@@ -653,6 +653,23 @@ def test_preimage_slice_at_nonzero_nu_is_transverse_to_the_coad_orbit():
             assert Subspace.span(m, restricted) == choose_complement(tangent)
             orbit_dims.add(tangent.dim)
     assert max(orbit_dims) > 0
+
+
+def test_preimage_form_at_its_base_is_the_subalgebra_bivector_at_nu():
+    # preimage_construction reads nu's orbit tangent off C's form at lambda;
+    # the oracle is the bivector of h rebuilt as a Lie algebra of its own.
+    rng = random.Random(61)
+    orbit_dims = set()
+    for algebra, h in subalgebra_catalog():
+        m = h.dim
+        sub = restricted_algebra(algebra, h)
+        for _ in range(4):
+            nu = random_vector(rng, m, bound=5)
+            c, _ = preimage_construction(algebra, h, nu)
+            tangent = Subspace.span(m, c.form.base_rows())
+            assert tangent == Subspace.span(m, bivector_at(sub, nu))
+            orbit_dims.add(tangent.dim)
+    assert 0 in orbit_dims and max(orbit_dims) > 0
 
 
 def test_preimage_requires_subalgebra(sl2):
