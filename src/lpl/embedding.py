@@ -10,6 +10,7 @@ decomposition and, in favorable cases, a symmetric pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
@@ -20,11 +21,9 @@ from .linalg import (
     Vector,
     choose_complement,
     dot,
-    mat_vec,
     rank,
     solve,
-    transpose,
-    unit_vector,
+    zero_vector,
 )
 from .submanifold import (
     NOT_CONSTANT,
@@ -96,9 +95,9 @@ def extend(
     p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
     ext = Extension(c, r, p_tilde, verdict.sampling)
     check = coisotropy_in_extension(ext, replace(sampling, count=8))
-    bad = [x for x, ok in check if not ok]
-    if bad:
-        raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {bad[0]}")
+    bad = next((t for t, ok in check if not ok), None)
+    if bad is not None:
+        raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {c.point_at(bad)}")
     return ext
 
 
@@ -212,34 +211,31 @@ def symmetric_pair_analysis(
 def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlgebra:
     """The linear Poisson structure induced on p-ann, as a Lie algebra.
 
-    Coordinates on the extension correspond to the elements of k dual to the
-    canonical basis of p-ann; their brackets, paired with that basis, give the
-    structure constants.  Requires the pair report to have found k + p = g
-    directly and k a subalgebra.
+    Coordinates on the extension correspond to the elements khat_i of k dual
+    to the canonical basis u of p-ann, so c_ij^l = <u_l, [khat_i, khat_j]>:
+    direction l of the skew pencil on the khat along 0 + p-ann, divided by
+    its denominator.  Pairing with p-ann ignores the p component of a
+    bracket, so nothing is projected to k.  Requires the pair report to have
+    found k + p = g directly and k a subalgebra.
     """
     if not pair.decomposition:
         raise ValueError("k and p must decompose the algebra")
     if not pair.k_subalgebra:
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")
-    k, direction = pair.k, pair.p.annihilator()
+    chart = AffineSubspace(algebra, pair.p, zero_vector(algebra.dim))
+    direction = chart.direction
     m = direction.dim
-    # Dual elements: khat_i in k with <u_j, khat_i> = delta_ij.  Column i of
-    # the solution Y of gram Y = I holds khat_i's coordinates in the basis of
-    # k; one elimination of [gram | I] gives all of them.
-    gram = [[dot(u, kb) for kb in k.basis] for u in direction.basis]
-    y = solve(gram, k.dim, [unit_vector(m, i) for i in range(m)])
-    if y is None:
+    # The rows khat solve G^T khat = K for G_ji = <u_j, k_i> and the rows K
+    # of k's basis: one elimination of [G^T | K] gives all of them.
+    gram_t = [[dot(kb, u) for u in direction.basis] for kb in pair.k.basis]
+    khat = solve(gram_t, m, pair.k.basis)
+    if khat is None:
         raise InvariantViolation("the pairing of k with p-ann is degenerate")
-    k_columns = transpose(k.basis)
-    khat = [mat_vec(k_columns, column) for column in transpose(y)]
-    # Pairing with p-ann ignores the p component of a bracket: no projection to k.
+    form = skew_pencil(chart, khat)
     brackets = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = algebra.bracket(khat[i], khat[j])
-            coords = tuple(dot(u, w) for u in direction.basis)
-            if any(x != 0 for x in coords):
-                brackets[(i, j)] = coords
+    for l, terms in enumerate(form.directions):
+        for cell, e in terms:
+            brackets.setdefault(divmod(cell, m), [0] * m)[l] = Fraction(e, form.denominator)
     labels = tuple(algebra.labels[col] for col in direction.pivots)
     result = LieAlgebra.from_brackets(m, brackets, labels)
     report = validate_jacobi(result)
@@ -248,13 +244,13 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
     return result
 
 
-def coisotropy_in_extension(
-    e: Extension, sampling: SampleSpec = SampleSpec()
-) -> list[tuple[Vector, bool]]:
+def coisotropy_in_extension(e: Extension, sampling: SampleSpec = SampleSpec()) -> list[tuple]:
     """Verify C coisotropic in P: rank B_h(x) = dim p wherever B_p(x) is nonsingular.
 
     The points x are the base and the samples of C; a C of dimension 0 is
-    its base.  Requires p inside h, which every extension of C satisfies.
+    its base.  Each tested point comes back unformed, as ``e.c.walk`` gives
+    it, with its flag: ``e.c.point_at`` forms it.  Requires p inside h,
+    which every extension of C satisfies.
 
     Where B_p(x) is nonsingular, the sharp map of P applied to a conormal
     direction w of C is coad of the unique extension w + q (q in p) whose
@@ -271,7 +267,5 @@ def coisotropy_in_extension(
     n_p = e.p.dim
     form_p = skew_pencil(e.c, e.p.basis)
     return [
-        (e.c.point_at(t), e.c.form.rank_at(t) == n_p)
-        for t in e.c.walk(sampling)[0]
-        if form_p.rank_at(t) == n_p
+        (t, e.c.form.rank_at(t) == n_p) for t in e.c.walk(sampling)[0] if form_p.rank_at(t) == n_p
     ]

@@ -142,25 +142,28 @@ def validate_jacobi(algebra: LieAlgebra) -> ValidationReport:
 
     Component l is sum_m (c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l), summed
     over the nonzero constants.  Every term carries c_ij, c_jk or c_ki, so a
-    triple whose three brackets vanish is skipped, exactly.  The first failing
-    triple in the order i < j < k is reported with its residual.
+    triple whose three brackets vanish is skipped, exactly.  The sum is
+    quadratic in the constants, so it runs on the integer constants d c: it
+    is d^2 times the rational sum, and the residual divides by d^2.  The
+    first failing triple in the order i < j < k is reported with its residual.
     """
     n = algebra.dim
-    rows = [dict(row) for row in algebra.structure]  # rows[i][j]: nonzero c_ij^m
+    d, structure = algebra.integer_structure
+    rows = [dict(row) for row in structure]  # rows[i][j]: nonzero d c_ij^m
     for i in range(n):
         ri = rows[i]
         for j in range(i + 1, n):
             rj = rows[j]
             ks = range(j + 1, n) if j in ri else sorted(k for k in ri.keys() | rj.keys() if k > j)
             for k in ks:
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 # [[e_i,e_j],e_k], [[e_j,e_k],e_i], [[e_k,e_i],e_j] in turn.
                 for row, a, b in ((ri, j, k), (rj, k, i), (rows[k], i, j)):
                     for m, c in row.get(a, ()):
-                        for l, d in rows[m].get(b, ()):
-                            acc[l] = acc.get(l, ZERO) + c * d
+                        for l, e in rows[m].get(b, ()):
+                            acc[l] = acc.get(l, 0) + c * e
                 if any(acc.values()):
-                    residual = tuple(acc.get(l, ZERO) for l in range(n))
+                    residual = tuple(Fraction(acc.get(l, 0), d * d) for l in range(n))
                     return ValidationReport(False, (i, j, k), residual)
     return ValidationReport(True)
 

@@ -21,12 +21,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
 from .linalg import (
-    ZERO,
     DimensionMismatch,
     InvariantViolation,
     Subspace,
@@ -135,31 +134,27 @@ class AffineSubspace:
         return xv
 
     @cached_property
-    def _integer_direction(self) -> tuple[int, list[list[tuple[int, int]]]]:
-        """M, and the nonzero (j, M u_j) of each direction basis vector u.
+    def _integer_frame(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """T, and the nonzero (j, T v_j) of the base, then of each direction basis vector.
 
-        M is the lcm of the basis's denominators, so the M u_j are integers.
+        T is the lcm of those vectors' denominators, so the T v_j are integers.
         """
-        basis = self.direction.basis
-        m = lcm(*(e.denominator for u in basis for e in u))
-        return m, [
-            [(j, e.numerator * (m // e.denominator)) for j, e in enumerate(u) if e] for u in basis
-        ]
+        return _scaled_supports((self.base, *self.direction.basis))
 
     def point_at(self, point: IntegerPoint) -> Vector:
         """base + sum t_a u_a over the canonical basis u of the direction.
 
-        With t_a = n_a / L, the shift is (sum_a n_a M u_a) / (L M): integers
+        With t_a = n_a / L, the shift is (sum_a n_a T u_a) / (L T): integers
         until one Fraction per shifted coordinate.
         """
         scale, numerators = point
-        m, rows = self._integer_direction
+        frame, (_, *rows) = self._integer_frame
         shift = [0] * len(self.base)
         for na, row in zip(numerators, rows):
             if na:
                 for j, e in row:
                     shift[j] += na * e
-        d = scale * m
+        d = scale * frame
         return tuple(b + Fraction(s, d) if s else b for b, s in zip(self.base, shift))
 
     @cached_property
@@ -281,19 +276,45 @@ class SkewPencil:
         return integer_rank([flat[r * c : (r + 1) * c] for r in range(self.nrows)], c)
 
 
+def _scaled_supports(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """S, and the nonzero (j, S v_j) of each vector: S is the lcm of all their denominators."""
+    s = lcm(*(e.denominator for v in vectors for e in v))
+    return s, [
+        [(j, e.numerator * (s // e.denominator)) for j, e in enumerate(v) if e] for v in vectors
+    ]
+
+
+def _bracket_support(structure, v: Sequence[tuple[int, int]], w: dict[int, int]) -> list:
+    """The nonzero (k, sum_ij v_i w_j c_ij^k) over integer constants, for v and w sparse."""
+    out: dict[int, int] = {}
+    for i, vi in v:
+        for j, terms in structure[i]:
+            wj = w.get(j)
+            if wj:
+                f = vi * wj
+                for k, c in terms:
+                    out[k] = out.get(k, 0) + f * c
+    return [(k, e) for k, e in out.items() if e]
+
+
 def _pencil(
     c: AffineSubspace,
     nrows: int,
     ncols: int,
     skew: bool,
-    supports: Iterable[Sequence[tuple[int, Fraction]]],
+    scale: int,
+    supports: Iterable[Sequence[tuple[int, int]]],
 ) -> SkewPencil:
     """The pencil whose entries pair C's base and directions with brackets.
 
-    Each bracket is given by its nonzero (k, coordinate) pairs, in row-major
-    order of the entries: all of them, or those with a < b when skew.
+    Each bracket is given by the nonzero (k, coordinate) pairs of ``scale``
+    times it, all integers, in row-major order of the entries: all of them,
+    or those with a < b when skew.  With C's vectors times T, every entry is
+    an integer E over Q = T * scale.  Dividing Q and every E by their gcd g
+    gives D = Q / g, the lcm of the entries' reduced denominators, and the
+    entries times D.
     """
-    vectors = (c.base, *c.direction.basis)
+    t, vectors = c._integer_frame
     if skew:
         cells = ((a, b) for a in range(nrows) for b in range(a + 1, ncols))
     else:
@@ -301,55 +322,55 @@ def _pencil(
     # The nonzero (i, v_i[k]) of each coordinate k, so a pairing multiplies
     # nonzero entries only.
     by_coordinate = [[] for _ in c.base]
-    for i, v in enumerate(vectors):
-        for k, e in enumerate(v):
-            if e:
-                by_coordinate[k].append((i, e))
+    for i, row in enumerate(vectors):
+        for k, e in row:
+            by_coordinate[k].append((i, e))
     terms = [[] for _ in vectors]  # (row-major index, pairing) per vector
     for (a, b), support in zip(cells, supports):
-        pairings = [ZERO] * len(vectors)
+        pairings = [0] * len(vectors)
         for k, e in support:
             for i, vk in by_coordinate[k]:
                 pairings[i] += vk * e
         for i, e in enumerate(pairings):
             if e:
                 terms[i].append((a * ncols + b, e))
-    d = lcm(*(e.denominator for row in terms for _, e in row))
-    scaled = [tuple((k, e.numerator * (d // e.denominator)) for k, e in row) for row in terms]
+    q = t * scale
+    g = gcd(q, *(e for row in terms for _, e in row))
     base = [0] * (nrows * ncols)
-    for k, e in scaled[0]:
-        base[k] = e
-    return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
-
-
-def _support(v: Vector) -> list[tuple[int, Fraction]]:
-    return [(k, e) for k, e in enumerate(v) if e]
+    for k, e in terms[0]:
+        base[k] = e // g
+    directions = tuple(tuple((k, e // g) for k, e in row) for row in terms[1:])
+    return SkewPencil(nrows, ncols, skew, q // g, tuple(base), directions)
 
 
 def skew_pencil(
     c: AffineSubspace, basis: Sequence[Vector], columns: Optional[Sequence[Vector]] = None
 ) -> SkewPencil:
-    """The pencil of <x, [v_a, w_b]> along C, one bracket per entry.
+    """The pencil of <x, [v_a, w_b]> along C, one integer bracket per entry.
 
     v runs over ``basis`` and w over ``columns``; without columns w = v and
-    the pencil is skew.
+    the pencil is skew.  The brackets are those of S v_a and R w_b over the
+    integer structure constants, S and R the lcm of each basis's denominators.
     """
-    bracket = c.algebra.bracket
+    ds, structure = c.algebra.integer_structure
+    s, rows = _scaled_supports(basis)
+    r, cols = (s, rows) if columns is None else _scaled_supports(columns)
+    ws = [dict(w) for w in cols]
     if columns is None:
-        supports = (
-            _support(bracket(v, w)) for a, v in enumerate(basis) for w in basis[a + 1 :]
-        )
-        return _pencil(c, len(basis), len(basis), True, supports)
-    supports = (_support(bracket(v, w)) for v in basis for w in columns)
-    return _pencil(c, len(basis), len(columns), False, supports)
+        pairs = ((v, w) for a, v in enumerate(rows) for w in ws[a + 1 :])
+    else:
+        pairs = ((v, w) for v in rows for w in ws)
+    supports = (_bracket_support(structure, v, w) for v, w in pairs)
+    return _pencil(c, len(rows), len(cols), columns is None, ds * s * r, supports)
 
 
 def bivector_pencil(c: AffineSubspace) -> SkewPencil:
-    """Pi(x)_ij = <x, [e_i, e_j]> along C, read from the structure constants."""
+    """Pi(x)_ij = <x, [e_i, e_j]> along C, read from the integer structure constants."""
     n = c.algebra.dim
-    rows = [dict(row) for row in c.algebra.structure]
+    ds, structure = c.algebra.integer_structure
+    rows = [dict(row) for row in structure]
     supports = (rows[i].get(j, ()) for i in range(n) for j in range(i + 1, n))
-    return _pencil(c, n, n, True, supports)
+    return _pencil(c, n, n, True, ds, supports)
 
 
 def pre_poisson_check(

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
 from lpl.lie import NotASubalgebra
 from lpl.linalg import mat, rref, solve, transpose, unit_vector, vec
+from lpl.submanifold import SkewPencil
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
 
@@ -90,6 +92,38 @@ def pencil_at(pencil, t):
         tuple(e / pencil.denominator for e in values[r * c : (r + 1) * c])
         for r in range(pencil.nrows)
     )
+
+
+def fraction_pencil(c, basis, columns=None) -> SkewPencil:
+    """The pencil of <x, [v_a, w_b]> along C, paired and scaled in Fractions.
+
+    The oracle for the integer pencils: each entry pairs C's base or a
+    direction vector with a Fraction bracket, and D is the lcm of the
+    entries' denominators.  The bivector pencil is the skew one on the unit
+    vectors.
+    """
+    nrows = len(basis)
+    skew = columns is None
+    if skew:
+        columns = basis
+        cells = [(a, b) for a in range(nrows) for b in range(a + 1, nrows)]
+    else:
+        cells = [(a, b) for a in range(nrows) for b in range(len(columns))]
+    ncols = len(columns)
+    vectors = (c.base, *c.direction.basis)
+    terms = [[] for _ in vectors]  # (row-major index, pairing) per vector
+    for a, b in cells:
+        w = c.algebra.bracket(basis[a], columns[b])
+        for i, v in enumerate(vectors):
+            e = sum((vk * wk for vk, wk in zip(v, w)), Fraction(0))
+            if e:
+                terms[i].append((a * ncols + b, e))
+    d = lcm(*(e.denominator for row in terms for _, e in row))
+    scaled = [tuple((k, e.numerator * (d // e.denominator)) for k, e in row) for row in terms]
+    base = [0] * (nrows * ncols)
+    for k, e in scaled[0]:
+        base[k] = e
+    return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
 
 
 def contains_by_rref(u: Subspace, vectors) -> bool:

@@ -350,12 +350,17 @@ def test_main_extend_to_a_point_is_decided_at_its_base(capsys, tmp_path):
 
 
 def test_main_refuses_failed_extension_self_check(capsys, monkeypatch):
-    monkeypatch.setattr(
-        embedding, "coisotropy_in_extension", lambda e, sampling: [(e.c.base, False)]
-    )
+    # The self-check's points come back unformed: the base is the walk's first.
+    bases = []
+
+    def failing(e, sampling):
+        bases.append(e.c.base)
+        return [(e.c.walk(sampling)[0][0], False)]
+
+    monkeypatch.setattr(embedding, "coisotropy_in_extension", failing)
     assert main(["extend", "--problem", "gl2_prepoisson.json"]) == EXIT_REFUSED
     err = capsys.readouterr().err
-    assert err.startswith("refused: C fails to be coisotropic in P")
+    assert err.startswith(f"refused: C fails to be coisotropic in P at {bases[0]}")
     assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ from lpl import embedding
 from lpl.embedding import (
     ConstancyNotCertified,
     Extension,
+    ExtensionCheckFailed,
     LocusReport,
     NotComplementary,
     RankNotConstant,
@@ -18,7 +19,7 @@ from lpl.embedding import (
     is_cosymplectic_at,
     symmetric_pair_analysis,
 )
-from lpl.lie import LieAlgebra, NotASubalgebra, subspace_bracket
+from lpl.lie import LieAlgebra, NotASubalgebra, is_subalgebra, subspace_bracket
 from lpl.linalg import (
     DimensionMismatch,
     Subspace,
@@ -27,6 +28,7 @@ from lpl.linalg import (
     rank,
     solve,
     transpose,
+    unit_vector,
     vadd,
     vec,
     vscale,
@@ -46,6 +48,7 @@ from conftest import (
     coordinate_subspace,
     random_subspace,
     random_vector,
+    rational_catalog,
     sl2_h,
     subalgebra_catalog,
 )
@@ -423,6 +426,76 @@ def test_induced_structure_requires_k_subalgebra(gl2):
         induced_structure(gl2, pair)
 
 
+def reference_induced_structure(algebra, pair):
+    """The induced structure from dense dual elements, paired in Fractions.
+
+    khat_i in k with <u_j, khat_i> = delta_ij has its coordinates in the
+    basis of k in column i of gram^-1; c_ij^l = <u_l, [khat_i, khat_j]>.
+    """
+    k, direction = pair.k, pair.p.annihilator()
+    m = direction.dim
+    gram = [[dot(u, kb) for kb in k.basis] for u in direction.basis]
+    y = solve(gram, k.dim, [unit_vector(m, i) for i in range(m)])
+    khat = [mat_vec(transpose(k.basis), column) for column in transpose(y)]
+    brackets = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            w = algebra.bracket(khat[i], khat[j])
+            coords = tuple(dot(u, w) for u in direction.basis)
+            if any(coords):
+                brackets[(i, j)] = coords
+    labels = tuple(algebra.labels[col] for col in direction.pivots)
+    return LieAlgebra.from_brackets(m, brackets, labels)
+
+
+def coordinate_subalgebras(algebra):
+    """Every span of unit vectors that is a subalgebra."""
+    n = algebra.dim
+    spans = (
+        Subspace.span(n, [unit_vector(n, i) for i in range(n) if mask >> i & 1])
+        for mask in range(2**n)
+    )
+    return [k for k in spans if is_subalgebra(algebra, k)]
+
+
+def test_induced_structure_matches_the_dense_formula(gl2, sl2):
+    # Extensions on the catalog and hand-built ones; a product of two
+    # extensions; and rational-basis algebras, split by a coordinate
+    # subalgebra k and a random complement p, so p-ann has no integer basis.
+    rng = random.Random(71)
+    pairs = {"catalog": [], "hand built": [], "product": [], "rational": []}
+    for source, extensions in (
+        ("catalog", catalog_extensions(rng)),
+        ("hand built", hand_built_extensions(rng)),
+    ):
+        for e in extensions:
+            constancy = constant_sharp_conormal(e)
+            if constancy.certified:
+                pairs[source].append((e.algebra, symmetric_pair_analysis(e, constancy)))
+    diagonal = AffineSubspace(sl2, Subspace.span(3, [[1, 0, 0]]), vec([1, 1, 0]))
+    c = product(gl2_line(gl2, [1, 0, 0, 0]), diagonal)
+    e = extend(c)
+    pairs["product"].append((e.algebra, symmetric_pair_analysis(e)))
+    rational_p_ann = 0
+    for algebra in rational_catalog():
+        n = algebra.dim
+        for k in coordinate_subalgebras(algebra):
+            p = Subspace.span(n, [random_vector(rng, n, bound=4) for _ in range(n - k.dim)])
+            pair = check_symmetric_pair(algebra, k, p)
+            pairs["rational"].append((algebra, pair))
+            p_ann = p.annihilator().basis
+            rational_p_ann += pair.decomposition and any(x.denominator > 1 for u in p_ann for x in u)
+    nonabelian = 0
+    for source, cases in pairs.items():
+        usable = [(a, pair) for a, pair in cases if pair.decomposition and pair.k_subalgebra]
+        assert usable, source
+        for algebra, pair in usable:
+            induced = induced_structure(algebra, pair)
+            assert induced == reference_induced_structure(algebra, pair)
+            nonabelian += not induced.is_abelian()
+    assert rational_p_ann > 10 and nonabelian > 10
+
+
 # ---------------------------------------------------------------------------
 # coisotropy of C inside the extension
 
@@ -458,8 +531,35 @@ def test_extend_checks_a_point_c_at_its_base_once(monkeypatch):
     monkeypatch.setattr(SampleSpec, "points", counted)
     e = extend(c)
     assert (e.p, e.p_tilde.dim, e.sampling) == (Subspace.full(2), 0, None)
-    assert coisotropy_in_extension(e, SampleSpec(count=8)) == [(c.base, True)]
+    checks = coisotropy_in_extension(e, SampleSpec(count=8))
+    assert [(c.point_at(t), ok) for t, ok in checks] == [(c.base, True)]
     assert draws == []
+
+
+def test_extend_forms_only_the_first_failing_point(gl2, monkeypatch):
+    # The self-check hands back its points unformed: a passing extend forms
+    # none, and a refused one forms the first failure for its message.
+    formed = []
+    original = AffineSubspace.point_at
+
+    def counted(self, point):
+        formed.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(AffineSubspace, "point_at", counted)
+    center = Subspace.span(4, [[1, 0, 0, 1]])
+    for c in (gl2_line(gl2, [1, 0, 0, 0]), AffineSubspace(gl2, center, vec([1, 2, 3, 4]))):
+        extend(c)
+    assert formed == []
+    c = gl2_line(gl2, [1, 0, 0, 0])
+    first, second = c.walk(SampleSpec(count=2, seed=5))[0][1:]
+    monkeypatch.setattr(
+        embedding, "coisotropy_in_extension", lambda e, sampling: [(first, False), (second, False)]
+    )
+    with pytest.raises(ExtensionCheckFailed) as refusal:
+        extend(c)
+    assert formed == [first]
+    assert str(refusal.value) == f"C fails to be coisotropic in P at {original(c, first)}"
 
 
 def test_extend_self_check_keeps_the_sampling_bound(sl2, monkeypatch):
@@ -539,6 +639,6 @@ def test_coisotropy_in_extension_matches_pointwise_formula():
     outcomes = set()
     for e in extensions:
         checks = coisotropy_in_extension(e, spec)
-        assert checks == reference_coisotropy(e, spec)
+        assert [(e.c.point_at(t), ok) for t, ok in checks] == reference_coisotropy(e, spec)
         outcomes.update(ok for _, ok in checks)
     assert outcomes == {True, False}

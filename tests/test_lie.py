@@ -26,12 +26,16 @@ from lpl.linalg import (
 from lpl.lie_poisson import bivector_at
 
 from conftest import (
+    SL2_BASIS,
     algebra_catalog,
     bracket_table,
     contains_by_rref,
     coordinate_subspace,
+    in_basis,
+    load_model,
     random_subspace,
     random_vector,
+    rational_catalog,
     sl2_h,
     subalgebra_catalog,
 )
@@ -330,6 +334,9 @@ def test_sparse_jacobi_matches_dense_loop():
     catalog = algebra_catalog()
     for algebra in catalog + [direct_sum(a, b, sign) for a in catalog[:5] for b in catalog for sign in (1, -1)]:
         assert _report_tuple(validate_jacobi(algebra)) == _dense_jacobi(algebra) == (True, None, None)
+    for algebra in rational_catalog():
+        assert algebra.integer_structure[0] > 1
+        assert _report_tuple(validate_jacobi(algebra)) == _dense_jacobi(algebra) == (True, None, None)
 
     rng = random.Random(41)
     broken = only_ik = 0
@@ -356,6 +363,21 @@ def test_jacobi_fails_where_only_e_i_e_k_is_nonzero():
     broken = LieAlgebra.from_brackets(4, {(0, 2): (0, 0, 0, 1), (1, 3): (-1, 0, 0, 0)})
     report = validate_jacobi(broken)
     assert _report_tuple(report) == _dense_jacobi(broken) == (False, (0, 1, 2), vec([-1, 0, 0, 0]))
+
+
+def test_jacobi_residual_of_rational_constants_is_the_fraction_one():
+    # The check sums the integer constants d c; a failing triple's residual
+    # is that sum over d^2, equal to the sum of the rational constants.
+    # sl2 in a rational basis, with one bracket halved, fails Jacobi.
+    sl2 = in_basis(load_model("sl2.json"), SL2_BASIS)
+    e = [unit_vector(3, i) for i in range(3)]
+    brackets = {(i, j): sl2.bracket(e[i], e[j]) for i, j in ((0, 1), (0, 2), (1, 2))}
+    brackets[(0, 1)] = vscale(Fraction(1, 2), brackets[(0, 1)])
+    broken = LieAlgebra.from_brackets(3, brackets)
+    report = validate_jacobi(broken)
+    assert broken.integer_structure[0] > 1 and not report.ok
+    assert _report_tuple(report) == _dense_jacobi(broken)
+    assert any(c.denominator > 1 for c in report.residual)
 
 
 def test_from_brackets_matches_dense_construction():

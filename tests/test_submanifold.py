@@ -55,9 +55,11 @@ from lpl.submanifold import (
 from conftest import (
     algebra_catalog,
     bracket_table,
+    fraction_pencil,
     pencil_at,
     random_subspace,
     random_vector,
+    rational_catalog,
     restricted_algebra,
     sl2_h,
     subalgebra_catalog,
@@ -444,6 +446,71 @@ def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypa
         assert not rectangular.skew
         with pytest.raises(TypeError):
             rectangular.rank_at(point)
+
+
+def test_integer_pencils_equal_the_fraction_oracle():
+    # skew_pencil and bivector_pencil pair integer brackets with C's integer
+    # base and directions; they store the same denominator and entries as the
+    # pencil paired in Fractions.  The cases take rational constants (Ds > 1),
+    # rational h and lambda, h = 0, h = g, the rectangular (h, e) pencil and
+    # the rectangular (h, ann(h)) one.
+    rng = random.Random(61)
+    catalog = algebra_catalog() + rational_catalog()
+    cases = []
+    for algebra in catalog:
+        n = algebra.dim
+        cases += [(algebra, Subspace.zero(n)), (algebra, Subspace.full(n))]
+        cases += [(algebra, random_subspace(rng, n)) for _ in range(3)]
+        cases.append((algebra, Subspace.span(n, [_mixed_coordinates(rng, n) for _ in range(2)])))
+    seen = {"rational constants": 0, "rational lambda": 0, "rescaled": 0}
+    for algebra, h in cases:
+        n = algebra.dim
+        e = [unit_vector(n, j) for j in range(n)]
+        for base in (random_vector(rng, n, bound=7), _mixed_coordinates(rng, n)):
+            c = AffineSubspace(algebra, h, base)
+            pairs = [
+                (skew_pencil(c, h.basis), fraction_pencil(c, h.basis)),
+                (skew_pencil(c, h.basis, e), fraction_pencil(c, h.basis, e)),
+                (skew_pencil(c, h.basis, c.direction.basis), fraction_pencil(c, h.basis, c.direction.basis)),
+                (bivector_pencil(c), fraction_pencil(c, e)),
+            ]
+            for pencil, oracle in pairs:
+                assert pencil == oracle
+            ds = algebra.integer_structure[0]
+            seen["rational constants"] += ds > 1
+            seen["rational lambda"] += any(x.denominator > 1 for x in base)
+            # D is below Ds T S^2, the scale of the integer pairings (T of C's
+            # vectors, S of h's basis): a common factor was divided out.
+            t = lcm(*(x.denominator for v in (base, *c.direction.basis) for x in v))
+            s = lcm(*(x.denominator for v in h.basis for x in v))
+            seen["rescaled"] += pairs[0][0].denominator < ds * t * s * s
+    assert min(seen.values()) > 10
+
+
+def test_pencils_are_built_without_fraction_arithmetic(monkeypatch):
+    # C's form, the bivector pencil and the rectangular (h, e) pencil are
+    # paired and scaled in integers: no Fraction is multiplied or added.
+    rng = random.Random(67)
+    cases = []
+    for algebra in algebra_catalog() + rational_catalog():
+        n = algebra.dim
+        h = Subspace.span(n, [_mixed_coordinates(rng, n) for _ in range(rng.randint(1, n))])
+        c = AffineSubspace(algebra, h, _mixed_coordinates(rng, n))
+        cases.append((c, [unit_vector(n, j) for j in range(n)]))
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        original = getattr(Fraction, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and calls == ["__add__"]
+    calls.clear()
+    built = [(c.form, bivector_pencil(c), skew_pencil(c, c.h.basis, e)) for c, e in cases]
+    assert calls == []
+    assert any(pencil.denominator > 1 for pencils in built for pencil in pencils)
 
 
 CATALOG = algebra_catalog()
