@@ -41,7 +41,7 @@ def isotropy_algebra(algebra: LieAlgebra, x: Iterable) -> Subspace:
     xv = vec(x)
     pi = bivector_at(algebra, xv)
     # v in the kernel of v -> v^T Pi, i.e. of Pi^T; Pi is skew so use Pi itself.
-    return Subspace(algebra.dim, nullspace(pi, algebra.dim))
+    return Subspace.span(algebra.dim, pi).annihilator()
 
 
 def orbit_tangent(algebra: LieAlgebra, x: Iterable) -> Subspace:

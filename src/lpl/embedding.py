@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .lie import LieAlgebra, NotASubalgebra, is_subalgebra, validate_jacobi
+from .lie import LieAlgebra, NotASubalgebra, brackets_in, is_subalgebra, validate_jacobi
 from .linalg import (
     InvariantViolation,
     Subspace,
@@ -160,14 +160,16 @@ def constant_sharp_conormal(e: Extension) -> ConstancyResult:
     coad_v(x) is linear in x, so sharp N*_x P stays inside its value K at the
     base point for every x on P iff coad_v(u) lies in K for each basis vector
     v of p and each direction generator u; failure of one containment is a
-    direction along which the space genuinely moves.
+    direction along which the space genuinely moves.  Each coad_v(u) is
+    taken in integers, at the integer echelon rows of p and the direction.
     """
     k_ann = sharp_conormal_at(e.p_tilde, e.p_tilde.base)
-    for v in e.p.basis:
-        for u in e.p_tilde.direction.basis:
-            image = e.algebra.coad_apply(v, u)
-            if not k_ann.contains_vector(image):
-                return ConstancyResult(witness=(v, u, image))
+    direction, p_rows = e.p_tilde.direction, e.p.integer_echelon[1]
+    images = [e.algebra.integer_coad(p_rows, u) for u in direction.integer_echelon[1]]
+    for a, v in enumerate(e.p.basis):
+        for b, u in enumerate(direction.basis):
+            if not k_ann.contains_integer(images[b][a]):
+                return ConstancyResult(witness=(v, u, e.algebra.coad_apply(v, u)))
     return ConstancyResult(k_ann=k_ann)
 
 
@@ -189,8 +191,8 @@ def check_symmetric_pair(algebra: LieAlgebra, k: Subspace, p: Subspace) -> Symme
     """The three bracket conditions for a user- or extension-given (k, p)."""
     decomposition = k.sum(p).dim == algebra.dim == k.dim + p.dim
     k_sub = is_subalgebra(algebra, k)
-    kp_in_p = all(p.contains_vector(algebra.bracket(a, b)) for a, b in product(k.basis, p.basis))
-    pp_in_k = all(k.contains_vector(algebra.bracket(a, b)) for a, b in combinations(p.basis, 2))
+    kp_in_p = brackets_in(algebra, p, product(k.integer_echelon[1], p.integer_echelon[1]))
+    pp_in_k = brackets_in(algebra, k, combinations(p.integer_echelon[1], 2))
     return SymmetricPairReport(k, p, decomposition, k_sub, kp_in_p, pp_in_k)
 
 

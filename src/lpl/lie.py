@@ -121,6 +121,30 @@ class LieAlgebra:
                     out[k] += f * c
         return tuple(out)
 
+    def integer_bracket(self, v: Sequence[tuple[int, int]], w: Mapping[int, int]) -> list:
+        """Ds [v, w] over ``integer_structure`` as its nonzero (k, e), for sparse integer v, w."""
+        structure, out = self.integer_structure[1], {}
+        for i, vi in v:
+            for j, terms in structure[i]:
+                wj = w.get(j)
+                if wj:
+                    f = vi * wj
+                    for k, c in terms:
+                        out[k] = out.get(k, 0) + f * c
+        return [(k, e) for k, e in out.items() if e]
+
+    def integer_coad(self, rows: Iterable[Sequence[int]], x: Sequence[int]) -> list[list[int]]:
+        """Ds coad_v(x) for each integer row v at an integer x: entry j is sum v_i x_k Ds c_ij^k."""
+        structure, out = self.integer_structure[1], []
+        for v in rows:
+            image = [0] * self.dim
+            for vi, row in zip(v, structure):
+                if vi:
+                    for j, terms in row:
+                        image[j] += vi * sum(x[k] * c for k, c in terms)
+            out.append(image)
+        return out
+
     def coad_apply(self, v: Iterable, x: Iterable) -> Vector:
         """coad_v(x), i.e. the covector w -> <x, [v, w]>: entry j is sum v_i x_k c_ij^k."""
         vv, xv = vec(v), vec(x)
@@ -168,6 +192,16 @@ def validate_jacobi(algebra: LieAlgebra) -> ValidationReport:
     return ValidationReport(True)
 
 
+def brackets_in(algebra: LieAlgebra, w: Subspace, pairs: Iterable[tuple]) -> bool:
+    """True iff [a, b] lies in w for each pair (a, b) of integer rows (positive scales keep it)."""
+    for a, b in pairs:
+        support = [(i, e) for i, e in enumerate(a) if e]
+        image = dict(algebra.integer_bracket(support, dict(enumerate(b))))
+        if not w.contains_integer([image.get(k, 0) for k in range(algebra.dim)]):
+            return False
+    return True
+
+
 def subspace_bracket(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of [u_i, v_j] over the canonical bases of u and v."""
     if u.ambient_dim != algebra.dim or v.ambient_dim != algebra.dim:
@@ -180,7 +214,7 @@ def is_subalgebra(algebra: LieAlgebra, u: Subspace) -> bool:
     """True iff [a, b] lies in u for each pair a < b of u's canonical basis."""
     if u.ambient_dim != algebra.dim:
         raise DimensionMismatch("subspaces must live in the algebra")
-    return all(u.contains_vector(algebra.bracket(a, b)) for a, b in combinations(u.basis, 2))
+    return brackets_in(algebra, u, combinations(u.integer_echelon[1], 2))
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra, sign: int = 1) -> LieAlgebra:

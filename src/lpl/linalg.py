@@ -6,8 +6,9 @@ canonical representative, so value equality of subspaces is plain ``==``.
 No floating point is used anywhere.
 
 Two fraction-free integer kernels do the eliminations: the Bareiss loop
-:func:`_eliminate`, behind ``integer_rank``, ``rank``, ``rref``, ``nullspace``
-and ``solve``, and the 2 x 2-pivot Pfaffian loop :func:`_skew_eliminate`,
+:func:`_eliminate`, behind ``integer_rank``, ``rank``, ``rref``, ``nullspace``,
+``solve`` and the :class:`Subspace` lattice, which runs on the integer rows
+each Subspace keeps, and the 2 x 2-pivot Pfaffian loop :func:`_skew_eliminate`,
 behind ``skew_rank``, which ranks a skew matrix from its upper triangle.
 """
 
@@ -114,11 +115,10 @@ def rref(rows: Iterable[Sequence], ncols: int) -> Matrix:
     columns are cleared, pivot columns strictly increase.  It is the integer
     reduced form of :func:`_eliminate` divided by its last pivot.
     """
-    reduced, d = _eliminate(_integer_rows(rows, ncols), ncols, reduce=True)
-    return tuple(tuple(Fraction(x, d) if x else ZERO for x in row) for row in reduced)
+    return Subspace.integer_span(ncols, integer_rows(rows, ncols)).basis
 
 
-def _integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
+def integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
     """Rational rows of ``ncols`` entries, each times the lcm of its denominators."""
     scaled = []
     for row in map(vec, rows):
@@ -134,7 +134,7 @@ def rank(rows: Iterable[Sequence], ncols: Optional[int] = None) -> int:
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    return integer_rank(_integer_rows(rows, ncols), ncols)
+    return integer_rank(integer_rows(rows, ncols), ncols)
 
 
 def integer_rank(rows: Iterable[list[int]], ncols: int) -> int:
@@ -289,7 +289,18 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Iterable]) -> "Subspace":
-        return Subspace(ambient_dim, rref(list(vectors), ambient_dim))
+        return Subspace.integer_span(ambient_dim, integer_rows(vectors, ambient_dim))
+
+    @staticmethod
+    def integer_span(ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
+        """The span of integer rows, keeping the rows ``_eliminate`` reduces them to."""
+        reduced, d = _eliminate(rows, ambient_dim, reduce=True)
+        if d < 0:
+            d, reduced = -d, [[-x for x in row] for row in reduced]
+        basis = (tuple(Fraction(x, d) if x else ZERO for x in row) for row in reduced)
+        u = Subspace(ambient_dim, tuple(basis))
+        u.__dict__["integer_echelon"] = (d, reduced)  # the cached_property's slot
+        return u
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -303,6 +314,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def integer_echelon(self) -> tuple[int, list]:
+        """(d, R) with d > 0 and ``basis == R / d``; d is the lcm of the denominators
+        unless ``integer_span`` kept the rows and last pivot of its elimination."""
+        d = lcm(*(e.denominator for row in self.basis for e in row))
+        return d, [[e.numerator * (d // e.denominator) for e in row] for row in self.basis]
+
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch(
@@ -310,15 +328,26 @@ class Subspace:
             )
 
     def contains_vector(self, v: Iterable) -> bool:
-        return self.coords_of(v) is not None
+        return self.contains_integer(integer_rows([v], self.ambient_dim)[0])
+
+    def contains_integer(self, w: Sequence[int]) -> bool:
+        """True iff sum_i w[p_i] R_i == d w: the one combination of the rows that can give w."""
+        d, rows = self.integer_echelon
+        rest = [d * e for e in w]
+        for row, p in zip(rows, self.pivots):
+            c = w[p]
+            if c:
+                rest = [a - c * e for a, e in zip(rest, row)]
+        return not any(rest)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.coords_of(v) is not None for v in other.basis)
+        return other.dim <= self.dim and all(map(self.contains_integer, other.integer_echelon[1]))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.ambient_dim, self.basis + other.basis)
+        rows = self.integer_echelon[1] + other.integer_echelon[1]
+        return Subspace.integer_span(self.ambient_dim, rows)
 
     __add__ = sum
 
@@ -331,39 +360,22 @@ class Subspace:
         """Covectors pairing to zero with the subspace (dot-product pairing).
 
         The basis is already reduced, so each free column f gives the kernel
-        vector e_f - sum_i row_i[f] e_pivot(i) directly; one rref makes them canonical.
+        vector d e_f - sum_i R_i[f] e_pivot(i) directly from the integer rows;
+        one elimination makes them canonical.
         """
-        n, pivots = self.ambient_dim, self.pivots
+        n, pivots, (d, rows) = self.ambient_dim, self.pivots, self.integer_echelon
         kernel = []
         for f in sorted(set(range(n)) - set(pivots)):
-            v = [ZERO] * n
-            v[f] = ONE
-            for row, p in zip(self.basis, pivots):
+            v = [0] * n
+            v[f] = d
+            for row, p in zip(rows, pivots):
                 v[p] = -row[f]
             kernel.append(v)
-        return Subspace.span(n, kernel)
-
-    def coords_of(self, v: Iterable) -> Optional[Vector]:
-        """Coefficients of v in the canonical basis, or None if v is outside.
-
-        Basis vector i is 1 at its pivot and 0 at the other pivots, so the only
-        candidates are v's entries at the pivots: v is inside iff they give v back.
-        """
-        w = vec(v)
-        if len(w) != self.ambient_dim:
-            raise DimensionMismatch("vector length does not match ambient dim")
-        coeffs = tuple(w[j] for j in self.pivots)
-        back = [ZERO] * self.ambient_dim
-        for c, row in zip(coeffs, self.basis):
-            if c:
-                for j, e in enumerate(row):
-                    if e:
-                        back[j] += c * e
-        return coeffs if tuple(back) == w else None
+        return Subspace.integer_span(n, kernel)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(pivot_columns(self.basis))
+        return tuple(pivot_columns(self.integer_echelon[1]))
 
 
 def choose_complement(u: Subspace) -> Subspace:
@@ -371,8 +383,9 @@ def choose_complement(u: Subspace) -> Subspace:
 
     In coordinate order, e_j is kept iff it is not in span(u, e_0 .. e_(j-1)).
     That span holds e_j iff some vector of u has its last nonzero entry at j,
-    i.e. iff j is a pivot of u's echelon form with the columns reversed.
+    i.e. iff j is a pivot of the forward elimination of u's reversed integer rows.
     """
     n = u.ambient_dim
-    last = {n - 1 - j for j in pivot_columns(rref([row[::-1] for row in u.basis], n))}
+    reversed_rows = _eliminate([row[::-1] for row in u.integer_echelon[1]], n, reduce=False)[0]
+    last = {n - 1 - j for j in pivot_columns(reversed_rows)}
     return Subspace(n, tuple(unit_vector(n, j) for j in range(n) if j not in last))

@@ -33,6 +33,7 @@ from .linalg import (
     choose_complement,
     dot,
     integer_rank,
+    integer_rows,
     rank,
     skew_rank,
     solve,
@@ -129,7 +130,7 @@ class AffineSubspace:
 
     def require_point(self, x: Iterable) -> Vector:
         xv = vec(x)
-        if not self.contains(xv):
+        if xv != self.base and not self.contains(xv):  # the base lies on C
             raise NotOnSubmanifold(f"point {xv} is not on the affine subspace")
         return xv
 
@@ -181,10 +182,14 @@ class AffineSubspace:
 
 
 def sharp_conormal_at(c: AffineSubspace, x: Iterable) -> Subspace:
-    """sharp N*_x C = span of coad_v(x) over a basis v of h (x must lie on C)."""
-    xv = c.require_point(x)
-    images = [c.algebra.coad_apply(v, xv) for v in c.h.basis]
-    return Subspace.span(c.algebra.dim, images)
+    """sharp N*_x C = span of coad_v(x) over a basis v of h (x must lie on C), in integers."""
+    return Subspace.integer_span(c.algebra.dim, _coad_rows_at(c, c.require_point(x)))
+
+
+def _coad_rows_at(c: AffineSubspace, x: Vector) -> list[list[int]]:
+    """coad_{h_a}(x) for the canonical basis h_a of h, all times one positive integer."""
+    (scaled,) = integer_rows([x], c.algebra.dim)
+    return c.algebra.integer_coad(c.h.integer_echelon[1], scaled)
 
 
 @dataclass(frozen=True)
@@ -284,19 +289,6 @@ def _scaled_supports(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[in
     ]
 
 
-def _bracket_support(structure, v: Sequence[tuple[int, int]], w: dict[int, int]) -> list:
-    """The nonzero (k, sum_ij v_i w_j c_ij^k) over integer constants, for v and w sparse."""
-    out: dict[int, int] = {}
-    for i, vi in v:
-        for j, terms in structure[i]:
-            wj = w.get(j)
-            if wj:
-                f = vi * wj
-                for k, c in terms:
-                    out[k] = out.get(k, 0) + f * c
-    return [(k, e) for k, e in out.items() if e]
-
-
 def _pencil(
     c: AffineSubspace,
     nrows: int,
@@ -352,7 +344,7 @@ def skew_pencil(
     the pencil is skew.  The brackets are those of S v_a and R w_b over the
     integer structure constants, S and R the lcm of each basis's denominators.
     """
-    ds, structure = c.algebra.integer_structure
+    ds = c.algebra.integer_structure[0]
     s, rows = _scaled_supports(basis)
     r, cols = (s, rows) if columns is None else _scaled_supports(columns)
     ws = [dict(w) for w in cols]
@@ -360,7 +352,7 @@ def skew_pencil(
         pairs = ((v, w) for a, v in enumerate(rows) for w in ws[a + 1 :])
     else:
         pairs = ((v, w) for v in rows for w in ws)
-    supports = (_bracket_support(structure, v, w) for v, w in pairs)
+    supports = (c.algebra.integer_bracket(v, w) for v, w in pairs)
     return _pencil(c, len(rows), len(cols), columns is None, ds * s * r, supports)
 
 
@@ -450,8 +442,7 @@ def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> Classifi
         generic = max(r for _, r in pp.counterexample)
         base_rank = pp.counterexample[0][1]
     form_rank = base_rank - c.direction.dim
-    s = [c.algebra.coad_apply(v, c.base) for v in c.h.basis]
-    char_rank = rank(s, c.algebra.dim) - form_rank
+    char_rank = integer_rank(_coad_rows_at(c, c.base), c.algebra.dim) - form_rank
     return ClassificationReport(
         coisotropic=coiso,
         pre_poisson=pp,

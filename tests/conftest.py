@@ -9,7 +9,7 @@ import pytest
 from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
 from lpl.lie import NotASubalgebra
-from lpl.linalg import mat, rref, solve, transpose, unit_vector, vec
+from lpl.linalg import DimensionMismatch, mat, rref, solve, transpose, unit_vector, vec
 from lpl.submanifold import SkewPencil
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
@@ -126,6 +126,58 @@ def fraction_pencil(c, basis, columns=None) -> SkewPencil:
     return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
 
 
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan elimination over Fraction: the reference for the integer core behind rref."""
+    work = [list(vec(r)) for r in rows]
+    found = 0
+    for col in range(ncols):
+        pr = next((r for r in range(found, len(work)) if work[r][col]), None)
+        if pr is None:
+            continue
+        work[found], work[pr] = work[pr], work[found]
+        inv = 1 / work[found][col]
+        work[found] = [inv * e for e in work[found]]
+        for r in range(len(work)):
+            if r != found and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[found])]
+        found += 1
+    return tuple(tuple(r) for r in work[:found])
+
+
+def coords_of(u: Subspace, v):
+    """Coefficients of v in u's canonical basis, or None if v is outside: the Fraction
+    membership oracle for the integer test ``Subspace.contains_integer``.
+
+    Basis vector i is 1 at its pivot and 0 at the other pivots, so the only
+    candidates are v's entries at the pivots: v is inside iff they give v back.
+    """
+    w = vec(v)
+    if len(w) != u.ambient_dim:
+        raise DimensionMismatch("vector length does not match ambient dim")
+    coeffs = tuple(w[next(j for j, e in enumerate(row) if e)] for row in u.basis)
+    back = [Fraction(0)] * u.ambient_dim
+    for c, row in zip(coeffs, u.basis):
+        for j, e in enumerate(row):
+            back[j] += c * e
+    return coeffs if tuple(back) == w else None
+
+
+def fraction_arithmetic(monkeypatch) -> list:
+    """The names of the Fraction operators called from now on, in call order."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        original = getattr(Fraction, name)
+
+        def counted(self, *other, original=original, name=name):
+            calls.append(name)
+            return original(self, *other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
 def contains_by_rref(u: Subspace, vectors) -> bool:
     """Membership by elimination: the vectors lie in u iff adding them keeps the rank."""
     return len(rref(list(u.basis) + [vec(v) for v in vectors], u.ambient_dim)) == u.dim
@@ -213,7 +265,7 @@ def restricted_algebra(algebra: LieAlgebra, h: Subspace) -> LieAlgebra:
     for i in range(m):
         for j in range(i + 1, m):
             w = algebra.bracket(h.basis[i], h.basis[j])
-            coords = h.coords_of(w)
+            coords = coords_of(h, w)
             if coords is None:
                 raise NotASubalgebra("subspace is not closed under the bracket")
             if any(x != 0 for x in coords):

@@ -46,6 +46,8 @@ from conftest import (
     algebra_catalog,
     contains_by_rref,
     coordinate_subspace,
+    coords_of,
+    fraction_rref,
     random_subspace,
     random_vector,
     rational_catalog,
@@ -193,9 +195,9 @@ def catalog_extensions(rng):
     return [extend(c) for c in cases]
 
 
-def hand_built_extensions(rng, count=40):
+def hand_built_extensions(rng, count=40, catalog=None):
     """P = lambda + ann(p) for a random p inside a random h, on the catalog."""
-    catalog = algebra_catalog()
+    catalog = catalog or algebra_catalog()
     extensions = []
     for _ in range(count):
         algebra = rng.choice(catalog)
@@ -370,6 +372,40 @@ def test_constancy_is_k_normalizing_p():
         assert certified == kp_in_p
         outcomes.append(certified)
     assert True in outcomes and False in outcomes
+
+
+def constancy_by_coad_apply(e):
+    """K and the first (v, u, coad_v(u)) outside it, over the bases of p and of P's direction.
+
+    The Fraction loop: coad_apply at the base and at each pair, with membership
+    in K read off coords_of.
+    """
+    n = e.algebra.dim
+    at_base = [e.algebra.coad_apply(v, e.p_tilde.base) for v in e.p.basis]
+    k_ann = Subspace(n, fraction_rref(at_base, n))
+    for v in e.p.basis:
+        for u in e.p_tilde.direction.basis:
+            image = e.algebra.coad_apply(v, u)
+            if coords_of(k_ann, image) is None:
+                return k_ann, (v, u, image)
+    return k_ann, None
+
+
+def test_constancy_witness_is_the_first_of_the_fraction_loop():
+    # constant_sharp_conormal tests integer coadjoint rows; its K and its
+    # witness, the first failing (v, u) in the order of the two bases, are
+    # those of the Fraction loop, on integer and rational structure constants.
+    rng = random.Random(89)
+    extensions = catalog_extensions(rng) + hand_built_extensions(rng)
+    extensions += hand_built_extensions(rng, catalog=rational_catalog())
+    witnesses = 0
+    for e in extensions:
+        k_ann, witness = constancy_by_coad_apply(e)
+        result = constant_sharp_conormal(e)
+        assert result.witness == witness
+        assert result.k_ann == (k_ann if witness is None else None)
+        witnesses += witness is not None
+    assert 10 < witnesses < len(extensions) - 10
 
 
 # ---------------------------------------------------------------------------

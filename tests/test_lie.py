@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpl.lie import (
     LieAlgebra,
@@ -165,6 +167,23 @@ def test_is_subalgebra_matches_the_bracket_span():
         assert closed == contains_by_rref(u, subspace_bracket(algebra, u, u).basis)
         outcomes.add(closed)
     assert outcomes == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_bracket_and_coad_are_ds_times_the_fraction_ones(data):
+    # integer_bracket and integer_coad run on the integer constants Ds c_ij^k,
+    # so on integer vectors they are Ds times bracket and coad_apply.
+    algebra = data.draw(st.sampled_from(algebra_catalog() + rational_catalog()))
+    n, ds = algebra.dim, algebra.integer_structure[0]
+    vector = st.lists(st.one_of(st.just(0), st.integers(-30, 30)), min_size=n, max_size=n)
+    v, w, x = data.draw(vector), data.draw(vector), data.draw(vector)
+    support = [(i, e) for i, e in enumerate(v) if e]
+    bracket = sorted(algebra.integer_bracket(support, {j: e for j, e in enumerate(w) if e}))
+    assert bracket == [(k, ds * e) for k, e in enumerate(algebra.bracket(v, w)) if e]
+    rows = data.draw(st.lists(vector, max_size=4))
+    expected = [[ds * e for e in algebra.coad_apply(r, x)] for r in rows]
+    assert algebra.integer_coad(rows, x) == expected
 
 
 def test_is_subalgebra_checks_the_ambient_dimension(sl2):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpl.algebroid import isotropy_algebra
-from lpl.lie import LinearMap
+from lpl.lie import LinearMap, is_subalgebra
 from lpl.linalg import (
     DimensionMismatch,
     Subspace,
@@ -23,6 +24,7 @@ from lpl.linalg import (
     skew_rank,
     solve,
     transpose,
+    unit_vector,
     vec,
     zero_vector,
 )
@@ -32,8 +34,11 @@ from conftest import (
     algebra_catalog,
     contains_by_rref,
     coordinate_subspace,
+    coords_of,
+    fraction_rref,
     random_subspace,
     random_vector,
+    rational_catalog,
 )
 
 
@@ -129,25 +134,6 @@ def test_fraction_free_rank_against_sympy():
         full += expected == min(nrows, ncols)
         deficient += expected < min(nrows, ncols)
     assert full > 20 and deficient > 100
-
-
-def fraction_rref(rows, ncols):
-    """Gauss-Jordan elimination over Fraction: the reference for the integer core behind rref."""
-    work = [list(vec(r)) for r in rows]
-    found = 0
-    for col in range(ncols):
-        pr = next((r for r in range(found, len(work)) if work[r][col]), None)
-        if pr is None:
-            continue
-        work[found], work[pr] = work[pr], work[found]
-        inv = 1 / work[found][col]
-        work[found] = [inv * e for e in work[found]]
-        for r in range(len(work)):
-            if r != found and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[found])]
-        found += 1
-    return tuple(tuple(r) for r in work[:found])
 
 
 def sympy_rref(rows, ncols):
@@ -332,7 +318,7 @@ def test_membership_matches_rref_and_solve():
         )
         for v in _membership_cases(rng, u):
             coords = _coords_by_solve(u, v)
-            assert u.coords_of(v) == coords
+            assert coords_of(u, v) == coords
             assert u.contains_vector(v) == contains_by_rref(u, [v]) == (coords is not None)
             outcomes.add(coords is None)
         inner = Subspace.span(n, _membership_cases(rng, u)[1:2])
@@ -344,7 +330,7 @@ def test_membership_matches_rref_and_solve():
 
 def test_membership_checks_the_vector_length():
     for u in (Subspace.zero(3), Subspace.full(3)):
-        for method in (u.coords_of, u.contains_vector):
+        for method in (u.contains_vector, lambda v: coords_of(u, v)):
             with pytest.raises(DimensionMismatch):
                 method(zero_vector(4))
 
@@ -359,6 +345,78 @@ def test_grassmann_identity(data):
     u = Subspace.span(n, rows_u)
     v = Subspace.span(n, rows_v)
     assert u.sum(v).dim + u.intersect(v).dim == u.dim + v.dim
+
+
+def _fraction_annihilator(u):
+    """e_f - sum_i b_i[f] e_pivot(i) per free column f, in Fractions, reduced by fraction_rref."""
+    n = u.ambient_dim
+    pivots = [next(j for j, e in enumerate(b) if e) for b in u.basis]
+    kernel = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for b, p in zip(u.basis, pivots):
+            v[p] = -b[f]
+        kernel.append(v)
+    return fraction_rref(kernel, n)
+
+
+LATTICE_ALGEBRAS = algebra_catalog() + rational_catalog()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_lattice_matches_fraction_formulas(data):
+    # The lattice runs on the integer echelon rows (d, R) of each Subspace;
+    # the oracles are the Fraction formulas on the canonical basis.  Spans of
+    # rows with denominators, coordinate spans (often subalgebras), the zero
+    # and full spaces and greedy complements, the last two built directly.
+    algebra = data.draw(st.sampled_from(LATTICE_ALGEBRAS))
+    n = algebra.dim
+    entry = st.one_of(st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    vectors = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n)
+
+    def draw_subspace():
+        rows = data.draw(vectors)
+        kind = data.draw(st.sampled_from(["span", "units", "zero", "full", "complement"]))
+        if kind == "span":
+            u = Subspace.span(n, rows)
+            assert u.basis == fraction_rref(rows, n)
+            return u
+        if kind == "units":
+            units = data.draw(st.sets(st.integers(0, n - 1)))
+            return Subspace.span(n, [unit_vector(n, j) for j in units])
+        if kind == "complement":
+            return choose_complement(Subspace.span(n, rows))
+        return Subspace.zero(n) if kind == "zero" else Subspace.full(n)
+
+    u, v = draw_subspace(), draw_subspace()
+    for s in (u, v):
+        d, rows = s.integer_echelon
+        assert d > 0 and tuple(tuple(Fraction(x, d) for x in row) for row in rows) == s.basis
+    assert u.sum(v).basis == fraction_rref(u.basis + v.basis, n)
+    assert u.annihilator().basis == _fraction_annihilator(u)
+    assert choose_complement(u).basis == tuple(_choose_complement_by_rref(u, Subspace.full(n)))
+    assert u.contains(v) == all(coords_of(u, b) is not None for b in v.basis)
+    coefficients = data.draw(st.lists(entry, min_size=u.dim, max_size=u.dim))
+    inside = [sum((c * b[j] for c, b in zip(coefficients, u.basis)), Fraction(0)) for j in range(n)]
+    nudged = list(inside)
+    nudged[data.draw(st.integers(0, n - 1))] += Fraction(1, data.draw(st.integers(1, 5)))
+    for w in [zero_vector(n), inside, nudged, *v.basis, *data.draw(vectors)]:
+        assert u.contains_vector(w) == (coords_of(u, w) is not None)
+    brackets = [algebra.bracket(a, b) for a, b in combinations(u.basis, 2)]
+    assert is_subalgebra(algebra, u) == all(coords_of(u, w) is not None for w in brackets)
+
+
+def test_integer_lattice_answers_both_ways(gl2):
+    # The property test above compares answers; here both answers of each
+    # membership and closure question occur on fixed inputs.
+    u = Subspace.span(4, [[Fraction(1, 2), Fraction(1, 3), 0, 0], [0, 0, 0, 1]])
+    assert u.integer_echelon == (3, [[3, 2, 0, 0], [0, 0, 0, 3]])
+    assert u.contains_vector([3, 2, 0, 5]) and not u.contains_vector([3, 2, 1, 5])
+    assert u.contains(Subspace.span(4, [[0, 0, 0, 7]])) and not u.contains(Subspace.full(4))
+    assert is_subalgebra(gl2, Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]]))
+    assert not is_subalgebra(gl2, Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +481,10 @@ def test_complement_is_direct():
 
 
 def _choose_complement_by_rref(u, w):
-    # The greedy rule with an rref of the kept rows at every step.
-    chosen, current = [], list(u.basis)
+    # The greedy rule with a Fraction rref of the kept rows at every step.
+    n, chosen, current = w.ambient_dim, [], list(u.basis)
     for row in w.basis:
-        if len(rref(current + [row], w.ambient_dim)) > len(rref(current, w.ambient_dim)):
+        if len(fraction_rref(current + [row], n)) > len(fraction_rref(current, n)):
             chosen.append(row)
             current.append(row)
     return chosen

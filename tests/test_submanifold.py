@@ -55,7 +55,10 @@ from lpl.submanifold import (
 from conftest import (
     algebra_catalog,
     bracket_table,
+    coordinate_subspace,
+    fraction_arithmetic,
     fraction_pencil,
+    fraction_rref,
     pencil_at,
     random_subspace,
     random_vector,
@@ -497,20 +500,51 @@ def test_pencils_are_built_without_fraction_arithmetic(monkeypatch):
         h = Subspace.span(n, [_mixed_coordinates(rng, n) for _ in range(rng.randint(1, n))])
         c = AffineSubspace(algebra, h, _mixed_coordinates(rng, n))
         cases.append((c, [unit_vector(n, j) for j in range(n)]))
-    calls = []
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
-        original = getattr(Fraction, name)
-
-        def counted(self, other, original=original, name=name):
-            calls.append(name)
-            return original(self, other)
-
-        monkeypatch.setattr(Fraction, name, counted)
+    calls = fraction_arithmetic(monkeypatch)
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and calls == ["__add__"]
     calls.clear()
     built = [(c.form, bivector_pencil(c), skew_pencil(c, c.h.basis, e)) for c, e in cases]
     assert calls == []
     assert any(pencil.denominator > 1 for pencils in built for pencil in pencils)
+
+
+def test_lattice_and_span_at_base_run_without_fraction_arithmetic(monkeypatch):
+    # Sums, annihilators, containment, bracket closure and T_base C +
+    # sharp N*_base C run on integer echelon rows and integer coadjoint rows:
+    # no Fraction is added, subtracted, multiplied or divided.
+    rng = random.Random(79)
+    cases = []
+    for algebra in algebra_catalog() + rational_catalog():
+        n = algebra.dim
+        u, v = (
+            Subspace.span(n, [_mixed_coordinates(rng, n) for _ in range(rng.randint(0, n))])
+            for _ in range(2)
+        )
+        cases.append((algebra, u, v, coordinate_subspace(rng, n), _mixed_coordinates(rng, n)))
+    calls = fraction_arithmetic(monkeypatch)
+    answers = set()
+    for algebra, u, v, w, base in cases:
+        c = AffineSubspace(algebra, u, base)
+        assert u.sum(v).contains(v) and u.contains(u.intersect(v))
+        answers |= {("contains", v.contains(u)), ("closed", is_subalgebra(algebra, w))}
+        assert c.span_at_base.contains(c.direction) and v.annihilator().dim == v.ambient_dim - v.dim
+    assert calls == []
+    assert answers == {(name, flag) for name in ("contains", "closed") for flag in (True, False)}
+
+
+def test_sharp_conormal_is_the_span_of_coad_apply():
+    # sharp_conormal_at spans integer coadjoint rows at h's integer echelon
+    # rows; the oracle spans coad_apply(v, x) over h's canonical basis in
+    # Fractions, at the base and at sample points of C.
+    rng = random.Random(83)
+    for algebra in algebra_catalog() + rational_catalog():
+        n = algebra.dim
+        for _ in range(4):
+            h = Subspace.span(n, [_mixed_coordinates(rng, n) for _ in range(rng.randint(0, n))])
+            c = AffineSubspace(algebra, h, _mixed_coordinates(rng, n))
+            for x in [c.base] + c.sample_points(SampleSpec(count=3, seed=rng.randrange(100))):
+                images = [algebra.coad_apply(v, x) for v in h.basis]
+                assert sharp_conormal_at(c, x).basis == fraction_rref(images, n)
 
 
 CATALOG = algebra_catalog()
