@@ -58,7 +58,6 @@ from .submanifold import (
     PrePoissonVerdict,
     SampleSpec,
     SkewPencil,
-    bivector_pencil,
     classify,
     graph_coisotropy,
     is_coisotropic,

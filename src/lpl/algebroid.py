@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
-from .linalg import Subspace, Vector, mat_vec, nullspace, transpose, vec
+from .linalg import Subspace, Vector, mat_vec, nullspace, transpose, unit_vector, vec
 from .lie_poisson import bivector_at
-from .submanifold import AffineSubspace, SampleSpec, bivector_pencil, skew_pencil
+from .submanifold import AffineSubspace, SampleSpec, skew_pencil
 
 
 def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
@@ -67,20 +67,21 @@ def transversal_orbit_report(
 ) -> AlgebroidFiberReport:
     """Orbit dimensions and leaf-transversality along C, plus the fiber d.
 
-    Two ranks per point decide both.  T_x O is the row space of Pi(x), so the
-    orbit dimension is rank Pi(x).  A vector Pi(x) xi of T_x O lies in
-    T_x C = ann(h) iff xi kills coad_{h_a}(x) = h_a Pi(x) for every a, and
-    ker Pi(x) lies in that set, so
+    One skew elimination per point decides both.  T_x O is the row space of
+    Pi(x), so the orbit dimension is rank Pi(x).  A vector Pi(x) xi of T_x O
+    lies in T_x C = ann(h) iff xi kills coad_{h_a}(x) = h_a Pi(x) for every a,
+    and ker Pi(x) lies in that set, so
     dim(T_x C cap T_x O) = rank Pi(x) - rank [coad_{h_a}(x)]_a,
-    and C is transversal to the orbit at x iff the two ranks agree.  Both
-    matrices are pencils along C: Pi(x) on the full basis, and the rows
-    coad_{h_a}(x) as <x, [h_a, e_j]>.
+    and C is transversal to the orbit at x iff the two ranks agree.  With M =
+    [H; E], h's canonical basis H over the unit vectors E off its pivots, the
+    skew pencil <x, [M_a, M_b]> = M Pi(x) M^T has rank Pi(x) and its first
+    dim h rows rank H Pi(x): ``SkewPencil.ranks_at`` reads both at once.
     """
-    algebra, h = c.algebra, c.h
-    pi = bivector_pencil(c)
-    coad_h = skew_pencil(c, h.basis, Subspace.full(algebra.dim).basis)
+    h, n = c.h, c.algebra.dim
+    e = [unit_vector(n, j) for j in range(n) if j not in h.pivots]
+    pencil = skew_pencil(c, [*h.basis, *e])
     points, sampling = c.walk(sampling)
-    ranks = [(c.point_at(t), pi.rank_at(t), coad_h.rank_at(t)) for t in points]
+    ranks = [(c.point_at(t), *pencil.ranks_at(t, h.dim)) for t in points]
     orbit_dims = tuple((x, orbit_dim) for x, orbit_dim, _ in ranks)
     transversal = tuple((x, s == orbit_dim) for x, orbit_dim, s in ranks)
     dims = {d for _, d in orbit_dims}

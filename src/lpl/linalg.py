@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -189,31 +189,32 @@ def skew_rank(upper: Sequence[Sequence[int]], m: int) -> int:
     """
     if len(upper) != m:
         raise DimensionMismatch(f"{len(upper)} rows of an upper triangle where {m} are expected")
-    return 2 * _skew_eliminate(upper)[0]
+    return 2 * len(_skew_eliminate(upper)[0])
 
 
-def _skew_eliminate(upper: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Fraction-free congruence elimination with 2 x 2 pivots: (pivot count, last pivot).
+def _skew_eliminate(upper: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
+    """Fraction-free congruence elimination with 2 x 2 pivots: (pivot pairs, last pivot).
 
-    The pivot is the first nonzero p = x_ij, i < j, of the upper triangle.
-    Every remaining pair k < l becomes (p x_kl - x_ki x_lj + x_kj x_li) // prev,
+    The pivot p = x_ij, i < j, is the upper triangle's first nonzero entry in
+    row-major order.  Every remaining pair k < l becomes (p x_kl - x_ki x_lj + x_kj x_li) // prev,
     with x_ki = -x_ik, and rows and columns i and j are dropped; prev is the
     previous pivot.  After s pivots, entry (k, l) is the Pfaffian of the
     principal submatrix on the 2s pivot indices, in pivot order, then k and l,
     so the division is exact by the Pfaffian form of Sylvester's identity
     (Knuth, Overlapping Pfaffians, 1996).  Rows above the pivot row are zero
-    and stay zero, so they are dropped too.  At full rank the last pivot is
-    the Pfaffian up to sign.
+    and stay zero, so they are dropped too.  A pivot is reported as its pair
+    (i, j) of positions among the rows still left, which keep their order.
+    At full rank the last pivot is the Pfaffian up to sign.
     """
     rows = upper  # never changed in place: each step builds new rows
-    found = 0
+    pivots = []
     prev = 1
     while True:
         for i, pivot_row in enumerate(rows):
             if any(pivot_row):
                 break
         else:
-            return found, prev
+            return pivots, prev
         for jj, p in enumerate(pivot_row):
             if p:
                 break
@@ -240,9 +241,9 @@ def _skew_eliminate(upper: Sequence[Sequence[int]]) -> tuple[int, int]:
                 ]
             elif p != prev:
                 work[a] = [p * x // prev for x in row]
+        pivots.append((i, j))
         rows = work
         prev = p
-        found += 1
 
 
 def pivot_columns(echelon: Matrix) -> list[int]:
@@ -295,8 +296,14 @@ class Subspace:
     def integer_span(ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
         """The span of integer rows, keeping the rows ``_eliminate`` reduces them to."""
         reduced, d = _eliminate(rows, ambient_dim, reduce=True)
-        if d < 0:
-            d, reduced = -d, [[-x for x in row] for row in reduced]
+        # Divide out the content gcd(d, R), sign included: d is then the lcm of the denominators.
+        g = d
+        for row in reduced:
+            if (g := gcd(g, *row)) == 1:
+                break
+        g = -g if d < 0 else g
+        if g != 1:
+            d, reduced = d // g, [[x // g for x in row] for row in reduced]
         basis = (tuple(Fraction(x, d) if x else ZERO for x in row) for row in reduced)
         u = Subspace(ambient_dim, tuple(basis))
         u.__dict__["integer_echelon"] = (d, reduced)  # the cached_property's slot
@@ -316,8 +323,7 @@ class Subspace:
 
     @cached_property
     def integer_echelon(self) -> tuple[int, list]:
-        """(d, R) with d > 0 and ``basis == R / d``; d is the lcm of the denominators
-        unless ``integer_span`` kept the rows and last pivot of its elimination."""
+        """(d, R) with d > 0 and ``basis == R / d``; d is the lcm of the denominators."""
         d = lcm(*(e.denominator for row in self.basis for e in row))
         return d, [[e.numerator * (d // e.denominator) for e in row] for row in self.basis]
 

@@ -26,10 +26,12 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
 from .linalg import (
+    ZERO,
     DimensionMismatch,
     InvariantViolation,
     Subspace,
     Vector,
+    _skew_eliminate,
     choose_complement,
     dot,
     integer_rank,
@@ -145,18 +147,18 @@ class AffineSubspace:
     def point_at(self, point: IntegerPoint) -> Vector:
         """base + sum t_a u_a over the canonical basis u of the direction.
 
-        With t_a = n_a / L, the shift is (sum_a n_a T u_a) / (L T): integers
-        until one Fraction per shifted coordinate.
+        With t_a = n_a / L, the point is (L T base + sum_a n_a T u_a) / (L T):
+        integers until one Fraction per coordinate.
         """
         scale, numerators = point
-        frame, (_, *rows) = self._integer_frame
-        shift = [0] * len(self.base)
-        for na, row in zip(numerators, rows):
+        frame, rows = self._integer_frame
+        x = [0] * len(self.base)
+        for na, row in zip((scale, *numerators), rows):
             if na:
                 for j, e in row:
-                    shift[j] += na * e
+                    x[j] += na * e
         d = scale * frame
-        return tuple(b + Fraction(s, d) if s else b for b, s in zip(self.base, shift))
+        return tuple(Fraction(s, d) if s else ZERO for s in x)
 
     @cached_property
     def span_at_base(self) -> Subspace:
@@ -237,8 +239,8 @@ class SkewPencil:
     they are integers: ``base`` is D B0 row by row, and ``directions[i]``
     holds the (row-major index, value) pairs of the nonzero entries of D B_i.
     A skew pencil stores its strict upper triangle only, entries a < b.
-    It is read in integers only: ranked by ``rank_at`` at a point, and
-    written out in full at the base by ``base_rows``.
+    It is read in integers only: ranked by ``rank_at`` or ``ranks_at`` at a
+    point, and written out in full at the base by ``base_rows``.
     """
 
     nrows: int
@@ -263,12 +265,9 @@ class SkewPencil:
                     rows[b][a] = -rows[a][b]
         return rows
 
-    def rank_at(self, point: IntegerPoint) -> int:
-        """The rank at t = n / L, from L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i).
-
-        That matrix has integer entries, and L D > 0 does not change the rank.
-        A skew pencil is ranked from its upper triangle by ``skew_rank``.
-        """
+    def _integer_at(self, point: IntegerPoint) -> list[list[int]]:
+        """L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i) at t = n / L, as integer
+        rows: the strict upper triangle of a skew pencil, every entry otherwise."""
         scale, numerators = point
         flat = [scale * b for b in self.base] if scale != 1 else list(self.base)
         for n, terms in zip(numerators, self.directions):
@@ -277,8 +276,26 @@ class SkewPencil:
                     flat[k] += n * b
         c = self.ncols
         if self.skew:
-            return skew_rank([flat[r * c + r + 1 : (r + 1) * c] for r in range(c)], c)
-        return integer_rank([flat[r * c : (r + 1) * c] for r in range(self.nrows)], c)
+            return [flat[r * c + r + 1 : (r + 1) * c] for r in range(c)]
+        return [flat[r * c : (r + 1) * c] for r in range(self.nrows)]
+
+    def rank_at(self, point: IntegerPoint) -> int:
+        """The rank at t = n / L: that of the rows of ``_integer_at``, as L D > 0."""
+        rows = self._integer_at(point)
+        return skew_rank(rows, self.ncols) if self.skew else integer_rank(rows, self.ncols)
+
+    def ranks_at(self, point: IntegerPoint, lead: int) -> tuple[int, int]:
+        """A skew pencil's rank at t = n / L, and the rank of its first ``lead`` rows there.
+
+        Both come from one ``_skew_eliminate``: a pivot at the pencil's indices
+        (k, l) adds (k < lead) + (l < lead) to the second (README, "Orbit dimension").
+        """
+        pivots = _skew_eliminate(self._integer_at(point))[0]
+        index, split = list(range(self.ncols)), 0  # the pencil's index of each row left
+        for i, j in pivots:
+            split += (index[i] < lead) + (index[j] < lead)
+            del index[j], index[: i + 1]
+        return 2 * len(pivots), split
 
 
 def _scaled_supports(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -354,15 +371,6 @@ def skew_pencil(
         pairs = ((v, w) for v in rows for w in ws)
     supports = (c.algebra.integer_bracket(v, w) for v, w in pairs)
     return _pencil(c, len(rows), len(cols), columns is None, ds * s * r, supports)
-
-
-def bivector_pencil(c: AffineSubspace) -> SkewPencil:
-    """Pi(x)_ij = <x, [e_i, e_j]> along C, read from the integer structure constants."""
-    n = c.algebra.dim
-    ds, structure = c.algebra.integer_structure
-    rows = [dict(row) for row in structure]
-    supports = (rows[i].get(j, ()) for i in range(n) for j in range(i + 1, n))
-    return _pencil(c, n, n, True, ds, supports)
 
 
 def pre_poisson_check(

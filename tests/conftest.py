@@ -10,7 +10,7 @@ from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
 from lpl.lie import NotASubalgebra
 from lpl.linalg import DimensionMismatch, mat, rref, solve, transpose, unit_vector, vec
-from lpl.submanifold import SkewPencil
+from lpl.submanifold import SkewPencil, _pencil
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
 
@@ -124,6 +124,19 @@ def fraction_pencil(c, basis, columns=None) -> SkewPencil:
     for k, e in scaled[0]:
         base[k] = e
     return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
+
+
+def bivector_pencil(c) -> SkewPencil:
+    """Pi(x)_ij = <x, [e_i, e_j]> along C, read from the integer structure constants.
+
+    The pencil tests' second integer pencil: it hands ``_pencil`` brackets
+    that share no code with ``skew_pencil``'s ``integer_bracket``.
+    """
+    n = c.algebra.dim
+    ds, structure = c.algebra.integer_structure
+    rows = [dict(row) for row in structure]
+    supports = (rows[i].get(j, ()) for i in range(n) for j in range(i + 1, n))
+    return _pencil(c, n, n, True, ds, supports)
 
 
 def fraction_rref(rows, ncols):

@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpl import linalg, submanifold
 from lpl.algebroid import (
     algebroid_fiber_d,
     isotropy_algebra,
@@ -16,17 +20,21 @@ from lpl.linalg import (
     dot,
     nullspace,
     transpose,
+    unit_vector,
     vadd,
     vec,
     vscale,
     zero_vector,
 )
-from lpl.submanifold import AffineSubspace, SampleSpec, is_coisotropic
+from lpl.submanifold import AffineSubspace, IntegerPoint, SampleSpec, is_coisotropic, skew_pencil
 
 from conftest import (
     algebra_catalog,
+    coordinate_subspace,
+    fraction_rref,
     random_subspace,
     random_vector,
+    rational_catalog,
     sl2_h,
     subalgebra_catalog,
 )
@@ -227,3 +235,120 @@ def test_report_matches_subspace_formulas():
     assert non_subalgebras > 10 and point_c > 0
     # Orbit dimensions drop below the generic one on some samples, e.g. to 0 on sl2 + sl2.
     assert (6, 0) in seen_dims and (6, 2) in seen_dims and (6, 4) in seen_dims
+
+
+# ---------------------------------------------------------------------------
+# orbit dimension and transversality from one skew elimination
+
+
+def split_ranks(c, points):
+    """(orbit_dim, s) per point from ``ranks_at`` on the pencil of M Pi(x) M^T.
+
+    M lists h's canonical basis, then the unit vectors off its pivots.  Each
+    pair is checked against Fraction eliminations of Pi(x) and of the rows
+    coad_{h_a}(x), which share no code with the skew elimination.
+    """
+    algebra, h, n = c.algebra, c.h, c.algebra.dim
+    pencil = skew_pencil(c, [*h.basis, *(unit_vector(n, j) for j in range(n) if j not in h.pivots)])
+    found = []
+    for t in points:
+        x = c.point_at(t)
+        orbit_dim = len(fraction_rref(bivector_at(algebra, x), n))
+        s = len(fraction_rref([algebra.coad_apply(v, x) for v in h.basis], n))
+        assert pencil.ranks_at(t, h.dim) == (orbit_dim, s)
+        found.append((orbit_dim, s))
+    return found
+
+
+SPLIT_CATALOG = algebra_catalog() + rational_catalog()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_one_skew_elimination_gives_both_ranks(data):
+    # h = 0, h = g, coordinate h and spans of rational rows (mostly not
+    # subalgebras), at the walk's points and at small integer points; the
+    # report's orbit dimensions and transversality flags are the same ranks.
+    algebra = data.draw(st.sampled_from(SPLIT_CATALOG))
+    n = algebra.dim
+    entry = st.one_of(st.integers(-2, 2), st.fractions(-3, 3, max_denominator=4))
+    kind = data.draw(st.sampled_from(["zero", "full", "units", "span"]))
+    if kind == "units":
+        h = Subspace.span(n, [unit_vector(n, j) for j in data.draw(st.sets(st.integers(0, n - 1)))])
+    elif kind == "span":
+        rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n)
+        h = Subspace.span(n, data.draw(rows))
+    else:
+        h = Subspace.zero(n) if kind == "zero" else Subspace.full(n)
+    c = AffineSubspace(algebra, h, vec(data.draw(st.lists(entry, min_size=n, max_size=n))))
+    k = c.direction.dim
+    small = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    sampling = SampleSpec(3, data.draw(st.integers(0, 999)), data.draw(st.sampled_from([1, 1000])))
+    walk = c.walk(sampling)[0]
+    ranks = split_ranks(c, walk + [IntegerPoint(1, tuple(data.draw(small))) for _ in range(2)])
+    report = transversal_orbit_report(c, sampling)
+    points = [c.point_at(t) for t in walk]
+    assert report.orbit_dims == tuple(zip(points, (d for d, _ in ranks)))
+    assert report.transversal == tuple(zip(points, (d == s for d, s in ranks)))
+
+
+def test_split_ranks_meet_every_kind_of_pivot():
+    # At points with coordinates in {-1, 0, 1} across both catalogs, C meets
+    # orbits transversally and not, and s is odd at some points: a pivot
+    # there pairs an index in h with one outside it.  The report agrees.
+    rng = random.Random(227)
+    seen = Counter()
+    for algebra in SPLIT_CATALOG:
+        n = algebra.dim
+        small = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        for h in (
+            Subspace.zero(n),
+            Subspace.full(n),
+            coordinate_subspace(rng, n),
+            random_subspace(rng, n),
+            Subspace.span(n, small),
+        ):
+            c = AffineSubspace(algebra, h, vec([rng.randint(-1, 1) for _ in range(n)]))
+            sampling = SampleSpec(4, rng.randrange(1000), bound=1)
+            ranks = split_ranks(c, c.walk(sampling)[0])
+            report = transversal_orbit_report(c, sampling)
+            assert [ok for _, ok in report.transversal] == [d == s for d, s in ranks]
+            for orbit_dim, s in ranks:
+                seen["transversal" if s == orbit_dim else "not transversal"] += 1
+                seen["odd s"] += s % 2
+                seen["0 < s < orbit_dim"] += 0 < s < orbit_dim
+            seen["not a subalgebra"] += not is_subalgebra(algebra, h)
+    kinds = {"transversal", "not transversal", "odd s", "0 < s < orbit_dim", "not a subalgebra"}
+    assert set(seen) == kinds and min(seen.values()) >= 5
+
+
+def test_report_runs_one_skew_elimination_per_point(monkeypatch):
+    # Each point costs one _skew_eliminate and no Bareiss _eliminate: the
+    # eliminations that do not depend on the points (the direction, the
+    # fiber d) are the same for 2 and for 9 samples.
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    skew = counted("skew", linalg._skew_eliminate)
+    monkeypatch.setattr(linalg, "_eliminate", counted("bareiss", linalg._eliminate))
+    monkeypatch.setattr(linalg, "_skew_eliminate", skew)
+    monkeypatch.setattr(submanifold, "_skew_eliminate", skew)
+    rng = random.Random(229)
+    cases = [(algebra, h) for algebra, h in subalgebra_catalog()]
+    cases += [(algebra, random_subspace(rng, algebra.dim)) for algebra in algebra_catalog()]
+    for algebra, h in cases:
+        base = random_vector(rng, algebra.dim, bound=5)
+        bareiss = []
+        for count in (2, 9):
+            calls.clear()
+            report = transversal_orbit_report(AffineSubspace(algebra, h, base), SampleSpec(count))
+            points = 1 + count if h.dim < algebra.dim else 1  # a point C has only its base
+            assert calls["skew"] == len(report.orbit_dims) == points
+            bareiss.append(calls["bareiss"])
+        assert bareiss[0] == bareiss[1]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -231,8 +232,12 @@ def test_skew_rank_matches_sympy_and_bareiss(data):
     upper = [row[k + 1 :] for k, row in enumerate(a)]
     expected = sympy.Matrix(m, m, lambda i, j: a[i][j]).rank() if m else 0
     pivots, last = _skew_eliminate(upper)
-    assert skew_rank(upper, m) == 2 * pivots == integer_rank(a, m) == expected <= 2 * r
-    if m and 2 * pivots == m:  # nonsingular: the last pivot is +-Pf, and Pf^2 = det
+    assert skew_rank(upper, m) == 2 * len(pivots) == integer_rank(a, m) == expected <= 2 * r
+    left = m  # each pivot is at positions among the rows left, and drops i + 2 of them
+    for i, j in pivots:
+        assert i < j < left
+        left -= i + 2
+    if m and 2 * len(pivots) == m:  # nonsingular: the last pivot is +-Pf, and Pf^2 = det
         assert last**2 == sympy.Matrix(a).det()
 
 
@@ -250,7 +255,7 @@ def test_skew_elimination_on_small_cases():
         x01 = x01 or 1
         pf = x01 * x23 - x02 * x13 + x03 * x12
         assert _skew_eliminate([[x01, x02, x03], [x12, x13], [x23], []]) == (
-            (2, pf) if pf else (1, x01)
+            ([(0, 1), (0, 1)], pf) if pf else ([(0, 1)], x01)
         )
 
 
@@ -391,9 +396,13 @@ def test_integer_lattice_matches_fraction_formulas(data):
         return Subspace.zero(n) if kind == "zero" else Subspace.full(n)
 
     u, v = draw_subspace(), draw_subspace()
-    for s in (u, v):
+    for s in (u, v, u.sum(v), u.annihilator(), choose_complement(u)):
+        # Content-free rows: d is the lcm of the basis denominators whatever
+        # built s, so the integers do not grow with the input.
         d, rows = s.integer_echelon
         assert d > 0 and tuple(tuple(Fraction(x, d) for x in row) for row in rows) == s.basis
+        assert d == lcm(*(e.denominator for row in s.basis for e in row))
+        assert gcd(d, *(x for row in rows for x in row)) == 1
     assert u.sum(v).basis == fraction_rref(u.basis + v.basis, n)
     assert u.annihilator().basis == _fraction_annihilator(u)
     assert choose_complement(u).basis == tuple(_choose_complement_by_rref(u, Subspace.full(n)))

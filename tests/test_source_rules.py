@@ -168,6 +168,8 @@ PUBLIC_API = {
     "Polynomial.evaluate",
     "mat",
     "vadd",
+    # The whole algebra as a subspace: h = g, where C is a point, in the tests.
+    "Subspace.full",
 }
 
 

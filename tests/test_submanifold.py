@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lpl import submanifold
 from lpl.algebroid import transversal_orbit_report
 from lpl.lie import (
+    LieAlgebra,
     LinearMap,
     NotASubalgebra,
     direct_sum,
@@ -40,7 +41,6 @@ from lpl.submanifold import (
     NotOnSubmanifold,
     PointwiseFlags,
     SampleSpec,
-    bivector_pencil,
     classify,
     graph_coisotropy,
     is_coisotropic,
@@ -54,6 +54,7 @@ from lpl.submanifold import (
 
 from conftest import (
     algebra_catalog,
+    bivector_pencil,
     bracket_table,
     coordinate_subspace,
     fraction_arithmetic,
@@ -530,6 +531,33 @@ def test_lattice_and_span_at_base_run_without_fraction_arithmetic(monkeypatch):
         assert c.span_at_base.contains(c.direction) and v.annihilator().dim == v.ambient_dim - v.dim
     assert calls == []
     assert answers == {(name, flag) for name in ("contains", "closed") for flag in (True, False)}
+
+
+def gl(n: int) -> LieAlgebra:
+    """gl_n on the E_rc, index r n + c: [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
+    dim = n * n
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            (a, b), (c, d) = divmod(i, n), divmod(j, n)
+            w = [0] * dim
+            w[a * n + d] += b == c
+            w[c * n + b] -= d == a
+            brackets[(i, j)] = w
+    return LieAlgebra.from_brackets(dim, brackets)
+
+
+def test_span_at_base_keeps_content_free_integer_rows_on_gl6(gl2):
+    # On gl6 with h the off-diagonal E_rc, not a subalgebra, T_base C +
+    # sharp N*_base C is all of g*.  The last Bareiss pivot of its elimination
+    # is a maximal minor of some 3000 bits; with the content divided out the
+    # rows are d I with d = 1, and choose_complement and sum run on those.
+    assert bracket_table(gl(2)) == bracket_table(gl2)
+    rng = random.Random(5)
+    off = [unit_vector(36, 6 * r + c) for r in range(6) for c in range(6) if r != c]
+    c = AffineSubspace(gl(6), Subspace.span(36, off), vec([rng.randint(-9, 9) for _ in range(36)]))
+    d, rows = c.span_at_base.integer_echelon
+    assert d == 1 and rows == [list(e) for e in Subspace.full(36).basis]
 
 
 def test_sharp_conormal_is_the_span_of_coad_apply():
