@@ -75,9 +75,10 @@ def extend(
     """Extend C along R (greedy if omitted) to the candidate cosymplectic P.
 
     Refuses when the pre-Poisson verdict is NOT_CONSTANT, and when C is not
-    coisotropic in P: where the form on p is nonsingular, at the base and 8
-    sampled points of C (the base alone when C is a point), B_h must have
-    rank dim p.
+    coisotropic in P: where the form on p is nonsingular, B_h must have rank
+    dim p = rank B_h(base), as R complements TC + sharp N*C.  A certified
+    verdict, or one on 8 or more samples, has found that rank at each point of
+    the 8-point walk (the base and 8 samples), so C is checked there only on fewer.
     """
     verdict = pre_poisson_check(c, sampling)
     if verdict.kind == NOT_CONSTANT:
@@ -87,17 +88,17 @@ def extend(
     span = c.span_at_base
     if r is None:
         r = choose_complement(span)
-    else:
-        if span.dim + r.dim != c.algebra.dim or span.sum(r).dim != c.algebra.dim:
-            raise NotComplementary(
-                "R must complement TC + sharp N*C at the base point"
-            )
+    elif span.dim + r.dim != c.algebra.dim or span.sum(r).dim != c.algebra.dim:
+        raise NotComplementary("R must complement TC + sharp N*C at the base point")
     p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
     ext = Extension(c, r, p_tilde, verdict.sampling)
-    check = coisotropy_in_extension(ext, replace(sampling, count=8))
-    bad = next((t for t, ok in check if not ok), None)
-    if bad is not None:
-        raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {c.point_at(bad)}")
+    r_h = verdict.rank - c.direction.dim
+    if ext.p.dim != r_h:
+        raise InvariantViolation(f"dim p = {ext.p.dim} differs from rank B_h(base) = {r_h}")
+    if verdict.sampling is not None and sampling.count < 8:
+        for t, ok in coisotropy_in_extension(ext, replace(sampling, count=8)):
+            if not ok:
+                raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {c.point_at(t)}")
     return ext
 
 
@@ -237,7 +238,7 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
     brackets = {}
     for l, terms in enumerate(form.directions):
         for cell, e in terms:
-            brackets.setdefault(divmod(cell, m), [0] * m)[l] = Fraction(e, form.denominator)
+            brackets.setdefault(form.cells[cell], [0] * m)[l] = Fraction(e, form.denominator)
     labels = tuple(algebra.labels[col] for col in direction.pivots)
     result = LieAlgebra.from_brackets(m, brackets, labels)
     report = validate_jacobi(result)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -210,10 +210,10 @@ def is_coisotropic(c: AffineSubspace) -> CoisotropyResult:
 
     Entry (a, b) of some B_i is nonzero iff [h_a, h_b] escapes h.
     """
-    form, basis, m = c.form, c.h.basis, c.h.dim
+    form, basis = c.form, c.h.basis
     escaping = [k for terms in form.directions for k, _ in terms]
     if escaping:
-        u, v = (basis[i] for i in divmod(min(escaping), m))
+        u, v = (basis[i] for i in form.cells[min(escaping)])
         return CoisotropyResult(False, ("bracket_escapes", u, v, c.algebra.bracket(u, v)))
     if any(form.base):
         w = next(w for w in subspace_bracket(c.algebra, c.h, c.h).basis if dot(c.base, w))
@@ -235,12 +235,11 @@ class SkewPencil:
     """The form <x, [v_a, w_b]> at x = base + sum_i t_i u_i, as B0 + sum_i t_i B_i.
 
     Rows v and columns w; with no column basis w = v and the form is skew
-    (``skew``).  All entries are multiplied by the common denominator D, so
-    they are integers: ``base`` is D B0 row by row, and ``directions[i]``
-    holds the (row-major index, value) pairs of the nonzero entries of D B_i.
-    A skew pencil stores its strict upper triangle only, entries a < b.
-    It is read in integers only: ranked by ``rank_at`` or ``ranks_at`` at a
-    point, and written out in full at the base by ``base_rows``.
+    (``skew``) and only its entries a < b are stored.  Entry k is ``cells[k]``,
+    times the common denominator D: ``base[k]`` of D B0, and ``directions[i]``
+    holds the (k, value) pairs of the nonzero entries of D B_i.  It is read
+    in integers only: ranked by ``rank_at`` or ``ranks_at`` at a point, and
+    written out in full at the base by ``base_rows``.
     """
 
     nrows: int
@@ -255,14 +254,18 @@ class SkewPencil:
         """True iff no B_i has a nonzero entry: the form is B0 at every point."""
         return not any(self.directions)
 
+    @property
+    def cells(self) -> tuple[tuple[int, int], ...]:
+        """The entry (a, b) that each stored index k stands for."""
+        return _layout(self.nrows, self.ncols, self.skew)[0]
+
     def base_rows(self) -> list[list[int]]:
         """D B0, the form at the base times D, as integer rows with every entry filled in."""
-        c = self.ncols
-        rows = [list(self.base[r * c : (r + 1) * c]) for r in range(self.nrows)]
-        if self.skew:
-            for a in range(c):
-                for b in range(a + 1, c):
-                    rows[b][a] = -rows[a][b]
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        for (a, b), e in zip(self.cells, self.base):
+            rows[a][b] = e
+            if self.skew:
+                rows[b][a] = -e
         return rows
 
     def _integer_at(self, point: IntegerPoint) -> list[list[int]]:
@@ -274,10 +277,7 @@ class SkewPencil:
             if n:
                 for k, b in terms:
                     flat[k] += n * b
-        c = self.ncols
-        if self.skew:
-            return [flat[r * c + r + 1 : (r + 1) * c] for r in range(c)]
-        return [flat[r * c : (r + 1) * c] for r in range(self.nrows)]
+        return [flat[i:j] for i, j in _layout(self.nrows, self.ncols, self.skew)[1]]
 
     def rank_at(self, point: IntegerPoint) -> int:
         """The rank at t = n / L: that of the rows of ``_integer_at``, as L D > 0."""
@@ -296,6 +296,17 @@ class SkewPencil:
             split += (index[i] < lead) + (index[j] < lead)
             del index[j], index[: i + 1]
         return 2 * len(pivots), split
+
+
+@lru_cache(maxsize=256)
+def _layout(nrows: int, ncols: int, skew: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """A pencil shape's stored entries (a, b), b > a when skew, and each row's (start, stop)."""
+    cells, bounds = [], []
+    for a in range(nrows):
+        start = len(cells)
+        cells += [(a, b) for b in range(a + 1 if skew else 0, ncols)]
+        bounds.append((start, len(cells)))
+    return tuple(cells), tuple(bounds)
 
 
 def _scaled_supports(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -317,35 +328,31 @@ def _pencil(
     """The pencil whose entries pair C's base and directions with brackets.
 
     Each bracket is given by the nonzero (k, coordinate) pairs of ``scale``
-    times it, all integers, in row-major order of the entries: all of them,
-    or those with a < b when skew.  With C's vectors times T, every entry is
+    times it, all integers, one per entry of ``SkewPencil.cells`` in its
+    order.  With C's vectors times T, every entry is
     an integer E over Q = T * scale.  Dividing Q and every E by their gcd g
     gives D = Q / g, the lcm of the entries' reduced denominators, and the
     entries times D.
     """
     t, vectors = c._integer_frame
-    if skew:
-        cells = ((a, b) for a in range(nrows) for b in range(a + 1, ncols))
-    else:
-        cells = ((a, b) for a in range(nrows) for b in range(ncols))
     # The nonzero (i, v_i[k]) of each coordinate k, so a pairing multiplies
     # nonzero entries only.
     by_coordinate = [[] for _ in c.base]
     for i, row in enumerate(vectors):
         for k, e in row:
             by_coordinate[k].append((i, e))
-    terms = [[] for _ in vectors]  # (row-major index, pairing) per vector
-    for (a, b), support in zip(cells, supports):
+    terms = [[] for _ in vectors]  # (cell index, pairing) per vector
+    for cell, support in enumerate(supports):
         pairings = [0] * len(vectors)
         for k, e in support:
             for i, vk in by_coordinate[k]:
                 pairings[i] += vk * e
         for i, e in enumerate(pairings):
             if e:
-                terms[i].append((a * ncols + b, e))
+                terms[i].append((cell, e))
     q = t * scale
     g = gcd(q, *(e for row in terms for _, e in row))
-    base = [0] * (nrows * ncols)
+    base = [0] * len(_layout(nrows, ncols, skew)[0])
     for k, e in terms[0]:
         base[k] = e // g
     directions = tuple(tuple((k, e // g) for k, e in row) for row in terms[1:])

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -8,9 +9,24 @@ import pytest
 
 from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
+from lpl.embedding import (
+    Extension,
+    ExtensionCheckFailed,
+    RankNotConstant,
+    coisotropy_in_extension,
+)
 from lpl.lie import NotASubalgebra
-from lpl.linalg import DimensionMismatch, mat, rref, solve, transpose, unit_vector, vec
-from lpl.submanifold import SkewPencil, _pencil
+from lpl.linalg import (
+    DimensionMismatch,
+    choose_complement,
+    mat,
+    rref,
+    solve,
+    transpose,
+    unit_vector,
+    vec,
+)
+from lpl.submanifold import NOT_CONSTANT, AffineSubspace, SkewPencil, _pencil, pre_poisson_check
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
 
@@ -73,25 +89,30 @@ def coordinate_subspace(rng: random.Random, n: int) -> Subspace:
     return Subspace.span(n, [unit_vector(n, i) for i in range(n) if rng.random() < 0.5])
 
 
+def pencil_cells(nrows, ncols, skew):
+    """The entries (a, b) a pencil stores, in order: a < b row by row when skew, else all."""
+    return [(a, b) for a in range(nrows) for b in range(a + 1 if skew else 0, ncols)]
+
+
 def pencil_at(pencil, t):
     """The pencil's form at rational direction coordinates t, in Fractions, every entry filled in.
 
     The reference for the integer ranks: (D B0 + sum_i t_i D B_i) / D, with
-    a skew pencil's lower triangle read off its upper one.
+    stored index k read as entry ``pencil_cells(...)[k]`` and a skew
+    pencil's lower triangle read off its upper one.
     """
     values = [Fraction(b) for b in pencil.base]
     for ti, terms in zip(t, pencil.directions):
         for k, b in terms:
             values[k] += ti * b
-    c = pencil.ncols
-    if pencil.skew:
-        for a in range(c):
-            for b in range(a + 1, c):
-                values[b * c + a] = -values[a * c + b]
-    return tuple(
-        tuple(e / pencil.denominator for e in values[r * c : (r + 1) * c])
-        for r in range(pencil.nrows)
-    )
+    form = [[Fraction(0)] * pencil.ncols for _ in range(pencil.nrows)]
+    cells = pencil_cells(pencil.nrows, pencil.ncols, pencil.skew)
+    assert len(values) == len(cells)
+    for (a, b), e in zip(cells, values):
+        form[a][b] = e / pencil.denominator
+        if pencil.skew:
+            form[b][a] = -form[a][b]
+    return tuple(tuple(row) for row in form)
 
 
 def fraction_pencil(c, basis, columns=None) -> SkewPencil:
@@ -106,21 +127,19 @@ def fraction_pencil(c, basis, columns=None) -> SkewPencil:
     skew = columns is None
     if skew:
         columns = basis
-        cells = [(a, b) for a in range(nrows) for b in range(a + 1, nrows)]
-    else:
-        cells = [(a, b) for a in range(nrows) for b in range(len(columns))]
     ncols = len(columns)
+    cells = pencil_cells(nrows, ncols, skew)
     vectors = (c.base, *c.direction.basis)
-    terms = [[] for _ in vectors]  # (row-major index, pairing) per vector
-    for a, b in cells:
+    terms = [[] for _ in vectors]  # (cell index, pairing) per vector
+    for k, (a, b) in enumerate(cells):
         w = c.algebra.bracket(basis[a], columns[b])
         for i, v in enumerate(vectors):
             e = sum((vk * wk for vk, wk in zip(v, w)), Fraction(0))
             if e:
-                terms[i].append((a * ncols + b, e))
+                terms[i].append((k, e))
     d = lcm(*(e.denominator for row in terms for _, e in row))
     scaled = [tuple((k, e.numerator * (d // e.denominator)) for k, e in row) for row in terms]
-    base = [0] * (nrows * ncols)
+    base = [0] * len(cells)
     for k, e in scaled[0]:
         base[k] = e
     return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
@@ -284,3 +303,19 @@ def restricted_algebra(algebra: LieAlgebra, h: Subspace) -> LieAlgebra:
             if any(x != 0 for x in coords):
                 brackets[(i, j)] = coords
     return LieAlgebra.from_brackets(m, brackets)
+
+
+def unconditional_extend(c, sampling):
+    """``extend`` along the greedy R with its coisotropy self-check run every
+    time, at the base and 8 samples of C: the reference for the ``extend``
+    that skips the points the pre-Poisson verdict has already ranked."""
+    verdict = pre_poisson_check(c, sampling)
+    if verdict.kind == NOT_CONSTANT:
+        raise RankNotConstant(f"rank differs between sampled points: {verdict.counterexample}")
+    r = choose_complement(c.span_at_base)
+    p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
+    ext = Extension(c, r, p_tilde, verdict.sampling)
+    for t, ok in coisotropy_in_extension(ext, replace(sampling, count=8)):
+        if not ok:
+            raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {c.point_at(t)}")
+    return ext

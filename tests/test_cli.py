@@ -350,7 +350,8 @@ def test_main_extend_to_a_point_is_decided_at_its_base(capsys, tmp_path):
 
 
 def test_main_refuses_failed_extension_self_check(capsys, monkeypatch):
-    # The self-check's points come back unformed: the base is the walk's first.
+    # The self-check runs below 8 samples.  Its points come back unformed:
+    # the base is the walk's first.
     bases = []
 
     def failing(e, sampling):
@@ -358,9 +359,27 @@ def test_main_refuses_failed_extension_self_check(capsys, monkeypatch):
         return [(e.c.walk(sampling)[0][0], False)]
 
     monkeypatch.setattr(embedding, "coisotropy_in_extension", failing)
-    assert main(["extend", "--problem", "gl2_prepoisson.json"]) == EXIT_REFUSED
+    assert main(["extend", "--problem", "gl2_prepoisson.json", "--samples", "3"]) == EXIT_REFUSED
     err = capsys.readouterr().err
     assert err.startswith(f"refused: C fails to be coisotropic in P at {bases[0]}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["extend", "pair"])
+@pytest.mark.parametrize("problem", ["gl2_prepoisson.json", "sl2_coisotropic.json"])
+def test_main_reports_a_short_complement_as_internal_error(capsys, monkeypatch, command, problem):
+    # R must complement TC + sharp N*C, so that dim p = rank B_h(base); an R
+    # one vector short leaves p too large, and no self-check may let it through.
+    original = embedding.choose_complement
+
+    def short(span):
+        r = original(span)
+        return Subspace.span(r.ambient_dim, r.basis[1:])
+
+    monkeypatch.setattr(embedding, "choose_complement", short)
+    assert main([command, "--problem", problem]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: dim p = ")
     assert "Traceback" not in err
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lpl import embedding
+from lpl.cli import parse_problem
 from lpl.embedding import (
     ConstancyNotCertified,
     Extension,
@@ -43,6 +44,7 @@ from lpl.submanifold import (
 )
 
 from conftest import (
+    FIXTURES,
     algebra_catalog,
     contains_by_rref,
     coordinate_subspace,
@@ -53,6 +55,7 @@ from conftest import (
     rational_catalog,
     sl2_h,
     subalgebra_catalog,
+    unconditional_extend,
 )
 
 GL2_LINE_H = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -573,8 +576,10 @@ def test_extend_checks_a_point_c_at_its_base_once(monkeypatch):
 
 
 def test_extend_forms_only_the_first_failing_point(gl2, monkeypatch):
-    # The self-check hands back its points unformed: a passing extend forms
-    # none, and a refused one forms the first failure for its message.
+    # The self-check, which runs below 8 samples, hands back its points
+    # unformed: a passing extend forms none, and a refused one forms the
+    # first failure for its message.
+    spec = SampleSpec(count=3)
     formed = []
     original = AffineSubspace.point_at
 
@@ -585,7 +590,7 @@ def test_extend_forms_only_the_first_failing_point(gl2, monkeypatch):
     monkeypatch.setattr(AffineSubspace, "point_at", counted)
     center = Subspace.span(4, [[1, 0, 0, 1]])
     for c in (gl2_line(gl2, [1, 0, 0, 0]), AffineSubspace(gl2, center, vec([1, 2, 3, 4]))):
-        extend(c)
+        extend(c, sampling=spec)
     assert formed == []
     c = gl2_line(gl2, [1, 0, 0, 0])
     first, second = c.walk(SampleSpec(count=2, seed=5))[0][1:]
@@ -593,13 +598,13 @@ def test_extend_forms_only_the_first_failing_point(gl2, monkeypatch):
         embedding, "coisotropy_in_extension", lambda e, sampling: [(first, False), (second, False)]
     )
     with pytest.raises(ExtensionCheckFailed) as refusal:
-        extend(c)
+        extend(c, sampling=spec)
     assert formed == [first]
     assert str(refusal.value) == f"C fails to be coisotropic in P at {original(c, first)}"
 
 
-def test_extend_self_check_keeps_the_sampling_bound(sl2, monkeypatch):
-    # The self-check takes 8 points with the caller's seed and bound.
+def test_extend_self_check_keeps_the_sampling_bound(gl2, monkeypatch):
+    # Below 8 samples, the self-check takes 8 points with the caller's seed and bound.
     received = []
 
     def check(e, sampling):
@@ -607,9 +612,87 @@ def test_extend_self_check_keeps_the_sampling_bound(sl2, monkeypatch):
         return []
 
     monkeypatch.setattr(embedding, "coisotropy_in_extension", check)
-    c = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
-    extend(c, sampling=SampleSpec(count=5, seed=4, bound=1))
-    assert received == [SampleSpec(count=8, seed=4, bound=1)]
+    c = gl2_line(gl2, [1, 0, 0, 0])
+    e = extend(c, sampling=SampleSpec(count=5, seed=5, bound=1))
+    assert e.sampling == SampleSpec(count=5, seed=5, bound=1)  # a sampled verdict
+    assert received == [SampleSpec(count=8, seed=5, bound=1)]
+
+
+def extension_cases(rng):
+    """C on the subalgebra catalog, on random h of the rational catalog and
+    from the bundled gl2 and sl2 problems, each C with a random lambda but
+    the problems, which keep theirs."""
+    cases = [
+        AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
+        for algebra, h in subalgebra_catalog()
+    ]
+    for algebra in rational_catalog():
+        for _ in range(3):
+            h = random_subspace(rng, algebra.dim)
+            cases.append(AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5)))
+    for path in sorted(FIXTURES.glob("*_*.json")):
+        if path.name.startswith(("gl2", "sl2")):
+            cases.append(parse_problem(path.read_text(), base_dir=FIXTURES).affine)
+    return cases
+
+
+def _outcome(extend_fn, c, sampling):
+    try:
+        return extend_fn(c, sampling=sampling)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_extend_accepts_and_refuses_as_the_unconditional_self_check():
+    # The self-check is skipped where the verdict already ranked B_h at its
+    # points: a certified verdict, or 8 or more samples.  extend must then
+    # give the same Extension or the same refusal as running it every time.
+    rng = random.Random(71)
+    outcomes = set()
+    for c in extension_cases(rng):
+        for count in (0, 1, 3, 7, 8, 9, 64):
+            for seed in (0, 5, 11):
+                spec = SampleSpec(count=count, seed=seed)
+                expected = _outcome(unconditional_extend, c, spec)
+                assert _outcome(extend, c, spec) == expected
+                if isinstance(expected, tuple):
+                    outcomes.add(expected[0])
+                else:
+                    outcomes.add("certified" if expected.sampling is None else "sampled")
+    # At 0 samples the check refuses a C whose rank the verdict, at the base alone, missed.
+    assert outcomes == {"certified", "sampled", RankNotConstant, ExtensionCheckFailed}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("seed,bound", [(0, 1000), (3, 1), (9, 7)])
+def test_eight_samples_are_the_first_eight_of_more(dim, seed, bound):
+    # Why a verdict on 8 or more samples has ranked B_h at the self-check's points.
+    eight = SampleSpec(8, seed, bound).points(dim)
+    assert SampleSpec(64, seed, bound).points(dim)[:8] == eight
+    assert SampleSpec(9, seed, bound).points(dim)[:8] == eight
+
+
+@pytest.mark.parametrize("count", [8, 64])
+def test_extend_at_eight_or_more_samples_draws_no_check_walk(gl2, monkeypatch, count):
+    # The verdict's walk is the only one drawn, and no B_p pencil is built.
+    draws, pencils = [], []
+    original_points, original_pencil = SampleSpec.points, embedding.skew_pencil
+
+    def points(spec, dim):
+        draws.append(spec.count)
+        return original_points(spec, dim)
+
+    def pencil(*args):
+        pencils.append(args)
+        return original_pencil(*args)
+
+    monkeypatch.setattr(SampleSpec, "points", points)
+    monkeypatch.setattr(embedding, "skew_pencil", pencil)
+    e = extend(gl2_line(gl2, [1, 0, 0, 0]), sampling=SampleSpec(count=count))
+    assert e.sampling == SampleSpec(count=count)
+    assert (draws, pencils) == ([count], [])
+    extend(AffineSubspace(gl2, Subspace.span(4, [[1, 0, 0, 1]]), vec([1, 2, 3, 4])))
+    assert (draws, pencils) == ([count], [])
 
 
 def test_extend_verification_over_catalog():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from lpl.lie import (
     LieAlgebra,
     LinearMap,
+    brackets_in,
     direct_sum,
     is_subalgebra,
     morphism_check,
@@ -184,6 +186,25 @@ def test_integer_bracket_and_coad_are_ds_times_the_fraction_ones(data):
     rows = data.draw(st.lists(vector, max_size=4))
     expected = [[ds * e for e in algebra.coad_apply(r, x)] for r in rows]
     assert algebra.integer_coad(rows, x) == expected
+
+
+def test_brackets_in_the_whole_algebra_draws_no_bracket(gl2, monkeypatch):
+    # Every bracket lies in g, so w = g needs none; a hyperplane still brackets.
+    calls = []
+    original = LieAlgebra.integer_bracket
+
+    def counted(self, v, w):
+        calls.append((v, w))
+        return original(self, v, w)
+
+    monkeypatch.setattr(LieAlgebra, "integer_bracket", counted)
+    for algebra in algebra_catalog() + rational_catalog():
+        full = Subspace.full(algebra.dim)
+        assert is_subalgebra(algebra, full)
+        assert brackets_in(algebra, full, combinations(full.integer_echelon[1], 2))
+    assert calls == []
+    assert not is_subalgebra(gl2, Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    assert calls
 
 
 def test_is_subalgebra_checks_the_ambient_dimension(sl2):

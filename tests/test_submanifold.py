@@ -61,6 +61,7 @@ from conftest import (
     fraction_pencil,
     fraction_rref,
     pencil_at,
+    pencil_cells,
     random_subspace,
     random_vector,
     rational_catalog,
@@ -442,9 +443,9 @@ def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypa
         for pencil in (c.form, bivector_pencil(c)):
             m = pencil.ncols
             assert pencil.skew and pencil.nrows == m
-            stored = [k for k, e in enumerate(pencil.base) if e]
-            stored += [k for terms in pencil.directions for k, _ in terms]
-            assert all(k // m < k % m for k in stored)
+            stored = [k for terms in pencil.directions for k, _ in terms]
+            assert pencil.cells == tuple(pencil_cells(m, m, True))
+            assert len(pencil.base) == m * (m - 1) // 2 and all(k < len(pencil.base) for k in stored)
             assert pencil.rank_at(point) == rank(pencil_at(pencil, t), m)
         rectangular = skew_pencil(c, c.h.basis, c.direction.basis)
         assert not rectangular.skew
