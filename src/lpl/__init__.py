@@ -10,7 +10,6 @@ from .algebroid import (
 from .embedding import (
     ConstancyResult,
     Extension,
-    ExtensionCheckFailed,
     LocusReport,
     RankNotConstant,
     SymmetricPairReport,

@@ -38,10 +38,7 @@ def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
 
 def isotropy_algebra(algebra: LieAlgebra, x: Iterable) -> Subspace:
     """g_x = {v : <x, [v, w]> = 0 for all w}; the conormal of the orbit at x."""
-    xv = vec(x)
-    pi = bivector_at(algebra, xv)
-    # v in the kernel of v -> v^T Pi, i.e. of Pi^T; Pi is skew so use Pi itself.
-    return Subspace.span(algebra.dim, pi).annihilator()
+    return orbit_tangent(algebra, x).annihilator()
 
 
 def orbit_tangent(algebra: LieAlgebra, x: Iterable) -> Subspace:

@@ -35,6 +35,14 @@ EXIT_INPUT_ERROR = 1
 EXIT_REFUSED = 2
 EXIT_INTERNAL = 3
 
+# The mathematical refusals ``main`` reports with EXIT_REFUSED.
+REFUSALS = (
+    embedding_mod.RankNotConstant,
+    embedding_mod.ConstancyNotCertified,
+    embedding_mod.NotComplementary,
+    NotASubalgebra,
+)
+
 # Largest accepted model dimension: a model may carry up to dim**3 structure constants.
 MAX_DIM = 64
 # Most sample points per problem: each sample draws up to dim rationals.
@@ -512,13 +520,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (
-        embedding_mod.RankNotConstant,
-        embedding_mod.ConstancyNotCertified,
-        embedding_mod.NotComplementary,
-        embedding_mod.ExtensionCheckFailed,
-        NotASubalgebra,
-    ) as exc:
+    except REFUSALS as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except InvariantViolation as exc:

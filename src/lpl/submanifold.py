@@ -232,19 +232,16 @@ class PrePoissonVerdict:
 
 @dataclass(frozen=True)
 class SkewPencil:
-    """The form <x, [v_a, w_b]> at x = base + sum_i t_i u_i, as B0 + sum_i t_i B_i.
+    """The skew form <x, [v_a, v_b]> at x = base + sum_i t_i u_i, as B0 + sum_i t_i B_i.
 
-    Rows v and columns w; with no column basis w = v and the form is skew
-    (``skew``) and only its entries a < b are stored.  Entry k is ``cells[k]``,
-    times the common denominator D: ``base[k]`` of D B0, and ``directions[i]``
-    holds the (k, value) pairs of the nonzero entries of D B_i.  It is read
-    in integers only: ranked by ``rank_at`` or ``ranks_at`` at a point, and
-    written out in full at the base by ``base_rows``.
+    Of its ``size`` by ``size`` entries only those a < b are stored.  Entry k is
+    ``cells[k]``, times the common denominator D: ``base[k]`` of D B0, and
+    ``directions[i]`` holds the (k, value) pairs of the nonzero entries of
+    D B_i.  It is read in integers only: ranked by ``rank_at`` or ``ranks_at``
+    at a point, and written out in full at the base by ``base_rows``.
     """
 
-    nrows: int
-    ncols: int
-    skew: bool
+    size: int
     denominator: int
     base: tuple[int, ...]
     directions: tuple[tuple[tuple[int, int], ...], ...]
@@ -257,41 +254,38 @@ class SkewPencil:
     @property
     def cells(self) -> tuple[tuple[int, int], ...]:
         """The entry (a, b) that each stored index k stands for."""
-        return _layout(self.nrows, self.ncols, self.skew)[0]
+        return _layout(self.size)[0]
 
     def base_rows(self) -> list[list[int]]:
         """D B0, the form at the base times D, as integer rows with every entry filled in."""
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        rows = [[0] * self.size for _ in range(self.size)]
         for (a, b), e in zip(self.cells, self.base):
-            rows[a][b] = e
-            if self.skew:
-                rows[b][a] = -e
+            rows[a][b], rows[b][a] = e, -e
         return rows
 
     def _integer_at(self, point: IntegerPoint) -> list[list[int]]:
-        """L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i) at t = n / L, as integer
-        rows: the strict upper triangle of a skew pencil, every entry otherwise."""
+        """L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i) at t = n / L, as the
+        integer rows of its strict upper triangle."""
         scale, numerators = point
         flat = [scale * b for b in self.base] if scale != 1 else list(self.base)
         for n, terms in zip(numerators, self.directions):
             if n:
                 for k, b in terms:
                     flat[k] += n * b
-        return [flat[i:j] for i, j in _layout(self.nrows, self.ncols, self.skew)[1]]
+        return [flat[i:j] for i, j in _layout(self.size)[1]]
 
     def rank_at(self, point: IntegerPoint) -> int:
         """The rank at t = n / L: that of the rows of ``_integer_at``, as L D > 0."""
-        rows = self._integer_at(point)
-        return skew_rank(rows, self.ncols) if self.skew else integer_rank(rows, self.ncols)
+        return skew_rank(self._integer_at(point), self.size)
 
     def ranks_at(self, point: IntegerPoint, lead: int) -> tuple[int, int]:
-        """A skew pencil's rank at t = n / L, and the rank of its first ``lead`` rows there.
+        """The rank at t = n / L, and the rank of the first ``lead`` rows there.
 
         Both come from one ``_skew_eliminate``: a pivot at the pencil's indices
         (k, l) adds (k < lead) + (l < lead) to the second (README, "Orbit dimension").
         """
         pivots = _skew_eliminate(self._integer_at(point))[0]
-        index, split = list(range(self.ncols)), 0  # the pencil's index of each row left
+        index, split = list(range(self.size)), 0  # the pencil's index of each row left
         for i, j in pivots:
             split += (index[i] < lead) + (index[j] < lead)
             del index[j], index[: i + 1]
@@ -299,12 +293,12 @@ class SkewPencil:
 
 
 @lru_cache(maxsize=256)
-def _layout(nrows: int, ncols: int, skew: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """A pencil shape's stored entries (a, b), b > a when skew, and each row's (start, stop)."""
+def _layout(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """An m by m pencil's stored entries (a, b), b > a, and each row's (start, stop)."""
     cells, bounds = [], []
-    for a in range(nrows):
+    for a in range(m):
         start = len(cells)
-        cells += [(a, b) for b in range(a + 1 if skew else 0, ncols)]
+        cells += [(a, b) for b in range(a + 1, m)]
         bounds.append((start, len(cells)))
     return tuple(cells), tuple(bounds)
 
@@ -318,14 +312,9 @@ def _scaled_supports(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[in
 
 
 def _pencil(
-    c: AffineSubspace,
-    nrows: int,
-    ncols: int,
-    skew: bool,
-    scale: int,
-    supports: Iterable[Sequence[tuple[int, int]]],
+    c: AffineSubspace, m: int, scale: int, supports: Iterable[Sequence[tuple[int, int]]]
 ) -> SkewPencil:
-    """The pencil whose entries pair C's base and directions with brackets.
+    """The m by m pencil whose entries pair C's base and directions with brackets.
 
     Each bracket is given by the nonzero (k, coordinate) pairs of ``scale``
     times it, all integers, one per entry of ``SkewPencil.cells`` in its
@@ -352,32 +341,23 @@ def _pencil(
                 terms[i].append((cell, e))
     q = t * scale
     g = gcd(q, *(e for row in terms for _, e in row))
-    base = [0] * len(_layout(nrows, ncols, skew)[0])
+    base = [0] * len(_layout(m)[0])
     for k, e in terms[0]:
         base[k] = e // g
     directions = tuple(tuple((k, e // g) for k, e in row) for row in terms[1:])
-    return SkewPencil(nrows, ncols, skew, q // g, tuple(base), directions)
+    return SkewPencil(m, q // g, tuple(base), directions)
 
 
-def skew_pencil(
-    c: AffineSubspace, basis: Sequence[Vector], columns: Optional[Sequence[Vector]] = None
-) -> SkewPencil:
-    """The pencil of <x, [v_a, w_b]> along C, one integer bracket per entry.
-
-    v runs over ``basis`` and w over ``columns``; without columns w = v and
-    the pencil is skew.  The brackets are those of S v_a and R w_b over the
-    integer structure constants, S and R the lcm of each basis's denominators.
-    """
+def skew_pencil(c: AffineSubspace, basis: Sequence[Vector]) -> SkewPencil:
+    """The pencil of <x, [v_a, v_b]> along C, v over ``basis``, one integer bracket per
+    entry: that of S v_a and S v_b over the integer structure constants, S the lcm of
+    the basis's denominators."""
     ds = c.algebra.integer_structure[0]
     s, rows = _scaled_supports(basis)
-    r, cols = (s, rows) if columns is None else _scaled_supports(columns)
-    ws = [dict(w) for w in cols]
-    if columns is None:
-        pairs = ((v, w) for a, v in enumerate(rows) for w in ws[a + 1 :])
-    else:
-        pairs = ((v, w) for v in rows for w in ws)
+    ws = [dict(w) for w in rows]
+    pairs = ((v, w) for a, v in enumerate(rows) for w in ws[a + 1 :])
     supports = (c.algebra.integer_bracket(v, w) for v, w in pairs)
-    return _pencil(c, len(rows), len(cols), columns is None, ds * s * r, supports)
+    return _pencil(c, len(rows), ds * s * s, supports)
 
 
 def pre_poisson_check(

@@ -9,12 +9,7 @@ import pytest
 
 from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
-from lpl.embedding import (
-    Extension,
-    ExtensionCheckFailed,
-    RankNotConstant,
-    coisotropy_in_extension,
-)
+from lpl.embedding import Extension, RankNotConstant, coisotropy_in_extension
 from lpl.lie import NotASubalgebra
 from lpl.linalg import (
     DimensionMismatch,
@@ -89,50 +84,45 @@ def coordinate_subspace(rng: random.Random, n: int) -> Subspace:
     return Subspace.span(n, [unit_vector(n, i) for i in range(n) if rng.random() < 0.5])
 
 
-def pencil_cells(nrows, ncols, skew):
-    """The entries (a, b) a pencil stores, in order: a < b row by row when skew, else all."""
-    return [(a, b) for a in range(nrows) for b in range(a + 1 if skew else 0, ncols)]
+def pencil_cells(m):
+    """The entries (a, b) an m by m pencil stores, in order: a < b, row by row."""
+    return [(a, b) for a in range(m) for b in range(a + 1, m)]
 
 
 def pencil_at(pencil, t):
     """The pencil's form at rational direction coordinates t, in Fractions, every entry filled in.
 
     The reference for the integer ranks: (D B0 + sum_i t_i D B_i) / D, with
-    stored index k read as entry ``pencil_cells(...)[k]`` and a skew
-    pencil's lower triangle read off its upper one.
+    stored index k read as entry ``pencil_cells(m)[k]`` and the lower
+    triangle read off the upper one.
     """
     values = [Fraction(b) for b in pencil.base]
     for ti, terms in zip(t, pencil.directions):
         for k, b in terms:
             values[k] += ti * b
-    form = [[Fraction(0)] * pencil.ncols for _ in range(pencil.nrows)]
-    cells = pencil_cells(pencil.nrows, pencil.ncols, pencil.skew)
+    form = [[Fraction(0)] * pencil.size for _ in range(pencil.size)]
+    cells = pencil_cells(pencil.size)
     assert len(values) == len(cells)
     for (a, b), e in zip(cells, values):
         form[a][b] = e / pencil.denominator
-        if pencil.skew:
-            form[b][a] = -form[a][b]
+        form[b][a] = -form[a][b]
     return tuple(tuple(row) for row in form)
 
 
-def fraction_pencil(c, basis, columns=None) -> SkewPencil:
-    """The pencil of <x, [v_a, w_b]> along C, paired and scaled in Fractions.
+def fraction_pencil(c, basis) -> SkewPencil:
+    """The pencil of <x, [v_a, v_b]> along C, paired and scaled in Fractions.
 
     The oracle for the integer pencils: each entry pairs C's base or a
     direction vector with a Fraction bracket, and D is the lcm of the
     entries' denominators.  The bivector pencil is the skew one on the unit
     vectors.
     """
-    nrows = len(basis)
-    skew = columns is None
-    if skew:
-        columns = basis
-    ncols = len(columns)
-    cells = pencil_cells(nrows, ncols, skew)
+    m = len(basis)
+    cells = pencil_cells(m)
     vectors = (c.base, *c.direction.basis)
     terms = [[] for _ in vectors]  # (cell index, pairing) per vector
     for k, (a, b) in enumerate(cells):
-        w = c.algebra.bracket(basis[a], columns[b])
+        w = c.algebra.bracket(basis[a], basis[b])
         for i, v in enumerate(vectors):
             e = sum((vk * wk for vk, wk in zip(v, w)), Fraction(0))
             if e:
@@ -142,7 +132,7 @@ def fraction_pencil(c, basis, columns=None) -> SkewPencil:
     base = [0] * len(cells)
     for k, e in scaled[0]:
         base[k] = e
-    return SkewPencil(nrows, ncols, skew, d, tuple(base), tuple(scaled[1:]))
+    return SkewPencil(m, d, tuple(base), tuple(scaled[1:]))
 
 
 def bivector_pencil(c) -> SkewPencil:
@@ -155,7 +145,7 @@ def bivector_pencil(c) -> SkewPencil:
     ds, structure = c.algebra.integer_structure
     rows = [dict(row) for row in structure]
     supports = (rows[i].get(j, ()) for i in range(n) for j in range(i + 1, n))
-    return _pencil(c, n, n, True, ds, supports)
+    return _pencil(c, n, ds, supports)
 
 
 def fraction_rref(rows, ncols):
@@ -305,10 +295,15 @@ def restricted_algebra(algebra: LieAlgebra, h: Subspace) -> LieAlgebra:
     return LieAlgebra.from_brackets(m, brackets)
 
 
+class ExtensionCheckFailed(ValueError):
+    """C failed ``unconditional_extend``'s coisotropy self-check inside P."""
+
+
 def unconditional_extend(c, sampling):
-    """``extend`` along the greedy R with its coisotropy self-check run every
-    time, at the base and 8 samples of C: the reference for the ``extend``
-    that skips the points the pre-Poisson verdict has already ranked."""
+    """``extend`` along the greedy R on the caller's verdict, with the
+    coisotropy self-check run every time, at the base and 8 samples of C:
+    the reference for the ``extend`` that rests on a verdict of at least 8
+    samples alone."""
     verdict = pre_poisson_check(c, sampling)
     if verdict.kind == NOT_CONSTANT:
         raise RankNotConstant(f"rank differs between sampled points: {verdict.counterexample}")

@@ -349,27 +349,24 @@ def test_main_extend_to_a_point_is_decided_at_its_base(capsys, tmp_path):
     }
 
 
-def test_main_refuses_failed_extension_self_check(capsys, monkeypatch):
-    # The self-check runs below 8 samples.  Its points come back unformed:
-    # the base is the walk's first.
-    bases = []
-
-    def failing(e, sampling):
-        bases.append(e.c.base)
-        return [(e.c.walk(sampling)[0][0], False)]
-
-    monkeypatch.setattr(embedding, "coisotropy_in_extension", failing)
-    assert main(["extend", "--problem", "gl2_prepoisson.json", "--samples", "3"]) == EXIT_REFUSED
+@pytest.mark.parametrize("samples", ["0", "3"])
+def test_main_refuses_a_rank_jump_below_eight_samples(capsys, samples):
+    # extend's verdict walks at least 8 samples; on gl2_line the first one
+    # already has another rank than the base, as with the default 64.
+    assert main(["extend", "--problem", "gl2_line.json"]) == EXIT_REFUSED
+    default = capsys.readouterr().err
+    assert main(["extend", "--problem", "gl2_line.json", "--samples", samples]) == EXIT_REFUSED
     err = capsys.readouterr().err
-    assert err.startswith(f"refused: C fails to be coisotropic in P at {bases[0]}")
-    assert "Traceback" not in err
+    assert err == default
+    assert err.startswith("refused: rank differs between sampled points: (((Fraction(0, 1), ")
+    assert "((Fraction(729, 395), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), 3))" in err
 
 
 @pytest.mark.parametrize("command", ["extend", "pair"])
 @pytest.mark.parametrize("problem", ["gl2_prepoisson.json", "sl2_coisotropic.json"])
 def test_main_reports_a_short_complement_as_internal_error(capsys, monkeypatch, command, problem):
     # R must complement TC + sharp N*C, so that dim p = rank B_h(base); an R
-    # one vector short leaves p too large, and no self-check may let it through.
+    # one vector short leaves p too large, and extend reports it as a defect.
     original = embedding.choose_complement
 
     def short(span):

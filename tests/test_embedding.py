@@ -5,9 +5,9 @@ import pytest
 from lpl import embedding
 from lpl.cli import parse_problem
 from lpl.embedding import (
+    MIN_SAMPLES,
     ConstancyNotCertified,
     Extension,
-    ExtensionCheckFailed,
     LocusReport,
     NotComplementary,
     RankNotConstant,
@@ -45,6 +45,7 @@ from lpl.submanifold import (
 
 from conftest import (
     FIXTURES,
+    ExtensionCheckFailed,
     algebra_catalog,
     contains_by_rref,
     coordinate_subspace,
@@ -556,8 +557,8 @@ def test_coisotropy_in_extension_sl2(sl2):
 
 def test_extend_checks_a_point_c_at_its_base_once(monkeypatch):
     # On aff(1) with h = g, C is the point lambda.  <lambda, [t, x]> = 1, so
-    # the form on p = g is nonsingular there: the self-check tests the base
-    # once and draws no sample.
+    # the form on p = g is nonsingular there: coisotropy_in_extension tests
+    # the base once, and neither it nor extend draws a sample.
     aff1 = LieAlgebra.from_brackets(2, {(0, 1): (0, 1)}, ("t", "x"))
     c = AffineSubspace(aff1, Subspace.full(2), vec([0, 1]))
     draws = []
@@ -576,9 +577,9 @@ def test_extend_checks_a_point_c_at_its_base_once(monkeypatch):
 
 
 def test_extend_forms_only_the_first_failing_point(gl2, monkeypatch):
-    # The self-check, which runs below 8 samples, hands back its points
-    # unformed: a passing extend forms none, and a refused one forms the
-    # first failure for its message.
+    # The verdict hands back its points unformed: a passing extend forms
+    # none, and a refused one forms the first point of a different rank for
+    # its message.
     spec = SampleSpec(count=3)
     formed = []
     original = AffineSubspace.point_at
@@ -592,30 +593,39 @@ def test_extend_forms_only_the_first_failing_point(gl2, monkeypatch):
     for c in (gl2_line(gl2, [1, 0, 0, 0]), AffineSubspace(gl2, center, vec([1, 2, 3, 4]))):
         extend(c, sampling=spec)
     assert formed == []
-    c = gl2_line(gl2, [1, 0, 0, 0])
-    first, second = c.walk(SampleSpec(count=2, seed=5))[0][1:]
-    monkeypatch.setattr(
-        embedding, "coisotropy_in_extension", lambda e, sampling: [(first, False), (second, False)]
-    )
-    with pytest.raises(ExtensionCheckFailed) as refusal:
+    c = gl2_line(gl2, [0, 0, 0, 0])
+    first = c.walk(spec)[0][1]
+    with pytest.raises(RankNotConstant) as refusal:
         extend(c, sampling=spec)
     assert formed == [first]
-    assert str(refusal.value) == f"C fails to be coisotropic in P at {original(c, first)}"
+    assert str(original(c, first)) in str(refusal.value)
 
 
-def test_extend_self_check_keeps_the_sampling_bound(gl2, monkeypatch):
-    # Below 8 samples, the self-check takes 8 points with the caller's seed and bound.
-    received = []
+def test_extend_walks_eight_points_with_the_callers_seed_and_bound(gl2, monkeypatch):
+    # Below 8 samples, the verdict walks 8 points with the caller's seed and bound.
+    drawn = []
+    original = SampleSpec.points
 
-    def check(e, sampling):
-        received.append(sampling)
-        return []
+    def points(spec, dim):
+        drawn.append(spec)
+        return original(spec, dim)
 
-    monkeypatch.setattr(embedding, "coisotropy_in_extension", check)
+    monkeypatch.setattr(SampleSpec, "points", points)
+    e = extend(gl2_line(gl2, [1, 0, 0, 0]), sampling=SampleSpec(count=5, seed=3, bound=3))
+    assert drawn == [e.sampling] == [SampleSpec(count=8, seed=3, bound=3)]
+
+
+def test_extend_refuses_a_jump_that_a_shorter_verdict_missed(gl2):
+    # On this line x = 0, where rank B_h drops, is the 6th sample at seed 5
+    # and bound 1.  The reference's 5-sample verdict misses it, and its
+    # self-check passes there because the form on p is singular at 0;
+    # extend's 8-sample verdict refuses the line.
     c = gl2_line(gl2, [1, 0, 0, 0])
-    e = extend(c, sampling=SampleSpec(count=5, seed=5, bound=1))
-    assert e.sampling == SampleSpec(count=5, seed=5, bound=1)  # a sampled verdict
-    assert received == [SampleSpec(count=8, seed=5, bound=1)]
+    spec = SampleSpec(count=5, seed=5, bound=1)
+    assert unconditional_extend(c, spec).sampling == spec
+    with pytest.raises(RankNotConstant) as refusal:
+        extend(c, sampling=spec)
+    assert f"({zero_vector(4)}, 1)" in str(refusal.value)
 
 
 def extension_cases(rng):
@@ -644,9 +654,12 @@ def _outcome(extend_fn, c, sampling):
 
 
 def test_extend_accepts_and_refuses_as_the_unconditional_self_check():
-    # The self-check is skipped where the verdict already ranked B_h at its
-    # points: a certified verdict, or 8 or more samples.  extend must then
-    # give the same Extension or the same refusal as running it every time.
+    # extend rests on a verdict of at least 8 samples.  From 8 samples on it
+    # gives the same Extension or the same refusal as the verdict with the
+    # self-check run every time.  Below 8, that reference decides on fewer
+    # samples: what it refuses, extend refuses as a rank jump.  extend can
+    # refuse what it accepts (the test above), but on these cases it accepts
+    # it with the same C, R and P.
     rng = random.Random(71)
     outcomes = set()
     for c in extension_cases(rng):
@@ -654,27 +667,41 @@ def test_extend_accepts_and_refuses_as_the_unconditional_self_check():
             for seed in (0, 5, 11):
                 spec = SampleSpec(count=count, seed=seed)
                 expected = _outcome(unconditional_extend, c, spec)
-                assert _outcome(extend, c, spec) == expected
+                got = _outcome(extend, c, spec)
+                if count >= MIN_SAMPLES:
+                    assert got == expected
+                elif isinstance(expected, tuple):
+                    assert got[0] is RankNotConstant
+                else:
+                    assert (got.c, got.r, got.p_tilde) == (expected.c, expected.r, expected.p_tilde)
                 if isinstance(expected, tuple):
-                    outcomes.add(expected[0])
+                    outcomes.add((expected[0], count >= MIN_SAMPLES))
                 else:
                     outcomes.add("certified" if expected.sampling is None else "sampled")
-    # At 0 samples the check refuses a C whose rank the verdict, at the base alone, missed.
-    assert outcomes == {"certified", "sampled", RankNotConstant, ExtensionCheckFailed}
+    # Below 8 samples the reference's self-check refuses a C whose rank its
+    # verdict missed; extend refuses it as a rank jump.
+    assert outcomes == {
+        "certified",
+        "sampled",
+        (RankNotConstant, False),
+        (RankNotConstant, True),
+        (ExtensionCheckFailed, False),
+    }
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
 @pytest.mark.parametrize("seed,bound", [(0, 1000), (3, 1), (9, 7)])
 def test_eight_samples_are_the_first_eight_of_more(dim, seed, bound):
-    # Why a verdict on 8 or more samples has ranked B_h at the self-check's points.
+    # Why extend's verdict, on at least 8 samples, ranks B_h at the same first 8.
     eight = SampleSpec(8, seed, bound).points(dim)
     assert SampleSpec(64, seed, bound).points(dim)[:8] == eight
     assert SampleSpec(9, seed, bound).points(dim)[:8] == eight
 
 
-@pytest.mark.parametrize("count", [8, 64])
+@pytest.mark.parametrize("count", [0, 3, 8, 64])
 def test_extend_at_eight_or_more_samples_draws_no_check_walk(gl2, monkeypatch, count):
-    # The verdict's walk is the only one drawn, and no B_p pencil is built.
+    # The verdict's walk, of at least 8 samples, is the only one drawn, and
+    # no B_p pencil is built.
     draws, pencils = [], []
     original_points, original_pencil = SampleSpec.points, embedding.skew_pencil
 
@@ -688,26 +715,27 @@ def test_extend_at_eight_or_more_samples_draws_no_check_walk(gl2, monkeypatch, c
 
     monkeypatch.setattr(SampleSpec, "points", points)
     monkeypatch.setattr(embedding, "skew_pencil", pencil)
+    walked = max(count, 8)
     e = extend(gl2_line(gl2, [1, 0, 0, 0]), sampling=SampleSpec(count=count))
-    assert e.sampling == SampleSpec(count=count)
-    assert (draws, pencils) == ([count], [])
+    assert e.sampling == SampleSpec(count=walked)
+    assert (draws, pencils) == ([walked], [])
     extend(AffineSubspace(gl2, Subspace.span(4, [[1, 0, 0, 1]]), vec([1, 2, 3, 4])))
-    assert (draws, pencils) == ([count], [])
+    assert (draws, pencils) == ([walked], [])
 
 
 def test_extend_verification_over_catalog():
     for algebra, h in subalgebra_catalog():
         c = AffineSubspace(algebra, h, zero_vector(algebra.dim))
-        # extend reruns the coisotropy check internally; any failure would
-        # raise out of it.
         e = extend(c)
         assert e.p_tilde.direction.contains(c.direction)
+        assert all(ok for _, ok in coisotropy_in_extension(e))
 
 
 def reference_coisotropy(e, sampling):
-    """Pointwise self-check: at each cosymplectic point, coad of the conormal
-    direction w corrected by the q in p that solves the form on p, tested
-    for membership in TC.  A C of dimension 0 is its base point alone."""
+    """Pointwise coisotropy of C in P: at each cosymplectic point, coad of
+    the conormal direction w corrected by the q in p that solves the form
+    on p, tested for membership in TC.  A C of dimension 0 is its base
+    point alone."""
     results = []
     for x in [e.c.base] + (e.c.sample_points(sampling) if e.c.dim else []):
         if not is_cosymplectic_at(e, x):
@@ -729,7 +757,7 @@ def reference_coisotropy(e, sampling):
 
 def test_form_on_p_then_h_has_the_rank_of_b_h():
     # p lies in h, so the form on the list p then h is B_h seen through a
-    # matrix of full column rank, and the self-check can rank e.c.form.
+    # matrix of full column rank, and coisotropy_in_extension can rank e.c.form.
     rng = random.Random(59)
     spec = SampleSpec(count=4, seed=6)
     ranks = set()

@@ -411,28 +411,26 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
         n = algebra.dim
         c = AffineSubspace(algebra, h, _mixed_coordinates(rng, n))
         codim = c.direction.dim
-        e = [unit_vector(n, j) for j in range(n)]
-        pencils = [skew_pencil(c, h.basis), skew_pencil(c, h.basis, e), bivector_pencil(c)]
+        pencils = [skew_pencil(c, h.basis), bivector_pencil(c)]
         seen_denominators |= {p.denominator for p in pencils}
         for t in (zero_vector(codim), _mixed_coordinates(rng, codim), _mixed_coordinates(rng, codim)):
             x = c.point_at(_integer_point(t))
             for pencil in pencils:
                 form = pencil_at(pencil, t)
-                expected = sympy.Matrix(pencil.nrows, pencil.ncols, lambda a, b: form[a][b]).rank()
-                assert pencil.rank_at(_integer_point(t)) == rank(form, pencil.ncols) == expected
+                expected = sympy.Matrix(pencil.size, pencil.size, lambda a, b: form[a][b]).rank()
+                assert pencil.rank_at(_integer_point(t)) == rank(form, pencil.size) == expected
                 seen_ranks.add(expected)
             assert pencil_at(pencils[0], t) == tuple(
                 tuple(dot(x, algebra.bracket(u, v)) for v in h.basis) for u in h.basis
             )
-            assert pencil_at(pencils[1], t) == tuple(algebra.coad_apply(u, x) for u in h.basis)
-            assert pencil_at(pencils[2], t) == bivector_at(algebra, x)
+            assert pencil_at(pencils[1], t) == bivector_at(algebra, x)
     # The entries really were scaled, and the forms were not all degenerate.
     assert max(seen_denominators) > 9 and {0, 2, 4} <= seen_ranks
 
 
 def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypatch):
-    # A skew pencil keeps only its entries a < b and is ranked by skew_rank;
-    # the rectangular pencil alone goes through integer_rank.
+    # A pencil keeps only its entries a < b and is ranked by skew_rank, not
+    # by integer_rank's Bareiss elimination.
     rng = random.Random(53)
     monkeypatch.setattr(submanifold, "integer_rank", None)
     for algebra in algebra_catalog():
@@ -441,24 +439,18 @@ def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypa
         point = IntegerPoint(3, tuple(rng.randint(-5, 5) for _ in range(c.direction.dim)))
         t = tuple(Fraction(e, 3) for e in point.numerators)
         for pencil in (c.form, bivector_pencil(c)):
-            m = pencil.ncols
-            assert pencil.skew and pencil.nrows == m
+            m = pencil.size
             stored = [k for terms in pencil.directions for k, _ in terms]
-            assert pencil.cells == tuple(pencil_cells(m, m, True))
+            assert pencil.cells == tuple(pencil_cells(m))
             assert len(pencil.base) == m * (m - 1) // 2 and all(k < len(pencil.base) for k in stored)
             assert pencil.rank_at(point) == rank(pencil_at(pencil, t), m)
-        rectangular = skew_pencil(c, c.h.basis, c.direction.basis)
-        assert not rectangular.skew
-        with pytest.raises(TypeError):
-            rectangular.rank_at(point)
 
 
 def test_integer_pencils_equal_the_fraction_oracle():
     # skew_pencil and bivector_pencil pair integer brackets with C's integer
     # base and directions; they store the same denominator and entries as the
     # pencil paired in Fractions.  The cases take rational constants (Ds > 1),
-    # rational h and lambda, h = 0, h = g, the rectangular (h, e) pencil and
-    # the rectangular (h, ann(h)) one.
+    # rational h and lambda, h = 0 and h = g.
     rng = random.Random(61)
     catalog = algebra_catalog() + rational_catalog()
     cases = []
@@ -475,8 +467,6 @@ def test_integer_pencils_equal_the_fraction_oracle():
             c = AffineSubspace(algebra, h, base)
             pairs = [
                 (skew_pencil(c, h.basis), fraction_pencil(c, h.basis)),
-                (skew_pencil(c, h.basis, e), fraction_pencil(c, h.basis, e)),
-                (skew_pencil(c, h.basis, c.direction.basis), fraction_pencil(c, h.basis, c.direction.basis)),
                 (bivector_pencil(c), fraction_pencil(c, e)),
             ]
             for pencil, oracle in pairs:
@@ -493,19 +483,19 @@ def test_integer_pencils_equal_the_fraction_oracle():
 
 
 def test_pencils_are_built_without_fraction_arithmetic(monkeypatch):
-    # C's form, the bivector pencil and the rectangular (h, e) pencil are
-    # paired and scaled in integers: no Fraction is multiplied or added.
+    # C's form and the bivector pencil are paired and scaled in integers: no
+    # Fraction is multiplied or added.
     rng = random.Random(67)
     cases = []
     for algebra in algebra_catalog() + rational_catalog():
         n = algebra.dim
         h = Subspace.span(n, [_mixed_coordinates(rng, n) for _ in range(rng.randint(1, n))])
         c = AffineSubspace(algebra, h, _mixed_coordinates(rng, n))
-        cases.append((c, [unit_vector(n, j) for j in range(n)]))
+        cases.append(c)
     calls = fraction_arithmetic(monkeypatch)
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and calls == ["__add__"]
     calls.clear()
-    built = [(c.form, bivector_pencil(c), skew_pencil(c, c.h.basis, e)) for c, e in cases]
+    built = [(c.form, bivector_pencil(c)) for c in cases]
     assert calls == []
     assert any(pencil.denominator > 1 for pencils in built for pencil in pencils)
 
@@ -584,7 +574,7 @@ CATALOG = algebra_catalog()
 def test_rank_and_point_at_integer_points_match_fractions(data):
     # At integer points n / L, walked from SampleSpec or drawn directly, rank_at
     # equals the rank of the Fraction form pencil_at(t), and point_at equals
-    # base + sum t_a u_a in Fractions, on skew and rectangular pencils.
+    # base + sum t_a u_a in Fractions, on C's form and the bivector pencil.
     # Every form vanishes at x = 0, so half the time the base is put where
     # the drawn numerators over L = 1 reach 0: there the point n / 1 is
     # degenerate and n / L, for L > 1, in general is not.
@@ -603,20 +593,14 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
     else:
         base = vec(data.draw(st.lists(small, min_size=n, max_size=n)))
     c = AffineSubspace(algebra, h, base)
-    kind = data.draw(st.sampled_from(["skew", "rectangular", "bivector"]))
-    if kind == "skew":
-        pencil = skew_pencil(c, h.basis)
-    elif kind == "rectangular":
-        pencil = skew_pencil(c, h.basis, Subspace.span(n, data.draw(vectors)).basis)
-    else:
-        pencil = bivector_pencil(c)
+    pencil = skew_pencil(c, h.basis) if data.draw(st.booleans()) else bivector_pencil(c)
     scale = data.draw(st.integers(min_value=1, max_value=6))
     seed, bound = data.draw(st.integers(0, 999)), data.draw(st.sampled_from([1, 2, 1000]))
     points = [IntegerPoint(1, numerators), IntegerPoint(scale, numerators)]
     points += c.walk(SampleSpec(3, seed, bound))[0]  # the origin, then the samples
     for point in points:
         t = tuple(Fraction(n, point.denominator) for n in point.numerators)
-        assert pencil.rank_at(point) == rank(pencil_at(pencil, t), pencil.ncols)
+        assert pencil.rank_at(point) == rank(pencil_at(pencil, t), pencil.size)
         x = c.base
         for ta, u in zip(t, c.direction.basis):
             x = vadd(x, vscale(ta, u))
