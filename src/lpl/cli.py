@@ -245,13 +245,16 @@ def parse_problem(
         samples = parse_int(data, "samples", "'samples' must be an integer", SampleSpec.count)
     if seed is None:
         seed = parse_int(data, "seed", "'seed' must be an integer", SampleSpec.seed)
-    return Problem(algebra, h, base, r, SampleSpec(count=_bounded_samples(samples), seed=seed))
+    return Problem(algebra, h, base, r, _sampling(samples, seed))
 
 
-def _bounded_samples(count: int) -> int:
+def _sampling(count: int, seed: int) -> SampleSpec:
+    """The problem's sampling; no negative seed, as Random(-n) draws the stream of Random(n)."""
     if not 0 <= count <= MAX_SAMPLES:
         raise InputError(f"'samples' must be between 0 and {MAX_SAMPLES}, got {count}")
-    return count
+    if seed < 0:
+        raise InputError(f"'seed' must be at least 0, got {seed}")
+    return SampleSpec(count, seed)
 
 
 # -- report builders --------------------------------------------------------
@@ -495,9 +498,7 @@ def _load_problem(args) -> Problem:
         Subspace.zero(n),
         tuple(Fraction(0) for _ in range(n)),
         None,
-        SampleSpec(
-            _bounded_samples(args.samples or SampleSpec.count), args.seed or SampleSpec.seed
-        ),
+        _sampling(args.samples or SampleSpec.count, args.seed or SampleSpec.seed),
     )
 
 

@@ -10,8 +10,8 @@ C is coisotropic iff it vanishes, pre-Poisson iff its rank is constant, and
 cosymplectic at x iff B_h(x) is nondegenerate.
 
 Coisotropy and the subalgebra-case pre-Poisson verdict are exact theorems;
-for non-subalgebra h the rank-constancy verdict is evidence from exact
-rational sample points (``AffineSubspace.walk``), and the verdict carries
+for non-subalgebra h the rank-constancy verdict is evidence from seeded
+integer sample points (``AffineSubspace.walk``), and the verdict carries
 the SampleSpec it rests on.
 """
 
@@ -69,38 +69,33 @@ class IntegerPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic exact sampling: seeded coordinates p/q, |p| <= bound, 1 <= q <= bound."""
+    """Deterministic exact sampling: seeded integer coordinates n, |n| <= bound."""
 
     count: int = 64
     seed: int = 0
     bound: int = 1000
 
     def points(self, dim: int) -> list[IntegerPoint]:
-        """``count`` seeded points of ``dim`` coordinates, over the lcm of their q.
+        """``count`` seeded points of ``dim`` integer coordinates, each over 1.
 
-        The pairs (p, q) are those that randint(-bound, bound), randint(1, bound)
-        draw from the seeded stream: each is CPython's rejection sampling, k =
-        n.bit_length() random bits for a range of n values, redrawn until below n.
+        Each coordinate is the one randint(-bound, bound) draws from the seeded
+        stream: CPython's rejection sampling, k = n.bit_length() random bits for
+        a range of n values, redrawn until below n.
         """
         if self.bound < 1:
             raise ValueError(f"sample bound must be at least 1, got {self.bound}")
         bits = random.Random(self.seed).getrandbits
         spread, bound = 2 * self.bound + 1, self.bound
-        kp, kq = spread.bit_length(), bound.bit_length()
+        k = spread.bit_length()
         points = []
         for _ in range(self.count):
-            ps, qs = [], []
+            ns = []
             for _ in range(dim):
-                p = bits(kp)
-                while p >= spread:
-                    p = bits(kp)
-                q = bits(kq)
-                while q >= bound:
-                    q = bits(kq)
-                ps.append(p - bound)
-                qs.append(q + 1)
-            scale = lcm(*qs)
-            points.append(IntegerPoint(scale, tuple([p * (scale // q) for p, q in zip(ps, qs)])))
+                n = bits(k)
+                while n >= spread:
+                    n = bits(k)
+                ns.append(n - bound)
+            points.append(IntegerPoint(1, tuple(ns)))
         return points
 
 

@@ -162,6 +162,28 @@ def test_parse_problem_defaults_and_overrides(sl2):
     assert parse_problem(data, model_override=sl2, samples=MAX_SAMPLES).sampling.count == MAX_SAMPLES
 
 
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_parse_problem_refuses_a_negative_seed_key(sl2, seed):
+    # Random(-n) draws the stream of Random(n): a negative seed would name
+    # other evidence for the same points.
+    data = {"h_basis": [["1", "0", "0"]], "seed": seed}
+    with pytest.raises(InputError, match=f"'seed' must be at least 0, got {seed}"):
+        parse_problem(data, model_override=sl2)
+    assert parse_problem(data, model_override=sl2, seed=0).sampling.seed == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--problem", "sl2_transverse.json", "--seed", "-5"],
+        ["validate", "--model", "sl2.json", "--seed", "-5"],
+    ],
+)
+def test_main_refuses_a_negative_seed_flag(capsys, argv):
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: 'seed' must be at least 0, got -5\n"
+
+
 def test_parse_problem_errors(sl2):
     with pytest.raises(InputError, match="model"):
         parse_problem({"h_basis": []})
@@ -359,7 +381,7 @@ def test_main_refuses_a_rank_jump_below_eight_samples(capsys, samples):
     err = capsys.readouterr().err
     assert err == default
     assert err.startswith("refused: rank differs between sampled points: (((Fraction(0, 1), ")
-    assert "((Fraction(729, 395), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), 3))" in err
+    assert "((Fraction(729, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), 3))" in err
 
 
 @pytest.mark.parametrize("command", ["extend", "pair"])
@@ -653,10 +675,11 @@ def _with_lambda(tmp_path, fixture, base):
 
 @pytest.mark.parametrize("fixture", ["gl2_line.json", "gl2_prepoisson.json", "sl2_transverse.json"])
 def test_main_bounds_the_digits_of_a_report_point(capsys, tmp_path, fixture):
-    # Each entry of lambda fits, but the sample points of C that the orbit
-    # report prints are lambda plus a rational shift: over the limit.
+    # Each entry of lambda fits, and entry 0 (gl2) or 2 (sl2) lies on a
+    # direction of C: the sample points that the orbit report prints add an
+    # integer shift to it, and a positive one crosses the limit.
     n = len(json.loads((FIXTURES / fixture).read_text())["lambda"])
-    base = ["9" * (MAX_RATIONAL_CHARS - 1) if i % 2 == 0 else "1" for i in range(n)]
+    base = ["9" * MAX_RATIONAL_CHARS if i % 2 == 0 else "1" for i in range(n)]
     argv = ["algebroid", "--problem", _with_lambda(tmp_path, fixture, base), "--json"]
     assert main(argv) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err == (

@@ -603,6 +603,7 @@ def test_extend_forms_only_the_first_failing_point(gl2, monkeypatch):
 
 def test_extend_walks_eight_points_with_the_callers_seed_and_bound(gl2, monkeypatch):
     # Below 8 samples, the verdict walks 8 points with the caller's seed and bound.
+    # The line's rank drops only at x = 0, which no shift within the bound reaches.
     drawn = []
     original = SampleSpec.points
 
@@ -611,17 +612,19 @@ def test_extend_walks_eight_points_with_the_callers_seed_and_bound(gl2, monkeypa
         return original(spec, dim)
 
     monkeypatch.setattr(SampleSpec, "points", points)
-    e = extend(gl2_line(gl2, [1, 0, 0, 0]), sampling=SampleSpec(count=5, seed=3, bound=3))
+    e = extend(gl2_line(gl2, [4, 0, 0, 0]), sampling=SampleSpec(count=5, seed=3, bound=3))
     assert drawn == [e.sampling] == [SampleSpec(count=8, seed=3, bound=3)]
 
 
 def test_extend_refuses_a_jump_that_a_shorter_verdict_missed(gl2):
-    # On this line x = 0, where rank B_h drops, is the 6th sample at seed 5
+    # On this line x = 0, where rank B_h drops, is the 6th sample at seed 17
     # and bound 1.  The reference's 5-sample verdict misses it, and its
     # self-check passes there because the form on p is singular at 0;
     # extend's 8-sample verdict refuses the line.
     c = gl2_line(gl2, [1, 0, 0, 0])
-    spec = SampleSpec(count=5, seed=5, bound=1)
+    spec = SampleSpec(count=5, seed=17, bound=1)
+    shifts = [t.numerators for t in SampleSpec(8, spec.seed, spec.bound).points(1)]
+    assert shifts.index((-1,)) == 5
     assert unconditional_extend(c, spec).sampling == spec
     with pytest.raises(RankNotConstant) as refusal:
         extend(c, sampling=spec)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -116,21 +117,14 @@ def test_walk_is_the_base_then_the_samples(sl2):
 @pytest.mark.parametrize("bound", [1, 2, 3, 1000])
 def test_sample_points_follow_the_randint_stream(bound):
     # Every sampled report rests on this stream: the coordinates are the
-    # p/q of randint(-bound, bound), randint(1, bound) on Random(seed), in
-    # order, as integers p * (L // q) over L = lcm of the q of one point.
-    # randint(1, 1) still consumes bits, so bound 1 pins the q draws too.
-    probe = random.Random(0)
-    state = probe.getstate()
-    probe.randint(1, 1)
-    assert probe.getstate() != state
+    # randint(-bound, bound) of Random(seed), in order, each point over 1.
     for seed in range(21):
         for dim in (0, 1, 3):
             rng = random.Random(seed)
-            expected = []
-            for _ in range(5):
-                pairs = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim)]
-                scale = lcm(*(q for _, q in pairs))
-                expected.append(IntegerPoint(scale, tuple(p * (scale // q) for p, q in pairs)))
+            expected = [
+                IntegerPoint(1, tuple(rng.randint(-bound, bound) for _ in range(dim)))
+                for _ in range(5)
+            ]
             assert SampleSpec(count=5, seed=seed, bound=bound).points(dim) == expected
 
 
@@ -319,6 +313,38 @@ def test_gl2_line_rank_jump(gl2):
     assert base_pt == zero_vector(4)
     assert base_rank == 1
     assert other_rank == 3
+
+
+def test_integer_samples_find_the_so4_rank_drop():
+    # so4 in the basis A_rc = E_rc - E_cr, r < c, row-major.  h = span(A12,
+    # A24) is not a subalgebra, and rank B_h drops from 2 to 0 on the
+    # hyperplane x3 = 0 of C.  An integer sample at seed 910245 lands on it.
+    cells = list(combinations(range(4), 2))
+    basis = [sympy.Matrix(4, 4, lambda i, j: int((i, j) == rc) - int((j, i) == rc)) for rc in cells]
+
+    def coords(m):
+        return [m[r, c] for r, c in cells]
+
+    so4 = LieAlgebra.from_brackets(
+        6, {(i, j): coords(u * v - v * u) for (i, u), (j, v) in combinations(enumerate(basis), 2)}
+    )
+    hv = [unit_vector(6, 0), unit_vector(6, 4)]
+    c = AffineSubspace(so4, Subspace.span(6, hv), vec([68, -39, -80, -21, 14, -20]))
+    verdict = classify(c, SampleSpec(seed=910245)).pre_poisson
+    assert verdict.kind == NOT_CONSTANT
+    (x0, r0), (x1, r1) = verdict.counterexample
+    assert (x0, r0, r1) == (c.base, 6, 4) and x1[2] == 0 and c.contains(x1)
+    # sympy: rank of ann(h) + coad_h(x), coad_v(x)_k = <x, [v, e_k]>.
+    hm = sympy.Matrix([[sympy.Rational(e) for e in v] for v in hv])
+    ann = [w.T for w in hm.nullspace()]
+    h_mats = [sum((e * b for e, b in zip(v, basis)), sympy.zeros(4, 4)) for v in hv]
+    for x, expected in ((x0, r0), (x1, r1)):
+        xs = sympy.Matrix([[sympy.Rational(e) for e in x]])
+        coad = [
+            sympy.Matrix([[(xs * sympy.Matrix(coords(v * b - b * v)))[0] for b in basis]])
+            for v in h_mats
+        ]
+        assert sympy.Matrix.vstack(*ann, *coad).rank() == expected
 
 
 def test_sampled_constant_case(gl2):
