@@ -9,7 +9,10 @@ structure constants and the coefficients of f and g are each scaled to
 integer numerators over one denominator, every term is summed as an int,
 and the bracket divides by the product of the denominators once per output
 monomial.  The Casimir test only decides whether a sum is zero, which a
-positive scaling does not change, so it keeps no denominator.
+positive scaling does not change, so it keeps no denominator.  Both key a
+monomial by the int sum_l e_l B**l, with B above every exponent the result
+can hold, so a product of monomials is one integer add; a term's degree is
+at most MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -17,13 +20,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import mul
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
-from .linalg import ZERO, DimensionMismatch, Matrix, parse_fraction, vec
+from .linalg import MAX_RATIONAL_CHARS, ZERO, DimensionMismatch, Matrix, vec
 
 Exponents = tuple[int, ...]
+# Largest total degree of a term the bracket and the Casimir test take: with
+# at most 64 variables every packed key stays below 128**64.
+MAX_DEGREE = 64
 
 
 def _grlex_key(expo: Exponents) -> tuple:
@@ -47,7 +53,7 @@ class Polynomial:
                 raise DimensionMismatch("exponent tuple has the wrong length")
             c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
-                clean[tuple(int(e) for e in expo)] = c
+                clean[tuple(map(int, expo))] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -161,67 +167,57 @@ class Polynomial:
         for expo, coeff in sorted(
             self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True
         ):
-            factors = [
-                f"nu{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(expo)
-                if e > 0
-            ]
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = str(abs(coeff)) + "*" + "*".join(factors)
-            sign = "-" if coeff < 0 else "+"
-            if factors and coeff == -1:
-                sign = "-"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            p, q = coeff.numerator, coeff.denominator
+            factors = [f"nu{i + 1}^{e}" if e > 1 else f"nu{i + 1}" for i, e in enumerate(expo) if e]
+            size = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+            if size != "1" or not factors:
+                factors.insert(0, size)
+            pieces.append(("- " if p < 0 else "+ ") + "*".join(factors))
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
 
-_TERM_FACTOR = re.compile(r"^nu(\d+)(?:\^(\d+))?$")
+_TERM = re.compile(r"[+-]?[^+-]+")
+_FACTOR = re.compile(r"nu(\d+)(?:\^(\d+))?|(\d+)(?:/(\d+))?")
+_SPLIT_TOKEN = re.compile(r"\w\s+\w")
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    """Parse sums of terms like ``3/2*nu1^2*nu3 - nu2 + 5``."""
-    stripped = text.replace(" ", "")
+    """Parse sums of terms like ``3/2*nu1^2*nu3 - nu2 + 5``.
+
+    Whitespace may separate tokens but never splits a number or a variable.
+    Each term keeps an integer numerator and denominator, and a factor, like
+    any rational, is at most MAX_RATIONAL_CHARS long.
+    """
+    if _SPLIT_TOKEN.search(text):
+        raise ValueError(f"whitespace inside a number or a variable in polynomial {text!r}")
+    stripped = "".join(text.split())
     if not stripped:
         raise ValueError("empty polynomial")
-    # Split into signed terms.
-    chunks = re.findall(r"[+-]?[^+-]+", stripped)
+    chunks = _TERM.findall(stripped)
     if "".join(chunks) != stripped:
         raise ValueError(f"cannot parse polynomial {text!r}")
     terms: dict[Exponents, Fraction] = {}
     for chunk in chunks:
-        sign = Fraction(1)
-        body = chunk
-        if body[0] in "+-":
-            if body[0] == "-":
-                sign = Fraction(-1)
-            body = body[1:]
-        coeff = sign
-        expo = [0] * nvars
-        for factor in body.split("*"):
-            m = _TERM_FACTOR.match(factor)
-            if m:
-                idx = int(m.group(1))
+        num, den, expo = -1 if chunk[0] == "-" else 1, 1, [0] * nvars
+        for factor in chunk.lstrip("+-").split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None or len(factor) > MAX_RATIONAL_CHARS:
+                raise ValueError(f"bad factor {factor!r} in polynomial")
+            if m[1]:
+                idx = int(m[1])
                 if not 1 <= idx <= nvars:
                     raise ValueError(f"variable nu{idx} out of range 1..{nvars}")
-                expo[idx - 1] += int(m.group(2) or 1)
+                expo[idx - 1] += int(m[2] or 1)
+            elif q := int(m[4] or 1):
+                num, den = num * int(m[3]), den * q
             else:
-                try:
-                    coeff *= parse_fraction(factor)
-                except ValueError as exc:
-                    raise ValueError(f"bad factor {factor!r} in polynomial") from exc
-        key = tuple(expo)
-        terms[key] = terms.get(key, ZERO) + coeff
+                raise ValueError(f"bad factor {factor!r} in polynomial")
+        key, coeff = tuple(expo), Fraction(num, den)
+        terms[key] = terms[key] + coeff if key in terms else coeff
     return Polynomial(nvars, terms)
 
 
@@ -240,25 +236,30 @@ def bivector_at(algebra: LieAlgebra, x: Iterable) -> Matrix:
     return tuple(tuple(row) for row in pi)
 
 
-def _shift(expo: Exponents, l: int) -> Exponents:
-    """The exponents of nu_l times the monomial ``expo``."""
-    return expo[:l] + (expo[l] + 1,) + expo[l + 1 :]
+def _packed_gradients(n: int, extra: int, *polys: Polynomial):
+    """(weights, [(d, grad) per poly]): weights[l] = B**l with B = the sum of the degrees + ``extra``,
+    d is the lcm of a poly's denominators and grad[i] lists d * d_i p as (packed key, int).
 
-
-def _integer_gradient(p: Polynomial) -> tuple[int, list[list[tuple[Exponents, int]]]]:
-    """(d, grad): d is the lcm of p's denominators and grad[i] lists d * d_i p as (exponents, int).
-
-    Lowering exponent i is one-to-one on the monomials that contain nu_i, so
-    each list has distinct exponents and needs no merging.
+    The caller picks ``extra`` so that B exceeds every exponent of its result:
+    then every key it forms is a sum of digits below B times the weights, so
+    no digit carries and distinct monomials keep distinct keys.  A gradient
+    entry's key is key(expo) - B**i, which borrows nothing since e_i >= 1.
     """
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    grad: list[list[tuple[Exponents, int]]] = [[] for _ in range(p.nvars)]
-    for expo, c in p.terms.items():
-        c = c.numerator * (d // c.denominator)
-        for i, e in enumerate(expo):
-            if e:
-                grad[i].append((expo[:i] + (e - 1,) + expo[i + 1 :], c * e))
-    return d, grad
+    degrees = [p.degree() for p in polys]
+    if max(degrees) > MAX_DEGREE:
+        raise ValueError(f"a term has degree over the maximum {MAX_DEGREE}")
+    weights = [(sum(degrees) + extra) ** l for l in range(n)]
+    packed = []
+    for p in polys:
+        d = lcm(*(c.denominator for c in p.terms.values()))
+        grad: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for expo, c in p.terms.items():
+            key, c = sum(map(mul, expo, weights)), c.numerator * (d // c.denominator)
+            for i, e in enumerate(expo):
+                if e:
+                    grad[i].append((key - weights[i], c * e))
+        packed.append((d, grad))
+    return weights, packed
 
 
 def poisson_bracket_poly(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -267,28 +268,33 @@ def poisson_bracket_poly(algebra: LieAlgebra, f: Polynomial, g: Polynomial) -> P
     Pi is skew, so this is the sum of Pi_ij d_i f d_j g over the ordered pairs
     with [e_i, e_j] != 0.  f, g and the structure constants are each scaled
     to integers over one denominator; every term is accumulated as an int
-    into one table, and divided by the product of the three at the end.
+    into one table of packed keys with B = deg f + deg g, and each output
+    monomial is unpacked and divided by the product of the three at the end.
     """
     n = algebra.dim
     if f.nvars != n or g.nvars != n:
         raise DimensionMismatch("polynomials must use the algebra's coordinates")
     ds, structure = algebra.integer_structure
-    df_den, df = _integer_gradient(f)
-    dg_den, dg = _integer_gradient(g)
-    out: dict[Exponents, int] = {}
+    weights, ((df_den, df), (dg_den, dg)) = _packed_gradients(n, 0, f, g)
+    out: dict[int, int] = {}
     for dfi, row in zip(df, structure):
         if not dfi:
             continue
         for j, pi_ij in row:
-            for ea, ca in dfi:
-                for eb, cb in dg[j]:
-                    expo = tuple(map(add, ea, eb))
-                    cab = ca * cb
+            for ka, ca in dfi:
+                for kb, cb in dg[j]:
+                    key, cab = ka + kb, ca * cb
                     for l, c in pi_ij:
-                        e = _shift(expo, l)
+                        e = key + weights[l]
                         out[e] = out.get(e, 0) + c * cab
-    den = df_den * dg_den * ds
-    return Polynomial(n, {e: Fraction(v, den) for e, v in out.items() if v})
+    den, terms = df_den * dg_den * ds, {}
+    for key, v in out.items():
+        if v:
+            expo = [0] * n
+            for l in range(n - 1, -1, -1):
+                expo[l], key = divmod(key, weights[l])
+            terms[tuple(expo)] = Fraction(v, den)
+    return Polynomial(n, terms)
 
 
 def casimir_check(algebra: LieAlgebra, f: Polynomial) -> bool:
@@ -297,19 +303,20 @@ def casimir_check(algebra: LieAlgebra, f: Polynomial) -> bool:
     f is differentiated once; row k of the structure constants lists the
     nonzero Pi_ki = -Pi_ik, which is enough to test for zero.  A positive
     multiple of the sum is zero exactly when the sum is, so the test runs on
-    the integer constants and gradient and drops both denominators.
+    the integer constants and gradient and drops both denominators.  Keys use
+    B = deg f + 1 and are never unpacked.
     """
     n = algebra.dim
     if f.nvars != n:
         raise DimensionMismatch("polynomials must use the algebra's coordinates")
     _, structure = algebra.integer_structure
-    _, df = _integer_gradient(f)
+    weights, ((_, df),) = _packed_gradients(n, 1, f)
     for row in structure:
-        out: dict[Exponents, int] = {}
+        out: dict[int, int] = {}
         for i, pi_ki in row:
-            for expo, coeff in df[i]:
+            for key, coeff in df[i]:
                 for l, c in pi_ki:
-                    e = _shift(expo, l)
+                    e = key + weights[l]
                     out[e] = out.get(e, 0) + c * coeff
         if any(out.values()):
             return False

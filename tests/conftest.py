@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -11,6 +12,7 @@ from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
 from lpl.embedding import Extension, RankNotConstant, coisotropy_in_extension
 from lpl.lie import NotASubalgebra
+from lpl.lie_poisson import Polynomial
 from lpl.linalg import (
     DimensionMismatch,
     choose_complement,
@@ -197,6 +199,61 @@ def fraction_arithmetic(monkeypatch) -> list:
             return original(self, *other)
 
         monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def per_term_parse(text, nvars):
+    """The construction parse_polynomial replaced: one Polynomial + per term, a Fraction per factor."""
+    factor_re = re.compile(r"^nu(\d+)(?:\^(\d+))?$")
+    stripped = text.replace(" ", "")
+    chunks = re.findall(r"[+-]?[^+-]+", stripped)
+    result = Polynomial.zero(nvars)
+    for chunk in chunks:
+        coeff, body = Fraction(1), chunk
+        if body[0] in "+-":
+            coeff, body = Fraction(-1 if body[0] == "-" else 1), body[1:]
+        expo = [0] * nvars
+        for factor in body.split("*"):
+            m = factor_re.match(factor)
+            if m:
+                expo[int(m.group(1)) - 1] += int(m.group(2) or 1)
+            else:
+                coeff *= Fraction(factor)
+        result = result + Polynomial(nvars, {tuple(expo): coeff})
+    return result
+
+
+def term_by_term_str(p: Polynomial) -> str:
+    """The printer Polynomial.__str__ replaced: signs and magnitudes from Fraction comparisons."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for expo, coeff in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        factors = [f"nu{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(expo) if e > 0]
+        if not factors:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = "*".join(factors)
+        else:
+            body = str(abs(coeff)) + "*" + "*".join(factors)
+        pieces.append(("-" if coeff < 0 else "+", body))
+    first_sign, first_body = pieces[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def fraction_creations(monkeypatch) -> list:
+    """The arguments of every Fraction created from now on, in creation order."""
+    calls = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     return calls
 
 

@@ -29,6 +29,7 @@ from lpl.cli import (
     run,
     serialize_model,
 )
+from lpl.lie_poisson import MAX_DEGREE
 from lpl.linalg import MAX_RATIONAL_CHARS, Subspace, vec
 
 from conftest import FIXTURES
@@ -650,19 +651,40 @@ def test_main_bounds_the_digits_of_a_coefficient(capsys, command, polys, digits)
         assert err == f"error: a coefficient has more than {MAX_RATIONAL_CHARS} digits\n"
 
 
-@pytest.mark.parametrize("digits", [MAX_RATIONAL_CHARS, MAX_RATIONAL_CHARS + 1])
+@pytest.mark.parametrize("digits", [MAX_RATIONAL_CHARS + 1])
 def test_main_bounds_the_digits_of_an_exponent(capsys, digits):
-    # {nu1^N nu2, nu3} on sl2 has the term nu1^(N + 1): with N all nines,
-    # an exponent of ``digits`` digits.
+    # {nu1^N nu2, nu3} on sl2 would have the term nu1^(N + 1), of ``digits``
+    # digits with N all nines.  A factor, like any rational, is at most
+    # MAX_RATIONAL_CHARS long, so the exponent string is refused before int()
+    # reads it, for both commands.
     f = "nu1^" + "9" * (digits - 1) + "*nu2"
-    code = main(["bracket", "--model", "sl2.json", "--json", f, "nu3"])
-    out, err = capsys.readouterr()
-    if digits <= MAX_RATIONAL_CHARS:
-        assert code == EXIT_OK
-        assert "nu1^" + _power_of_ten(digits) in out
-    else:
-        assert code == EXIT_INPUT_ERROR
-        assert err == f"error: an exponent has more than {MAX_RATIONAL_CHARS} digits\n"
+    for argv in (["bracket", f, "nu3"], ["casimir", f]):
+        code = main([argv[0], "--model", "sl2.json", "--json", *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("error: bad factor 'nu1^999") and len(err) < 2 * digits
+
+
+@pytest.mark.parametrize("degree", [MAX_DEGREE, MAX_DEGREE + 1])
+def test_main_bounds_the_degree_of_a_term(capsys, degree):
+    # A term of degree MAX_DEGREE is taken by both commands; one more is an
+    # input error from the bracket and from the Casimir test alike.
+    f = f"nu1^{degree - 2}*nu2*nu3"
+    for argv in (["bracket", f, "nu3"], ["bracket", "nu3", f], ["casimir", f]):
+        code = main([argv[0], "--model", "sl2.json", "--json", "--", *argv[1:]])
+        out, err = capsys.readouterr()
+        if degree <= MAX_DEGREE:
+            assert code == EXIT_OK and err == ""
+            assert json.loads(out)["f" if argv[0] == "casimir" else "bracket"]
+        else:
+            assert code == EXIT_INPUT_ERROR and out == ""
+            assert err == f"error: a term has degree over the maximum {MAX_DEGREE}\n"
+    if degree <= MAX_DEGREE:
+        # {nu1^62 nu2 nu3, nu3} = 62 nu1^61 nu2 nu3 {nu1, nu3} + nu1^62 nu3 {nu2, nu3}, with
+        # {nu1, nu3} = -nu2 and {nu2, nu3} = nu1 on sl2: the result has degree MAX_DEGREE.
+        assert main(["bracket", "--model", "sl2.json", "--json", f, "nu3"]) == EXIT_OK
+        expected = f"nu1^{degree - 1}*nu3 - {degree - 2}*nu1^{degree - 3}*nu2^2*nu3"
+        assert json.loads(capsys.readouterr().out)["bracket"] == expected
 
 
 def _with_lambda(tmp_path, fixture, base):

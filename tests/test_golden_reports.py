@@ -21,11 +21,16 @@ PROBLEM_COMMANDS = ("classify", "extend", "pair", "algebroid")
 
 
 def _model_cases(algebra):
+    """(key suffix, command, polynomial args); the suffix is the command unless it repeats."""
     n = algebra.dim
     quadratic = " + ".join(f"nu{i + 1}^2" for i in range(n))
-    yield "validate", ()
-    yield "bracket", ("nu1", f"nu{n}")
-    yield "casimir", (quadratic,)
+    quartic = f"-2/3*nu1^3*nu{n} + 1/2*nu{n}^4 - nu1^2 + 7"
+    cubic = f"-nu{n}^3 + 5/2*nu1*nu2 - 1/3"
+    yield "validate", "validate", ()
+    yield "bracket", "bracket", ("nu1", f"nu{n}")
+    yield "casimir", "casimir", (quadratic,)
+    yield "bracket_quartic", "bracket", (quartic, cubic)
+    yield "casimir_quartic", "casimir", (quartic,)
 
 
 def cases():
@@ -40,8 +45,8 @@ def cases():
             algebra = parse_model(data)
             n = algebra.dim
             problem = Problem(algebra, Subspace.zero(n), zero_vector(n), None, SampleSpec())
-            for command, polys in _model_cases(algebra):
-                yield f"{path.name}::{command}", command, problem, polys
+            for name, command, polys in _model_cases(algebra):
+                yield f"{path.name}::{name}", command, problem, polys
 
 
 def outcome(command, problem, polys) -> str:

@@ -1,10 +1,11 @@
 import random
-import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from lpl.lie_poisson import (
+    MAX_DEGREE,
     Polynomial,
     bivector_at,
     casimir_check,
@@ -19,9 +20,12 @@ from conftest import (
     SL2_BASIS,
     algebra_catalog,
     bracket_table,
+    fraction_creations,
     in_basis,
+    per_term_parse,
     random_vector,
     rational_catalog,
+    term_by_term_str,
 )
 
 
@@ -52,27 +56,10 @@ def test_parse_examples():
     }
     q = parse_polynomial("2*nu1*nu1 - 1/2", 2)
     assert q.terms == {(2, 0): Fraction(2), (0, 0): Fraction(-1, 2)}
-
-
-def per_term_parse(text, nvars):
-    """The construction parse_polynomial replaced: one Polynomial + per term."""
-    factor_re = re.compile(r"^nu(\d+)(?:\^(\d+))?$")
-    stripped = text.replace(" ", "")
-    chunks = re.findall(r"[+-]?[^+-]+", stripped)
-    result = Polynomial.zero(nvars)
-    for chunk in chunks:
-        coeff, body = Fraction(1), chunk
-        if body[0] in "+-":
-            coeff, body = Fraction(-1 if body[0] == "-" else 1), body[1:]
-        expo = [0] * nvars
-        for factor in body.split("*"):
-            m = factor_re.match(factor)
-            if m:
-                expo[int(m.group(1)) - 1] += int(m.group(2) or 1)
-            else:
-                coeff *= Fraction(factor)
-        result = result + Polynomial(nvars, {tuple(expo): coeff})
-    return result
+    # Whitespace, any kind, may separate tokens.
+    r = parse_polynomial("3 / 2 * nu1 ^ 2 *nu13\t-\nnu2 + 5", 13)
+    assert r == parse_polynomial("3/2*nu1^2*nu13-nu2+5", 13)
+    assert str(r) == "3/2*nu1^2*nu13 - nu2 + 5"
 
 
 def _random_term(rng, nvars):
@@ -109,9 +96,47 @@ def test_parse_in_one_pass_matches_per_term_sums():
 
 def test_parse_rejects_garbage():
     # Coefficients take the p or p/q grammar: no decimals, no exponents.
-    for text in ["", "nu0", "nu4", "nu1^", "x + y", "1//2", "nu1**2", "1e3*nu1", "0.5*nu1"]:
+    for text in ["", "\t\n", "nu0", "nu4", "nu1^", "x + y", "1//2", "nu1**2", "1e3*nu1", "0.5*nu1"]:
         with pytest.raises(ValueError):
             parse_polynomial(text, 3)
+    # Whitespace never joins two tokens: with 13 variables each of these would
+    # read as nu12, 12*nu1, nu1^12, 1/23*nu1 or nu1 if it did.
+    for text in ["nu1 2", "1 2*nu1", "nu1^1 2", "1/2 3*nu1", "nu 1", "n u1", "nu1\t2"]:
+        with pytest.raises(ValueError, match="whitespace inside a number or a variable"):
+            parse_polynomial(text, 13)
+
+
+def _oracle_poly(rng, nvars):
+    """Up to 6 terms, with +-1, p/q and large coefficients, constant terms and high powers."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        expo = tuple(rng.choice([0, 0, 1, 2, 7, 12]) for _ in range(nvars))
+        p = rng.choice([1, 1, 2, 3, 10**30 + 1])
+        terms[expo] = Fraction(rng.choice([-1, 1]) * p, rng.choice([1, 1, 2, 9, 10**20]))
+    return Polynomial(nvars, terms)
+
+
+def test_str_and_parse_match_the_oracles():
+    # The printer formats from numerator and denominator and the parser keeps
+    # one integer fraction per term; the oracles compare Fractions and build
+    # one Polynomial per term.
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(400):
+        nvars = rng.randint(1, 13)
+        p = _oracle_poly(rng, nvars)
+        text = str(p)
+        assert text == term_by_term_str(p)
+        assert parse_polynomial(text, nvars) == p == per_term_parse(text, nvars)
+        lead = p.canonical()[-1] if p.terms else None
+        seen |= {
+            ("zero", p.is_zero()),
+            ("negative lead", lead is not None and lead[1] < 0),
+            ("constant term", (0,) * nvars in p.terms),
+            ("unit", any(abs(c) == 1 for c in p.terms.values())),
+            ("p/q", any(c.denominator > 1 for c in p.terms.values())),
+        }
+    assert all((name, True) in seen for name, _ in seen)
 
 
 def test_polynomial_arithmetic():
@@ -343,6 +368,113 @@ def test_bracket_and_casimir_match_pairwise_formulas():
             assert casimir_check(algebra, candidate) == expected
             casimirs += expected
     assert casimirs > 100
+
+
+def _power(p, k):
+    out = Polynomial.constant(p.nvars, 1)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+AFFINE_LINE = LieAlgebra.from_brackets(2, {(0, 1): (0, 1)})  # [t, x] = x
+# The same algebra with x first: [x, t] = -x.
+AFFINE_LINE_X_FIRST = LieAlgebra.from_brackets(2, {(0, 1): (-1, 0)})
+
+
+def _packing_cases():
+    """(algebra, f, g) at the edge of the packed keys."""
+    nu = Polynomial.variable(1, 0)
+    e = lambda r, c: Polynomial.variable(64, 8 * (r - 1) + c - 1)  # E_rc of gl8
+    cases = []
+    for algebra, (t, x) in [
+        (AFFINE_LINE, (Polynomial.variable(2, 0), Polynomial.variable(2, 1))),
+        (AFFINE_LINE_X_FIRST, (Polynomial.variable(2, 1), Polynomial.variable(2, 0))),
+    ]:
+        cases += [
+            # {t, x^b} = b x^b: an output exponent of deg f + deg g - 1 = B - 1.
+            *((algebra, t, _power(x, b)) for b in (1, 2, 5, MAX_DEGREE)),
+            # All the degree in one variable, on both sides.
+            (algebra, _power(t, 9).scale(Fraction(-2, 3)), _power(x, 7)),
+            (algebra, _power(x, MAX_DEGREE), _power(t, MAX_DEGREE)),
+            # Constants bracket to 0.
+            (algebra, Polynomial.constant(2, 5), _power(x, 3) + t),
+        ]
+    return cases + [
+        # A 1-dim algebra is abelian.
+        (LieAlgebra.abelian(1), _power(nu, MAX_DEGREE) - nu.scale(Fraction(1, 3)), nu),
+        # gl8 at MAX_DEGREE.  {E12^64, E12^63 E11} = -64 E12^127, the bracket's
+        # B - 1; {E12^63 E11, nu_E12} = E12^64 and {E88^63 E18, nu_E81} holds
+        # E88^64, the Casimir test's B - 1.
+        (gl(8), _power(e(1, 2), 64).scale(Fraction(5, 7)) - e(1, 1), _power(e(1, 2), 63) * e(1, 1)),
+        (gl(8), _power(e(1, 2), 63) * e(1, 1), e(2, 1) + _power(e(8, 8), 63) * e(1, 8)),
+    ]
+
+
+def test_bracket_and_casimir_at_the_packing_edge():
+    cases = _packing_cases()
+    nonzero = 0
+    for algebra, f, g in cases:
+        table = bracket_table(algebra)
+        got = poisson_bracket_poly(algebra, f, g)
+        assert got == pairwise_bracket(table, f, g) == -poisson_bracket_poly(algebra, g, f)
+        for p in (f, g, f + g):
+            assert casimir_check(algebra, p) == pairwise_casimir(table, p)
+        nonzero += not got.is_zero()
+    assert nonzero == len(cases) - 3
+    nu1, nu2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    assert poisson_bracket_poly(AFFINE_LINE, nu1, _power(nu2, 64)) == _power(nu2, 64).scale(64)
+    assert poisson_bracket_poly(AFFINE_LINE_X_FIRST, nu2, _power(nu1, 64)) == _power(nu1, 64).scale(64)
+    # The Casimir test keys by B = deg f + 1.  On R acting on R^3 by
+    # e0 -> e1, e1 -> 0, e2 -> e2, f = a x0 x1^(d - 1) - b x2 has
+    # {f, nu4} = a x1^d + b x2, and at B = d the key of x1^d, d * B, would be
+    # the key of x2: a = -b would cancel there.
+    semidirect = LieAlgebra.from_brackets(4, {(0, 3): (0, -1, 0, 0), (2, 3): (0, 0, -1, 0)})
+    table = bracket_table(semidirect)
+    x0, x1, x2 = (Polynomial.variable(4, i) for i in range(3))
+    for d in (2, 3, MAX_DEGREE):
+        for a, b in ((1, 1), (1, -1), (-3, 3)):
+            f = (x0 * _power(x1, d - 1)).scale(a) - x2.scale(b)
+            assert not casimir_check(semidirect, f) and not pairwise_casimir(table, f)
+    assert casimir_check(semidirect, _power(x1, MAX_DEGREE).scale(3) + Polynomial.constant(4, 2))
+
+
+def test_gl8_bracket_at_the_degree_bound_is_fast():
+    gl8 = gl(8)
+    f = parse_polynomial("nu1^30*nu2^20*nu9^14 + 3/2*nu10^64 - nu64^63*nu3", 64)
+    g = parse_polynomial("nu2^40*nu10^24 - nu64^64 + nu1*nu3^63", 64)
+    start = time.process_time()
+    got = poisson_bracket_poly(gl8, f, g)
+    assert time.process_time() - start < 0.1
+    assert got == pairwise_bracket(bracket_table(gl8), f, g) and len(got.terms) > 4
+    for p in (f * Polynomial.variable(64, 0), g + g * g):
+        with pytest.raises(ValueError, match=f"a term has degree over the maximum {MAX_DEGREE}"):
+            casimir_check(gl8, p)
+        with pytest.raises(ValueError, match="degree over the maximum"):
+            poisson_bracket_poly(gl8, Polynomial.variable(64, 1), p)
+
+
+def test_bracket_and_casimir_create_fractions_only_for_the_output(monkeypatch):
+    # casimir_check creates no Fraction; the bracket creates one per output
+    # monomial, and none for the terms it sums.
+    rng = random.Random(89)
+    cases = []
+    for algebra in algebra_catalog() + rational_catalog():
+        n = algebra.dim
+        f, g = _random_poly(rng, n, 4), _random_poly(rng, n, 4)
+        cases.append((algebra, f, g, f * f + Polynomial.constant(n, Fraction(1, 3))))
+    calls = fraction_creations(monkeypatch)
+    assert Fraction(1, 2) and len(calls) == 1
+    calls.clear()
+    verdicts, outputs = set(), 0
+    for algebra, f, g, h in cases:
+        verdicts |= {casimir_check(algebra, p) for p in (f, g, h)}
+        assert calls == []
+        got = poisson_bracket_poly(algebra, f, g)
+        assert len(calls) == len(got.terms)
+        outputs += len(calls)
+        calls.clear()
+    assert verdicts == {True, False} and outputs > 50
 
 
 def _substitute(f, rows):

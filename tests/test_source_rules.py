@@ -184,7 +184,6 @@ PUBLIC_API = {
     "Polynomial.variable",
     "Polynomial.linear",
     "Polynomial.is_zero",
-    "Polynomial.degree",
     "Polynomial.evaluate",
     "mat",
     "vadd",
