@@ -16,23 +16,23 @@ from .lie_poisson import bivector_at
 from .submanifold import AffineSubspace, SampleSpec, skew_pencil
 
 
+def base_kernel(c: AffineSubspace) -> Subspace:
+    """d = ann(TC + sharp N*C) in h, on h's canonical basis: the kernel of ``base_rows``."""
+    return Subspace(c.h.dim, nullspace(c.form.base_rows(), c.h.dim))
+
+
 def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
     """d = h intersected with {v : <base, [v, w]> = 0 for all w in h}.
 
     This is the fiber of the subalgebroid attached to C; requires h to be a
     subalgebra, read as the form on h being constant along C.  Its
-    coordinates in h are the kernel of B_h(base), ranked on the integer rows
-    ``base_rows`` of that pencil.  Also reports whether d is itself a
-    subalgebra.
+    coordinates in h are ``base_kernel``; also reports whether d is a subalgebra.
     """
     algebra, h = c.algebra, c.h
     if not c.form.constant:
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
-    # <base, [v, w]> = 0 for all w in h, on v = sum_i c_i h_i: c is in the
-    # kernel of B_h(base), which D B0 of the pencil along C shares.
     h_columns = transpose(h.basis)
-    kernel = nullspace(c.form.base_rows(), h.dim)
-    d = Subspace.span(algebra.dim, [mat_vec(h_columns, cf) for cf in kernel])
+    d = Subspace.span(algebra.dim, [mat_vec(h_columns, cf) for cf in base_kernel(c).basis])
     return d, is_subalgebra(algebra, d)
 
 

@@ -4,10 +4,10 @@ Models and problems are JSON; all rationals travel as strings ``p`` or
 ``p/q`` so no decimal rounding can occur.  Reports are deterministic: JSON
 output is key-sorted and byte-stable for a fixed seed.
 
-Exit codes: 0 success, 1 input error, 2 mathematical refusal (for example a
-non-constant rank where the extension construction needs a constant one, or
-an extension that fails its own coisotropy check), 3 internal error (an
-identity that an exact construction guarantees did not hold: a defect in lpl).
+Exit codes: 0 success, 1 input error, 2 mathematical refusal (``REFUSALS``:
+for example a non-constant rank where the extension needs a constant one, or
+an R that does not complement TC + sharp N*C), 3 internal error (an identity
+that an exact construction guarantees did not hold: a defect in lpl).
 """
 
 from __future__ import annotations
@@ -327,7 +327,6 @@ def report_classify(problem: Problem) -> dict:
 def _extension_dict(ext, locus, constancy) -> dict:
     conormal = {"verdict": "certified" if constancy.certified else NOT_CONSTANT}
     out = {
-        "R": subspace_dict(ext.r),
         "P_tilde_direction": subspace_dict(ext.p_tilde.direction),
         "p": subspace_dict(ext.p),
         "evidence": "certified" if ext.sampling is None else "sampled",

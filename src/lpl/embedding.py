@@ -1,10 +1,10 @@
 """Cosymplectic extension of a pre-Poisson affine subspace.
 
-Given C with constant rank of TC + sharp N*C, extend along a complement R to
-the affine subspace P through the base point with direction TC + R; P carries
-the conormal space p, and when sharp N*P is the same space k-ann at every
-point, the annihilator k of that space together with p gives the k + p
-decomposition and, in favorable cases, a symmetric pair.
+Given C with constant rank of TC + sharp N*C, extend it to P = base + ann(p)
+for a complement p in h of d = ker B_h(base); P carries the conormal space p,
+and when sharp N*P is the same space k-ann at every point, the annihilator k
+of that space together with p gives the k + p decomposition and, in favorable
+cases, a symmetric pair.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional
 
+from .algebroid import base_kernel
 from .lie import LieAlgebra, NotASubalgebra, brackets_in, is_subalgebra, validate_jacobi
 from .linalg import (
     InvariantViolation,
@@ -53,8 +54,7 @@ class ConstancyNotCertified(ValueError):
 @dataclass(frozen=True)
 class Extension:
     c: AffineSubspace
-    r: Subspace
-    p_tilde: AffineSubspace
+    p_tilde: AffineSubspace  # P = base + ann(p)
     sampling: Optional[SampleSpec]  # the pre-Poisson verdict's; None when certified
 
     @property
@@ -72,38 +72,34 @@ def extend(
     r: Optional[Subspace] = None,
     sampling: SampleSpec = SampleSpec(),
 ) -> Extension:
-    """Extend C along R (greedy if omitted) to the candidate cosymplectic P.
+    """Extend C to P = base + ann(p), for p a complement in h of d = ker B_h(base).
 
-    Refuses when the pre-Poisson verdict is NOT_CONSTANT.  That verdict is
-    also the check that C is coisotropic in P: as R complements TC + sharp
-    N*C, dim p = rank B_h(base), and where the form on p is nonsingular C is
-    coisotropic in P iff rank B_h = dim p (``coisotropy_in_extension``).  A
-    sampled verdict walks at least ``MIN_SAMPLES`` points past the base, so
-    ``Extension.sampling`` has a count of at least that.
+    d is ann(TC + sharp N*C) in h, so the complements R of TC + sharp N*C
+    give exactly these p, as h cap ann(R).  Without R, p is spanned by the
+    canonical rows h_j of h whose index j ``choose_complement`` keeps against
+    d in h-coordinates (a vector's entries at h's pivots); an R is refused
+    unless dim R = dim d and p cap d = 0.  As dim p = rank B_h(base), the
+    pre-Poisson verdict also checks that C is coisotropic in P
+    (``coisotropy_in_extension``): a NOT_CONSTANT one is refused, and a
+    sampled one walks at least ``MIN_SAMPLES`` points past the base.
     """
     verdict = pre_poisson_check(c, replace(sampling, count=max(sampling.count, MIN_SAMPLES)))
     if verdict.kind == NOT_CONSTANT:
-        raise RankNotConstant(
-            f"rank differs between sampled points: {verdict.counterexample}"
-        )
-    span = c.span_at_base
+        raise RankNotConstant(f"rank differs between sampled points: {verdict.counterexample}")
+    h, d = c.h, base_kernel(c)
     if r is None:
-        r = choose_complement(span)
-    elif span.dim + r.dim != c.algebra.dim or span.sum(r).dim != c.algebra.dim:
-        raise NotComplementary("R must complement TC + sharp N*C at the base point")
-    p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
-    ext = Extension(c, r, p_tilde, verdict.sampling)
-    r_h = verdict.rank - c.direction.dim
-    if ext.p.dim != r_h:
-        raise InvariantViolation(f"dim p = {ext.p.dim} differs from rank B_h(base) = {r_h}")
-    return ext
+        p = h.select(choose_complement(d).pivots)
+    else:
+        p = c.direction.sum(r).annihilator()  # h cap ann(R)
+        coords = [[v[j] for j in h.pivots] for v in p.basis]
+        if r.dim != d.dim or rank([*coords, *d.basis], h.dim) != p.dim + d.dim:
+            raise NotComplementary("R must complement TC + sharp N*C at the base point")
+    return Extension(c, AffineSubspace(c.algebra, p, c.base), verdict.sampling)
 
 
 def is_cosymplectic_at(e: Extension, x: Iterable) -> bool:
     """True iff the skew form <x, [., .]> on p is nondegenerate at x (x must lie on P)."""
     xv = e.p_tilde.require_point(x)
-    if not e.p.basis:
-        return e.p_tilde.dim == e.algebra.dim
     form = [[dot(xv, e.algebra.bracket(a, b)) for b in e.p.basis] for a in e.p.basis]
     return rank(form) == e.p.dim
 

@@ -383,6 +383,10 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(pivot_columns(self.integer_echelon[1]))
 
+    def select(self, indices: Iterable[int]) -> "Subspace":
+        """The span of the canonical basis rows at ``indices``, a canonical basis itself."""
+        return Subspace(self.ambient_dim, tuple(self.basis[i] for i in indices))
+
 
 def choose_complement(u: Subspace) -> Subspace:
     """Deterministic complement of u: the unit vectors the greedy rule keeps.

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import random
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -26,6 +28,26 @@ from lpl.linalg import (
 from lpl.submanifold import NOT_CONSTANT, AffineSubspace, SkewPencil, _pencil, pre_poisson_check
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+def load_perfbench(monkeypatch, name: str):
+    """perfbench/<name>.py, loaded by path: perfbench is not a package.
+
+    Its modules import their neighbours by name, so perfbench stays on the
+    path for the test; every module loaded from it leaves sys.modules again.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    loaded = set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        for key in set(sys.modules) - loaded:
+            if PERFBENCH in Path(getattr(sys.modules[key], "__file__", None) or "/").parents:
+                del sys.modules[key]
+    return module
 
 
 def load_model(name: str) -> LieAlgebra:
@@ -357,17 +379,35 @@ class ExtensionCheckFailed(ValueError):
 
 
 def unconditional_extend(c, sampling):
-    """``extend`` along the greedy R on the caller's verdict, with the
-    coisotropy self-check run every time, at the base and 8 samples of C:
-    the reference for the ``extend`` that rests on a verdict of at least 8
+    """``extend`` along the greedy complement R of TC + sharp N*C in g*, so
+    p = ann(TC + R), on the caller's verdict, with the coisotropy self-check
+    run every time, at the base and 8 samples of C: the reference for the
+    ``extend`` that picks p inside h and rests on a verdict of at least 8
     samples alone."""
     verdict = pre_poisson_check(c, sampling)
     if verdict.kind == NOT_CONSTANT:
         raise RankNotConstant(f"rank differs between sampled points: {verdict.counterexample}")
     r = choose_complement(c.span_at_base)
     p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
-    ext = Extension(c, r, p_tilde, verdict.sampling)
+    ext = Extension(c, p_tilde, verdict.sampling)
     for t, ok in coisotropy_in_extension(ext, replace(sampling, count=8)):
         if not ok:
             raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {c.point_at(t)}")
     return ext
+
+
+def complements_d_in_h(c, p) -> bool:
+    """p + d = h directly, for d = ker B_h(base), in Fractions.
+
+    p lies in h, and with B = B_h(base) and P the coordinates of p's basis on
+    h's, rank P B = dim p = rank B: v -> B v is injective on p (p meets d in
+    0), and dim p + dim d = dim h.
+    """
+    h, n = c.h, c.algebra.dim
+    if len(fraction_rref([*h.basis, *p.basis], n)) != h.dim:
+        return False
+    form = [[sum(x * y for x, y in zip(c.base, c.algebra.bracket(a, b))) for b in h.basis]
+            for a in h.basis]
+    coords = [coords_of(h, v) for v in p.basis]
+    on_p = [[sum(x * row[j] for x, row in zip(v, form)) for j in range(h.dim)] for v in coords]
+    return len(fraction_rref(on_p, h.dim)) == p.dim == len(fraction_rref(form, h.dim))

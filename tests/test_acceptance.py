@@ -59,11 +59,10 @@ def test_criterion_01_gl2_end_to_end(gl2):
     assert (p0, r0) == (zero_vector(4), 1)
     assert r1 == 3
 
-    # Based at E11 the greedy complement is the d axis and the extension is
-    # the diagonal plane.
+    # Based at E11, d = ker B_h(base) is the d axis, the greedy p is its
+    # complement span{b, c} in h, and the extension is the diagonal plane.
     c = AffineSubspace(gl2, h, vec([1, 0, 0, 0]))
     e = extend(c)
-    assert e.r == Subspace.span(4, [[0, 0, 0, 1]])
     assert e.p_tilde.direction == Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]])
     assert e.p == Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
 

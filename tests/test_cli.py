@@ -386,21 +386,21 @@ def test_main_refuses_a_rank_jump_below_eight_samples(capsys, samples):
 
 
 @pytest.mark.parametrize("command", ["extend", "pair"])
-@pytest.mark.parametrize("problem", ["gl2_prepoisson.json", "sl2_coisotropic.json"])
-def test_main_reports_a_short_complement_as_internal_error(capsys, monkeypatch, command, problem):
-    # R must complement TC + sharp N*C, so that dim p = rank B_h(base); an R
-    # one vector short leaves p too large, and extend reports it as a defect.
-    original = embedding.choose_complement
-
-    def short(span):
-        r = original(span)
-        return Subspace.span(r.ambient_dim, r.basis[1:])
-
-    monkeypatch.setattr(embedding, "choose_complement", short)
-    assert main([command, "--problem", problem]) == EXIT_INTERNAL
+@pytest.mark.parametrize(
+    "r_basis",
+    [
+        [["0", "1", "0", "0"]],  # the b axis lies in TC + sharp N*C
+        [["0", "0", "1", "1"], ["0", "0", "0", "1"]],  # one vector more than dim d = 1
+    ],
+)
+def test_main_refuses_an_r_that_is_not_a_complement(capsys, tmp_path, command, r_basis):
+    problem = json.loads((FIXTURES / "gl2_alt_slice.json").read_text())
+    problem["R_basis"] = r_basis
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main([command, "--problem", str(path)]) == EXIT_REFUSED
     err = capsys.readouterr().err
-    assert err.startswith("internal error: dim p = ")
-    assert "Traceback" not in err
+    assert err == "refused: R must complement TC + sharp N*C at the base point\n"
 
 
 def test_main_reports_internal_error(capsys, monkeypatch):

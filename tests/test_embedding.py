@@ -1,8 +1,12 @@
+import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from lpl import embedding
+from lpl.algebroid import base_kernel
 from lpl.cli import parse_problem
 from lpl.embedding import (
     MIN_SAMPLES,
@@ -47,10 +51,12 @@ from conftest import (
     FIXTURES,
     ExtensionCheckFailed,
     algebra_catalog,
+    complements_d_in_h,
     contains_by_rref,
     coordinate_subspace,
     coords_of,
     fraction_rref,
+    load_perfbench,
     random_subspace,
     random_vector,
     rational_catalog,
@@ -67,19 +73,25 @@ def gl2_line(gl2, base):
 
 
 # ---------------------------------------------------------------------------
-# choosing R and building the extension
+# choosing p (or R) and building the extension
 
 
 def test_choose_r_gl2_at_regular_point(gl2):
     c = gl2_line(gl2, [1, 0, 0, 0])
-    # TC + sharp N* at E11 spans the a, b, c coordinates, so the greedy
-    # complement is the d axis.
-    assert extend(c).r == Subspace.span(4, [[0, 0, 0, 1]])
+    # B_h at E11 pairs b with c alone, so d = ker B_h(base) is the d axis,
+    # h-coordinate 2, and the greedy p keeps the canonical rows b and c of h.
+    # The complement R of TC + sharp N*C = the a, b, c coordinates that the
+    # greedy rule picks in g*, the d axis, gives the same p.
+    assert base_kernel(c) == Subspace.span(3, [[0, 0, 1]])
+    p = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    assert extend(c).p == extend(c, r=Subspace.span(4, [[0, 0, 0, 1]])).p == p
 
 
 def test_choose_r_point_case_full_rank(sl2):
+    # B_h(base) is nonsingular: d = 0, p = h, and the only complement R is 0.
     c = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
-    assert extend(c).r == Subspace.zero(3)
+    assert base_kernel(c) == Subspace.zero(c.h.dim)
+    assert extend(c).p == extend(c, r=Subspace.zero(3)).p == c.h
 
 
 def test_extend_refuses_nonconstant_rank(gl2):
@@ -108,15 +120,16 @@ def test_extend_rejects_non_complement(gl2):
 
 def test_extend_with_user_r(gl2):
     r = Subspace.span(4, [[0, 0, 1, 1]])
-    e = extend(gl2_line(gl2, [1, 0, 0, 0]), r=r)
-    assert e.r == r
+    c = gl2_line(gl2, [1, 0, 0, 0])
+    e = extend(c, r=r)
+    # p = h cap ann(R), so P's direction is TC + R.
     assert e.p == Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, -1]])
+    assert e.p_tilde.direction == c.direction.sum(r)
 
 
 def test_extend_full_rank_gives_p_tilde_equal_c(sl2):
     c = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
     e = extend(c)
-    assert e.r == Subspace.zero(3)
     assert e.p_tilde.direction == c.direction
     assert e.p == sl2_h(sl2)
 
@@ -157,7 +170,7 @@ def test_locus_odd_p_never_cosymplectic(sl2):
     # A point of the dual with p the whole (odd-dimensional) algebra: the
     # skew form cannot be nondegenerate, reported exactly, no sampling.
     point = AffineSubspace(sl2, Subspace.full(3), vec([0, 0, 1]))
-    e = Extension(point, Subspace.zero(3), point, None)
+    e = Extension(point, point, None)
     report = cosymplectic_locus(e)
     assert report.never_cosymplectic
     assert not report.any_cosymplectic
@@ -169,9 +182,9 @@ def test_locus_exact_branches_rest_on_no_sampling(sl2):
     # Odd dim p (parity) and p = 0 (the empty form) are decided without a
     # sample, so neither report carries a sampling.
     point = AffineSubspace(sl2, Subspace.full(3), vec([0, 0, 1]))
-    odd = Extension(point, Subspace.zero(3), point, None)
+    odd = Extension(point, point, None)
     everything = AffineSubspace(sl2, Subspace.zero(3), vec([0, 0, 1]))
-    zero = Extension(everything, Subspace.zero(3), everything, None)
+    zero = Extension(everything, everything, None)
     spec = SampleSpec(count=5, seed=3)
     assert cosymplectic_locus(odd, spec) == LocusReport(True, False, 0, (), None)
     assert cosymplectic_locus(zero, spec) == LocusReport(False, True, 0, (), None)
@@ -210,25 +223,18 @@ def hand_built_extensions(rng, count=40, catalog=None):
         combinations = [random_vector(rng, h.dim, bound=3) for _ in range(rng.randint(0, h.dim))]
         p = Subspace.span(n, [mat_vec(transpose(h.basis), t) for t in combinations])
         c = AffineSubspace(algebra, h, random_vector(rng, n, bound=5))
-        extensions.append(
-            Extension(c, Subspace.zero(n), AffineSubspace(algebra, p, c.base), SampleSpec())
-        )
+        extensions.append(Extension(c, AffineSubspace(algebra, p, c.base), SampleSpec()))
     return extensions
 
 
 def test_extension_is_cosymplectic_at_its_base():
     """dim p = rank B_h(base), which is even, and P is cosymplectic at its base.
 
-    Write V = ann(h) + sharp N*_base C, so dim V = codim h + rank B_h(base),
-    and let R complement V.  Then p = ann(ann(h) + R) has dimension
-    dim h - dim R = rank B_h(base), the rank of a skew form, which is even.
-    V meets ann(h) + R in ann(h).  Let a in p pair to zero with all of p
-    under <base, [., .]>, so that sharp_base(a) lies in ann(p) = ann(h) + R.
-    As a lies in p, inside h, sharp_base(a) also lies in V, so it lies in
-    ann(h): <base, [a, b]> = 0 for every b in h.  So a pairs to zero with
-    sharp N*_base C, with ann(h) (a lies in h) and with R (a lies in p):
-    with all of g* = V + R.  So a = 0, and the form on p is nondegenerate
-    at the base.
+    p + d = h directly, for d = ker B_h(base), so dim p = dim h - dim d =
+    rank B_h(base), the rank of a skew form, which is even.  Let a in p pair
+    to zero with all of p under <base, [., .]>.  It pairs to zero with d too,
+    which that form kills, so with all of h = p + d: a lies in d as well as
+    in p, so a = 0, and the form on p is nondegenerate at the base.
     """
     for seed in range(5):
         for e in catalog_extensions(random.Random(seed)):
@@ -658,29 +664,34 @@ def _outcome(extend_fn, c, sampling):
 
 def test_extend_accepts_and_refuses_as_the_unconditional_self_check():
     # extend rests on a verdict of at least 8 samples.  From 8 samples on it
-    # gives the same Extension or the same refusal as the verdict with the
-    # self-check run every time.  Below 8, that reference decides on fewer
-    # samples: what it refuses, extend refuses as a rank jump.  extend can
-    # refuse what it accepts (the test above), but on these cases it accepts
-    # it with the same C, R and P.
+    # gives the same refusal as the verdict with the self-check run every
+    # time, or an Extension with the same C and sampling.  Below 8, that
+    # reference decides on fewer samples: what it refuses, extend refuses as
+    # a rank jump.  extend can refuse what it accepts (the test above), but
+    # on these cases it accepts it with the same C.  The reference's p comes
+    # from the greedy R in g*, extend's from the greedy choice in h: where
+    # the two differ, both are complements of d in h.
     rng = random.Random(71)
-    outcomes = set()
-    for c in extension_cases(rng):
+    outcomes, differing = set(), set()
+    for i, c in enumerate(extension_cases(rng)):
         for count in (0, 1, 3, 7, 8, 9, 64):
             for seed in (0, 5, 11):
                 spec = SampleSpec(count=count, seed=seed)
                 expected = _outcome(unconditional_extend, c, spec)
                 got = _outcome(extend, c, spec)
-                if count >= MIN_SAMPLES:
-                    assert got == expected
-                elif isinstance(expected, tuple):
-                    assert got[0] is RankNotConstant
-                else:
-                    assert (got.c, got.r, got.p_tilde) == (expected.c, expected.r, expected.p_tilde)
                 if isinstance(expected, tuple):
+                    assert got == expected if count >= MIN_SAMPLES else got[0] is RankNotConstant
                     outcomes.add((expected[0], count >= MIN_SAMPLES))
+                    continue
+                assert isinstance(got, Extension) and got.c == expected.c
+                if count >= MIN_SAMPLES:
+                    assert got.sampling == expected.sampling
+                if got.p != expected.p:
+                    assert complements_d_in_h(c, got.p) and complements_d_in_h(c, expected.p)
+                    differing.add(i)
                 else:
-                    outcomes.add("certified" if expected.sampling is None else "sampled")
+                    assert got.p_tilde == expected.p_tilde
+                outcomes.add("certified" if expected.sampling is None else "sampled")
     # Below 8 samples the reference's self-check refuses a C whose rank its
     # verdict missed; extend refuses it as a rank jump.
     assert outcomes == {
@@ -690,6 +701,93 @@ def test_extend_accepts_and_refuses_as_the_unconditional_self_check():
         (RankNotConstant, True),
         (ExtensionCheckFailed, False),
     }
+    # The two greedy rules pick different p on 10 of the 34 cases.
+    assert len(differing) == 10
+
+
+def extend_pair_problems(monkeypatch, tmp_path, seeds):
+    """(seed, file name, Problem) of each problem the extend-pair workload
+    extends, its files written to ``tmp_path`` for the parser."""
+    workloads = load_perfbench(monkeypatch, "workloads")
+    problems = []
+    for seed in seeds:
+        builder = workloads.WORKLOADS["extend-pair"](random.Random(seed))
+        folder = tmp_path / f"seed{seed}"
+        folder.mkdir()
+        for name, data in builder.files.items():
+            (folder / name).write_text(json.dumps(data))
+        names = dict.fromkeys(op.problem for op in builder.ops if op.command in ("extend", "pair"))
+        for name in names:
+            problems.append((seed, name, parse_problem((folder / name).read_text(), base_dir=folder)))
+    return problems
+
+
+def bundled_problems():
+    """(file name, Problem) of each bundled problem fixture."""
+    problems = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        if "model" in json.loads(path.read_text()):
+            problems.append((path.name, parse_problem(path.read_text(), base_dir=FIXTURES)))
+    return problems
+
+
+def test_p_complements_d_in_h_on_the_fixtures_and_the_extend_pair_workload(monkeypatch, tmp_path):
+    # Every extension of the bundled problems and of the extend-pair workload
+    # at seeds 1-3 has p + d = h directly, by the Fraction oracle; the greedy
+    # p is spanned by rows of h's canonical basis.  The greedy R in g* of
+    # ``unconditional_extend`` gives another p on five workload problems.
+    cases = [(None, name, problem) for name, problem in bundled_problems()]
+    cases += extend_pair_problems(monkeypatch, tmp_path, (1, 2, 3))
+    accepted, greedy, differing = 0, 0, []
+    for seed, name, problem in cases:
+        c = problem.affine
+        try:
+            e = extend(c, problem.r, problem.sampling)
+        except RankNotConstant:
+            continue
+        accepted += 1
+        assert complements_d_in_h(c, e.p), (seed, name)
+        if problem.r is None:
+            greedy += 1
+            assert set(e.p.basis) <= set(c.h.basis)
+            reference = unconditional_extend(c, problem.sampling).p
+            if e.p != reference:
+                assert complements_d_in_h(c, reference)
+                differing.append((seed, name))
+    assert (accepted, greedy) == (69, 68)
+    assert differing == [(1, "p013-sl3.json"), (2, "p006-gl3.json"), (2, "p013-sl3.json"),
+                         (3, "p006-gl3.json"), (3, "p013-sl3.json")]
+
+
+def test_user_r_is_accepted_iff_it_complements_tc_plus_sharp_conormal():
+    # extend checks a user R in h-coordinates: dim R = dim d and p meets d
+    # in 0.  It accepts exactly the R that complement S = TC + sharp N*C in
+    # g*, and each gives p = ann(TC + R): inside h, killing R, and of
+    # dimension dim h - dim R, as R meets TC in 0.
+    rng = random.Random(97)
+    verdicts = Counter()
+    for name, problem in bundled_problems():
+        c, sampling = problem.affine, replace(problem.sampling, count=8)
+        try:
+            extend(c, sampling=sampling)
+        except RankNotConstant:
+            continue
+        n, span = c.algebra.dim, c.span_at_base
+        for _ in range(60):
+            dim = max(0, n - span.dim + rng.choice((-1, 0, 0, 0, 1)))
+            r = Subspace.span(n, [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(dim)])
+            complement = span.dim + r.dim == n and span.sum(r).dim == n
+            try:
+                e = extend(c, r, sampling)
+            except NotComplementary:
+                accepted = False
+            else:
+                accepted = True
+                assert e.p.dim == c.h.dim - r.dim and contains_by_rref(c.h, e.p.basis)
+                assert all(dot(v, u) == 0 for v in e.p.basis for u in r.basis)
+            assert accepted == complement, (name, r)
+            verdicts[accepted, r.dim == n - span.dim] += 1
+    assert min(verdicts[True, True], verdicts[False, True], verdicts[False, False]) > 20, verdicts
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -777,7 +875,7 @@ def test_coisotropy_in_extension_needs_p_inside_h(sl2):
     c = AffineSubspace(sl2, Subspace.span(3, [[1, 0, 0]]), vec([0, 0, 1]))
     p_tilde = AffineSubspace(sl2, Subspace.span(3, [[0, 1, 0]]), c.base)
     with pytest.raises(ValueError):
-        coisotropy_in_extension(Extension(c, Subspace.zero(3), p_tilde, None))
+        coisotropy_in_extension(Extension(c, p_tilde, None))
 
 
 def test_coisotropy_in_extension_matches_pointwise_formula():

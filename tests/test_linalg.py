@@ -489,6 +489,21 @@ def test_complement_is_direct():
         assert comp.intersect(u) == Subspace.zero(n)
 
 
+def test_select_spans_the_chosen_canonical_rows():
+    # Any subset of a reduced row-echelon basis is one, so select builds the
+    # Subspace that span would, with the same integer rows and pivots.
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        u = random_subspace(rng, n)
+        indices = sorted(rng.sample(range(u.dim), rng.randint(0, u.dim)))
+        chosen = u.select(indices)
+        expected = Subspace.span(n, [u.basis[i] for i in indices])
+        assert chosen == expected
+        assert (chosen.integer_echelon, chosen.pivots) == (expected.integer_echelon, expected.pivots)
+        assert chosen.basis == fraction_rref(chosen.basis, n)
+
+
 def _choose_complement_by_rref(u, w):
     # The greedy rule with a Fraction rref of the kept rows at every step.
     n, chosen, current = w.ambient_dim, [], list(u.basis)

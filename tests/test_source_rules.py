@@ -2,12 +2,13 @@
 
 import ast
 import importlib.util
-import sys
 from collections import Counter
 from pathlib import Path
 
 import lpl
 from lpl import cli
+
+from conftest import load_perfbench
 
 SOURCES = sorted(Path(lpl.__file__).parent.rglob("*.py"))
 
@@ -156,17 +157,7 @@ def test_benchmark_refusals_are_the_cli_refusals(monkeypatch):
     # The benchmark counts an exit-2 refusal as a valid outcome by its own
     # list of refusal classes; a class the CLI refuses with and the benchmark
     # does not list would count there as a failed operation.
-    perfbench = Path(__file__).parent.parent / "perfbench"
-    monkeypatch.syspath_prepend(str(perfbench))  # bench.py imports its neighbours by name
-    loaded = set(sys.modules)
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_bench", perfbench / "bench.py")
-        bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench)
-    finally:
-        for name in set(sys.modules) - loaded:
-            if perfbench in Path(getattr(sys.modules[name], "__file__", None) or "/").parents:
-                del sys.modules[name]
+    bench = load_perfbench(monkeypatch, "bench")
     assert set(bench.REFUSALS) == set(cli.REFUSALS)
 
 
