@@ -82,10 +82,7 @@ def transversal_orbit_report(
     orbit_dims = tuple((x, orbit_dim) for x, orbit_dim, _ in ranks)
     transversal = tuple((x, s == orbit_dim) for x, orbit_dim, s in ranks)
     dims = {d for _, d in orbit_dims}
-    try:
-        d, d_sub = algebroid_fiber_d(c)
-    except NotASubalgebra:
-        d, d_sub = None, None
+    d, d_sub = algebroid_fiber_d(c) if c.form.constant else (None, None)
     return AlgebroidFiberReport(
         d=d,
         d_is_subalgebra=d_sub,

@@ -26,7 +26,7 @@ from .lie import LieAlgebra, NotASubalgebra, validate_jacobi
 from .lie_poisson import Polynomial, casimir_check, parse_polynomial, poisson_bracket_poly
 from .linalg import MAX_RATIONAL_CHARS, DimensionMismatch, InvariantViolation, Subspace, Vector
 from .linalg import parse_fraction
-from .submanifold import NOT_CONSTANT, AffineSubspace, SampleSpec, classify
+from .submanifold import CERTIFIED_CONSTANT, NOT_CONSTANT, AffineSubspace, SampleSpec, classify
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -284,12 +284,12 @@ def _coisotropy_dict(result) -> dict:
     return out
 
 
-def _pre_poisson_dict(verdict) -> dict:
+def _pre_poisson_dict(verdict, c: AffineSubspace) -> dict:
     out = {"verdict": verdict.kind, "provenance": _provenance(verdict.sampling)}
     if verdict.rank is not None:
         out["rank"] = verdict.rank
-    if verdict.space is not None:
-        out["constant_space"] = subspace_dict(verdict.space)
+    if verdict.kind == CERTIFIED_CONSTANT:
+        out["constant_space"] = subspace_dict(c.span_at_base)
     if verdict.counterexample is not None:
         (x1, r1), (x2, r2) = verdict.counterexample
         out["counterexample"] = [
@@ -316,7 +316,7 @@ def report_classify(problem: Problem) -> dict:
         "affine_dim": c.dim,
         "direction": subspace_dict(c.direction),
         "coisotropic": _coisotropy_dict(rep.coisotropic),
-        "pre_poisson": _pre_poisson_dict(rep.pre_poisson),
+        "pre_poisson": _pre_poisson_dict(rep.pre_poisson, c),
         "generic_rank": rep.generic_rank,
         "characteristic_rank_at_base": rep.characteristic_rank_at_base,
         "poisson_dirac_at_base": rep.poisson_dirac_at_base,
@@ -324,7 +324,8 @@ def report_classify(problem: Problem) -> dict:
     }
 
 
-def _extension_dict(ext, locus, constancy) -> dict:
+def _extension_dict(ext, locus) -> dict:
+    constancy = ext.constancy
     conormal = {"verdict": "certified" if constancy.certified else NOT_CONSTANT}
     out = {
         "P_tilde_direction": subspace_dict(ext.p_tilde.direction),
@@ -354,22 +355,19 @@ def _extension_dict(ext, locus, constancy) -> dict:
 
 def _build_extension(problem: Problem):
     ext = embedding_mod.extend(problem.affine, problem.r, problem.sampling)
-    locus = embedding_mod.cosymplectic_locus(ext, problem.sampling)
-    constancy = embedding_mod.constant_sharp_conormal(ext)
-    return ext, locus, constancy
+    return ext, embedding_mod.cosymplectic_locus(ext, problem.sampling)
 
 
 def report_extend(problem: Problem) -> dict:
-    ext, locus, constancy = _build_extension(problem)
-    out = _extension_dict(ext, locus, constancy)
+    out = _extension_dict(*_build_extension(problem))
     out["command"] = "extend"
     return out
 
 
 def report_pair(problem: Problem) -> dict:
-    ext, locus, constancy = _build_extension(problem)
-    pair = embedding_mod.symmetric_pair_analysis(ext, constancy)
-    out = _extension_dict(ext, locus, constancy)
+    ext, locus = _build_extension(problem)
+    pair = embedding_mod.symmetric_pair_analysis(ext)
+    out = _extension_dict(ext, locus)
     out["command"] = "pair"
     out["k"] = subspace_dict(pair.k)
     out["symmetric_pair"] = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional
 
@@ -65,6 +66,11 @@ class Extension:
     def p(self) -> Subspace:
         """The conormal of the extension: the annihilator of its direction."""
         return self.p_tilde.h
+
+    @cached_property
+    def constancy(self) -> "ConstancyResult":
+        """The constancy certificate of sharp N*P, computed once per extension."""
+        return constant_sharp_conormal(self)
 
 
 def extend(
@@ -190,17 +196,13 @@ def check_symmetric_pair(algebra: LieAlgebra, k: Subspace, p: Subspace) -> Symme
     return SymmetricPairReport(k, p, decomposition, k_sub, kp_in_p, pp_in_k)
 
 
-def symmetric_pair_analysis(
-    e: Extension, constancy: Optional[ConstancyResult] = None
-) -> SymmetricPairReport:
-    """k from the certified constant sharp N*P, then the pair conditions."""
-    if constancy is None:
-        constancy = constant_sharp_conormal(e)
-    if not constancy.certified:
+def symmetric_pair_analysis(e: Extension) -> SymmetricPairReport:
+    """k from the certified constant sharp N*P (``e.constancy``), then the pair conditions."""
+    if not e.constancy.certified:
         raise ConstancyNotCertified(
             "sharp N*P is not constant; the symmetric-pair analysis is undefined"
         )
-    k = constancy.k_ann.annihilator()
+    k = e.constancy.k_ann.annihilator()
     return check_symmetric_pair(e.algebra, k, e.p)
 
 

@@ -157,8 +157,9 @@ class AffineSubspace:
 
     @cached_property
     def span_at_base(self) -> Subspace:
-        """T_base C + sharp N*_base C: ann(h) plus the coad_v(base) over v in h."""
-        return self.direction.sum(sharp_conormal_at(self, self.base))
+        """T_base C + sharp N*_base C: ann(h) and the coad_v(base) over v in h, in one span."""
+        rows = self.direction.integer_echelon[1] + _coad_rows_at(self, self.base)
+        return Subspace.integer_span(self.algebra.dim, rows)
 
     @cached_property
     def form(self) -> "SkewPencil":
@@ -220,7 +221,6 @@ def is_coisotropic(c: AffineSubspace) -> CoisotropyResult:
 class PrePoissonVerdict:
     kind: str  # CERTIFIED_CONSTANT | SAMPLED_CONSTANT | NOT_CONSTANT
     rank: Optional[int] = None
-    space: Optional[Subspace] = None  # the constant space, certified case only
     counterexample: Optional[tuple[tuple[Vector, int], tuple[Vector, int]]] = None
     sampling: Optional[SampleSpec] = None  # the sample points it rests on; None when certified
 
@@ -362,18 +362,17 @@ def pre_poisson_check(
 
     B_i = <u_i, [h_a, h_b]> over the basis u_i of ann(h), so the pencil of
     B_h has no B_i exactly when every [h_a, h_b] lies in ann(ann(h)) = h:
-    when h is a subalgebra.  Then the space is h-annihilator + coad_h(base)
-    at every point, which is a proved certificate, not sampled evidence.
-    Otherwise rank B_h is compared at the base point and at seeded exact
-    sample points, evaluating the pencil along C.
+    when h is a subalgebra.  Then B_h(x) = B_h(base) at every point, so the
+    rank at the base is a proved certificate, not sampled evidence; the
+    verdict carries that rank only (``AffineSubspace.span_at_base`` is the
+    space).  Otherwise rank B_h is compared at the base point and at seeded
+    exact sample points, evaluating the pencil along C.
     """
-    pencil = c.form
+    pencil, codim = c.form, c.direction.dim
+    base_rank = codim + pencil.rank_at(IntegerPoint.origin(codim))
     if pencil.constant:
-        space = c.span_at_base
-        return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=space.dim, space=space)
-    codim = c.direction.dim
-    (origin, *samples), sampling = c.walk(sampling)
-    base_rank = codim + pencil.rank_at(origin)
+        return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=base_rank)
+    (_, *samples), sampling = c.walk(sampling)
     for t in samples:
         r = codim + pencil.rank_at(t)
         if r != base_rank:
@@ -412,6 +411,8 @@ def pointwise_flags(c: AffineSubspace, x: Iterable) -> PointwiseFlags:
 class ClassificationReport:
     coisotropic: CoisotropyResult
     pre_poisson: PrePoissonVerdict
+    # Exact only for a certified verdict; otherwise the larger of the ranks the
+    # sampled verdict compared, a lower bound on the generic rank (README, "Provenance").
     generic_rank: int
     characteristic_rank_at_base: int
     poisson_dirac_at_base: bool
@@ -458,14 +459,13 @@ def preimage_construction(
     algebra: LieAlgebra,
     h: Subspace,
     nu: Iterable,
-    with_slice: bool = False,
-) -> tuple[AffineSubspace, Optional[AffineSubspace]]:
+) -> tuple[AffineSubspace, AffineSubspace]:
     """Pre-image of a point nu in h* under the restriction map g* -> h*.
 
     Returns C = lambda + h-annihilator for the canonical lift lambda of nu
-    (zero on the greedy complement of h).  With ``with_slice`` also returns
-    the pre-image of the greedy slice through nu transverse to the coadjoint
-    orbit of the subalgebra, which contains C coisotropically.
+    (zero on the greedy complement of h), and P, the pre-image of the greedy
+    slice through nu transverse to the coadjoint orbit of the subalgebra,
+    which contains C coisotropically.
     """
     if not is_subalgebra(algebra, h):
         raise NotASubalgebra("preimage construction requires a subalgebra")
@@ -476,8 +476,6 @@ def preimage_construction(
     rows = list(h.basis) + list(choose_complement(h).basis)
     lam = _lift_covector(rows, nu_v, h.dim, n)
     c = AffineSubspace(algebra, h, lam)
-    if not with_slice:
-        return c, None
     # <lam, [h_a, h_b]> = nu([h_a, h_b]): C's form at its base is h's
     # Lie-Poisson bivector at nu, and its rows span the orbit tangent there.
     tangent = Subspace.span(h.dim, c.form.base_rows())

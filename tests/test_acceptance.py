@@ -82,7 +82,7 @@ def test_criterion_01_gl2_end_to_end(gl2):
     constancy = constant_sharp_conormal(e)
     assert constancy.certified
     assert constancy.k_ann == Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
-    pair = symmetric_pair_analysis(e, constancy)
+    pair = symmetric_pair_analysis(e)
     assert pair.k == Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]])
     assert (pair.k_subalgebra, pair.kp_in_p, pair.pp_in_k) == (True, True, True)
     assert pair.symmetric_pair
@@ -230,13 +230,12 @@ def test_criterion_10_certified_k_closes():
             continue
         c = AffineSubspace(algebra, h, zero_vector(algebra.dim))
         e = extend(c)
-        constancy = constant_sharp_conormal(e)
-        if not constancy.certified:
+        if not e.constancy.certified:
             continue
         locus = cosymplectic_locus(e, SampleSpec(count=10, seed=6))
         if not locus.any_cosymplectic:
             continue
-        pair = symmetric_pair_analysis(e, constancy)
+        pair = symmetric_pair_analysis(e)
         assert pair.k_subalgebra
         assert pair.kp_in_p
         checked += 1

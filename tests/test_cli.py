@@ -28,9 +28,11 @@ from lpl.cli import (
     render_json,
     run,
     serialize_model,
+    subspace_dict,
 )
 from lpl.lie_poisson import MAX_DEGREE
 from lpl.linalg import MAX_RATIONAL_CHARS, Subspace, vec
+from lpl.submanifold import AffineSubspace
 
 from conftest import FIXTURES
 
@@ -253,6 +255,29 @@ def test_run_pair_tests_k_for_closure_once(monkeypatch):
     report = run("pair", load_fixture_problem("gl2_prepoisson.json"))
     assert report["induced_structure"] is not None
     assert tested.count(Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]])) == 1
+
+
+@pytest.mark.parametrize("command", ["extend", "pair"])
+def test_run_extend_and_pair_never_form_the_span_at_base(monkeypatch, command):
+    # On a certified C, extend needs the verdict's rank and d = ker B_h(base);
+    # T_base C + sharp N*_base C is formed for the classify report alone.
+    formed = []
+    span_at_base = AffineSubspace.span_at_base.func
+    monkeypatch.setattr(
+        AffineSubspace, "span_at_base", property(lambda c: formed.append(c) or span_at_base(c))
+    )
+    names = ("heisenberg_center", "sl2_character", "sl2_coisotropic", "sl2_transverse")
+    refused = []
+    for name in names:
+        try:
+            run(command, load_fixture_problem(f"{name}.json"))
+        except embedding.ConstancyNotCertified:
+            refused.append(name)
+    assert formed == []
+    assert refused == (["sl2_transverse"] if command == "pair" else [])
+    report = run("classify", load_fixture_problem("sl2_transverse.json"))
+    assert report["pre_poisson"]["constant_space"] == subspace_dict(Subspace.full(3))
+    assert len(formed) == 1
 
 
 def test_run_bracket_and_casimir(sl2):

@@ -303,6 +303,20 @@ def test_constancy_fails_for_alternative_slice(gl2):
         symmetric_pair_analysis(e)
 
 
+def test_symmetric_pair_analysis_and_the_extension_share_one_certificate(gl2, monkeypatch):
+    # The pair analysis reads e.constancy, so asking for the certificate
+    # afterwards builds nothing again.
+    calls = []
+    certify = embedding.constant_sharp_conormal
+    monkeypatch.setattr(
+        embedding, "constant_sharp_conormal", lambda e: calls.append(e) or certify(e)
+    )
+    e = extend(gl2_line(gl2, [1, 0, 0, 0]))
+    report = symmetric_pair_analysis(e)
+    assert e.constancy.certified and report.k == e.constancy.k_ann.annihilator()
+    assert calls == [e]
+
+
 def test_symmetric_pair_gl2(gl2):
     e = extend(gl2_line(gl2, [1, 0, 0, 0]))
     report = symmetric_pair_analysis(e)
@@ -358,13 +372,12 @@ def test_certified_k_with_cosymplectic_point_is_symmetric():
             continue
         c = AffineSubspace(algebra, h, zero_vector(algebra.dim))
         e = extend(c)
-        result = constant_sharp_conormal(e)
-        if not result.certified:
+        if not e.constancy.certified:
             continue
         locus = cosymplectic_locus(e, SampleSpec(count=12, seed=6))
         if locus.never_cosymplectic or not locus.any_cosymplectic:
             continue
-        report = symmetric_pair_analysis(e, result)
+        report = symmetric_pair_analysis(e)
         assert report.k_subalgebra
         assert report.kp_in_p
 
@@ -515,9 +528,8 @@ def test_induced_structure_matches_the_dense_formula(gl2, sl2):
         ("hand built", hand_built_extensions(rng)),
     ):
         for e in extensions:
-            constancy = constant_sharp_conormal(e)
-            if constancy.certified:
-                pairs[source].append((e.algebra, symmetric_pair_analysis(e, constancy)))
+            if e.constancy.certified:
+                pairs[source].append((e.algebra, symmetric_pair_analysis(e)))
     diagonal = AffineSubspace(sl2, Subspace.span(3, [[1, 0, 0]]), vec([1, 1, 0]))
     c = product(gl2_line(gl2, [1, 0, 0, 0]), diagonal)
     e = extend(c)

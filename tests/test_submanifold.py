@@ -265,7 +265,7 @@ def test_subalgebra_case_is_certified(sl2):
     verdict = pre_poisson_check(c)
     assert verdict.kind == CERTIFIED_CONSTANT
     assert verdict.rank == 3
-    assert verdict.space == Subspace.full(3)
+    assert c.span_at_base == Subspace.full(3)
 
 
 def test_certified_space_matches_every_point():
@@ -273,9 +273,10 @@ def test_certified_space_matches_every_point():
         c = AffineSubspace(algebra, h, zero_vector(algebra.dim))
         verdict = pre_poisson_check(c)
         assert verdict.kind == CERTIFIED_CONSTANT
+        assert verdict.rank == c.span_at_base.dim
         for x in c.sample_points(SampleSpec(count=5, seed=9)):
             span = c.direction.sum(sharp_conormal_at(c, x))
-            assert span == verdict.space
+            assert span == c.span_at_base
 
 
 def test_constant_pencil_iff_subalgebra(sl2):
@@ -764,8 +765,7 @@ def test_preimage_lift(sl2):
 
 def test_preimage_with_slice_contains_c_coisotropically(sl2):
     h = sl2_h(sl2)
-    c, p_tilde = preimage_construction(sl2, h, [0, 0], with_slice=True)
-    assert p_tilde is not None
+    c, p_tilde = preimage_construction(sl2, h, [0, 0])
     assert p_tilde.direction.contains(c.direction)
     assert p_tilde.contains(c.base)
 
@@ -785,7 +785,7 @@ def test_preimage_slice_at_nonzero_nu_is_transverse_to_the_coad_orbit():
             nu = random_vector(rng, m, bound=5)
             if not any(nu):
                 continue
-            c, p_tilde = preimage_construction(algebra, h, nu, with_slice=True)
+            c, p_tilde = preimage_construction(algebra, h, nu)
             tangent = Subspace.span(m, [sub.coad_apply(unit_vector(m, i), nu) for i in range(m)])
             restricted = [[dot(u, v) for v in h.basis] for u in p_tilde.direction.basis]
             assert p_tilde.base == c.base
