@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
-from .linalg import Subspace, Vector, mat_vec, nullspace, transpose, unit_vector, vec
+from .linalg import Subspace, Vector, nullspace, unit_vector, vec
 from .lie_poisson import bivector_at
 from .submanifold import AffineSubspace, SampleSpec, skew_pencil
 
@@ -25,15 +25,15 @@ def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
     """d = h intersected with {v : <base, [v, w]> = 0 for all w in h}.
 
     This is the fiber of the subalgebroid attached to C; requires h to be a
-    subalgebra, read as the form on h being constant along C.  Its
+    subalgebra, read as the form on h being constant along C.  A v in h kills
+    coad_w(base) for every w in h iff <base, [v, w]> = 0, so d is the
+    annihilator of ``span_at_base`` = ann(h) + sharp N*_base C.  Its
     coordinates in h are ``base_kernel``; also reports whether d is a subalgebra.
     """
-    algebra, h = c.algebra, c.h
     if not c.form.constant:
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
-    h_columns = transpose(h.basis)
-    d = Subspace.span(algebra.dim, [mat_vec(h_columns, cf) for cf in base_kernel(c).basis])
-    return d, is_subalgebra(algebra, d)
+    d = c.span_at_base.annihilator()
+    return d, is_subalgebra(c.algebra, d)
 
 
 def isotropy_algebra(algebra: LieAlgebra, x: Iterable) -> Subspace:

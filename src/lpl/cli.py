@@ -299,9 +299,9 @@ def _pre_poisson_dict(verdict, c: AffineSubspace) -> dict:
     return out
 
 
-def report_validate(algebra: LieAlgebra) -> dict:
-    report = validate_jacobi(algebra)
-    out = {"command": "validate", "jacobi_ok": report.ok, "dim": algebra.dim}
+def report_validate(problem: Problem) -> dict:
+    report = validate_jacobi(problem.algebra)
+    out = {"command": "validate", "jacobi_ok": report.ok, "dim": problem.algebra.dim}
     if not report.ok:
         out["triple"] = list(report.triple)
         out["residual"] = vector_strs(report.residual)
@@ -400,7 +400,8 @@ def report_algebroid(problem: Problem) -> dict:
     }
 
 
-def report_bracket(algebra: LieAlgebra, f_text: str, g_text: str) -> dict:
+def report_bracket(problem: Problem, f_text: str, g_text: str) -> dict:
+    algebra = problem.algebra
     try:
         f = parse_polynomial(f_text, algebra.dim)
         g = parse_polynomial(g_text, algebra.dim)
@@ -411,10 +412,10 @@ def report_bracket(algebra: LieAlgebra, f_text: str, g_text: str) -> dict:
     return {"command": "bracket", "f": f_str, "g": g_str, "bracket": polynomial_str(bracket)}
 
 
-def report_casimir(algebra: LieAlgebra, f_text: str) -> dict:
+def report_casimir(problem: Problem, f_text: str) -> dict:
     try:
-        f = parse_polynomial(f_text, algebra.dim)
-        casimir = casimir_check(algebra, f)
+        f = parse_polynomial(f_text, problem.algebra.dim)
+        casimir = casimir_check(problem.algebra, f)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return {"command": "casimir", "f": polynomial_str(f), "casimir": casimir}
@@ -444,59 +445,45 @@ def render_human(report: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line) + ("\n" if indent == 0 else "")
 
 
+# name: (report builder, polynomial argument count, needs a problem file)
+COMMANDS = {
+    "validate": (report_validate, 0, False),
+    "classify": (report_classify, 0, True),
+    "extend": (report_extend, 0, True),
+    "pair": (report_pair, 0, True),
+    "algebroid": (report_algebroid, 0, True),
+    "bracket": (report_bracket, 2, False),
+    "casimir": (report_casimir, 1, False),
+}
+_COUNTS = ("no polynomial arguments", "one polynomial argument", "two polynomial arguments")
+
+
 def run(command: str, problem: Problem, poly_args: tuple[str, ...] = ()) -> dict:
-    """Dispatch one command on a parsed problem; returns the report dict."""
-    if poly_args and command not in ("bracket", "casimir"):
-        raise InputError(f"command {command!r} takes no polynomial arguments")
-    if command == "validate":
-        return report_validate(problem.algebra)
-    if command == "classify":
-        return report_classify(problem)
-    if command == "extend":
-        return report_extend(problem)
-    if command == "pair":
-        return report_pair(problem)
-    if command == "algebroid":
-        return report_algebroid(problem)
-    if command == "bracket":
-        if len(poly_args) != 2:
-            raise InputError("bracket needs exactly two polynomial arguments")
-        return report_bracket(problem.algebra, *poly_args)
-    if command == "casimir":
-        if len(poly_args) != 1:
-            raise InputError("casimir needs exactly one polynomial argument")
-        return report_casimir(problem.algebra, poly_args[0])
-    raise InputError(f"unknown command {command!r}")
-
-
-COMMANDS = ("validate", "classify", "extend", "pair", "algebroid", "bracket", "casimir")
-_NEEDS_PROBLEM = {"classify", "extend", "pair", "algebroid"}
+    """The report of ``COMMANDS[command]``; a wrong polynomial argument count is an InputError."""
+    if command not in COMMANDS:
+        raise InputError(f"unknown command {command!r}")
+    build, count, _ = COMMANDS[command]
+    if len(poly_args) != count:
+        raise InputError(f"command {command!r} takes {_COUNTS[count]}")
+    return build(problem, *poly_args)
 
 
 def _load_problem(args) -> Problem:
+    """The --problem file, or for a command that needs none, the --model with h = 0."""
     model_override = None
     if args.model:
         model_override = parse_model(_find_file(args.model, "model").read_text())
     if args.problem:
         path = _find_file(args.problem, "problem")
-        return parse_problem(
-            path.read_text(),
-            base_dir=path.parent,
-            model_override=model_override,
-            samples=args.samples,
-            seed=args.seed,
-        )
-    if model_override is None:
+        data, base_dir = path.read_text(), path.parent
+    elif model_override is None:
         raise InputError("either --problem or --model is required")
-    if args.command in _NEEDS_PROBLEM:
+    elif COMMANDS[args.command][2]:
         raise InputError(f"command {args.command!r} needs --problem")
-    n = model_override.dim
-    return Problem(
-        model_override,
-        Subspace.zero(n),
-        tuple(Fraction(0) for _ in range(n)),
-        None,
-        _sampling(args.samples or SampleSpec.count, args.seed or SampleSpec.seed),
+    else:
+        data, base_dir = {"h_basis": []}, None
+    return parse_problem(
+        data, base_dir, model_override=model_override, samples=args.samples, seed=args.seed
     )
 
 

@@ -427,17 +427,13 @@ def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> Classifi
     """
     coiso = is_coisotropic(c)
     pp = pre_poisson_check(c, sampling)
-    if pp.rank is not None:
-        generic = base_rank = pp.rank
-    else:
-        generic = max(r for _, r in pp.counterexample)
-        base_rank = pp.counterexample[0][1]
-    form_rank = base_rank - c.direction.dim
+    ranks = [pp.rank] if pp.rank is not None else [r for _, r in pp.counterexample]
+    form_rank = ranks[0] - c.direction.dim
     char_rank = integer_rank(_coad_rows_at(c, c.base), c.algebra.dim) - form_rank
     return ClassificationReport(
         coisotropic=coiso,
         pre_poisson=pp,
-        generic_rank=generic,
+        generic_rank=max(ranks),
         characteristic_rank_at_base=char_rank,
         poisson_dirac_at_base=char_rank == 0,
         cosymplectic_at_base=form_rank == c.h.dim,
@@ -445,14 +441,6 @@ def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> Classifi
 
 
 # -- restriction-map preimages ---------------------------------------------
-
-
-def _lift_covector(rows: list[Vector], nu: Vector, h_dim: int, n: int) -> Vector:
-    rhs = tuple(nu) + zero_vector(n - h_dim)
-    lam = solve(tuple(rows), n, rhs)
-    if lam is None:
-        raise InvariantViolation("lifting rows do not form a basis of the algebra")
-    return lam
 
 
 def preimage_construction(
@@ -465,7 +453,9 @@ def preimage_construction(
     Returns C = lambda + h-annihilator for the canonical lift lambda of nu
     (zero on the greedy complement of h), and P, the pre-image of the greedy
     slice through nu transverse to the coadjoint orbit of the subalgebra,
-    which contains C coisotropically.
+    which contains C coisotropically.  The slice is spanned by unit covectors
+    e_j of h*, j in J, so P = lambda + ann(p) for the rows h_a of h's canonical
+    basis with a not in J: a conormal p inside h, as ``extend`` builds it.
     """
     if not is_subalgebra(algebra, h):
         raise NotASubalgebra("preimage construction requires a subalgebra")
@@ -473,17 +463,15 @@ def preimage_construction(
     nu_v = vec(nu)
     if len(nu_v) != h.dim:
         raise DimensionMismatch("nu must be a covector on the subalgebra")
-    rows = list(h.basis) + list(choose_complement(h).basis)
-    lam = _lift_covector(rows, nu_v, h.dim, n)
+    lam = solve((*h.basis, *choose_complement(h).basis), n, nu_v + zero_vector(n - h.dim))
+    if lam is None:
+        raise InvariantViolation("lifting rows do not form a basis of the algebra")
     c = AffineSubspace(algebra, h, lam)
     # <lam, [h_a, h_b]> = nu([h_a, h_b]): C's form at its base is h's
     # Lie-Poisson bivector at nu, and its rows span the orbit tangent there.
-    tangent = Subspace.span(h.dim, c.form.base_rows())
-    slice_dir = choose_complement(tangent)
-    lifted = [_lift_covector(rows, mu, h.dim, n) for mu in slice_dir.basis]
-    direction = c.direction.sum(Subspace.span(n, lifted))
-    p_tilde = AffineSubspace(algebra, direction.annihilator(), lam)
-    return c, p_tilde
+    slice_dir = choose_complement(Subspace.span(h.dim, c.form.base_rows()))
+    p = h.select(a for a in range(h.dim) if a not in slice_dir.pivots)
+    return c, AffineSubspace(algebra, p, lam)
 
 
 # -- graphs and products ----------------------------------------------------

@@ -374,6 +374,30 @@ def restricted_algebra(algebra: LieAlgebra, h: Subspace) -> LieAlgebra:
     return LieAlgebra.from_brackets(m, brackets)
 
 
+def slice_preimage(algebra: LieAlgebra, h: Subspace, nu):
+    """(C, P) of the restriction-map pre-image by lift and annihilate, in Fractions.
+
+    The reference for ``preimage_construction``: nu and each unit covector of
+    the greedy slice through nu transverse to h's coadjoint orbit lift to g*
+    along h's basis and its greedy complement, and P = lambda + ann(ann(h) +
+    span of the lifted slice covectors).  The orbit tangent is the row space
+    of <lambda, [h_a, h_b]>, paired from Fraction brackets.
+    """
+    n, m = algebra.dim, h.dim
+    rows = [*h.basis, *choose_complement(h).basis]
+
+    def lift(mu):
+        return solve(rows, n, vec(mu) + (Fraction(0),) * (n - m))
+
+    lam = lift(nu)
+    form = [[sum(x * y for x, y in zip(lam, algebra.bracket(a, b))) for b in h.basis]
+            for a in h.basis]
+    slice_dir = choose_complement(Subspace.span(m, fraction_rref(form, m)))
+    c = AffineSubspace(algebra, h, lam)
+    direction = c.direction.sum(Subspace.span(n, [lift(mu) for mu in slice_dir.basis]))
+    return c, AffineSubspace(algebra, direction.annihilator(), lam)
+
+
 class ExtensionCheckFailed(ValueError):
     """C failed ``unconditional_extend``'s coisotropy self-check inside P."""
 

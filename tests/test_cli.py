@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpl import embedding
+from lpl import cli, embedding
 from lpl.cli import (
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL,
@@ -612,8 +612,48 @@ def test_main_rejects_out_of_range_samples(capsys, tmp_path, where, count):
     assert "Traceback" not in err
 
 
-def test_main_classify_needs_problem(capsys):
-    assert main(["classify", "--model", "sl2.json"]) == EXIT_INPUT_ERROR
+# name: (polynomial argument count, needs a problem file), as README "Command line" has them.
+USAGE = {
+    "validate": (0, False),
+    "classify": (0, True),
+    "extend": (0, True),
+    "pair": (0, True),
+    "algebroid": (0, True),
+    "bracket": (2, False),
+    "casimir": (1, False),
+}
+TAKES = ("no polynomial arguments", "one polynomial argument", "two polynomial arguments")
+
+
+def test_command_table_gives_each_command_its_usage():
+    assert {name: (count, needs) for name, (_, count, needs) in cli.COMMANDS.items()} == USAGE
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_main_names_the_polynomial_argument_count(capsys, command):
+    count, needs_problem = USAGE[command]
+    source = ["--problem", "sl2_transverse.json"] if needs_problem else ["--model", "sl2.json"]
+    for wrong in sorted({0, 1, 2, 3} - {count}):
+        assert main([command, *source, *["nu1"] * wrong]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: command {command!r} takes {TAKES[count]}\n"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_main_model_alone_serves_the_commands_without_a_problem(capsys, command):
+    # --samples 0 is a valid count; a model-only problem parses it like a file's.
+    count, needs_problem = USAGE[command]
+    code = main([command, "--model", "sl2.json", "--samples", "0", *["nu1"] * count])
+    err = capsys.readouterr().err
+    if needs_problem:
+        assert (code, err) == (EXIT_INPUT_ERROR, f"error: command {command!r} needs --problem\n")
+    else:
+        assert (code, err) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_main_needs_a_problem_or_a_model(capsys, command):
+    assert main([command]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: either --problem or --model is required\n"
 
 
 def test_main_json_is_deterministic(capsys):

@@ -10,14 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from lpl.cli import Problem, parse_model, parse_problem, render_json, run
-from lpl.linalg import Subspace, zero_vector
-from lpl.submanifold import SampleSpec
+from lpl.cli import COMMANDS, parse_model, parse_problem, render_json, run
 
 from conftest import FIXTURES
 
 SNAPSHOT = Path(__file__).parent / "golden_reports.json"
-PROBLEM_COMMANDS = ("classify", "extend", "pair", "algebroid")
+PROBLEM_COMMANDS = [name for name, (_, _, needs_problem) in COMMANDS.items() if needs_problem]
 
 
 def _model_cases(algebra):
@@ -43,8 +41,8 @@ def cases():
                 yield f"{path.name}::{command}", command, problem, ()
         else:
             algebra = parse_model(data)
-            n = algebra.dim
-            problem = Problem(algebra, Subspace.zero(n), zero_vector(n), None, SampleSpec())
+            # What the command line builds for --model without --problem.
+            problem = parse_problem({"h_basis": []}, model_override=algebra)
             for name, command, polys in _model_cases(algebra):
                 yield f"{path.name}::{name}", command, problem, polys
 

@@ -187,8 +187,10 @@ PUBLIC_API = {
     "LinearMap.image",
     # perfbench/families.py builds the sl_n trace powers with it.
     "Polynomial.scale",
-    # The whole algebra as a subspace: h = g, where C is a point, in the tests.
+    # Test vocabulary: h = g, where C is a point, and h = 0; the zero polynomial.
     "Subspace.full",
+    "Subspace.zero",
+    "Polynomial.zero",
 }
 
 

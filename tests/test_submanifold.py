@@ -68,6 +68,7 @@ from conftest import (
     rational_catalog,
     restricted_algebra,
     sl2_h,
+    slice_preimage,
     subalgebra_catalog,
 )
 
@@ -810,6 +811,20 @@ def test_preimage_form_at_its_base_is_the_subalgebra_bivector_at_nu():
             assert tangent == Subspace.span(m, bivector_at(sub, nu))
             orbit_dims.add(tangent.dim)
     assert 0 in orbit_dims and max(orbit_dims) > 0
+
+
+def test_preimage_is_the_lift_and_annihilate_construction():
+    # P = lambda + ann(p), p the rows of h off the slice's pivots, is the
+    # pre-image of the slice built by lifting each slice covector to g*.
+    rng = random.Random(29)
+    dims = set()  # (dim h, dim p)
+    for algebra, h in subalgebra_catalog():
+        nus = [zero_vector(h.dim)] + [random_vector(rng, h.dim, bound=5) for _ in range(5)]
+        for nu in nus:
+            c, p_tilde = preimage_construction(algebra, h, nu)
+            assert (c, p_tilde) == slice_preimage(algebra, h, nu)
+            dims.add((h.dim, p_tilde.h.dim))
+    assert any(0 < p < m for m, p in dims) and any(0 < p == m for m, p in dims)
 
 
 def test_preimage_requires_subalgebra(sl2):
