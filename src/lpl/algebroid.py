@@ -64,21 +64,23 @@ def transversal_orbit_report(
 ) -> AlgebroidFiberReport:
     """Orbit dimensions and leaf-transversality along C, plus the fiber d.
 
-    One skew elimination per point decides both.  T_x O is the row space of
-    Pi(x), so the orbit dimension is rank Pi(x).  A vector Pi(x) xi of T_x O
-    lies in T_x C = ann(h) iff xi kills coad_{h_a}(x) = h_a Pi(x) for every a,
-    and ker Pi(x) lies in that set, so
+    One skew elimination at each point decides both, run on the whole walk
+    at once.  T_x O is the row space of Pi(x), so the orbit dimension is
+    rank Pi(x).  A vector Pi(x) xi of T_x O lies in T_x C = ann(h) iff xi
+    kills coad_{h_a}(x) = h_a Pi(x) for every a, and ker Pi(x) lies in that
+    set, so
     dim(T_x C cap T_x O) = rank Pi(x) - rank [coad_{h_a}(x)]_a,
     and C is transversal to the orbit at x iff the two ranks agree.  With M =
     [H; E], h's canonical basis H over the unit vectors E off its pivots, the
     skew pencil <x, [M_a, M_b]> = M Pi(x) M^T has rank Pi(x) and its first
-    dim h rows rank H Pi(x): ``SkewPencil.ranks_at`` reads both at once.
+    dim h rows rank H Pi(x): ``SkewPencil.ranks_along`` reads both at every
+    point of the walk.
     """
     h, n = c.h, c.algebra.dim
     e = [unit_vector(n, j) for j in range(n) if j not in h.pivots]
     pencil = skew_pencil(c, [*h.basis, *e])
     points, sampling = c.walk(sampling)
-    ranks = [(c.point_at(t), *pencil.ranks_at(t, h.dim)) for t in points]
+    ranks = [(c.point_at(t), *r) for t, r in zip(points, pencil.ranks_along(points, h.dim))]
     orbit_dims = tuple((x, orbit_dim) for x, orbit_dim, _ in ranks)
     transversal = tuple((x, s == orbit_dim) for x, orbit_dim, s in ranks)
     dims = {d for _, d in orbit_dims}

@@ -126,11 +126,12 @@ class LocusReport:
 def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> LocusReport:
     """Pointwise cosymplecticity of P at the base and at sampled points.
 
-    The form on p is the pencil of <x, [., .]> along P, built once; a sample
-    costs one rank, and only a failing one is formed as a point.  Three
-    answers are exact and draw no sample: odd dim p is never cosymplectic (a
-    skew form of odd size is singular), p = 0 is cosymplectic everywhere, and
-    a P of dimension 0 is its base point.
+    The form on p is the pencil of <x, [., .]> along P, built once.  It is
+    ranked at the base alone, and at the samples in batches
+    (``SkewPencil.ranks_along``); only a failing sample is formed as a
+    point.  Three answers are exact and draw no sample: odd dim p is never
+    cosymplectic (a skew form of odd size is singular), p = 0 is
+    cosymplectic everywhere, and a P of dimension 0 is its base point.
     """
     if e.p.dim % 2 == 1:
         return LocusReport(True, False, 0, (), None)
@@ -139,7 +140,8 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
     pencil = e.p_tilde.form
     (origin, *samples), sampling = e.p_tilde.walk(sampling)
     at_base = pencil.rank_at(origin) == e.p.dim
-    failing = tuple(e.p_tilde.point_at(t) for t in samples if pencil.rank_at(t) != e.p.dim)
+    ranks = pencil.ranks_along(samples)
+    failing = tuple(e.p_tilde.point_at(t) for t, (r, _) in zip(samples, ranks) if r != e.p.dim)
     return LocusReport(False, at_base, len(samples), failing, sampling)
 
 

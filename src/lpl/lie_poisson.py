@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .lie import LieAlgebra
@@ -111,12 +111,25 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
+    @staticmethod
+    def _of(nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """A polynomial on a table that is already clean: int exponent tuples of
+        length ``nvars`` and nonzero Fractions, so ``__init__``'s checks are skipped."""
+        p = object.__new__(Polynomial)
+        p.nvars, p.terms = nvars, terms
+        return p
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         out = dict(self.terms)
         for expo, c in other.terms.items():
-            out[expo] = out.get(expo, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
+            if (s := out.get(expo)) is None:
+                out[expo] = c
+            elif s := s + c:
+                out[expo] = s
+            else:
+                del out[expo]
+        return Polynomial._of(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -125,13 +138,17 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """Products of integer numerators over da db, the lcms of each side's
+        denominators, summed per monomial: one Fraction per output term."""
         self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                expo = tuple(a + b for a, b in zip(ea, eb))
-                out[expo] = out.get(expo, Fraction(0)) + ca * cb
-        return Polynomial(self.nvars, out)
+        (da, a), (db, b) = _numerators(self), _numerators(other)
+        out: dict[Exponents, int] = {}
+        for ea, na in a:
+            for eb, nb in b:
+                expo = tuple(map(add, ea, eb))
+                out[expo] = out.get(expo, 0) + na * nb
+        d = da * db
+        return Polynomial._of(self.nvars, {e: Fraction(n, d) for e, n in out.items() if n})
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
@@ -178,6 +195,12 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _numerators(p: Polynomial) -> tuple[int, list[tuple[Exponents, int]]]:
+    """d, the lcm of p's denominators, and each term with its coefficient times d."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in p.terms.items()]
 
 
 _TERM = re.compile(r"[+-]?[^+-]+")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
 from .linalg import (
@@ -31,7 +31,7 @@ from .linalg import (
     InvariantViolation,
     Subspace,
     Vector,
-    _skew_eliminate,
+    _skew_eliminate_many,
     choose_complement,
     dot,
     integer_rank,
@@ -49,6 +49,10 @@ from .linalg import (
 CERTIFIED_CONSTANT = "certified_constant"
 SAMPLED_CONSTANT = "sampled_constant"
 NOT_CONSTANT = "not_constant"
+
+# The most points ``SkewPencil.ranks_along`` ranks in one batch, which bounds
+# its memory on a long walk.
+WALK_CHUNK = 256
 
 
 class NotOnSubmanifold(ValueError):
@@ -156,9 +160,14 @@ class AffineSubspace:
         return tuple(Fraction(s, d) if s else ZERO for s in x)
 
     @cached_property
+    def coad_rows_at_base(self) -> list[list[int]]:
+        """coad_{h_a}(base) over the canonical basis h_a of h, built once for every reader."""
+        return _coad_rows_at(self, self.base)
+
+    @cached_property
     def span_at_base(self) -> Subspace:
         """T_base C + sharp N*_base C: ann(h) and the coad_v(base) over v in h, in one span."""
-        rows = self.direction.integer_echelon[1] + _coad_rows_at(self, self.base)
+        rows = self.direction.integer_echelon[1] + self.coad_rows_at_base
         return Subspace.integer_span(self.algebra.dim, rows)
 
     @cached_property
@@ -232,8 +241,9 @@ class SkewPencil:
     Of its ``size`` by ``size`` entries only those a < b are stored.  Entry k is
     ``cells[k]``, times the common denominator D: ``base[k]`` of D B0, and
     ``directions[i]`` holds the (k, value) pairs of the nonzero entries of
-    D B_i.  It is read in integers only: ranked by ``rank_at`` or ``ranks_at``
-    at a point, and written out in full at the base by ``base_rows``.
+    D B_i.  It is read in integers only: ranked by ``rank_at`` at one point or
+    by ``ranks_along`` at many, and written out in full at the base by
+    ``base_rows``.
     """
 
     size: int
@@ -273,18 +283,38 @@ class SkewPencil:
         """The rank at t = n / L: that of the rows of ``_integer_at``, as L D > 0."""
         return skew_rank(self._integer_at(point), self.size)
 
-    def ranks_at(self, point: IntegerPoint, lead: int) -> tuple[int, int]:
-        """The rank at t = n / L, and the rank of the first ``lead`` rows there.
+    def ranks_along(
+        self, points: Sequence[IntegerPoint], lead: int = 0
+    ) -> Iterator[tuple[int, int]]:
+        """The rank at each point t = n / L, and the rank of the first ``lead`` rows there.
 
-        Both come from one ``_skew_eliminate``: a pivot at the pencil's indices
-        (k, l) adds (k < lead) + (l < lead) to the second (README, "Orbit dimension").
+        The points are ranked ``WALK_CHUNK`` at a time, each chunk by one
+        ``_skew_eliminate_many`` on the cells of ``_integer_at`` at every
+        point of it.  A pivot at the pencil's indices (k, l) adds
+        (k < lead) + (l < lead) to the second rank (README, "Orbit dimension").
         """
-        pivots = _skew_eliminate(self._integer_at(point))[0]
-        index, split = list(range(self.size)), 0  # the pencil's index of each row left
-        for i, j in pivots:
-            split += (index[i] < lead) + (index[j] < lead)
-            del index[j], index[: i + 1]
-        return 2 * len(pivots), split
+        for start in range(0, len(points), WALK_CHUNK):
+            chunk = points[start : start + WALK_CHUNK]
+            for pivots, _ in _skew_eliminate_many(self._cells_along(chunk), len(chunk)):
+                split = 0
+                if lead:
+                    index = list(range(self.size))  # the pencil's index of each row left
+                    for i, j in pivots:
+                        split += (index[i] < lead) + (index[j] < lead)
+                        del index[j], index[: i + 1]
+                yield 2 * len(pivots), split
+
+    def _cells_along(self, points: Sequence[IntegerPoint]) -> list[list[list[int]]]:
+        """``_integer_at`` at every point, each cell the list of its values there."""
+        scales = [scale for scale, _ in points]
+        zeros = [0] * len(points)
+        flat = [[b * s for s in scales] if b else zeros for b in self.base]
+        for i, terms in enumerate(self.directions):
+            if terms:
+                ns = [numerators[i] for _, numerators in points]
+                for k, b in terms:
+                    flat[k] = [x + n * b for x, n in zip(flat[k], ns)]
+        return [flat[i:j] for i, j in _layout(self.size)[1]]
 
 
 @lru_cache(maxsize=256)
@@ -365,16 +395,19 @@ def pre_poisson_check(
     when h is a subalgebra.  Then B_h(x) = B_h(base) at every point, so the
     rank at the base is a proved certificate, not sampled evidence; the
     verdict carries that rank only (``AffineSubspace.span_at_base`` is the
-    space).  Otherwise rank B_h is compared at the base point and at seeded
-    exact sample points, evaluating the pencil along C.
+    space).  Otherwise rank B_h at the base point is compared with its rank
+    at seeded exact sample points, which the pencil along C ranks a chunk at
+    a time (``SkewPencil.ranks_along``).  The counterexample is the first
+    sample in walk order whose rank differs; the walk stops after the chunk
+    that holds it.
     """
     pencil, codim = c.form, c.direction.dim
     base_rank = codim + pencil.rank_at(IntegerPoint.origin(codim))
     if pencil.constant:
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=base_rank)
     (_, *samples), sampling = c.walk(sampling)
-    for t in samples:
-        r = codim + pencil.rank_at(t)
+    for t, (form_rank, _) in zip(samples, pencil.ranks_along(samples)):
+        r = codim + form_rank
         if r != base_rank:
             return PrePoissonVerdict(
                 NOT_CONSTANT,
@@ -429,7 +462,7 @@ def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> Classifi
     pp = pre_poisson_check(c, sampling)
     ranks = [pp.rank] if pp.rank is not None else [r for _, r in pp.counterexample]
     form_rank = ranks[0] - c.direction.dim
-    char_rank = integer_rank(_coad_rows_at(c, c.base), c.algebra.dim) - form_rank
+    char_rank = integer_rank(c.coad_rows_at_base, c.algebra.dim) - form_rank
     return ClassificationReport(
         coisotropic=coiso,
         pre_poisson=pp,

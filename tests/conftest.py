@@ -245,6 +245,25 @@ def per_term_parse(text, nvars):
     return result
 
 
+def term_by_term_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The Polynomial.__add__ that lpl replaced: a Fraction sum per term, rechecked by __init__."""
+    out = dict(p.terms)
+    for expo, c in q.terms.items():
+        out[expo] = out.get(expo, Fraction(0)) + c
+    return Polynomial(p.nvars, out)
+
+
+def term_by_term_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The Polynomial.__mul__ that lpl replaced: a Fraction product per pair of terms and
+    an exponent tuple by zip, the result rechecked by __init__."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            expo = tuple(a + b for a, b in zip(ea, eb))
+            out[expo] = out.get(expo, Fraction(0)) + ca * cb
+    return Polynomial(p.nvars, out)
+
+
 def term_by_term_str(p: Polynomial) -> str:
     """The printer Polynomial.__str__ replaced: signs and magnitudes from Fraction comparisons."""
     if not p.terms:

@@ -242,7 +242,7 @@ def test_report_matches_subspace_formulas():
 
 
 def split_ranks(c, points):
-    """(orbit_dim, s) per point from ``ranks_at`` on the pencil of M Pi(x) M^T.
+    """(orbit_dim, s) per point from ``ranks_along`` on the pencil of M Pi(x) M^T.
 
     M lists h's canonical basis, then the unit vectors off its pivots.  Each
     pair is checked against Fraction eliminations of Pi(x) and of the rows
@@ -255,8 +255,8 @@ def split_ranks(c, points):
         x = c.point_at(t)
         orbit_dim = len(fraction_rref(bivector_at(algebra, x), n))
         s = len(fraction_rref([algebra.coad_apply(v, x) for v in h.basis], n))
-        assert pencil.ranks_at(t, h.dim) == (orbit_dim, s)
         found.append((orbit_dim, s))
+    assert list(pencil.ranks_along(points, h.dim)) == found
     return found
 
 
@@ -322,10 +322,11 @@ def test_split_ranks_meet_every_kind_of_pivot():
     assert set(seen) == kinds and min(seen.values()) >= 5
 
 
-def test_report_runs_one_skew_elimination_per_point(monkeypatch):
-    # Each point costs one _skew_eliminate and no Bareiss _eliminate: the
-    # eliminations that do not depend on the points (the direction, the
-    # fiber d) are the same for 2 and for 9 samples.
+def test_report_runs_one_batched_elimination_per_walk_chunk(monkeypatch):
+    # The walk costs one _skew_eliminate_many per chunk of at most
+    # WALK_CHUNK points, no scalar _skew_eliminate and no Bareiss
+    # _eliminate: the eliminations that do not depend on the points (the
+    # direction, the fiber d) are the same for 2 and for 9 samples.
     calls = Counter()
 
     def counted(name, original):
@@ -335,20 +336,24 @@ def test_report_runs_one_skew_elimination_per_point(monkeypatch):
 
         return wrapper
 
-    skew = counted("skew", linalg._skew_eliminate)
     monkeypatch.setattr(linalg, "_eliminate", counted("bareiss", linalg._eliminate))
-    monkeypatch.setattr(linalg, "_skew_eliminate", skew)
-    monkeypatch.setattr(submanifold, "_skew_eliminate", skew)
+    monkeypatch.setattr(linalg, "_skew_eliminate", counted("skew", linalg._skew_eliminate))
+    batched = counted("batched", linalg._skew_eliminate_many)
+    monkeypatch.setattr(submanifold, "_skew_eliminate_many", batched)
     rng = random.Random(229)
     cases = [(algebra, h) for algebra, h in subalgebra_catalog()]
     cases += [(algebra, random_subspace(rng, algebra.dim)) for algebra in algebra_catalog()]
-    for algebra, h in cases:
-        base = random_vector(rng, algebra.dim, bound=5)
-        bareiss = []
-        for count in (2, 9):
-            calls.clear()
-            report = transversal_orbit_report(AffineSubspace(algebra, h, base), SampleSpec(count))
-            points = 1 + count if h.dim < algebra.dim else 1  # a point C has only its base
-            assert calls["skew"] == len(report.orbit_dims) == points
-            bareiss.append(calls["bareiss"])
-        assert bareiss[0] == bareiss[1]
+    for chunk in (submanifold.WALK_CHUNK, 4):
+        monkeypatch.setattr(submanifold, "WALK_CHUNK", chunk)
+        for algebra, h in cases:
+            base = random_vector(rng, algebra.dim, bound=5)
+            bareiss = []
+            for count in (2, 9):
+                calls.clear()
+                c = AffineSubspace(algebra, h, base)
+                report = transversal_orbit_report(c, SampleSpec(count))
+                points = 1 + count if h.dim < algebra.dim else 1  # a point C has only its base
+                assert len(report.orbit_dims) == points
+                assert calls["batched"] == -(-points // chunk) and calls["skew"] == 0
+                bareiss.append(calls["bareiss"])
+            assert bareiss[0] == bareiss[1]

@@ -30,6 +30,7 @@ from lpl.cli import (
     serialize_model,
     subspace_dict,
 )
+from lpl.lie import LieAlgebra
 from lpl.lie_poisson import MAX_DEGREE
 from lpl.linalg import MAX_RATIONAL_CHARS, Subspace, vec
 from lpl.submanifold import AffineSubspace
@@ -278,6 +279,20 @@ def test_run_extend_and_pair_never_form_the_span_at_base(monkeypatch, command):
     report = run("classify", load_fixture_problem("sl2_transverse.json"))
     assert report["pre_poisson"]["constant_space"] == subspace_dict(Subspace.full(3))
     assert len(formed) == 1
+
+
+def test_run_classify_builds_the_base_coadjoint_rows_once(monkeypatch):
+    # A certified classify reads coad_{h_a}(base) twice, for the
+    # characteristic rank and for the constant space, and builds it once.
+    calls = []
+    integer_coad = LieAlgebra.integer_coad
+    monkeypatch.setattr(
+        LieAlgebra, "integer_coad", lambda *args: calls.append(args[1:]) or integer_coad(*args)
+    )
+    report = run("classify", load_fixture_problem("sl2_transverse.json"))
+    assert report["pre_poisson"]["provenance"] == "certified"
+    assert report["pre_poisson"]["constant_space"] == subspace_dict(Subspace.full(3))
+    assert len(calls) == 1
 
 
 def test_run_bracket_and_casimir(sl2):

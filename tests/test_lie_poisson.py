@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpl.lie_poisson import (
     MAX_DEGREE,
@@ -25,6 +27,8 @@ from conftest import (
     per_term_parse,
     random_vector,
     rational_catalog,
+    term_by_term_add,
+    term_by_term_mul,
     term_by_term_str,
 )
 
@@ -148,6 +152,35 @@ def test_polynomial_arithmetic():
     assert p.diff(0) == x.scale(2)
     assert p.evaluate([3, 2]) == 5
     assert (p - p).is_zero()
+
+
+def _polynomials(nvars):
+    """Up to 6 terms of degree at most 3 per variable; small coefficients often cancel."""
+    coeff = st.one_of(
+        st.fractions(-3, 3, max_denominator=3),
+        st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12)),
+    )
+    expo = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(expo, coeff, max_size=6).map(lambda t: Polynomial(nvars, t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_add_and_mul_match_the_term_by_term_formulas(data):
+    # Sums and products equal the Fraction formulas term for term, and
+    # their tables are clean without __init__: int exponent tuples of the
+    # right length and nonzero Fractions, even where terms cancel.
+    nvars = data.draw(st.integers(0, 4))
+    p, q = data.draw(_polynomials(nvars)), data.draw(_polynomials(nvars))
+    if data.draw(st.booleans()):  # q cancels some of p's terms
+        q = Polynomial(nvars, {**q.terms, **{e: -c for e, c in p.terms.items()}})
+    for got, want in ((p + q, term_by_term_add(p, q)), (p * q, term_by_term_mul(p, q))):
+        assert got == want
+        for expo, c in got.terms.items():
+            assert type(expo) is tuple and len(expo) == nvars
+            assert all(type(e) is int for e in expo)
+            assert type(c) is Fraction and c
+    assert (p + (-p)).terms == {} and (p * Polynomial.zero(nvars)).terms == {}
 
 
 def test_polynomial_str_sign_handling():

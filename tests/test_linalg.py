@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -14,6 +15,7 @@ from lpl.linalg import (
     DimensionMismatch,
     Subspace,
     _skew_eliminate,
+    _skew_eliminate_many,
     choose_complement,
     dot,
     integer_rank,
@@ -257,6 +259,84 @@ def test_skew_elimination_on_small_cases():
         assert _skew_eliminate([[x01, x02, x03], [x12, x13], [x23], []]) == (
             ([(0, 1), (0, 1)], pf) if pf else ([(0, 1)], x01)
         )
+
+
+def _batched(mats, m):
+    """The strict upper triangles of m x m matrices as one, each cell the list of its values."""
+    return [[[a[k][l] for a in mats] for l in range(k + 1, m)] for k in range(m)]
+
+
+def _congruent(q, s):
+    """Q S Q^T: every such matrix for one Q kills ker Q^T."""
+    m, w = len(q), len(s)
+    qs = [[sum(q[a][c] * s[c][d] for c in range(w)) for d in range(w)] for a in range(m)]
+    return [[sum(qs[a][d] * q[b][d] for d in range(w)) for b in range(m)] for a in range(m)]
+
+
+def _skew_batch_matches_scalar(mats, m):
+    uppers = [[row[k + 1 :] for k, row in enumerate(a)] for a in mats]
+    expected = [_skew_eliminate(u) for u in uppers]
+    assert _skew_eliminate_many(_batched(mats, m), len(mats)) == expected
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batched_skew_elimination_matches_one_matrix_at_a_time(data):
+    # m from 0 to 9 (1 and odd m included) at 0 to 7 points.  Either the
+    # matrices share a kernel, Q S Q^T for one m x 2r matrix Q and a skew S
+    # per point, or they are a pencil A0 + t A1 of two low-rank forms at
+    # small integer t, where a cell a + b t can vanish at some points only:
+    # there the pivots part and the batch splits.
+    m, count = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 7))
+    small = st.integers(-2, 2)
+
+    def rows(n, width):
+        return data.draw(st.lists(st.lists(small, min_size=width, max_size=width),
+                                  min_size=n, max_size=n))
+
+    if data.draw(st.booleans()):
+        r = data.draw(st.integers(0, m // 2))
+        q = rows(m, 2 * r)
+        mats = [_congruent(q, _skew_of_rank_at_most(rows(2 * r, 2 * r), r)) for _ in range(count)]
+    else:
+        r = 1 + (m > 5)
+        a0, a1 = (_skew_of_rank_at_most(rows(m, 2 * r), r) for _ in range(2))
+        ts = data.draw(st.lists(small, min_size=count, max_size=count))
+        mats = [[[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)] for t in ts]
+    _skew_batch_matches_scalar(mats, m)
+
+
+def test_batched_skew_elimination_splits_where_a_pivot_vanishes():
+    # Pencils A0 + t A1 of low-rank forms at t in -2..2 and sizes 1 to 8:
+    # the points part at their first pivot and after a common one, their
+    # ranks differ, and kernels shared by all points leave cells zero.
+    rng = random.Random(211)
+    seen = Counter()
+    for _ in range(400):
+        m = rng.randint(1, 8)
+        a0, a1 = (
+            _skew_of_rank_at_most(
+                [[rng.randint(-1, 1) for _ in range(4)] for _ in range(m)], rng.randint(0, 2)
+            )
+            for _ in range(2)
+        )
+        ts = [rng.randint(-2, 2) for _ in range(rng.randint(2, 6))]
+        mats = [[[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)] for t in ts]
+        expected = _skew_batch_matches_scalar(mats, m)
+        pivots = [p for p, _ in expected]
+        seen["first pivots differ"] += len({p[0] for p in pivots if p}) > 1
+        seen["part after a common pivot"] += any(
+            p[0] == o[0] and p != o for p, o in combinations([p for p in pivots if p], 2)
+        )
+        seen["ranks differ"] += len(set(map(len, pivots))) > 1
+        seen["singular everywhere"] += all(2 * len(p) < m for p in pivots)
+    assert min(seen.values()) >= 10 and len(seen) == 4
+    assert _skew_eliminate_many([], 0) == [] and _skew_eliminate_many([[]], 0) == []
+    assert _skew_eliminate_many([], 2) == [([], 1), ([], 1)]
+    assert _skew_eliminate_many([[[0, 3], [5, 0]], [[0, 2]], []], 2) == [
+        ([(0, 2)], 5), ([(0, 1)], 3)
+    ]
 
 
 # ---------------------------------------------------------------------------

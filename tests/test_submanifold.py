@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lpl import submanifold
 from lpl.algebroid import transversal_orbit_report
+from lpl.embedding import Extension, cosymplectic_locus
 from lpl.lie import (
     LieAlgebra,
     LinearMap,
@@ -349,6 +350,57 @@ def test_integer_samples_find_the_so4_rank_drop():
         assert sympy.Matrix.vstack(*ann, *coad).rank() == expected
 
 
+def test_walks_longer_than_a_chunk_keep_their_verdicts(monkeypatch):
+    # With WALK_CHUNK = 3 a walk of up to 21 points is ranked in batches of
+    # 3 and a last shorter one.  ranks_along equals rank_at at every point;
+    # the pre-Poisson counterexample is still the first sample whose rank
+    # differs from the base's, and the walk stops after its batch; the
+    # verdict, the orbit report and the cosymplectic locus equal those of
+    # one batch.
+    batches = []
+    many = submanifold._skew_eliminate_many
+    monkeypatch.setattr(
+        submanifold, "_skew_eliminate_many", lambda rows, k: batches.append(k) or many(rows, k)
+    )
+    rng = random.Random(233)
+    seen = set()
+    cases = []
+    for algebra in CATALOG:
+        n = algebra.dim
+        for h in (random_subspace(rng, n), coordinate_subspace(rng, n)):
+            c = AffineSubspace(algebra, h, vec([rng.randint(-1, 1) for _ in range(n)]))
+            cases += [(c, SampleSpec(rng.randint(4, 20), rng.randrange(1000), b)) for b in (1, 2, 3)]
+    for c, sampling in cases:
+        ext = Extension(c, c, sampling)
+        one_batch = (pre_poisson_check(c, sampling), transversal_orbit_report(c, sampling),
+                     cosymplectic_locus(ext, sampling))
+        monkeypatch.setattr(submanifold, "WALK_CHUNK", 3)
+        points, pencil = c.walk(sampling)[0], c.form
+        batches.clear()
+        assert [r for r, _ in pencil.ranks_along(points)] == list(map(pencil.rank_at, points))
+        assert batches == [min(3, len(points) - a) for a in range(0, len(points), 3)]
+        batches.clear()
+        verdict = pre_poisson_check(c, sampling)
+        base_rank = pencil.rank_at(points[0])
+        jumps = [a for a, t in enumerate(points[1:]) if pencil.rank_at(t) != base_rank]
+        if pencil.constant:
+            assert verdict.kind == CERTIFIED_CONSTANT and batches == []
+        elif jumps:
+            assert verdict.kind == NOT_CONSTANT
+            assert verdict.counterexample[1][0] == c.point_at(points[1 + jumps[0]])
+            assert len(batches) == jumps[0] // 3 + 1
+        else:
+            assert verdict.kind == SAMPLED_CONSTANT
+            assert len(batches) == -(-(len(points) - 1) // 3)
+        assert verdict == one_batch[0]
+        assert transversal_orbit_report(c, sampling) == one_batch[1]
+        assert cosymplectic_locus(ext, sampling) == one_batch[2]
+        monkeypatch.setattr(submanifold, "WALK_CHUNK", 256)
+        seen |= {verdict.kind, ("past the first batch", bool(jumps) and jumps[0] > 2)}
+    assert {NOT_CONSTANT, SAMPLED_CONSTANT, CERTIFIED_CONSTANT} < seen
+    assert ("past the first batch", True) in seen
+
+
 def test_sampled_constant_case(gl2):
     # A non-subalgebra ([b+c, a] = -b + c escapes) so the verdict can only
     # rest on sample points; the report must carry the sampling parameters.
@@ -601,7 +653,8 @@ CATALOG = algebra_catalog()
 @given(st.data())
 def test_rank_and_point_at_integer_points_match_fractions(data):
     # At integer points n / L, walked from SampleSpec or drawn directly, rank_at
-    # equals the rank of the Fraction form pencil_at(t), and point_at equals
+    # and ranks_along (over all of them at once) equal the rank of the
+    # Fraction form pencil_at(t), and point_at equals
     # base + sum t_a u_a in Fractions, on C's form and the bivector pencil.
     # Every form vanishes at x = 0, so half the time the base is put where
     # the drawn numerators over L = 1 reach 0: there the point n / 1 is
@@ -633,6 +686,7 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
         for ta, u in zip(t, c.direction.basis):
             x = vadd(x, vscale(ta, u))
         assert c.point_at(point) == x
+    assert [r for r, _ in pencil.ranks_along(points)] == list(map(pencil.rank_at, points))
 
 
 # ---------------------------------------------------------------------------
