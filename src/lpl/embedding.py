@@ -126,23 +126,21 @@ class LocusReport:
 def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> LocusReport:
     """Pointwise cosymplecticity of P at the base and at sampled points.
 
-    The form on p is the pencil of <x, [., .]> along P, built once.  It is
-    ranked at the base alone, and at the samples in batches
-    (``SkewPencil.ranks_along``); only a failing sample is formed as a
-    point.  Three answers are exact and draw no sample: odd dim p is never
-    cosymplectic (a skew form of odd size is singular), p = 0 is
-    cosymplectic everywhere, and a P of dimension 0 is its base point.
+    The form on p is the pencil of <x, [., .]> along P, built once, and
+    ``SkewPencil.ranks_along`` ranks it along the whole walk, base first;
+    only a failing sample is formed as a point.  Three answers are exact
+    and draw no sample: odd dim p is never cosymplectic (a skew form of odd
+    size is singular), p = 0 is cosymplectic everywhere, and a P of
+    dimension 0 is its base point.
     """
     if e.p.dim % 2 == 1:
         return LocusReport(True, False, 0, (), None)
     if not e.p.basis:
         return LocusReport(False, True, 0, (), None)
-    pencil = e.p_tilde.form
-    (origin, *samples), sampling = e.p_tilde.walk(sampling)
-    at_base = pencil.rank_at(origin) == e.p.dim
-    ranks = pencil.ranks_along(samples)
-    failing = tuple(e.p_tilde.point_at(t) for t, (r, _) in zip(samples, ranks) if r != e.p.dim)
-    return LocusReport(False, at_base, len(samples), failing, sampling)
+    points, sampling = e.p_tilde.walk(sampling)
+    at_base, *full = (r == e.p.dim for r, _ in e.p_tilde.form.ranks_along(points))
+    failing = tuple(e.p_tilde.point_at(t) for t, ok in zip(points[1:], full) if not ok)
+    return LocusReport(False, at_base, len(full), failing, sampling)
 
 
 @dataclass(frozen=True)
@@ -260,12 +258,12 @@ def coisotropy_in_extension(e: Extension, sampling: SampleSpec = SampleSpec()) -
     F_hh - F_hp F_pp^-1 F_ph vanishes, and rank F = dim p + rank of that
     complement.  As p lies in h, F is B_h(x) seen through a matrix of full
     column rank, so rank F = rank B_h(x): the claim is read off the pencil
-    ``e.c.form`` that C already holds.
+    ``e.c.form`` that C already holds.  Each of the two pencils is ranked
+    along the whole walk by one ``SkewPencil.ranks_along``.
     """
     if not e.c.h.contains(e.p):
         raise ValueError("the conormal p of P must lie in the conormal h of C")
-    n_p = e.p.dim
-    form_p = skew_pencil(e.c, e.p.basis)
-    return [
-        (t, e.c.form.rank_at(t) == n_p) for t in e.c.walk(sampling)[0] if form_p.rank_at(t) == n_p
-    ]
+    n_p, points = e.p.dim, e.c.walk(sampling)[0]
+    tested = skew_pencil(e.c, e.p.basis).ranks_along(points)
+    full = e.c.form.ranks_along(points)
+    return [(t, r == n_p) for t, (s, _), (r, _) in zip(points, tested, full) if s == n_p]

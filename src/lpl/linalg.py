@@ -8,13 +8,14 @@ No floating point is used anywhere.
 Fraction-free integer kernels do the eliminations: the Bareiss loop
 :func:`_eliminate`, behind ``integer_rank``, ``rank``, ``rref``, ``nullspace``,
 ``solve`` and the :class:`Subspace` lattice, which runs on the integer rows
-each Subspace keeps, and the 2 x 2-pivot Pfaffian loop :func:`_skew_eliminate`,
-behind ``skew_rank``, which ranks a skew matrix from its upper triangle.
-:func:`_skew_eliminate_many` runs the Pfaffian loop at many points at once,
-each cell the list of its values there, for a skew pencil ranked along a
-sample walk.  The two Pfaffian loops are kept apart on purpose: on a batch
-of one point the batched loop is 1.6 to 3.5 times slower than the scalar
-one for sizes 2 to 36, so a single matrix goes to the scalar loop.
+each Subspace keeps, and the 2 x 2-pivot Pfaffian loop
+:func:`_skew_eliminate_many`, which ranks a skew matrix from its upper
+triangle at many points at once, each cell the list of its values there.
+A single matrix is a batch of one: ranking it here rather than in a
+separate scalar loop moved the benchmark's median ops/s by -1.8 % on
+extend-pair, +2.6 % on classify-sampled and +0.4 % on orbits-casimir
+(alternating runs of 26 s, CPython 3.11, 2-core machine), so there is one
+Pfaffian loop.
 """
 
 from __future__ import annotations
@@ -186,83 +187,29 @@ def _eliminate(rows: Iterable[list[int]], ncols: int, reduce: bool) -> tuple[lis
     return work[:found], prev
 
 
-def skew_rank(upper: Sequence[Sequence[int]], m: int) -> int:
-    """Rank of an integer skew m x m matrix from its strict upper triangle.
-
-    ``upper[k]`` holds the entries (k, l) for l > k.  A skew rank is even:
-    twice the number of 2 x 2 pivots of :func:`_skew_eliminate`.
-    """
-    if len(upper) != m:
-        raise DimensionMismatch(f"{len(upper)} rows of an upper triangle where {m} are expected")
-    return 2 * len(_skew_eliminate(upper)[0])
-
-
-def _skew_eliminate(upper: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
-    """Fraction-free congruence elimination with 2 x 2 pivots: (pivot pairs, last pivot).
-
-    The pivot p = x_ij, i < j, is the upper triangle's first nonzero entry in
-    row-major order.  Every remaining pair k < l becomes (p x_kl - x_ki x_lj + x_kj x_li) // prev,
-    with x_ki = -x_ik, and rows and columns i and j are dropped; prev is the
-    previous pivot.  After s pivots, entry (k, l) is the Pfaffian of the
-    principal submatrix on the 2s pivot indices, in pivot order, then k and l,
-    so the division is exact by the Pfaffian form of Sylvester's identity
-    (Knuth, Overlapping Pfaffians, 1996).  Rows above the pivot row are zero
-    and stay zero, so they are dropped too.  A pivot is reported as its pair
-    (i, j) of positions among the rows still left, which keep their order.
-    At full rank the last pivot is the Pfaffian up to sign.
-    """
-    rows = upper  # never changed in place: each step builds new rows
-    pivots = []
-    prev = 1
-    while True:
-        for i, pivot_row in enumerate(rows):
-            if any(pivot_row):
-                break
-        else:
-            return pivots, prev
-        for jj, p in enumerate(pivot_row):
-            if p:
-                break
-        j = i + 1 + jj
-        # Columns i and j on the remaining indices k: x_ki = -x_ik, and x_kj
-        # is read above the diagonal for k < j and below it for k > j.
-        col_i = [-e for e in pivot_row]
-        del col_i[jj]
-        col_j = []
-        work = []
-        for k in range(i + 1, j):
-            row = rows[k]
-            at_j = j - k - 1
-            col_j.append(row[at_j])
-            work.append(row[:at_j] + row[at_j + 1 :])
-        col_j += [-e for e in rows[j]]
-        work += rows[j + 1 :]
-        for a, row in enumerate(work):
-            u, v = col_i[a], col_j[a]
-            if u or v:
-                work[a] = [
-                    (p * x - u * y + v * z) // prev
-                    for x, y, z in zip(row, col_j[a + 1 :], col_i[a + 1 :])
-                ]
-            elif p != prev:
-                work[a] = [p * x // prev for x in row]
-        pivots.append((i, j))
-        rows = work
-        prev = p
-
-
 def _skew_eliminate_many(
     rows: Sequence[Sequence[list[int]]], count: int
 ) -> list[tuple[list[tuple[int, int]], int]]:
-    """:func:`_skew_eliminate` at ``count`` points at once: (pivot pairs, last pivot) per point.
+    """Fraction-free congruence elimination with 2 x 2 pivots at ``count`` points at once.
 
-    ``rows`` is one upper triangle whose every cell is the list of its values
-    at the points.  Each step is the scalar step, one comprehension over the
-    points per cell; the exact division holds point by point.  The pivot is
-    still the first cell in row-major order that is nonzero at a point, so
-    where it vanishes at some points only, those points split off as their
-    own batch, which goes on from the same rows without them.  Every point
-    thus gets exactly the pivots and last pivot of its own scalar run.
+    ``rows`` is the strict upper triangle of a skew matrix, ``rows[k]`` its
+    entries (k, l) for l > k, each cell the list of its values at the points;
+    a single matrix is a batch of one.  The result is (pivot pairs, last
+    pivot) per point, and the rank there is twice the number of pivots.  At
+    each point the pivot p = x_ij, i < j, is the first cell nonzero there in
+    row-major order.  Every remaining pair k < l becomes
+    (p x_kl - x_ki x_lj + x_kj x_li) // prev, with x_ki = -x_ik, one
+    comprehension over the points, and rows and columns i and j are dropped;
+    prev is the previous pivot.  After s pivots, entry (k, l) is the Pfaffian
+    of the principal submatrix on the 2s pivot indices, in pivot order, then
+    k and l, so the division is exact at every point by the Pfaffian form of
+    Sylvester's identity (Knuth, Overlapping Pfaffians, 1996).  Rows above the
+    pivot row are zero and stay zero, so they are dropped too.  A pivot is
+    reported as its pair (i, j) of positions among the rows still left, which
+    keep their order.  At full rank the last pivot is the Pfaffian up to sign.
+    Where the pivot cell vanishes at some points only, those points split off
+    as their own batch, which goes on from the same rows without them, so a
+    point's result does not depend on the batch it is ranked in.
     """
     result: list = [None] * count
     batches = [(rows, list(range(count)), [], [1] * count)] if count else []
@@ -292,6 +239,8 @@ def _skew_eliminate_many(
                 pivot_row = rows[i]
                 p = pivot_row[jj]
             j = i + 1 + jj
+            # Columns i and j on the remaining indices k: x_ki = -x_ik, and x_kj
+            # is read above the diagonal for k < j and below it for k > j.
             col_i = [[-e for e in cell] for cell in pivot_row]
             del col_i[jj]
             col_j = []

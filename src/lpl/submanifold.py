@@ -37,7 +37,6 @@ from .linalg import (
     integer_rank,
     integer_rows,
     rank,
-    skew_rank,
     solve,
     unit_vector,
     vec,
@@ -241,9 +240,9 @@ class SkewPencil:
     Of its ``size`` by ``size`` entries only those a < b are stored.  Entry k is
     ``cells[k]``, times the common denominator D: ``base[k]`` of D B0, and
     ``directions[i]`` holds the (k, value) pairs of the nonzero entries of
-    D B_i.  It is read in integers only: ranked by ``rank_at`` at one point or
-    by ``ranks_along`` at many, and written out in full at the base by
-    ``base_rows``.
+    D B_i.  It is read in integers only: ranked by ``ranks_along`` at any
+    number of points, one point included, and written out in full at the base
+    by ``base_rows``.
     """
 
     size: int
@@ -268,30 +267,16 @@ class SkewPencil:
             rows[a][b], rows[b][a] = e, -e
         return rows
 
-    def _integer_at(self, point: IntegerPoint) -> list[list[int]]:
-        """L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i) at t = n / L, as the
-        integer rows of its strict upper triangle."""
-        scale, numerators = point
-        flat = [scale * b for b in self.base] if scale != 1 else list(self.base)
-        for n, terms in zip(numerators, self.directions):
-            if n:
-                for k, b in terms:
-                    flat[k] += n * b
-        return [flat[i:j] for i, j in _layout(self.size)[1]]
-
-    def rank_at(self, point: IntegerPoint) -> int:
-        """The rank at t = n / L: that of the rows of ``_integer_at``, as L D > 0."""
-        return skew_rank(self._integer_at(point), self.size)
-
     def ranks_along(
         self, points: Sequence[IntegerPoint], lead: int = 0
     ) -> Iterator[tuple[int, int]]:
         """The rank at each point t = n / L, and the rank of the first ``lead`` rows there.
 
         The points are ranked ``WALK_CHUNK`` at a time, each chunk by one
-        ``_skew_eliminate_many`` on the cells of ``_integer_at`` at every
-        point of it.  A pivot at the pencil's indices (k, l) adds
-        (k < lead) + (l < lead) to the second rank (README, "Orbit dimension").
+        ``_skew_eliminate_many`` on the cells of ``_cells_along``; L D > 0, so
+        the ranks are those of the form.  A pivot at the pencil's indices
+        (k, l) adds (k < lead) + (l < lead) to the second rank (README,
+        "Orbit dimension").
         """
         for start in range(0, len(points), WALK_CHUNK):
             chunk = points[start : start + WALK_CHUNK]
@@ -305,7 +290,8 @@ class SkewPencil:
                 yield 2 * len(pivots), split
 
     def _cells_along(self, points: Sequence[IntegerPoint]) -> list[list[list[int]]]:
-        """``_integer_at`` at every point, each cell the list of its values there."""
+        """L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i) at each t = n / L, as the
+        rows of its strict upper triangle, each cell the list of its values at the points."""
         scales = [scale for scale, _ in points]
         zeros = [0] * len(points)
         flat = [[b * s for s in scales] if b else zeros for b in self.base]
@@ -395,19 +381,19 @@ def pre_poisson_check(
     when h is a subalgebra.  Then B_h(x) = B_h(base) at every point, so the
     rank at the base is a proved certificate, not sampled evidence; the
     verdict carries that rank only (``AffineSubspace.span_at_base`` is the
-    space).  Otherwise rank B_h at the base point is compared with its rank
-    at seeded exact sample points, which the pencil along C ranks a chunk at
-    a time (``SkewPencil.ranks_along``).  The counterexample is the first
-    sample in walk order whose rank differs; the walk stops after the chunk
-    that holds it.
+    space), ranked as the batch of one point t = 0.  Otherwise rank B_h at
+    the base point is compared with its rank at seeded exact sample points:
+    ``SkewPencil.ranks_along`` ranks the whole walk, base first, a chunk at a
+    time.  The counterexample is the first sample in walk order whose rank
+    differs; the walk stops after the chunk that holds it.
     """
     pencil, codim = c.form, c.direction.dim
-    base_rank = codim + pencil.rank_at(IntegerPoint.origin(codim))
+    walk, sampling = ([IntegerPoint.origin(codim)], None) if pencil.constant else c.walk(sampling)
+    ranks = (codim + form_rank for form_rank, _ in pencil.ranks_along(walk))
+    base_rank = next(ranks)
     if pencil.constant:
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=base_rank)
-    (_, *samples), sampling = c.walk(sampling)
-    for t, (form_rank, _) in zip(samples, pencil.ranks_along(samples)):
-        r = codim + form_rank
+    for t, r in zip(walk[1:], ranks):
         if r != base_rank:
             return PrePoissonVerdict(
                 NOT_CONSTANT,

@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -131,6 +132,68 @@ def pencil_at(pencil, t):
         form[a][b] = e / pencil.denominator
         form[b][a] = -form[a][b]
     return tuple(tuple(row) for row in form)
+
+
+def rank_at(pencil, point) -> int:
+    """The pencil's rank at one integer point: the first rank of ``ranks_along([point])``."""
+    return next(pencil.ranks_along([point]))[0]
+
+
+def scalar_skew_eliminate(upper: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
+    """Fraction-free congruence elimination with 2 x 2 pivots: (pivot pairs, last pivot).
+
+    The pivot p = x_ij, i < j, is the upper triangle's first nonzero entry in
+    row-major order.  Every remaining pair k < l becomes (p x_kl - x_ki x_lj + x_kj x_li) // prev,
+    with x_ki = -x_ik, and rows and columns i and j are dropped; prev is the
+    previous pivot.  After s pivots, entry (k, l) is the Pfaffian of the
+    principal submatrix on the 2s pivot indices, in pivot order, then k and l,
+    so the division is exact by the Pfaffian form of Sylvester's identity
+    (Knuth, Overlapping Pfaffians, 1996).  Rows above the pivot row are zero
+    and stay zero, so they are dropped too.  A pivot is reported as its pair
+    (i, j) of positions among the rows still left, which keep their order.
+    At full rank the last pivot is the Pfaffian up to sign.
+
+    The reference for ``linalg._skew_eliminate_many``: the same loop on one
+    matrix of plain integer cells, with no batch to split.
+    """
+    rows = upper  # never changed in place: each step builds new rows
+    pivots = []
+    prev = 1
+    while True:
+        for i, pivot_row in enumerate(rows):
+            if any(pivot_row):
+                break
+        else:
+            return pivots, prev
+        for jj, p in enumerate(pivot_row):
+            if p:
+                break
+        j = i + 1 + jj
+        # Columns i and j on the remaining indices k: x_ki = -x_ik, and x_kj
+        # is read above the diagonal for k < j and below it for k > j.
+        col_i = [-e for e in pivot_row]
+        del col_i[jj]
+        col_j = []
+        work = []
+        for k in range(i + 1, j):
+            row = rows[k]
+            at_j = j - k - 1
+            col_j.append(row[at_j])
+            work.append(row[:at_j] + row[at_j + 1 :])
+        col_j += [-e for e in rows[j]]
+        work += rows[j + 1 :]
+        for a, row in enumerate(work):
+            u, v = col_i[a], col_j[a]
+            if u or v:
+                work[a] = [
+                    (p * x - u * y + v * z) // prev
+                    for x, y, z in zip(row, col_j[a + 1 :], col_i[a + 1 :])
+                ]
+            elif p != prev:
+                work[a] = [p * x // prev for x in row]
+        pivots.append((i, j))
+        rows = work
+        prev = p
 
 
 def fraction_pencil(c, basis) -> SkewPencil:

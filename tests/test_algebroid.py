@@ -13,6 +13,7 @@ from lpl.algebroid import (
     orbit_tangent,
     transversal_orbit_report,
 )
+from lpl.embedding import Extension, cosymplectic_locus
 from lpl.lie import NotASubalgebra, is_subalgebra
 from lpl.lie_poisson import bivector_at
 from lpl.linalg import (
@@ -323,37 +324,54 @@ def test_split_ranks_meet_every_kind_of_pivot():
 
 
 def test_report_runs_one_batched_elimination_per_walk_chunk(monkeypatch):
-    # The walk costs one _skew_eliminate_many per chunk of at most
-    # WALK_CHUNK points, no scalar _skew_eliminate and no Bareiss
-    # _eliminate: the eliminations that do not depend on the points (the
-    # direction, the fiber d) are the same for 2 and for 9 samples.
-    calls = Counter()
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(linalg, "_eliminate", counted("bareiss", linalg._eliminate))
-    monkeypatch.setattr(linalg, "_skew_eliminate", counted("skew", linalg._skew_eliminate))
-    batched = counted("batched", linalg._skew_eliminate_many)
-    monkeypatch.setattr(submanifold, "_skew_eliminate_many", batched)
+    # The orbit report, the pre-Poisson test and the cosymplectic locus each
+    # cost one _skew_eliminate_many per chunk of at most WALK_CHUNK points of
+    # the walk, the base in the first chunk.  The pre-Poisson test ranks a
+    # constant pencil in one call of count 1, and stops after the chunk that
+    # holds its counterexample; the locus draws no point for an odd or zero
+    # p.  No Bareiss _eliminate depends on the points: the eliminations that
+    # do not (the direction, the fiber d) are the same for 2 and 9 samples.
+    bareiss, counts = [], []  # each Bareiss call; the point count of each batched one
+    eliminate, many = linalg._eliminate, linalg._skew_eliminate_many
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a, **k: bareiss.append(1) or eliminate(*a, **k))
+    monkeypatch.setattr(
+        submanifold, "_skew_eliminate_many", lambda rows, k: counts.append(k) or many(rows, k)
+    )
     rng = random.Random(229)
     cases = [(algebra, h) for algebra, h in subalgebra_catalog()]
     cases += [(algebra, random_subspace(rng, algebra.dim)) for algebra in algebra_catalog()]
+    seen = set()
     for chunk in (submanifold.WALK_CHUNK, 4):
         monkeypatch.setattr(submanifold, "WALK_CHUNK", chunk)
         for algebra, h in cases:
-            base = random_vector(rng, algebra.dim, bound=5)
-            bareiss = []
+            base = vec([rng.randint(-1, 1) for _ in range(algebra.dim)])
+            totals = []
             for count in (2, 9):
-                calls.clear()
+                sampling = SampleSpec(count, bound=1)  # small points, where ranks drop
+                bareiss.clear()
                 c = AffineSubspace(algebra, h, base)
-                report = transversal_orbit_report(c, SampleSpec(count))
-                points = 1 + count if h.dim < algebra.dim else 1  # a point C has only its base
-                assert len(report.orbit_dims) == points
-                assert calls["batched"] == -(-points // chunk) and calls["skew"] == 0
-                bareiss.append(calls["bareiss"])
-            assert bareiss[0] == bareiss[1]
+                walk = c.walk(sampling)[0]  # a point C has only its base
+                chunks = [min(chunk, len(walk) - a) for a in range(0, len(walk), chunk)]
+                counts.clear()
+                report = transversal_orbit_report(c, sampling)
+                assert len(report.orbit_dims) == len(walk) == 1 + count * (h.dim < algebra.dim)
+                assert counts == chunks
+                counts.clear()
+                verdict = submanifold.pre_poisson_check(c, sampling)
+                if c.form.constant:
+                    assert counts == [1]
+                elif verdict.kind == submanifold.NOT_CONSTANT:
+                    x = verdict.counterexample[1][0]
+                    at = next(a for a, t in enumerate(walk) if c.point_at(t) == x)
+                    assert counts == chunks[: at // chunk + 1]
+                    seen.add(("stops early", at // chunk + 1 < len(chunks)))
+                else:
+                    assert counts == chunks
+                counts.clear()
+                cosymplectic_locus(Extension(c, c, sampling), sampling)
+                assert counts == (chunks if h.dim and h.dim % 2 == 0 else [])
+                seen |= {verdict.kind, ("chunks", len(counts))}
+                totals.append(len(bareiss))
+            assert totals[0] == totals[1]
+    kinds = {"certified_constant", "sampled_constant", "not_constant"}
+    assert kinds | {("chunks", 3), ("stops early", True)} <= seen

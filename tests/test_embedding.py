@@ -59,6 +59,7 @@ from conftest import (
     load_perfbench,
     random_subspace,
     random_vector,
+    rank_at,
     rational_catalog,
     sl2_h,
     subalgebra_catalog,
@@ -878,8 +879,8 @@ def test_form_on_p_then_h_has_the_rank_of_b_h():
         assert e.c.h.contains(e.p)
         form_ph = skew_pencil(e.c, e.p.basis + e.c.h.basis)
         for t in e.c.walk(spec)[0]:
-            ranks.add(e.c.form.rank_at(t))
-            assert form_ph.rank_at(t) == e.c.form.rank_at(t)
+            ranks.add(rank_at(e.c.form, t))
+            assert rank_at(form_ph, t) == rank_at(e.c.form, t)
     assert {0, 2, 4} <= ranks
 
 

@@ -14,7 +14,6 @@ from lpl.lie import LinearMap, is_subalgebra
 from lpl.linalg import (
     DimensionMismatch,
     Subspace,
-    _skew_eliminate,
     _skew_eliminate_many,
     choose_complement,
     dot,
@@ -24,7 +23,6 @@ from lpl.linalg import (
     nullspace,
     rank,
     rref,
-    skew_rank,
     solve,
     transpose,
     unit_vector,
@@ -42,6 +40,7 @@ from conftest import (
     random_subspace,
     random_vector,
     rational_catalog,
+    scalar_skew_eliminate,
 )
 
 
@@ -220,50 +219,68 @@ def _skew_of_rank_at_most(x, r):
     ]
 
 
+def _batched(mats, m):
+    """The strict upper triangles of m x m matrices as one, each cell the list of its values."""
+    return [[[a[k][l] for a in mats] for l in range(k + 1, m)] for k in range(m)]
+
+
+def _skew_batch_matches_scalar(mats, m):
+    """The scalar oracle's (pivots, last pivot) per matrix, checked against
+    _skew_eliminate_many on each matrix alone, at count 1, and on all as one batch."""
+    expected = [scalar_skew_eliminate([row[k + 1 :] for k, row in enumerate(a)]) for a in mats]
+    assert [_skew_eliminate_many(_batched([a], m), 1)[0] for a in mats] == expected
+    assert _skew_eliminate_many(_batched(mats, m), len(mats)) == expected
+    return expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_skew_rank_matches_sympy_and_bareiss(data):
+def test_skew_elimination_matches_sympy_and_bareiss(data):
     # X J X^T has rank 2r when X has full column rank, less otherwise: m from
     # 0 to 10 (odd m and m = 1 included), r = 0 gives the zero matrix, and
-    # the entries of X mix small integers with ones of up to 10^12.
+    # the entries of X mix small integers with ones of up to 10^12.  One to
+    # three such matrices are eliminated each alone and as one batch.
     m = data.draw(st.integers(0, 10))
-    r = data.draw(st.integers(0, m // 2))
     entry = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
-    x = data.draw(st.lists(st.lists(entry, min_size=2 * r, max_size=2 * r), min_size=m, max_size=m))
-    a = _skew_of_rank_at_most(x, r)
-    upper = [row[k + 1 :] for k, row in enumerate(a)]
-    expected = sympy.Matrix(m, m, lambda i, j: a[i][j]).rank() if m else 0
-    pivots, last = _skew_eliminate(upper)
-    assert skew_rank(upper, m) == 2 * len(pivots) == integer_rank(a, m) == expected <= 2 * r
-    left = m  # each pivot is at positions among the rows left, and drops i + 2 of them
-    for i, j in pivots:
-        assert i < j < left
-        left -= i + 2
-    if m and 2 * len(pivots) == m:  # nonsingular: the last pivot is +-Pf, and Pf^2 = det
-        assert last**2 == sympy.Matrix(a).det()
+    mats, bounds = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        r = data.draw(st.integers(0, m // 2))
+        x = data.draw(
+            st.lists(st.lists(entry, min_size=2 * r, max_size=2 * r), min_size=m, max_size=m)
+        )
+        mats.append(_skew_of_rank_at_most(x, r))
+        bounds.append(2 * r)
+    for a, bound, (pivots, last) in zip(mats, bounds, _skew_batch_matches_scalar(mats, m)):
+        expected = sympy.Matrix(m, m, lambda i, j: a[i][j]).rank() if m else 0
+        assert 2 * len(pivots) == integer_rank(a, m) == expected <= bound
+        left = m  # each pivot is at positions among the rows left, and drops i + 2 of them
+        for i, j in pivots:
+            assert i < j < left
+            left -= i + 2
+        if m and 2 * len(pivots) == m:  # nonsingular: the last pivot is +-Pf, and Pf^2 = det
+            assert last**2 == sympy.Matrix(a).det()
 
 
 def test_skew_elimination_on_small_cases():
-    assert skew_rank([], 0) == 0 and skew_rank([[]], 1) == 0
-    assert skew_rank([[0, 0], [0], []], 3) == 0
-    assert skew_rank([[0, 5], [0], []], 3) == 2
-    with pytest.raises(DimensionMismatch):
-        skew_rank([[1], []], 3)
+    # The empty, 1 x 1 and zero 3 x 3 matrices, and a 3 x 3 one of rank 2, at count 1.
+    assert _skew_eliminate_many([], 1) == [([], 1)] == _skew_eliminate_many([[]], 1)
+    assert _skew_eliminate_many([[[0], [0]], [[0]], []], 1) == [([], 1)]
+    assert _skew_eliminate_many([[[0], [5]], [[0]], []], 1) == [([(0, 2)], 5)]
     # With the pivot at (0, 1) the 4 x 4 Pfaffian keeps its sign:
-    # Pf = x01 x23 - x02 x13 + x03 x12.
+    # Pf = x01 x23 - x02 x13 + x03 x12, for each matrix alone, for all 50 in
+    # one batch, and for the scalar oracle.
     rng = random.Random(3)
+    uppers, expected = [], []
     for _ in range(50):
         x01, x02, x03, x12, x13, x23 = (rng.randint(-9, 9) for _ in range(6))
         x01 = x01 or 1
         pf = x01 * x23 - x02 * x13 + x03 * x12
-        assert _skew_eliminate([[x01, x02, x03], [x12, x13], [x23], []]) == (
-            ([(0, 1), (0, 1)], pf) if pf else ([(0, 1)], x01)
-        )
-
-
-def _batched(mats, m):
-    """The strict upper triangles of m x m matrices as one, each cell the list of its values."""
-    return [[[a[k][l] for a in mats] for l in range(k + 1, m)] for k in range(m)]
+        uppers.append([[x01, x02, x03], [x12, x13], [x23], []])
+        expected.append(([(0, 1), (0, 1)], pf) if pf else ([(0, 1)], x01))
+    batch = [[[u[k][l] for u in uppers] for l in range(3 - k)] for k in range(4)]
+    assert _skew_eliminate_many(batch, len(uppers)) == expected
+    assert [_skew_eliminate_many([[[e] for e in row] for row in u], 1)[0] for u in uppers] == expected
+    assert list(map(scalar_skew_eliminate, uppers)) == expected
 
 
 def _congruent(q, s):
@@ -271,13 +288,6 @@ def _congruent(q, s):
     m, w = len(q), len(s)
     qs = [[sum(q[a][c] * s[c][d] for c in range(w)) for d in range(w)] for a in range(m)]
     return [[sum(qs[a][d] * q[b][d] for d in range(w)) for b in range(m)] for a in range(m)]
-
-
-def _skew_batch_matches_scalar(mats, m):
-    uppers = [[row[k + 1 :] for k, row in enumerate(a)] for a in mats]
-    expected = [_skew_eliminate(u) for u in uppers]
-    assert _skew_eliminate_many(_batched(mats, m), len(mats)) == expected
-    return expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -337,6 +347,37 @@ def test_batched_skew_elimination_splits_where_a_pivot_vanishes():
     assert _skew_eliminate_many([[[0, 3], [5, 0]], [[0, 2]], []], 2) == [
         ([(0, 2)], 5), ([(0, 1)], 3)
     ]
+
+
+def test_a_points_elimination_does_not_depend_on_its_batch():
+    # Pencils A0 + s A1 + t A2 of low-rank forms at small integer (s, t), sizes
+    # 0 to 8: a cell can vanish at some points only, so the batch splits.  No
+    # oracle: each point gets the same (pivots, last pivot) in one batch, in
+    # the reversed batch and alone.
+    rng = random.Random(241)
+    seen = Counter()
+    for _ in range(300):
+        m = rng.randint(0, 8)
+        forms = [
+            _skew_of_rank_at_most(
+                [[rng.randint(-1, 1) for _ in range(4)] for _ in range(m)], rng.randint(0, 2)
+            )
+            for _ in range(3)
+        ]
+        points = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 8))]
+        mats = [
+            [[x + s * y + t * z for x, y, z in zip(*rows)] for rows in zip(*forms)]
+            for s, t in points
+        ]
+        together = _skew_eliminate_many(_batched(mats, m), len(mats))
+        assert _skew_eliminate_many(_batched(mats[::-1], m), len(mats)) == together[::-1]
+        assert [_skew_eliminate_many(_batched([a], m), 1)[0] for a in mats] == together
+        pivots = [p for p, _ in together if p]
+        seen["first pivots differ"] += len({p[0] for p in pivots}) > 1
+        seen["part after a common pivot"] += any(
+            p[0] == o[0] and p != o for p, o in combinations(pivots, 2)
+        )
+    assert len(seen) == 2 and min(seen.values()) >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -362,3 +362,55 @@ def test_library_reduces_no_canonical_basis_again():
         "f = nullspace(m=u.basis, ncols=3)\n"
     )
     assert [node.lineno for node in rereduced_bases(stray)] == [1, 2, 3, 6]
+
+
+def pfaffian_loop_reads(tree) -> list:
+    """(node, inside SkewPencil.ranks_along) per read of _skew_eliminate_many."""
+    allowed = {
+        id(inner)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "SkewPencil"
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "ranks_along"
+        for inner in ast.walk(method)
+    }
+    return [
+        (node, id(node) in allowed)
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) == "_skew_eliminate_many"
+    ]
+
+
+def skew_functions(tree) -> list:
+    """The module-level functions whose name starts with _skew."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_skew")
+    ]
+
+
+def test_one_pfaffian_loop_read_only_by_ranks_along():
+    # A single matrix is a batch of one: the library defines one Pfaffian
+    # loop, linalg._skew_eliminate_many, and only SkewPencil.ranks_along
+    # reads it, so a second, scalar path cannot return unnoticed.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    defined = [(name, f) for name, tree in trees.items() for f in skew_functions(tree)]
+    assert defined == [("linalg.py", "_skew_eliminate_many")]
+    reads = [
+        (name, node, inside)
+        for name, tree in trees.items()
+        for node, inside in pfaffian_loop_reads(tree)
+    ]
+    assert any(inside for _, _, inside in reads)
+    assert [f"{name}:{node.lineno}" for name, node, inside in reads if not inside] == []
+    stray = ast.parse(
+        "def _skew_eliminate(u):\n    pass\n"
+        "class SkewPencil:\n"
+        "    def ranks_along(self):\n        return _skew_eliminate_many(r, 2)\n"
+        "    def rank_at(self):\n        return linalg._skew_eliminate_many(r, 1)\n"
+        "def _skew_eliminate_many(r, k):\n    pass\n"
+    )
+    assert skew_functions(stray) == ["_skew_eliminate", "_skew_eliminate_many"]
+    found = sorted((node.lineno, inside) for node, inside in pfaffian_loop_reads(stray))
+    assert found == [(5, True), (7, False)]

@@ -66,6 +66,7 @@ from conftest import (
     pencil_cells,
     random_subspace,
     random_vector,
+    rank_at,
     rational_catalog,
     restricted_algebra,
     sl2_h,
@@ -351,10 +352,13 @@ def test_integer_samples_find_the_so4_rank_drop():
 
 
 def test_walks_longer_than_a_chunk_keep_their_verdicts(monkeypatch):
-    # With WALK_CHUNK = 3 a walk of up to 21 points is ranked in batches of
-    # 3 and a last shorter one.  ranks_along equals rank_at at every point;
-    # the pre-Poisson counterexample is still the first sample whose rank
-    # differs from the base's, and the walk stops after its batch; the
+    # With WALK_CHUNK = 3 a walk of up to 21 points, base first, is ranked in
+    # batches of 3 and a last shorter one; sampled walks of a multiple of 3
+    # points and of one point more are both covered.  ranks_along equals rank_at at
+    # every point; the pre-Poisson test ranks a constant pencil as one batch
+    # of its base alone, and otherwise the walk from its first chunk, which
+    # holds the base; the counterexample is still the first sample whose
+    # rank differs from the base's, and the walk stops after its batch; the
     # verdict, the orbit report and the cosymplectic locus equal those of
     # one batch.
     batches = []
@@ -376,28 +380,30 @@ def test_walks_longer_than_a_chunk_keep_their_verdicts(monkeypatch):
                      cosymplectic_locus(ext, sampling))
         monkeypatch.setattr(submanifold, "WALK_CHUNK", 3)
         points, pencil = c.walk(sampling)[0], c.form
+        chunks = [min(3, len(points) - a) for a in range(0, len(points), 3)]
+        ranks = [rank_at(pencil, t) for t in points]
         batches.clear()
-        assert [r for r, _ in pencil.ranks_along(points)] == list(map(pencil.rank_at, points))
-        assert batches == [min(3, len(points) - a) for a in range(0, len(points), 3)]
+        assert [r for r, _ in pencil.ranks_along(points)] == ranks
+        assert batches == chunks
         batches.clear()
         verdict = pre_poisson_check(c, sampling)
-        base_rank = pencil.rank_at(points[0])
-        jumps = [a for a, t in enumerate(points[1:]) if pencil.rank_at(t) != base_rank]
+        jumps = [a for a, r in enumerate(ranks) if r != ranks[0]]
         if pencil.constant:
-            assert verdict.kind == CERTIFIED_CONSTANT and batches == []
+            assert verdict.kind == CERTIFIED_CONSTANT and batches == [1]
         elif jumps:
             assert verdict.kind == NOT_CONSTANT
-            assert verdict.counterexample[1][0] == c.point_at(points[1 + jumps[0]])
-            assert len(batches) == jumps[0] // 3 + 1
+            assert verdict.counterexample[1][0] == c.point_at(points[jumps[0]])
+            assert batches == chunks[: jumps[0] // 3 + 1]
         else:
-            assert verdict.kind == SAMPLED_CONSTANT
-            assert len(batches) == -(-(len(points) - 1) // 3)
+            assert verdict.kind == SAMPLED_CONSTANT and batches == chunks
         assert verdict == one_batch[0]
         assert transversal_orbit_report(c, sampling) == one_batch[1]
         assert cosymplectic_locus(ext, sampling) == one_batch[2]
         monkeypatch.setattr(submanifold, "WALK_CHUNK", 256)
         seen |= {verdict.kind, ("past the first batch", bool(jumps) and jumps[0] > 2)}
+        seen.add((verdict.kind, len(points) % 3))
     assert {NOT_CONSTANT, SAMPLED_CONSTANT, CERTIFIED_CONSTANT} < seen
+    assert {(SAMPLED_CONSTANT, 0), (SAMPLED_CONSTANT, 1)} < seen
     assert ("past the first batch", True) in seen
 
 
@@ -464,7 +470,7 @@ def test_skew_pencil_matches_sympy():
             form = hm * pi * hm.T
             assert sympy.Matrix(h.dim, h.dim, lambda a, b: pencil_at(pencil, t)[a][b]) == form
             rows = [u.T for u in hm.nullspace()] + [hm.row(a) * pi for a in range(h.dim)]
-            assert codim + pencil.rank_at(_integer_point(t)) == sympy.Matrix.vstack(*rows).rank()
+            assert codim + rank_at(pencil, _integer_point(t)) == sympy.Matrix.vstack(*rows).rank()
 
 
 def _mixed_coordinates(rng, n):
@@ -476,7 +482,7 @@ def _mixed_coordinates(rng, n):
 
 
 def test_integer_pencil_matches_fraction_form_and_sympy():
-    # rank_at works on L * D times the form (L: lcm of t's denominators,
+    # ranks_along works on L * D times the form (L: lcm of t's denominators,
     # D: the pencil's common denominator); pencil_at(t) is the form itself.
     rng = random.Random(47)
     catalog = algebra_catalog()
@@ -498,7 +504,7 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
             for pencil in pencils:
                 form = pencil_at(pencil, t)
                 expected = sympy.Matrix(pencil.size, pencil.size, lambda a, b: form[a][b]).rank()
-                assert pencil.rank_at(_integer_point(t)) == rank(form, pencil.size) == expected
+                assert rank_at(pencil, _integer_point(t)) == rank(form, pencil.size) == expected
                 seen_ranks.add(expected)
             assert pencil_at(pencils[0], t) == tuple(
                 tuple(dot(x, algebra.bracket(u, v)) for v in h.basis) for u in h.basis
@@ -509,8 +515,8 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
 
 
 def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypatch):
-    # A pencil keeps only its entries a < b and is ranked by skew_rank, not
-    # by integer_rank's Bareiss elimination.
+    # A pencil keeps only its entries a < b and is ranked by
+    # _skew_eliminate_many, not by integer_rank's Bareiss elimination.
     rng = random.Random(53)
     monkeypatch.setattr(submanifold, "integer_rank", None)
     for algebra in algebra_catalog():
@@ -523,7 +529,7 @@ def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypa
             stored = [k for terms in pencil.directions for k, _ in terms]
             assert pencil.cells == tuple(pencil_cells(m))
             assert len(pencil.base) == m * (m - 1) // 2 and all(k < len(pencil.base) for k in stored)
-            assert pencil.rank_at(point) == rank(pencil_at(pencil, t), m)
+            assert rank_at(pencil, point) == rank(pencil_at(pencil, t), m)
 
 
 def test_integer_pencils_equal_the_fraction_oracle():
@@ -652,8 +658,8 @@ CATALOG = algebra_catalog()
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_rank_and_point_at_integer_points_match_fractions(data):
-    # At integer points n / L, walked from SampleSpec or drawn directly, rank_at
-    # and ranks_along (over all of them at once) equal the rank of the
+    # At integer points n / L, walked from SampleSpec or drawn directly, ranks_along
+    # at each alone and over all of them at once equals the rank of the
     # Fraction form pencil_at(t), and point_at equals
     # base + sum t_a u_a in Fractions, on C's form and the bivector pencil.
     # Every form vanishes at x = 0, so half the time the base is put where
@@ -681,12 +687,12 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
     points += c.walk(SampleSpec(3, seed, bound))[0]  # the origin, then the samples
     for point in points:
         t = tuple(Fraction(n, point.denominator) for n in point.numerators)
-        assert pencil.rank_at(point) == rank(pencil_at(pencil, t), pencil.size)
+        assert rank_at(pencil, point) == rank(pencil_at(pencil, t), pencil.size)
         x = c.base
         for ta, u in zip(t, c.direction.basis):
             x = vadd(x, vscale(ta, u))
         assert c.point_at(point) == x
-    assert [r for r, _ in pencil.ranks_along(points)] == list(map(pencil.rank_at, points))
+    assert [r for r, _ in pencil.ranks_along(points)] == [rank_at(pencil, t) for t in points]
 
 
 # ---------------------------------------------------------------------------
