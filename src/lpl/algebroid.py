@@ -2,12 +2,16 @@
 
 Only Lie-algebra-level objects are computed: the subalgebroid fiber d inside
 a subalgebra h, coadjoint isotropy algebras, and the constant-orbit-dimension
-criterion for lines and planes meeting the leaves transversely.
+criterion for lines and planes meeting the leaves transversely.  All of them
+read the skew form <x, [., .]>: d is the kernel of C's pencil at the base
+(``base_kernel``, shared with ``extend``), the orbit tangent the row space of
+the bivector, and the orbit report ranks one pencil along C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
@@ -25,14 +29,16 @@ def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
     """d = h intersected with {v : <base, [v, w]> = 0 for all w in h}.
 
     This is the fiber of the subalgebroid attached to C; requires h to be a
-    subalgebra, read as the form on h being constant along C.  A v in h kills
-    coad_w(base) for every w in h iff <base, [v, w]> = 0, so d is the
-    annihilator of ``span_at_base`` = ann(h) + sharp N*_base C.  Its
-    coordinates in h are ``base_kernel``; also reports whether d is a subalgebra.
+    subalgebra, read as the form on h being constant along C.  Its
+    coordinates on h's canonical basis are ``base_kernel``, the kernel of the
+    form at the base, so d is spanned by their combinations of h's integer
+    echelon rows; also reports whether d is a subalgebra.
     """
-    if not c.form.constant:
+    if not c.form.is_constant:
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
-    d = c.span_at_base.annihilator()
+    columns = list(zip(*c.h.integer_echelon[1]))
+    rows = [[sum(map(mul, k, col)) for col in columns] for k in base_kernel(c).integer_echelon[1]]
+    d = Subspace.integer_span(c.algebra.dim, rows)
     return d, is_subalgebra(c.algebra, d)
 
 
@@ -84,7 +90,7 @@ def transversal_orbit_report(
     orbit_dims = tuple((x, orbit_dim) for x, orbit_dim, _ in ranks)
     transversal = tuple((x, s == orbit_dim) for x, orbit_dim, s in ranks)
     dims = {d for _, d in orbit_dims}
-    d, d_sub = algebroid_fiber_d(c) if c.form.constant else (None, None)
+    d, d_sub = algebroid_fiber_d(c) if c.form.is_constant else (None, None)
     return AlgebroidFiberReport(
         d=d,
         d_is_subalgebra=d_sub,

@@ -232,10 +232,7 @@ def parse_problem(
         algebra = _resolve_model(data["model"], base_dir)
     n = algebra.dim
     raw_h = parse_list(data, "h_basis", "problem needs an 'h_basis' list of vectors")
-    try:
-        h = Subspace.span(n, [_parse_vector(v, n, "h_basis vector") for v in raw_h])
-    except DimensionMismatch as exc:
-        raise InputError(str(exc)) from exc
+    h = Subspace.span(n, [_parse_vector(v, n, "h_basis vector") for v in raw_h])
     base = _parse_vector(data.get("lambda", ["0"] * n), n, "'lambda'")
     r = None
     if data.get("R_basis") is not None:
@@ -300,12 +297,8 @@ def _pre_poisson_dict(verdict, c: AffineSubspace) -> dict:
 
 
 def report_validate(problem: Problem) -> dict:
-    report = validate_jacobi(problem.algebra)
-    out = {"command": "validate", "jacobi_ok": report.ok, "dim": problem.algebra.dim}
-    if not report.ok:
-        out["triple"] = list(report.triple)
-        out["residual"] = vector_strs(report.residual)
-    return out
+    # parse_model refuses a model that fails the Jacobi identity (exit 1).
+    return {"command": "validate", "jacobi_ok": True, "dim": problem.algebra.dim}
 
 
 def report_classify(problem: Problem) -> dict:

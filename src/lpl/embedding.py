@@ -104,10 +104,9 @@ def extend(
 
 
 def is_cosymplectic_at(e: Extension, x: Iterable) -> bool:
-    """True iff the skew form <x, [., .]> on p is nondegenerate at x (x must lie on P)."""
-    xv = e.p_tilde.require_point(x)
-    form = [[dot(xv, e.algebra.bracket(a, b)) for b in e.p.basis] for a in e.p.basis]
-    return rank(form) == e.p.dim
+    """True iff the skew form <x, [., .]> on p is nondegenerate at x (x must lie on P):
+    P's ``form`` has rank dim p there."""
+    return e.p_tilde.form_rank_at(x) == e.p.dim
 
 
 @dataclass(frozen=True)

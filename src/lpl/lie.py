@@ -3,10 +3,10 @@
 An algebra is stored only through its nonzero structure constants c_ij^k,
 one row per basis vector e_i listing the e_j with [e_i, e_j] != 0.  The input
 gives [e_i, e_j] for i < j; row j receives the negated constants, so
-antisymmetry holds by construction.  Every product (bracket, coad, the
-bivector, the Jacobi check) is a sum over these constants, and
-coad_apply satisfies <coad_v(x), w> = <x, [v, w]> as an exact identity in
-dual-basis coordinates.
+antisymmetry holds by construction.  Only ``integer_bracket`` and
+``integer_coad`` evaluate a product, over the integer constants Ds c_ij^k;
+``bracket``, ``coad_apply`` and the bivector scale rational arguments over one
+denominator, call them and divide once, so <coad_v(x), w> = <x, [v, w]> exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _scaled_supports,
     mat_vec,
     rref,
     transpose,
@@ -89,7 +90,7 @@ class LieAlgebra:
         return LieAlgebra.from_brackets(dim, {}, labels)
 
     def is_abelian(self) -> bool:
-        return not any(self.structure)
+        return not any(self.integer_structure[1])
 
     @cached_property
     def integer_structure(self) -> tuple[int, IntegerStructure]:
@@ -105,21 +106,13 @@ class LieAlgebra:
         return d, rows
 
     def bracket(self, v: Iterable, w: Iterable) -> Vector:
-        """sum over i, j, k of v_i w_j c_ij^k e_k."""
+        """sum v_i w_j c_ij^k e_k: ``integer_bracket`` of S v and S w over Ds S^2, S their lcm."""
         x, y = vec(v), vec(w)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have the algebra dimension")
-        out = [ZERO] * self.dim
-        for xi, row in zip(x, self.structure):
-            if xi == 0:
-                continue
-            for j, terms in row:
-                if y[j] == 0:
-                    continue
-                f = xi * y[j]
-                for k, c in terms:
-                    out[k] += f * c
-        return tuple(out)
+        s, (sv, sw) = _scaled_supports((x, y))
+        image, d = dict(self.integer_bracket(sv, dict(sw))), self.integer_structure[0] * s * s
+        return tuple(Fraction(image[k], d) if k in image else ZERO for k in range(self.dim))
 
     def integer_bracket(self, v: Sequence[tuple[int, int]], w: Mapping[int, int]) -> list:
         """Ds [v, w] over ``integer_structure`` as its nonzero (k, e), for sparse integer v, w."""
@@ -146,19 +139,14 @@ class LieAlgebra:
         return out
 
     def coad_apply(self, v: Iterable, x: Iterable) -> Vector:
-        """coad_v(x), i.e. the covector w -> <x, [v, w]>: entry j is sum v_i x_k c_ij^k."""
+        """coad_v(x), i.e. the covector w -> <x, [v, w]>: ``integer_coad`` likewise."""
         vv, xv = vec(v), vec(x)
         if len(vv) != self.dim or len(xv) != self.dim:
             raise DimensionMismatch("coad_apply arguments must have the algebra dimension")
-        out = [ZERO] * self.dim
-        for vi, row in zip(vv, self.structure):
-            if vi == 0:
-                continue
-            for j, terms in row:
-                pairing = sum(xv[k] * c for k, c in terms)
-                if pairing:
-                    out[j] += vi * pairing
-        return tuple(out)
+        s = lcm(*(e.denominator for e in vv + xv))
+        row, point = ([e.numerator * (s // e.denominator) for e in u] for u in (vv, xv))
+        (image,), d = self.integer_coad([row], point), self.integer_structure[0] * s * s
+        return tuple(Fraction(e, d) if e else ZERO for e in image)
 
 
 def validate_jacobi(algebra: LieAlgebra) -> ValidationReport:

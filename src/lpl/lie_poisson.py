@@ -248,15 +248,15 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 
 
 def bivector_at(algebra: LieAlgebra, x: Iterable) -> Matrix:
-    """The skew matrix Pi_ij(x) = <x, [e_i, e_j]>."""
-    xv = vec(x)
-    if len(xv) != algebra.dim:
+    """Pi_ij(x) = <x, [e_i, e_j]>: row i is coad_{e_i}(x), one ``integer_coad`` of the identity."""
+    xv, n = vec(x), algebra.dim
+    if len(xv) != n:
         raise DimensionMismatch("point must have the algebra dimension")
-    pi = [[ZERO] * algebra.dim for _ in range(algebra.dim)]
-    for row, terms_of in zip(pi, algebra.structure):
-        for j, terms in terms_of:
-            row[j] = sum((xv[k] * c for k, c in terms), ZERO)
-    return tuple(tuple(row) for row in pi)
+    s = lcm(*(e.denominator for e in xv))
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = algebra.integer_coad(identity, [e.numerator * (s // e.denominator) for e in xv])
+    d = algebra.integer_structure[0] * s
+    return tuple(tuple(Fraction(e, d) if e else ZERO for e in row) for row in rows)
 
 
 def _packed_gradients(n: int, extra: int, *polys: Polynomial):
@@ -274,10 +274,10 @@ def _packed_gradients(n: int, extra: int, *polys: Polynomial):
     weights = [(sum(degrees) + extra) ** l for l in range(n)]
     packed = []
     for p in polys:
-        d = lcm(*(c.denominator for c in p.terms.values()))
+        d, terms = _numerators(p)
         grad: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for expo, c in p.terms.items():
-            key, c = sum(map(mul, expo, weights)), c.numerator * (d // c.denominator)
+        for expo, c in terms:
+            key = sum(map(mul, expo, weights))
             for i, e in enumerate(expo):
                 if e:
                     grad[i].append((key - weights[i], c * e))

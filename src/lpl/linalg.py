@@ -135,6 +135,14 @@ def integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
     return scaled
 
 
+def _scaled_supports(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[int, int]]]]:
+    """S, and the nonzero (j, S v_j) of each vector: S is the lcm of all their denominators."""
+    s = lcm(*(e.denominator for v in vectors for e in v))
+    return s, [
+        [(j, e.numerator * (s // e.denominator)) for j, e in enumerate(v) if e] for v in vectors
+    ]
+
+
 def rank(rows: Iterable[Sequence], ncols: Optional[int] = None) -> int:
     """Rank of a rational matrix: each row is scaled to integers for :func:`integer_rank`."""
     rows = list(rows)

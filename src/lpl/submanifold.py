@@ -31,12 +31,12 @@ from .linalg import (
     InvariantViolation,
     Subspace,
     Vector,
+    _scaled_supports,
     _skew_eliminate_many,
     choose_complement,
     dot,
     integer_rank,
     integer_rows,
-    rank,
     solve,
     unit_vector,
     vec,
@@ -174,6 +174,15 @@ class AffineSubspace:
         """B_h(x) = <x, [h_a, h_b]> along C, as a pencil over the direction basis."""
         return skew_pencil(self, self.h.basis)
 
+    def form_rank_at(self, x: Iterable) -> int:
+        """rank B_h(x) at x on C, from ``form`` at t_a = (x - base)[p_a], p_a the pivots
+        of the direction's canonical basis u_a: x = base + sum t_a u_a."""
+        xv = self.require_point(x)
+        t = [xv[p] - self.base[p] for p in self.direction.pivots]
+        scale = lcm(*(e.denominator for e in t))
+        point = IntegerPoint(scale, tuple(e.numerator * (scale // e.denominator) for e in t))
+        return next(self.form.ranks_along([point]))[0]
+
     def walk(self, sampling: SampleSpec) -> tuple[list[IntegerPoint], Optional[SampleSpec]]:
         """The base, then ``sampling``'s points, and that sampling; a point C is its base alone."""
         d = self.direction.dim
@@ -251,7 +260,7 @@ class SkewPencil:
     directions: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
-    def constant(self) -> bool:
+    def is_constant(self) -> bool:
         """True iff no B_i has a nonzero entry: the form is B0 at every point."""
         return not any(self.directions)
 
@@ -312,14 +321,6 @@ def _layout(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         cells += [(a, b) for b in range(a + 1, m)]
         bounds.append((start, len(cells)))
     return tuple(cells), tuple(bounds)
-
-
-def _scaled_supports(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[int, int]]]]:
-    """S, and the nonzero (j, S v_j) of each vector: S is the lcm of all their denominators."""
-    s = lcm(*(e.denominator for v in vectors for e in v))
-    return s, [
-        [(j, e.numerator * (s // e.denominator)) for j, e in enumerate(v) if e] for v in vectors
-    ]
 
 
 def _pencil(
@@ -387,11 +388,11 @@ def pre_poisson_check(
     time.  The counterexample is the first sample in walk order whose rank
     differs; the walk stops after the chunk that holds it.
     """
-    pencil, codim = c.form, c.direction.dim
-    walk, sampling = ([IntegerPoint.origin(codim)], None) if pencil.constant else c.walk(sampling)
+    pencil, codim, constant = c.form, c.direction.dim, c.form.is_constant
+    walk, sampling = ([IntegerPoint.origin(codim)], None) if constant else c.walk(sampling)
     ranks = (codim + form_rank for form_rank, _ in pencil.ranks_along(walk))
     base_rank = next(ranks)
-    if pencil.constant:
+    if constant:
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=base_rank)
     for t, r in zip(walk[1:], ranks):
         if r != base_rank:
@@ -411,18 +412,22 @@ class PointwiseFlags:
 
 
 def pointwise_flags(c: AffineSubspace, x: Iterable) -> PointwiseFlags:
-    """Characteristic rank, Poisson-Dirac and cosymplectic tests at x in C.
+    """Characteristic rank, Poisson-Dirac and cosymplectic tests at x in C (``_flags``)."""
+    xv = vec(x)
+    form_rank = c.form_rank_at(xv)
+    return _flags(c, _coad_rows_at(c, xv), form_rank)
 
-    Let S be the rows coad_{h_a}(x), so sharp N*_x C is the row space of S,
-    and B_h(x) = S H^T, i.e. <x, [h_a, h_b]>.  A vector of that row space lies
-    in T_x C = ann(h) iff H kills it, so
+
+def _flags(c: AffineSubspace, coad_rows: list[list[int]], form_rank: int) -> PointwiseFlags:
+    """The flags at x from the rows coad_{h_a}(x), times a positive integer, and rank B_h(x).
+
+    Let S be those rows, so sharp N*_x C is the row space of S, and
+    B_h(x) = S H^T, i.e. <x, [h_a, h_b]>.  A vector of that row space lies in
+    T_x C = ann(h) iff H kills it, so
     dim(T_x C cap sharp N*_x C) = rank S - rank B_h(x),
     and T_x C + sharp N*_x C = g* directly iff rank B_h(x) = dim h.
     """
-    xv = c.require_point(x)
-    s = [c.algebra.coad_apply(v, xv) for v in c.h.basis]
-    form_rank = rank([[dot(row, w) for w in c.h.basis] for row in s], c.h.dim)
-    char_rank = rank(s, c.algebra.dim) - form_rank
+    char_rank = integer_rank(coad_rows, c.algebra.dim) - form_rank
     return PointwiseFlags(char_rank, char_rank == 0, form_rank == c.h.dim)
 
 
@@ -447,15 +452,14 @@ def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> Classifi
     coiso = is_coisotropic(c)
     pp = pre_poisson_check(c, sampling)
     ranks = [pp.rank] if pp.rank is not None else [r for _, r in pp.counterexample]
-    form_rank = ranks[0] - c.direction.dim
-    char_rank = integer_rank(c.coad_rows_at_base, c.algebra.dim) - form_rank
+    flags = _flags(c, c.coad_rows_at_base, ranks[0] - c.direction.dim)
     return ClassificationReport(
         coisotropic=coiso,
         pre_poisson=pp,
         generic_rank=max(ranks),
-        characteristic_rank_at_base=char_rank,
-        poisson_dirac_at_base=char_rank == 0,
-        cosymplectic_at_base=form_rank == c.h.dim,
+        characteristic_rank_at_base=flags.characteristic_rank,
+        poisson_dirac_at_base=flags.poisson_dirac,
+        cosymplectic_at_base=flags.cosymplectic,
     )
 
 
@@ -474,7 +478,8 @@ def preimage_construction(
     slice through nu transverse to the coadjoint orbit of the subalgebra,
     which contains C coisotropically.  The slice is spanned by unit covectors
     e_j of h*, j in J, so P = lambda + ann(p) for the rows h_a of h's canonical
-    basis with a not in J: a conormal p inside h, as ``extend`` builds it.
+    basis with a not in J: a conormal p inside h.  Like ``extend``'s, p
+    complements d = ker B_h(lambda) in h, but the two complements in general differ.
     """
     if not is_subalgebra(algebra, h):
         raise NotASubalgebra("preimage construction requires a subalgebra")

@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
@@ -17,16 +18,27 @@ from lpl.embedding import Extension, RankNotConstant, coisotropy_in_extension
 from lpl.lie import NotASubalgebra
 from lpl.lie_poisson import Polynomial
 from lpl.linalg import (
+    ZERO,
     DimensionMismatch,
     choose_complement,
+    dot,
     mat,
+    mat_vec,
+    rank,
     rref,
     solve,
     transpose,
     unit_vector,
     vec,
 )
-from lpl.submanifold import NOT_CONSTANT, AffineSubspace, SkewPencil, _pencil, pre_poisson_check
+from lpl.submanifold import (
+    NOT_CONSTANT,
+    AffineSubspace,
+    PointwiseFlags,
+    SkewPencil,
+    _pencil,
+    pre_poisson_check,
+)
 
 FIXTURES = Path(__file__).parent.parent / "src" / "lpl" / "fixtures"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -80,11 +92,96 @@ def abelian3() -> LieAlgebra:
     return load_model("abelian_3.json")
 
 
+# The Fraction loops over the structure constants that lpl replaced by its
+# integer kernels, LieAlgebra.integer_bracket and integer_coad, and the
+# pointwise tests it now ranks on skew pencils: the oracles those are checked
+# against.
+
+
+def fraction_bracket(algebra: LieAlgebra, v, w):
+    """sum over i, j, k of v_i w_j c_ij^k e_k: the oracle for ``LieAlgebra.bracket``."""
+    x, y = vec(v), vec(w)
+    if len(x) != algebra.dim or len(y) != algebra.dim:
+        raise DimensionMismatch("bracket arguments must have the algebra dimension")
+    out = [ZERO] * algebra.dim
+    for xi, row in zip(x, algebra.structure):
+        if xi == 0:
+            continue
+        for j, terms in row:
+            if y[j] == 0:
+                continue
+            f = xi * y[j]
+            for k, c in terms:
+                out[k] += f * c
+    return tuple(out)
+
+
+def fraction_coad_apply(algebra: LieAlgebra, v, x):
+    """coad_v(x), i.e. the covector w -> <x, [v, w]>: entry j is sum v_i x_k c_ij^k.
+
+    The oracle for ``LieAlgebra.coad_apply``.
+    """
+    vv, xv = vec(v), vec(x)
+    if len(vv) != algebra.dim or len(xv) != algebra.dim:
+        raise DimensionMismatch("coad_apply arguments must have the algebra dimension")
+    out = [ZERO] * algebra.dim
+    for vi, row in zip(vv, algebra.structure):
+        if vi == 0:
+            continue
+        for j, terms in row:
+            pairing = sum(xv[k] * c for k, c in terms)
+            if pairing:
+                out[j] += vi * pairing
+    return tuple(out)
+
+
+def fraction_bivector_at(algebra: LieAlgebra, x):
+    """The skew matrix Pi_ij(x) = <x, [e_i, e_j]>: the oracle for ``bivector_at``."""
+    xv = vec(x)
+    if len(xv) != algebra.dim:
+        raise DimensionMismatch("point must have the algebra dimension")
+    pi = [[ZERO] * algebra.dim for _ in range(algebra.dim)]
+    for row, terms_of in zip(pi, algebra.structure):
+        for j, terms in terms_of:
+            row[j] = sum((xv[k] * c for k, c in terms), ZERO)
+    return tuple(tuple(row) for row in pi)
+
+
+def fraction_pointwise_flags(c, x) -> PointwiseFlags:
+    """Characteristic rank, Poisson-Dirac and cosymplectic tests at x in C.
+
+    Let S be the rows coad_{h_a}(x), so sharp N*_x C is the row space of S,
+    and B_h(x) = S H^T, i.e. <x, [h_a, h_b]>.  A vector of that row space lies
+    in T_x C = ann(h) iff H kills it, so
+    dim(T_x C cap sharp N*_x C) = rank S - rank B_h(x),
+    and T_x C + sharp N*_x C = g* directly iff rank B_h(x) = dim h.
+
+    The oracle for ``pointwise_flags``: S and B_h(x) in Fractions, ranked by
+    ``linalg.rank``, which shares no code with the skew pencil.
+    """
+    xv = c.require_point(x)
+    s = [fraction_coad_apply(c.algebra, v, xv) for v in c.h.basis]
+    form_rank = rank([[dot(row, w) for w in c.h.basis] for row in s], c.h.dim)
+    char_rank = rank(s, c.algebra.dim) - form_rank
+    return PointwiseFlags(char_rank, char_rank == 0, form_rank == c.h.dim)
+
+
+def fraction_is_cosymplectic_at(e, x) -> bool:
+    """True iff the skew form <x, [., .]> on p is nondegenerate at x (x must lie on P).
+
+    The oracle for ``is_cosymplectic_at``: the form paired from Fraction
+    brackets and ranked by ``linalg.rank``.
+    """
+    xv = e.p_tilde.require_point(x)
+    form = [[dot(xv, fraction_bracket(e.algebra, a, b)) for b in e.p.basis] for a in e.p.basis]
+    return rank(form) == e.p.dim
+
+
 def bracket_table(algebra: LieAlgebra):
-    """table[i][j] = coordinates of [e_i, e_j], one basis bracket per cell."""
+    """table[i][j] = coordinates of [e_i, e_j], one Fraction bracket per cell."""
     n = algebra.dim
     e = [unit_vector(n, i) for i in range(n)]
-    return tuple(tuple(algebra.bracket(e[i], e[j]) for j in range(n)) for i in range(n))
+    return tuple(tuple(fraction_bracket(algebra, e[i], e[j]) for j in range(n)) for i in range(n))
 
 
 def sl2_h(sl2: LieAlgebra) -> Subspace:
@@ -209,7 +306,7 @@ def fraction_pencil(c, basis) -> SkewPencil:
     vectors = (c.base, *c.direction.basis)
     terms = [[] for _ in vectors]  # (cell index, pairing) per vector
     for k, (a, b) in enumerate(cells):
-        w = c.algebra.bracket(basis[a], basis[b])
+        w = fraction_bracket(c.algebra, basis[a], basis[b])
         for i, v in enumerate(vectors):
             e = sum((vk * wk for vk, wk in zip(v, w)), Fraction(0))
             if e:
@@ -391,11 +488,46 @@ def in_basis(algebra: LieAlgebra, basis) -> LieAlgebra:
     n = algebra.dim
     columns = transpose(mat(basis))
     brackets = {
-        (i, j): solve(columns, n, algebra.bracket(basis[i], basis[j]))
+        (i, j): solve(columns, n, fraction_bracket(algebra, basis[i], basis[j]))
         for i in range(n)
         for j in range(i + 1, n)
     }
     return LieAlgebra.from_brackets(n, brackets)
+
+
+def unimodular(n: int):
+    """A hypothesis strategy for L U or U L, L unit lower and U unit upper triangular
+    with entries in -2..2 off the diagonal: an integer matrix of determinant 1.
+
+    Both orders are drawn: the first column of L U is that of L, 1 in row 0,
+    so only U L can move the pivot of the image of e_0.
+    """
+    entries = st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)
+
+    def product(drawn):
+        a, b, lower_first = drawn
+        lower = [[a[i * n + j] if j < i else int(i == j) for j in range(n)] for i in range(n)]
+        upper = [[b[i * n + j] if j > i else int(i == j) for j in range(n)] for i in range(n)]
+        left, right = (lower, upper) if lower_first else (upper, lower)
+        return [[sum(left[i][k] * right[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    return st.tuples(entries, entries, st.booleans()).map(product)
+
+
+def rebase(problem, m):
+    """``problem`` (a ``cli.Problem``) in the basis f_i = sum_a M_ia e_a of g, M invertible.
+
+    The model becomes [f_i, f_j] = sum_ab M_ia M_jb [e_a, e_b] in f-coordinates
+    (``in_basis``).  A vector v of g has the f-coordinates c with c M = v, so
+    each row of h is solved for; a covector lambda takes the value
+    <lambda, f_i> = (M lambda)_i on f_i, so lambda and the rows of R become M lambda.
+    """
+    n, rows = problem.algebra.dim, mat(m)
+    h = Subspace.span(n, [solve(transpose(rows), n, v) for v in problem.h.basis])
+    r = None if problem.r is None else Subspace.span(n, [mat_vec(rows, u) for u in problem.r.basis])
+    algebra = in_basis(problem.algebra, rows)
+    return replace(problem, algebra=algebra, h=h, base=mat_vec(rows, problem.base), r=r)
 
 
 # Invertible rational bases of sl2 and gl2.
@@ -447,7 +579,7 @@ def restricted_algebra(algebra: LieAlgebra, h: Subspace) -> LieAlgebra:
     brackets = {}
     for i in range(m):
         for j in range(i + 1, m):
-            w = algebra.bracket(h.basis[i], h.basis[j])
+            w = fraction_bracket(algebra, h.basis[i], h.basis[j])
             coords = coords_of(h, w)
             if coords is None:
                 raise NotASubalgebra("subspace is not closed under the bracket")
@@ -472,8 +604,8 @@ def slice_preimage(algebra: LieAlgebra, h: Subspace, nu):
         return solve(rows, n, vec(mu) + (Fraction(0),) * (n - m))
 
     lam = lift(nu)
-    form = [[sum(x * y for x, y in zip(lam, algebra.bracket(a, b))) for b in h.basis]
-            for a in h.basis]
+    form = [[sum(x * y for x, y in zip(lam, fraction_bracket(algebra, a, b)))
+             for b in h.basis] for a in h.basis]
     slice_dir = choose_complement(Subspace.span(m, fraction_rref(form, m)))
     c = AffineSubspace(algebra, h, lam)
     direction = c.direction.sum(Subspace.span(n, [lift(mu) for mu in slice_dir.basis]))
@@ -512,7 +644,8 @@ def complements_d_in_h(c, p) -> bool:
     h, n = c.h, c.algebra.dim
     if len(fraction_rref([*h.basis, *p.basis], n)) != h.dim:
         return False
-    form = [[sum(x * y for x, y in zip(c.base, c.algebra.bracket(a, b))) for b in h.basis]
+    form = [[sum(x * y for x, y in zip(c.base, fraction_bracket(c.algebra, a, b)))
+             for b in h.basis]
             for a in h.basis]
     coords = [coords_of(h, v) for v in p.basis]
     on_p = [[sum(x * row[j] for x, row in zip(v, form)) for j in range(h.dim)] for v in coords]

@@ -13,12 +13,14 @@ from lpl.algebroid import (
     orbit_tangent,
     transversal_orbit_report,
 )
-from lpl.embedding import Extension, cosymplectic_locus
+from lpl.cli import parse_problem
+from lpl.embedding import Extension, cosymplectic_locus, extend, is_cosymplectic_at
 from lpl.lie import NotASubalgebra, is_subalgebra
-from lpl.lie_poisson import bivector_at
 from lpl.linalg import (
     Subspace,
     dot,
+    mat,
+    mat_vec,
     nullspace,
     transpose,
     unit_vector,
@@ -27,17 +29,30 @@ from lpl.linalg import (
     vscale,
     zero_vector,
 )
-from lpl.submanifold import AffineSubspace, IntegerPoint, SampleSpec, is_coisotropic, skew_pencil
+from lpl.submanifold import (
+    AffineSubspace,
+    IntegerPoint,
+    SampleSpec,
+    is_coisotropic,
+    pointwise_flags,
+    skew_pencil,
+)
 
 from conftest import (
+    FIXTURES,
     algebra_catalog,
     coordinate_subspace,
+    fraction_bivector_at,
+    fraction_bracket,
+    fraction_coad_apply,
     fraction_rref,
     random_subspace,
     random_vector,
     rational_catalog,
+    rebase,
     sl2_h,
     subalgebra_catalog,
+    unimodular,
 )
 
 
@@ -85,6 +100,42 @@ def test_fiber_is_subalgebra_on_random_bases():
             d, d_sub = algebroid_fiber_d(c)
             assert h.contains(d)
             assert d_sub
+
+
+# ---------------------------------------------------------------------------
+# the same answers in every basis of g
+
+FIXTURE_PROBLEMS = {
+    path.name: parse_problem(path.read_text(), base_dir=FIXTURES)
+    for path in sorted(FIXTURES.glob("*.json"))
+    if "h_basis" in path.read_text()
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flags_and_the_fiber_do_not_depend_on_the_basis_of_g(data):
+    # form_rank_at reads a point's direction coordinates at the pivots of a
+    # canonical basis, which a change of basis of g moves.  The flags at the
+    # base and at points of C (x becomes M x) are properties of the set C;
+    # on the four subalgebra fixtures so are the cosymplectic test at P's
+    # base, dim d and whether d is a subalgebra.  The gl2 fixtures, whose h
+    # is not one, give the pencil directions that the flags at points read.
+    problem = FIXTURE_PROBLEMS[data.draw(st.sampled_from(sorted(FIXTURE_PROBLEMS)))]
+    m = data.draw(unimodular(problem.algebra.dim))
+    c, sampling = problem.affine, SampleSpec(2, data.draw(st.integers(0, 99)), bound=3)
+    points = [c.base, *c.sample_points(sampling)]
+
+    def invariants(p, move):
+        c = p.affine
+        flags = [pointwise_flags(c, move(x)) for x in points]
+        if not c.form.is_constant:
+            return flags, None
+        e, (d, d_sub) = extend(c), algebroid_fiber_d(c)
+        return flags, (is_cosymplectic_at(e, e.p_tilde.base), d.dim, d_sub)
+
+    moved = invariants(rebase(problem, m), lambda x: mat_vec(mat(m), x))
+    assert invariants(problem, lambda x: x) == moved
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +187,7 @@ def test_orbit_tangent_matches_bivector_image(sl2):
     for _ in range(10):
         x = random_vector(rng, 3)
         # The column span of Pi(x); orbit_tangent takes the row span.
-        image = Subspace.span(3, transpose(bivector_at(sl2, x)))
+        image = Subspace.span(3, transpose(fraction_bivector_at(sl2, x)))
         assert orbit_tangent(sl2, x) == image
 
 
@@ -182,7 +233,7 @@ def subspace_orbit_report(c, points):
     """Orbit dimension and transversality from the orbit tangent space and an intersection."""
     dims, transversal = [], []
     for x in points:
-        tangent_o = Subspace.span(c.algebra.dim, transpose(bivector_at(c.algebra, x)))
+        tangent_o = Subspace.span(c.algebra.dim, transpose(fraction_bivector_at(c.algebra, x)))
         dims.append((x, tangent_o.dim))
         transversal.append((x, c.direction.intersect(tangent_o).dim == 0))
     return tuple(dims), tuple(transversal)
@@ -191,7 +242,10 @@ def subspace_orbit_report(c, points):
 def subspace_fiber_d(c):
     """d from m^2 pairings <base, [h_i, h_j]> and the kernel combinations of h."""
     algebra, h = c.algebra, c.h
-    rows = [[dot(c.base, algebra.bracket(h.basis[i], w)) for i in range(h.dim)] for w in h.basis]
+    rows = [
+        [dot(c.base, fraction_bracket(algebra, h.basis[i], w)) for i in range(h.dim)]
+        for w in h.basis
+    ]
     vectors = []
     for coords in nullspace(tuple(tuple(r) for r in rows), h.dim):
         v = zero_vector(algebra.dim)
@@ -254,8 +308,8 @@ def split_ranks(c, points):
     found = []
     for t in points:
         x = c.point_at(t)
-        orbit_dim = len(fraction_rref(bivector_at(algebra, x), n))
-        s = len(fraction_rref([algebra.coad_apply(v, x) for v in h.basis], n))
+        orbit_dim = len(fraction_rref(fraction_bivector_at(algebra, x), n))
+        s = len(fraction_rref([fraction_coad_apply(algebra, v, x) for v in h.basis], n))
         found.append((orbit_dim, s))
     assert list(pencil.ranks_along(points, h.dim)) == found
     return found
@@ -358,7 +412,7 @@ def test_report_runs_one_batched_elimination_per_walk_chunk(monkeypatch):
                 assert counts == chunks
                 counts.clear()
                 verdict = submanifold.pre_poisson_check(c, sampling)
-                if c.form.constant:
+                if c.form.is_constant:
                     assert counts == [1]
                 elif verdict.kind == submanifold.NOT_CONSTANT:
                     x = verdict.counterexample[1][0]

@@ -606,6 +606,23 @@ def test_main_names_a_missing_model_file(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", [5, None, True, ["sl2.json"]])
+def test_main_rejects_a_model_that_is_neither_a_path_nor_an_object(capsys, tmp_path, model):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"model": model, "h_basis": [["1", "0", "0"]]}))
+    assert main(["classify", "--problem", str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: 'model' must be a path or an inline model object\n"
+
+
+def test_an_unknown_command_is_an_input_error(capsys):
+    # argparse's choices stop an unknown command before run is reached, and
+    # run refuses one on its own with the InputError that main maps to exit 1.
+    with pytest.raises(InputError, match="unknown command 'frobnicate'"):
+        run("frobnicate", load_fixture_problem("sl2_transverse.json"))
+    assert main(["frobnicate", "--problem", "sl2_transverse.json"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: argument command: invalid choice: 'frobnicate'")
+
+
 @pytest.mark.parametrize("count", [MAX_SAMPLES + 1, -1])
 @pytest.mark.parametrize("where", ["file", "command-line", "model-only"])
 def test_main_rejects_out_of_range_samples(capsys, tmp_path, where, count):

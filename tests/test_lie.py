@@ -35,6 +35,9 @@ from conftest import (
     bracket_table,
     contains_by_rref,
     coordinate_subspace,
+    fraction_bivector_at,
+    fraction_bracket,
+    fraction_coad_apply,
     in_basis,
     load_model,
     random_subspace,
@@ -104,7 +107,7 @@ def test_coad_pairing_identity():
                 coad_x = algebra.coad_apply(v, x)
                 for j in range(n):
                     w = unit_vector(n, j)
-                    assert dot(coad_x, w) == dot(x, algebra.bracket(v, w))
+                    assert dot(coad_x, w) == dot(x, fraction_bracket(algebra, v, w))
 
 
 def test_adjoint_matches_structure_constants(sl2, gl2):
@@ -175,16 +178,16 @@ def test_is_subalgebra_matches_the_bracket_span():
 @given(st.data())
 def test_integer_bracket_and_coad_are_ds_times_the_fraction_ones(data):
     # integer_bracket and integer_coad run on the integer constants Ds c_ij^k,
-    # so on integer vectors they are Ds times bracket and coad_apply.
+    # so on integer vectors they are Ds times the Fraction loops over c_ij^k.
     algebra = data.draw(st.sampled_from(algebra_catalog() + rational_catalog()))
     n, ds = algebra.dim, algebra.integer_structure[0]
     vector = st.lists(st.one_of(st.just(0), st.integers(-30, 30)), min_size=n, max_size=n)
     v, w, x = data.draw(vector), data.draw(vector), data.draw(vector)
     support = [(i, e) for i, e in enumerate(v) if e]
     bracket = sorted(algebra.integer_bracket(support, {j: e for j, e in enumerate(w) if e}))
-    assert bracket == [(k, ds * e) for k, e in enumerate(algebra.bracket(v, w)) if e]
+    assert bracket == [(k, ds * e) for k, e in enumerate(fraction_bracket(algebra, v, w)) if e]
     rows = data.draw(st.lists(vector, max_size=4))
-    expected = [[ds * e for e in algebra.coad_apply(r, x)] for r in rows]
+    expected = [[ds * e for e in fraction_coad_apply(algebra, r, x)] for r in rows]
     assert algebra.integer_coad(rows, x) == expected
 
 
@@ -319,6 +322,24 @@ def test_sparse_kernel_matches_dense_table():
             )
 
 
+KERNEL_CATALOG = algebra_catalog() + rational_catalog()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bracket_coad_and_bivector_match_the_fraction_oracles(data):
+    # bracket, coad_apply and bivector_at scale their rational arguments to
+    # integers over one denominator, run integer_bracket or integer_coad and
+    # divide once; the Fraction loops over the rational constants agree.
+    algebra = data.draw(st.sampled_from(KERNEL_CATALOG))
+    n = algebra.dim
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-20, 20, max_denominator=12))
+    v, w, x = (data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(3))
+    assert algebra.bracket(v, w) == fraction_bracket(algebra, v, w)
+    assert algebra.coad_apply(v, x) == fraction_coad_apply(algebra, v, x)
+    assert bivector_at(algebra, x) == fraction_bivector_at(algebra, x)
+
+
 def _dense_jacobi(algebra):
     # The triple loop over dense brackets that the sparse check replaced.
     n = algebra.dim
@@ -329,10 +350,10 @@ def _dense_jacobi(algebra):
             for k in range(j + 1, n):
                 residual = vadd(
                     vadd(
-                        algebra.bracket(table[i][j], e[k]),
-                        algebra.bracket(table[j][k], e[i]),
+                        fraction_bracket(algebra, table[i][j], e[k]),
+                        fraction_bracket(algebra, table[j][k], e[i]),
                     ),
-                    algebra.bracket(table[k][i], e[j]),
+                    fraction_bracket(algebra, table[k][i], e[j]),
                 )
                 if any(residual):
                     return (False, (i, j, k), residual)

@@ -22,6 +22,7 @@ from conftest import (
     SL2_BASIS,
     algebra_catalog,
     bracket_table,
+    fraction_bivector_at,
     fraction_creations,
     in_basis,
     per_term_parse,
@@ -244,7 +245,7 @@ def test_sharp_is_row_of_bivector():
         for _ in range(8):
             x = random_vector(rng, algebra.dim)
             xi = random_vector(rng, algebra.dim)
-            m = bivector_at(algebra, x)
+            m = fraction_bivector_at(algebra, x)
             expected = vec(
                 [
                     sum(xi[i] * m[i][j] for i in range(algebra.dim))

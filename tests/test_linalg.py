@@ -36,6 +36,7 @@ from conftest import (
     contains_by_rref,
     coordinate_subspace,
     coords_of,
+    fraction_bracket,
     fraction_rref,
     random_subspace,
     random_vector,
@@ -534,7 +535,7 @@ def test_integer_lattice_matches_fraction_formulas(data):
     nudged[data.draw(st.integers(0, n - 1))] += Fraction(1, data.draw(st.integers(1, 5)))
     for w in [zero_vector(n), inside, nudged, *v.basis, *data.draw(vectors)]:
         assert u.contains_vector(w) == (coords_of(u, w) is not None)
-    brackets = [algebra.bracket(a, b) for a, b in combinations(u.basis, 2)]
+    brackets = [fraction_bracket(algebra, a, b) for a, b in combinations(u.basis, 2)]
     assert is_subalgebra(algebra, u) == all(coords_of(u, w) is not None for w in brackets)
 
 

@@ -187,10 +187,12 @@ PUBLIC_API = {
     "LinearMap.image",
     # perfbench/families.py builds the sl_n trace powers with it.
     "Polynomial.scale",
-    # Test vocabulary: h = g, where C is a point, and h = 0; the zero polynomial.
+    # Test vocabulary: h = g, where C is a point, and h = 0; the zero and the
+    # constant polynomials.
     "Subspace.full",
     "Subspace.zero",
     "Polynomial.zero",
+    "Polynomial.constant",
 }
 
 
@@ -414,3 +416,57 @@ def test_one_pfaffian_loop_read_only_by_ranks_along():
     assert skew_functions(stray) == ["_skew_eliminate", "_skew_eliminate_many"]
     found = sorted((node.lineno, inside) for node, inside in pfaffian_loop_reads(stray))
     assert found == [(5, True), (7, False)]
+
+
+# The functions that may read LieAlgebra.structure, the rational constants:
+# the constructors build it, integer_structure scales it once, direct_sum
+# shifts it and serialize_model writes it out.
+STRUCTURE_READERS = {
+    "LieAlgebra.from_brackets",
+    "LieAlgebra.abelian",
+    "LieAlgebra.integer_structure",
+    "direct_sum",
+    "serialize_model",
+}
+
+
+def structure_reads(tree) -> list:
+    """(node, inside a STRUCTURE_READERS function) per read of an attribute named structure."""
+    scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    scopes += [
+        (f"{cls.name}.{method.name}", method)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+    ]
+    allowed = {
+        id(inner) for name, scope in scopes if name in STRUCTURE_READERS for inner in ast.walk(scope)
+    }
+    return [
+        (node, id(node) in allowed)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "structure"
+    ]
+
+
+def test_only_the_integer_kernels_evaluate_a_lie_product():
+    # LieAlgebra.integer_bracket and integer_coad are the library's only
+    # loops over the structure constants, both over integer_structure.  A
+    # loop over the rational term lists would be a second path to a product,
+    # so no other library function reads .structure.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    reads = [
+        (name, node, inside) for name, tree in trees.items() for node, inside in structure_reads(tree)
+    ]
+    assert any(inside for _, _, inside in reads)
+    assert [f"{name}:{node.lineno}" for name, node, inside in reads if not inside] == []
+    stray = ast.parse(
+        "class LieAlgebra:\n"
+        "    def integer_structure(self):\n        return self.structure\n"
+        "    def bracket(self, v):\n        return [row for row in self.structure]\n"
+        "def serialize_model(a):\n    return a.structure\n"
+        "def bivector_at(a, x):\n    structure = a.integer_structure\n    return a.structure\n"
+    )
+    found = sorted((node.lineno, inside) for node, inside in structure_reads(stray))
+    assert found == [(3, True), (5, False), (7, True), (10, False)]

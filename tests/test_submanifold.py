@@ -20,7 +20,6 @@ from lpl.lie import (
     morphism_check,
     subspace_bracket,
 )
-from lpl.lie_poisson import bivector_at
 from lpl.linalg import (
     Subspace,
     choose_complement,
@@ -60,7 +59,11 @@ from conftest import (
     bracket_table,
     coordinate_subspace,
     fraction_arithmetic,
+    fraction_bivector_at,
+    fraction_bracket,
+    fraction_coad_apply,
     fraction_pencil,
+    fraction_pointwise_flags,
     fraction_rref,
     pencil_at,
     pencil_cells,
@@ -193,7 +196,7 @@ def bracket_loop_coisotropy(c):
     algebra, h = c.algebra, c.h
     for i, u in enumerate(h.basis):
         for v in h.basis[i + 1 :]:
-            w = algebra.bracket(u, v)
+            w = fraction_bracket(algebra, u, v)
             if not h.contains_vector(w):
                 return CoisotropyResult(False, ("bracket_escapes", u, v, w))
     for u in subspace_bracket(algebra, h, h).basis:
@@ -237,7 +240,7 @@ def test_non_subalgebra_witness(sl2):
     assert not res
     kind, u, v, w = res.witness
     assert kind == "bracket_escapes"
-    assert w == sl2.bracket(u, v)
+    assert w == fraction_bracket(sl2, u, v)
     assert not h.contains_vector(w)
 
 
@@ -300,7 +303,7 @@ def test_constant_pencil_iff_subalgebra(sl2):
     seen = set()
     for algebra, h in cases:
         c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
-        constant = skew_pencil(c, h.basis).constant
+        constant = skew_pencil(c, h.basis).is_constant
         assert constant == is_subalgebra(algebra, h)
         assert (pre_poisson_check(c, SampleSpec(count=1)).sampling is None) == constant
         assert (transversal_orbit_report(c, SampleSpec(count=1)).d is None) == (not constant)
@@ -388,7 +391,7 @@ def test_walks_longer_than_a_chunk_keep_their_verdicts(monkeypatch):
         batches.clear()
         verdict = pre_poisson_check(c, sampling)
         jumps = [a for a, r in enumerate(ranks) if r != ranks[0]]
-        if pencil.constant:
+        if pencil.is_constant:
             assert verdict.kind == CERTIFIED_CONSTANT and batches == [1]
         elif jumps:
             assert verdict.kind == NOT_CONSTANT
@@ -507,9 +510,9 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
                 assert rank_at(pencil, _integer_point(t)) == rank(form, pencil.size) == expected
                 seen_ranks.add(expected)
             assert pencil_at(pencils[0], t) == tuple(
-                tuple(dot(x, algebra.bracket(u, v)) for v in h.basis) for u in h.basis
+                tuple(dot(x, fraction_bracket(algebra, u, v)) for v in h.basis) for u in h.basis
             )
-            assert pencil_at(pencils[1], t) == bivector_at(algebra, x)
+            assert pencil_at(pencils[1], t) == fraction_bivector_at(algebra, x)
     # The entries really were scaled, and the forms were not all degenerate.
     assert max(seen_denominators) > 9 and {0, 2, 4} <= seen_ranks
 
@@ -639,8 +642,8 @@ def test_span_at_base_keeps_content_free_integer_rows_on_gl6(gl2):
 
 def test_sharp_conormal_is_the_span_of_coad_apply():
     # sharp_conormal_at spans integer coadjoint rows at h's integer echelon
-    # rows; the oracle spans coad_apply(v, x) over h's canonical basis in
-    # Fractions, at the base and at sample points of C.
+    # rows; the oracle spans the Fraction coad_v(x) over h's canonical basis,
+    # at the base and at sample points of C.
     rng = random.Random(83)
     for algebra in algebra_catalog() + rational_catalog():
         n = algebra.dim
@@ -648,7 +651,7 @@ def test_sharp_conormal_is_the_span_of_coad_apply():
             h = Subspace.span(n, [_mixed_coordinates(rng, n) for _ in range(rng.randint(0, n))])
             c = AffineSubspace(algebra, h, _mixed_coordinates(rng, n))
             for x in [c.base] + c.sample_points(SampleSpec(count=3, seed=rng.randrange(100))):
-                images = [algebra.coad_apply(v, x) for v in h.basis]
+                images = [fraction_coad_apply(algebra, v, x) for v in h.basis]
                 assert sharp_conormal_at(c, x).basis == fraction_rref(images, n)
 
 
@@ -756,7 +759,7 @@ def test_flags_match_subspace_intersection(sl2):
     for c, seed in flag_inputs(sl2):
         for x in [c.base] + c.sample_points(SampleSpec(count=2, seed=seed)):
             flags = pointwise_flags(c, x)
-            assert flags == intersect_flags(c, x)
+            assert flags == intersect_flags(c, x) == fraction_pointwise_flags(c, x)
             seen.add((flags.characteristic_rank, flags.cosymplectic))
     assert {rank for rank, _ in seen} >= {0, 1, 2}
     assert {cosymplectic for _, cosymplectic in seen} == {False, True}
@@ -764,8 +767,9 @@ def test_flags_match_subspace_intersection(sl2):
 
 def test_classify_flags_are_pointwise_flags_at_the_base(sl2):
     # classify reads rank B_h(base) from the pre-Poisson verdict's base rank
-    # and takes one rank of the rows coad_{h_a}(base); pointwise_flags
-    # computes both in Fractions.  All three verdict kinds occur.
+    # and takes one rank of the rows coad_{h_a}(base); pointwise_flags ranks
+    # the pencil at the base, and the oracle computes both in Fractions.  All
+    # three verdict kinds occur.
     seen, kinds = set(), set()
     for c, seed in flag_inputs(sl2):
         report = classify(c, SampleSpec(count=2, seed=seed))
@@ -774,7 +778,7 @@ def test_classify_flags_are_pointwise_flags_at_the_base(sl2):
             report.poisson_dirac_at_base,
             report.cosymplectic_at_base,
         )
-        assert flags == pointwise_flags(c, c.base)
+        assert flags == pointwise_flags(c, c.base) == fraction_pointwise_flags(c, c.base)
         seen.add((flags.characteristic_rank, flags.cosymplectic))
         kinds.add(report.pre_poisson.kind)
     assert seen == {(0, False), (0, True), (1, False), (2, False)}
@@ -847,7 +851,9 @@ def test_preimage_slice_at_nonzero_nu_is_transverse_to_the_coad_orbit():
             if not any(nu):
                 continue
             c, p_tilde = preimage_construction(algebra, h, nu)
-            tangent = Subspace.span(m, [sub.coad_apply(unit_vector(m, i), nu) for i in range(m)])
+            tangent = Subspace.span(
+                m, [fraction_coad_apply(sub, unit_vector(m, i), nu) for i in range(m)]
+            )
             restricted = [[dot(u, v) for v in h.basis] for u in p_tilde.direction.basis]
             assert p_tilde.base == c.base
             assert p_tilde.direction.contains(c.direction)
@@ -868,7 +874,7 @@ def test_preimage_form_at_its_base_is_the_subalgebra_bivector_at_nu():
             nu = random_vector(rng, m, bound=5)
             c, _ = preimage_construction(algebra, h, nu)
             tangent = Subspace.span(m, c.form.base_rows())
-            assert tangent == Subspace.span(m, bivector_at(sub, nu))
+            assert tangent == Subspace.span(m, fraction_bivector_at(sub, nu))
             orbit_dims.add(tangent.dim)
     assert 0 in orbit_dims and max(orbit_dims) > 0
 
