@@ -4,8 +4,8 @@ Only Lie-algebra-level objects are computed: the subalgebroid fiber d inside
 a subalgebra h, coadjoint isotropy algebras, and the constant-orbit-dimension
 criterion for lines and planes meeting the leaves transversely.  All of them
 read the skew form <x, [., .]>: d is the kernel of C's pencil at the base
-(``base_kernel``, shared with ``extend``), the orbit tangent the row space of
-the bivector, and the orbit report ranks one pencil along C.
+(``AffineSubspace.base_kernel``), isotropy and orbit tangent the kernel and
+row space of the bivector, and the orbit report ranks one pencil along C.
 """
 
 from __future__ import annotations
@@ -20,31 +20,26 @@ from .lie_poisson import bivector_at
 from .submanifold import AffineSubspace, SampleSpec, skew_pencil
 
 
-def base_kernel(c: AffineSubspace) -> Subspace:
-    """d = ann(TC + sharp N*C) in h, on h's canonical basis: the kernel of ``base_rows``."""
-    return Subspace(c.h.dim, nullspace(c.form.base_rows(), c.h.dim))
-
-
 def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
     """d = h intersected with {v : <base, [v, w]> = 0 for all w in h}.
 
     This is the fiber of the subalgebroid attached to C; requires h to be a
     subalgebra, read as the form on h being constant along C.  Its
-    coordinates on h's canonical basis are ``base_kernel``, the kernel of the
-    form at the base, so d is spanned by their combinations of h's integer
-    echelon rows; also reports whether d is a subalgebra.
+    coordinates on h's canonical basis are ``AffineSubspace.base_kernel``, the
+    kernel of the form at the base, so d is spanned by their combinations of
+    h's integer echelon rows; also reports whether d is a subalgebra.
     """
     if not c.form.is_constant:
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
     columns = list(zip(*c.h.integer_echelon[1]))
-    rows = [[sum(map(mul, k, col)) for col in columns] for k in base_kernel(c).integer_echelon[1]]
+    rows = [[sum(map(mul, k, col)) for col in columns] for k in c.base_kernel.integer_echelon[1]]
     d = Subspace.integer_span(c.algebra.dim, rows)
     return d, is_subalgebra(c.algebra, d)
 
 
 def isotropy_algebra(algebra: LieAlgebra, x: Iterable) -> Subspace:
-    """g_x = {v : <x, [v, w]> = 0 for all w}; the conormal of the orbit at x."""
-    return orbit_tangent(algebra, x).annihilator()
+    """g_x = {v : <x, [v, w]> = 0 for all w}: ker Pi(x), the conormal of the orbit at x."""
+    return Subspace(algebra.dim, nullspace(bivector_at(algebra, x), algebra.dim))
 
 
 def orbit_tangent(algebra: LieAlgebra, x: Iterable) -> Subspace:

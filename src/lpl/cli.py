@@ -370,11 +370,9 @@ def report_pair(problem: Problem) -> dict:
         "pp_in_k": pair.pp_in_k,
         "symmetric_pair": pair.symmetric_pair,
     }
-    if pair.k_subalgebra and pair.decomposition:
-        induced = embedding_mod.induced_structure(ext.algebra, pair)
-        out["induced_structure"] = serialize_model(induced, name="induced")
-    else:
-        out["induced_structure"] = None
+    # Certified constancy makes k + p = g direct and k closed (README, "The induced structure").
+    induced = embedding_mod.induced_structure(ext.algebra, pair)
+    out["induced_structure"] = serialize_model(induced, name="induced")
     return out
 
 

@@ -15,7 +15,6 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional
 
-from .algebroid import base_kernel
 from .lie import LieAlgebra, NotASubalgebra, brackets_in, is_subalgebra, validate_jacobi
 from .linalg import (
     InvariantViolation,
@@ -91,8 +90,9 @@ def extend(
     """
     verdict = pre_poisson_check(c, replace(sampling, count=max(sampling.count, MIN_SAMPLES)))
     if verdict.kind == NOT_CONSTANT:
-        raise RankNotConstant(f"rank differs between sampled points: {verdict.counterexample}")
-    h, d = c.h, base_kernel(c)
+        found = [f"rank {r} at ({', '.join(map(str, x))})" for x, r in verdict.counterexample]
+        raise RankNotConstant(f"rank differs between sampled points: {', '.join(found)}")
+    h, d = c.h, c.base_kernel
     if r is None:
         p = h.select(choose_complement(d).pivots)
     else:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .linalg import (
     ZERO,
@@ -180,24 +180,26 @@ def validate_jacobi(algebra: LieAlgebra) -> ValidationReport:
     return ValidationReport(True)
 
 
-def brackets_in(algebra: LieAlgebra, w: Subspace, pairs: Iterable[tuple]) -> bool:
-    """True iff [a, b] lies in w for each pair (a, b) of integer rows (positive scales keep it)."""
-    if w.dim == algebra.dim:  # every bracket lies in g
-        return True
+def _bracket_rows(algebra: LieAlgebra, pairs: Iterable[tuple]) -> Iterator[list[int]]:
+    """Ds [a, b] as a full integer row, for each pair (a, b) of integer rows, one at a time."""
     for a, b in pairs:
         support = [(i, e) for i, e in enumerate(a) if e]
         image = dict(algebra.integer_bracket(support, dict(enumerate(b))))
-        if not w.contains_integer([image.get(k, 0) for k in range(algebra.dim)]):
-            return False
-    return True
+        yield [image.get(k, 0) for k in range(algebra.dim)]
+
+
+def brackets_in(algebra: LieAlgebra, w: Subspace, pairs: Iterable[tuple]) -> bool:
+    """True iff [a, b] lies in w for each pair (a, b) of integer rows (positive scales keep it)."""
+    return w.dim == algebra.dim or all(map(w.contains_integer, _bracket_rows(algebra, pairs)))
 
 
 def subspace_bracket(algebra: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """Span of [u_i, v_j] over the canonical bases of u and v."""
+    """Span of [u_i, v_j] over the rows of u and v; u == v takes i < j only, as [b, a] = -[a, b]."""
     if u.ambient_dim != algebra.dim or v.ambient_dim != algebra.dim:
         raise DimensionMismatch("subspaces must live in the algebra")
-    products = [algebra.bracket(a, b) for a in u.basis for b in v.basis]
-    return Subspace.span(algebra.dim, products)
+    rows = u.integer_echelon[1]
+    pairs = combinations(rows, 2) if u == v else product(rows, v.integer_echelon[1])
+    return Subspace.integer_span(algebra.dim, _bracket_rows(algebra, pairs))
 
 
 def is_subalgebra(algebra: LieAlgebra, u: Subspace) -> bool:

@@ -174,6 +174,11 @@ class AffineSubspace:
         """B_h(x) = <x, [h_a, h_b]> along C, as a pencil over the direction basis."""
         return skew_pencil(self, self.h.basis)
 
+    @cached_property
+    def base_kernel(self) -> Subspace:
+        """d = ker B_h(base) on h's canonical basis: ann(T_base C + sharp N*_base C) in h."""
+        return Subspace.integer_span(self.h.dim, self.form.base_rows()).annihilator()
+
     def form_rank_at(self, x: Iterable) -> int:
         """rank B_h(x) at x on C, from ``form`` at t_a = (x - base)[p_a], p_a the pivots
         of the direction's canonical basis u_a: x = base + sum t_a u_a."""
@@ -493,7 +498,7 @@ def preimage_construction(
     c = AffineSubspace(algebra, h, lam)
     # <lam, [h_a, h_b]> = nu([h_a, h_b]): C's form at its base is h's
     # Lie-Poisson bivector at nu, and its rows span the orbit tangent there.
-    slice_dir = choose_complement(Subspace.span(h.dim, c.form.base_rows()))
+    slice_dir = choose_complement(Subspace.integer_span(h.dim, c.form.base_rows()))
     p = h.select(a for a in range(h.dim) if a not in slice_dir.pivots)
     return c, AffineSubspace(algebra, p, lam)
 

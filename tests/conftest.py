@@ -624,7 +624,11 @@ def unconditional_extend(c, sampling):
     samples alone."""
     verdict = pre_poisson_check(c, sampling)
     if verdict.kind == NOT_CONSTANT:
-        raise RankNotConstant(f"rank differs between sampled points: {verdict.counterexample}")
+        (x1, r1), (x2, r2) = verdict.counterexample
+        raise RankNotConstant(
+            "rank differs between sampled points: "
+            f"rank {r1} at ({', '.join(map(str, x1))}), rank {r2} at ({', '.join(map(str, x2))})"
+        )
     r = choose_complement(c.span_at_base)
     p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
     ext = Extension(c, p_tilde, verdict.sampling)

@@ -2,12 +2,14 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpl import embedding
-from lpl.algebroid import base_kernel
-from lpl.cli import parse_problem
+from lpl.cli import parse_model, parse_problem
 from lpl.embedding import (
     MIN_SAMPLES,
     ConstancyNotCertified,
@@ -30,6 +32,7 @@ from lpl.linalg import (
     Subspace,
     dot,
     mat_vec,
+    nullspace,
     rank,
     solve,
     transpose,
@@ -42,6 +45,7 @@ from lpl.linalg import (
 from lpl.submanifold import (
     AffineSubspace,
     SampleSpec,
+    classify,
     product,
     sharp_conormal_at,
     skew_pencil,
@@ -64,9 +68,11 @@ from conftest import (
     random_vector,
     rank_at,
     rational_catalog,
+    rebase,
     sl2_h,
     subalgebra_catalog,
     unconditional_extend,
+    unimodular,
 )
 
 GL2_LINE_H = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -86,7 +92,7 @@ def test_choose_r_gl2_at_regular_point(gl2):
     # h-coordinate 2, and the greedy p keeps the canonical rows b and c of h.
     # The complement R of TC + sharp N*C = the a, b, c coordinates that the
     # greedy rule picks in g*, the d axis, gives the same p.
-    assert base_kernel(c) == Subspace.span(3, [[0, 0, 1]])
+    assert c.base_kernel == Subspace.span(3, [[0, 0, 1]])
     p = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
     assert extend(c).p == extend(c, r=Subspace.span(4, [[0, 0, 0, 1]])).p == p
 
@@ -94,7 +100,7 @@ def test_choose_r_gl2_at_regular_point(gl2):
 def test_choose_r_point_case_full_rank(sl2):
     # B_h(base) is nonsingular: d = 0, p = h, and the only complement R is 0.
     c = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
-    assert base_kernel(c) == Subspace.zero(c.h.dim)
+    assert c.base_kernel == Subspace.zero(c.h.dim)
     assert extend(c).p == extend(c, r=Subspace.zero(3)).p == c.h
 
 
@@ -389,6 +395,42 @@ def test_certified_k_with_cosymplectic_point_is_symmetric():
         assert report.kp_in_p
 
 
+@cache
+def named_subalgebras() -> list:
+    """(algebra, h) for the Borel, Cartan, so, parabolic and nilradical subalgebras
+    of gl3, sl3 and gl4, built as the benchmark's workloads build them."""
+    with pytest.MonkeyPatch.context() as patch:
+        fam = load_perfbench(patch, "families")
+    cases = []
+    for model, n, sub in ((fam.gl(3), 3, fam.gl_subalgebra), (fam.sl(3), 3, fam.sl_subalgebra),
+                          (fam.gl(4), 4, fam.gl_subalgebra)):
+        algebra = parse_model(model)
+        kinds = (("borel", ()), ("cartan", ()), ("so", ()), ("nilradical", ()),
+                 ("parabolic", (1, n - 1)), ("parabolic", (n - 1, 1)))
+        cases += [(algebra, Subspace.span(algebra.dim, sub(n, *kind))) for kind in kinds]
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certified_constancy_gives_the_direct_sum_and_a_closed_k(data):
+    # p complements d in h, so B_p(base) is nondegenerate: dim k = n - dim p
+    # and k meets p in 0.  Constancy gives [k, p] in p, and Jacobi then
+    # <base, [p, [k, k]]> = 0, so k is closed: pair prints an induced
+    # structure on every certified extension.  Half the draws keep the base
+    # on the diagonal coordinates, where most of the certified ones are.
+    algebra, h = data.draw(st.sampled_from(named_subalgebras()))
+    diagonal = data.draw(st.booleans())
+    entry = st.integers(-3, 3)
+    base = [data.draw(entry) if not diagonal or label[0] == "H" or label[1] == label[2] else 0
+            for label in algebra.labels]
+    e = extend(AffineSubspace(algebra, h, vec(base)))
+    if e.constancy.certified:
+        pair = symmetric_pair_analysis(e)
+        assert pair.decomposition and pair.k_subalgebra and pair.kp_in_p
+        assert induced_structure(algebra, pair).dim == algebra.dim - e.p.dim
+
+
 def test_constancy_is_k_normalizing_p():
     # With K = sharp N*_base P and k = ann(K), coad_v(u) pairs with w in k
     # to <u, [v, w]> up to sign; so coad_v(u) lies in K for every u in the
@@ -623,7 +665,7 @@ def test_extend_forms_only_the_first_failing_point(gl2, monkeypatch):
     with pytest.raises(RankNotConstant) as refusal:
         extend(c, sampling=spec)
     assert formed == [first]
-    assert str(original(c, first)) in str(refusal.value)
+    assert f"at ({', '.join(map(str, original(c, first)))})" in str(refusal.value)
 
 
 def test_extend_walks_eight_points_with_the_callers_seed_and_bound(gl2, monkeypatch):
@@ -653,7 +695,7 @@ def test_extend_refuses_a_jump_that_a_shorter_verdict_missed(gl2):
     assert unconditional_extend(c, spec).sampling == spec
     with pytest.raises(RankNotConstant) as refusal:
         extend(c, sampling=spec)
-    assert f"({zero_vector(4)}, 1)" in str(refusal.value)
+    assert str(refusal.value).endswith("rank 1 at (0, 0, 0, 0)")
 
 
 def extension_cases(rng):
@@ -909,3 +951,71 @@ def test_coisotropy_in_extension_matches_pointwise_formula():
         assert [(e.c.point_at(t), ok) for t, ok in checks] == reference_coisotropy(e, spec)
         outcomes.update(ok for _, ok in checks)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the same answers in every basis of g
+
+
+@cache
+def rebasing_problems() -> list:
+    """The bundled problems whose h is a subalgebra, and the extend-pair
+    workload's subalgebra problems of dim <= 9 at seed 3: gl3 and sl3 Borel,
+    Cartan, so and parabolic with a diagonal base, nilradical and so with a
+    generic one, and the Heisenberg centres h3 to h9."""
+    problems = [problem for _, problem in bundled_problems()]
+    with pytest.MonkeyPatch.context() as patch:
+        builder = load_perfbench(patch, "workloads").WORKLOADS["extend-pair"](random.Random(3))
+    for name in dict.fromkeys(op.problem for op in builder.ops):
+        data = builder.files[name]
+        if isinstance(data.get("model"), str) and data["model"] in builder.files:
+            algebra = parse_model(builder.files[data["model"]])
+            problems.append(parse_problem(data, model_override=algebra))
+    return [p for p in problems if p.algebra.dim <= 9 and is_subalgebra(p.algebra, p.h)]
+
+
+def lie_invariants(algebra: LieAlgebra) -> tuple:
+    """The dimension, the dimensions of the derived series and that of the centre."""
+    n = algebra.dim
+    series = [Subspace.full(n)]
+    while (derived := subspace_bracket(algebra, series[-1], series[-1])) != series[-1]:
+        series.append(derived)
+    e = [unit_vector(n, i) for i in range(n)]
+    # Row (j, k) holds c_ij^k over i: the centre is its kernel.
+    ad = [[fraction_bracket(algebra, e[i], e[j])[k] for i in range(n)]
+          for j in range(n) for k in range(n)]
+    return n, [u.dim for u in series], len(nullspace(ad, n))
+
+
+def basis_free_answers(problem) -> tuple:
+    """The certified answers of classify, extend and pair, and the induced
+    structure's isomorphism invariants: properties of the sets C and P."""
+    c, sampling = problem.affine, problem.sampling
+    rep = classify(c, sampling)
+    witness = rep.coisotropic.witness
+    classified = (
+        rep.coisotropic.coisotropic, witness and witness[0], rep.pre_poisson.kind,
+        rep.pre_poisson.rank, rep.generic_rank, rep.characteristic_rank_at_base,
+        rep.poisson_dirac_at_base, rep.cosymplectic_at_base,
+    )
+    e = extend(c, problem.r, sampling)
+    locus = cosymplectic_locus(e, sampling)
+    extended = (e.p.dim, locus.never_cosymplectic, locus.cosymplectic_at_base,
+                e.constancy.certified)
+    if not e.constancy.certified:
+        return classified, extended, None
+    pair = symmetric_pair_analysis(e)
+    flags = (pair.k.dim, pair.decomposition, pair.k_subalgebra, pair.kp_in_p, pair.pp_in_k)
+    return classified, extended, (flags, lie_invariants(induced_structure(e.algebra, pair)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_certified_answers_do_not_depend_on_the_basis_of_g(data):
+    # Every greedy choice (the complement p of d, the walk's direction basis)
+    # is made in g's coordinates; the certified answers must not move when g
+    # is written in another basis.  The non-subalgebra fixtures are left
+    # out: there a sampled verdict can change with the basis.
+    problem = data.draw(st.sampled_from(rebasing_problems()))
+    m = data.draw(unimodular(problem.algebra.dim))
+    assert basis_free_answers(rebase(problem, m)) == basis_free_answers(problem)

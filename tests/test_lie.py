@@ -176,6 +176,21 @@ def test_is_subalgebra_matches_the_bracket_span():
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
+def test_subspace_bracket_spans_the_fraction_brackets_of_every_basis_pair(data):
+    # subspace_bracket brackets integer echelon rows, and for u == v only the
+    # pairs a < b; the oracle spans the Fraction bracket of every pair of
+    # canonical basis vectors, [a, a] and both orders included.
+    algebra = data.draw(st.sampled_from(algebra_catalog() + rational_catalog()))
+    n = algebra.dim
+    rows = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n)
+    u = Subspace.span(n, data.draw(rows))
+    v = u if data.draw(st.booleans()) else Subspace.span(n, data.draw(rows))
+    expected = [fraction_bracket(algebra, a, b) for a in u.basis for b in v.basis]
+    assert subspace_bracket(algebra, u, v) == Subspace.span(n, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
 def test_integer_bracket_and_coad_are_ds_times_the_fraction_ones(data):
     # integer_bracket and integer_coad run on the integer constants Ds c_ij^k,
     # so on integer vectors they are Ds times the Fraction loops over c_ij^k.

@@ -129,6 +129,76 @@ def test_readme_library_example_runs(monkeypatch):
     exec(compile(code, "README.md", "exec"), {})
 
 
+# Each library module's layer.  A module imports only from lower layers, so
+# two modules of one layer never import each other.
+LAYERS = {
+    "linalg": 0,
+    "lie": 1,
+    "lie_poisson": 2,
+    "submanifold": 2,
+    "embedding": 3,
+    "algebroid": 3,
+    "cli": 4,
+    "__init__": 5,
+    "__main__": 5,
+}
+
+
+def library_imports(tree) -> list:
+    """(line, module) per import of a library module: ``from .x import y``,
+    ``from . import x as y`` and their absolute ``lpl`` forms."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = [] if node.module is None else node.module.split(".")
+            if not node.level:
+                if parts[:1] != ["lpl"]:
+                    continue
+                parts = parts[1:]
+            names = parts[:1] or [alias.name for alias in node.names]
+            found += [(node.lineno, name) for name in names]
+        elif isinstance(node, ast.Import):
+            found += [
+                (node.lineno, alias.name.split(".")[1])
+                for alias in node.names
+                if alias.name.startswith("lpl.")
+            ]
+    return found
+
+
+def layer_breaches(trees: dict) -> list:
+    """``module:line imported`` per import of a module that is not in a lower layer."""
+    return [
+        f"{name}:{line} {imported}"
+        for name, tree in trees.items()
+        for line, imported in library_imports(tree)
+        if LAYERS[imported] >= LAYERS[name]
+    ]
+
+
+def test_library_modules_import_only_from_lower_layers():
+    # linalg < lie < {lie_poisson, submanifold} < {embedding, algebroid} < cli
+    # < {__init__, __main__}: every module has a layer, and no import goes
+    # sideways or up.
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert sorted(trees) == sorted(LAYERS)
+    assert all(library_imports(tree) for name, tree in trees.items() if name != "linalg")
+    assert layer_breaches(trees) == []
+    stray = {
+        "lie": ast.parse("from .linalg import Subspace\nfrom . import lie_poisson\n"),
+        "embedding": ast.parse(
+            "from .algebroid import d\nfrom . import submanifold as s\nimport lpl.cli\n"
+        ),
+        "algebroid": ast.parse("from lpl.embedding import extend\nfrom lpl import linalg\n"),
+    }
+    assert layer_breaches(stray) == [
+        "lie:2 lie_poisson",
+        "embedding:1 algebroid",
+        "embedding:3 cli",
+        "algebroid:1 embedding",
+    ]
+
+
 def load_tracing():
     """The benchmark's tracer module, loaded by path: perfbench is not a package."""
     path = Path(__file__).parent.parent / "perfbench" / "tracing.py"

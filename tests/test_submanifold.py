@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lpl import submanifold
 from lpl.algebroid import transversal_orbit_report
+from lpl.cli import parse_problem
 from lpl.embedding import Extension, cosymplectic_locus
 from lpl.lie import (
     LieAlgebra,
@@ -54,6 +55,7 @@ from lpl.submanifold import (
 )
 
 from conftest import (
+    FIXTURES,
     algebra_catalog,
     bivector_pencil,
     bracket_table,
@@ -189,6 +191,23 @@ def test_coisotropic_iff_subalgebra_plus_character():
             res = is_coisotropic(bad)
             assert not res
             assert res.witness[0] == "character_fails"
+
+
+def test_classify_takes_no_rational_bracket(monkeypatch):
+    # The character_fails witness of sl2_transverse spans [h, h] from the
+    # integer bracket rows; LieAlgebra.bracket, the rational one, is not called.
+    calls = []
+    original = LieAlgebra.bracket
+
+    def counted(self, v, w):
+        calls.append((v, w))
+        return original(self, v, w)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    problem = parse_problem((FIXTURES / "sl2_transverse.json").read_text(), base_dir=FIXTURES)
+    report = classify(problem.affine, problem.sampling)
+    assert report.coisotropic.witness == ("character_fails", vec([0, 1, -1]))
+    assert calls == []
 
 
 def bracket_loop_coisotropy(c):
