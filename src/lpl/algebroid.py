@@ -52,6 +52,12 @@ def orbit_tangent(algebra: LieAlgebra, x: Iterable) -> Subspace:
 
 @dataclass(frozen=True)
 class AlgebroidFiberReport:
+    """The fiber d and the orbit through each point of C's walk.
+
+    The points come from ``AffineSubspace.point_at``: an integral entry is an
+    ``int``, any other a Fraction.
+    """
+
     d: Optional[Subspace]  # None when h is not a subalgebra
     d_is_subalgebra: Optional[bool]
     orbit_dims: tuple[tuple[Vector, int], ...]  # (point, dim of orbit through it)

@@ -1,8 +1,12 @@
 """Exact rational linear algebra.
 
-Vectors and matrices are immutable tuples of ``fractions.Fraction``; a
-:class:`Subspace` is stored through its reduced row-echelon basis, which is a
-canonical representative, so value equality of subspaces is plain ``==``.
+Vectors and matrices are immutable tuples of ``fractions.Fraction``, with
+one exception: a point from ``AffineSubspace.point_at`` carries its integral
+entries as ``int`` (equal, and equal in ``str`` and ``hash``, to the
+Fraction), and :func:`vec` makes every entry a Fraction where a point enters
+the library.  A :class:`Subspace` is stored through its reduced row-echelon
+basis, which is a canonical representative, so value equality of subspaces is
+plain ``==``.
 No floating point is used anywhere.
 
 Fraction-free integer kernels do the eliminations: the Bareiss loop
@@ -27,6 +31,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
+# Fractions, except the int entries of a point from AffineSubspace.point_at.
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 

@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .lie import LieAlgebra, LinearMap, NotASubalgebra, direct_sum, is_subalgebra, subspace_bracket
 from .linalg import (
-    ZERO,
     DimensionMismatch,
     InvariantViolation,
     Subspace,
@@ -145,8 +144,11 @@ class AffineSubspace:
     def point_at(self, point: IntegerPoint) -> Vector:
         """base + sum t_a u_a over the canonical basis u of the direction.
 
-        With t_a = n_a / L, the point is (L T base + sum_a n_a T u_a) / (L T):
-        integers until one Fraction per coordinate.
+        With t_a = n_a / L, the point is (L T base + sum_a n_a T u_a) / (L T),
+        summed in integers.  An entry whose value is an integer stays an
+        ``int`` (every entry when L T = 1); the others are Fractions.  The two
+        types agree in ``str``, ``==`` and ``hash``, and ``vec`` makes every
+        entry a Fraction again where a point enters the library.
         """
         scale, numerators = point
         frame, rows = self._integer_frame
@@ -156,7 +158,9 @@ class AffineSubspace:
                 for j, e in row:
                     x[j] += na * e
         d = scale * frame
-        return tuple(Fraction(s, d) if s else ZERO for s in x)
+        if d == 1:
+            return tuple(x)
+        return tuple(Fraction(s, d) if s % d else s // d for s in x)
 
     @cached_property
     def coad_rows_at_base(self) -> list[list[int]]:

@@ -861,6 +861,62 @@ def test_main_polynomial_commands_exit_cleanly(f, g):
         assert code in (EXIT_OK, EXIT_INPUT_ERROR)
 
 
+# Report-like JSON values: str keys and strings with quotes, backslashes,
+# control and non-ASCII characters, ints past 2**64 either side, and
+# possibly empty dicts, lists and tuples at any depth.
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'), st.characters()),
+    max_size=5,
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64 - 2, 2**80),
+    st.integers(-(2**80), -1),
+    _JSON_TEXT,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_JSON_TEXT, max_size=4),
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_render_json_writes_the_bytes_of_json_dumps(value):
+    assert render_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), {"1"}], ids=["float", "Fraction", "set"])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda v: v,
+        lambda v: {"a": [{"b": v}]},
+        lambda v: ["1", "2", v],
+        lambda v: ("x", [1, v]),
+    ],
+    ids=["alone", "nested", "after_strings", "in_a_tuple"],
+)
+def test_render_json_refuses_a_value_outside_a_report(bad, place):
+    # json.dumps writes a float; a report never holds one, so the writer refuses it.
+    with pytest.raises(TypeError):
+        render_json(place(bad))
+
+
+@pytest.mark.parametrize("key", [1, 0.5, None, True])
+def test_render_json_refuses_a_key_that_is_not_a_str(key):
+    with pytest.raises(TypeError):
+        render_json({"a": {key: "1"}})
+
+
 def test_render_human_nested():
     text = render_human({"a": {"b": 1}, "c": [{"d": "x"}], "e": True})
     assert "a:" in text and "b: 1" in text and "e: True" in text

@@ -199,6 +199,33 @@ def test_library_modules_import_only_from_lower_layers():
     ]
 
 
+def json_writer_reads(tree) -> list:
+    """Lines that read json.dump or json.dumps, as an attribute or imported by name."""
+    writers = {"dump", "dumps"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [node.lineno for alias in node.names if alias.name in writers]
+        elif isinstance(node, ast.Attribute) and node.attr in writers:
+            if isinstance(node.value, ast.Name) and node.value.id == "json":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_render_json_is_the_only_writer_of_report_bytes():
+    # cli.render_json writes the bytes of json.dumps(sort_keys=True, indent=2)
+    # itself, so no library module calls json.dumps; json.loads still reads input.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert "render_json" in references(trees["cli.py"])
+    found = [f"{name}:{line}" for name, tree in trees.items() for line in json_writer_reads(tree)]
+    assert found == []
+    stray = ast.parse(
+        "import json\nfrom json import dumps as d\ns = json.dumps(r)\n"
+        "t = json.loads(s)\njson.dump(r, f)\nx.dumps(r)\n"
+    )
+    assert json_writer_reads(stray) == [2, 3, 5]
+
+
 def load_tracing():
     """The benchmark's tracer module, loaded by path: perfbench is not a package."""
     path = Path(__file__).parent.parent / "perfbench" / "tracing.py"

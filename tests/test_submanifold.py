@@ -677,13 +677,27 @@ def test_sharp_conormal_is_the_span_of_coad_apply():
 CATALOG = algebra_catalog()
 
 
+def assert_point_at_matches_fractions(c, point):
+    """point_at equals base + sum t_a u_a in Fractions, and an entry is an int
+    exactly where that sum is an integer."""
+    t = tuple(Fraction(n, point.denominator) for n in point.numerators)
+    x = c.base
+    for ta, u in zip(t, c.direction.basis):
+        x = vadd(x, vscale(ta, u))
+    got = c.point_at(point)
+    assert got == x
+    assert [type(e) is int for e in got] == [e.denominator == 1 for e in x]
+    return t
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_rank_and_point_at_integer_points_match_fractions(data):
     # At integer points n / L, walked from SampleSpec or drawn directly, ranks_along
     # at each alone and over all of them at once equals the rank of the
     # Fraction form pencil_at(t), and point_at equals
-    # base + sum t_a u_a in Fractions, on C's form and the bivector pencil.
+    # base + sum t_a u_a in Fractions, on C's form and the bivector pencil,
+    # with its integral entries as ints.
     # Every form vanishes at x = 0, so half the time the base is put where
     # the drawn numerators over L = 1 reach 0: there the point n / 1 is
     # degenerate and n / L, for L > 1, in general is not.
@@ -708,13 +722,27 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
     points = [IntegerPoint(1, numerators), IntegerPoint(scale, numerators)]
     points += c.walk(SampleSpec(3, seed, bound))[0]  # the origin, then the samples
     for point in points:
-        t = tuple(Fraction(n, point.denominator) for n in point.numerators)
+        t = assert_point_at_matches_fractions(c, point)
         assert rank_at(pencil, point) == rank(pencil_at(pencil, t), pencil.size)
-        x = c.base
-        for ta, u in zip(t, c.direction.basis):
-            x = vadd(x, vscale(ta, u))
-        assert c.point_at(point) == x
     assert [r for r, _ in pencil.ranks_along(points)] == [rank_at(pencil, t) for t in points]
+
+
+def test_point_at_over_a_rational_frame_mixes_int_and_fraction_entries(sl2):
+    # h = span{e1, e2 + 3/2 e3} has direction u = (0, 1, -2/3), so the frame
+    # T is 3.  At t = n / L the middle entry 1 + n / L is an int iff L divides
+    # n and the last, -2n / 3L, iff 3L divides 2n: L = 1, 2 and n = -6..6 meet
+    # all four combinations.
+    h = Subspace.span(3, [[1, 0, 0], [0, 1, Fraction(3, 2)]])
+    c = AffineSubspace(sl2, h, vec([5, 1, 0]))
+    assert c.direction.basis == (vec([0, 1, Fraction(-2, 3)]),)
+    assert c._integer_frame[0] == 3
+    kinds = set()
+    for scale in (1, 2):
+        for n in range(-6, 7):
+            point = IntegerPoint(scale, (n,))
+            assert_point_at_matches_fractions(c, point)
+            kinds.add(tuple(map(type, c.point_at(point))))
+    assert kinds == {(int, a, b) for a in (int, Fraction) for b in (int, Fraction)}
 
 
 # ---------------------------------------------------------------------------
