@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, is_subalgebra
-from .linalg import Subspace, Vector, nullspace, unit_vector, vec
+from .linalg import Subspace, Vector, nullspace, vec
 from .lie_poisson import bivector_at
 from .submanifold import AffineSubspace, SampleSpec, skew_pencil
 
@@ -84,8 +84,9 @@ def transversal_orbit_report(
     point of the walk.
     """
     h, n = c.h, c.algebra.dim
-    e = [unit_vector(n, j) for j in range(n) if j not in h.pivots]
-    pencil = skew_pencil(c, [*h.basis, *e])
+    d, rows = h.integer_echelon
+    e = [[d * (i == j) for i in range(n)] for j in range(n) if j not in h.pivots]
+    pencil = skew_pencil(c, d, [*rows, *e])
     points, sampling = c.walk(sampling)
     ranks = [(c.point_at(t), *r) for t, r in zip(points, pencil.ranks_along(points, h.dim))]
     orbit_dims = tuple((x, orbit_dim) for x, orbit_dim, _ in ranks)

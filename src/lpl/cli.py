@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -50,6 +51,8 @@ MAX_DIM = 64
 MAX_SAMPLES = 100_000
 # str() refuses an integer of more than MAX_RATIONAL_CHARS digits.
 _PRINT_LIMIT = 10**MAX_RATIONAL_CHARS
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 class InputError(ValueError):
@@ -103,8 +106,16 @@ def parse_list(data: dict, key: str, what: str, default=None) -> list:
 
 
 def _check_digits(numbers, what: str) -> None:
-    """Every number a report prints passes here: str() refuses over MAX_RATIONAL_CHARS digits."""
-    if any(abs(x.numerator) >= _PRINT_LIMIT or x.denominator >= _PRINT_LIMIT for x in numbers):
+    """Every number a report prints passes here: str() refuses over MAX_RATIONAL_CHARS digits.
+
+    Some numerator or denominator reaches the limit iff the largest of them
+    does, so one ``max`` over each, both C loops, decides it exactly.
+    """
+    numbers = tuple(numbers)
+    if numbers and (
+        max(map(abs, map(_numerator, numbers))) >= _PRINT_LIMIT
+        or max(map(_denominator, numbers)) >= _PRINT_LIMIT
+    ):
         raise InputError(f"{what} has more than {MAX_RATIONAL_CHARS} digits")
 
 

@@ -13,18 +13,19 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, brackets_in, is_subalgebra, validate_jacobi
 from .linalg import (
+    ZERO,
     InvariantViolation,
     Subspace,
     Vector,
+    _scaled_supports,
     choose_complement,
-    dot,
-    rank,
+    integer_rank,
     solve,
-    zero_vector,
 )
 from .submanifold import (
     NOT_CONSTANT,
@@ -97,8 +98,9 @@ def extend(
         p = h.select(choose_complement(d).pivots)
     else:
         p = c.direction.sum(r).annihilator()  # h cap ann(R)
-        coords = [[v[j] for j in h.pivots] for v in p.basis]
-        if r.dim != d.dim or rank([*coords, *d.basis], h.dim) != p.dim + d.dim:
+        coords = [[v[j] for j in h.pivots] for v in p.integer_echelon[1]]
+        independent = integer_rank([*coords, *d.integer_echelon[1]], h.dim) == p.dim + d.dim
+        if r.dim != d.dim or not independent:
             raise NotComplementary("R must complement TC + sharp N*C at the base point")
     return Extension(c, AffineSubspace(c.algebra, p, c.base), verdict.sampling)
 
@@ -134,7 +136,7 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
     """
     if e.p.dim % 2 == 1:
         return LocusReport(True, False, 0, (), None)
-    if not e.p.basis:
+    if not e.p.dim:
         return LocusReport(False, True, 0, (), None)
     points, sampling = e.p_tilde.walk(sampling)
     at_base, *full = (r == e.p.dim for r, _ in e.p_tilde.form.ranks_along(points))
@@ -165,9 +167,10 @@ def constant_sharp_conormal(e: Extension) -> ConstancyResult:
     k_ann = sharp_conormal_at(e.p_tilde, e.p_tilde.base)
     direction, p_rows = e.p_tilde.direction, e.p.integer_echelon[1]
     images = [e.algebra.integer_coad(p_rows, u) for u in direction.integer_echelon[1]]
-    for a, v in enumerate(e.p.basis):
-        for b, u in enumerate(direction.basis):
-            if not k_ann.contains_integer(images[b][a]):
+    for a in range(e.p.dim):
+        for b, image in enumerate(images):
+            if not k_ann.contains_integer(image[a]):
+                v, u = e.p.basis[a], direction.basis[b]
                 return ConstancyResult(witness=(v, u, e.algebra.coad_apply(v, u)))
     return ConstancyResult(k_ann=k_ann)
 
@@ -209,31 +212,34 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
     """The linear Poisson structure induced on p-ann, as a Lie algebra.
 
     Coordinates on the extension correspond to the elements khat_i of k dual
-    to the canonical basis u of p-ann, so c_ij^l = <u_l, [khat_i, khat_j]>:
-    direction l of the skew pencil on the khat along 0 + p-ann, divided by
-    its denominator.  Pairing with p-ann ignores the p component of a
-    bracket, so nothing is projected to k.  Requires the pair report to have
-    found k + p = g directly and k a subalgebra.
+    to the canonical basis u = R_u / d_u of p-ann, so c_ij^l = <u_l, [khat_i,
+    khat_j]>.  All of it runs on the integer echelon rows: with R_k those of
+    k and the integer Gram matrix G = R_k R_u^T, one elimination of [G | R_k]
+    solves G X = R_k, and khat = d_u X.  With Y = s X integer rows,
+    c_ij^l = d_u <R_u,l, Ds [Y_i, Y_j]> / (s^2 Ds).  Pairing with p-ann
+    ignores the p component of a bracket, so nothing is projected to k.
+    Requires the pair report to have found k + p = g directly and k a
+    subalgebra.
     """
     if not pair.decomposition:
         raise ValueError("k and p must decompose the algebra")
     if not pair.k_subalgebra:
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")
-    chart = AffineSubspace(algebra, pair.p, zero_vector(algebra.dim))
-    direction = chart.direction
-    m = direction.dim
-    # The rows khat solve G^T khat = K for G_ji = <u_j, k_i> and the rows K
-    # of k's basis: one elimination of [G^T | K] gives all of them.
-    gram_t = [[dot(kb, u) for u in direction.basis] for kb in pair.k.basis]
-    khat = solve(gram_t, m, pair.k.basis)
-    if khat is None:
+    u = pair.p.annihilator()
+    (d_u, u_rows), k_rows, m = u.integer_echelon, pair.k.integer_echelon[1], u.dim
+    gram = [[sum(map(mul, a, b)) for b in u_rows] for a in k_rows]
+    x = solve(gram, m, k_rows)
+    if x is None:
         raise InvariantViolation("the pairing of k with p-ann is degenerate")
-    form = skew_pencil(chart, khat)
+    s, y = _scaled_supports(x)
+    q = s * s * algebra.integer_structure[0]
     brackets = {}
-    for l, terms in enumerate(form.directions):
-        for cell, e in terms:
-            brackets.setdefault(form.cells[cell], [0] * m)[l] = Fraction(e, form.denominator)
-    labels = tuple(algebra.labels[col] for col in direction.pivots)
+    for i, j in combinations(range(m), 2):
+        image = algebra.integer_bracket(y[i], dict(y[j]))
+        if image:
+            pairings = (d_u * sum(r[k] * e for k, e in image) for r in u_rows)
+            brackets[(i, j)] = [Fraction(e, q) if e else ZERO for e in pairings]
+    labels = tuple(algebra.labels[col] for col in u.pivots)
     result = LieAlgebra.from_brackets(m, brackets, labels)
     report = validate_jacobi(result)
     if not report.ok:
@@ -263,6 +269,6 @@ def coisotropy_in_extension(e: Extension, sampling: SampleSpec = SampleSpec()) -
     if not e.c.h.contains(e.p):
         raise ValueError("the conormal p of P must lie in the conormal h of C")
     n_p, points = e.p.dim, e.c.walk(sampling)[0]
-    tested = skew_pencil(e.c, e.p.basis).ranks_along(points)
+    tested = skew_pencil(e.c, *e.p.integer_echelon).ranks_along(points)
     full = e.c.form.ranks_along(points)
     return [(t, r == n_p) for t, (s, _), (r, _) in zip(points, tested, full) if s == n_p]

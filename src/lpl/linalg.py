@@ -3,10 +3,11 @@
 Vectors and matrices are immutable tuples of ``fractions.Fraction``, with
 one exception: a point from ``AffineSubspace.point_at`` carries its integral
 entries as ``int`` (equal, and equal in ``str`` and ``hash``, to the
-Fraction), and :func:`vec` makes every entry a Fraction where a point enters
-the library.  A :class:`Subspace` is stored through its reduced row-echelon
-basis, which is a canonical representative, so value equality of subspaces is
-plain ``==``.
+Fraction), and :func:`vec` and :func:`integer_rows` read either type where a
+point enters the library.  A :class:`Subspace` is stored as its integer
+echelon form (d, R): its reduced row-echelon basis times d, the lcm of that
+basis's denominators.  The form is canonical, so value equality of subspaces
+is plain ``==``, and the Fraction basis is built only where something reads it.
 No floating point is used anywhere.
 
 Fraction-free integer kernels do the eliminations: the Bareiss loop
@@ -130,12 +131,22 @@ def rref(rows: Iterable[Sequence], ncols: int) -> Matrix:
 
 
 def integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
-    """Rational rows of ``ncols`` entries, each times the lcm of its denominators."""
+    """Rational rows of ``ncols`` entries, each times the lcm of its denominators.
+
+    ``int`` and ``Fraction`` entries are read through their numerator and
+    denominator; a row with any other entry goes through :func:`vec` first.
+    """
     scaled = []
-    for row in map(vec, rows):
+    for row in rows:
+        if type(row) is not tuple and type(row) is not list:
+            row = tuple(row)
+        try:
+            scale = lcm(*(e.denominator for e in row))
+        except AttributeError:
+            row = vec(row)
+            scale = lcm(*(e.denominator for e in row))
         if len(row) != ncols:
             raise DimensionMismatch(f"row of length {len(row)} where {ncols} are expected")
-        scale = lcm(*(e.denominator for e in row))
         scaled.append([e.numerator * (scale // e.denominator) for e in row])
     return scaled
 
@@ -304,32 +315,67 @@ def solve(m: Matrix, ncols: int, b: Sequence) -> Optional[Vector | Matrix]:
     m has ``ncols`` columns, so a system with no rows still has its unknowns.
     b is one right-hand side (a vector), or several as the columns of a
     matrix B; then the answer is a matrix X with m X = B, from one
-    elimination of [m | B], or None if any column is inconsistent.
+    elimination of [m | B], or None if any column is inconsistent.  The
+    elimination runs on integer rows (``integer_rows``); only the entries of
+    the solution are made Fractions.
     """
     nrows = len(m)
     if len(b) != nrows:
         raise DimensionMismatch("right-hand side length mismatch")
     several = bool(b) and isinstance(b[0], (tuple, list))
-    rhs = [vec(row) for row in b] if several else [(e,) for e in vec(b)]
+    rhs = b if several else [(e,) for e in b]
     width = len(rhs[0]) if rhs else 1
-    aug = rref([list(row) + list(r) for row, r in zip(m, rhs)], ncols + width)
+    rows = integer_rows([[*row, *r] for row, r in zip(m, rhs)], ncols + width)
+    aug = Subspace.integer_span(ncols + width, rows)
+    d, rows = aug.integer_echelon
     x = [(ZERO,) * width] * ncols
-    for row, piv in zip(aug, pivot_columns(aug)):
+    for row, piv in zip(rows, aug.pivots):
         if piv >= ncols:
             return None
-        x[piv] = row[ncols:]
+        x[piv] = tuple(Fraction(e, d) if e else ZERO for e in row[ncols:])
     return tuple(x) if several else tuple(r[0] for r in x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subspace:
-    """Linear subspace of Q^n in canonical reduced row-echelon basis.
+    """Linear subspace of Q^n, held as its integer echelon form (d, R).
 
-    ``basis`` must be canonical; ``span`` is the constructor for arbitrary vectors.
+    R is the reduced row-echelon basis times d, and d > 0 is the lcm of that
+    basis's denominators, so gcd(d, R) = 1 and the form is canonical:
+    equality and hashing compare (ambient_dim, d, R).  ``Subspace(n, basis)``
+    takes a canonical basis; ``span`` and ``integer_span`` take any rows.
+    The dimension, pivots, lattice and membership read (d, R) only; the
+    Fraction basis R / d is built on the first read of ``basis``, which in
+    practice is a report printing it.  Instances are immutable.
     """
 
     ambient_dim: int
-    basis: Matrix
+    integer_echelon: tuple[int, list[list[int]]]
+
+    def __init__(self, ambient_dim: int, basis: Iterable[Sequence] = ()):
+        basis = [tuple(row) for row in basis]
+        d = lcm(*(e.denominator for row in basis for e in row))
+        rows = [[e.numerator * (d // e.denominator) for e in row] for row in basis]
+        vars(self).update(ambient_dim=ambient_dim, integer_echelon=(d, rows))
+
+    @staticmethod
+    def _of(ambient_dim: int, d: int, rows: list) -> "Subspace":
+        """The subspace of echelon rows R / d, R reduced; the content gcd(d, R) is divided out."""
+        g = d
+        for row in rows:
+            if (g := gcd(g, *row)) == 1:
+                break
+        if d < 0:
+            g = -g
+        if g != 1:
+            d, rows = d // g, [[x // g for x in row] for row in rows]
+        u = object.__new__(Subspace)
+        vars(u).update(ambient_dim=ambient_dim, integer_echelon=(d, rows))
+        return u
+
+    def __hash__(self):
+        d, rows = self.integer_echelon
+        return hash((self.ambient_dim, d, tuple(map(tuple, rows))))
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Iterable]) -> "Subspace":
@@ -337,38 +383,27 @@ class Subspace:
 
     @staticmethod
     def integer_span(ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
-        """The span of integer rows, keeping the rows ``_eliminate`` reduces them to."""
+        """The span of integer rows, from the rows ``_eliminate`` reduces them to."""
         reduced, d = _eliminate(rows, ambient_dim, reduce=True)
-        # Divide out the content gcd(d, R), sign included: d is then the lcm of the denominators.
-        g = d
-        for row in reduced:
-            if (g := gcd(g, *row)) == 1:
-                break
-        g = -g if d < 0 else g
-        if g != 1:
-            d, reduced = d // g, [[x // g for x in row] for row in reduced]
-        basis = (tuple(Fraction(x, d) if x else ZERO for x in row) for row in reduced)
-        u = Subspace(ambient_dim, tuple(basis))
-        u.__dict__["integer_echelon"] = (d, reduced)  # the cached_property's slot
-        return u
+        return Subspace._of(ambient_dim, d, [r if type(r) is list else list(r) for r in reduced])
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return Subspace._of(ambient_dim, 1, [])
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
+        return Subspace._of(ambient_dim, 1, _unit_rows(ambient_dim, range(ambient_dim)))
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The canonical (reduced row-echelon) basis R / d, built on its first read."""
+        d, rows = self.integer_echelon
+        return tuple(tuple(Fraction(x, d) if x else ZERO for x in row) for row in rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def integer_echelon(self) -> tuple[int, list]:
-        """(d, R) with d > 0 and ``basis == R / d``; d is the lcm of the denominators."""
-        d = lcm(*(e.denominator for row in self.basis for e in row))
-        return d, [[e.numerator * (d // e.denominator) for e in row] for row in self.basis]
+        return len(self.integer_echelon[1])
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -408,9 +443,9 @@ class Subspace:
     def annihilator(self) -> "Subspace":
         """Covectors pairing to zero with the subspace (dot-product pairing).
 
-        The basis is already reduced, so each free column f gives the kernel
-        vector d e_f - sum_i R_i[f] e_pivot(i) directly from the integer rows;
-        one elimination makes them canonical.
+        The rows are already reduced, so each free column f gives the kernel
+        vector d e_f - sum_i R_i[f] e_pivot(i) directly; one elimination
+        makes them canonical.
         """
         n, pivots, (d, rows) = self.ambient_dim, self.pivots, self.integer_echelon
         kernel = []
@@ -428,7 +463,13 @@ class Subspace:
 
     def select(self, indices: Iterable[int]) -> "Subspace":
         """The span of the canonical basis rows at ``indices``, a canonical basis itself."""
-        return Subspace(self.ambient_dim, tuple(self.basis[i] for i in indices))
+        d, rows = self.integer_echelon
+        return Subspace._of(self.ambient_dim, d, [rows[i] for i in indices])
+
+
+def _unit_rows(n: int, columns: Iterable[int]) -> list[list[int]]:
+    """The unit rows e_j of Z^n for j in ``columns``."""
+    return [[int(i == j) for i in range(n)] for j in columns]
 
 
 def choose_complement(u: Subspace) -> Subspace:
@@ -441,4 +482,4 @@ def choose_complement(u: Subspace) -> Subspace:
     n = u.ambient_dim
     reversed_rows = _eliminate([row[::-1] for row in u.integer_echelon[1]], n, reduce=False)[0]
     last = {n - 1 - j for j in pivot_columns(reversed_rows)}
-    return Subspace(n, tuple(unit_vector(n, j) for j in range(n) if j not in last))
+    return Subspace._of(n, 1, _unit_rows(n, (j for j in range(n) if j not in last)))

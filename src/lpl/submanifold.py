@@ -30,7 +30,6 @@ from .linalg import (
     InvariantViolation,
     Subspace,
     Vector,
-    _scaled_supports,
     _skew_eliminate_many,
     choose_complement,
     dot,
@@ -137,9 +136,15 @@ class AffineSubspace:
     def _integer_frame(self) -> tuple[int, list[list[tuple[int, int]]]]:
         """T, and the nonzero (j, T v_j) of the base, then of each direction basis vector.
 
-        T is the lcm of those vectors' denominators, so the T v_j are integers.
+        T is the lcm of the base's denominators and of the d of the direction's
+        integer echelon form (d, R), so the T v_j are integers: the direction
+        rows are R times T / d.
         """
-        return _scaled_supports((self.base, *self.direction.basis))
+        d, rows = self.direction.integer_echelon
+        t = lcm(d, *(e.denominator for e in self.base))
+        f = t // d
+        base = [(j, e.numerator * (t // e.denominator)) for j, e in enumerate(self.base) if e]
+        return t, [base, *([(j, f * e) for j, e in enumerate(row) if e] for row in rows)]
 
     def point_at(self, point: IntegerPoint) -> Vector:
         """base + sum t_a u_a over the canonical basis u of the direction.
@@ -176,7 +181,7 @@ class AffineSubspace:
     @cached_property
     def form(self) -> "SkewPencil":
         """B_h(x) = <x, [h_a, h_b]> along C, as a pencil over the direction basis."""
-        return skew_pencil(self, self.h.basis)
+        return skew_pencil(self, *self.h.integer_echelon)
 
     @cached_property
     def base_kernel(self) -> Subspace:
@@ -232,10 +237,10 @@ def is_coisotropic(c: AffineSubspace) -> CoisotropyResult:
 
     Entry (a, b) of some B_i is nonzero iff [h_a, h_b] escapes h.
     """
-    form, basis = c.form, c.h.basis
+    form = c.form
     escaping = [k for terms in form.directions for k, _ in terms]
     if escaping:
-        u, v = (basis[i] for i in form.cells[min(escaping)])
+        u, v = (c.h.basis[i] for i in form.cells[min(escaping)])
         return CoisotropyResult(False, ("bracket_escapes", u, v, c.algebra.bracket(u, v)))
     if any(form.base):
         w = next(w for w in subspace_bracket(c.algebra, c.h, c.h).basis if dot(c.base, w))
@@ -369,16 +374,16 @@ def _pencil(
     return SkewPencil(m, q // g, tuple(base), directions)
 
 
-def skew_pencil(c: AffineSubspace, basis: Sequence[Vector]) -> SkewPencil:
-    """The pencil of <x, [v_a, v_b]> along C, v over ``basis``, one integer bracket per
-    entry: that of S v_a and S v_b over the integer structure constants, S the lcm of
-    the basis's denominators."""
+def skew_pencil(c: AffineSubspace, s: int, rows: Sequence[Sequence[int]]) -> SkewPencil:
+    """The pencil of <x, [v_a, v_b]> along C for v_a = rows[a] / s, integer rows over a
+    positive s, one integer bracket per entry: that of rows a and b over the integer
+    structure constants.  The pencil does not depend on the s chosen."""
     ds = c.algebra.integer_structure[0]
-    s, rows = _scaled_supports(basis)
-    ws = [dict(w) for w in rows]
-    pairs = ((v, w) for a, v in enumerate(rows) for w in ws[a + 1 :])
-    supports = (c.algebra.integer_bracket(v, w) for v, w in pairs)
-    return _pencil(c, len(rows), ds * s * s, supports)
+    supports = [[(j, e) for j, e in enumerate(row) if e] for row in rows]
+    ws = [dict(w) for w in supports]
+    pairs = ((v, w) for a, v in enumerate(supports) for w in ws[a + 1 :])
+    brackets = (c.algebra.integer_bracket(v, w) for v, w in pairs)
+    return _pencil(c, len(rows), ds * s * s, brackets)
 
 
 def pre_poisson_check(
@@ -496,7 +501,10 @@ def preimage_construction(
     nu_v = vec(nu)
     if len(nu_v) != h.dim:
         raise DimensionMismatch("nu must be a covector on the subalgebra")
-    lam = solve((*h.basis, *choose_complement(h).basis), n, nu_v + zero_vector(n - h.dim))
+    # The rows of h and of its complement form a basis of g: R_h lambda = d nu fixes lambda on h.
+    d, rows = h.integer_echelon
+    lifting = [*rows, *choose_complement(h).integer_echelon[1]]
+    lam = solve(lifting, n, vscale(d, nu_v) + zero_vector(n - h.dim))
     if lam is None:
         raise InvariantViolation("lifting rows do not form a basis of the algebra")
     c = AffineSubspace(algebra, h, lam)
@@ -531,8 +539,7 @@ def product(c1: AffineSubspace, c2: AffineSubspace) -> AffineSubspace:
     """C1 x C2 inside the dual of the (sign +1) direct sum algebra."""
     algebra = direct_sum(c1.algebra, c2.algebra, sign=1)
     n1, n2 = c1.algebra.dim, c2.algebra.dim
-    generators = [v + zero_vector(n2) for v in c1.h.basis] + [
-        zero_vector(n1) + v for v in c2.h.basis
-    ]
-    h = Subspace.span(n1 + n2, generators)
+    rows = [v + [0] * n2 for v in c1.h.integer_echelon[1]]
+    rows += [[0] * n1 + v for v in c2.h.integer_echelon[1]]
+    h = Subspace.integer_span(n1 + n2, rows)
     return AffineSubspace(algebra, h, c1.base + c2.base)

@@ -20,6 +20,7 @@ from lpl.lie_poisson import Polynomial
 from lpl.linalg import (
     ZERO,
     DimensionMismatch,
+    InvariantViolation,
     choose_complement,
     dot,
     mat,
@@ -30,6 +31,7 @@ from lpl.linalg import (
     transpose,
     unit_vector,
     vec,
+    zero_vector,
 )
 from lpl.submanifold import (
     NOT_CONSTANT,
@@ -293,6 +295,14 @@ def scalar_skew_eliminate(upper: Sequence[Sequence[int]]) -> tuple[list[tuple[in
         prev = p
 
 
+def over_common_scale(vectors) -> tuple[int, list[list[int]]]:
+    """(s, rows): rational vectors as integer rows over one s > 0, the lcm of their
+    denominators, the form ``skew_pencil`` takes a basis in."""
+    vectors = [vec(v) for v in vectors]
+    s = lcm(*(e.denominator for v in vectors for e in v))
+    return s, [[e.numerator * (s // e.denominator) for e in v] for v in vectors]
+
+
 def fraction_pencil(c, basis) -> SkewPencil:
     """The pencil of <x, [v_a, v_b]> along C, paired and scaled in Fractions.
 
@@ -317,6 +327,35 @@ def fraction_pencil(c, basis) -> SkewPencil:
     for k, e in scaled[0]:
         base[k] = e
     return SkewPencil(m, d, tuple(base), tuple(scaled[1:]))
+
+
+def fraction_induced_structure(algebra: LieAlgebra, pair) -> LieAlgebra:
+    """The induced structure on p-ann as lpl built it in Fractions: the oracle
+    for ``induced_structure``, which runs on integer echelon rows.
+
+    The rows khat solve G^T khat = K for G_ji = <u_j, k_i>, paired by ``dot``
+    over the canonical bases u of p-ann and K of k, and c_ij^l is direction l
+    of the Fraction pencil of the khat along the chart 0 + p-ann, divided by
+    its denominator.
+    """
+    if not pair.decomposition:
+        raise ValueError("k and p must decompose the algebra")
+    if not pair.k_subalgebra:
+        raise NotASubalgebra("induced structure is linear only for k a subalgebra")
+    chart = AffineSubspace(algebra, pair.p, zero_vector(algebra.dim))
+    direction = chart.direction
+    m = direction.dim
+    gram_t = [[dot(kb, u) for u in direction.basis] for kb in pair.k.basis]
+    khat = solve(gram_t, m, pair.k.basis)
+    if khat is None:
+        raise InvariantViolation("the pairing of k with p-ann is degenerate")
+    form = fraction_pencil(chart, khat)
+    brackets = {}
+    for l, terms in enumerate(form.directions):
+        for cell, e in terms:
+            brackets.setdefault(form.cells[cell], [0] * m)[l] = Fraction(e, form.denominator)
+    labels = tuple(algebra.labels[col] for col in direction.pivots)
+    return LieAlgebra.from_brackets(m, brackets, labels)
 
 
 def bivector_pencil(c) -> SkewPencil:

@@ -46,6 +46,7 @@ from conftest import (
     fraction_bracket,
     fraction_coad_apply,
     fraction_rref,
+    over_common_scale,
     random_subspace,
     random_vector,
     rational_catalog,
@@ -304,7 +305,8 @@ def split_ranks(c, points):
     coad_{h_a}(x), which share no code with the skew elimination.
     """
     algebra, h, n = c.algebra, c.h, c.algebra.dim
-    pencil = skew_pencil(c, [*h.basis, *(unit_vector(n, j) for j in range(n) if j not in h.pivots)])
+    units = [unit_vector(n, j) for j in range(n) if j not in h.pivots]
+    pencil = skew_pencil(c, *over_common_scale([*h.basis, *units]))
     found = []
     for t in points:
         x = c.point_at(t)

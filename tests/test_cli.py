@@ -787,6 +787,34 @@ def test_main_bounds_the_degree_of_a_term(capsys, degree):
         assert json.loads(capsys.readouterr().out)["bracket"] == expected
 
 
+@pytest.mark.parametrize("str_digits", [0, 640])
+def test_check_digits_refuses_exactly_at_the_limit(str_digits):
+    # The check takes one max over the numerators' magnitudes and one over
+    # the denominators, so an entry reaches the limit iff the largest does,
+    # whatever its place, sign or type.  It compares integers only: the
+    # interpreter's own digit limit for str() (0 is none) does not move it.
+    top = 10**MAX_RATIONAL_CHARS
+    fits = [top - 1, 1 - top, Fraction(1, top - 1), Fraction(top - 1, 7), Fraction(-1, 3)]
+    over = [top, -top, Fraction(1, top), Fraction(-top, 7)]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(str_digits)
+    try:
+        for entries in ([], fits, tuple(fits)):
+            cli._check_digits(entries, "a vector entry")
+            cli._check_digits(iter(entries), "a vector entry")
+        for big in over:
+            for at in range(3):
+                entries = [Fraction(1, 2), 3, Fraction(-5, 7)]
+                entries[at] = big
+                for numbers in (entries, iter(entries)):
+                    with pytest.raises(InputError) as refused:
+                        cli._check_digits(numbers, "a vector entry")
+                    message = f"a vector entry has more than {MAX_RATIONAL_CHARS} digits"
+                    assert refused.value.args == (message,)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _with_lambda(tmp_path, fixture, base):
     problem = json.loads((FIXTURES / fixture).read_text())
     problem["lambda"] = base

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpl import embedding
+from lpl.algebroid import transversal_orbit_report
 from lpl.cli import parse_model, parse_problem
 from lpl.embedding import (
     MIN_SAMPLES,
@@ -61,9 +62,11 @@ from conftest import (
     coords_of,
     fraction_bracket,
     fraction_coad_apply,
+    fraction_induced_structure,
     fraction_is_cosymplectic_at,
     fraction_rref,
     load_perfbench,
+    over_common_scale,
     random_subspace,
     random_vector,
     rank_at,
@@ -603,6 +606,60 @@ def test_induced_structure_matches_the_dense_formula(gl2, sl2):
     assert rational_p_ann > 10 and nonabelian > 10
 
 
+@cache
+def workload_products() -> list:
+    """The extend-pair workload's products of bundled fixture problems, models inline."""
+    with pytest.MonkeyPatch.context() as patch:
+        builder = load_perfbench(patch, "workloads").WORKLOADS["extend-pair"](random.Random(1))
+    return [parse_problem(data) for name, data in builder.files.items() if "product" in name]
+
+
+@cache
+def coordinate_splits() -> list:
+    """(algebra, k) for each rational-basis algebra and coordinate subalgebra k."""
+    return [(algebra, k) for algebra in rational_catalog() for k in coordinate_subalgebras(algebra)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_induced_structure_matches_the_fraction_oracle(data):
+    # induced_structure solves the integer Gram system and pairs integer
+    # brackets; the oracle is the Fraction construction it replaced, constant
+    # for constant.  Pairs come from extensions of the Borel, Cartan, so,
+    # parabolic and nilradical subalgebras of gl3, sl3 and gl4 at drawn
+    # bases, half of them on the diagonal coordinates, and of the workload's
+    # fixture products at their own base or a drawn one.  Those all have an
+    # integral basis of p-ann, so a third source splits a rational-basis
+    # algebra by a coordinate subalgebra k and a drawn p.
+    source = data.draw(st.sampled_from(["named", "product", "split"]))
+    if source == "split":
+        algebra, k = data.draw(st.sampled_from(coordinate_splits()))
+        n = algebra.dim
+        row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+        p = Subspace.span(n, data.draw(st.lists(row, min_size=n - k.dim, max_size=n - k.dim)))
+        pair = check_symmetric_pair(algebra, k, p)
+        if pair.decomposition and pair.k_subalgebra:
+            assert induced_structure(algebra, pair) == fraction_induced_structure(algebra, pair)
+        return
+    if source == "named":
+        algebra, h = data.draw(st.sampled_from(named_subalgebras()))
+        base = None
+    else:
+        problem = data.draw(st.sampled_from(workload_products()))
+        algebra, h, base = problem.algebra, problem.h, problem.base
+    if base is None or data.draw(st.booleans()):
+        diagonal = data.draw(st.booleans())
+        base = [data.draw(st.integers(-3, 3)) if not diagonal or label[0] == "H"
+                or label[1] == label[2] else 0 for label in algebra.labels]
+    try:
+        e = extend(AffineSubspace(algebra, h, vec(base)))
+    except RankNotConstant:
+        return
+    if e.constancy.certified:
+        pair = symmetric_pair_analysis(e)
+        assert induced_structure(algebra, pair) == fraction_induced_structure(algebra, pair)
+
+
 # ---------------------------------------------------------------------------
 # coisotropy of C inside the extension
 
@@ -925,7 +982,7 @@ def test_form_on_p_then_h_has_the_rank_of_b_h():
     ranks = set()
     for e in catalog_extensions(rng) + hand_built_extensions(rng):
         assert e.c.h.contains(e.p)
-        form_ph = skew_pencil(e.c, e.p.basis + e.c.h.basis)
+        form_ph = skew_pencil(e.c, *over_common_scale(e.p.basis + e.c.h.basis))
         for t in e.c.walk(spec)[0]:
             ranks.add(rank_at(e.c.form, t))
             assert rank_at(form_ph, t) == rank_at(e.c.form, t)
@@ -988,15 +1045,17 @@ def lie_invariants(algebra: LieAlgebra) -> tuple:
 
 
 def basis_free_answers(problem) -> tuple:
-    """The certified answers of classify, extend and pair, and the induced
-    structure's isomorphism invariants: properties of the sets C and P."""
+    """The certified answers of classify, extend and pair, algebroid's orbit
+    dimension at the base, and the induced structure's isomorphism
+    invariants: properties of the sets C and P."""
     c, sampling = problem.affine, problem.sampling
     rep = classify(c, sampling)
     witness = rep.coisotropic.witness
+    (_, orbit_dim), = transversal_orbit_report(c, replace(sampling, count=0)).orbit_dims
     classified = (
         rep.coisotropic.coisotropic, witness and witness[0], rep.pre_poisson.kind,
         rep.pre_poisson.rank, rep.generic_rank, rep.characteristic_rank_at_base,
-        rep.poisson_dirac_at_base, rep.cosymplectic_at_base,
+        rep.poisson_dirac_at_base, rep.cosymplectic_at_base, orbit_dim,
     )
     e = extend(c, problem.r, sampling)
     locus = cosymplectic_locus(e, sampling)

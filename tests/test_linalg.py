@@ -21,6 +21,7 @@ from lpl.linalg import (
     mat,
     mat_vec,
     nullspace,
+    pivot_columns,
     rank,
     rref,
     solve,
@@ -548,6 +549,45 @@ def test_integer_lattice_answers_both_ways(gl2):
     assert u.contains(Subspace.span(4, [[0, 0, 0, 7]])) and not u.contains(Subspace.full(4))
     assert is_subalgebra(gl2, Subspace.span(4, [[1, 0, 0, 0], [0, 0, 0, 1]]))
     assert not is_subalgebra(gl2, Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_subspace_is_its_integer_echelon_form(data):
+    # One space built three ways, from rational rows, from integer rows (each
+    # row times a drawn nonzero multiple of its denominators) and from its
+    # Fraction RREF, is one value: equal, and equal in hash.  Its basis is
+    # that RREF, built only when read: the dimension, the lattice and
+    # membership leave it unbuilt.
+    n = data.draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    vectors = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1)
+    rows, other_rows = data.draw(vectors), data.draw(vectors)
+    reference = fraction_rref(rows, n)
+    multiples = data.draw(st.lists(st.integers(-6, 6).filter(bool), min_size=len(rows),
+                                   max_size=len(rows)))
+    scaled = [
+        [int(x * k * lcm(*(e.denominator for e in row))) for x in row]
+        for row, k in zip(rows, multiples)
+    ]
+    built = [Subspace.span(n, rows), Subspace.integer_span(n, scaled),
+             Subspace(n, reference)]
+    assert all(u == built[0] and hash(u) == hash(built[0]) for u in built)
+    assert len(set(built)) == 1
+    assert Subspace(n, reference) != Subspace(n + 1, [(*row, 0) for row in reference])
+    u, other = built[1], Subspace.span(n, other_rows)
+    assert (u == other) == (reference == fraction_rref(other_rows, n))
+    assert u != reference
+    assert "basis" not in vars(u) and "basis" not in vars(other)
+    results = [u.sum(other), u.annihilator(), u.intersect(other), choose_complement(u)]
+    probe = [int(x) for x in data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+    answers = (u.dim, u.pivots, u.contains_integer(probe), u.contains(other), other.contains(u))
+    assert all("basis" not in vars(s) for s in [u, other, *results])
+    assert u.basis == reference and "basis" in vars(u)
+    assert answers[:2] == (len(reference), tuple(pivot_columns(reference)))
+    assert answers[2] == (coords_of(u, probe) is not None)
+    with pytest.raises(AttributeError):
+        u.ambient_dim = n + 1
 
 
 # ---------------------------------------------------------------------------

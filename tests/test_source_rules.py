@@ -463,6 +463,44 @@ def test_library_reduces_no_canonical_basis_again():
     assert [node.lineno for node in rereduced_bases(stray)] == [1, 2, 3, 6]
 
 
+# Calls that scale rational vectors to integer rows, and the span that does so.
+INTEGER_SCALING_CALLS = ("_scaled_supports", "integer_rows", "vec", "span")
+
+
+def basis_round_trips(tree) -> list:
+    """Calls of INTEGER_SCALING_CALLS with a ``.basis`` read anywhere in their arguments."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and called_name(node) in INTEGER_SCALING_CALLS:
+            arguments = [*node.args, *(k.value for k in node.keywords)]
+            reads = (inner for a in arguments for inner in ast.walk(a))
+            if any(isinstance(inner, ast.Attribute) and inner.attr == "basis" for inner in reads):
+                found.append(node)
+    return found
+
+
+def test_library_scales_no_canonical_basis_back_to_integers():
+    # A Subspace holds its integer echelon form (d, R) and builds the Fraction
+    # basis R / d only when read; scaling that basis back to integers undoes
+    # the Fractions it just made, so the library reads (d, R) instead.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    found = [
+        f"{name}:{node.lineno}" for name, tree in trees.items() for node in basis_round_trips(tree)
+    ]
+    assert found == []
+    stray = ast.parse(
+        "a = _scaled_supports((base, *u.basis))\n"
+        "b = integer_rows([v for v in h.basis], n)\n"
+        "c = vec(u.basis[0])\n"
+        "d = Subspace.span(n, vectors=[*h.basis, w])\n"
+        "e = integer_rows(rows, n)\n"
+        "f = vector_strs(u.basis[0])\n"
+        "g = skew_pencil(c, *h.integer_echelon)\n"
+        "h = linalg.vec(x.basis)\n"
+    )
+    assert [node.lineno for node in basis_round_trips(stray)] == [1, 2, 3, 4, 8]
+
+
 def pfaffian_loop_reads(tree) -> list:
     """(node, inside SkewPencil.ranks_along) per read of _skew_eliminate_many."""
     allowed = {

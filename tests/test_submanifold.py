@@ -322,7 +322,7 @@ def test_constant_pencil_iff_subalgebra(sl2):
     seen = set()
     for algebra, h in cases:
         c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
-        constant = skew_pencil(c, h.basis).is_constant
+        constant = skew_pencil(c, *h.integer_echelon).is_constant
         assert constant == is_subalgebra(algebra, h)
         assert (pre_poisson_check(c, SampleSpec(count=1)).sampling is None) == constant
         assert (transversal_orbit_report(c, SampleSpec(count=1)).d is None) == (not constant)
@@ -484,7 +484,7 @@ def test_skew_pencil_matches_sympy():
         cases.append((algebra, random_subspace(rng, algebra.dim)))
     for algebra, h in cases:
         c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=5))
-        pencil = skew_pencil(c, h.basis)
+        pencil = skew_pencil(c, *h.integer_echelon)
         codim = c.direction.dim
         hm = sympy.Matrix(h.dim, algebra.dim, lambda a, j: sympy.Rational(h.basis[a][j]))
         for t in (zero_vector(codim), random_vector(rng, codim, bound=5)):
@@ -519,7 +519,7 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
         n = algebra.dim
         c = AffineSubspace(algebra, h, _mixed_coordinates(rng, n))
         codim = c.direction.dim
-        pencils = [skew_pencil(c, h.basis), bivector_pencil(c)]
+        pencils = [skew_pencil(c, *h.integer_echelon), bivector_pencil(c)]
         seen_denominators |= {p.denominator for p in pencils}
         for t in (zero_vector(codim), _mixed_coordinates(rng, codim), _mixed_coordinates(rng, codim)):
             x = c.point_at(_integer_point(t))
@@ -557,7 +557,8 @@ def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypa
 def test_integer_pencils_equal_the_fraction_oracle():
     # skew_pencil and bivector_pencil pair integer brackets with C's integer
     # base and directions; they store the same denominator and entries as the
-    # pencil paired in Fractions.  The cases take rational constants (Ds > 1),
+    # pencil paired in Fractions, whatever common scale the integer rows of
+    # the basis are given over.  The cases take rational constants (Ds > 1),
     # rational h and lambda, h = 0 and h = g.
     rng = random.Random(61)
     catalog = algebra_catalog() + rational_catalog()
@@ -573,8 +574,11 @@ def test_integer_pencils_equal_the_fraction_oracle():
         e = [unit_vector(n, j) for j in range(n)]
         for base in (random_vector(rng, n, bound=7), _mixed_coordinates(rng, n)):
             c = AffineSubspace(algebra, h, base)
+            d, rows = h.integer_echelon
+            rescaled = [[6 * x for x in r] for r in rows]
             pairs = [
-                (skew_pencil(c, h.basis), fraction_pencil(c, h.basis)),
+                (skew_pencil(c, d, rows), fraction_pencil(c, h.basis)),
+                (skew_pencil(c, 6 * d, rescaled), fraction_pencil(c, h.basis)),
                 (bivector_pencil(c), fraction_pencil(c, e)),
             ]
             for pencil, oracle in pairs:
@@ -716,7 +720,7 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
     else:
         base = vec(data.draw(st.lists(small, min_size=n, max_size=n)))
     c = AffineSubspace(algebra, h, base)
-    pencil = skew_pencil(c, h.basis) if data.draw(st.booleans()) else bivector_pencil(c)
+    pencil = skew_pencil(c, *h.integer_echelon) if data.draw(st.booleans()) else bivector_pencil(c)
     scale = data.draw(st.integers(min_value=1, max_value=6))
     seed, bound = data.draw(st.integers(0, 999)), data.draw(st.sampled_from([1, 2, 1000]))
     points = [IntegerPoint(1, numerators), IntegerPoint(scale, numerators)]
