@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -26,8 +25,8 @@ from . import algebroid as algebroid_mod
 from . import embedding as embedding_mod
 from .lie import LieAlgebra, NotASubalgebra, validate_jacobi
 from .lie_poisson import Polynomial, casimir_check, parse_polynomial, poisson_bracket_poly
-from .linalg import MAX_RATIONAL_CHARS, DimensionMismatch, InvariantViolation, Subspace, Vector
-from .linalg import parse_fraction
+from .linalg import DimensionMismatch, InputError, InvariantViolation, Subspace, Vector
+from .linalg import _check_digits, parse_fraction, vector_strs
 from .submanifold import CERTIFIED_CONSTANT, NOT_CONSTANT, AffineSubspace, SampleSpec, classify
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -49,14 +48,6 @@ REFUSALS = (
 MAX_DIM = 64
 # Most sample points per problem: each sample draws up to dim rationals.
 MAX_SAMPLES = 100_000
-# str() refuses an integer of more than MAX_RATIONAL_CHARS digits.
-_PRINT_LIMIT = 10**MAX_RATIONAL_CHARS
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
-class InputError(ValueError):
-    """Malformed model or problem input."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,25 +94,6 @@ def parse_list(data: dict, key: str, what: str, default=None) -> list:
     if not isinstance(value, list):
         raise InputError(what)
     return value
-
-
-def _check_digits(numbers, what: str) -> None:
-    """Every number a report prints passes here: str() refuses over MAX_RATIONAL_CHARS digits.
-
-    Some numerator or denominator reaches the limit iff the largest of them
-    does, so one ``max`` over each, both C loops, decides it exactly.
-    """
-    numbers = tuple(numbers)
-    if numbers and (
-        max(map(abs, map(_numerator, numbers))) >= _PRINT_LIMIT
-        or max(map(_denominator, numbers)) >= _PRINT_LIMIT
-    ):
-        raise InputError(f"{what} has more than {MAX_RATIONAL_CHARS} digits")
-
-
-def vector_strs(v) -> list[str]:
-    _check_digits(v, "a vector entry")
-    return [str(e) for e in v]
 
 
 def polynomial_str(p: Polynomial) -> str:
@@ -276,20 +248,21 @@ def _provenance(sampling: Optional[SampleSpec]) -> str:
     return f"sampled({sampling.count}, seed={sampling.seed})"
 
 
+def _witness_data(witness) -> dict | list:
+    """A witness's named parts in their order, each vector through ``vector_strs`` and a
+    kind or rank as it is; a pre-Poisson counterexample, a pair of them, as a list."""
+    if not isinstance(witness, dict):
+        return [_witness_data(part) for part in witness]
+    return {
+        key: part if isinstance(part, (str, int)) else vector_strs(part)
+        for key, part in witness.items()
+    }
+
+
 def _coisotropy_dict(result) -> dict:
     out = {"verdict": result.coisotropic, "provenance": _provenance(None)}
     if result.witness is not None:
-        kind = result.witness[0]
-        if kind == "bracket_escapes":
-            _, u, v, w = result.witness
-            out["witness"] = {
-                "kind": kind,
-                "u": vector_strs(u),
-                "v": vector_strs(v),
-                "bracket": vector_strs(w),
-            }
-        else:
-            out["witness"] = {"kind": kind, "vector": vector_strs(result.witness[1])}
+        out["witness"] = _witness_data(result.witness)
     return out
 
 
@@ -300,11 +273,7 @@ def _pre_poisson_dict(verdict, c: AffineSubspace) -> dict:
     if verdict.kind == CERTIFIED_CONSTANT:
         out["constant_space"] = subspace_dict(c.span_at_base)
     if verdict.counterexample is not None:
-        (x1, r1), (x2, r2) = verdict.counterexample
-        out["counterexample"] = [
-            {"point": vector_strs(x1), "rank": r1},
-            {"point": vector_strs(x2), "rank": r2},
-        ]
+        out["counterexample"] = _witness_data(verdict.counterexample)
     return out
 
 
@@ -349,12 +318,7 @@ def _extension_dict(ext, locus) -> dict:
         conormal["k_ann"] = subspace_dict(constancy.k_ann)
         conormal["provenance"] = _provenance(None)
     else:
-        v, u, image = constancy.witness
-        conormal["witness"] = {
-            "p_vector": vector_strs(v),
-            "direction": vector_strs(u),
-            "image": vector_strs(image),
-        }
+        conormal["witness"] = _witness_data(constancy.witness)
     return out
 
 

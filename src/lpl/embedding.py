@@ -26,6 +26,7 @@ from .linalg import (
     choose_complement,
     integer_rank,
     solve,
+    vector_strs,
 )
 from .submanifold import (
     NOT_CONSTANT,
@@ -91,7 +92,10 @@ def extend(
     """
     verdict = pre_poisson_check(c, replace(sampling, count=max(sampling.count, MIN_SAMPLES)))
     if verdict.kind == NOT_CONSTANT:
-        found = [f"rank {r} at ({', '.join(map(str, x))})" for x, r in verdict.counterexample]
+        found = [
+            f"rank {x['rank']} at ({', '.join(vector_strs(x['point']))})"
+            for x in verdict.counterexample
+        ]
         raise RankNotConstant(f"rank differs between sampled points: {', '.join(found)}")
     h, d = c.h, c.base_kernel
     if r is None:
@@ -147,8 +151,9 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
 @dataclass(frozen=True)
 class ConstancyResult:
     k_ann: Optional[Subspace] = None  # set iff constancy is certified
-    # (p basis vector, direction generator, escaping image) on failure.
-    witness: Optional[tuple[Vector, Vector, Vector]] = None
+    # On failure, its named parts in print order: {"p_vector": v, "direction": u,
+    # "image": coad_v(u)} for v in p's basis and u in the direction's, coad_v(u) not in K.
+    witness: Optional[dict] = None
 
     @property
     def certified(self) -> bool:
@@ -171,7 +176,8 @@ def constant_sharp_conormal(e: Extension) -> ConstancyResult:
         for b, image in enumerate(images):
             if not k_ann.contains_integer(image[a]):
                 v, u = e.p.basis[a], direction.basis[b]
-                return ConstancyResult(witness=(v, u, e.algebra.coad_apply(v, u)))
+                witness = {"p_vector": v, "direction": u, "image": e.algebra.coad_apply(v, u)}
+                return ConstancyResult(witness=witness)
     return ConstancyResult(k_ann=k_ann)
 
 

@@ -11,16 +11,15 @@ is plain ``==``, and the Fraction basis is built only where something reads it.
 No floating point is used anywhere.
 
 Fraction-free integer kernels do the eliminations: the Bareiss loop
-:func:`_eliminate`, behind ``integer_rank``, ``rank``, ``rref``, ``nullspace``,
+:func:`_eliminate`, behind ``integer_rank``, ``rref``, ``nullspace``,
 ``solve`` and the :class:`Subspace` lattice, which runs on the integer rows
 each Subspace keeps, and the 2 x 2-pivot Pfaffian loop
 :func:`_skew_eliminate_many`, which ranks a skew matrix from its upper
 triangle at many points at once, each cell the list of its values there.
-A single matrix is a batch of one: ranking it here rather than in a
-separate scalar loop moved the benchmark's median ops/s by -1.8 % on
-extend-pair, +2.6 % on classify-sampled and +0.4 % on orbits-casimir
-(alternating runs of 26 s, CPython 3.11, 2-core machine), so there is one
-Pfaffian loop.
+A single matrix is ranked as a batch of one, so there is one Pfaffian loop.
+
+Every number a report prints passes :func:`vector_strs` or
+:func:`_check_digits`, which refuse one that ``str`` cannot write.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 # Fractions, except the int entries of a point from AffineSubspace.point_at.
@@ -42,6 +42,14 @@ ONE = Fraction(1)
 # an integer converted from a string, so no shorter string can hit it.
 MAX_RATIONAL_CHARS = 4300
 _RATIONAL = re.compile(r"[+-]?\d+(?:/(\d+))?")
+# str() refuses an integer of more than MAX_RATIONAL_CHARS digits.
+_PRINT_LIMIT = 10**MAX_RATIONAL_CHARS
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+class InputError(ValueError):
+    """Malformed model or problem input, or a number too long to print."""
 
 
 class DimensionMismatch(ValueError):
@@ -65,6 +73,25 @@ def parse_fraction(text) -> Fraction:
     if m.group(1) is not None and int(m.group(1)) == 0:
         raise ValueError(f"bad rational {text!r}: zero denominator")
     return Fraction(text.strip())
+
+
+def _check_digits(numbers, what: str) -> None:
+    """Every number a report prints passes here: str() refuses over MAX_RATIONAL_CHARS digits.
+
+    Some numerator or denominator reaches the limit iff the largest of them
+    does, so one ``max`` over each, both C loops, decides it exactly.
+    """
+    numbers = tuple(numbers)
+    if numbers and (
+        max(map(abs, map(_numerator, numbers))) >= _PRINT_LIMIT
+        or max(map(_denominator, numbers)) >= _PRINT_LIMIT
+    ):
+        raise InputError(f"{what} has more than {MAX_RATIONAL_CHARS} digits")
+
+
+def vector_strs(v) -> list[str]:
+    _check_digits(v, "a vector entry")
+    return [str(e) for e in v]
 
 
 def vec(entries: Iterable) -> Vector:
@@ -157,14 +184,6 @@ def _scaled_supports(vectors: Sequence[Vector]) -> tuple[int, list[list[tuple[in
     return s, [
         [(j, e.numerator * (s // e.denominator)) for j, e in enumerate(v) if e] for v in vectors
     ]
-
-
-def rank(rows: Iterable[Sequence], ncols: Optional[int] = None) -> int:
-    """Rank of a rational matrix: each row is scaled to integers for :func:`integer_rank`."""
-    rows = list(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return integer_rank(integer_rows(rows, ncols), ncols)
 
 
 def integer_rank(rows: Iterable[list[int]], ncols: int) -> int:

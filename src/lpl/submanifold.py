@@ -224,9 +224,10 @@ def _coad_rows_at(c: AffineSubspace, x: Vector) -> list[list[int]]:
 @dataclass(frozen=True)
 class CoisotropyResult:
     coisotropic: bool
-    # On failure: ("bracket_escapes", u, v, [u,v]) when h is not a subalgebra,
-    # or ("character_fails", w) for w in [h,h] with <lambda, w> != 0.
-    witness: Optional[tuple] = None
+    # On failure, its named parts in print order: {"kind": "bracket_escapes", "u",
+    # "v", "bracket": [u, v]} when h is not a subalgebra, or {"kind":
+    # "character_fails", "vector": w} for w in [h, h] with <lambda, w> != 0.
+    witness: Optional[dict] = None
 
     def __bool__(self) -> bool:
         return self.coisotropic
@@ -241,10 +242,11 @@ def is_coisotropic(c: AffineSubspace) -> CoisotropyResult:
     escaping = [k for terms in form.directions for k, _ in terms]
     if escaping:
         u, v = (c.h.basis[i] for i in form.cells[min(escaping)])
-        return CoisotropyResult(False, ("bracket_escapes", u, v, c.algebra.bracket(u, v)))
+        witness = {"kind": "bracket_escapes", "u": u, "v": v, "bracket": c.algebra.bracket(u, v)}
+        return CoisotropyResult(False, witness)
     if any(form.base):
         w = next(w for w in subspace_bracket(c.algebra, c.h, c.h).basis if dot(c.base, w))
-        return CoisotropyResult(False, ("character_fails", w))
+        return CoisotropyResult(False, {"kind": "character_fails", "vector": w})
     return CoisotropyResult(True)
 
 
@@ -252,7 +254,8 @@ def is_coisotropic(c: AffineSubspace) -> CoisotropyResult:
 class PrePoissonVerdict:
     kind: str  # CERTIFIED_CONSTANT | SAMPLED_CONSTANT | NOT_CONSTANT
     rank: Optional[int] = None
-    counterexample: Optional[tuple[tuple[Vector, int], tuple[Vector, int]]] = None
+    # NOT_CONSTANT only: {"point", "rank"} at the base, then at the first sample that differs.
+    counterexample: Optional[tuple[dict, dict]] = None
     sampling: Optional[SampleSpec] = None  # the sample points it rests on; None when certified
 
 
@@ -410,11 +413,8 @@ def pre_poisson_check(
         return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=base_rank)
     for t, r in zip(walk[1:], ranks):
         if r != base_rank:
-            return PrePoissonVerdict(
-                NOT_CONSTANT,
-                counterexample=((c.base, base_rank), (c.point_at(t), r)),
-                sampling=sampling,
-            )
+            pair = ({"point": c.base, "rank": base_rank}, {"point": c.point_at(t), "rank": r})
+            return PrePoissonVerdict(NOT_CONSTANT, counterexample=pair, sampling=sampling)
     return PrePoissonVerdict(SAMPLED_CONSTANT, rank=base_rank, sampling=sampling)
 
 
@@ -465,7 +465,7 @@ def classify(c: AffineSubspace, sampling: SampleSpec = SampleSpec()) -> Classifi
     """
     coiso = is_coisotropic(c)
     pp = pre_poisson_check(c, sampling)
-    ranks = [pp.rank] if pp.rank is not None else [r for _, r in pp.counterexample]
+    ranks = [pp.rank] if pp.rank is not None else [x["rank"] for x in pp.counterexample]
     flags = _flags(c, c.coad_rows_at_base, ranks[0] - c.direction.dim)
     return ClassificationReport(
         coisotropic=coiso,

@@ -23,9 +23,10 @@ from lpl.linalg import (
     InvariantViolation,
     choose_complement,
     dot,
+    integer_rank,
+    integer_rows,
     mat,
     mat_vec,
-    rank,
     rref,
     solve,
     transpose,
@@ -149,6 +150,11 @@ def fraction_bivector_at(algebra: LieAlgebra, x):
     return tuple(tuple(row) for row in pi)
 
 
+def rational_rank(rows, ncols: int) -> int:
+    """Rank of a rational matrix: its rows scaled to integers, then ``integer_rank``."""
+    return integer_rank(integer_rows(rows, ncols), ncols)
+
+
 def fraction_pointwise_flags(c, x) -> PointwiseFlags:
     """Characteristic rank, Poisson-Dirac and cosymplectic tests at x in C.
 
@@ -159,12 +165,12 @@ def fraction_pointwise_flags(c, x) -> PointwiseFlags:
     and T_x C + sharp N*_x C = g* directly iff rank B_h(x) = dim h.
 
     The oracle for ``pointwise_flags``: S and B_h(x) in Fractions, ranked by
-    ``linalg.rank``, which shares no code with the skew pencil.
+    ``rational_rank``, which shares no code with the skew pencil.
     """
     xv = c.require_point(x)
     s = [fraction_coad_apply(c.algebra, v, xv) for v in c.h.basis]
-    form_rank = rank([[dot(row, w) for w in c.h.basis] for row in s], c.h.dim)
-    char_rank = rank(s, c.algebra.dim) - form_rank
+    form_rank = rational_rank([[dot(row, w) for w in c.h.basis] for row in s], c.h.dim)
+    char_rank = rational_rank(s, c.algebra.dim) - form_rank
     return PointwiseFlags(char_rank, char_rank == 0, form_rank == c.h.dim)
 
 
@@ -172,11 +178,11 @@ def fraction_is_cosymplectic_at(e, x) -> bool:
     """True iff the skew form <x, [., .]> on p is nondegenerate at x (x must lie on P).
 
     The oracle for ``is_cosymplectic_at``: the form paired from Fraction
-    brackets and ranked by ``linalg.rank``.
+    brackets and ranked by ``rational_rank``.
     """
     xv = e.p_tilde.require_point(x)
     form = [[dot(xv, fraction_bracket(e.algebra, a, b)) for b in e.p.basis] for a in e.p.basis]
-    return rank(form) == e.p.dim
+    return rational_rank(form, e.p.dim) == e.p.dim
 
 
 def bracket_table(algebra: LieAlgebra):
@@ -663,11 +669,11 @@ def unconditional_extend(c, sampling):
     samples alone."""
     verdict = pre_poisson_check(c, sampling)
     if verdict.kind == NOT_CONSTANT:
-        (x1, r1), (x2, r2) = verdict.counterexample
-        raise RankNotConstant(
-            "rank differs between sampled points: "
-            f"rank {r1} at ({', '.join(map(str, x1))}), rank {r2} at ({', '.join(map(str, x2))})"
-        )
+        found = [
+            f"rank {x['rank']} at ({', '.join(map(str, x['point']))})"
+            for x in verdict.counterexample
+        ]
+        raise RankNotConstant(f"rank differs between sampled points: {', '.join(found)}")
     r = choose_complement(c.span_at_base)
     p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
     ext = Extension(c, p_tilde, verdict.sampling)

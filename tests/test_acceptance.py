@@ -57,9 +57,9 @@ def test_criterion_01_gl2_end_to_end(gl2):
     # The line through 0 has a rank jump, so it admits no extension there.
     at_zero = classify(AffineSubspace(gl2, h, zero_vector(4)))
     assert at_zero.pre_poisson.kind == NOT_CONSTANT
-    (p0, r0), (p1, r1) = at_zero.pre_poisson.counterexample
-    assert (p0, r0) == (zero_vector(4), 1)
-    assert r1 == 3
+    base, other = at_zero.pre_poisson.counterexample
+    assert base == {"point": zero_vector(4), "rank": 1}
+    assert other["rank"] == 3
 
     # Based at E11, d = ker B_h(base) is the d axis, the greedy p is its
     # complement span{b, c} in h, and the extension is the diagonal plane.
@@ -103,8 +103,8 @@ def test_criterion_02_user_slice_moving_conormal(gl2):
     e = extend(c, r=Subspace.span(4, [[0, 0, 1, 1]]))
     constancy = constant_sharp_conormal(e)
     assert constancy.k_ann is None
-    v, u, image = constancy.witness
-    assert image == fraction_coad_apply(gl2, v, u)
+    witness = constancy.witness
+    assert witness["image"] == fraction_coad_apply(gl2, witness["p_vector"], witness["direction"])
     assert not constancy.certified
     done(2)
 

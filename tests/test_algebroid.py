@@ -417,7 +417,7 @@ def test_report_runs_one_batched_elimination_per_walk_chunk(monkeypatch):
                 if c.form.is_constant:
                     assert counts == [1]
                 elif verdict.kind == submanifold.NOT_CONSTANT:
-                    x = verdict.counterexample[1][0]
+                    x = verdict.counterexample[1]["point"]
                     at = next(a for a, t in enumerate(walk) if c.point_at(t) == x)
                     assert counts == chunks[: at // chunk + 1]
                     seen.add(("stops early", at // chunk + 1 < len(chunks)))

@@ -765,6 +765,41 @@ def test_main_bounds_the_digits_of_an_exponent(capsys, digits):
         assert err.startswith("error: bad factor 'nu1^999") and len(err) < 2 * digits
 
 
+def _long_point_problem(tmp_path, seed):
+    """gl2 and a central fifth basis vector z, h = span(a, b, c), lambda's z entry
+    MAX_RATIONAL_CHARS nines: the rank of TC + sharp N*C differs between the base and
+    some sample, and the z entry of a sample is that entry plus the sample's shift."""
+    model = json.loads((FIXTURES / "gl2.json").read_text())
+    model.update(dim=5, basis=[*model["basis"], "z"])
+    h = [[str(int(i == j)) for j in range(5)] for i in range(3)]
+    lam = ["0", "0", "0", "0", "9" * MAX_RATIONAL_CHARS]
+    path = tmp_path / "long_point.json"
+    path.write_text(json.dumps({"model": model, "h_basis": h, "lambda": lam, "seed": seed}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["classify", "extend", "pair"])
+def test_main_bounds_the_digits_of_a_counterexample_point(capsys, tmp_path, command):
+    # At seed 1 the counterexample point has a z entry of MAX_RATIONAL_CHARS + 1
+    # digits.  classify prints it in its report and extend and pair in their
+    # refusal; each is the same input error, not a traceback from str().
+    assert main([command, "--problem", _long_point_problem(tmp_path, 1)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: a vector entry has more than {MAX_RATIONAL_CHARS} digits\n"
+
+
+def test_main_prints_a_refusal_point_up_to_the_digit_limit(capsys, tmp_path):
+    # At seed 0 the sample's z entry has MAX_RATIONAL_CHARS digits, and the
+    # refusal prints it whole.
+    assert main(["extend", "--problem", _long_point_problem(tmp_path, 0)]) == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused: rank differs between sampled points: rank 2 at (0, 0, 0, 0, ")
+    z_entries = [part.split(")")[0].split(", ")[-1] for part in err.split("(")[1:]]
+    assert z_entries[0] == "9" * MAX_RATIONAL_CHARS
+    assert len(z_entries) == 2 and len(z_entries[1]) == MAX_RATIONAL_CHARS
+
+
 @pytest.mark.parametrize("degree", [MAX_DEGREE, MAX_DEGREE + 1])
 def test_main_bounds_the_degree_of_a_term(capsys, degree):
     # A term of degree MAX_DEGREE is taken by both commands; one more is an

@@ -34,7 +34,6 @@ from lpl.linalg import (
     dot,
     mat_vec,
     nullspace,
-    rank,
     solve,
     transpose,
     unit_vector,
@@ -71,6 +70,7 @@ from conftest import (
     random_vector,
     rank_at,
     rational_catalog,
+    rational_rank,
     rebase,
     sl2_h,
     subalgebra_catalog,
@@ -255,7 +255,7 @@ def test_extension_is_cosymplectic_at_its_base():
             form = [
                 [dot(base, fraction_bracket(e.algebra, a, b)) for b in h.basis] for a in h.basis
             ]
-            assert e.p.dim == rank(form, h.dim)
+            assert e.p.dim == rational_rank(form, h.dim)
             assert e.p.dim % 2 == 0
             report = cosymplectic_locus(e)
             assert report.cosymplectic_at_base and not report.never_cosymplectic
@@ -313,7 +313,8 @@ def test_constancy_fails_for_alternative_slice(gl2):
     )
     result = constant_sharp_conormal(e)
     assert result.k_ann is None
-    v, u, image = result.witness
+    assert list(result.witness) == ["p_vector", "direction", "image"]
+    v, u, image = result.witness.values()
     assert image == fraction_coad_apply(gl2, v, u)
     with pytest.raises(ConstancyNotCertified):
         symmetric_pair_analysis(e)
@@ -450,7 +451,8 @@ def test_constancy_is_k_normalizing_p():
 
 
 def constancy_by_coad_apply(e):
-    """K and the first (v, u, coad_v(u)) outside it, over the bases of p and of P's direction.
+    """K and the first coad_v(u) outside it, with its v and u, over the bases of p and of
+    P's direction.
 
     The Fraction loop: coad_v at the base and at each pair, with membership
     in K read off coords_of.
@@ -462,7 +464,7 @@ def constancy_by_coad_apply(e):
         for u in e.p_tilde.direction.basis:
             image = fraction_coad_apply(e.algebra, v, u)
             if coords_of(k_ann, image) is None:
-                return k_ann, (v, u, image)
+                return k_ann, {"p_vector": v, "direction": u, "image": image}
     return k_ann, None
 
 
@@ -490,7 +492,7 @@ def test_constancy_witness_is_the_first_of_the_fraction_loop():
 def injectivity_at(algebra, p, y):
     """True iff v in p -> coad_v(y) has trivial kernel."""
     rows = [algebra.coad_apply(v, vec(y)) for v in p.basis]
-    return rank(rows, algebra.dim) == p.dim
+    return rational_rank(rows, algebra.dim) == p.dim
 
 
 def test_injectivity_gl2(gl2):
@@ -1053,7 +1055,7 @@ def basis_free_answers(problem) -> tuple:
     witness = rep.coisotropic.witness
     (_, orbit_dim), = transversal_orbit_report(c, replace(sampling, count=0)).orbit_dims
     classified = (
-        rep.coisotropic.coisotropic, witness and witness[0], rep.pre_poisson.kind,
+        rep.coisotropic.coisotropic, witness and witness["kind"], rep.pre_poisson.kind,
         rep.pre_poisson.rank, rep.generic_rank, rep.characteristic_rank_at_base,
         rep.poisson_dirac_at_base, rep.cosymplectic_at_base, orbit_dim,
     )

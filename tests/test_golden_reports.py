@@ -1,8 +1,10 @@
 """Every bundled fixture and command against a committed report snapshot.
 
 The snapshot holds the exact ``--json`` bytes (or the refusal/error line) of
-each case, so a change that moves any report byte fails here.  Regenerate it
-deliberately with ``PYTHONPATH=src python tests/test_golden_reports.py``.
+each case, so a change that moves any report byte fails here.  A second
+snapshot holds the human text of the commands that print a witness, on the
+fixtures that have one, as its key order comes from the library.  Regenerate
+both deliberately with ``PYTHONPATH=src python tests/test_golden_reports.py``.
 """
 
 import json
@@ -10,12 +12,22 @@ from pathlib import Path
 
 import pytest
 
-from lpl.cli import COMMANDS, parse_model, parse_problem, render_json, run
+from lpl.cli import COMMANDS, parse_model, parse_problem, render_human, render_json, run
 
 from conftest import FIXTURES
 
 SNAPSHOT = Path(__file__).parent / "golden_reports.json"
+HUMAN_SNAPSHOT = Path(__file__).parent / "golden_human.json"
 PROBLEM_COMMANDS = [name for name, (_, _, needs_problem) in COMMANDS.items() if needs_problem]
+# The fixtures with a coisotropy, pre-Poisson or constancy witness, and the
+# commands that print one.
+WITNESS_FIXTURES = (
+    "gl2_alt_slice.json",
+    "gl2_line.json",
+    "gl2_prepoisson.json",
+    "sl2_transverse.json",
+)
+WITNESS_COMMANDS = ("classify", "extend", "pair")
 
 
 def _model_cases(algebra):
@@ -47,16 +59,31 @@ def cases():
                 yield f"{path.name}::{name}", command, problem, polys
 
 
-def outcome(command, problem, polys) -> str:
-    """The report bytes, or the exception class and message of a refusal."""
+def human_cases():
+    """The cases of ``cases`` whose human text prints a witness, or their refusal."""
+    for key, command, problem, polys in cases():
+        fixture, _ = key.split("::")
+        if fixture in WITNESS_FIXTURES and command in WITNESS_COMMANDS:
+            yield key, command, problem, polys
+
+
+def outcome(command, problem, polys, render=render_json) -> str:
+    """The rendered report, or the exception class and message of a refusal."""
     try:
-        return render_json(run(command, problem, polys))
+        return render(run(command, problem, polys))
     except ValueError as exc:  # input errors and refusals alike
         return f"{type(exc).__name__}: {exc}\n"
 
 
 def current() -> dict:
     return {key: outcome(command, problem, polys) for key, command, problem, polys in cases()}
+
+
+def current_human() -> dict:
+    return {
+        key: outcome(command, problem, polys, render_human)
+        for key, command, problem, polys in human_cases()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -75,5 +102,12 @@ def test_snapshot_covers_every_case(snapshot):
     assert sorted(snapshot) == sorted(key for key, *_ in cases())
 
 
+def test_human_text_matches_snapshot():
+    expected = json.loads(HUMAN_SNAPSHOT.read_text())
+    assert len(expected) == len(WITNESS_FIXTURES) * len(WITNESS_COMMANDS)
+    assert current_human() == expected
+
+
 if __name__ == "__main__":
     SNAPSHOT.write_text(json.dumps(current(), sort_keys=True, indent=1) + "\n")
+    HUMAN_SNAPSHOT.write_text(json.dumps(current_human(), sort_keys=True, indent=1) + "\n")

@@ -18,11 +18,11 @@ from lpl.linalg import (
     choose_complement,
     dot,
     integer_rank,
+    integer_rows,
     mat,
     mat_vec,
     nullspace,
     pivot_columns,
-    rank,
     rref,
     solve,
     transpose,
@@ -42,6 +42,7 @@ from conftest import (
     random_subspace,
     random_vector,
     rational_catalog,
+    rational_rank,
     scalar_skew_eliminate,
 )
 
@@ -59,7 +60,8 @@ def sympy_rank(rows):
 def rank_kernel_image(m):
     """Rank, kernel (in the column space) and column span of an exact matrix."""
     ncols = len(m[0])
-    return rank(m, ncols), Subspace(ncols, nullspace(m, ncols)), Subspace.span(len(m), transpose(m))
+    kernel = Subspace(ncols, nullspace(m, ncols))
+    return rational_rank(m, ncols), kernel, Subspace.span(len(m), transpose(m))
 
 
 def test_rank_identity():
@@ -124,17 +126,17 @@ def _rank_deficient_matrix(rng, nrows, ncols, bits):
 
 def test_fraction_free_rank_against_sympy():
     rng = random.Random(17)
-    assert rank([], 3) == 0
-    assert rank([[0, 0], [0, 0]]) == 0
+    assert integer_rank(integer_rows([], 3), 3) == 0
+    assert integer_rank(integer_rows([[0, 0], [0, 0]], 2), 2) == 0
     with pytest.raises(DimensionMismatch):
-        rank([[1, 2], [3]])
+        integer_rows([[1, 2], [3]], 2)
     full = deficient = 0
     for trial in range(300):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = _rank_deficient_matrix(rng, nrows, ncols, bits=(3, 12, 100)[trial % 3])
         expected = sympy_rank(rows)
-        assert rank(rows, ncols) == expected
-        assert rank(rows, ncols) == len(rref(rows, ncols))
+        assert integer_rank(integer_rows(rows, ncols), ncols) == expected
+        assert expected == len(rref(rows, ncols))
         full += expected == min(nrows, ncols)
         deficient += expected < min(nrows, ncols)
     assert full > 20 and deficient > 100

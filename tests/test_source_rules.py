@@ -309,21 +309,54 @@ def public_definitions(tree) -> list:
     return found
 
 
+def module_names(tree, modules: set) -> set:
+    """The names a tree binds to the ``modules``: ``from . import m [as a]`` or
+    ``from lpl import m``."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module is None or node.module == "lpl")
+        for alias in node.names
+        if alias.name in modules
+    }
+
+
+def definition_reads(tree, modules: set) -> Counter:
+    """How often each name is read as a module-level definition: loaded as a bare
+    name, or as the attribute ``m.name`` of an imported module m of ``modules``."""
+    modules = module_names(tree, modules)
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+    )
+
+
 def unread_public_definitions(trees: dict) -> list:
     """Public definitions that no module but __init__.py reads outside their own body.
 
-    A method K.m is read only through an attribute ``.m``: a local variable
-    named m does not read it.
+    A module-level definition is read only as ``definition_reads`` counts it:
+    a field or attribute ``.name`` of some object does not read it.  A method
+    K.m is read only through an attribute ``.m``: a local variable named m
+    does not read it.
     """
+    modules = {name.removesuffix(".py") for name in trees}
     readers = [tree for name, tree in trees.items() if name != "__init__.py"]
-    names = sum((references(tree) for tree in readers), Counter())
+    names = sum((definition_reads(tree, modules) for tree in readers), Counter())
     attributes = sum((attribute_reads(tree) for tree in readers), Counter())
     unread = []
     for tree in trees.values():
         for qualified, node in public_definitions(tree):
-            count = attribute_reads if "." in qualified else references
-            total = attributes if "." in qualified else names
-            if total[node.name] == count(node)[node.name]:
+            if "." in qualified:
+                own, total = attribute_reads(node), attributes
+            else:
+                own, total = definition_reads(node, modules), names
+            if total[node.name] == own[node.name]:
                 unread.append(qualified)
     return sorted(unread)
 
@@ -347,10 +380,72 @@ def test_library_reads_its_public_definitions():
             "class K:\n    def m(self):\n        return used()\n    def _p(self):\n        pass\n"
             "    def local(self):\n        pass\n"
             "class _Hidden:\n    def m2(self):\n        pass\n"
+            "def rank():\n    pass\n"
+            "def helper():\n    pass\n"
+        ),
+        "b.py": ast.parse(
+            "from . import a as mod\nfrom .a import rank\nmod.helper()\nr = verdict.rank\n"
+            "rank = 2\n"
         ),
         "__init__.py": ast.parse("from .a import unused\nunused()\n"),
     }
-    assert unread_public_definitions(stray) == ["K", "K.local", "K.m", "unused"]
+    assert unread_public_definitions(stray) == ["K", "K.local", "K.m", "rank", "unused"]
+
+
+# The one function in cli.py that prints a coisotropy, pre-Poisson or constancy witness.
+WITNESS_PRINTER = "_witness_data"
+
+
+def witness_reads(tree) -> list:
+    """(node, allowed) per read of an attribute named witness or counterexample: allowed
+    as the left side of an ``is None`` or ``is not None`` test, or as an argument of
+    WITNESS_PRINTER."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            tests = zip(node.ops, node.comparators)
+            if all(isinstance(op, (ast.Is, ast.IsNot)) and is_none(c) for op, c in tests):
+                allowed.add(id(node.left))
+        elif isinstance(node, ast.Call) and called_name(node) == WITNESS_PRINTER:
+            allowed |= {id(argument) for argument in node.args}
+    return [
+        (node, id(node) in allowed)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("witness", "counterexample")
+    ]
+
+
+def is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def test_cli_prints_every_witness_through_one_printer():
+    # The library builds each witness as its named parts in print order, so
+    # the CLI decodes none by hand: it tests a witness for None or passes it
+    # whole to the one printer, which maps its vectors through vector_strs.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert WITNESS_PRINTER in defined
+    reads = witness_reads(tree)
+    assert {node.attr for node, _ in reads} == {"witness", "counterexample"}
+    assert [f"cli.py:{node.lineno}" for node, allowed in reads if not allowed] == []
+    stray = ast.parse(
+        "if r.witness is not None:\n    out['w'] = _witness_data(r.witness)\n"
+        "kind = r.witness[0]\n"
+        "(x1, r1), (x2, r2) = v.counterexample\n"
+        "w = vector_strs(c.witness['u'])\n"
+        "if v.counterexample == None:\n    pass\n"
+        "p = [_witness_data(x) for x in v.counterexample]\n"
+    )
+    assert sorted((node.lineno, allowed) for node, allowed in witness_reads(stray)) == [
+        (1, True),
+        (2, True),
+        (3, False),
+        (4, False),
+        (5, False),
+        (6, False),
+        (8, False),
+    ]
 
 
 def integer_point_reads(tree) -> list:

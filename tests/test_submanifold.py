@@ -25,7 +25,6 @@ from lpl.linalg import (
     Subspace,
     choose_complement,
     dot,
-    rank,
     unit_vector,
     vadd,
     vec,
@@ -73,6 +72,7 @@ from conftest import (
     random_vector,
     rank_at,
     rational_catalog,
+    rational_rank,
     restricted_algebra,
     sl2_h,
     slice_preimage,
@@ -190,7 +190,7 @@ def test_coisotropic_iff_subalgebra_plus_character():
             bad = AffineSubspace(algebra, h, comm.basis[0])
             res = is_coisotropic(bad)
             assert not res
-            assert res.witness[0] == "character_fails"
+            assert res.witness["kind"] == "character_fails"
 
 
 def test_classify_takes_no_rational_bracket(monkeypatch):
@@ -206,7 +206,7 @@ def test_classify_takes_no_rational_bracket(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "bracket", counted)
     problem = parse_problem((FIXTURES / "sl2_transverse.json").read_text(), base_dir=FIXTURES)
     report = classify(problem.affine, problem.sampling)
-    assert report.coisotropic.witness == ("character_fails", vec([0, 1, -1]))
+    assert report.coisotropic.witness == {"kind": "character_fails", "vector": vec([0, 1, -1])}
     assert calls == []
 
 
@@ -217,10 +217,11 @@ def bracket_loop_coisotropy(c):
         for v in h.basis[i + 1 :]:
             w = fraction_bracket(algebra, u, v)
             if not h.contains_vector(w):
-                return CoisotropyResult(False, ("bracket_escapes", u, v, w))
+                witness = {"kind": "bracket_escapes", "u": u, "v": v, "bracket": w}
+                return CoisotropyResult(False, witness)
     for u in subspace_bracket(algebra, h, h).basis:
         if dot(c.base, u) != 0:
-            return CoisotropyResult(False, ("character_fails", u))
+            return CoisotropyResult(False, {"kind": "character_fails", "vector": u})
     return CoisotropyResult(True)
 
 
@@ -249,7 +250,8 @@ def test_coisotropy_from_the_form_matches_the_bracket_loop():
                     c = AffineSubspace(algebra, h, base)
                     expected = bracket_loop_coisotropy(c)
                     assert is_coisotropic(c) == expected
-                    kinds.add((is_subalgebra(algebra, h), expected.witness and expected.witness[0]))
+                    kind = expected.witness and expected.witness["kind"]
+                    kinds.add((is_subalgebra(algebra, h), kind))
     assert kinds == {(False, "bracket_escapes"), (True, "character_fails"), (True, None)}
 
 
@@ -257,8 +259,9 @@ def test_non_subalgebra_witness(sl2):
     h = Subspace.span(3, [[0, 1, 0], [0, 0, 1]])  # [e2, e3] = e1 escapes
     res = is_coisotropic(AffineSubspace(sl2, h, zero_vector(3)))
     assert not res
-    kind, u, v, w = res.witness
-    assert kind == "bracket_escapes"
+    assert list(res.witness) == ["kind", "u", "v", "bracket"]
+    assert res.witness["kind"] == "bracket_escapes"
+    u, v, w = res.witness["u"], res.witness["v"], res.witness["bracket"]
     assert w == fraction_bracket(sl2, u, v)
     assert not h.contains_vector(w)
 
@@ -335,10 +338,9 @@ def test_gl2_line_rank_jump(gl2):
     c = AffineSubspace(gl2, h, zero_vector(4))
     verdict = pre_poisson_check(c)
     assert verdict.kind == NOT_CONSTANT
-    (base_pt, base_rank), (other_pt, other_rank) = verdict.counterexample
-    assert base_pt == zero_vector(4)
-    assert base_rank == 1
-    assert other_rank == 3
+    base, other = verdict.counterexample
+    assert base == {"point": zero_vector(4), "rank": 1}
+    assert list(other) == ["point", "rank"] and other["rank"] == 3
 
 
 def test_integer_samples_find_the_so4_rank_drop():
@@ -358,13 +360,14 @@ def test_integer_samples_find_the_so4_rank_drop():
     c = AffineSubspace(so4, Subspace.span(6, hv), vec([68, -39, -80, -21, 14, -20]))
     verdict = classify(c, SampleSpec(seed=910245)).pre_poisson
     assert verdict.kind == NOT_CONSTANT
-    (x0, r0), (x1, r1) = verdict.counterexample
-    assert (x0, r0, r1) == (c.base, 6, 4) and x1[2] == 0 and c.contains(x1)
+    base, other = verdict.counterexample
+    assert (base["point"], base["rank"], other["rank"]) == (c.base, 6, 4)
+    assert other["point"][2] == 0 and c.contains(other["point"])
     # sympy: rank of ann(h) + coad_h(x), coad_v(x)_k = <x, [v, e_k]>.
     hm = sympy.Matrix([[sympy.Rational(e) for e in v] for v in hv])
     ann = [w.T for w in hm.nullspace()]
     h_mats = [sum((e * b for e, b in zip(v, basis)), sympy.zeros(4, 4)) for v in hv]
-    for x, expected in ((x0, r0), (x1, r1)):
+    for x, expected in (x.values() for x in verdict.counterexample):
         xs = sympy.Matrix([[sympy.Rational(e) for e in x]])
         coad = [
             sympy.Matrix([[(xs * sympy.Matrix(coords(v * b - b * v)))[0] for b in basis]])
@@ -414,7 +417,7 @@ def test_walks_longer_than_a_chunk_keep_their_verdicts(monkeypatch):
             assert verdict.kind == CERTIFIED_CONSTANT and batches == [1]
         elif jumps:
             assert verdict.kind == NOT_CONSTANT
-            assert verdict.counterexample[1][0] == c.point_at(points[jumps[0]])
+            assert verdict.counterexample[1]["point"] == c.point_at(points[jumps[0]])
             assert batches == chunks[: jumps[0] // 3 + 1]
         else:
             assert verdict.kind == SAMPLED_CONSTANT and batches == chunks
@@ -526,7 +529,8 @@ def test_integer_pencil_matches_fraction_form_and_sympy():
             for pencil in pencils:
                 form = pencil_at(pencil, t)
                 expected = sympy.Matrix(pencil.size, pencil.size, lambda a, b: form[a][b]).rank()
-                assert rank_at(pencil, _integer_point(t)) == rank(form, pencil.size) == expected
+                at_t = rank_at(pencil, _integer_point(t))
+                assert at_t == rational_rank(form, pencil.size) == expected
                 seen_ranks.add(expected)
             assert pencil_at(pencils[0], t) == tuple(
                 tuple(dot(x, fraction_bracket(algebra, u, v)) for v in h.basis) for u in h.basis
@@ -551,7 +555,7 @@ def test_skew_pencils_store_the_upper_triangle_and_rank_without_bareiss(monkeypa
             stored = [k for terms in pencil.directions for k, _ in terms]
             assert pencil.cells == tuple(pencil_cells(m))
             assert len(pencil.base) == m * (m - 1) // 2 and all(k < len(pencil.base) for k in stored)
-            assert rank_at(pencil, point) == rank(pencil_at(pencil, t), m)
+            assert rank_at(pencil, point) == rational_rank(pencil_at(pencil, t), m)
 
 
 def test_integer_pencils_equal_the_fraction_oracle():
@@ -727,7 +731,7 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
     points += c.walk(SampleSpec(3, seed, bound))[0]  # the origin, then the samples
     for point in points:
         t = assert_point_at_matches_fractions(c, point)
-        assert rank_at(pencil, point) == rank(pencil_at(pencil, t), pencil.size)
+        assert rank_at(pencil, point) == rational_rank(pencil_at(pencil, t), pencil.size)
     assert [r for r, _ in pencil.ranks_along(points)] == [rank_at(pencil, t) for t in points]
 
 
@@ -847,7 +851,7 @@ def test_classify_reports(sl2, gl2):
     h = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     line = classify(AffineSubspace(gl2, h, zero_vector(4)))
     assert not line.coisotropic
-    assert line.coisotropic.witness[0] == "bracket_escapes"
+    assert line.coisotropic.witness["kind"] == "bracket_escapes"
     assert line.pre_poisson.kind == NOT_CONSTANT
     assert line.generic_rank == 3
     assert not line.cosymplectic_at_base
