@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +27,7 @@ from . import embedding as embedding_mod
 from .lie import LieAlgebra, NotASubalgebra, validate_jacobi
 from .lie_poisson import Polynomial, casimir_check, parse_polynomial, poisson_bracket_poly
 from .linalg import DimensionMismatch, InputError, InvariantViolation, Subspace, Vector
-from .linalg import _check_digits, parse_fraction, vector_strs
+from .linalg import _PRINT_LIMIT, _check_digits, parse_fraction, vector_strs
 from .submanifold import CERTIFIED_CONSTANT, NOT_CONSTANT, AffineSubspace, SampleSpec, classify
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -96,14 +97,35 @@ def parse_list(data: dict, key: str, what: str, default=None) -> list:
     return value
 
 
+def _check_ratio_digits(den: int, nums, what: str) -> None:
+    """``_check_digits`` on the entries n/den, den > 0, each printed as n/g
+    over den/g with g = gcd(n, den).
+
+    Neither part exceeds |n| or den, so below the limit they pass unreduced;
+    only past it is each entry reduced and checked.
+    """
+    if den >= _PRINT_LIMIT or max(map(abs, nums), default=0) >= _PRINT_LIMIT:
+        _check_digits([Fraction(n, den) for n in nums], what)
+
+
 def polynomial_str(p: Polynomial) -> str:
     # Exponents need no check: both commands bound their inputs' degree by MAX_DEGREE.
-    _check_digits(p.terms.values(), "a coefficient")
+    _check_ratio_digits(p.den, p.nums.values(), "a coefficient")
     return str(p)
 
 
 def subspace_dict(s: Subspace) -> dict:
-    return {"ambient_dim": s.ambient_dim, "basis": [vector_strs(row) for row in s.basis]}
+    """The canonical basis R / d printed from (d, R), one gcd per entry."""
+    d, rows = s.integer_echelon
+    _check_ratio_digits(d, [x for row in rows for x in row], "a vector entry")
+    basis = [[_ratio_str(x, d) for x in row] for row in rows]
+    return {"ambient_dim": s.ambient_dim, "basis": basis}
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d, d > 0, as ``str(Fraction(n, d))`` writes it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def parse_model(data) -> LieAlgebra:

@@ -16,8 +16,8 @@ from lpl import LieAlgebra, Subspace, direct_sum
 from lpl.cli import parse_model
 from lpl.embedding import Extension, RankNotConstant, coisotropy_in_extension
 from lpl.lie import NotASubalgebra
-from lpl.lie_poisson import Polynomial
 from lpl.linalg import (
+    MAX_RATIONAL_CHARS,
     ZERO,
     DimensionMismatch,
     InvariantViolation,
@@ -429,65 +429,123 @@ def fraction_arithmetic(monkeypatch) -> list:
     return calls
 
 
-def per_term_parse(text, nvars):
-    """The construction parse_polynomial replaced: one Polynomial + per term, a Fraction per factor."""
-    factor_re = re.compile(r"^nu(\d+)(?:\^(\d+))?$")
-    stripped = text.replace(" ", "")
+# The Fraction bodies of parse_polynomial, Polynomial.__str__, __add__ and
+# __mul__ and poisson_bracket_poly that lpl replaced by integer numerators
+# over one denominator: the oracles those are checked against.  Each takes
+# and returns a table {exponent tuple: nonzero Fraction}, as ``terms`` reads.
+
+
+def fraction_parse_polynomial(text: str, nvars: int) -> dict:
+    """One Fraction per term, summed per monomial: the oracle for ``parse_polynomial``."""
+    if re.search(r"\w\s+\w", text):
+        raise ValueError(f"whitespace inside a number or a variable in polynomial {text!r}")
+    stripped = "".join(text.split())
+    if not stripped:
+        raise ValueError("empty polynomial")
     chunks = re.findall(r"[+-]?[^+-]+", stripped)
-    result = Polynomial.zero(nvars)
+    if "".join(chunks) != stripped:
+        raise ValueError(f"cannot parse polynomial {text!r}")
+    terms = {}
     for chunk in chunks:
-        coeff, body = Fraction(1), chunk
-        if body[0] in "+-":
-            coeff, body = Fraction(-1 if body[0] == "-" else 1), body[1:]
-        expo = [0] * nvars
-        for factor in body.split("*"):
-            m = factor_re.match(factor)
-            if m:
-                expo[int(m.group(1)) - 1] += int(m.group(2) or 1)
+        num, den, expo = -1 if chunk[0] == "-" else 1, 1, [0] * nvars
+        for factor in chunk.lstrip("+-").split("*"):
+            m = re.fullmatch(r"nu(\d+)(?:\^(\d+))?|(\d+)(?:/(\d+))?", factor)
+            if m is None or len(factor) > MAX_RATIONAL_CHARS:
+                raise ValueError(f"bad factor {factor!r} in polynomial")
+            if m[1]:
+                idx = int(m[1])
+                if not 1 <= idx <= nvars:
+                    raise ValueError(f"variable nu{idx} out of range 1..{nvars}")
+                expo[idx - 1] += int(m[2] or 1)
+            elif q := int(m[4] or 1):
+                num, den = num * int(m[3]), den * q
             else:
-                coeff *= Fraction(factor)
-        result = result + Polynomial(nvars, {tuple(expo): coeff})
-    return result
+                raise ValueError(f"bad factor {factor!r} in polynomial")
+        key = tuple(expo)
+        terms[key] = terms.get(key, Fraction(0)) + Fraction(num, den)
+    return {e: c for e, c in terms.items() if c}
 
 
-def term_by_term_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """The Polynomial.__add__ that lpl replaced: a Fraction sum per term, rechecked by __init__."""
-    out = dict(p.terms)
-    for expo, c in q.terms.items():
-        out[expo] = out.get(expo, Fraction(0)) + c
-    return Polynomial(p.nvars, out)
-
-
-def term_by_term_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """The Polynomial.__mul__ that lpl replaced: a Fraction product per pair of terms and
-    an exponent tuple by zip, the result rechecked by __init__."""
-    out = {}
-    for ea, ca in p.terms.items():
-        for eb, cb in q.terms.items():
-            expo = tuple(a + b for a, b in zip(ea, eb))
-            out[expo] = out.get(expo, Fraction(0)) + ca * cb
-    return Polynomial(p.nvars, out)
-
-
-def term_by_term_str(p: Polynomial) -> str:
-    """The printer Polynomial.__str__ replaced: signs and magnitudes from Fraction comparisons."""
-    if not p.terms:
+def fraction_polynomial_str(terms) -> str:
+    """Graded-lex terms, each coefficient from its Fraction's numerator and
+    denominator: the oracle for ``Polynomial.__str__``."""
+    if not terms:
         return "0"
     pieces = []
-    for expo, coeff in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
-        factors = [f"nu{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(expo) if e > 0]
-        if not factors:
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = "*".join(factors)
+    for expo, coeff in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        p, q = coeff.numerator, coeff.denominator
+        factors = [f"nu{i + 1}^{e}" if e > 1 else f"nu{i + 1}" for i, e in enumerate(expo) if e]
+        size = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+        if size != "1" or not factors:
+            factors.insert(0, size)
+        pieces.append(("- " if p < 0 else "+ ") + "*".join(factors))
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def fraction_add(p, q) -> dict:
+    """A Fraction sum per monomial: the oracle for ``Polynomial.__add__``."""
+    out = dict(p)
+    for expo, c in q.items():
+        if s := out.get(expo, Fraction(0)) + c:
+            out[expo] = s
         else:
-            body = str(abs(coeff)) + "*" + "*".join(factors)
-        pieces.append(("-" if coeff < 0 else "+", body))
-    first_sign, first_body = pieces[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+            out.pop(expo, None)
+    return out
+
+
+def _fraction_numerators(terms) -> tuple[int, list]:
+    """d, the lcm of the table's denominators, and each term with its coefficient times d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+
+
+def fraction_mul(p, q) -> dict:
+    """Products of integer numerators over the lcms of each side's denominators,
+    summed per monomial, one Fraction per output term: the oracle for ``Polynomial.__mul__``."""
+    (da, a), (db, b) = _fraction_numerators(p), _fraction_numerators(q)
+    out = {}
+    for ea, na in a:
+        for eb, nb in b:
+            expo = tuple(x + y for x, y in zip(ea, eb))
+            out[expo] = out.get(expo, 0) + na * nb
+    return {e: Fraction(n, da * db) for e, n in out.items() if n}
+
+
+def fraction_poisson_bracket(algebra: LieAlgebra, f, g) -> dict:
+    """{f, g} = sum Pi_ij d_i f d_j g on packed keys with B = deg f + deg g, one
+    Fraction per output monomial: the oracle for ``poisson_bracket_poly``."""
+    n = algebra.dim
+    ds, structure = algebra.integer_structure
+    degrees = [max(map(sum, p), default=0) for p in (f, g)]
+    weights = [sum(degrees) ** l for l in range(n)]
+    packed = []
+    for p in (f, g):
+        d, terms = _fraction_numerators(p)
+        grad = [[] for _ in range(n)]
+        for expo, c in terms:
+            key = sum(e * w for e, w in zip(expo, weights))
+            for i, e in enumerate(expo):
+                if e:
+                    grad[i].append((key - weights[i], c * e))
+        packed.append((d, grad))
+    (df_den, df), (dg_den, dg) = packed
+    out = {}
+    for dfi, row in zip(df, structure):
+        for j, pi_ij in row:
+            for ka, ca in dfi:
+                for kb, cb in dg[j]:
+                    for l, c in pi_ij:
+                        e = ka + kb + weights[l]
+                        out[e] = out.get(e, 0) + c * ca * cb
+    den, terms = df_den * dg_den * ds, {}
+    for key, v in out.items():
+        if v:
+            expo = [0] * n
+            for l in range(n - 1, -1, -1):
+                expo[l], key = divmod(key, weights[l])
+            terms[tuple(expo)] = Fraction(v, den)
+    return terms
 
 
 def fraction_creations(monkeypatch) -> list:

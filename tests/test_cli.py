@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,6 +25,7 @@ from lpl.cli import (
     parse_model,
     parse_problem,
     parse_rational,
+    polynomial_str,
     render_human,
     render_json,
     run,
@@ -31,11 +33,11 @@ from lpl.cli import (
     subspace_dict,
 )
 from lpl.lie import LieAlgebra
-from lpl.lie_poisson import MAX_DEGREE
+from lpl.lie_poisson import MAX_DEGREE, Polynomial, parse_polynomial
 from lpl.linalg import MAX_RATIONAL_CHARS, Subspace, vec
 from lpl.submanifold import AffineSubspace
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fraction_creations, random_subspace
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +751,38 @@ def test_main_bounds_the_digits_of_a_coefficient(capsys, command, polys, digits)
     else:
         assert code == EXIT_INPUT_ERROR
         assert err == f"error: a coefficient has more than {MAX_RATIONAL_CHARS} digits\n"
+
+
+def test_printers_reduce_each_entry_over_the_one_denominator(monkeypatch):
+    # Subspaces print from (d, R) and polynomials from (den, nums), entry n
+    # as n/g over d/g: what str() of the Fraction prints, with no Fraction
+    # created on the way.
+    rng = random.Random(97)
+    cases = [random_subspace(rng, rng.randint(1, 6)) for _ in range(200)]
+    expected = [[[str(e) for e in row] for row in s.basis] for s in cases]
+    cases = [Subspace.integer_span(s.ambient_dim, s.integer_echelon[1]) for s in cases]
+    calls = fraction_creations(monkeypatch)
+    printed = [subspace_dict(s) for s in cases]
+    assert calls == []
+    assert printed == [{"ambient_dim": s.ambient_dim, "basis": b} for s, b in zip(cases, expected)]
+    assert sum(s.integer_echelon[0] > 1 for s in cases) > 50
+
+
+def test_digit_check_reads_each_reduced_entry():
+    # Over the one denominator a * b, with a and b coprime, 1/a and 1/b have
+    # more than MAX_RATIONAL_CHARS digits; reduced, neither has, so both print.
+    a, b = 10**2200, int("7" * 2200)
+    p = parse_polynomial(f"1/{a}*nu1 + 1/{b}*nu2", 2)
+    s = Subspace.span(3, [[1, Fraction(1, a), Fraction(1, b)]])
+    assert p.den == s.integer_echelon[0] == a * b >= 10**MAX_RATIONAL_CHARS
+    assert polynomial_str(p) == f"1/{a}*nu1 + 1/{b}*nu2"
+    assert subspace_dict(s)["basis"] == [["1", f"1/{a}", f"1/{b}"]]
+    # One entry whose reduced part is that long is refused.
+    for entry in (Fraction(1, a * b), Fraction(a * b, 3)):
+        with pytest.raises(InputError, match="a coefficient has more than"):
+            polynomial_str(Polynomial(2, {(1, 0): entry, (0, 1): Fraction(1, 3)}))
+        with pytest.raises(InputError, match="a vector entry has more than"):
+            subspace_dict(Subspace.span(3, [[1, entry, Fraction(1, 3)]]))
 
 
 @pytest.mark.parametrize("digits", [MAX_RATIONAL_CHARS + 1])

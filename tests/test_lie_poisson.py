@@ -1,11 +1,13 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpl.cli import polynomial_str
 from lpl.lie_poisson import (
     MAX_DEGREE,
     Polynomial,
@@ -22,16 +24,17 @@ from conftest import (
     SL2_BASIS,
     algebra_catalog,
     bracket_table,
+    fraction_add,
     fraction_bivector_at,
     fraction_creations,
+    fraction_mul,
+    fraction_parse_polynomial,
+    fraction_poisson_bracket,
+    fraction_polynomial_str,
     in_basis,
-    per_term_parse,
     random_vector,
     rational_catalog,
     rational_rank,
-    term_by_term_add,
-    term_by_term_mul,
-    term_by_term_str,
 )
 
 
@@ -92,9 +95,9 @@ def test_parse_in_one_pass_matches_per_term_sums():
             if rng.random() < 0.3:
                 pieces.append(("-" if pieces[-1][0] == "+" else "+", term))
         text = " ".join(f"{sign} {term}" for sign, term in pieces).lstrip("+ ")
-        expected = per_term_parse(text, nvars)
+        expected = fraction_parse_polynomial(text, nvars)
         got = parse_polynomial(text, nvars)
-        assert got.terms == expected.terms and str(got) == str(expected)
+        assert got.terms == expected and str(got) == fraction_polynomial_str(expected)
         cancelled += len(got.terms) < len({term for _, term in pieces})
         zeros += got.is_zero()
     assert cancelled > 50 and zeros > 5
@@ -123,18 +126,19 @@ def _oracle_poly(rng, nvars):
 
 
 def test_str_and_parse_match_the_oracles():
-    # The printer formats from numerator and denominator and the parser keeps
-    # one integer fraction per term; the oracles compare Fractions and build
-    # one Polynomial per term.
+    # The printer reduces each numerator over the one denominator and the
+    # parser sums numerators over the lcm of the terms' denominators; the
+    # oracles keep one Fraction per term.
     rng = random.Random(83)
     seen = set()
     for _ in range(400):
         nvars = rng.randint(1, 13)
         p = _oracle_poly(rng, nvars)
         text = str(p)
-        assert text == term_by_term_str(p)
-        assert parse_polynomial(text, nvars) == p == per_term_parse(text, nvars)
-        lead = p.canonical()[-1] if p.terms else None
+        assert text == fraction_polynomial_str(p.terms)
+        assert parse_polynomial(text, nvars) == p
+        assert p.terms == fraction_parse_polynomial(text, nvars)
+        lead = max(p.terms.items(), key=lambda t: (sum(t[0]), t[0])) if p.terms else None
         seen |= {
             ("zero", p.is_zero()),
             ("negative lead", lead is not None and lead[1] < 0),
@@ -156,33 +160,61 @@ def test_polynomial_arithmetic():
     assert (p - p).is_zero()
 
 
-def _polynomials(nvars):
-    """Up to 6 terms of degree at most 3 per variable; small coefficients often cancel."""
+# Abelian in 0 and 1 variables, then genuine and rational-constant algebras in 2 to 7.
+ORACLE_ALGEBRAS = [LieAlgebra.abelian(0), LieAlgebra.abelian(1), *algebra_catalog(), *rational_catalog()]
+
+
+def _fraction_tables(nvars):
+    """Up to 6 terms of degree at most 3 per variable: small coefficients, which
+    often cancel, and numerators up to 10**30 over denominators up to 10**20."""
     coeff = st.one_of(
         st.fractions(-3, 3, max_denominator=3),
-        st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**12)),
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
     )
     expo = st.tuples(*[st.integers(0, 3)] * nvars)
-    return st.dictionaries(expo, coeff, max_size=6).map(lambda t: Polynomial(nvars, t))
+    return st.dictionaries(expo, coeff, max_size=6).map(lambda t: {e: c for e, c in t.items() if c})
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_add_and_mul_match_the_term_by_term_formulas(data):
-    # Sums and products equal the Fraction formulas term for term, and
-    # their tables are clean without __init__: int exponent tuples of the
-    # right length and nonzero Fractions, even where terms cancel.
-    nvars = data.draw(st.integers(0, 4))
-    p, q = data.draw(_polynomials(nvars)), data.draw(_polynomials(nvars))
-    if data.draw(st.booleans()):  # q cancels some of p's terms
-        q = Polynomial(nvars, {**q.terms, **{e: -c for e, c in p.terms.items()}})
-    for got, want in ((p + q, term_by_term_add(p, q)), (p * q, term_by_term_mul(p, q))):
-        assert got == want
-        for expo, c in got.terms.items():
-            assert type(expo) is tuple and len(expo) == nvars
-            assert all(type(e) is int for e in expo)
-            assert type(c) is Fraction and c
-    assert (p + (-p)).terms == {} and (p * Polynomial.zero(nvars)).terms == {}
+def test_integer_polynomials_match_the_fraction_oracles(data):
+    # Sums, products, brackets, parses and prints equal the Fraction oracles
+    # term for term, and every result is canonical without __init__: equal
+    # polynomials have one (den, nums) and one hash however they were built,
+    # also where terms cancel and for the zero polynomial.
+    algebra = data.draw(st.sampled_from(ORACLE_ALGEBRAS))
+    n = algebra.dim
+    s, t = data.draw(_fraction_tables(n)), data.draw(_fraction_tables(n))
+    if data.draw(st.booleans()):  # t cancels some of s's terms
+        t = {**t, **{e: -c for e, c in s.items()}}
+    p, q = Polynomial(n, s), Polynomial(n, t)
+    text = str(p)
+    cases = [
+        (p, s),
+        (p + q, fraction_add(s, t)),
+        (p * q, fraction_mul(s, t)),
+        (poisson_bracket_poly(algebra, p, q), fraction_poisson_bracket(algebra, s, t)),
+        (parse_polynomial(text, n), fraction_parse_polynomial(text, n)),
+        (p + (-p), {}),
+        (p * Polynomial.zero(n), {}),
+    ]
+    for got, want in cases:
+        expected = Polynomial(n, want)
+        assert got.terms == want and str(got) == fraction_polynomial_str(want)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.den > 0 and gcd(got.den, *got.nums.values()) == 1
+        for expo, v in got.nums.items():
+            assert type(expo) is tuple and len(expo) == n and all(type(e) is int for e in expo)
+            assert type(v) is int and v
+
+
+def test_exponents_must_be_nonnegative_ints():
+    # -1 would print as a term that parses back to another polynomial, and
+    # 1.5 would be read as 1.
+    for terms in ({(-1, 0): 1, (0, 1): 2}, {(1.5, 0): 1}, {(0, -2): 0}):
+        with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+            Polynomial(2, terms)
+    assert Polynomial(2, {(0, 1): 2, (3, 0): 0}) == Polynomial.variable(2, 1).scale(2)
 
 
 def test_polynomial_str_sign_handling():
@@ -489,27 +521,31 @@ def test_gl8_bracket_at_the_degree_bound_is_fast():
             poisson_bracket_poly(gl8, Polynomial.variable(64, 1), p)
 
 
-def test_bracket_and_casimir_create_fractions_only_for_the_output(monkeypatch):
-    # casimir_check creates no Fraction; the bracket creates one per output
-    # monomial, and none for the terms it sums.
+def test_parse_print_bracket_and_casimir_create_no_fraction(monkeypatch):
+    # Parsing, printing (with the CLI's digit check), the bracket and the
+    # Casimir test run on integer numerators over one denominator: none of
+    # them creates a Fraction, not even for the output.
     rng = random.Random(89)
     cases = []
     for algebra in algebra_catalog() + rational_catalog():
         n = algebra.dim
         f, g = _random_poly(rng, n, 4), _random_poly(rng, n, 4)
-        cases.append((algebra, f, g, f * f + Polynomial.constant(n, Fraction(1, 3))))
+        h = f * f + Polynomial.constant(n, Fraction(1, 3))
+        cases.append((algebra, [str(f), str(g), str(h)], pairwise_bracket(bracket_table(algebra), f, g)))
     calls = fraction_creations(monkeypatch)
     assert Fraction(1, 2) and len(calls) == 1
     calls.clear()
-    verdicts, outputs = set(), 0
-    for algebra, f, g, h in cases:
+    verdicts, printed = set(), []
+    for algebra, texts, _ in cases:
+        f, g, h = (parse_polynomial(text, algebra.dim) for text in texts)
         verdicts |= {casimir_check(algebra, p) for p in (f, g, h)}
-        assert calls == []
-        got = poisson_bracket_poly(algebra, f, g)
-        assert len(calls) == len(got.terms)
-        outputs += len(calls)
-        calls.clear()
-    assert verdicts == {True, False} and outputs > 50
+        printed.append([polynomial_str(p) for p in (f, g, h, poisson_bracket_poly(algebra, f, g))])
+    assert calls == []
+    assert verdicts == {True, False}
+    for (_, texts, bracket), out in zip(cases, printed):
+        assert out == [*texts, str(bracket)]
+    brackets = [bracket for *_, bracket in cases]
+    assert sum(len(b.nums) for b in brackets) > 50 and sum(b.den > 1 for b in brackets) > 5
 
 
 def _substitute(f, rows):
