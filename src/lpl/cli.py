@@ -115,11 +115,11 @@ def polynomial_str(p: Polynomial) -> str:
 
 
 def subspace_dict(s: Subspace) -> dict:
-    """The canonical basis R / d printed from (d, R), one gcd per entry."""
+    """The canonical basis R / d printed from (d, R): one gcd per entry, none when d = 1."""
     d, rows = s.integer_echelon
     _check_ratio_digits(d, [x for row in rows for x in row], "a vector entry")
-    basis = [[_ratio_str(x, d) for x in row] for row in rows]
-    return {"ambient_dim": s.ambient_dim, "basis": basis}
+    text = str if d == 1 else lambda x: _ratio_str(x, d)
+    return {"ambient_dim": s.ambient_dim, "basis": [list(map(text, row)) for row in rows]}
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -171,10 +171,12 @@ def parse_model(data) -> LieAlgebra:
 
 
 def serialize_model(algebra: LieAlgebra, name: str = "model") -> dict:
-    _check_digits((c for row in algebra.structure for _, t in row for _, c in t), "a coefficient")
+    d, rows = algebra.integer_structure
+    _check_ratio_digits(d, [c for row in rows for _, t in row for _, c in t], "a coefficient")
+    text = str if d == 1 else lambda c: _ratio_str(c, d)
     brackets = [
-        {"i": i, "j": j, "terms": [{"k": k, "coefficient": str(c)} for k, c in terms]}
-        for i, row in enumerate(algebra.structure)
+        {"i": i, "j": j, "terms": [{"k": k, "coefficient": text(c)} for k, c in terms]}
+        for i, row in enumerate(rows)
         for j, terms in row
         if i < j
     ]

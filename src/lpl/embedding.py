@@ -10,19 +10,15 @@ cases, a symmetric pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from operator import mul
 from typing import Iterable, Optional
 
 from .lie import LieAlgebra, NotASubalgebra, brackets_in, is_subalgebra, validate_jacobi
 from .linalg import (
-    ZERO,
     InvariantViolation,
     Subspace,
     Vector,
-    _scaled_supports,
     choose_complement,
     integer_rank,
     solve,
@@ -219,10 +215,12 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
 
     Coordinates on the extension correspond to the elements khat_i of k dual
     to the canonical basis u = R_u / d_u of p-ann, so c_ij^l = <u_l, [khat_i,
-    khat_j]>.  All of it runs on the integer echelon rows: with R_k those of
-    k and the integer Gram matrix G = R_k R_u^T, one elimination of [G | R_k]
-    solves G X = R_k, and khat = d_u X.  With Y = s X integer rows,
-    c_ij^l = d_u <R_u,l, Ds [Y_i, Y_j]> / (s^2 Ds).  Pairing with p-ann
+    khat_j]>.  All of it runs on integers, and no Fraction is made: with R_k
+    the echelon rows of k and the integer Gram matrix G = R_k R_u^T, one
+    elimination of [G | R_k] solves G X = R_k as X = Y / s with Y integer
+    rows, and khat = d_u X.  So c_ij^l = d_u <R_u,l, Ds [Y_i, Y_j]> / (s^2 Ds),
+    the integer constants of the result over s^2 Ds.  G and the pairings
+    read R_u by its sparse columns (``_pairings``).  Pairing with p-ann
     ignores the p component of a bracket, so nothing is projected to k.
     Requires the pair report to have found k + p = g directly and k a
     subalgebra.
@@ -233,24 +231,35 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")
     u = pair.p.annihilator()
     (d_u, u_rows), k_rows, m = u.integer_echelon, pair.k.integer_echelon[1], u.dim
-    gram = [[sum(map(mul, a, b)) for b in u_rows] for a in k_rows]
-    x = solve(gram, m, k_rows)
-    if x is None:
+    columns = [[(l, c) for l, c in enumerate(column) if c] for column in zip(*u_rows)]
+    gram = [_pairings(columns, enumerate(a), m) for a in k_rows]
+    solution = solve(gram, m, k_rows)
+    if solution is None:
         raise InvariantViolation("the pairing of k with p-ann is degenerate")
-    s, y = _scaled_supports(x)
-    q = s * s * algebra.integer_structure[0]
+    s, x = solution
+    y = [[(j, e) for j, e in enumerate(row) if e] for row in x]
     brackets = {}
     for i, j in combinations(range(m), 2):
-        image = algebra.integer_bracket(y[i], dict(y[j]))
-        if image:
-            pairings = (d_u * sum(r[k] * e for k, e in image) for r in u_rows)
-            brackets[(i, j)] = [Fraction(e, q) if e else ZERO for e in pairings]
-    labels = tuple(algebra.labels[col] for col in u.pivots)
-    result = LieAlgebra.from_brackets(m, brackets, labels)
+        pairings = _pairings(columns, algebra.integer_bracket(y[i], dict(y[j])), m)
+        if any(pairings):
+            brackets[(i, j)] = [(l, d_u * e) for l, e in enumerate(pairings) if e]
+    d = s * s * algebra.integer_structure[0]
+    result = LieAlgebra.from_integer_brackets(m, d, brackets, [algebra.labels[c] for c in u.pivots])
     report = validate_jacobi(result)
     if not report.ok:
         raise InvariantViolation(f"induced structure violates Jacobi at {report.triple}")
     return result
+
+
+def _pairings(columns: list, entries: Iterable[tuple[int, int]], m: int) -> list[int]:
+    """The pairings <R_l, w>, l < m, of w given by its entries (k, w_k) with the rows
+    R_l given by ``columns``, column k listing its nonzero (l, R_l[k])."""
+    out = [0] * m
+    for k, e in entries:
+        if e:
+            for l, c in columns[k]:
+                out[l] += c * e
+    return out
 
 
 def coisotropy_in_extension(e: Extension, sampling: SampleSpec = SampleSpec()) -> list[tuple]:

@@ -1,12 +1,13 @@
 """Lie algebras from structure constants, over exact rationals.
 
-An algebra is stored only through its nonzero structure constants c_ij^k,
-one row per basis vector e_i listing the e_j with [e_i, e_j] != 0.  The input
-gives [e_i, e_j] for i < j; row j receives the negated constants, so
-antisymmetry holds by construction.  Only ``integer_bracket`` and
-``integer_coad`` evaluate a product, over the integer constants Ds c_ij^k;
-``bracket``, ``coad_apply`` and the bivector scale rational arguments over one
-denominator, call them and divide once, so <coad_v(x), w> = <x, [v, w]> exactly.
+An algebra is stored only through its nonzero structure constants, as the
+integers Ds c_ij^k over their one denominator Ds, one row per basis vector
+e_i listing the e_j with [e_i, e_j] != 0.  The input gives [e_i, e_j] for
+i < j; row j receives the negated constants, so antisymmetry holds by
+construction.  Only ``integer_bracket`` and ``integer_coad`` evaluate a
+product, over the integer constants; ``bracket``, ``coad_apply`` and the
+bivector scale rational arguments over one denominator, call them and divide
+once, so <coad_v(x), w> = <x, [v, w]> exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .linalg import (
@@ -32,11 +33,12 @@ from .linalg import (
     vec,
 )
 
-# structure[i] = ((j, ((k, c_ij^k), ...)), ...) over the nonzero [e_i, e_j],
-# sorted by j and then by k: one canonical form, so equal algebras compare equal.
-Structure = tuple[tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...], ...]
-# The same rows with each c_ij^k an int: the constants times their common denominator.
+# rows[i] = ((j, ((k, Ds c_ij^k), ...)), ...) over the nonzero [e_i, e_j], sorted
+# by j and then by k, Ds the lcm of the constants' denominators: one canonical
+# form, so equal algebras compare equal.
 IntegerStructure = tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
+# The same rows with each constant the Fraction c_ij^k.
+Structure = tuple[tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...], ...]
 
 
 class NotASubalgebra(ValueError):
@@ -52,9 +54,13 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class LieAlgebra:
+    """An algebra held as its integer constants (d, rows): the nonzero c_ij^k times d, the
+    lcm of their denominators, a canonical form for ``==`` and ``hash``.  The Fraction
+    constants ``structure`` are built on their first read."""
+
     dim: int
     labels: tuple[str, ...]
-    structure: Structure
+    integer_structure: tuple[int, IntegerStructure]
 
     @staticmethod
     def from_brackets(
@@ -62,28 +68,37 @@ class LieAlgebra:
         brackets: Mapping[tuple[int, int], Iterable],
         labels: Optional[Sequence[str]] = None,
     ) -> "LieAlgebra":
-        """Build from sparse constants {(i, j): [e_i, e_j]} given for i < j.
-
-        Row i gets the nonzero terms of [e_i, e_j] and row j their negatives.
-        """
-        if labels is None:
-            labels = tuple(f"e{i + 1}" for i in range(dim))
-        else:
-            labels = tuple(labels)
-            if len(labels) != dim:
-                raise DimensionMismatch("label count does not match dimension")
-        rows: list[dict[int, tuple[tuple[int, Fraction], ...]]] = [{} for _ in range(dim)]
+        """Build from sparse constants {(i, j): [e_i, e_j]} for i < j, scaled to integers once."""
+        labels = tuple(f"e{i + 1}" for i in range(dim)) if labels is None else tuple(labels)
+        if len(labels) != dim:
+            raise DimensionMismatch("label count does not match dimension")
+        vectors = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket index pair ({i}, {j}) requires 0 <= i < j < dim")
             v = vec(value)
             if len(v) != dim:
                 raise DimensionMismatch(f"bracket [e{i},e{j}] has wrong length")
-            terms = tuple((k, c) for k, c in enumerate(v) if c)
+            vectors[(i, j)] = v
+        d = lcm(*(c.denominator for v in vectors.values() for c in v))
+        integer = {ij: [(k, c.numerator * (d // c.denominator)) for k, c in enumerate(v) if c]
+                   for ij, v in vectors.items()}
+        return LieAlgebra.from_integer_brackets(dim, d, integer, labels)
+
+    @staticmethod
+    def from_integer_brackets(
+        dim: int, d: int, brackets: Mapping, labels: Sequence[str]
+    ) -> "LieAlgebra":
+        """[e_i, e_j] = sum (e / d) e_k over the nonzero (k, e) of brackets[(i, j)], i < j and
+        k increasing, d > 0; row j gets the negated terms, and gcd(d, e, ...) is divided out."""
+        g = gcd(d, *(e for terms in brackets.values() for _, e in terms))
+        rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(dim)]
+        for (i, j), terms in brackets.items():
             if terms:
-                rows[i][j] = terms
-                rows[j][i] = tuple((k, -c) for k, c in terms)
-        return LieAlgebra(dim, labels, tuple(tuple(sorted(row.items())) for row in rows))
+                terms = tuple((k, e // g) for k, e in terms) if g != 1 else tuple(terms)
+                rows[i][j], rows[j][i] = terms, tuple((k, -e) for k, e in terms)
+        structure = tuple(tuple(sorted(row.items())) for row in rows)
+        return LieAlgebra(dim, tuple(labels), (d // g, structure))
 
     @staticmethod
     def abelian(dim: int, labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
@@ -93,17 +108,13 @@ class LieAlgebra:
         return not any(self.integer_structure[1])
 
     @cached_property
-    def integer_structure(self) -> tuple[int, IntegerStructure]:
-        """(d, rows): d is the lcm of the constants' denominators, rows is ``structure`` times d."""
-        d = lcm(*(c.denominator for row in self.structure for _, terms in row for _, c in terms))
-        rows = tuple(
-            tuple(
-                (j, tuple((k, c.numerator * (d // c.denominator)) for k, c in terms))
-                for j, terms in row
-            )
-            for row in self.structure
+    def structure(self) -> Structure:
+        """The constants c_ij^k as Fractions, the integer form over d, built on first read."""
+        d, rows = self.integer_structure
+        return tuple(
+            tuple((j, tuple((k, Fraction(e, d)) for k, e in terms)) for j, terms in row)
+            for row in rows
         )
-        return d, rows
 
     def bracket(self, v: Iterable, w: Iterable) -> Vector:
         """sum v_i w_j c_ij^k e_k: ``integer_bracket`` of S v and S w over Ds S^2, S their lcm."""
@@ -216,14 +227,18 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, sign: int = 1) -> LieAlgebra:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    n = a.dim
-    # b's rows move to indices n.. and carry the sign; a's rows stay as they are.
-    second = tuple(
-        tuple((j + n, tuple((k + n, sign * c) for k, c in terms)) for j, terms in row)
-        for row in b.structure
-    )
+    # Both blocks over d = lcm(d_a, d_b), b's moved to indices n..; the form stays
+    # canonical, as each prime power of d divides d_a or d_b exactly.
+    n, (d_a, rows_a), (d_b, rows_b) = a.dim, a.integer_structure, b.integer_structure
+    d = lcm(d_a, d_b)
+
+    def block(rows, shift, f):
+        return tuple(tuple((j + shift, tuple((k + shift, f * c) for k, c in t)) for j, t in row)
+                     for row in rows)
+
     labels = tuple(f"{s}.1" for s in a.labels) + tuple(f"{s}.2" for s in b.labels)
-    return LieAlgebra(n + b.dim, labels, a.structure + second)
+    structure = block(rows_a, 0, d // d_a) + block(rows_b, n, sign * (d // d_b))
+    return LieAlgebra(n + b.dim, labels, (d, structure))
 
 
 @dataclass(frozen=True)

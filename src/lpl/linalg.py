@@ -106,10 +106,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return m
 
 
-def zero_vector(n: int) -> Vector:
-    return tuple(ZERO for _ in range(n))
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -160,20 +156,24 @@ def rref(rows: Iterable[Sequence], ncols: int) -> Matrix:
 def integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
     """Rational rows of ``ncols`` entries, each times the lcm of its denominators.
 
-    ``int`` and ``Fraction`` entries are read through their numerator and
-    denominator; a row with any other entry goes through :func:`vec` first.
+    A row of ``int`` entries is copied; in any other, ``int`` and ``Fraction``
+    entries are read through their numerator and denominator, and a row with
+    an entry of another type goes through :func:`vec` first.
     """
     scaled = []
     for row in rows:
         if type(row) is not tuple and type(row) is not list:
             row = tuple(row)
+        if len(row) != ncols:
+            raise DimensionMismatch(f"row of length {len(row)} where {ncols} are expected")
+        if all(type(e) is int for e in row):
+            scaled.append(list(row))
+            continue
         try:
             scale = lcm(*(e.denominator for e in row))
         except AttributeError:
             row = vec(row)
             scale = lcm(*(e.denominator for e in row))
-        if len(row) != ncols:
-            raise DimensionMismatch(f"row of length {len(row)} where {ncols} are expected")
         scaled.append([e.numerator * (scale // e.denominator) for e in row])
     return scaled
 
@@ -328,31 +328,33 @@ def nullspace(m: Matrix, ncols: int) -> Matrix:
     return Subspace.span(ncols, m).annihilator().basis
 
 
-def solve(m: Matrix, ncols: int, b: Sequence) -> Optional[Vector | Matrix]:
-    """One solution x in Q^ncols of m x = b, or None if inconsistent.
+def solve(m: Matrix, ncols: int, b: Sequence) -> Optional[tuple[int, list]]:
+    """One solution x = X / d in Q^ncols of m x = b as (d, X), d > 0, or None if inconsistent.
 
     m has ``ncols`` columns, so a system with no rows still has its unknowns.
-    b is one right-hand side (a vector), or several as the columns of a
-    matrix B; then the answer is a matrix X with m X = B, from one
-    elimination of [m | B], or None if any column is inconsistent.  The
-    elimination runs on integer rows (``integer_rows``); only the entries of
-    the solution are made Fractions.
+    b is one right-hand side and X a list of ncols ints, or b is several, the
+    columns of a matrix B, and X the ncols integer rows with m X = d B, or
+    None if any column is inconsistent.  One elimination of [m | B] in
+    integers (``_eliminate``) gives them: d is its last pivot, up to sign,
+    its pivot row in column j < ncols ends with row j of X, and the free
+    unknowns are 0.
     """
-    nrows = len(m)
-    if len(b) != nrows:
+    if len(b) != len(m):
         raise DimensionMismatch("right-hand side length mismatch")
     several = bool(b) and isinstance(b[0], (tuple, list))
     rhs = b if several else [(e,) for e in b]
     width = len(rhs[0]) if rhs else 1
     rows = integer_rows([[*row, *r] for row, r in zip(m, rhs)], ncols + width)
-    aug = Subspace.integer_span(ncols + width, rows)
-    d, rows = aug.integer_echelon
-    x = [(ZERO,) * width] * ncols
-    for row, piv in zip(rows, aug.pivots):
+    reduced, d = _eliminate(rows, ncols + width, reduce=True)
+    if d < 0:
+        d, reduced = -d, [[-e for e in row] for row in reduced]
+    x = [[0] * width for _ in range(ncols)]
+    for row in reduced:
+        piv = next(j for j, e in enumerate(row) if e)
         if piv >= ncols:
             return None
-        x[piv] = tuple(Fraction(e, d) if e else ZERO for e in row[ncols:])
-    return tuple(x) if several else tuple(r[0] for r in x)
+        x[piv] = row[ncols:]
+    return d, x if several else [r[0] for r in x]
 
 
 @dataclass(frozen=True, init=False)

@@ -40,7 +40,6 @@ from .linalg import (
     vec,
     vscale,
     vsub,
-    zero_vector,
 )
 
 CERTIFIED_CONSTANT = "certified_constant"
@@ -504,9 +503,11 @@ def preimage_construction(
     # The rows of h and of its complement form a basis of g: R_h lambda = d nu fixes lambda on h.
     d, rows = h.integer_echelon
     lifting = [*rows, *choose_complement(h).integer_echelon[1]]
-    lam = solve(lifting, n, vscale(d, nu_v) + zero_vector(n - h.dim))
-    if lam is None:
+    solution = solve(lifting, n, [d * e for e in nu_v] + [0] * (n - h.dim))
+    if solution is None:
         raise InvariantViolation("lifting rows do not form a basis of the algebra")
+    s, x = solution
+    lam = tuple(Fraction(e, s) for e in x)
     c = AffineSubspace(algebra, h, lam)
     # <lam, [h_a, h_b]> = nu([h_a, h_b]): C's form at its base is h's
     # Lie-Poisson bivector at nu, and its rows span the orbit tangent there.

@@ -21,6 +21,7 @@ from lpl.linalg import (
     ZERO,
     DimensionMismatch,
     InvariantViolation,
+    _check_digits,
     choose_complement,
     dot,
     integer_rank,
@@ -28,11 +29,9 @@ from lpl.linalg import (
     mat,
     mat_vec,
     rref,
-    solve,
     transpose,
     unit_vector,
     vec,
-    zero_vector,
 )
 from lpl.submanifold import (
     NOT_CONSTANT,
@@ -155,6 +154,78 @@ def rational_rank(rows, ncols: int) -> int:
     return integer_rank(integer_rows(rows, ncols), ncols)
 
 
+# The Fraction bodies that LieAlgebra's integer form (d, rows) replaced: the
+# oracles for from_brackets, direct_sum and serialize_model.
+
+
+def fraction_structure(dim: int, brackets) -> tuple:
+    """The Fraction constants of {(i, j): [e_i, e_j]}, i < j: row i gets the nonzero
+    terms of [e_i, e_j] and row j their negatives, each row sorted by j."""
+    rows = [{} for _ in range(dim)]
+    for (i, j), value in brackets.items():
+        terms = tuple((k, c) for k, c in enumerate(vec(value)) if c)
+        if terms:
+            rows[i][j] = terms
+            rows[j][i] = tuple((k, -c) for k, c in terms)
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+def fraction_direct_sum(a: LieAlgebra, b: LieAlgebra, sign: int) -> tuple:
+    """The Fraction constants of the block sum: b's rows move to indices a.dim.. and
+    carry the sign."""
+    n = a.dim
+    second = tuple(
+        tuple((j + n, tuple((k + n, sign * c) for k, c in terms)) for j, terms in row)
+        for row in b.structure
+    )
+    return a.structure + second
+
+
+def integer_form(structure) -> tuple:
+    """Fraction constants as (d, rows): rows are the constants times d, the lcm of their
+    denominators, the canonical form of ``LieAlgebra.integer_structure``."""
+    d = lcm(*(c.denominator for row in structure for _, terms in row for _, c in terms))
+    rows = tuple(
+        tuple(
+            (j, tuple((k, c.numerator * (d // c.denominator)) for k, c in terms))
+            for j, terms in row
+        )
+        for row in structure
+    )
+    return d, rows
+
+
+def fraction_serialize_model(algebra: LieAlgebra, name: str = "model") -> dict:
+    """The model file of ``algebra`` printed from its Fraction constants with ``str``."""
+    _check_digits((c for row in algebra.structure for _, t in row for _, c in t), "a coefficient")
+    brackets = [
+        {"i": i, "j": j, "terms": [{"k": k, "coefficient": str(c)} for k, c in terms]}
+        for i, row in enumerate(algebra.structure)
+        for j, terms in row
+        if i < j
+    ]
+    return {"name": name, "dim": algebra.dim, "basis": list(algebra.labels), "brackets": brackets}
+
+
+# Small rationals, for drawn systems and covectors.
+SMALL_FRACTIONS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+# Constants for drawn bracket tables: small integers, or rationals of up to
+# 13 digits over denominators of up to 7 digits.
+CONSTANTS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6)
+)
+
+
+@st.composite
+def bracket_tables(draw, max_dim: int = 6):
+    """(dim, {(i, j): [e_i, e_j]}) with drawn constants, Jacobi or not."""
+    n = draw(st.integers(1, max_dim))
+    if n == 1:
+        return n, {}
+    pairs = st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)])
+    return n, draw(st.dictionaries(pairs, st.lists(CONSTANTS, min_size=n, max_size=n)))
+
+
 def fraction_pointwise_flags(c, x) -> PointwiseFlags:
     """Characteristic rank, Poisson-Dirac and cosymplectic tests at x in C.
 
@@ -194,6 +265,10 @@ def bracket_table(algebra: LieAlgebra):
 
 def sl2_h(sl2: LieAlgebra) -> Subspace:
     return Subspace.span(3, [[1, 0, 0], [0, 1, -1]])
+
+
+def zero_vector(n: int):
+    return (ZERO,) * n
 
 
 def random_fraction(rng: random.Random, bound: int = 20) -> Fraction:
@@ -352,7 +427,7 @@ def fraction_induced_structure(algebra: LieAlgebra, pair) -> LieAlgebra:
     direction = chart.direction
     m = direction.dim
     gram_t = [[dot(kb, u) for u in direction.basis] for kb in pair.k.basis]
-    khat = solve(gram_t, m, pair.k.basis)
+    khat = fraction_solve(gram_t, m, pair.k.basis)
     if khat is None:
         raise InvariantViolation("the pairing of k with p-ann is degenerate")
     form = fraction_pencil(chart, khat)
@@ -394,6 +469,25 @@ def fraction_rref(rows, ncols):
                 work[r] = [a - f * b for a, b in zip(work[r], work[found])]
         found += 1
     return tuple(tuple(r) for r in work[:found])
+
+
+def fraction_solve(m, ncols: int, b):
+    """One solution x of m x = b in Fractions, its free unknowns 0, or None if inconsistent.
+
+    The oracle for ``solve``, whose answer (d, X) is x = X / d, and the
+    tests' Fraction solver: read off ``fraction_rref`` of [m | b], where b is
+    one right-hand side or several, the columns of a matrix.
+    """
+    several = bool(b) and isinstance(b[0], (tuple, list))
+    rhs = b if several else [(e,) for e in b]
+    width = len(rhs[0]) if rhs else 1
+    x = [(ZERO,) * width] * ncols
+    for row in fraction_rref([[*r, *e] for r, e in zip(m, rhs)], ncols + width):
+        pivot = next(j for j, e in enumerate(row) if e)
+        if pivot >= ncols:
+            return None
+        x[pivot] = row[ncols:]
+    return tuple(x) if several else tuple(r[0] for r in x)
 
 
 def coords_of(u: Subspace, v):
@@ -591,7 +685,7 @@ def in_basis(algebra: LieAlgebra, basis) -> LieAlgebra:
     n = algebra.dim
     columns = transpose(mat(basis))
     brackets = {
-        (i, j): solve(columns, n, fraction_bracket(algebra, basis[i], basis[j]))
+        (i, j): fraction_solve(columns, n, fraction_bracket(algebra, basis[i], basis[j]))
         for i in range(n)
         for j in range(i + 1, n)
     }
@@ -627,7 +721,7 @@ def rebase(problem, m):
     <lambda, f_i> = (M lambda)_i on f_i, so lambda and the rows of R become M lambda.
     """
     n, rows = problem.algebra.dim, mat(m)
-    h = Subspace.span(n, [solve(transpose(rows), n, v) for v in problem.h.basis])
+    h = Subspace.span(n, [fraction_solve(transpose(rows), n, v) for v in problem.h.basis])
     r = None if problem.r is None else Subspace.span(n, [mat_vec(rows, u) for u in problem.r.basis])
     algebra = in_basis(problem.algebra, rows)
     return replace(problem, algebra=algebra, h=h, base=mat_vec(rows, problem.base), r=r)
@@ -704,7 +798,7 @@ def slice_preimage(algebra: LieAlgebra, h: Subspace, nu):
     rows = [*h.basis, *choose_complement(h).basis]
 
     def lift(mu):
-        return solve(rows, n, vec(mu) + (Fraction(0),) * (n - m))
+        return fraction_solve(rows, n, vec(mu) + (Fraction(0),) * (n - m))
 
     lam = lift(nu)
     form = [[sum(x * y for x, y in zip(lam, fraction_bracket(algebra, a, b)))

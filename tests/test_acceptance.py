@@ -21,7 +21,7 @@ from lpl.embedding import (
 )
 from lpl.lie import LinearMap, morphism_check
 from lpl.lie_poisson import Polynomial, casimir_check, parse_polynomial, poisson_bracket_poly
-from lpl.linalg import Subspace, dot, vec, zero_vector
+from lpl.linalg import Subspace, dot, vec
 from lpl.submanifold import (
     CERTIFIED_CONSTANT,
     NOT_CONSTANT,
@@ -43,6 +43,7 @@ from conftest import (
     random_vector,
     sl2_h,
     subalgebra_catalog,
+    zero_vector,
 )
 
 GL2_LINE_H = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

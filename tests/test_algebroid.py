@@ -27,7 +27,6 @@ from lpl.linalg import (
     vadd,
     vec,
     vscale,
-    zero_vector,
 )
 from lpl.submanifold import (
     AffineSubspace,
@@ -54,6 +53,7 @@ from conftest import (
     sl2_h,
     subalgebra_catalog,
     unimodular,
+    zero_vector,
 )
 
 

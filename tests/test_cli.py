@@ -32,12 +32,19 @@ from lpl.cli import (
     serialize_model,
     subspace_dict,
 )
-from lpl.lie import LieAlgebra
+from lpl.embedding import induced_structure
+from lpl.lie import LieAlgebra, validate_jacobi
 from lpl.lie_poisson import MAX_DEGREE, Polynomial, parse_polynomial
 from lpl.linalg import MAX_RATIONAL_CHARS, Subspace, vec
 from lpl.submanifold import AffineSubspace
 
-from conftest import FIXTURES, fraction_creations, random_subspace
+from conftest import (
+    FIXTURES,
+    bracket_tables,
+    fraction_creations,
+    fraction_serialize_model,
+    random_subspace,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +80,48 @@ def test_parse_model_round_trip(sl2, gl2, heisenberg):
     for algebra in (sl2, gl2, heisenberg):
         again = parse_model(serialize_model(algebra))
         assert again == algebra
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_tables())
+def test_serialize_model_matches_the_fraction_oracle(table):
+    # Each constant prints from the integer form over d, with str alone when
+    # d = 1; the oracle prints the Fraction constants.  A model file that
+    # parses to an algebra prints back as itself.
+    algebra = LieAlgebra.from_brackets(*table)
+    printed = serialize_model(algebra, name="drawn")
+    assert printed == fraction_serialize_model(algebra, name="drawn")
+    if validate_jacobi(algebra).ok:
+        assert parse_model(printed) == algebra
+
+
+def test_pair_prints_the_induced_structure_from_integers(monkeypatch):
+    # sl2 in the basis (H, E, F/2) has the constants 2, -2 and 1/2, so the
+    # induced structure of its certified pair, sl2 itself, is held over d = 2.
+    # It is built, checked and printed with no Fraction, and its Fraction
+    # view, like the model's, is never built.
+    problem = parse_problem((FIXTURES / "sl2half_cartan.json").read_text(), base_dir=FIXTURES)
+    built = []
+
+    def recorded(algebra, pair):
+        built.append(induced_structure(algebra, pair))
+        return built[-1]
+
+    monkeypatch.setattr(embedding, "induced_structure", recorded)
+    report = run("pair", problem)
+    (induced,) = built
+    assert induced == problem.algebra and induced.integer_structure == (2, (
+        ((1, ((1, 4),)), (2, ((2, -4),))),
+        ((0, ((1, -4),)), (2, ((0, 1),))),
+        ((0, ((2, 4),)), (1, ((0, -1),))),
+    ))
+    terms = [t["coefficient"] for b in report["induced_structure"]["brackets"] for t in b["terms"]]
+    assert terms == ["2", "-2", "1/2"]
+    assert "structure" not in vars(induced) and "structure" not in vars(problem.algebra)
+    pair = embedding.symmetric_pair_analysis(embedding.extend(problem.affine))
+    calls = fraction_creations(monkeypatch)
+    printed = serialize_model(induced_structure(problem.algebra, pair), name="induced")
+    assert calls == [] and printed == report["induced_structure"]
 
 
 def test_parse_model_errors():

@@ -31,16 +31,15 @@ from lpl.lie import LieAlgebra, NotASubalgebra, is_subalgebra, subspace_bracket
 from lpl.linalg import (
     DimensionMismatch,
     Subspace,
+    choose_complement,
     dot,
     mat_vec,
     nullspace,
-    solve,
     transpose,
     unit_vector,
     vadd,
     vec,
     vscale,
-    zero_vector,
 )
 from lpl.submanifold import (
     AffineSubspace,
@@ -61,9 +60,11 @@ from conftest import (
     coords_of,
     fraction_bracket,
     fraction_coad_apply,
+    fraction_creations,
     fraction_induced_structure,
     fraction_is_cosymplectic_at,
     fraction_rref,
+    fraction_solve,
     load_perfbench,
     over_common_scale,
     random_subspace,
@@ -76,6 +77,7 @@ from conftest import (
     subalgebra_catalog,
     unconditional_extend,
     unimodular,
+    zero_vector,
 )
 
 GL2_LINE_H = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -548,7 +550,7 @@ def reference_induced_structure(algebra, pair):
     k, direction = pair.k, pair.p.annihilator()
     m = direction.dim
     gram = [[dot(u, kb) for kb in k.basis] for u in direction.basis]
-    y = solve(gram, k.dim, [unit_vector(m, i) for i in range(m)])
+    y = fraction_solve(gram, k.dim, [unit_vector(m, i) for i in range(m)])
     khat = [mat_vec(transpose(k.basis), column) for column in transpose(y)]
     brackets = {}
     for i in range(m):
@@ -660,6 +662,29 @@ def test_induced_structure_matches_the_fraction_oracle(data):
     if e.constancy.certified:
         pair = symmetric_pair_analysis(e)
         assert induced_structure(algebra, pair) == fraction_induced_structure(algebra, pair)
+
+
+def test_induced_structure_creates_no_fraction(monkeypatch):
+    # From the Gram system to validate_jacobi, induced_structure runs on
+    # integers: on the certified pairs of the bundled fixtures, and on each
+    # rational-basis algebra split by a coordinate subalgebra k and its
+    # greedy complement, it creates no Fraction and meets the oracle.
+    pairs = []
+    for _, problem in bundled_problems():
+        try:
+            e = extend(problem.affine, problem.r, problem.sampling)
+        except (RankNotConstant, NotComplementary):
+            continue
+        if e.constancy.certified:
+            pairs.append((problem.algebra, symmetric_pair_analysis(e)))
+    for algebra, k in coordinate_splits():
+        pairs.append((algebra, check_symmetric_pair(algebra, k, choose_complement(k))))
+    calls = fraction_creations(monkeypatch)
+    induced = [induced_structure(algebra, pair) for algebra, pair in pairs]
+    assert calls == []
+    monkeypatch.undo()
+    assert induced == [fraction_induced_structure(algebra, pair) for algebra, pair in pairs]
+    assert len(pairs) > 20 and any(a.integer_structure[0] > 1 for a in induced)
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +899,7 @@ def test_p_complements_d_in_h_on_the_fixtures_and_the_extend_pair_workload(monke
             if e.p != reference:
                 assert complements_d_in_h(c, reference)
                 differing.append((seed, name))
-    assert (accepted, greedy) == (69, 68)
+    assert (accepted, greedy) == (70, 69)
     assert differing == [(1, "p013-sl3.json"), (2, "p006-gl3.json"), (2, "p013-sl3.json"),
                          (3, "p006-gl3.json"), (3, "p013-sl3.json")]
 
@@ -965,7 +990,7 @@ def reference_coisotropy(e, sampling):
         ok = True
         for w in e.c.h.basis:
             rhs = tuple(-dot(fraction_coad_apply(e.algebra, v, x), w) for v in e.p.basis)
-            coeffs = solve(form, e.p.dim, rhs)
+            coeffs = fraction_solve(form, e.p.dim, rhs)
             corrected = w
             for cfc, pb in zip(coeffs, e.p.basis):
                 corrected = vadd(corrected, vscale(cfc, pb))

@@ -3,7 +3,8 @@
 The snapshot holds the exact ``--json`` bytes (or the refusal/error line) of
 each case, so a change that moves any report byte fails here.  A second
 snapshot holds the human text of the commands that print a witness, on the
-fixtures that have one, as its key order comes from the library.  Regenerate
+fixtures that have one, as its key order comes from the library, and of the
+same commands on a fixture whose induced structure has a constant 1/2.  Regenerate
 both deliberately with ``PYTHONPATH=src python tests/test_golden_reports.py``.
 """
 
@@ -28,6 +29,9 @@ WITNESS_FIXTURES = (
     "sl2_transverse.json",
 )
 WITNESS_COMMANDS = ("classify", "extend", "pair")
+# sl2 in the basis (H, E, F/2), constants 2, -2 and 1/2: its certified pair
+# prints the induced structure from integer constants over d = 2.
+FRACTION_FIXTURES = ("sl2half_cartan.json",)
 
 
 def _model_cases(algebra):
@@ -60,10 +64,11 @@ def cases():
 
 
 def human_cases():
-    """The cases of ``cases`` whose human text prints a witness, or their refusal."""
+    """The cases of ``cases`` whose human text prints a witness, or their refusal, and
+    the same commands on ``FRACTION_FIXTURES``."""
     for key, command, problem, polys in cases():
         fixture, _ = key.split("::")
-        if fixture in WITNESS_FIXTURES and command in WITNESS_COMMANDS:
+        if fixture in WITNESS_FIXTURES + FRACTION_FIXTURES and command in WITNESS_COMMANDS:
             yield key, command, problem, polys
 
 
@@ -104,7 +109,7 @@ def test_snapshot_covers_every_case(snapshot):
 
 def test_human_text_matches_snapshot():
     expected = json.loads(HUMAN_SNAPSHOT.read_text())
-    assert len(expected) == len(WITNESS_FIXTURES) * len(WITNESS_COMMANDS)
+    assert len(expected) == len(WITNESS_FIXTURES + FRACTION_FIXTURES) * len(WITNESS_COMMANDS)
     assert current_human() == expected
 
 

@@ -25,7 +25,6 @@ from lpl.linalg import (
     vadd,
     vec,
     vscale,
-    zero_vector,
 )
 from lpl.lie_poisson import bivector_at
 
@@ -33,18 +32,23 @@ from conftest import (
     SL2_BASIS,
     algebra_catalog,
     bracket_table,
+    bracket_tables,
     contains_by_rref,
     coordinate_subspace,
     fraction_bivector_at,
     fraction_bracket,
     fraction_coad_apply,
+    fraction_direct_sum,
+    fraction_structure,
     in_basis,
+    integer_form,
     load_model,
     random_subspace,
     random_vector,
     rational_catalog,
     sl2_h,
     subalgebra_catalog,
+    zero_vector,
 )
 
 
@@ -467,3 +471,28 @@ def test_from_brackets_matches_dense_construction():
         }
         rebuilt = LieAlgebra.from_brackets(algebra.dim, brackets)
         assert rebuilt.structure == _dense_construction(algebra.dim, brackets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_tables(), bracket_tables(), st.sampled_from([1, -1]), st.integers(2, 12))
+def test_integer_form_matches_the_fraction_oracles(first, second, sign, t):
+    # from_brackets scales the constants to integers once, and direct_sum
+    # joins two integer forms over the lcm of their denominators; the oracles
+    # are the Fraction bodies they replaced.  The form is canonical: the same
+    # constants given as t times the integers over t d make an equal algebra
+    # with an equal hash.
+    a, b = (LieAlgebra.from_brackets(n, table) for n, table in (first, second))
+    cases = [
+        (a, fraction_structure(*first)),
+        (b, fraction_structure(*second)),
+        (direct_sum(a, b, sign), fraction_direct_sum(a, b, sign)),
+    ]
+    for algebra, expected in cases:
+        assert algebra.integer_structure == integer_form(expected)
+        assert algebra.structure == expected
+        d, rows = algebra.integer_structure
+        scaled = {(i, j): [(k, t * e) for k, e in terms]
+                  for i, row in enumerate(rows) for j, terms in row if i < j}
+        again = LieAlgebra.from_integer_brackets(algebra.dim, t * d, scaled, algebra.labels)
+        assert again == algebra and hash(again) == hash(algebra)
+        assert again.is_abelian() == (not any(rows))

@@ -17,7 +17,7 @@ from lpl.lie_poisson import (
     poisson_bracket_poly,
 )
 from lpl.lie import LieAlgebra
-from lpl.linalg import DimensionMismatch, mat, solve, unit_vector, vec
+from lpl.linalg import DimensionMismatch, mat, unit_vector, vec
 
 from conftest import (
     GL2_BASIS,
@@ -31,6 +31,7 @@ from conftest import (
     fraction_parse_polynomial,
     fraction_poisson_bracket,
     fraction_polynomial_str,
+    fraction_solve,
     in_basis,
     random_vector,
     rational_catalog,
@@ -574,7 +575,7 @@ def test_casimirs_survive_a_rational_change_of_basis(sl2, gl2):
     for algebra, basis, casimirs in cases:
         moved = in_basis(algebra, basis)
         n = algebra.dim
-        inverse = solve(mat(basis), n, [unit_vector(n, i) for i in range(n)])
+        inverse = fraction_solve(mat(basis), n, [unit_vector(n, i) for i in range(n)])
         table = bracket_table(moved)
         for text in casimirs:
             f = parse_polynomial(text, n)

@@ -28,22 +28,24 @@ from lpl.linalg import (
     transpose,
     unit_vector,
     vec,
-    zero_vector,
 )
 from lpl.submanifold import AffineSubspace
 
 from conftest import (
+    SMALL_FRACTIONS,
     algebra_catalog,
     contains_by_rref,
     coordinate_subspace,
     coords_of,
     fraction_bracket,
     fraction_rref,
+    fraction_solve,
     random_subspace,
     random_vector,
     rational_catalog,
     rational_rank,
     scalar_skew_eliminate,
+    zero_vector,
 )
 
 
@@ -173,7 +175,7 @@ def test_rref_nullspace_and_solve_against_fraction_elimination_and_sympy():
         b = random_vector(rng, len(rows), bound=6)
         if rng.random() < 0.5:  # a right-hand side in the image
             b = mat_vec(mat(rows), random_vector(rng, ncols, bound=6))
-        x = solve(mat(rows), ncols, b)
+        x = _fractions(solve(mat(rows), ncols, b))
         augmented = len(fraction_rref([list(r) + [e] for r, e in zip(rows, b)], ncols + 1))
         inconsistent.add(augmented > len(expected))
         if augmented > len(expected):
@@ -183,6 +185,19 @@ def test_rref_nullspace_and_solve_against_fraction_elimination_and_sympy():
             assert mat_vec(mat(rows), x) == tuple(b)
             assert all(x[j] == 0 for j in range(ncols) if j not in pivots)
     assert shapes["wide"] > 10 and shapes["tall"] > 10 and inconsistent == {True, False}
+
+
+def _fractions(answer):
+    """solve's answer (d, X) as the Fractions X / d, or None."""
+    if answer is None:
+        return None
+    d, x = answer
+    assert type(d) is int and d > 0
+    if x and isinstance(x[0], list):
+        assert all(type(e) is int for row in x for e in row)
+        return tuple(tuple(Fraction(e, d) for e in row) for row in x)
+    assert all(type(e) is int for e in x)
+    return tuple(Fraction(e, d) for e in x)
 
 
 def test_solve_with_several_right_hand_sides():
@@ -198,8 +213,8 @@ def test_solve_with_several_right_hand_sides():
             b = [tuple(dot(row, col) for col in transpose(mat(y))) for row in m]
         else:
             b = [random_vector(rng, width, bound=6) for _ in range(nrows)]
-        x = solve(m, ncols, b)
-        columns = tuple(solve(m, ncols, column) for column in transpose(mat(b)))
+        x = _fractions(solve(m, ncols, b))
+        columns = tuple(_fractions(solve(m, ncols, column)) for column in transpose(mat(b)))
         if None in columns:
             assert x is None
         else:
@@ -207,6 +222,31 @@ def test_solve_with_several_right_hand_sides():
             assert all(mat_vec(m, column) == bj for column, bj in zip(columns, transpose(mat(b))))
         outcomes.add(x is None)
     assert outcomes == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_reads_integer_rows_over_one_denominator(data):
+    # solve gives (d, X), d > 0 and X integers, with X / d the solution read
+    # off fraction_rref of [m | B].  Each system is drawn consistent, B = m Y;
+    # a last row row_0 + row_1 of m, whose right-hand side misses theirs in
+    # one column, makes it inconsistent.  Each column alone is solved too.
+    nrows, ncols, width = (data.draw(st.integers(lo, 5)) for lo in (2, 1, 2))
+    rows_of = {k: st.lists(SMALL_FRACTIONS, min_size=k, max_size=k) for k in (ncols, width)}
+    m = [data.draw(rows_of[ncols]) for _ in range(nrows)]
+    y = [data.draw(rows_of[width]) for _ in range(ncols)]
+    b = [tuple(dot(row, col) for col in transpose(mat(y))) for row in m]
+    missed = data.draw(st.integers(0, width - 1))
+    broken_m = m + [[p + q for p, q in zip(m[0], m[1])]]
+    broken_b = b + [tuple(p + q + (j == missed) for j, (p, q) in enumerate(zip(b[0], b[1])))]
+    for rows, rhs in ((m, b), (broken_m, broken_b)):
+        expected = fraction_solve(rows, ncols, rhs)
+        assert (expected is None) == (rows is broken_m)
+        assert _fractions(solve(mat(rows), ncols, rhs)) == expected
+        for j, column in enumerate(zip(*rhs)):
+            expected = fraction_solve(rows, ncols, column)
+            assert (expected is None) == (rows is broken_m and j == missed)
+            assert _fractions(solve(mat(rows), ncols, column)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +460,7 @@ def _coords_by_solve(u, v):
     # subspace has no basis matrix, and holds only the zero vector.
     if not u.basis:
         return () if not any(v) else None
-    return solve(transpose(u.basis), u.dim, v)
+    return _fractions(solve(transpose(u.basis), u.dim, v))
 
 
 def _membership_cases(rng, u):

@@ -30,7 +30,6 @@ from lpl.linalg import (
     vec,
     vscale,
     vsub,
-    zero_vector,
 )
 from lpl.submanifold import (
     CERTIFIED_CONSTANT,
@@ -55,6 +54,7 @@ from lpl.submanifold import (
 
 from conftest import (
     FIXTURES,
+    SMALL_FRACTIONS,
     algebra_catalog,
     bivector_pencil,
     bracket_table,
@@ -77,6 +77,7 @@ from conftest import (
     sl2_h,
     slice_preimage,
     subalgebra_catalog,
+    zero_vector,
 )
 
 
@@ -946,6 +947,25 @@ def test_preimage_is_the_lift_and_annihilate_construction():
             assert (c, p_tilde) == slice_preimage(algebra, h, nu)
             dims.add((h.dim, p_tilde.h.dim))
     assert any(0 < p < m for m, p in dims) and any(0 < p == m for m, p in dims)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_preimage_lift_solves_the_integer_system(data):
+    # solve's (s, X) gives lambda = X / s with R_h lambda = d nu, for h's
+    # integer echelon form (d, R_h): lambda is nu on h's canonical basis and
+    # vanishes on the greedy complement.  A line in a drawn rational
+    # direction is a subalgebra whose d is in general above 1.
+    algebra, h = data.draw(st.sampled_from(subalgebra_catalog()))
+    if data.draw(st.booleans()):
+        direction = data.draw(st.lists(SMALL_FRACTIONS, min_size=algebra.dim, max_size=algebra.dim))
+        h = Subspace.span(algebra.dim, [direction])
+    nu = data.draw(st.lists(SMALL_FRACTIONS, min_size=h.dim, max_size=h.dim))
+    lam = preimage_construction(algebra, h, nu)[0].base
+    d, rows = h.integer_echelon
+    assert all(type(x) is Fraction for x in lam)
+    assert [dot(row, lam) for row in rows] == [d * x for x in nu]
+    assert all(dot(row, lam) == 0 for row in choose_complement(h).integer_echelon[1])
 
 
 def test_preimage_requires_subalgebra(sl2):
