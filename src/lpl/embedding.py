@@ -229,6 +229,8 @@ def induced_structure(algebra: LieAlgebra, pair: SymmetricPairReport) -> LieAlge
         raise ValueError("k and p must decompose the algebra")
     if not pair.k_subalgebra:
         raise NotASubalgebra("induced structure is linear only for k a subalgebra")
+    if not pair.p.dim:  # k = g and p-ann = g: the algebra itself, in its own basis and labels
+        return algebra
     u = pair.p.annihilator()
     (d_u, u_rows), k_rows, m = u.integer_echelon, pair.k.integer_echelon[1], u.dim
     columns = [[(l, c) for l, c in enumerate(column) if c] for column in zip(*u_rows)]

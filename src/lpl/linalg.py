@@ -15,8 +15,9 @@ Fraction-free integer kernels do the eliminations: the Bareiss loop
 ``solve`` and the :class:`Subspace` lattice, which runs on the integer rows
 each Subspace keeps, and the 2 x 2-pivot Pfaffian loop
 :func:`_skew_eliminate_many`, which ranks a skew matrix from its upper
-triangle at many points at once, each cell the list of its values there.
-A single matrix is ranked as a batch of one, so there is one Pfaffian loop.
+triangle at many points at once, each cell one int where it has one value
+at every point and else the list of its values there.  A single matrix is
+ranked as a batch of one, all ints, so there is one Pfaffian loop.
 
 Every number a report prints passes :func:`vector_strs` or
 :func:`_check_digits`, which refuse one that ``str`` cannot write.
@@ -28,6 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -231,92 +233,119 @@ def _eliminate(rows: Iterable[list[int]], ncols: int, reduce: bool) -> tuple[lis
 
 
 def _skew_eliminate_many(
-    rows: Sequence[Sequence[list[int]]], count: int
+    rows: Sequence[Sequence], count: int
 ) -> list[tuple[list[tuple[int, int]], int]]:
     """Fraction-free congruence elimination with 2 x 2 pivots at ``count`` points at once.
 
     ``rows`` is the strict upper triangle of a skew matrix, ``rows[k]`` its
-    entries (k, l) for l > k, each cell the list of its values at the points;
-    a single matrix is a batch of one.  The result is (pivot pairs, last
-    pivot) per point, and the rank there is twice the number of pivots.  At
-    each point the pivot p = x_ij, i < j, is the first cell nonzero there in
-    row-major order.  Every remaining pair k < l becomes
-    (p x_kl - x_ki x_lj + x_kj x_li) // prev, with x_ki = -x_ik, one
-    comprehension over the points, and rows and columns i and j are dropped;
-    prev is the previous pivot.  After s pivots, entry (k, l) is the Pfaffian
-    of the principal submatrix on the 2s pivot indices, in pivot order, then
-    k and l, so the division is exact at every point by the Pfaffian form of
-    Sylvester's identity (Knuth, Overlapping Pfaffians, 1996).  Rows above the
-    pivot row are zero and stay zero, so they are dropped too.  A pivot is
-    reported as its pair (i, j) of positions among the rows still left, which
-    keep their order.  At full rank the last pivot is the Pfaffian up to sign.
-    Where the pivot cell vanishes at some points only, those points split off
-    as their own batch, which goes on from the same rows without them, so a
-    point's result does not depend on the batch it is ranked in.
+    entries (k, l) for l > k.  A cell is an ``int``, its value at every
+    point, or the list of its values at the points; a single matrix is a
+    batch of one, all ints.  The result is (pivot pairs, last pivot) per
+    point, and the rank there is twice the number of pivots.  At each point
+    the pivot p = x_ij, i < j, is the first cell nonzero there in row-major
+    order.  Every remaining pair k < l becomes
+    (p x_kl - x_ki x_lj + x_kj x_li) // prev, with x_ki = -x_ik, one int
+    operation where every operand is an int and else one comprehension over
+    the points (``_update_cell``); rows and columns i and j are dropped, and
+    prev is the previous pivot.  After s pivots, entry (k, l) is the
+    Pfaffian of the principal submatrix on the 2s pivot indices, in pivot
+    order, then k and l, so the division is exact at every point by the
+    Pfaffian form of Sylvester's identity (Knuth, Overlapping Pfaffians,
+    1996).  Rows above the pivot row are zero and stay zero, so they are
+    dropped too.  A pivot is reported as its pair (i, j) of positions among
+    the rows still left, which keep their order; the points of a batch share
+    one list of them.  At full rank the last pivot is the Pfaffian up to
+    sign.  Where a list pivot vanishes at some points only, those points
+    split off as their own batch, which goes on from the same rows without
+    them, so a point's result does not depend on the batch it is ranked in.
     """
     result: list = [None] * count
-    batches = [(rows, list(range(count)), [], [1] * count)] if count else []
+    batches = [(rows, 1, list(range(count)), [])] if count else []
     while batches:
-        rows, points, pivots, prev = batches.pop()
+        rows, prev, points, pivots = batches.pop()
+        # Updates of int cells give int cells, so a batch of ints stays one.
+        all_ints = all(type(e) is int for row in (*rows, [prev]) for e in row)
         while True:
             for i, pivot_row in enumerate(rows):
                 for jj, p in enumerate(pivot_row):
-                    if any(p):
+                    if any(p) if type(p) is list else p:
                         break
                 else:
                     continue
                 break
             else:
-                for a, q in zip(points, prev):
-                    result[a] = (pivots, q)
+                for a, point in enumerate(points):
+                    result[point] = (pivots, prev if type(prev) is int else prev[a])
                 break
-            if not all(p):
+            if type(p) is list and not all(p):
                 keep = [a for a, e in enumerate(p) if e]
                 rest = [a for a, e in enumerate(p) if not e]
                 batches.append(
-                    (_select_points(rows, rest), [points[a] for a in rest], list(pivots),
-                     [prev[a] for a in rest])
+                    (*_select_points(rows, prev, rest), [points[a] for a in rest], list(pivots))
                 )
-                rows, points = _select_points(rows, keep), [points[a] for a in keep]
-                prev = [prev[a] for a in keep]
+                (rows, prev), points = _select_points(rows, prev, keep), [points[a] for a in keep]
                 pivot_row = rows[i]
                 p = pivot_row[jj]
             j = i + 1 + jj
-            # Columns i and j on the remaining indices k: x_ki = -x_ik, and x_kj
-            # is read above the diagonal for k < j and below it for k > j.
-            col_i = [[-e for e in cell] for cell in pivot_row]
-            del col_i[jj]
-            col_j = []
-            work = []
+            # Columns i and j on the remaining indices k: x_ik, its negation
+            # x_ki, and x_kj, read above the diagonal for k < j and below it
+            # for k > j.  The update is (p x_kl + x_ik x_lj + x_kj x_li) // prev.
+            row_i = list(pivot_row)
+            del row_i[jj]
+            col_i = [-e if type(e) is int else [-x for x in e] for e in row_i]
+            col_j, work = [], []
             for k in range(i + 1, j):
                 row = rows[k]
                 at_j = j - k - 1
                 col_j.append(row[at_j])
                 work.append(row[:at_j] + row[at_j + 1 :])
-            col_j += [[-e for e in cell] for cell in rows[j]]
+            col_j += [-e if type(e) is int else [-x for x in e] for e in rows[j]]
             work += rows[j + 1 :]
-            scaled = p != prev
+            ints, scaled = type(p) is type(prev) is int, p != prev
             for a, row in enumerate(work):
-                u, v = col_i[a], col_j[a]
-                if any(u) or any(v):
+                u, v = row_i[a], col_j[a]
+                if scaled or not u == v == 0:
+                    scalar = ints and type(u) is type(v) is int
                     work[a] = [
-                        [
-                            (pk * xk - uk * yk + vk * zk) // qk
-                            for pk, xk, uk, yk, vk, zk, qk in zip(p, x, u, y, v, z, prev)
-                        ]
+                        (p * x + u * y + v * z) // prev
+                        if all_ints
+                        or scalar and type(x) is int and type(y) is int and type(z) is int
+                        else _update_cell(p, x, u, y, v, z, prev)
                         for x, y, z in zip(row, col_j[a + 1 :], col_i[a + 1 :])
                     ]
-                elif scaled:
-                    work[a] = [[pk * xk // qk for pk, xk, qk in zip(p, x, prev)] for x in row]
             pivots.append((i, j))
             rows = work
             prev = p
     return result
 
 
-def _select_points(rows: Sequence[Sequence[list[int]]], points: list[int]) -> list:
-    """The batched rows at a subset of their points, given by position."""
-    return [[[cell[a] for a in points] for cell in row] for row in rows]
+def _update_cell(p, x, u, y, v, z, q):
+    """(p x + u y + v z) // q of cells that are ints or lists, a product with the int 0
+    dropped: an int where every operand left is one, else the list at each point."""
+    s, terms = 0, []
+    for f, g in ((p, x), (u, y), (v, z)):
+        if type(f) is int and type(g) is int:
+            s += f * g
+        elif not (f == 0 or g == 0):  # one factor is a list, so the zip below ends
+            terms.append((f if type(f) is list else repeat(f), g if type(g) is list else repeat(g)))
+    if not terms:
+        return s // q if type(q) is int else [s // e for e in q] if s else 0
+    q = q if type(q) is list else repeat(q)
+    if len(terms) == 1:
+        ((f, g),) = terms
+        return [(s + a * b) // c for a, b, c in zip(f, g, q)]
+    if len(terms) == 2:
+        (f, g), (h, k) = terms
+        return [(s + a * b + c * d) // e for a, b, c, d, e in zip(f, g, h, k, q)]
+    (f, g), (h, k), (l, m) = terms
+    return [(a * b + c * d + e * r) // w for a, b, c, d, e, r, w in zip(f, g, h, k, l, m, q)]
+
+
+def _select_points(rows: Sequence[Sequence], prev, points: list[int]) -> tuple[list, object]:
+    """The batched rows and previous pivot at a subset of their points, given by position."""
+    *rows, (prev,) = [[e if type(e) is int else [e[a] for a in points] for e in row]
+                      for row in (*rows, [prev])]  # prev rides along as a row of one cell
+    return rows, prev
 
 
 def pivot_columns(echelon: Matrix) -> list[int]:

@@ -301,30 +301,39 @@ class SkewPencil:
         ``_skew_eliminate_many`` on the cells of ``_cells_along``; L D > 0, so
         the ranks are those of the form.  A pivot at the pencil's indices
         (k, l) adds (k < lead) + (l < lead) to the second rank (README,
-        "Orbit dimension").
+        "Orbit dimension"), replayed once per list of pivots: the points of
+        one batch share theirs.
         """
         for start in range(0, len(points), WALK_CHUNK):
             chunk = points[start : start + WALK_CHUNK]
+            splits = {}  # id of a list of pivots -> its second rank
             for pivots, _ in _skew_eliminate_many(self._cells_along(chunk), len(chunk)):
-                split = 0
-                if lead:
-                    index = list(range(self.size))  # the pencil's index of each row left
+                if lead and id(pivots) not in splits:
+                    index, split = list(range(self.size)), 0  # the pencil's index of each row left
                     for i, j in pivots:
                         split += (index[i] < lead) + (index[j] < lead)
                         del index[j], index[: i + 1]
-                yield 2 * len(pivots), split
+                    splits[id(pivots)] = split
+                yield 2 * len(pivots), splits.get(id(pivots), 0)
 
-    def _cells_along(self, points: Sequence[IntegerPoint]) -> list[list[list[int]]]:
+    def _cells_along(self, points: Sequence[IntegerPoint]) -> list[list]:
         """L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i) at each t = n / L, as the
-        rows of its strict upper triangle, each cell the list of its values at the points."""
+        rows of its strict upper triangle.  A cell is the list of its values at the points,
+        or one ``int`` where that is the same at every point: every cell of a single point,
+        and each cell no B_i touches when the points share one L or D B0 is 0 there."""
         scales = [scale for scale, _ in points]
-        zeros = [0] * len(points)
-        flat = [[b * s for s in scales] if b else zeros for b in self.base]
+        one = len(set(scales)) == 1
+        flat = [b * scales[0] if one or not b else [b * s for s in scales] for b in self.base]
         for i, terms in enumerate(self.directions):
             if terms:
                 ns = [numerators[i] for _, numerators in points]
                 for k, b in terms:
-                    flat[k] = [x + n * b for x, n in zip(flat[k], ns)]
+                    x = flat[k]
+                    flat[k] = [x + n * b for n in ns] if type(x) is int else [
+                        e + n * b for e, n in zip(x, ns)
+                    ]
+        if len(points) == 1:
+            flat = [x if type(x) is int else x[0] for x in flat]
         return [flat[i:j] for i, j in _layout(self.size)[1]]
 
 

@@ -13,7 +13,7 @@ from lpl.algebroid import (
     orbit_tangent,
     transversal_orbit_report,
 )
-from lpl.cli import parse_problem
+from lpl.cli import parse_model, parse_problem
 from lpl.embedding import Extension, cosymplectic_locus, extend, is_cosymplectic_at
 from lpl.lie import NotASubalgebra, is_subalgebra
 from lpl.linalg import (
@@ -45,7 +45,10 @@ from conftest import (
     fraction_bracket,
     fraction_coad_apply,
     fraction_rref,
+    load_perfbench,
     over_common_scale,
+    pencil_at,
+    pencil_cells,
     random_subspace,
     random_vector,
     rational_catalog,
@@ -431,3 +434,41 @@ def test_report_runs_one_batched_elimination_per_walk_chunk(monkeypatch):
             assert totals[0] == totals[1]
     kinds = {"certified_constant", "sampled_constant", "not_constant"}
     assert kinds | {("chunks", 3), ("stops early", True)} <= seen
+
+
+def test_cells_are_ints_at_one_point_and_where_no_direction_touches(monkeypatch):
+    # The orbit report's [H; E] pencil for the Borel h of gl3 along C, at a
+    # diagonal base: at one point every cell is an int, and on the walk each
+    # cell that no direction touches is one int, its value at every point,
+    # and each other cell the list of its values; at points of two scales L
+    # only the cells 0 in B0 too are ints.  Those are L D times the Fraction
+    # form, and the ranks are those of the form at each point.
+    fam = load_perfbench(monkeypatch, "families")
+    algebra = parse_model(fam.gl(3))
+    h = Subspace.span(9, fam.gl_subalgebra(3, "borel"))
+    c = AffineSubspace(algebra, h, vec([3 * (i % 4 == 0) - (i == 4) for i in range(9)]))
+    d, rows = h.integer_echelon
+    units = [[d * (i == j) for i in range(9)] for j in range(9) if j not in h.pivots]
+    pencil = skew_pencil(c, d, [*rows, *units])
+    touched = {k for terms in pencil.directions for k, _ in terms}
+    walk = c.walk(SampleSpec(6, seed=4))[0]
+    cells = [x for row in pencil._cells_along(walk) for x in row]
+    assert len(cells) == len(pencil_cells(9)) and 0 < len(touched) < len(cells)
+    assert any(cells[k] for k in range(len(cells)) if k not in touched)
+    for k, x in enumerate(cells):
+        assert type(x) is (list if k in touched else int)
+    for a, t in enumerate(walk):
+        scale, numerators = t
+        alone = [x for row in pencil._cells_along([t]) for x in row]
+        assert all(type(x) is int for x in alone)
+        assert alone == [x if type(x) is int else x[a] for x in cells]
+        form = pencil_at(pencil, [Fraction(n, scale) for n in numerators])
+        factor = scale * pencil.denominator
+        assert alone == [factor * form[i][j] for i, j in pencil_cells(9)]
+    assert [r for r, _ in pencil.ranks_along(walk)] == [
+        len(fraction_rref(pencil_at(pencil, t.numerators), 9)) for t in walk
+    ]
+    scales = [IntegerPoint(1 + a, t.numerators) for a, t in enumerate(walk[:2])]
+    cells = [x for row in pencil._cells_along(scales) for x in row]
+    constant = [k not in touched and not b for k, b in enumerate(pencil.base)]
+    assert [type(x) is int for x in cells] == constant

@@ -1105,3 +1105,26 @@ def test_certified_answers_do_not_depend_on_the_basis_of_g(data):
     problem = data.draw(st.sampled_from(rebasing_problems()))
     m = data.draw(unimodular(problem.algebra.dim))
     assert basis_free_answers(rebase(problem, m)) == basis_free_answers(problem)
+
+
+def test_induced_structure_at_p_zero_is_the_algebra(monkeypatch, tmp_path):
+    # With p = 0, k = g and p-ann = g, so the induced structure is g itself in
+    # its own basis and labels: induced_structure hands back the algebra, and
+    # the Fraction oracle's full construction equals it.  The certified
+    # extensions with p = 0 of the bundled problems and of the extend-pair
+    # workload at seeds 1 and 4, fixture products among them.
+    cases = [(name, problem) for name, problem in bundled_problems()]
+    workload = extend_pair_problems(monkeypatch, tmp_path, (1, 4))
+    cases += [(name, problem) for _, name, problem in workload]
+    seen = []
+    for name, problem in cases:
+        try:
+            e = extend(problem.affine, problem.r, problem.sampling)
+        except (RankNotConstant, NotComplementary):
+            continue
+        if e.constancy.certified and not e.p.dim:
+            pair = symmetric_pair_analysis(e)
+            assert fraction_induced_structure(problem.algebra, pair) == problem.algebra
+            assert induced_structure(problem.algebra, pair) is problem.algebra
+            seen.append(name)
+    assert len(seen) > 20 and any("product" in name for name in seen)

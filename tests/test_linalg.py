@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpl import linalg
 from lpl.algebroid import isotropy_algebra
 from lpl.lie import LinearMap, is_subalgebra
 from lpl.linalg import (
@@ -268,12 +269,24 @@ def _batched(mats, m):
     return [[[a[k][l] for a in mats] for l in range(k + 1, m)] for k in range(m)]
 
 
+def _ints_where_constant(rows):
+    """Batched rows with each cell that has one value at every point given as that int."""
+    return [[cell[0] if cell and cell.count(cell[0]) == len(cell) else cell for cell in row]
+            for row in rows]
+
+
 def _skew_batch_matches_scalar(mats, m):
     """The scalar oracle's (pivots, last pivot) per matrix, checked against
-    _skew_eliminate_many on each matrix alone, at count 1, and on all as one batch."""
-    expected = [scalar_skew_eliminate([row[k + 1 :] for k, row in enumerate(a)]) for a in mats]
+    _skew_eliminate_many on each matrix alone at count 1, its cells lists of
+    one value and plain ints, and on all as one batch, every cell a list and
+    every cell with one value over the batch an int."""
+    uppers = [[row[k + 1 :] for k, row in enumerate(a)] for a in mats]
+    expected = [scalar_skew_eliminate(upper) for upper in uppers]
     assert [_skew_eliminate_many(_batched([a], m), 1)[0] for a in mats] == expected
-    assert _skew_eliminate_many(_batched(mats, m), len(mats)) == expected
+    assert [_skew_eliminate_many(upper, 1)[0] for upper in uppers] == expected
+    batch = _batched(mats, m)
+    assert _skew_eliminate_many(batch, len(mats)) == expected
+    assert _skew_eliminate_many(_ints_where_constant(batch), len(mats)) == expected
     return expected
 
 
@@ -325,6 +338,55 @@ def test_skew_elimination_on_small_cases():
     assert _skew_eliminate_many(batch, len(uppers)) == expected
     assert [_skew_eliminate_many([[[e] for e in row] for row in u], 1)[0] for u in uppers] == expected
     assert list(map(scalar_skew_eliminate, uppers)) == expected
+
+
+def _upper(m, entries):
+    """The strict upper triangle of an m x m skew matrix from its nonzero {(k, l): x_kl}."""
+    return [[entries.get((k, l), 0) for l in range(k + 1, m)] for k in range(m)]
+
+
+def test_skew_elimination_mixes_int_and_list_cells(monkeypatch):
+    # Batches of two or three points whose constant cells are ints, each
+    # against the scalar oracle at every point and the same batch of lists.
+    # Each case must reach the mix of (pivot p, previous pivot q, some list
+    # among the other operands) it is named by in _update_cell.
+    seen = set()
+    update = linalg._update_cell
+
+    def record(p, x, u, y, v, z, q):
+        operands = (x, u, y, v, z)
+        seen.add((type(p).__name__, type(q).__name__, any(type(e) is list for e in operands)))
+        return update(p, x, u, y, v, z, q)
+
+    monkeypatch.setattr(linalg, "_update_cell", record)
+    cases = [
+        # A list pivot x01 whose one cell left reads only ints (x23 = 0, so
+        # no product has a list factor): no comprehension may read only ints.
+        (("list", "int", False), 4, [{(0, 1): t, (0, 2): 1, (1, 3): 1} for t in (1, 2)]),
+        # An int pivot with list operands.
+        (("int", "int", True), 4,
+         [{(0, 1): 3, (0, 2): t, (0, 3): 1, (1, 2): 2, (1, 3): t + 1, (2, 3): t * t}
+          for t in (1, 2, -4)]),
+        # A list pivot x01 that vanishes at t = 0 beside int cells: a split.
+        (("list", "int", True), 4,
+         [{(0, 1): t, (0, 2): 1, (1, 3): t + 2, (2, 3): 4} for t in (0, 1, 2)]),
+        # The list pivot x01, then the int pivot x23 = -x02 x13 = -1: q a list, p an int.
+        (("int", "list", True), 6,
+         [{(0, 1): t, (0, 2): 1, (1, 3): 1, (2, 4): 1, (4, 5): 1} for t in (1, 2)]),
+        # The int pivot x01, then the list pivot 2 x23: q an int, p a list.
+        (("list", "int", True), 6,
+         [{(0, 1): 2, (2, 3): t, (2, 4): 1, (3, 5): t - 1, (4, 5): 1} for t in (1, 3)]),
+    ]
+    for mix, m, points in cases:
+        uppers = [_upper(m, entries) for entries in points]
+        batch = [[[u[k][l] for u in uppers] for l in range(m - k - 1)] for k in range(m)]
+        expected = [scalar_skew_eliminate(u) for u in uppers]
+        assert _skew_eliminate_many(batch, len(uppers)) == expected
+        seen.clear()
+        assert _skew_eliminate_many(_ints_where_constant(batch), len(uppers)) == expected
+        assert mix in seen
+        # Only the split case's points take different pivots.
+        assert (len({str(p) for p, _ in expected}) > 1) == (points[0][(0, 1)] == 0)
 
 
 def _congruent(q, s):
