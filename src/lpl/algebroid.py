@@ -3,9 +3,9 @@
 Only Lie-algebra-level objects are computed: the subalgebroid fiber d inside
 a subalgebra h, coadjoint isotropy algebras, and the constant-orbit-dimension
 criterion for lines and planes meeting the leaves transversely.  All of them
-read the skew form <x, [., .]>: d is the kernel of C's pencil at the base
-(``AffineSubspace.base_kernel``), isotropy and orbit tangent the kernel and
-row space of the bivector, and the orbit report ranks one pencil along C.
+read the skew form <x, [., .]>: d is the kernel of C's pencil at the base,
+isotropy and orbit tangent the kernel and row space of the bivector, and the
+orbit report ranks one pencil along C, whose leading block is C's pencil.
 """
 
 from __future__ import annotations
@@ -21,18 +21,20 @@ from .submanifold import AffineSubspace, SampleSpec, skew_pencil
 
 
 def algebroid_fiber_d(c: AffineSubspace) -> tuple[Subspace, bool]:
-    """d = h intersected with {v : <base, [v, w]> = 0 for all w in h}.
-
-    This is the fiber of the subalgebroid attached to C; requires h to be a
-    subalgebra, read as the form on h being constant along C.  Its
-    coordinates on h's canonical basis are ``AffineSubspace.base_kernel``, the
-    kernel of the form at the base, so d is spanned by their combinations of
-    h's integer echelon rows; also reports whether d is a subalgebra.
-    """
+    """d = h intersected with {v : <base, [v, w]> = 0 for all w in h}, the fiber of the
+    subalgebroid attached to C: ``_fiber_d`` of the kernel of C's form at the base
+    (``AffineSubspace.base_kernel``).  Requires h to be a subalgebra, read as the form
+    being constant along C."""
     if not c.form.is_constant:
         raise NotASubalgebra("the subalgebroid fiber needs h to be a subalgebra")
+    return _fiber_d(c, c.base_kernel)
+
+
+def _fiber_d(c: AffineSubspace, kernel: Subspace) -> tuple[Subspace, bool]:
+    """d from its coordinates ``kernel`` on h's canonical basis: the span of their
+    combinations of h's integer echelon rows; also whether d is a subalgebra."""
     columns = list(zip(*c.h.integer_echelon[1]))
-    rows = [[sum(map(mul, k, col)) for col in columns] for k in c.base_kernel.integer_echelon[1]]
+    rows = [[sum(map(mul, k, col)) for col in columns] for k in kernel.integer_echelon[1]]
     d = Subspace.integer_span(c.algebra.dim, rows)
     return d, is_subalgebra(c.algebra, d)
 
@@ -54,8 +56,8 @@ def orbit_tangent(algebra: LieAlgebra, x: Iterable) -> Subspace:
 class AlgebroidFiberReport:
     """The fiber d and the orbit through each point of C's walk.
 
-    The points come from ``AffineSubspace.point_at``: an integral entry is an
-    ``int``, any other a Fraction.
+    d comes from the orbit pencil's leading dim h block, the points from
+    ``AffineSubspace.points_at``: an integral entry is an ``int``, any other a Fraction.
     """
 
     d: Optional[Subspace]  # None when h is not a subalgebra
@@ -81,23 +83,26 @@ def transversal_orbit_report(
     [H; E], h's canonical basis H over the unit vectors E off its pivots, the
     skew pencil <x, [M_a, M_b]> = M Pi(x) M^T has rank Pi(x) and its first
     dim h rows rank H Pi(x): ``SkewPencil.ranks_along`` reads both at every
-    point of the walk.
+    point of the walk.  Its leading dim h block is C's form B_h: constant iff no
+    direction touches a cell (a, b) with b < dim h, and then d is its kernel at the base.
     """
     h, n = c.h, c.algebra.dim
     d, rows = h.integer_echelon
     e = [[d * (i == j) for i in range(n)] for j in range(n) if j not in h.pivots]
     pencil = skew_pencil(c, d, [*rows, *e])
     points, sampling = c.walk(sampling)
-    ranks = [(c.point_at(t), *r) for t, r in zip(points, pencil.ranks_along(points, h.dim))]
-    orbit_dims = tuple((x, orbit_dim) for x, orbit_dim, _ in ranks)
-    transversal = tuple((x, s == orbit_dim) for x, orbit_dim, s in ranks)
-    dims = {d for _, d in orbit_dims}
-    d, d_sub = algebroid_fiber_d(c) if c.form.is_constant else (None, None)
+    ranks = list(zip(c.points_at(points), pencil.ranks_along(points, h.dim)))
+    orbit_dims = tuple((x, orbit_dim) for x, (orbit_dim, _) in ranks)
+    transversal = tuple((x, s == orbit_dim) for x, (orbit_dim, s) in ranks)
+    d, d_sub = None, None
+    if all(pencil.cells[k][1] >= h.dim for terms in pencil.directions for k, _ in terms):
+        block = [row[: h.dim] for row in pencil.base_rows()[: h.dim]]
+        d, d_sub = _fiber_d(c, Subspace.integer_span(h.dim, block).annihilator())
     return AlgebroidFiberReport(
         d=d,
         d_is_subalgebra=d_sub,
         orbit_dims=orbit_dims,
         transversal=transversal,
-        constant_orbit_dim=len(dims) == 1,
+        constant_orbit_dim=len({d for _, d in orbit_dims}) == 1,
         sampling=sampling,
     )

@@ -33,10 +33,6 @@ Exponents = tuple[int, ...]
 MAX_DEGREE = 64
 
 
-def _grlex_key(expo: Exponents) -> tuple:
-    return (sum(expo), expo)
-
-
 class Polynomial:
     """Multivariate polynomial over Q in nu_1 .. nu_n, held as ``nums / den``.
 
@@ -104,10 +100,11 @@ class Polynomial:
 
     @staticmethod
     def linear(coeffs: Iterable) -> "Polynomial":
-        c = vec(coeffs)
-        n = len(c)
-        units = (tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        return Polynomial(n, dict(zip(units, c)))
+        c = vec(coeffs)  # one term per nonzero c_i, over the lcm of the denominators
+        n, den = len(c), lcm(*(e.denominator for e in c))
+        nums = {(0,) * i + (1,) + (0,) * (n - 1 - i): e.numerator * (den // e.denominator)
+                for i, e in enumerate(c) if e}
+        return Polynomial._of(n, den, nums)
 
     # -- structure ---------------------------------------------------------
 
@@ -215,16 +212,17 @@ class Polynomial:
     # -- text form ---------------------------------------------------------
 
     def __str__(self) -> str:
-        """Each coefficient printed as n/g over den/g, g = gcd(n, den)."""
+        """Coefficients n/g over den/g, g = gcd(n, den); graded-lex by two stable sorts."""
         if not self.nums:
             return "0"
         den, nums = self.den, self.nums
+        names = [f"nu{i + 1}" for i in range(self.nvars)]
         pieces = []
-        for expo in sorted(nums, key=_grlex_key, reverse=True):
+        for expo in sorted(sorted(nums, reverse=True), key=sum, reverse=True):
             p = nums[expo]
             g = gcd(p, den)
             size = str(abs(p) // g) if g == den else f"{abs(p) // g}/{den // g}"
-            factors = [f"nu{i + 1}^{e}" if e > 1 else f"nu{i + 1}" for i, e in enumerate(expo) if e]
+            factors = [f"{name}^{e}" if e > 1 else name for name, e in zip(names, expo) if e]
             if size != "1" or not factors:
                 factors.insert(0, size)
             pieces.append(("- " if p < 0 else "+ ") + "*".join(factors))

@@ -1,10 +1,11 @@
 """Exact rational linear algebra.
 
 Vectors and matrices are immutable tuples of ``fractions.Fraction``, with
-one exception: a point from ``AffineSubspace.point_at`` carries its integral
-entries as ``int`` (equal, and equal in ``str`` and ``hash``, to the
-Fraction), and :func:`vec` and :func:`integer_rows` read either type where a
-point enters the library.  A :class:`Subspace` is stored as its integer
+two exceptions: a point from ``AffineSubspace.points_at`` and the vectors of
+a ``bracket_escapes`` coisotropy witness carry their integral entries as
+``int`` (equal, and equal in ``str`` and ``hash``, to the Fraction), and
+:func:`vec` and :func:`integer_rows` read either type where a point enters
+the library.  A :class:`Subspace` is stored as its integer
 echelon form (d, R): its reduced row-echelon basis times d, the lcm of that
 basis's denominators.  The form is canonical, so value equality of subspaces
 is plain ``==``, and the Fraction basis is built only where something reads it.
@@ -34,7 +35,7 @@ from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
-# Fractions, except the int entries of a point from AffineSubspace.point_at.
+# Fractions, except the int entries of a point or an escape witness (module docstring).
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
@@ -92,7 +93,9 @@ def _check_digits(numbers, what: str) -> None:
 
 
 def vector_strs(v) -> list[str]:
-    _check_digits(v, "a vector entry")
+    """The entries' strings, refused as ``_check_digits`` refuses: all ``int``s by one ``max``."""
+    if set(map(type, v)) != {int} or max(map(abs, v)) >= _PRINT_LIMIT:
+        _check_digits(v, "a vector entry")
     return [str(e) for e in v]
 
 

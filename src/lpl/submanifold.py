@@ -146,25 +146,20 @@ class AffineSubspace:
         return t, [base, *([(j, f * e) for j, e in enumerate(row) if e] for row in rows)]
 
     def point_at(self, point: IntegerPoint) -> Vector:
-        """base + sum t_a u_a over the canonical basis u of the direction.
+        """base + sum t_a u_a over the canonical basis u of the direction: ``points_at``."""
+        return self.points_at([point])[0]
 
-        With t_a = n_a / L, the point is (L T base + sum_a n_a T u_a) / (L T),
-        summed in integers.  An entry whose value is an integer stays an
-        ``int`` (every entry when L T = 1); the others are Fractions.  The two
-        types agree in ``str``, ``==`` and ``hash``, and ``vec`` makes every
-        entry a Fraction again where a point enters the library.
-        """
-        scale, numerators = point
-        frame, rows = self._integer_frame
-        x = [0] * len(self.base)
-        for na, row in zip((scale, *numerators), rows):
-            if na:
-                for j, e in row:
-                    x[j] += na * e
-        d = scale * frame
-        if d == 1:
-            return tuple(x)
-        return tuple(Fraction(s, d) if s % d else s // d for s in x)
+    def points_at(self, points: Sequence[IntegerPoint]) -> list[Vector]:
+        """base + sum t_a u_a at each t = n / L, u the direction's canonical basis: the
+        integers L T base + sum_a n_a T u_a, summed by ``_along``, over L T.  An entry whose
+        value is an integer stays an ``int`` (every entry when L T = 1), the others are
+        Fractions; the types agree in ``str``, ``==`` and ``hash``, and ``vec`` makes every
+        entry a Fraction again where a point enters the library."""
+        frame, (base, *directions) = self._integer_frame
+        base, count = dict(base), len(points)
+        columns = _along([base.get(j, 0) for j in range(len(self.base))], directions, points)
+        xs = zip(*([x] * count if type(x) is int else x for x in columns))
+        return [_over(x, scale * frame) for x, (scale, _) in zip(xs, points)]
 
     @cached_property
     def coad_rows_at_base(self) -> list[list[int]]:
@@ -209,6 +204,11 @@ class AffineSubspace:
         return [self.point_at(t) for t in points[1:]] if drawn else [self.base][: sampling.count]
 
 
+def _over(v: Sequence[int], d: int) -> Vector:
+    """The integers v over d > 0: an integral entry as an ``int``, the others as Fractions."""
+    return tuple(v) if d == 1 else tuple(Fraction(e, d) if e % d else e // d for e in v)
+
+
 def sharp_conormal_at(c: AffineSubspace, x: Iterable) -> Subspace:
     """sharp N*_x C = span of coad_v(x) over a basis v of h (x must lie on C), in integers."""
     return Subspace.integer_span(c.algebra.dim, _coad_rows_at(c, c.require_point(x)))
@@ -235,14 +235,18 @@ class CoisotropyResult:
 def is_coisotropic(c: AffineSubspace) -> CoisotropyResult:
     """Exact verdict: B_h = 0 along C, i.e. h is a subalgebra and lambda kills [h, h].
 
-    Entry (a, b) of some B_i is nonzero iff [h_a, h_b] escapes h.
+    Entry (a, b) of some B_i is nonzero iff [h_a, h_b] escapes h, read off h's rows R / d.
     """
     form = c.form
     escaping = [k for terms in form.directions for k, _ in terms]
     if escaping:
-        u, v = (c.h.basis[i] for i in form.cells[min(escaping)])
-        witness = {"kind": "bracket_escapes", "u": u, "v": v, "bracket": c.algebra.bracket(u, v)}
-        return CoisotropyResult(False, witness)
+        d, rows = c.h.integer_echelon
+        u, v = (rows[i] for i in form.cells[min(escaping)])
+        image = dict(c.algebra.integer_bracket(list(enumerate(u)), dict(enumerate(v))))
+        w = [image.get(k, 0) for k in range(c.algebra.dim)]
+        s = c.algebra.integer_structure[0] * d * d
+        parts = {"u": _over(u, d), "v": _over(v, d), "bracket": _over(w, s)}
+        return CoisotropyResult(False, {"kind": "bracket_escapes", **parts})
     if any(form.base):
         w = next(w for w in subspace_bracket(c.algebra, c.h, c.h).basis if dot(c.base, w))
         return CoisotropyResult(False, {"kind": "character_fails", "vector": w})
@@ -318,23 +322,28 @@ class SkewPencil:
 
     def _cells_along(self, points: Sequence[IntegerPoint]) -> list[list]:
         """L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i) at each t = n / L, as the
-        rows of its strict upper triangle.  A cell is the list of its values at the points,
-        or one ``int`` where that is the same at every point: every cell of a single point,
-        and each cell no B_i touches when the points share one L or D B0 is 0 there."""
-        scales = [scale for scale, _ in points]
-        one = len(set(scales)) == 1
-        flat = [b * scales[0] if one or not b else [b * s for s in scales] for b in self.base]
-        for i, terms in enumerate(self.directions):
-            if terms:
-                ns = [numerators[i] for _, numerators in points]
-                for k, b in terms:
-                    x = flat[k]
-                    flat[k] = [x + n * b for n in ns] if type(x) is int else [
-                        e + n * b for e, n in zip(x, ns)
-                    ]
+        rows of its strict upper triangle, from ``_along``: a cell is an ``int`` at a single
+        point, and where no B_i touches it when the points share one L or D B0 is 0 there."""
+        flat = _along(self.base, self.directions, points)
         if len(points) == 1:
             flat = [x if type(x) is int else x[0] for x in flat]
         return [flat[i:j] for i, j in _layout(self.size)[1]]
+
+
+def _along(base: Sequence[int], directions: Iterable, points: Sequence[IntegerPoint]) -> list:
+    """L base + sum_i n_i v_i at each t = n / L, v_i the sparse (k, value) pairs of
+    directions[i], a coordinate at a time over the points: a coordinate is the list of
+    its values, or one ``int`` where that is the same at every point (``_cells_along``)."""
+    scales = [scale for scale, _ in points]
+    one = len(set(scales)) == 1
+    flat = [b * scales[0] if one or not b else [b * s for s in scales] for b in base]
+    for terms, ns in zip(directions, zip(*(numerators for _, numerators in points))):
+        for k, b in terms:
+            x = flat[k]
+            flat[k] = [x + n * b for n in ns] if type(x) is int else [
+                e + n * b for e, n in zip(x, ns)
+            ]
+    return flat
 
 
 @lru_cache(maxsize=256)

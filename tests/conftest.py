@@ -5,7 +5,7 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -573,6 +573,26 @@ def fraction_polynomial_str(terms) -> str:
         if size != "1" or not factors:
             factors.insert(0, size)
         pieces.append(("- " if p < 0 else "+ ") + "*".join(factors))
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def keyed_polynomial_str(p) -> str:
+    """The integer printer ``Polynomial.__str__`` replaced, which sorts by the
+    key (degree, exponents) and numbers each variable from its position: its
+    oracle.  Takes the Polynomial itself."""
+    if not p.nums:
+        return "0"
+    den, nums = p.den, p.nums
+    pieces = []
+    for expo in sorted(nums, key=lambda e: (sum(e), e), reverse=True):
+        n = nums[expo]
+        g = gcd(n, den)
+        size = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+        factors = [f"nu{i + 1}^{e}" if e > 1 else f"nu{i + 1}" for i, e in enumerate(expo) if e]
+        if size != "1" or not factors:
+            factors.insert(0, size)
+        pieces.append(("- " if n < 0 else "+ ") + "*".join(factors))
     text = " ".join(pieces)
     return text[2:] if text[0] == "+" else "-" + text[2:]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpl import linalg, submanifold
+from lpl import algebroid, linalg, submanifold
 from lpl.algebroid import (
     algebroid_fiber_d,
     isotropy_algebra,
@@ -294,6 +294,41 @@ def test_report_matches_subspace_formulas():
     assert non_subalgebras > 10 and point_c > 0
     # Orbit dimensions drop below the generic one on some samples, e.g. to 0 on sl2 + sl2.
     assert (6, 0) in seen_dims and (6, 2) in seen_dims and (6, 4) in seen_dims
+
+
+def test_report_builds_one_pencil_and_reads_no_form(monkeypatch):
+    # C's form B_h is the leading dim h block of the report's [H; E] pencil:
+    # whether it is constant and its kernel at the base, which d is built
+    # from, are read there, so the report builds that one pencil and never
+    # AffineSubspace.form, and still gives algebroid_fiber_d's d.
+    rng = random.Random(233)
+    cases = subalgebra_catalog()
+    cases += [(a, random_subspace(rng, a.dim)) for a in algebra_catalog() + rational_catalog()]
+    cases += [(a, coordinate_subspace(rng, a.dim)) for a in algebra_catalog()]
+    expected = []
+    for algebra, h in cases:
+        c = AffineSubspace(algebra, h, random_vector(rng, algebra.dim, bound=3))
+        expected.append((c, algebroid_fiber_d(c) if c.form.is_constant else (None, None)))
+    built, pencil = [], submanifold.skew_pencil
+
+    def recording(c, s, rows):
+        built.append(len(rows))
+        return pencil(c, s, rows)
+
+    def unread(c):
+        raise AssertionError("the orbit report read AffineSubspace.form")
+
+    monkeypatch.setattr(algebroid, "skew_pencil", recording)
+    monkeypatch.setattr(submanifold, "skew_pencil", recording)
+    monkeypatch.setattr(AffineSubspace, "form", property(unread))
+    fibers = Counter()
+    for c, fiber in expected:
+        built.clear()
+        report = transversal_orbit_report(AffineSubspace(c.algebra, c.h, c.base), SampleSpec(3))
+        assert built == [c.algebra.dim]
+        assert (report.d, report.d_is_subalgebra) == fiber
+        fibers[fiber[0] is None, fiber[0] is not None and 0 < fiber[0].dim < c.h.dim] += 1
+    assert fibers[True, False] > 5 and fibers[False, True] > 5 and fibers[False, False] > 5
 
 
 # ---------------------------------------------------------------------------

@@ -933,6 +933,22 @@ def test_check_digits_refuses_exactly_at_the_limit(str_digits):
         sys.set_int_max_str_digits(saved)
 
 
+def test_vector_strs_reads_all_int_vectors_like_the_digit_check():
+    # A vector of ints takes one max of their sizes, any other the full
+    # digit check: both give str of each entry, and refuse at the same limit
+    # with the same error.
+    top = 10**MAX_RATIONAL_CHARS
+    for entries in ([], [0], [top - 1, 1 - top, 7], [3, Fraction(1, 2)], [True, 2]):
+        for v in (entries, tuple(entries)):
+            assert cli.vector_strs(v) == [str(e) for e in v]
+    for big in (top, -top, Fraction(top, 3), Fraction(1, top)):
+        for v in ([1, big], [big, 0], [Fraction(1, 2), big]):
+            with pytest.raises(InputError) as refused:
+                cli.vector_strs(v)
+            message = f"a vector entry has more than {MAX_RATIONAL_CHARS} digits"
+            assert refused.value.args == (message,)
+
+
 def _with_lambda(tmp_path, fixture, base):
     problem = json.loads((FIXTURES / fixture).read_text())
     problem["lambda"] = base

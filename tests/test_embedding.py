@@ -452,6 +452,31 @@ def test_constancy_is_k_normalizing_p():
     assert True in outcomes and False in outcomes
 
 
+def test_certified_constancy_means_k_normalizes_p():
+    # coad_v(u) lies in K = sharp N*_base P for every v in p and u in ann(p)
+    # iff <u, [v, w]> = 0 for every w in k = ann(K), that is iff [p, k] lies in
+    # p: the pair check's kp_in_p holds on every certified extension.  Over
+    # the subalgebra catalog and products of its entries at random bases, and
+    # random h and random p inside them, rational algebras among them.
+    rng = random.Random(59)
+    extensions = catalog_extensions(rng) + hand_built_extensions(rng, 60)
+    extensions += hand_built_extensions(rng, 30, rational_catalog())
+    for algebra in algebra_catalog() + rational_catalog():
+        for h in (random_subspace(rng, algebra.dim), coordinate_subspace(rng, algebra.dim)):
+            try:
+                extensions.append(extend(AffineSubspace(algebra, h, random_vector(rng, algebra.dim, 5))))
+            except RankNotConstant:
+                pass
+    certified = Counter()
+    for e in extensions:
+        if e.constancy.certified:
+            k = e.constancy.k_ann.annihilator()
+            assert check_symmetric_pair(e.algebra, k, e.p).kp_in_p
+            certified[0 < e.p.dim, 0 < k.dim] += 1
+    assert certified[True, True] > 10 and certified[False, True] > 10
+    assert sum(certified.values()) < len(extensions)
+
+
 def constancy_by_coad_apply(e):
     """K and the first coad_v(u) outside it, with its v and u, over the bases of p and of
     P's direction.

@@ -33,6 +33,7 @@ from conftest import (
     fraction_polynomial_str,
     fraction_solve,
     in_basis,
+    keyed_polynomial_str,
     random_vector,
     rational_catalog,
     rational_rank,
@@ -148,6 +149,40 @@ def test_str_and_parse_match_the_oracles():
             ("p/q", any(c.denominator > 1 for c in p.terms.values())),
         }
     assert all((name, True) in seen for name, _ in seen)
+
+
+def test_str_matches_the_keyed_printer_up_to_64_variables():
+    # The printer orders terms by two plain sorts (exponents descending, then a
+    # stable sort by degree) and pairs exponents with the variable names by zip;
+    # the keyed printer it replaced and the Fraction printer agree with it on
+    # wide polynomials with exponents up to MAX_DEGREE, ties in degree among them.
+    rng = random.Random(97)
+    ties = 0
+    for _ in range(150):
+        nvars = rng.choice([1, 2, 5, 13, 36, 64])
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            expo = [0] * nvars
+            for _ in range(rng.randint(0, 3)):
+                expo[rng.randrange(nvars)] = rng.choice([1, 2, rng.randint(1, MAX_DEGREE)])
+            p = rng.choice([1, 2, 3, 10**30 + 1]) * rng.choice([-1, 1])
+            terms[tuple(expo)] = Fraction(p, rng.choice([1, 1, 2, 9, 10**20]))
+        poly = Polynomial(nvars, terms)
+        assert str(poly) == keyed_polynomial_str(poly) == fraction_polynomial_str(poly.terms)
+        degrees = [sum(e) for e in poly.nums]
+        ties += len(set(degrees)) < len(degrees)
+    assert ties > 20
+
+
+def test_linear_matches_the_unit_terms():
+    # linear builds only its nonzero terms, over the lcm of the denominators.
+    rng = random.Random(98)
+    for n in (1, 2, 9, 64):
+        for _ in range(20):
+            c = [rng.choice([0, 0, 0, 1, -2, Fraction(3, 4), Fraction(-5, 6)]) for _ in range(n)]
+            units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            assert Polynomial.linear(c) == Polynomial(n, dict(zip(units, c)))
+    assert Polynomial.linear([0, 0]) == Polynomial.zero(2)
 
 
 def test_polynomial_arithmetic():

@@ -267,6 +267,33 @@ def test_non_subalgebra_witness(sl2):
     assert not h.contains_vector(w)
 
 
+def test_escape_witness_is_read_from_integers():
+    # The bracket_escapes witness is the first escaping pair h_a, h_b of h's
+    # canonical basis, read from its integer echelon rows R_a, R_b over d, and
+    # [h_a, h_b], one integer bracket over Ds d^2: the bracket loop's witness
+    # and LieAlgebra.bracket, with an int exactly where an entry is integral.
+    # Rational h give d > 1 and the rational catalog Ds > 1.
+    rng = random.Random(91)
+    seen = set()
+    for algebra in algebra_catalog() + rational_catalog():
+        n = algebra.dim
+        for _ in range(12):
+            rows = [[rng.choice([0, 0, 1, -1]) for _ in range(n)] for _ in range(rng.randint(2, n))]
+            h = rng.choice([random_subspace(rng, n), Subspace.span(n, rows)])
+            c = AffineSubspace(algebra, h, random_vector(rng, n, bound=5))
+            witness = is_coisotropic(c).witness
+            if not witness or witness["kind"] != "bracket_escapes":
+                continue
+            assert witness == bracket_loop_coisotropy(c).witness
+            u, v = witness["u"], witness["v"]
+            assert u in c.h.basis and v in c.h.basis
+            assert witness["bracket"] == algebra.bracket(u, v)
+            for part in (u, v, witness["bracket"]):
+                assert [type(e) is int for e in part] == [Fraction(e).denominator == 1 for e in part]
+            seen.add((c.h.integer_echelon[0] > 1, algebra.integer_structure[0] > 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_sl2_character_line(sl2):
     # h = span{e1, e2-e3} has [h, h] = span{e2-e3}; lambda = (1, 0, 0)
     # annihilates it, lambda = (0, 1, 0) does not.
@@ -752,6 +779,37 @@ def test_point_at_over_a_rational_frame_mixes_int_and_fraction_entries(sl2):
             assert_point_at_matches_fractions(c, point)
             kinds.add(tuple(map(type, c.point_at(point))))
     assert kinds == {(int, a, b) for a in (int, Fraction) for b in (int, Fraction)}
+
+
+def test_points_at_forms_the_walk_a_coordinate_at_a_time():
+    # points_at sums the whole walk a coordinate at a time; each point equals
+    # point_at alone and the Fraction sum base + sum t_a u_a, with an int
+    # exactly where that sum is integral.  The walks have L T = 1, T > 1 from
+    # a rational h or a rational base, and points over several L.
+    rng = random.Random(239)
+    frames, kinds = set(), set()
+    for algebra in algebra_catalog():
+        n = algebra.dim
+        integral = vec([rng.randint(-9, 9) for _ in range(n)])
+        for h, base in (
+            (coordinate_subspace(rng, n), integral),
+            (random_subspace(rng, n), integral),
+            (coordinate_subspace(rng, n), random_vector(rng, n, bound=5)),
+        ):
+            c = AffineSubspace(algebra, h, base)
+            walk = c.walk(SampleSpec(6, seed=rng.randrange(100), bound=rng.choice([1, 50])))[0]
+            scaled = [IntegerPoint(rng.randint(1, 4), t.numerators) for t in walk]
+            for points in (walk, scaled):
+                got = c.points_at(points)
+                alone = [c.point_at(t) for t in points]
+                assert got == alone
+                assert [list(map(type, x)) for x in got] == [list(map(type, x)) for x in alone]
+                for x, point in zip(got, points):
+                    assert_point_at_matches_fractions(c, point)
+                    kinds |= set(map(type, x))
+            frames.add((c._integer_frame[0] > 1, c.dim > 0))
+    assert {(False, True), (True, True)} <= frames
+    assert kinds == {int, Fraction}
 
 
 # ---------------------------------------------------------------------------
