@@ -90,10 +90,10 @@ def transversal_orbit_report(
     d, rows = h.integer_echelon
     e = [[d * (i == j) for i in range(n)] for j in range(n) if j not in h.pivots]
     pencil = skew_pencil(c, d, [*rows, *e])
-    points, sampling = c.walk(sampling)
-    ranks = list(zip(c.points_at(points), pencil.ranks_along(points, h.dim)))
-    orbit_dims = tuple((x, orbit_dim) for x, (orbit_dim, _) in ranks)
-    transversal = tuple((x, s == orbit_dim) for x, (orbit_dim, s) in ranks)
+    walk, sampling = c.walk(sampling)
+    ranks = [r for chunk in pencil.ranks_along(walk, h.dim) for r in chunk]
+    orbit_dims = tuple(zip(c.points_at(walk), (orbit_dim for orbit_dim, _ in ranks)))
+    transversal = tuple((x, s == orbit_dim) for (x, orbit_dim), (_, s) in zip(orbit_dims, ranks))
     d, d_sub = None, None
     if all(pencil.cells[k][1] >= h.dim for terms in pencil.directions for k, _ in terms):
         block = [row[: h.dim] for row in pencil.base_rows()[: h.dim]]

@@ -427,37 +427,45 @@ def render_json(report: dict) -> str:
     return _json_text(report, "\n") + "\n"
 
 
+# The JSON text of a scalar, by its exact type: a container writes its scalar entries with it.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.get,
+    type(None): lambda _: "null",
+}
+
+
 def _json_text(value, pad: str) -> str:
     """``value`` as indented JSON; ``pad`` is the newline and indent of its own line."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    kind = type(value)
     inner = pad + "  "
-    if isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
         # encode_basestring_ascii raises TypeError on a key that is not a str.
-        items = [
-            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
-            for key in sorted(value)
-        ]
+        items = []
+        for key in sorted(value):
+            text = _SCALAR_TEXT.get(type(entry := value[key]))
+            entry = text(entry) if text else _json_text(entry, inner)
+            items.append(f"{encode_basestring_ascii(key)}: {entry}")
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         separator = "," + inner
         try:  # most lists are vectors of rational strings
             body = separator.join(map(encode_basestring_ascii, value))
         except TypeError:
-            body = separator.join([_json_text(e, inner) for e in value])
+            texts = zip(value, map(_SCALAR_TEXT.get, map(type, value)))
+            body = separator.join([t(e) if t else _json_text(e, inner) for e, t in texts])
         return "[" + inner + body + pad + "]"
+    if kind in _SCALAR_TEXT:
+        return _SCALAR_TEXT[kind](value)
+    if isinstance(value, (str, int)):  # a subclass, written as json.dumps writes its base
+        return encode_basestring_ascii(value) if isinstance(value, str) else int.__repr__(value)
+    if isinstance(value, (dict, list, tuple)):
+        return _json_text(dict(value) if isinstance(value, dict) else list(value), pad)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

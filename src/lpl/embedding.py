@@ -129,7 +129,7 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
 
     The form on p is the pencil of <x, [., .]> along P, built once, and
     ``SkewPencil.ranks_along`` ranks it along the whole walk, base first;
-    only a failing sample is formed as a point.  Three answers are exact
+    only the failing samples are formed as points.  Three answers are exact
     and draw no sample: odd dim p is never cosymplectic (a skew form of odd
     size is singular), p = 0 is cosymplectic everywhere, and a P of
     dimension 0 is its base point.
@@ -138,10 +138,10 @@ def cosymplectic_locus(e: Extension, sampling: SampleSpec = SampleSpec()) -> Loc
         return LocusReport(True, False, 0, (), None)
     if not e.p.dim:
         return LocusReport(False, True, 0, (), None)
-    points, sampling = e.p_tilde.walk(sampling)
-    at_base, *full = (r == e.p.dim for r, _ in e.p_tilde.form.ranks_along(points))
-    failing = tuple(e.p_tilde.point_at(t) for t, ok in zip(points[1:], full) if not ok)
-    return LocusReport(False, at_base, len(full), failing, sampling)
+    walk, sampling = e.p_tilde.walk(sampling)
+    full = [r == e.p.dim for chunk in e.p_tilde.form.ranks_along(walk) for r, _ in chunk]
+    failing = tuple(e.p_tilde.point_at(walk.point(i)) for i, ok in enumerate(full) if i and not ok)
+    return LocusReport(False, full[0], len(full) - 1, failing, sampling)
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,8 @@ def coisotropy_in_extension(e: Extension, sampling: SampleSpec = SampleSpec()) -
     """Verify C coisotropic in P: rank B_h(x) = dim p wherever B_p(x) is nonsingular.
 
     The points x are the base and the samples of C; a C of dimension 0 is
-    its base.  Each tested point comes back unformed, as ``e.c.walk`` gives
-    it, with its flag: ``e.c.point_at`` forms it.  Requires p inside h,
-    which every extension of C satisfies.
+    its base.  Each tested point comes back formed, in walk order, with its
+    flag.  Requires p inside h, which every extension of C satisfies.
 
     Where B_p(x) is nonsingular, the sharp map of P applied to a conormal
     direction w of C is coad of the unique extension w + q (q in p) whose
@@ -285,7 +284,8 @@ def coisotropy_in_extension(e: Extension, sampling: SampleSpec = SampleSpec()) -
     """
     if not e.c.h.contains(e.p):
         raise ValueError("the conormal p of P must lie in the conormal h of C")
-    n_p, points = e.p.dim, e.c.walk(sampling)[0]
-    tested = skew_pencil(e.c, *e.p.integer_echelon).ranks_along(points)
-    full = e.c.form.ranks_along(points)
-    return [(t, r == n_p) for t, (s, _), (r, _) in zip(points, tested, full) if s == n_p]
+    n_p, walk = e.p.dim, e.c.walk(sampling)[0]
+    pencils = (skew_pencil(e.c, *e.p.integer_echelon), e.c.form)
+    tested, full = ([r for chunk in p.ranks_along(walk) for r, _ in chunk] for p in pencils)
+    cosymplectic = [i for i, s in enumerate(tested) if s == n_p]
+    return [(e.c.point_at(walk.point(i)), full[i] == n_p) for i in cosymplectic]

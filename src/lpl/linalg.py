@@ -1,11 +1,11 @@
 """Exact rational linear algebra.
 
 Vectors and matrices are immutable tuples of ``fractions.Fraction``, with
-two exceptions: a point from ``AffineSubspace.points_at`` and the vectors of
-a ``bracket_escapes`` coisotropy witness carry their integral entries as
-``int`` (equal, and equal in ``str`` and ``hash``, to the Fraction), and
-:func:`vec` and :func:`integer_rows` read either type where a point enters
-the library.  A :class:`Subspace` is stored as its integer
+two exceptions: a point that ``AffineSubspace.points_at`` forms from a walk's
+integer columns and the vectors of a ``bracket_escapes`` coisotropy witness
+carry their integral entries as ``int`` (equal, and equal in ``str`` and
+``hash``, to the Fraction), and :func:`vec` and :func:`integer_rows` read
+either type where a point enters the library.  A :class:`Subspace` is stored as its integer
 echelon form (d, R): its reduced row-echelon basis times d, the lcm of that
 basis's denominators.  The form is canonical, so value equality of subspaces
 is plain ``==``, and the Fraction basis is built only where something reads it.

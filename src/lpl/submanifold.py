@@ -11,8 +11,8 @@ cosymplectic at x iff B_h(x) is nondegenerate.
 
 Coisotropy and the subalgebra-case pre-Poisson verdict are exact theorems;
 for non-subalgebra h the rank-constancy verdict is evidence from seeded
-integer sample points (``AffineSubspace.walk``), and the verdict carries
-the SampleSpec it rests on.
+integer sample points, walked as integer columns (``AffineSubspace.walk``),
+and the verdict carries the SampleSpec it rests on.  Only printed points are formed.
 """
 
 from __future__ import annotations
@@ -61,10 +61,22 @@ class IntegerPoint(NamedTuple):
     denominator: int
     numerators: tuple[int, ...]
 
-    @staticmethod
-    def origin(dim: int) -> "IntegerPoint":
-        """t = 0: the base point."""
-        return IntegerPoint(1, (0,) * dim)
+    def walk(self) -> "Walk":
+        """The walk of this one point."""
+        return Walk(self.denominator, 1, [[n] for n in self.numerators])
+
+
+class Walk(NamedTuple):
+    """``count`` points t = n / scale, as columns: ``columns[a]`` lists n_a at every point."""
+
+    scale: int
+    count: int
+    columns: Sequence[list[int]]
+
+    def point(self, i: int) -> IntegerPoint:
+        """Point i alone."""
+        scale, _, columns = self
+        return IntegerPoint(scale, tuple(ns[i] for ns in columns))
 
 
 @dataclass(frozen=True)
@@ -75,28 +87,29 @@ class SampleSpec:
     seed: int = 0
     bound: int = 1000
 
-    def points(self, dim: int) -> list[IntegerPoint]:
-        """``count`` seeded points of ``dim`` integer coordinates, each over 1.
+    def __post_init__(self):  # Random(-s) draws the stream of Random(s)
+        for name, least in (("count", 0), ("seed", 0), ("bound", 1)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"sample {name} must be at least {least}, got {value}")
+
+    def points(self, dim: int) -> list[list[int]]:
+        """``count`` seeded points of ``dim`` integer coordinates, as ``dim`` columns.
 
         Each coordinate is the one randint(-bound, bound) draws from the seeded
-        stream: CPython's rejection sampling, k = n.bit_length() random bits for
-        a range of n values, redrawn until below n.
+        stream, point by point: CPython's rejection sampling, k = n.bit_length()
+        random bits for a range of n values, redrawn until below n.
         """
-        if self.bound < 1:
-            raise ValueError(f"sample bound must be at least 1, got {self.bound}")
         bits = random.Random(self.seed).getrandbits
         spread, bound = 2 * self.bound + 1, self.bound
         k = spread.bit_length()
-        points = []
+        ns = []
         for _ in range(self.count):
-            ns = []
             for _ in range(dim):
                 n = bits(k)
                 while n >= spread:
                     n = bits(k)
                 ns.append(n - bound)
-            points.append(IntegerPoint(1, tuple(ns)))
-        return points
+        return [ns[a::dim] for a in range(dim)]
 
 
 @dataclass(frozen=True)
@@ -147,19 +160,19 @@ class AffineSubspace:
 
     def point_at(self, point: IntegerPoint) -> Vector:
         """base + sum t_a u_a over the canonical basis u of the direction: ``points_at``."""
-        return self.points_at([point])[0]
+        return self.points_at(point.walk())[0]
 
-    def points_at(self, points: Sequence[IntegerPoint]) -> list[Vector]:
-        """base + sum t_a u_a at each t = n / L, u the direction's canonical basis: the
-        integers L T base + sum_a n_a T u_a, summed by ``_along``, over L T.  An entry whose
-        value is an integer stays an ``int`` (every entry when L T = 1), the others are
-        Fractions; the types agree in ``str``, ``==`` and ``hash``, and ``vec`` makes every
-        entry a Fraction again where a point enters the library."""
+    def points_at(self, walk: Walk) -> list[Vector]:
+        """base + sum t_a u_a at each t = n / L of the walk, u the direction's canonical basis:
+        the integers L T base + sum_a n_a T u_a, summed a coordinate at a time by ``_along``,
+        over L T.  An entry whose value is an integer stays an ``int`` (every entry when L T =
+        1), the others are Fractions; the types agree in ``str``, ``==`` and ``hash``, and
+        ``vec`` makes every entry a Fraction again where a point enters the library."""
         frame, (base, *directions) = self._integer_frame
-        base, count = dict(base), len(points)
-        columns = _along([base.get(j, 0) for j in range(len(self.base))], directions, points)
+        (scale, count, _), base = walk, dict(base)
+        columns = _along([base.get(j, 0) for j in range(len(self.base))], directions, walk)
         xs = zip(*([x] * count if type(x) is int else x for x in columns))
-        return [_over(x, scale * frame) for x, (scale, _) in zip(xs, points)]
+        return [_over(x, scale * frame) for x in xs]
 
     @cached_property
     def coad_rows_at_base(self) -> list[list[int]]:
@@ -189,19 +202,19 @@ class AffineSubspace:
         t = [xv[p] - self.base[p] for p in self.direction.pivots]
         scale = lcm(*(e.denominator for e in t))
         point = IntegerPoint(scale, tuple(e.numerator * (scale // e.denominator) for e in t))
-        return next(self.form.ranks_along([point]))[0]
+        return next(self.form.ranks_along(point.walk()))[0][0]
 
-    def walk(self, sampling: SampleSpec) -> tuple[list[IntegerPoint], Optional[SampleSpec]]:
-        """The base, then ``sampling``'s points, and that sampling; a point C is its base alone."""
+    def walk(self, sampling: SampleSpec) -> tuple[Walk, Optional[SampleSpec]]:
+        """The base, then ``sampling``'s points, over 1, and that sampling; a point C: its base."""
         d = self.direction.dim
         if not d:
-            return [IntegerPoint.origin(0)], None
-        return [IntegerPoint.origin(d)] + sampling.points(d), sampling
+            return Walk(1, 1, []), None
+        return Walk(1, sampling.count + 1, [[0, *ns] for ns in sampling.points(d)]), sampling
 
     def sample_points(self, sampling: SampleSpec) -> list[Vector]:
         """The walk's samples as exact points base + sum t_a u_a; a point C has only its base."""
-        points, drawn = self.walk(sampling)
-        return [self.point_at(t) for t in points[1:]] if drawn else [self.base][: sampling.count]
+        walk, drawn = self.walk(sampling)
+        return self.points_at(walk)[1:] if drawn else [self.base][: sampling.count]
 
 
 def _over(v: Sequence[int], d: int) -> Vector:
@@ -269,9 +282,9 @@ class SkewPencil:
     Of its ``size`` by ``size`` entries only those a < b are stored.  Entry k is
     ``cells[k]``, times the common denominator D: ``base[k]`` of D B0, and
     ``directions[i]`` holds the (k, value) pairs of the nonzero entries of
-    D B_i.  It is read in integers only: ranked by ``ranks_along`` at any
-    number of points, one point included, and written out in full at the base
-    by ``base_rows``.
+    D B_i.  It is read in integers only: ranked by ``ranks_along`` along a
+    walk of any length, one point included, and written out in full at the
+    base by ``base_rows``.
     """
 
     size: int
@@ -296,48 +309,45 @@ class SkewPencil:
             rows[a][b], rows[b][a] = e, -e
         return rows
 
-    def ranks_along(
-        self, points: Sequence[IntegerPoint], lead: int = 0
-    ) -> Iterator[tuple[int, int]]:
-        """The rank at each point t = n / L, and the rank of the first ``lead`` rows there.
+    def ranks_along(self, walk: Walk, lead: int = 0) -> Iterator[list[tuple[int, int]]]:
+        """Per ``WALK_CHUNK`` points of the walk, the (rank, rank of the first ``lead`` rows) there.
 
-        The points are ranked ``WALK_CHUNK`` at a time, each chunk by one
-        ``_skew_eliminate_many`` on the cells of ``_cells_along``; L D > 0, so
-        the ranks are those of the form.  A pivot at the pencil's indices
-        (k, l) adds (k < lead) + (l < lead) to the second rank (README,
-        "Orbit dimension"), replayed once per list of pivots: the points of
-        one batch share theirs.
+        Each chunk is ranked by one ``_skew_eliminate_many`` on the cells of ``_cells_along``;
+        L D > 0, so the ranks are those of the form.  A pivot at the pencil's indices (k, l)
+        adds (k < lead) + (l < lead) to the second rank (README, "Orbit dimension"), replayed
+        once per list of pivots: the points of one batch share theirs, and their pair.
         """
-        for start in range(0, len(points), WALK_CHUNK):
-            chunk = points[start : start + WALK_CHUNK]
-            splits = {}  # id of a list of pivots -> its second rank
-            for pivots, _ in _skew_eliminate_many(self._cells_along(chunk), len(chunk)):
-                if lead and id(pivots) not in splits:
-                    index, split = list(range(self.size)), 0  # the pencil's index of each row left
-                    for i, j in pivots:
-                        split += (index[i] < lead) + (index[j] < lead)
-                        del index[j], index[: i + 1]
-                    splits[id(pivots)] = split
-                yield 2 * len(pivots), splits.get(id(pivots), 0)
+        scale, count, columns = walk
+        for start in range(0, count, WALK_CHUNK):
+            stop = min(start + WALK_CHUNK, count)
+            chunk = Walk(scale, stop - start, [ns[start:stop] for ns in columns])
+            results = _skew_eliminate_many(self._cells_along(chunk), chunk.count)
+            pairs = {id(pivots): pivots for pivots, _ in results}  # -> (rank, lead rank)
+            for key, pivots in pairs.items():
+                index, split = list(range(self.size)), 0  # the pencil's index of each row left
+                for i, j in pivots if lead else ():
+                    split += (index[i] < lead) + (index[j] < lead)
+                    del index[j], index[: i + 1]
+                pairs[key] = 2 * len(pivots), split
+            yield [pairs[id(pivots)] for pivots, _ in results]
 
-    def _cells_along(self, points: Sequence[IntegerPoint]) -> list[list]:
+    def _cells_along(self, walk: Walk) -> list[list]:
         """L D (B0 + sum_i t_i B_i) = L (D B0) + sum_i n_i (D B_i) at each t = n / L, as the
         rows of its strict upper triangle, from ``_along``: a cell is an ``int`` at a single
-        point, and where no B_i touches it when the points share one L or D B0 is 0 there."""
-        flat = _along(self.base, self.directions, points)
-        if len(points) == 1:
+        point, and where no B_i touches it."""
+        flat = _along(self.base, self.directions, walk)
+        if walk.count == 1:
             flat = [x if type(x) is int else x[0] for x in flat]
         return [flat[i:j] for i, j in _layout(self.size)[1]]
 
 
-def _along(base: Sequence[int], directions: Iterable, points: Sequence[IntegerPoint]) -> list:
-    """L base + sum_i n_i v_i at each t = n / L, v_i the sparse (k, value) pairs of
-    directions[i], a coordinate at a time over the points: a coordinate is the list of
-    its values, or one ``int`` where that is the same at every point (``_cells_along``)."""
-    scales = [scale for scale, _ in points]
-    one = len(set(scales)) == 1
-    flat = [b * scales[0] if one or not b else [b * s for s in scales] for b in base]
-    for terms, ns in zip(directions, zip(*(numerators for _, numerators in points))):
+def _along(base: Sequence[int], directions: Iterable, walk: Walk) -> list:
+    """L base + sum_i n_i v_i at each point t = n / L of the walk, v_i the sparse
+    (k, value) pairs of directions[i], one column n_i at a time: a coordinate is the list
+    of its values, or one ``int`` where that is the same at every point (``_cells_along``)."""
+    scale, _, columns = walk
+    flat = [b * scale for b in base]
+    for terms, ns in zip(directions, columns):
         for k, b in terms:
             x = flat[k]
             flat[k] = [x + n * b for n in ns] if type(x) is int else [
@@ -416,23 +426,25 @@ def pre_poisson_check(
     when h is a subalgebra.  Then B_h(x) = B_h(base) at every point, so the
     rank at the base is a proved certificate, not sampled evidence; the
     verdict carries that rank only (``AffineSubspace.span_at_base`` is the
-    space), ranked as the batch of one point t = 0.  Otherwise rank B_h at
+    space), ranked as the walk of one point t = 0.  Otherwise rank B_h at
     the base point is compared with its rank at seeded exact sample points:
     ``SkewPencil.ranks_along`` ranks the whole walk, base first, a chunk at a
     time.  The counterexample is the first sample in walk order whose rank
-    differs; the walk stops after the chunk that holds it.
+    differs, the only point formed; the walk stops after the chunk that holds it.
     """
     pencil, codim, constant = c.form, c.direction.dim, c.form.is_constant
-    walk, sampling = ([IntegerPoint.origin(codim)], None) if constant else c.walk(sampling)
-    ranks = (codim + form_rank for form_rank, _ in pencil.ranks_along(walk))
-    base_rank = next(ranks)
-    if constant:
-        return PrePoissonVerdict(CERTIFIED_CONSTANT, rank=base_rank)
-    for t, r in zip(walk[1:], ranks):
-        if r != base_rank:
-            pair = ({"point": c.base, "rank": base_rank}, {"point": c.point_at(t), "rank": r})
+    walk, sampling = (Walk(1, 1, [[0]] * codim), None) if constant else c.walk(sampling)
+    start, base = 0, None
+    for ranks in pencil.ranks_along(walk):
+        base = base or ranks[0]
+        if ranks.count(base) < len(ranks):
+            i = next(i for i, r in enumerate(ranks) if r != base)
+            x, rank = c.point_at(walk.point(start + i)), codim + ranks[i][0]
+            pair = ({"point": c.base, "rank": codim + base[0]}, {"point": x, "rank": rank})
             return PrePoissonVerdict(NOT_CONSTANT, counterexample=pair, sampling=sampling)
-    return PrePoissonVerdict(SAMPLED_CONSTANT, rank=base_rank, sampling=sampling)
+        start += len(ranks)
+    kind = CERTIFIED_CONSTANT if constant else SAMPLED_CONSTANT
+    return PrePoissonVerdict(kind, rank=codim + base[0], sampling=sampling)
 
 
 @dataclass(frozen=True)

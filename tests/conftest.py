@@ -36,8 +36,10 @@ from lpl.linalg import (
 from lpl.submanifold import (
     NOT_CONSTANT,
     AffineSubspace,
+    IntegerPoint,
     PointwiseFlags,
     SkewPencil,
+    Walk,
     _pencil,
     pre_poisson_check,
 )
@@ -315,8 +317,24 @@ def pencil_at(pencil, t):
 
 
 def rank_at(pencil, point) -> int:
-    """The pencil's rank at one integer point: the first rank of ``ranks_along([point])``."""
-    return next(pencil.ranks_along([point]))[0]
+    """The pencil's rank at one integer point: ``ranks_along`` on the walk of that point."""
+    return next(pencil.ranks_along(point.walk()))[0][0]
+
+
+def walk_of(points: Sequence[IntegerPoint]) -> Walk:
+    """Integer points over one denominator as one walk."""
+    (scale,) = {point.denominator for point in points}
+    return Walk(scale, len(points), [list(ns) for ns in zip(*(p.numerators for p in points))])
+
+
+def walk_points(walk: Walk) -> list[IntegerPoint]:
+    """The points of a walk, one ``IntegerPoint`` each."""
+    return [walk.point(i) for i in range(walk.count)]
+
+
+def ranks_along(pencil, walk: Walk, lead: int = 0) -> list[tuple[int, int]]:
+    """``pencil.ranks_along(walk, lead)``, its chunks joined into one list."""
+    return [r for chunk in pencil.ranks_along(walk, lead) for r in chunk]
 
 
 def scalar_skew_eliminate(upper: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
@@ -849,9 +867,9 @@ def unconditional_extend(c, sampling):
     r = choose_complement(c.span_at_base)
     p_tilde = AffineSubspace(c.algebra, c.direction.sum(r).annihilator(), c.base)
     ext = Extension(c, p_tilde, verdict.sampling)
-    for t, ok in coisotropy_in_extension(ext, replace(sampling, count=8)):
+    for x, ok in coisotropy_in_extension(ext, replace(sampling, count=8)):
         if not ok:
-            raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {c.point_at(t)}")
+            raise ExtensionCheckFailed(f"C fails to be coisotropic in P at {x}")
     return ext
 
 

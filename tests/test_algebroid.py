@@ -32,6 +32,7 @@ from lpl.submanifold import (
     AffineSubspace,
     IntegerPoint,
     SampleSpec,
+    Walk,
     is_coisotropic,
     pointwise_flags,
     skew_pencil,
@@ -51,11 +52,14 @@ from conftest import (
     pencil_cells,
     random_subspace,
     random_vector,
+    ranks_along,
     rational_catalog,
     rebase,
     sl2_h,
     subalgebra_catalog,
     unimodular,
+    walk_of,
+    walk_points,
     zero_vector,
 )
 
@@ -335,8 +339,8 @@ def test_report_builds_one_pencil_and_reads_no_form(monkeypatch):
 # orbit dimension and transversality from one skew elimination
 
 
-def split_ranks(c, points):
-    """(orbit_dim, s) per point from ``ranks_along`` on the pencil of M Pi(x) M^T.
+def split_ranks(c, walk):
+    """(orbit_dim, s) per point of the walk from ``ranks_along`` on the pencil of M Pi(x) M^T.
 
     M lists h's canonical basis, then the unit vectors off its pivots.  Each
     pair is checked against Fraction eliminations of Pi(x) and of the rows
@@ -346,12 +350,11 @@ def split_ranks(c, points):
     units = [unit_vector(n, j) for j in range(n) if j not in h.pivots]
     pencil = skew_pencil(c, *over_common_scale([*h.basis, *units]))
     found = []
-    for t in points:
-        x = c.point_at(t)
+    for x in c.points_at(walk):
         orbit_dim = len(fraction_rref(fraction_bivector_at(algebra, x), n))
         s = len(fraction_rref([fraction_coad_apply(algebra, v, x) for v in h.basis], n))
         found.append((orbit_dim, s))
-    assert list(pencil.ranks_along(points, h.dim)) == found
+    assert ranks_along(pencil, walk, h.dim) == found
     return found
 
 
@@ -380,9 +383,10 @@ def test_one_skew_elimination_gives_both_ranks(data):
     small = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
     sampling = SampleSpec(3, data.draw(st.integers(0, 999)), data.draw(st.sampled_from([1, 1000])))
     walk = c.walk(sampling)[0]
-    ranks = split_ranks(c, walk + [IntegerPoint(1, tuple(data.draw(small))) for _ in range(2)])
+    ranks = split_ranks(c, walk)
+    split_ranks(c, walk_of([IntegerPoint(1, tuple(data.draw(small))) for _ in range(2)]))
     report = transversal_orbit_report(c, sampling)
-    points = [c.point_at(t) for t in walk]
+    points = c.points_at(walk)
     assert report.orbit_dims == tuple(zip(points, (d for d, _ in ranks)))
     assert report.transversal == tuple(zip(points, (d == s for d, s in ranks)))
 
@@ -445,10 +449,10 @@ def test_report_runs_one_batched_elimination_per_walk_chunk(monkeypatch):
                 bareiss.clear()
                 c = AffineSubspace(algebra, h, base)
                 walk = c.walk(sampling)[0]  # a point C has only its base
-                chunks = [min(chunk, len(walk) - a) for a in range(0, len(walk), chunk)]
+                chunks = [min(chunk, walk.count - a) for a in range(0, walk.count, chunk)]
                 counts.clear()
                 report = transversal_orbit_report(c, sampling)
-                assert len(report.orbit_dims) == len(walk) == 1 + count * (h.dim < algebra.dim)
+                assert len(report.orbit_dims) == walk.count == 1 + count * (h.dim < algebra.dim)
                 assert counts == chunks
                 counts.clear()
                 verdict = submanifold.pre_poisson_check(c, sampling)
@@ -456,7 +460,7 @@ def test_report_runs_one_batched_elimination_per_walk_chunk(monkeypatch):
                     assert counts == [1]
                 elif verdict.kind == submanifold.NOT_CONSTANT:
                     x = verdict.counterexample[1]["point"]
-                    at = next(a for a, t in enumerate(walk) if c.point_at(t) == x)
+                    at = c.points_at(walk).index(x)
                     assert counts == chunks[: at // chunk + 1]
                     seen.add(("stops early", at // chunk + 1 < len(chunks)))
                 else:
@@ -473,11 +477,11 @@ def test_report_runs_one_batched_elimination_per_walk_chunk(monkeypatch):
 
 def test_cells_are_ints_at_one_point_and_where_no_direction_touches(monkeypatch):
     # The orbit report's [H; E] pencil for the Borel h of gl3 along C, at a
-    # diagonal base: at one point every cell is an int, and on the walk each
-    # cell that no direction touches is one int, its value at every point,
-    # and each other cell the list of its values; at points of two scales L
-    # only the cells 0 in B0 too are ints.  Those are L D times the Fraction
-    # form, and the ranks are those of the form at each point.
+    # diagonal base: at one point every cell is an int, and on a walk over
+    # L = 1 or 2 each cell that no direction touches is one int, its value at
+    # every point, and each other cell the list of its values.  Those are
+    # L D times the Fraction form, and the ranks are those of the form at
+    # each point.
     fam = load_perfbench(monkeypatch, "families")
     algebra = parse_model(fam.gl(3))
     h = Subspace.span(9, fam.gl_subalgebra(3, "borel"))
@@ -487,23 +491,20 @@ def test_cells_are_ints_at_one_point_and_where_no_direction_touches(monkeypatch)
     pencil = skew_pencil(c, d, [*rows, *units])
     touched = {k for terms in pencil.directions for k, _ in terms}
     walk = c.walk(SampleSpec(6, seed=4))[0]
-    cells = [x for row in pencil._cells_along(walk) for x in row]
-    assert len(cells) == len(pencil_cells(9)) and 0 < len(touched) < len(cells)
-    assert any(cells[k] for k in range(len(cells)) if k not in touched)
-    for k, x in enumerate(cells):
-        assert type(x) is (list if k in touched else int)
-    for a, t in enumerate(walk):
-        scale, numerators = t
-        alone = [x for row in pencil._cells_along([t]) for x in row]
-        assert all(type(x) is int for x in alone)
-        assert alone == [x if type(x) is int else x[a] for x in cells]
-        form = pencil_at(pencil, [Fraction(n, scale) for n in numerators])
-        factor = scale * pencil.denominator
-        assert alone == [factor * form[i][j] for i, j in pencil_cells(9)]
-    assert [r for r, _ in pencil.ranks_along(walk)] == [
-        len(fraction_rref(pencil_at(pencil, t.numerators), 9)) for t in walk
-    ]
-    scales = [IntegerPoint(1 + a, t.numerators) for a, t in enumerate(walk[:2])]
-    cells = [x for row in pencil._cells_along(scales) for x in row]
-    constant = [k not in touched and not b for k, b in enumerate(pencil.base)]
-    assert [type(x) is int for x in cells] == constant
+    for walk in (walk, Walk(2, walk.count, walk.columns)):
+        cells = [x for row in pencil._cells_along(walk) for x in row]
+        assert len(cells) == len(pencil_cells(9)) and 0 < len(touched) < len(cells)
+        assert any(cells[k] for k in range(len(cells)) if k not in touched)
+        for k, x in enumerate(cells):
+            assert type(x) is (list if k in touched else int)
+        ranks = []
+        for a, t in enumerate(walk_points(walk)):
+            scale, numerators = t
+            alone = [x for row in pencil._cells_along(t.walk()) for x in row]
+            assert all(type(x) is int for x in alone)
+            assert alone == [x if type(x) is int else x[a] for x in cells]
+            form = pencil_at(pencil, [Fraction(n, scale) for n in numerators])
+            factor = scale * pencil.denominator
+            assert alone == [factor * form[i][j] for i, j in pencil_cells(9)]
+            ranks.append(len(fraction_rref(form, 9)))
+        assert [r for r, _ in ranks_along(pencil, walk)] == ranks

@@ -4,9 +4,12 @@ import os
 import random
 import subprocess
 import sys
+from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -1053,6 +1056,34 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON_VALUES)
 def test_render_json_writes_the_bytes_of_json_dumps(value):
+    assert render_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+class _Level(IntEnum):
+    HIGH = 7
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        _Level.HIGH,
+        _Label("a\n"),
+        OrderedDict([("b", _Level.HIGH), ("a", [_Label("x"), True])]),
+        _Pair(None, {"k": _Pair(1, "2")}),
+        [_Label("s"), "t"],
+    ],
+    ids=["IntEnum", "str", "OrderedDict", "NamedTuple", "str_list"],
+)
+def test_render_json_writes_a_subclass_as_its_json_type(value):
     assert render_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 

@@ -455,21 +455,23 @@ def test_cli_prints_every_witness_through_one_printer():
 
 
 def integer_point_reads(tree) -> list:
-    """Reads of IntegerPoint, sample_coefficients or an attribute named points."""
-    names = {"IntegerPoint", "sample_coefficients"}
+    """Reads of IntegerPoint, Walk, sample_coefficients or an attribute named points
+    or columns."""
+    names = {"IntegerPoint", "Walk", "sample_coefficients"}
     return [
         node
         for node in ast.walk(tree)
         if (isinstance(node, ast.Name) and node.id in names)
-        or (isinstance(node, ast.Attribute) and node.attr in names | {"points"})
+        or (isinstance(node, ast.Attribute) and node.attr in names | {"points", "columns"})
         or (isinstance(node, ast.alias) and node.name in names)
     ]
 
 
 def test_only_submanifold_handles_integer_points():
     # Every sampled question walks C through AffineSubspace.walk, so the
-    # integer points and SampleSpec.points stay inside submanifold.py
-    # (__init__.py only exports the names).
+    # integer points, the walk's columns and SampleSpec.points stay inside
+    # submanifold.py (__init__.py only exports the names); other modules
+    # hand a Walk back to submanifold to rank or form its points.
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     assert integer_point_reads(trees["submanifold.py"])
     found = [
@@ -479,8 +481,11 @@ def test_only_submanifold_handles_integer_points():
         for node in integer_point_reads(tree)
     ]
     assert found == []
-    stray = ast.parse("from .submanifold import IntegerPoint\npts = spec.points(3)\n")
-    assert [node.lineno for node in integer_point_reads(stray)] == [1, 2]
+    stray = ast.parse(
+        "from .submanifold import IntegerPoint\npts = spec.points(3)\n"
+        "w = Walk(1, 1, [])\nns = walk.columns[0]\nx = c.point_at(c.walk(spec)[0].point(1))\n"
+    )
+    assert [node.lineno for node in integer_point_reads(stray)] == [1, 2, 3, 4]
 
 
 def called_name(call):

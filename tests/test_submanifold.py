@@ -41,6 +41,7 @@ from lpl.submanifold import (
     NotOnSubmanifold,
     PointwiseFlags,
     SampleSpec,
+    Walk,
     classify,
     graph_coisotropy,
     is_coisotropic,
@@ -71,12 +72,15 @@ from conftest import (
     random_subspace,
     random_vector,
     rank_at,
+    ranks_along,
     rational_catalog,
     rational_rank,
     restricted_algebra,
     sl2_h,
     slice_preimage,
     subalgebra_catalog,
+    walk_of,
+    walk_points,
     zero_vector,
 )
 
@@ -113,33 +117,56 @@ def test_point_case_sample(sl2):
 
 
 def test_walk_is_the_base_then_the_samples(sl2):
-    # A point C is walked at its one origin and rests on no sampling.
+    # A point C is walked at its one origin and rests on no sampling.  A line
+    # and a plane put the base's 0 at the head of each column of samples.
     point = AffineSubspace(sl2, Subspace.full(3), vec([1, 2, 3]))
-    assert point.walk(SampleSpec(count=5)) == ([IntegerPoint.origin(0)], None)
-    line = AffineSubspace(sl2, sl2_h(sl2), vec([0, 0, 1]))
+    assert point.walk(SampleSpec(count=5)) == (Walk(1, 1, []), None)
+    assert point.points_at(point.walk(SampleSpec(count=5))[0]) == [point.base]
     spec = SampleSpec(count=5, seed=2)
-    points, sampling = line.walk(spec)
-    assert (points, sampling) == ([IntegerPoint.origin(1)] + spec.points(1), spec)
-    assert [line.point_at(t) for t in points[1:]] == line.sample_points(spec)
+    for h in (sl2_h(sl2), Subspace.span(3, [[1, 0, 0]])):
+        c = AffineSubspace(sl2, h, vec([0, 0, 1]))
+        walk, sampling = c.walk(spec)
+        columns = [[0, *ns] for ns in spec.points(c.dim)]
+        assert (walk, sampling) == (Walk(1, 6, columns), spec)
+        assert c.points_at(walk) == [c.base] + c.sample_points(spec)
+        assert [walk.point(i) for i in range(6)] == [
+            IntegerPoint(1, tuple(ns[i] for ns in columns)) for i in range(6)
+        ]
+
+
+def test_classify_forms_only_its_counterexample_as_a_point(gl2, monkeypatch):
+    # The walk stays columns of integers: a sampled_constant classify builds
+    # no IntegerPoint, and a not_constant one builds one, its counterexample.
+    built = []
+    new = IntegerPoint.__new__
+    monkeypatch.setattr(IntegerPoint, "__new__", lambda cls, *a: built.append(a) or new(cls, *a))
+    h = Subspace.span(4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for base, kind, points in (([1, 0, 0, 0], SAMPLED_CONSTANT, 0), ([0] * 4, NOT_CONSTANT, 1)):
+        built.clear()
+        verdict = classify(AffineSubspace(gl2, h, vec(base))).pre_poisson
+        assert (verdict.kind, len(built)) == (kind, points)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 1000])
 def test_sample_points_follow_the_randint_stream(bound):
-    # Every sampled report rests on this stream: the coordinates are the
-    # randint(-bound, bound) of Random(seed), in order, each point over 1.
+    # Every sampled report rests on this stream: point by point, the
+    # coordinates are the randint(-bound, bound) of Random(seed), in order,
+    # and each column lists one coordinate of every point.
     for seed in range(21):
         for dim in (0, 1, 3):
             rng = random.Random(seed)
-            expected = [
-                IntegerPoint(1, tuple(rng.randint(-bound, bound) for _ in range(dim)))
-                for _ in range(5)
-            ]
-            assert SampleSpec(count=5, seed=seed, bound=bound).points(dim) == expected
+            stream = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(5)]
+            columns = [list(ns) for ns in zip(*stream)]
+            assert SampleSpec(count=5, seed=seed, bound=bound).points(dim) == columns
 
 
-def test_sample_bound_must_be_positive():
-    with pytest.raises(ValueError, match="bound"):
-        SampleSpec(bound=0).points(1)
+@pytest.mark.parametrize("name,least", [("count", 0), ("seed", 0), ("bound", 1)])
+def test_sample_spec_refuses_what_the_cli_refuses(name, least):
+    # No negative count, no negative seed (Random(-s) draws the stream of
+    # Random(s)) and no bound below 1, whoever builds the SampleSpec.
+    assert getattr(SampleSpec(**{name: least}), name) == least
+    with pytest.raises(ValueError, match=f"sample {name} must be at least {least}, got {least - 1}"):
+        SampleSpec(**{name: least - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +459,13 @@ def test_walks_longer_than_a_chunk_keep_their_verdicts(monkeypatch):
         one_batch = (pre_poisson_check(c, sampling), transversal_orbit_report(c, sampling),
                      cosymplectic_locus(ext, sampling))
         monkeypatch.setattr(submanifold, "WALK_CHUNK", 3)
-        points, pencil = c.walk(sampling)[0], c.form
+        walk, pencil = c.walk(sampling)[0], c.form
+        points = walk_points(walk)
         chunks = [min(3, len(points) - a) for a in range(0, len(points), 3)]
         ranks = [rank_at(pencil, t) for t in points]
         batches.clear()
-        assert [r for r, _ in pencil.ranks_along(points)] == ranks
+        found = [[r for r, _ in chunk] for chunk in pencil.ranks_along(walk)]
+        assert found == [ranks[a : a + 3] for a in range(0, len(ranks), 3)]
         assert batches == chunks
         batches.clear()
         verdict = pre_poisson_check(c, sampling)
@@ -755,12 +784,15 @@ def test_rank_and_point_at_integer_points_match_fractions(data):
     pencil = skew_pencil(c, *h.integer_echelon) if data.draw(st.booleans()) else bivector_pencil(c)
     scale = data.draw(st.integers(min_value=1, max_value=6))
     seed, bound = data.draw(st.integers(0, 999)), data.draw(st.sampled_from([1, 2, 1000]))
-    points = [IntegerPoint(1, numerators), IntegerPoint(scale, numerators)]
-    points += c.walk(SampleSpec(3, seed, bound))[0]  # the origin, then the samples
+    walk = c.walk(SampleSpec(3, seed, bound))[0]  # the origin, then the samples
+    points = [IntegerPoint(1, numerators), IntegerPoint(scale, numerators), *walk_points(walk)]
     for point in points:
         t = assert_point_at_matches_fractions(c, point)
         assert rank_at(pencil, point) == rational_rank(pencil_at(pencil, t), pencil.size)
-    assert [r for r, _ in pencil.ranks_along(points)] == [rank_at(pencil, t) for t in points]
+    for same in (points[:1] + points[2:], points[1:2]):  # a walk has one L
+        assert [r for r, _ in ranks_along(pencil, walk_of(same))] == [
+            rank_at(pencil, t) for t in same
+        ]
 
 
 def test_point_at_over_a_rational_frame_mixes_int_and_fraction_entries(sl2):
@@ -781,35 +813,46 @@ def test_point_at_over_a_rational_frame_mixes_int_and_fraction_entries(sl2):
     assert kinds == {(int, a, b) for a in (int, Fraction) for b in (int, Fraction)}
 
 
-def test_points_at_forms_the_walk_a_coordinate_at_a_time():
-    # points_at sums the whole walk a coordinate at a time; each point equals
-    # point_at alone and the Fraction sum base + sum t_a u_a, with an int
-    # exactly where that sum is integral.  The walks have L T = 1, T > 1 from
-    # a rational h or a rational base, and points over several L.
+def test_points_at_forms_the_walk_a_coordinate_at_a_time(monkeypatch):
+    # points_at sums the whole walk a coordinate at a time, and ranks_along
+    # ranks it a chunk at a time; at each point the rank equals rank_at and
+    # the point equals point_at alone, in value and in type, and the Fraction
+    # sum base + sum t_a u_a, with an int exactly where that sum is integral.
+    # The walks have 0, 1 and 6 samples, L = 1 and L > 1, T > 1 from a
+    # rational h or a rational base, and C a point; chunks of 256 and of 3.
     rng = random.Random(239)
-    frames, kinds = set(), set()
-    for algebra in algebra_catalog():
-        n = algebra.dim
-        integral = vec([rng.randint(-9, 9) for _ in range(n)])
-        for h, base in (
-            (coordinate_subspace(rng, n), integral),
-            (random_subspace(rng, n), integral),
-            (coordinate_subspace(rng, n), random_vector(rng, n, bound=5)),
-        ):
-            c = AffineSubspace(algebra, h, base)
-            walk = c.walk(SampleSpec(6, seed=rng.randrange(100), bound=rng.choice([1, 50])))[0]
-            scaled = [IntegerPoint(rng.randint(1, 4), t.numerators) for t in walk]
-            for points in (walk, scaled):
-                got = c.points_at(points)
-                alone = [c.point_at(t) for t in points]
-                assert got == alone
-                assert [list(map(type, x)) for x in got] == [list(map(type, x)) for x in alone]
-                for x, point in zip(got, points):
-                    assert_point_at_matches_fractions(c, point)
-                    kinds |= set(map(type, x))
-            frames.add((c._integer_frame[0] > 1, c.dim > 0))
-    assert {(False, True), (True, True)} <= frames
-    assert kinds == {int, Fraction}
+    frames, kinds, counts = set(), set(), set()
+    for chunk in (submanifold.WALK_CHUNK, 3):
+        monkeypatch.setattr(submanifold, "WALK_CHUNK", chunk)
+        for algebra in algebra_catalog() + rational_catalog():
+            n = algebra.dim
+            integral = vec([rng.randint(-9, 9) for _ in range(n)])
+            for h, base in (
+                (coordinate_subspace(rng, n), integral),
+                (random_subspace(rng, n), integral),
+                (coordinate_subspace(rng, n), random_vector(rng, n, bound=5)),
+                (Subspace.full(n), random_vector(rng, n, bound=5)),
+            ):
+                c = AffineSubspace(algebra, h, base)
+                count, bound = rng.choice([0, 1, 6]), rng.choice([1, 50])
+                walk = c.walk(SampleSpec(count, seed=rng.randrange(100), bound=bound))[0]
+                for scale in (1, rng.randint(2, 4)):
+                    walk = Walk(scale, walk.count, walk.columns)
+                    points = walk_points(walk)
+                    got = c.points_at(walk)
+                    alone = [c.point_at(t) for t in points]
+                    assert got == alone
+                    assert [list(map(type, x)) for x in got] == [list(map(type, x)) for x in alone]
+                    for x, point in zip(got, points):
+                        assert_point_at_matches_fractions(c, point)
+                        kinds |= set(map(type, x))
+                    for pencil in (c.form, bivector_pencil(c)):
+                        ranks = [r for r, _ in ranks_along(pencil, walk)]
+                        assert ranks == [rank_at(pencil, t) for t in points]
+                frames.add((c._integer_frame[0] > 1, c.dim > 0))
+                counts.add(walk.count)
+    assert {(False, True), (True, True), (False, False)} <= frames
+    assert kinds == {int, Fraction} and counts == {1, 2, 7}
 
 
 # ---------------------------------------------------------------------------
